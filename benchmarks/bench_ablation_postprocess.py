@@ -21,9 +21,11 @@ from conftest import report
 
 
 def _prepare(circuit, device):
-    pipeline = CutQC(circuit, max_subcircuit_qubits=device)
-    pipeline.evaluate()
-    return Reconstructor(pipeline.cut(), results=pipeline.evaluate())
+    # Greedy order and early termination are knobs of the kron sweep.
+    pipeline = CutQC(circuit, max_subcircuit_qubits=device, strategy="kron")
+    return Reconstructor(
+        pipeline.cut(), results=pipeline.evaluate(), engine=pipeline.engine
+    )
 
 
 def _timed(reconstructor, **kwargs):

@@ -24,7 +24,8 @@ _WORKERS = (1, 2, 4)
 @pytest.fixture(scope="module")
 def prepared_pipeline():
     circuit = supremacy(20, seed=0, depth=8)
-    pipeline = CutQC(circuit, max_subcircuit_qubits=14)
+    # The figure is about the 4^K kron sweep partitioning across workers.
+    pipeline = CutQC(circuit, max_subcircuit_qubits=14, strategy="kron")
     cut = pipeline.cut()
     pipeline.evaluate()
     return pipeline, cut

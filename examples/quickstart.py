@@ -39,7 +39,7 @@ def main() -> None:
     print()
 
     # Evaluate every physical subcircuit variant and run an FD query.
-    result = pipeline.fd_query()
+    result = pipeline.fd_query(strategy="kron")  # the paper's 4^K sweep
     truth = simulate_probabilities(circuit)
     error = float(np.max(np.abs(result.probabilities - truth)))
 

@@ -41,6 +41,7 @@ from .devices import DEVICE_PRESETS, get_device
 from .library import BENCHMARKS, get_benchmark
 from .metrics import chi_square_loss
 from .obs import trace
+from .postprocess import DEFAULT_STRATEGY, STRATEGIES
 from .sim import simulate_probabilities
 
 __all__ = ["main", "build_parser"]
@@ -76,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="processes for variant execution and kron reconstruction",
         )
         sub.add_argument(
-            "--strategy", choices=("kron", "tensor_network", "auto"),
-            default="auto", help="contraction strategy (default: auto)",
+            "--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY,
+            help=f"contraction strategy (default: {DEFAULT_STRATEGY})",
         )
         sub.add_argument(
             "--pool", metavar="SPEC",
@@ -259,9 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--zoom-width", type=int, default=1)
     submit.add_argument("--shard-qubits", type=int, default=None,
                         help="top_k: stream the FD distribution as 2^S shards")
-    submit.add_argument("--strategy",
-                        choices=("kron", "tensor_network", "auto"),
-                        default="auto")
+    submit.add_argument("--strategy", choices=STRATEGIES,
+                        default=DEFAULT_STRATEGY)
     submit.add_argument("--device", choices=sorted(DEVICE_PRESETS),
                         help="evaluate subcircuit variants on this noisy "
                              "virtual device (batched noisy engine)")
@@ -370,7 +370,7 @@ def _build_pipeline(args: argparse.Namespace, backend=None, device=None) -> CutQ
         pool=pool,
         pool_shots=pool_shots,
         workers=getattr(args, "workers", 1),
-        strategy=getattr(args, "strategy", "kron"),
+        strategy=getattr(args, "strategy", DEFAULT_STRATEGY),
         seed=args.seed,
         worker_pool=worker_pool,
         sim_batch=_cli_sim_batch(args),

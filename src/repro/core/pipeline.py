@@ -30,6 +30,7 @@ from ..cutting.searcher import DEFAULT_MAX_CUTS, DEFAULT_MAX_SUBCIRCUITS
 from ..devices import VirtualDevice
 from ..devices.pool import DevicePool
 from ..postprocess import (
+    DEFAULT_STRATEGY,
     ContractionEngine,
     DynamicDefinitionQuery,
     PrecomputedTensorProvider,
@@ -80,7 +81,8 @@ class CutQC:
         Shots per pool job (``None`` = device default, ``0`` = exact).
     strategy:
         Default contraction strategy for queries: ``"kron"``,
-        ``"tensor_network"``, or ``"auto"``.
+        ``"tensor_network"``, or ``"auto"`` (the default: a cost-model
+        pick per contraction).
     seed:
         Seed for the pool's per-job trajectory sampling, making pooled
         evaluation reproducible.
@@ -128,7 +130,7 @@ class CutQC:
         workers: int = 1,
         pool: Optional[DevicePool] = None,
         pool_shots: Optional[int] = None,
-        strategy: str = "kron",
+        strategy: str = DEFAULT_STRATEGY,
         seed: Optional[int] = None,
         worker_pool=None,
         sim_batch: Optional[int] = None,
@@ -384,6 +386,27 @@ class CutQC:
         parallel when ``workers > 1``); ``cache=False`` disables the
         incremental collapse cache (the naive per-recursion re-collapse).
         """
+        began = time.perf_counter()
+        with trace.span(
+            "query.dd",
+            {"active_qubits": max_active_qubits,
+             "recursions": max_recursions},
+        ):
+            query = DynamicDefinitionQuery(
+                self._dd_provider(shots_per_variant, seed, cache),
+                max_active_qubits=max_active_qubits,
+                active_order=active_order,
+                engine=self.engine,
+                zoom_width=zoom_width,
+            )
+            query.run(max_recursions)
+        _QUERY_SECONDS.observe(time.perf_counter() - began, mode="dd")
+        return query
+
+    def _dd_provider(
+        self, shots_per_variant: Optional[int], seed: Optional[int], cache: bool
+    ):
+        """The tensor provider :meth:`dd_query` zooms over."""
         if shots_per_variant is not None:
             from ..postprocess import ShotBasedTensorProvider
 
@@ -404,7 +427,7 @@ class CutQC:
                     shots=self.pool_shots,
                     seed=seed if seed is not None else self.seed,
                 )
-            provider = ShotBasedTensorProvider(
+            return ShotBasedTensorProvider(
                 self.cut(),
                 shots=shots_per_variant,
                 backend=backend,
@@ -414,26 +437,9 @@ class CutQC:
                 sim_batch=self.sim_batch if backend is None else 0,
                 fusion_width=self.fusion_width,
             )
-        else:
-            provider = PrecomputedTensorProvider(
-                self.cut(), results=self.evaluate(), cache=cache
-            )
-        query = DynamicDefinitionQuery(
-            provider,
-            max_active_qubits=max_active_qubits,
-            active_order=active_order,
-            engine=self.engine,
-            zoom_width=zoom_width,
+        return PrecomputedTensorProvider(
+            self.cut(), results=self.evaluate(), cache=cache
         )
-        began = time.perf_counter()
-        with trace.span(
-            "query.dd",
-            {"active_qubits": max_active_qubits,
-             "recursions": max_recursions},
-        ):
-            query.run(max_recursions)
-        _QUERY_SECONDS.observe(time.perf_counter() - began, mode="dd")
-        return query
 
     # ------------------------------------------------------------------
     def _streaming_reconstructor(self) -> StreamingReconstructor:
@@ -460,9 +466,9 @@ class CutQC:
         collapse-cache hit rate after (or while) the iterator is
         consumed.
         """
-        return self._streaming_reconstructor().shards(
-            shard_qubits, shard_indices
-        )
+        with trace.span("query.stream", {"shard_qubits": shard_qubits}):
+            streamer = self._streaming_reconstructor()
+        return streamer.shards(shard_qubits, shard_indices)
 
     def fd_top_k(
         self,

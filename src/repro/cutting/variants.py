@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,6 +26,7 @@ from .cutter import Subcircuit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..devices.device import VirtualDevice
+    from ..postprocess.attribution import TermTensor
 
 __all__ = [
     "MEAS_BASES",
@@ -837,7 +838,9 @@ class SubcircuitResult:
     I/Z sharing already folded into :data:`MEAS_BASES`).  ``mode`` says
     how the vectors were produced (``"per-variant"`` circuit executions
     or ``"batched"`` fused body passes); ``num_body_passes`` counts the
-    batched passes (0 on the per-variant path).
+    batched passes (0 on the per-variant path).  ``term_tensor`` is the
+    memo slot of :func:`repro.postprocess.attribution.build_term_tensor`
+    (the vectors never change after construction, so neither does it).
     """
 
     subcircuit: Subcircuit
@@ -846,6 +849,9 @@ class SubcircuitResult:
     num_unique_circuits: int = 0
     mode: str = "per-variant"
     num_body_passes: int = 0
+    term_tensor: Optional["TermTensor"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dedup_ratio(self) -> float:

@@ -5,10 +5,10 @@ from .attribution import (
     DOWNSTREAM_TERMS,
     UPSTREAM_TERMS,
     TermTensor,
-    attributed_vector,
     build_term_tensor,
 )
 from .engine import (
+    DEFAULT_STRATEGY,
     STRATEGIES,
     ContractionEngine,
     ContractionResult,
@@ -53,8 +53,8 @@ __all__ = [
     "DOWNSTREAM_TERMS",
     "UPSTREAM_TERMS",
     "TermTensor",
-    "attributed_vector",
     "build_term_tensor",
+    "DEFAULT_STRATEGY",
     "STRATEGIES",
     "ContractionEngine",
     "ContractionResult",

@@ -19,19 +19,22 @@ the distribution with the cut qubit initialized to ``s``.
 
 A subcircuit touching ``m`` cuts therefore yields a tensor with one
 length-4 axis per cut plus a length ``2^f`` axis of effective outputs; the
-reconstructor combines these tensors over all ``4^K`` assignments.
+reconstructor combines these tensors over all ``4^K`` assignments.  The
+tensor is built once per :class:`SubcircuitResult` and memoised on it.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..cutting.cutter import Subcircuit
-from ..cutting.variants import INIT_LABELS, SubcircuitResult
+from ..cutting.variants import INIT_LABELS, MEAS_BASES, SubcircuitResult
+from ..obs import trace
+from ..obs.metrics import get_registry
 
 __all__ = [
     "UPSTREAM_TERMS",
@@ -39,7 +42,6 @@ __all__ = [
     "ATTRIBUTION_BASES",
     "TermTensor",
     "build_term_tensor",
-    "attributed_vector",
 ]
 
 #: Attribution bases, in the axis order used below (I reuses the Z circuit).
@@ -65,41 +67,26 @@ DOWNSTREAM_TERMS = np.array(
     ]
 )
 
-_SIGNS = {
-    "I": np.array([1.0, 1.0]),
-    "X": np.array([1.0, -1.0]),
-    "Y": np.array([1.0, -1.0]),
-    "Z": np.array([1.0, -1.0]),
-}
+#: Eq. (3)'s outcome signs per attributed basis: I sums, X/Y/Z subtract.
+_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, -1.0], [1.0, -1.0]])
+#: Attributed basis -> the physical circuit that measures it (I reuses Z).
+_CIRCUIT = np.char.replace(ATTRIBUTION_BASES, "I", "Z")[:, None] == MEAS_BASES
+#: One measurement line, whole: ``(4 terms, 3 physical bases, 2 outcomes)``
+#: — :data:`UPSTREAM_TERMS` with the signs and the I->Z reuse folded in.
+MEASURE_TERMS = np.einsum("ta,ab,as->tbs", UPSTREAM_TERMS, 1.0 * _CIRCUIT, _SIGNS)
 
+#: Raw bytes gathered per step, so a build never holds a second copy of a
+#: subcircuit's results and each step's block stays cache-resident.
+_GATHER_BYTES = 1 << 20
 
-def attributed_vector(
-    subcircuit: Subcircuit,
-    raw_vector: np.ndarray,
-    bases: Sequence[str],
-) -> np.ndarray:
-    """Attribute the cut-measure qubits away with Eq. (3) signs.
-
-    ``raw_vector`` is the physical distribution of the variant whose
-    measurement circuits implement ``bases`` (I is implemented by the Z
-    circuit); the result is a signed pseudo-distribution over the
-    subcircuit's effective (output) qubits, in line order.
-    """
-    meas_lines = subcircuit.meas_lines
-    if len(bases) != len(meas_lines):
-        raise ValueError(
-            f"{len(bases)} bases for {len(meas_lines)} measurement lines"
-        )
-    tensor = np.asarray(raw_vector, dtype=float).reshape((2,) * subcircuit.width)
-    # Contract measurement axes from highest line index down so earlier
-    # axis positions stay valid.
-    pairs = sorted(
-        zip((line.line for line in meas_lines), bases), reverse=True
-    )
-    for axis, basis in pairs:
-        signs = _SIGNS[basis]
-        tensor = np.tensordot(tensor, signs, axes=([axis], [0]))
-    return tensor.reshape(-1)
+_BUILD_SECONDS = get_registry().histogram(
+    "repro_attribute_seconds", "Term-tensor build wall time per subcircuit."
+)
+_BUILDS = get_registry().counter(
+    "repro_attribute_builds_total",
+    "build_term_tensor calls by whether the result's memo served them.",
+    ("cached",),
+)
 
 
 @dataclass
@@ -133,40 +120,61 @@ class TermTensor:
 
 
 def build_term_tensor(result: SubcircuitResult) -> TermTensor:
-    """Apply attribution and the 4-term transforms to raw variant results."""
+    """The result's term tensor: built on first use, then served from it.
+
+    A re-evaluated (or rebound-dirty) subcircuit is a new
+    :class:`SubcircuitResult`, so the memo never needs invalidating.  The
+    build is array algebra, no per-variant loop: the variant vectors are
+    stacked ``_GATHER_BYTES`` of init rows at a time into a
+    ``(rows, 3^O, 2^w)`` block and each measurement line's (basis axis,
+    qubit axis) pair is contracted against :data:`MEASURE_TERMS`.
+    """
+    if result.term_tensor is not None:
+        _BUILDS.inc(cached="true")
+        return result.term_tensor
     subcircuit = result.subcircuit
-    init_lines = subcircuit.init_lines
-    meas_lines = subcircuit.meas_lines
-    num_init = len(init_lines)
+    init_lines, meas_lines = subcircuit.init_lines, subcircuit.meas_lines
     num_meas = len(meas_lines)
-    num_effective = subcircuit.num_effective
-    vec_len = 1 << num_effective
-
-    # Raw attributed tensor: one length-4 axis per init line, one per
-    # measurement line (in ATTRIBUTION_BASES order), then the output axis.
-    shape = (4,) * (num_init + num_meas) + (vec_len,)
-    attributed = np.zeros(shape)
-    for init_combo in itertools.product(range(4), repeat=num_init):
-        init_labels = tuple(INIT_LABELS[i] for i in init_combo)
-        for basis_combo in itertools.product(range(4), repeat=num_meas):
-            bases = tuple(ATTRIBUTION_BASES[b] for b in basis_combo)
-            physical = tuple("Z" if b == "I" else b for b in bases)
-            raw = result.vector(init_labels, physical)
-            attributed[init_combo + basis_combo] = attributed_vector(
-                subcircuit, raw, bases
+    vec_len = 1 << subcircuit.num_effective
+    cut_ids = [line.init_cut for line in init_lines]
+    cut_ids += [line.meas_cut for line in meas_lines]
+    init_combos = list(itertools.product(INIT_LABELS, repeat=len(init_lines)))
+    basis_combos = list(itertools.product(MEAS_BASES, repeat=num_meas))
+    row_bytes = len(basis_combos) * (8 << subcircuit.width)
+    step = max(1, _GATHER_BYTES // row_bytes)
+    began = time.perf_counter()
+    with trace.span(
+        "attribute",
+        {"subcircuit": subcircuit.index, "rho": len(init_lines),
+         "num_meas": num_meas, "rows": len(init_combos) * len(basis_combos),
+         "bytes": len(init_combos) * row_bytes},
+    ):
+        # One row per init combination, then one length-4 *term* axis per
+        # measurement line, then the effective-output axis.
+        attributed = np.empty((len(init_combos),) + (4,) * num_meas + (vec_len,))
+        for start in range(0, len(init_combos), step):
+            inits = init_combos[start : start + step]
+            keys = itertools.product(inits, basis_combos)
+            tensor = np.concatenate([result.probabilities[key] for key in keys])
+            tensor = tensor.reshape(
+                (len(inits),) + (3,) * num_meas + (2,) * subcircuit.width
             )
-
-    axis_cut_ids = [line.init_cut for line in init_lines] + [
-        line.meas_cut for line in meas_lines
-    ]
-    return transform_attributed_to_terms(
-        attributed,
-        num_init=num_init,
-        num_meas=num_meas,
-        axis_cut_ids=axis_cut_ids,
-        num_effective=num_effective,
-        subcircuit_index=subcircuit.index,
-    )
+            # Highest line first: lower qubit axes keep their positions, each
+            # step shrinks the block 6 -> 4 and prepends the line's term axis.
+            for line in reversed(meas_lines):
+                axes = ([1, 2], [num_meas, num_meas + 1 + line.line])
+                tensor = np.tensordot(MEASURE_TERMS, tensor, axes=axes)
+            tensor = tensor.reshape((4,) * num_meas + (len(inits), vec_len))
+            attributed[start : start + step] = np.moveaxis(tensor, num_meas, 0)
+        result.term_tensor = transform_attributed_to_terms(
+            attributed.reshape((4,) * len(cut_ids) + (vec_len,)),
+            num_init=len(init_lines), num_meas=0,  # meas axes hold terms already
+            axis_cut_ids=cut_ids, num_effective=subcircuit.num_effective,
+            subcircuit_index=subcircuit.index,
+        )
+    _BUILD_SECONDS.observe(time.perf_counter() - began)
+    _BUILDS.inc(cached="false")
+    return result.term_tensor
 
 
 def transform_attributed_to_terms(
@@ -183,17 +191,12 @@ def transform_attributed_to_terms(
     one length-4 axis per measurement cut (attributed basis index in
     :data:`ATTRIBUTION_BASES` order) and a trailing output axis.
     """
-    vec_len = attributed.shape[-1]
-    tensor = attributed
-    for axis in range(num_init):
-        tensor = np.moveaxis(
-            np.tensordot(DOWNSTREAM_TERMS, tensor, axes=([1], [axis])), 0, axis
-        )
-    for offset in range(num_meas):
-        axis = num_init + offset
-        tensor = np.moveaxis(
-            np.tensordot(UPSTREAM_TERMS, tensor, axes=([1], [axis])), 0, axis
-        )
+    tensor = np.ascontiguousarray(attributed)
+    terms = [DOWNSTREAM_TERMS] * num_init + [UPSTREAM_TERMS] * num_meas
+    for axis, matrix in enumerate(terms):
+        # (4, 4) @ (lead, 4, rest): the term axis lands where ``axis`` was.
+        tensor = np.matmul(matrix, tensor.reshape(4**axis, 4, -1))
+    tensor = tensor.reshape(attributed.shape)
 
     # Reorder the cut axes to ascending cut id (the reconstructor's
     # canonical order) and flatten to (4^m, 2^f).
@@ -201,12 +204,8 @@ def transform_attributed_to_terms(
     tensor = np.transpose(tensor, axes=list(order) + [len(axis_cut_ids)])
     cut_order = [axis_cut_ids[i] for i in order]
 
-    data = tensor.reshape(4 ** len(cut_order), vec_len)
-    nonzero = np.any(data != 0.0, axis=1)
+    data = tensor.reshape(4 ** len(cut_order), attributed.shape[-1])
     return TermTensor(
-        subcircuit_index=subcircuit_index,
-        cut_order=cut_order,
-        num_effective=num_effective,
-        data=data,
-        nonzero=nonzero,
+        subcircuit_index, cut_order, num_effective, data,
+        nonzero=np.any(data != 0.0, axis=1),
     )

@@ -184,7 +184,7 @@ class DynamicDefinitionQuery:
         if zoom_width < 1:
             raise ValueError("zoom_width must be positive")
         self.provider = provider
-        self.engine = engine or ContractionEngine(strategy="auto")
+        self.engine = engine or ContractionEngine()
         if pool is not None and self.engine.pool is None:
             self.engine = replace(self.engine, pool=pool)
         self.max_active_qubits = int(max_active_qubits)

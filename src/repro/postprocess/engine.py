@@ -47,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "STRATEGIES",
+    "DEFAULT_STRATEGY",
     "ContractionResult",
     "ContractionEngine",
     "contract_terms",
@@ -55,6 +56,8 @@ __all__ = [
 
 #: The strategies :func:`contract_terms` accepts.
 STRATEGIES: Tuple[str, ...] = ("kron", "tensor_network", "auto")
+#: The one default every entry point (library, CLI, service) reads.
+DEFAULT_STRATEGY = "auto"
 
 #: Assignments processed per vectorized row computation.
 _CHUNK = 1 << 14
@@ -369,7 +372,7 @@ def contract_terms(
     tensors: Sequence[TermTensor],
     order: Sequence[int],
     num_cuts: int,
-    strategy: str = "auto",
+    strategy: str = DEFAULT_STRATEGY,
     workers: int = 1,
     early_termination: bool = True,
 ) -> ContractionResult:
@@ -425,7 +428,7 @@ class ContractionEngine:
     a throwaway ``multiprocessing.Pool`` per call.
     """
 
-    strategy: str = "auto"
+    strategy: str = DEFAULT_STRATEGY
     workers: int = 1
     early_termination: bool = True
     pool: Optional["WorkerPool"] = None

@@ -37,7 +37,7 @@ import numpy as np
 from ..cutting.cutter import CutCircuit
 from ..cutting.variants import SubcircuitResult
 from .attribution import TermTensor, build_term_tensor
-from .engine import STRATEGIES, ContractionEngine
+from .engine import DEFAULT_STRATEGY, STRATEGIES, ContractionEngine
 from .plan import PrecomputedTensorProvider, QueryPlan, binned_tensor
 
 __all__ = [
@@ -79,7 +79,7 @@ class Reconstructor:
         engine: Optional[ContractionEngine] = None,
     ):
         self.cut_circuit = cut_circuit
-        self.engine = engine or ContractionEngine(strategy="kron")
+        self.engine = engine or ContractionEngine()
         if tensors is None:
             if results is None:
                 raise ValueError("provide subcircuit results or term tensors")
@@ -156,7 +156,7 @@ def reconstruct_full(
     workers: int = 1,
     greedy_order: bool = True,
     early_termination: bool = True,
-    strategy: str = "kron",
+    strategy: str = DEFAULT_STRATEGY,
 ) -> ReconstructionResult:
     """One-call FD query: results -> full uncut distribution."""
     reconstructor = Reconstructor(cut_circuit, results=results)

@@ -177,7 +177,7 @@ class StreamingReconstructor:
         pool=None,
     ):
         self.cut_circuit = cut_circuit
-        self.engine = engine or ContractionEngine(strategy="auto")
+        self.engine = engine or ContractionEngine()
         if provider is None:
             provider = PrecomputedTensorProvider(
                 cut_circuit, results=results, tensors=tensors

@@ -55,6 +55,7 @@ from ..faults import PoolUnrecoverableError, is_transient
 from ..library import BENCHMARKS, get_benchmark
 from ..obs import trace
 from ..obs.metrics import get_registry
+from ..postprocess.engine import DEFAULT_STRATEGY
 from ..postprocess.parallel import WorkerPool
 from .journal import JobJournal
 from .store import ArtifactStore
@@ -149,7 +150,7 @@ class JobSpec:
     # execution ----------------------------------------------------------
     device: Optional[str] = None
     shots: Optional[int] = None
-    strategy: str = "auto"
+    strategy: str = DEFAULT_STRATEGY
     workers: int = 1
     #: ``None`` = batching on by default (exact *and* device paths);
     #: ``0`` = the legacy per-variant escape hatch.

@@ -3,15 +3,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import QuantumCircuit, cut_circuit, evaluate_subcircuit
+from repro import (
+    CutQC,
+    QuantumCircuit,
+    VariationalSession,
+    cut_circuit,
+    cut_circuit_from_assignment,
+    evaluate_subcircuit,
+    make_device,
+)
+from repro.circuits import build_circuit_graph
+from repro.core.executor import VariantExecutor
+from repro.library.qaoa import qaoa_maxcut, ring_graph
+from repro.obs.metrics import get_registry
 from repro.postprocess import (
     DOWNSTREAM_TERMS,
     UPSTREAM_TERMS,
-    attributed_vector,
     build_term_tensor,
 )
-from repro.sim import simulate_probabilities
+from repro.service.store import ArtifactStore
+from repro.sim import NoiseModel, simulate_probabilities
+from tests.attribution_oracle import attributed_vector, reference_term_tensor
+from tests.conftest import random_connected_circuit
 
 
 @pytest.fixture
@@ -173,3 +189,171 @@ class TestPaperExampleSection32:
         from repro.utils import bitstring_to_index
 
         assert np.isclose(manual, truth[bitstring_to_index(target)], atol=1e-10)
+
+
+def _assert_matches_oracle(result):
+    """The vectorised build equals the per-variant loop it replaced."""
+    built = build_term_tensor(result)
+    want = reference_term_tensor(result)
+    assert built.subcircuit_index == want.subcircuit_index
+    assert built.cut_order == want.cut_order
+    assert built.num_effective == want.num_effective
+    assert built.data.shape == want.data.shape
+    assert np.abs(built.data - want.data).max() <= 1e-12
+    assert np.array_equal(built.nonzero, np.any(built.data != 0.0, axis=1))
+    # The oracle's I+Z / I-Z sums round where the build's 2*p(0) / 2*p(1)
+    # do not, so the flags may differ only on rows that are zero to 1e-12.
+    differs = built.nonzero != want.nonzero
+    assert np.abs(built.data[differs]).max(initial=0.0) <= 1e-12
+    assert np.abs(want.data[differs]).max(initial=0.0) <= 1e-12
+
+
+def _random_cut(n, seed, parts=2):
+    """Time slices of the gate list with a few gates moved across: enough
+    cuts to mix the roles, few enough for the oracle's 4^(rho+O) loop."""
+    circuit = random_connected_circuit(n, 2 * n, seed)
+    vertices = np.arange(build_circuit_graph(circuit).num_vertices)
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(20):
+        edges = np.sort(rng.choice(vertices[1:], parts - 1, replace=False))
+        assignment = np.searchsorted(edges, vertices, side="right")
+        moved = rng.random(vertices.size) < 0.2
+        assignment[moved] = rng.integers(0, parts, int(moved.sum()))
+        if len(set(assignment.tolist())) < parts:
+            continue
+        cut = cut_circuit_from_assignment(circuit, list(assignment))
+        if cut.num_cuts <= 6:
+            return cut
+    return None
+
+
+class TestVectorisedBuildParity:
+    """`build_term_tensor` against the relocated per-variant oracle."""
+
+    #: name -> (gates on 3-4 qubits, cuts, (rho, O, f) of some subcircuit)
+    SHAPES = {
+        "rho=0": ([(0, 1), (1, 2)], [(1, 1)], (0, 1, 1)),
+        "O=0": ([(0, 1), (1, 2)], [(1, 1)], (1, 0, 2)),
+        "mixed rho+O": ([(0, 1), (1, 2), (2, 3)], [(1, 1), (2, 1)], (1, 1, 1)),
+        "no effective outputs": ([(0, 1), (0, 1)], [(0, 1), (1, 1)], (0, 2, 0)),
+        # wire 0 leaves {g0, g2} through cut 0, wire 1 re-enters it through
+        # cut 1: its axes arrive as [init cut 1, meas cut 0].
+        "non-monotone cut ids": (
+            [(0, 2), (0, 1), (1, 2)], [(0, 1), (1, 1)], (1, 1, 2),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_named_shapes(self, name):
+        gates, cuts, shape = self.SHAPES[name]
+        circuit = QuantumCircuit(1 + max(max(pair) for pair in gates))
+        for qubit in range(circuit.num_qubits):
+            circuit.ry(0.4 + 0.3 * qubit, qubit)
+        for a, b in gates:
+            circuit.cx(a, b).rz(0.2 + a, a).rx(0.5 + b, b)
+        cut = cut_circuit(circuit, cuts)
+        shapes = [
+            (len(s.init_lines), len(s.meas_lines), s.num_effective)
+            for s in cut.subcircuits
+        ]
+        assert shape in shapes
+        if name == "non-monotone cut ids":
+            sub = cut.subcircuits[shapes.index(shape)]
+            assert sub.init_lines[0].init_cut > sub.meas_lines[0].meas_cut
+        for sub in cut.subcircuits:
+            _assert_matches_oracle(evaluate_subcircuit(sub))
+            _assert_matches_oracle(evaluate_subcircuit(sub, sim_batch=3))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=6),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=2, max_value=3),
+    )
+    def test_random_circuits_random_cuts(self, n, seed, parts):
+        cut = _random_cut(n, seed, parts)
+        if cut is None:
+            return
+        # sim_batch=0: per-variant execution, equal circuits share one
+        # vector object; sim_batch=3: several slabs per subcircuit.
+        for sim_batch in (0, 3):
+            executor = VariantExecutor(sim_batch=sim_batch)
+            for result in executor.run(cut.subcircuits):
+                _assert_matches_oracle(result)
+
+    def test_noisy_density_results(self):
+        circuit = random_connected_circuit(5, 9, seed=11)
+        pipeline = CutQC(
+            circuit,
+            max_subcircuit_qubits=4,
+            device=make_device(
+                "line-4", 4, "line", noise=NoiseModel(1e-3, 1e-2, 0.015)
+            ),
+            noisy_method="density",
+            device_shots=0,
+        )
+        results = pipeline.evaluate()
+        assert pipeline.execution_report.mode.startswith("batched-noisy")
+        for result in results:
+            _assert_matches_oracle(result)
+
+    def test_store_round_trip(self, tmp_path):
+        cut = _random_cut(5, seed=3)  # (rho, O) = (1, 5) and (5, 1)
+        results = [evaluate_subcircuit(s, sim_batch=4) for s in cut.subcircuits]
+        store = ArtifactStore(tmp_path)
+        store.put_evaluation("key", results)
+        for original, loaded in zip(results, store.get_evaluation("key", cut)):
+            assert loaded.term_tensor is None  # the memo is not persisted
+            _assert_matches_oracle(loaded)
+            assert np.array_equal(
+                build_term_tensor(loaded).data, build_term_tensor(original).data
+            )
+
+
+def _builds(cached: bool) -> float:
+    counter = get_registry().counter("repro_attribute_builds_total")
+    return counter.value(cached="true" if cached else "false")
+
+
+class TestBuildOnce:
+    """The tensor is memoised on the result: repeats perform zero builds."""
+
+    def test_memo_is_per_result_object(self, fig4_cut):
+        result = evaluate_subcircuit(fig4_cut.subcircuits[0])
+        assert build_term_tensor(result) is build_term_tensor(result)
+        again = evaluate_subcircuit(fig4_cut.subcircuits[0])
+        assert build_term_tensor(again) is not build_term_tensor(result)
+
+    def test_second_fd_query_and_dd_query_build_nothing(self):
+        pipeline = CutQC(random_connected_circuit(6, 12, seed=3), 4)
+        num = pipeline.cut().num_subcircuits
+        built, served = _builds(False), _builds(True)
+        first = pipeline.fd_query()
+        assert _builds(False) - built == num
+        assert _builds(True) - served == 0
+        second = pipeline.fd_query()
+        pipeline.dd_query(max_active_qubits=2, max_recursions=2)
+        assert _builds(False) - built == num
+        assert _builds(True) - served == 2 * num
+        assert np.array_equal(first.probabilities, second.probabilities)
+
+    def test_rebind_rebuilds_exactly_the_dirty_subcircuits(self):
+        circuit = qaoa_maxcut(6, ring_graph(6), layers=1, parameters=[0.3, 0.7])
+        session = VariationalSession(circuit, max_subcircuit_qubits=5)
+        built = _builds(False)
+        stats = session.rebind(circuit.parameters())
+        assert _builds(False) - built == len(stats.dirty_subcircuits)
+        assert len(stats.dirty_subcircuits) == session.cut.num_subcircuits
+        flat = list(circuit.parameters())
+        flat[-1] += 0.17  # touches a single subcircuit
+        clean = {
+            index: build_term_tensor(result)
+            for index, result in enumerate(session.results)
+        }
+        built = _builds(False)
+        stats = session.rebind(flat)
+        assert 1 <= len(stats.dirty_subcircuits) < session.cut.num_subcircuits
+        assert _builds(False) - built == len(stats.dirty_subcircuits)
+        for index, result in enumerate(session.results):
+            rebuilt = build_term_tensor(result) is not clean[index]
+            assert rebuilt == (index in stats.dirty_subcircuits)

@@ -122,7 +122,8 @@ class TestOptions:
         for greedy in (True, False):
             for early in (True, False):
                 result = reconstruct_full(
-                    cut, results, greedy_order=greedy, early_termination=early
+                    cut, results, greedy_order=greedy,
+                    early_termination=early, strategy="kron",
                 )
                 assert np.allclose(result.probabilities, truth, atol=1e-10)
 
@@ -152,7 +153,7 @@ class TestOptions:
 
     def test_stats_fields(self, cut_and_results):
         _, cut, results = cut_and_results
-        result = reconstruct_full(cut, results)
+        result = reconstruct_full(cut, results, strategy="kron")
         stats = result.stats
         assert stats.num_cuts == 1
         assert stats.num_terms == 4
@@ -167,7 +168,9 @@ class TestOptions:
         circuit = bv(5)
         cut = cut_circuit(circuit, [(4, 1)])
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        result = reconstruct_full(cut, results, early_termination=True)
+        result = reconstruct_full(
+            cut, results, early_termination=True, strategy="kron"
+        )
         truth = simulate_probabilities(circuit)
         assert np.allclose(result.probabilities, truth, atol=1e-10)
 
