@@ -47,7 +47,7 @@ _TRAJECTORIES = int(os.environ.get("REPRO_BENCH_NB_TRAJECTORIES", "8"))
 _SHOTS = int(os.environ.get("REPRO_BENCH_NB_SHOTS", "2048"))
 _SIM_BATCH = int(os.environ.get("REPRO_BENCH_NB_SIM_BATCH", "256"))
 _REPS = int(os.environ.get("REPRO_BENCH_NB_REPS", "3"))
-_MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_NB_MIN_SPEEDUP", "3.0"))
+_MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_NB_MIN_SPEEDUP", "12.0"))
 
 _NOISE = NoiseModel(error_1q=0.001, error_2q=0.01, readout=0.015)
 

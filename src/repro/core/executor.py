@@ -134,7 +134,9 @@ class ExecutionReport:
     pool_makespan_seconds: Optional[float] = None
     pool_serial_seconds: Optional[float] = None
     #: Batched-strategy accounting: fused body passes actually simulated
-    #: and the knobs that shaped them (None on the per-variant path).
+    #: and the knobs that shaped them (None on the per-variant path).  On
+    #: the noisy trajectory path a pass is the clean walk or one forked
+    #: suffix of it, so the count follows the injections drawn.
     num_body_passes: Optional[int] = None
     sim_batch: Optional[int] = None
     fusion_width: Optional[int] = None

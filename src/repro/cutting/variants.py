@@ -346,8 +346,9 @@ class _Fragment:
     """A compiled 1q prep/basis fragment on one simulated wire.
 
     ``gates`` are the fragment's (possibly native-decomposed) gates with
-    qubits already remapped to the simulated register; ``matrix`` is
-    their noise-free fold; ``log_clean`` the fragment's no-injection
+    qubits already remapped to the simulated register; ``matrices`` are
+    their 2x2 unitaries and ``matrix`` the noise-free fold of those;
+    ``log_clean`` the fragment's no-injection
     log-weight; ``rho``/``vector`` (prep only) the per-qubit 2x2 noisy
     density / clean 2-vector the fragment leaves behind — this is how
     prep folds into the first body block instead of costing a pass.
@@ -356,6 +357,7 @@ class _Fragment:
     gates: Tuple[Gate, ...]
     wire: int
     log_clean: float
+    matrices: Tuple[np.ndarray, ...]
     matrix: np.ndarray
     rho: Optional[np.ndarray] = None
     vector: Optional[np.ndarray] = None
@@ -364,12 +366,11 @@ class _Fragment:
 class _NoisyGeometry:
     """Everything fixed across a subcircuit's variants, compiled once."""
 
-    __slots__ = ("num_wires", "plan", "clean_ops", "prep", "basis", "keep")
+    __slots__ = ("num_wires", "plan", "prep", "basis", "keep")
 
-    def __init__(self, num_wires, plan, clean_ops, prep, basis, keep):
+    def __init__(self, num_wires, plan, prep, basis, keep):
         self.num_wires = num_wires
         self.plan = plan
-        self.clean_ops = clean_ops
         self.prep = prep
         self.basis = basis
         self.keep = keep
@@ -398,10 +399,10 @@ def geometry_stats() -> dict:
     }
 
 
-def _fold_matrices(gates: Sequence[Gate]) -> np.ndarray:
+def _fold_matrices(matrices: Sequence[np.ndarray]) -> np.ndarray:
     matrix = np.eye(2, dtype=complex)
-    for gate in gates:
-        matrix = gate.matrix() @ matrix
+    for factor in matrices:
+        matrix = factor @ matrix
     return matrix
 
 
@@ -429,7 +430,6 @@ def _compiled_noisy_geometry(
     full variant circuit — one routing pass serves all ``3^O * 4^rho``
     variants.
     """
-    from ..sim.batch import fuse_gates
     from ..sim.noisy_batch import noisy_body_plan
 
     noise = spec.effective_noise
@@ -501,30 +501,33 @@ def _compiled_noisy_geometry(
         wire = prep_wire(position)
         for label in INIT_LABELS:
             gates = fragment_gates(_PREP_GATES[label], wire)
+            matrices = tuple(gate.matrix() for gate in gates)
             prep[(label, line_index)] = _Fragment(
                 gates=gates,
                 wire=wire,
                 log_clean=clean_log_weight(gates, noise),
-                matrix=_fold_matrices(gates),
+                matrices=matrices,
+                matrix=_fold_matrices(matrices),
                 rho=_prep_density(gates, noise.error_1q),
-                vector=_fold_matrices(gates) @ INITIAL_STATES["zero"],
+                vector=_fold_matrices(matrices) @ INITIAL_STATES["zero"],
             )
     basis: Dict[Tuple[str, int], _Fragment] = {}
     for line_index, position in enumerate(meas_positions):
         wire = basis_wire(position)
         for name in MEAS_BASES:
             gates = fragment_gates(_BASIS_GATES[name], wire)
+            matrices = tuple(gate.matrix() for gate in gates)
             basis[(name, line_index)] = _Fragment(
                 gates=gates,
                 wire=wire,
                 log_clean=clean_log_weight(gates, noise),
-                matrix=_fold_matrices(gates),
+                matrices=matrices,
+                matrix=_fold_matrices(matrices),
             )
 
     geometry = _NoisyGeometry(
         num_wires=num_wires,
         plan=noisy_body_plan(body_gates, noise, num_wires, fusion_width),
-        clean_ops=fuse_gates(body_gates, fusion_width),
         prep=prep,
         basis=basis,
         keep=keep,
@@ -570,11 +573,12 @@ def batched_noisy_variant_probabilities(
     ``3^O`` basis distributions are derived from the retained states by
     applying only the cheap noisy 1q basis fragments.
 
-    ``method="trajectory"`` runs one noise-free clean pass plus
-    ``spec.trajectories`` injection passes per chunk (each a *fixed*
-    Pauli pattern, hence one linear map for the whole batch) and mixes
-    them with the analytic clean weight exactly like the serial
-    :class:`~repro.sim.noise.NoisySimulator`.  ``method="density"``
+    ``method="trajectory"`` mixes the clean distribution with the mean
+    of ``spec.trajectories`` Pauli-injection samples by the analytic
+    clean weight, exactly like the serial
+    :class:`~repro.sim.noise.NoisySimulator`; a chunk costs one walk
+    over the fused clean body plus one forked suffix per trajectory
+    that injected (see ``trajectory_chunk``).  ``method="density"``
     evolves the exact channel in one batched density pass.  Trajectory
     injections, basis-fragment injections and shot sampling all draw
     from keyed child RNGs (:func:`~repro.sim.noise.spawn_rng`) whose
@@ -582,8 +586,9 @@ def batched_noisy_variant_probabilities(
     bit-identical regardless of worker count or chunk order.
 
     Returns ``(probabilities, num_body_passes)`` keyed like
-    :func:`evaluate_subcircuit`; on the device path each vector is
-    already marginalized to the subcircuit's logical qubits.
+    :func:`evaluate_subcircuit` (trajectory passes: clean walk + forked
+    suffixes); on the device path each vector is already marginalized
+    to the subcircuit's logical qubits.
     """
     from ..sim.batch import BatchedStatevector
     from ..sim.density import BatchedDensityMatrix
@@ -591,9 +596,10 @@ def batched_noisy_variant_probabilities(
     from ..sim.noisy_batch import (
         PAULI_NAMES_1Q,
         apply_readout_error_rows,
+        fork_suffix,
+        injected_suffix,
         marginalize_rows,
         run_density_body,
-        run_trajectory_body,
         sample_injection_pattern,
     )
     from ..sim.sampler import sample_distribution
@@ -620,6 +626,16 @@ def batched_noisy_variant_probabilities(
     else:
         init_combos = [tuple(combo) for combo in init_combos]
 
+    def product_state(members):
+        """``members[b]`` maps a wire to its 2-vector; other wires are |0>."""
+        rows = []
+        for vectors in members:
+            per_wire = [zero_vector] * geometry.num_wires
+            for wire, vector in vectors.items():
+                per_wire[wire] = vector
+            rows.append(per_wire)
+        return BatchedStatevector.from_product_batch(rows)
+
     def density_chunk(combos):
         """One exact-channel pass; returns ``bases -> (B, 2^n)`` rows."""
         members = []
@@ -640,132 +656,181 @@ def batched_noisy_variant_probabilities(
             for name in MEAS_BASES:
                 fragment = geometry.basis[(name, line_index)]
                 branch = state
-                for position, gate in enumerate(fragment.gates):
+                for position, matrix in enumerate(fragment.matrices):
                     if position == 0:
-                        branch = state.applied(gate.matrix(), gate.qubits)
+                        branch = state.applied(matrix, [fragment.wire])
                     else:
-                        branch.apply_matrix(gate.matrix(), gate.qubits)
-                    branch.apply_depolarizing(gate.qubits, noise.error_1q)
+                        branch.apply_matrix(matrix, [fragment.wire])
+                    branch.apply_depolarizing([fragment.wire], noise.error_1q)
                 emit(branch, line_index + 1, bases + (name,))
 
         emit(state, 0, ())
         return leaves, 1
 
-    def trajectory_chunk(combos):
-        """Clean pass + T shared-pattern passes, mixed per variant."""
+    def injected_fragment(fragment, rng):
+        """``fragment`` folded with this stream's Pauli draws (one draw
+        after each gate), or ``None`` when no draw fired."""
+        factors = []
+        for matrix in fragment.matrices:
+            factors.append(matrix)
+            if rng.random() < noise.error_1q:
+                factors.append(pauli_1q[rng.integers(3)])
+        if len(factors) == len(fragment.matrices):
+            return None
+        return _fold_matrices(factors)
+
+    def fan_out(state, noisy, prune, leaf, line_index=0, bases=(), code=0):
+        """Depth-first over measurement lines, sharing basis prefixes.
+
+        ``noisy`` maps a tree edge ``(line, child code)`` to its injected
+        fragment; with ``prune`` only subtrees holding such an edge are
+        entered, and everything below one.  ``state`` is never written to.
+        """
+        if line_index == num_meas:
+            leaf(bases, state.probabilities())
+            return
+        for number, name in enumerate(MEAS_BASES):
+            child = code * len(MEAS_BASES) + number
+            if prune and not any(
+                line >= line_index
+                and edge // len(MEAS_BASES) ** (line - line_index) == child
+                for line, edge in noisy
+            ):
+                continue
+            fragment = geometry.basis[(name, line_index)]
+            matrix = noisy.get((line_index, child))
+            branch = state
+            if fragment.gates:
+                branch = state.applied(
+                    fragment.matrix if matrix is None else matrix,
+                    [fragment.wire],
+                )
+            fan_out(
+                branch, noisy, prune and matrix is None, leaf,
+                line_index + 1, bases + (name,), child,
+            )
+
+    def trajectory_chunk(combos, codes, span):
+        """One fused clean walk, forked once per injecting trajectory.
+
+        A trajectory whose pattern first injects in block ``b`` shares
+        blocks ``0..b-1`` with the clean walk, so it forks off the walk
+        there and runs only ``b..end`` with its injected blocks rebuilt.
+        One that injects nothing in the body reads the walk's final
+        state, and only in the basis subtrees where one of its fragment
+        draws fired — every other leaf it would produce is the clean
+        leaf, which the estimator does not accumulate.  Rows whose prep
+        fragment fired do not start from the walk's state; they run the
+        trajectory's whole body as a batch of their own.  All draws come
+        first, from the keyed streams, so none of this moves a stream.
+
+        Live states are bounded by the walk, one fork and one
+        trajectory's prep-fired rows (plus one branch per tree level of
+        a fan-out) — never by ``spec.trajectories``.
+        """
         batch = len(combos)
-        codes = [_labels_code(labels) for labels in combos]
-        clean_members = []
-        for labels in combos:
-            per_wire = [zero_vector] * geometry.num_wires
-            for line_index, label in enumerate(labels):
-                fragment = geometry.prep[(label, line_index)]
-                per_wire[fragment.wire] = fragment.vector
-            clean_members.append(per_wire)
-        clean_state = BatchedStatevector.from_product_batch(clean_members)
-        clean_state.apply_fused(geometry.clean_ops)
+        plan = geometry.plan
+        prep = [
+            [geometry.prep[(label, line)] for line, label in enumerate(labels)]
+            for labels in combos
+        ]
+        walk = product_state(
+            [{fragment.wire: fragment.vector for fragment in row} for row in prep]
+        )
         clean_leaves: Dict[Tuple[str, ...], np.ndarray] = {}
-
-        def emit_clean(state, line_index, bases):
-            if line_index == num_meas:
-                clean_leaves[bases] = state.probabilities()
-                return
-            for name in MEAS_BASES:
-                fragment = geometry.basis[(name, line_index)]
-                branch = state
-                if fragment.gates:
-                    branch = state.applied(fragment.matrix, [fragment.wire])
-                emit_clean(branch, line_index + 1, bases + (name,))
-
-        emit_clean(clean_state, 0, ())
-        passes = 1
         if not gate_noise:
             # The serial simulator's shortcut: no gate noise means the
             # clean pass *is* the estimate (readout applies downstream).
-            return clean_leaves, passes
-
-        sums = {
-            bases: np.zeros_like(rows) for bases, rows in clean_leaves.items()
-        }
-        counts = {
-            bases: np.zeros(batch, dtype=np.int64) for bases in clean_leaves
-        }
-        for trajectory in range(spec.trajectories):
-            pattern, body_injected = sample_injection_pattern(
-                geometry.plan, spawn_rng(seed, 0, index, trajectory)
+            fan_out(
+                walk.apply_fused(plan.ops), {}, False, clean_leaves.__setitem__
             )
-            members = []
-            prep_injected = np.zeros(batch, dtype=bool)
-            for row, labels in enumerate(combos):
-                per_wire = [zero_vector] * geometry.num_wires
+            return clean_leaves, 1
+
+        def draw(trajectory):
+            """``(first block, suffix ops, prep-fired rows, fired basis
+            edges)`` of one trajectory, each from its own keyed stream."""
+            pattern, _ = sample_injection_pattern(
+                plan, spawn_rng(seed, 0, index, trajectory)
+            )
+            prep_fired: Dict[int, Dict[int, np.ndarray]] = {}
+            noisy: Dict[Tuple[int, int], np.ndarray] = {}
+            for row, fragments in enumerate(prep):
+                if not any(f.gates for f in fragments):
+                    continue
                 rng = spawn_rng(seed, 1, index, trajectory, codes[row])
-                fired = False
-                for line_index, label in enumerate(labels):
-                    fragment = geometry.prep[(label, line_index)]
-                    vector = zero_vector
-                    for gate in fragment.gates:
-                        vector = gate.matrix() @ vector
-                        if rng.random() < noise.error_1q:
-                            vector = pauli_1q[rng.integers(3)] @ vector
-                            fired = True
-                    per_wire[fragment.wire] = vector
-                members.append(per_wire)
-                prep_injected[row] = fired
-            state = BatchedStatevector.from_product_batch(members)
-            run_trajectory_body(geometry.plan, state, pattern)
-            passes += 1
-
-            def emit_noisy(state, line_index, bases, code, injected):
-                if line_index == num_meas:
-                    mask = prep_injected | (body_injected or injected)
-                    if mask.any():
-                        rows = state.probabilities()
-                        sums[bases][mask] += rows[mask]
-                        counts[bases][mask] += 1
-                    return
-                for name in MEAS_BASES:
-                    fragment = geometry.basis[(name, line_index)]
-                    child = code * len(MEAS_BASES) + MEAS_BASES.index(name)
-                    if not fragment.gates:
-                        emit_noisy(
-                            state, line_index + 1, bases + (name,), child,
-                            injected,
-                        )
-                        continue
-                    rng = spawn_rng(
-                        seed, 2, index, trajectory, line_index, child
+                drawn = [injected_fragment(f, rng) for f in fragments]
+                if any(matrix is not None for matrix in drawn):
+                    prep_fired[row] = {
+                        f.wire: f.vector if matrix is None else matrix @ zero_vector
+                        for f, matrix in zip(fragments, drawn)
+                    }
+            for (name, line), fragment in geometry.basis.items():
+                if not fragment.gates:
+                    continue
+                number = MEAS_BASES.index(name)
+                for parent in range(len(MEAS_BASES) ** line):
+                    child = parent * len(MEAS_BASES) + number
+                    matrix = injected_fragment(
+                        fragment, spawn_rng(seed, 2, index, trajectory, line, child)
                     )
-                    branch = None
-                    fired = injected
-                    for gate in fragment.gates:
-                        if branch is None:
-                            branch = state.applied(gate.matrix(), gate.qubits)
-                        else:
-                            branch.apply_matrix(gate.matrix(), gate.qubits)
-                        if rng.random() < noise.error_1q:
-                            branch.apply_matrix(
-                                pauli_1q[rng.integers(3)], gate.qubits
-                            )
-                            fired = True
-                    emit_noisy(
-                        branch, line_index + 1, bases + (name,), child, fired
-                    )
+                    if matrix is not None:
+                        noisy[(line, child)] = matrix
+            return (*injected_suffix(plan, pattern), prep_fired, noisy)
 
-            emit_noisy(state, 0, (), 0, False)
+        sums = {}
+        counts = {}
+        for bases in itertools.product(MEAS_BASES, repeat=num_meas):
+            sums[bases] = np.zeros((batch, 1 << geometry.num_wires))
+            counts[bases] = np.zeros(batch, dtype=np.int64)
+        forks = []  # blocks applied by each forked pass
+
+        def run(state, ops, first_block, noisy, prune, rows, pick):
+            if ops:
+                state = fork_suffix(state, ops, first_block)
+                forks.append(len(ops))
+
+            def accumulate(bases, probabilities):
+                sums[bases][rows] += probabilities[pick]
+                counts[bases][rows] += 1
+
+            fan_out(state, noisy, prune, accumulate)
+
+        cursor = skipped = 0
+        for first_block, suffix, prep_fired, noisy in sorted(
+            map(draw, range(spec.trajectories)), key=lambda drawn: drawn[0]
+        ):
+            for op in plan.ops[cursor:first_block]:
+                walk.apply_matrix(op.matrix, op.qubits)
+            cursor = first_block
+            ran = len(forks)
+            fired_rows = np.array(sorted(prep_fired), dtype=np.intp)
+            rows = slice(None)
+            if prep_fired:
+                rows = np.setdiff1d(np.arange(batch), fired_rows)
+            if len(prep_fired) < batch and (suffix or noisy):
+                run(walk, suffix, first_block, noisy, not suffix, rows, rows)
+            if prep_fired:
+                run(
+                    product_state([prep_fired[row] for row in fired_rows]),
+                    list(plan.ops[:first_block]) + suffix, 0,
+                    noisy, False, fired_rows, slice(None),
+                )
+            skipped += ran == len(forks)
+        for op in plan.ops[cursor:]:
+            walk.apply_matrix(op.matrix, op.qubits)
+        fan_out(walk, {}, False, clean_leaves.__setitem__)
+        span.set(
+            trajectories=spec.trajectories, forked=len(forks), skipped=skipped,
+            blocks_applied=len(plan.ops) + sum(forks),
+        )
 
         log_prep = np.array(
-            [
-                sum(
-                    geometry.prep[(label, line_index)].log_clean
-                    for line_index, label in enumerate(labels)
-                )
-                for labels in combos
-            ]
+            [sum(fragment.log_clean for fragment in row) for row in prep]
         )
         leaves: Dict[Tuple[str, ...], np.ndarray] = {}
         for bases, clean_rows in clean_leaves.items():
             log_weight = (
-                geometry.plan.log_clean
+                plan.log_clean
                 + log_prep
                 + sum(
                     geometry.basis[(name, line_index)].log_clean
@@ -783,22 +848,23 @@ def batched_noisy_variant_probabilities(
                     + (1.0 - weight[sampled]) * mean
                 )
             leaves[bases] = mixed
-        return leaves, passes
+        return leaves, 1 + len(forks)
 
     probabilities: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], np.ndarray] = {}
     num_passes = 0
     chunk = max_batch if max_batch else max(1, len(init_combos))
     for start in range(0, len(init_combos), chunk):
         combos = init_combos[start : start + chunk]
+        codes = [_labels_code(labels) for labels in combos]
         with trace.span(
             "evaluate.noisy_variant_batch",
             {"subcircuit": index, "method": spec.method,
              "members": len(combos)},
-        ):
+        ) as span:
             if spec.method == "density":
                 leaves, passes = density_chunk(combos)
             else:
-                leaves, passes = trajectory_chunk(combos)
+                leaves, passes = trajectory_chunk(combos, codes, span)
         num_passes += passes
         for bases, rows in leaves.items():
             rows = apply_readout_error_rows(rows, noise.readout)
@@ -809,11 +875,9 @@ def batched_noisy_variant_probabilities(
                         sample_distribution(
                             rows[row],
                             spec.shots,
-                            spawn_rng(seed, 3, index, codes_for, code),
+                            spawn_rng(seed, 3, index, codes[row], code),
                         )
-                        for row, codes_for in enumerate(
-                            _labels_code(labels) for labels in combos
-                        )
+                        for row in range(len(combos))
                     ]
                 )
             if geometry.keep is not None:
@@ -838,7 +902,8 @@ class SubcircuitResult:
     I/Z sharing already folded into :data:`MEAS_BASES`).  ``mode`` says
     how the vectors were produced (``"per-variant"`` circuit executions
     or ``"batched"`` fused body passes); ``num_body_passes`` counts the
-    batched passes (0 on the per-variant path).  ``term_tensor`` is the
+    batched passes (0 on the per-variant path; on the noisy trajectory
+    path: clean walk + forked suffixes).  ``term_tensor`` is the
     memo slot of :func:`repro.postprocess.attribution.build_term_tensor`
     (the vectors never change after construction, so neither does it).
     """

@@ -32,9 +32,9 @@ from .density import BatchedDensityMatrix, DensityMatrix, DensityMatrixSimulator
 from .noisy_batch import (
     NoisyBodyPlan,
     NoisySite,
+    injected_suffix,
     noisy_body_plan,
     run_density_body,
-    run_trajectory_body,
     sample_injection_pattern,
 )
 from .feynman import FeynmanPathSimulator, gate_schmidt_terms
@@ -67,7 +67,7 @@ __all__ = [
     "NoisySite",
     "noisy_body_plan",
     "run_density_body",
-    "run_trajectory_body",
+    "injected_suffix",
     "sample_injection_pattern",
     "FeynmanPathSimulator",
     "gate_schmidt_terms",

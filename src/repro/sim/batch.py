@@ -38,6 +38,8 @@ __all__ = [
     "FusedOp",
     "MAX_FUSION_WIDTH",
     "fuse_gates",
+    "fused_block",
+    "gate_partition",
     "fusion_stats",
     "BatchedStatevector",
     "simulate_batch",
@@ -199,6 +201,46 @@ def _partition_gates(
     return tuple(tuple(members) for _, members in blocks)
 
 
+def gate_partition(
+    gates: Sequence[Gate], fusion_width: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """The (memoized) structural partition: gate indices per fused block."""
+    structure = (tuple(gate.qubits for gate in gates), fusion_width)
+    partition = _PARTITION_CACHE.get(structure)
+    if partition is None:
+        partition = _partition_gates(structure[0], fusion_width)
+        _PARTITION_CACHE[structure] = partition
+        _STATS["partitions_built"] += 1
+        while len(_PARTITION_CACHE) > _PARTITION_CACHE_LIMIT:
+            _PARTITION_CACHE.popitem(last=False)
+    else:
+        _PARTITION_CACHE.move_to_end(structure)
+    return partition
+
+
+def fused_block(block_gates: Tuple[Gate, ...]) -> FusedOp:
+    """The (memoized) unitary of one block's exact gate tuple.
+
+    The tuple may carry gates spliced in on the block's own qubits — a
+    Pauli injected after one of its gates changes this block's unitary
+    and nothing else about the partition.
+    """
+    _STATS["blocks_total"] += 1
+    op = _BLOCK_CACHE.get(block_gates)
+    if op is None:
+        block = _Block(block_gates[0])
+        for gate in block_gates[1:]:
+            block.absorb(gate)
+        op = block.to_op()
+        _BLOCK_CACHE[block_gates] = op
+        _STATS["blocks_built"] += 1
+        while len(_BLOCK_CACHE) > _BLOCK_CACHE_LIMIT:
+            _BLOCK_CACHE.popitem(last=False)
+    else:
+        _BLOCK_CACHE.move_to_end(block_gates)
+    return op
+
+
 def fuse_gates(
     circuit: Union[QuantumCircuit, Sequence[Gate]],
     fusion_width: int = 2,
@@ -215,9 +257,10 @@ def fuse_gates(
     Memoization is layered for the variational warm path.  Exact repeats
     hit the ``(gates, fusion_width)`` memo.  A parameter rebind misses it
     but reuses (a) the structural partition, keyed only on the gates'
-    qubit tuples, and (b) every per-block unitary whose gates are
-    bit-identical — so a rebind re-fuses *only the blocks whose
-    parameters moved*.  :func:`fusion_stats` exposes the counters.
+    qubit tuples (:func:`gate_partition`), and (b) every per-block
+    unitary whose gates are bit-identical (:func:`fused_block`) — so a
+    rebind re-fuses *only the blocks whose parameters moved*.
+    :func:`fusion_stats` exposes the counters.
     """
     if not 1 <= fusion_width <= MAX_FUSION_WIDTH:
         raise ValueError(
@@ -237,33 +280,10 @@ def fuse_gates(
         return cached
     gates = key[0]
     with trace.span("sim.fuse_body", {"gates": len(gates)}):
-        structure = (tuple(gate.qubits for gate in gates), fusion_width)
-        partition = _PARTITION_CACHE.get(structure)
-        if partition is None:
-            partition = _partition_gates(structure[0], fusion_width)
-            _PARTITION_CACHE[structure] = partition
-            _STATS["partitions_built"] += 1
-            while len(_PARTITION_CACHE) > _PARTITION_CACHE_LIMIT:
-                _PARTITION_CACHE.popitem(last=False)
-        else:
-            _PARTITION_CACHE.move_to_end(structure)
-        ops: List[FusedOp] = []
-        for members in partition:
-            block_gates = tuple(gates[index] for index in members)
-            _STATS["blocks_total"] += 1
-            op = _BLOCK_CACHE.get(block_gates)
-            if op is None:
-                block = _Block(block_gates[0])
-                for gate in block_gates[1:]:
-                    block.absorb(gate)
-                op = block.to_op()
-                _BLOCK_CACHE[block_gates] = op
-                _STATS["blocks_built"] += 1
-                while len(_BLOCK_CACHE) > _BLOCK_CACHE_LIMIT:
-                    _BLOCK_CACHE.popitem(last=False)
-            else:
-                _BLOCK_CACHE.move_to_end(block_gates)
-            ops.append(op)
+        ops = [
+            fused_block(tuple(gates[index] for index in members))
+            for members in gate_partition(gates, fusion_width)
+        ]
         _FUSION_CACHE[key] = ops
         while len(_FUSION_CACHE) > _FUSION_CACHE_LIMIT:
             _FUSION_CACHE.popitem(last=False)

@@ -102,11 +102,12 @@ def spawn_rng(seed: Optional[int], *key: int) -> np.random.Generator:
     complete.  ``seed=None`` maps to the fixed root 0: noisy batched
     evaluation is deterministic by default.
     """
-    root = np.random.SeedSequence(0 if seed is None else int(seed))
-    child = np.random.SeedSequence(
-        entropy=root.entropy, spawn_key=tuple(int(k) for k in key)
+    return np.random.default_rng(
+        np.random.SeedSequence(
+            entropy=0 if seed is None else int(seed),
+            spawn_key=tuple(int(k) for k in key),
+        )
     )
-    return np.random.default_rng(child)
 
 
 def apply_readout_error(probabilities: np.ndarray, flip: float) -> np.ndarray:

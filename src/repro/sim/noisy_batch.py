@@ -14,10 +14,12 @@ sweep:
   noise placement exactly.  Plans are memoized per process, so warm
   workers never re-fuse a body they have already seen.
 * :func:`sample_injection_pattern` draws one Pauli-injection pattern for
-  a plan's noise sites.  A *fixed* pattern makes the noisy body a fixed
-  linear map, so one :class:`~repro.sim.batch.BatchedStatevector` pass
-  serves every init-batch member of that trajectory
-  (:func:`run_trajectory_body`).
+  a plan's noise sites.  A *fixed* pattern is the clean gate list with
+  Paulis appended after a few gates on those gates' own qubits, so the
+  body's fusion partition is unchanged: the trajectory equals the fused
+  clean pass up to its first injected block, and from there on only the
+  injected blocks need a new unitary (:func:`injected_suffix`,
+  :func:`fork_suffix`).
 * :func:`run_density_body` drives a
   :class:`~repro.sim.density.BatchedDensityMatrix` through the plan with
   the exact depolarizing channel applied batch-wide after each noisy
@@ -31,14 +33,19 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..circuits import Gate, QuantumCircuit
-from ..circuits.gates import gate_matrix
 from ..obs import trace
-from .batch import BatchedStatevector, FusedOp, fuse_gates
+from .batch import (
+    BatchedStatevector,
+    FusedOp,
+    fuse_gates,
+    fused_block,
+    gate_partition,
+)
 from .density import BatchedDensityMatrix
 from .noise import NoiseModel, clean_log_weight
 
@@ -47,7 +54,8 @@ __all__ = [
     "NoisyBodyPlan",
     "noisy_body_plan",
     "sample_injection_pattern",
-    "run_trajectory_body",
+    "injected_suffix",
+    "fork_suffix",
     "run_density_body",
     "apply_readout_error_rows",
     "marginalize_rows",
@@ -63,8 +71,6 @@ PAULI_PAIRS_2Q: Tuple[Tuple[str, str], ...] = tuple(
     for b in ("i", "x", "y", "z")
     if not (a == "i" and b == "i")
 )
-
-_PAULI_MATRICES = {name: gate_matrix(name) for name in PAULI_NAMES_1Q}
 
 
 @dataclass(frozen=True)
@@ -87,14 +93,23 @@ class NoisyBodyPlan:
     ``steps`` interleaves :class:`~repro.sim.batch.FusedOp` entries
     (maximal runs of zero-rate gates, fused) with :class:`NoisySite`
     entries (one per gate carrying a depolarizing site, in circuit
-    order).  ``sites`` lists the noisy steps again for pattern sampling;
-    ``log_clean`` is the body's no-injection log-weight.
+    order) — the density path's schedule.  ``sites`` lists the noisy
+    steps again for pattern sampling; ``log_clean`` is the body's
+    no-injection log-weight.
+
+    The trajectory path runs the *fully* fused body instead: ``blocks``
+    holds the gate tuple of each fusion block, ``ops`` its clean
+    unitary, and ``site_slots[i]`` the ``(block, offset)`` of the gate
+    that carries site ``i``.
     """
 
     num_qubits: int
     steps: Tuple[Union[FusedOp, NoisySite], ...]
     sites: Tuple[NoisySite, ...]
     log_clean: float
+    blocks: Tuple[Tuple[Gate, ...], ...]
+    ops: Tuple[FusedOp, ...]
+    site_slots: Tuple[Tuple[int, int], ...]
 
 
 #: Per-process plan memo — the noisy analogue of ``batch._FUSION_CACHE``:
@@ -118,8 +133,10 @@ def noisy_body_plan(
     unitaries.  With a noiseless model the whole body becomes one fused
     run (the exact-path plan).
     """
-    gates = circuit.gates if isinstance(circuit, QuantumCircuit) else tuple(circuit)
-    key = (tuple(gates), noise.error_1q, noise.error_2q, num_qubits, fusion_width)
+    gates = tuple(
+        circuit.gates if isinstance(circuit, QuantumCircuit) else circuit
+    )
+    key = (gates, noise.error_1q, noise.error_2q, num_qubits, fusion_width)
     cached = _PLAN_CACHE.get(key)
     if cached is not None:
         try:
@@ -129,6 +146,7 @@ def noisy_body_plan(
         return cached
     steps: List[Union[FusedOp, NoisySite]] = []
     sites: List[NoisySite] = []
+    site_gates: List[int] = []
     run: List[Gate] = []
 
     def flush() -> None:
@@ -136,7 +154,7 @@ def noisy_body_plan(
             steps.extend(fuse_gates(tuple(run), fusion_width))
             run.clear()
 
-    for gate in gates:
+    for position, gate in enumerate(gates):
         rate = noise.error_2q if gate.is_multiqubit else noise.error_1q
         if rate <= 0.0:
             run.append(gate)
@@ -147,12 +165,22 @@ def noisy_body_plan(
         )
         steps.append(site)
         sites.append(site)
+        site_gates.append(position)
     flush()
+    members = gate_partition(gates, fusion_width)
+    slot_of = {
+        position: (block, offset)
+        for block, group in enumerate(members)
+        for offset, position in enumerate(group)
+    }
     plan = NoisyBodyPlan(
         num_qubits=int(num_qubits),
         steps=tuple(steps),
         sites=tuple(sites),
         log_clean=clean_log_weight(gates, noise),
+        blocks=tuple(tuple(gates[p] for p in group) for group in members),
+        ops=tuple(fuse_gates(gates, fusion_width)),
+        site_slots=tuple(slot_of[position] for position in site_gates),
     )
     _PLAN_CACHE[key] = plan
     while len(_PLAN_CACHE) > _PLAN_CACHE_LIMIT:
@@ -191,41 +219,51 @@ def sample_injection_pattern(
     return tuple(pattern), injected
 
 
-def apply_pauli_names(
-    state: BatchedStatevector,
-    names: Iterable[str],
-    qubits: Sequence[int],
-) -> None:
-    """Apply per-qubit Pauli names (``"i"`` entries skipped) batch-wide."""
-    for name, qubit in zip(names, qubits):
-        if name != "i":
-            state.apply_matrix(_PAULI_MATRICES[name], [qubit])
+def injected_suffix(
+    plan: NoisyBodyPlan, pattern: Sequence[Optional[Tuple[str, ...]]]
+) -> Tuple[int, List[FusedOp]]:
+    """The part of the fused body a fixed ``pattern`` changes.
 
-
-def run_trajectory_body(
-    plan: NoisyBodyPlan,
-    state: BatchedStatevector,
-    pattern: Sequence[Optional[Tuple[str, ...]]],
-) -> BatchedStatevector:
-    """Advance a whole init batch through the body under one pattern.
-
-    The pattern fixes every injection, so the noisy body is a single
-    linear map applied once to all batch members — this is what turns
-    ``variants x trajectories`` body re-simulations into
-    ``trajectories`` batched passes.
+    Returns ``(first_block, ops)``: the trajectory's body is
+    ``plan.ops[:first_block] + ops``, where ``ops`` runs from the first
+    injected block to the end with every injected block's unitary
+    rebuilt from its gates plus the drawn Paulis (memoized with the
+    clean blocks).  A pattern that injects nothing returns
+    ``(len(plan.ops), [])``.
     """
-    # One span per batched pass (the per-step loop is the hot path).
-    with trace.span("sim.noisy.trajectory_body"):
-        site_index = 0
-        for step in plan.steps:
-            if isinstance(step, NoisySite):
-                state.apply_matrix(step.matrix, step.qubits)
-                choice = pattern[site_index]
-                site_index += 1
-                if choice is not None:
-                    apply_pauli_names(state, choice, step.qubits)
-            else:
-                state.apply_matrix(step.matrix, step.qubits)
+    spliced: Dict[int, List[Gate]] = {}
+    # Last site first: an insertion leaves the earlier offsets valid.
+    for site in range(len(pattern) - 1, -1, -1):
+        choice = pattern[site]
+        if choice is not None:
+            block, offset = plan.site_slots[site]
+            gates = spliced.setdefault(block, list(plan.blocks[block]))
+            gates[offset + 1 : offset + 1] = [
+                Gate(name, (qubit,))
+                for name, qubit in zip(choice, gates[offset].qubits)
+                if name != "i"
+            ]
+    if not spliced:
+        return len(plan.ops), []
+    first_block = min(spliced)
+    ops = list(plan.ops[first_block:])
+    for block, gates in spliced.items():
+        ops[block - first_block] = fused_block(tuple(gates))
+    return first_block, ops
+
+
+def fork_suffix(
+    state: BatchedStatevector, ops: Sequence[FusedOp], first_block: int
+) -> BatchedStatevector:
+    """A new batch: ``state`` advanced through ``ops``; ``state`` itself
+    is left untouched (``applied`` never writes to the shared tensor)."""
+    # One span per forked pass (the per-block loop is the hot path).
+    with trace.span(
+        "sim.noisy.trajectory_body",
+        {"first_block": first_block, "blocks": len(ops)},
+    ):
+        for op in ops:
+            state = state.applied(op.matrix, op.qubits)
     return state
 
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro import QuantumCircuit
-from repro.sim import NoiseModel, NoisySimulator, apply_readout_error
+from repro.sim import (
+    NoiseModel,
+    NoisySimulator,
+    apply_readout_error,
+    spawn_rng,
+)
 
 
 class TestNoiseModel:
@@ -125,3 +130,21 @@ class TestNoisySimulator:
             NoiseModel(readout=0.2), trajectories=4, shots=None, seed=0
         ).run(circuit)
         assert np.allclose(out, [0.2, 0.8])
+
+
+class TestSpawnRng:
+    @pytest.mark.parametrize("seed", [None, 0, 7])
+    @pytest.mark.parametrize(
+        "key", [(), (0,), (0, 3, 11), (1, 0, 23, 255), (2, 1, 5, 1, 8)]
+    )
+    def test_stream_is_the_spawn_tree_child(self, seed, key):
+        # How the stream was first defined: a root SeedSequence, then a
+        # child carrying the root's entropy at the explicit spawn key.
+        root = np.random.SeedSequence(0 if seed is None else seed)
+        child = np.random.SeedSequence(entropy=root.entropy, spawn_key=key)
+        expected = np.random.default_rng(child)
+        got = spawn_rng(seed, *key)
+        assert np.array_equal(got.random(4), expected.random(4))
+        assert np.array_equal(
+            got.integers(15, size=4), expected.integers(15, size=4)
+        )

@@ -12,12 +12,20 @@ Covers the tentpole's contract from three sides:
   store-migration satellite).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CutQC, QuantumCircuit, cut_circuit, make_device
+from repro import (
+    BatchedStatevector,
+    CutQC,
+    QuantumCircuit,
+    cut_circuit,
+    make_device,
+)
 from repro.circuits import Gate
 from repro.circuits.gates import gate_matrix
 from repro.core.executor import (
@@ -35,14 +43,18 @@ from repro.cutting.variants import (
     variant_circuit,
     _BASIS_GATES,
     _PREP_GATES,
+    _compiled_noisy_geometry,
 )
+from repro.devices.transpiler import _native_1q, compact_circuit, transpile
 from repro.library import get_benchmark
+from repro.obs import trace
 from repro.postprocess import WorkerPool
 from repro.sim import (
     DensityMatrixSimulator,
     NoiseModel,
     clean_log_weight,
     fuse_gates,
+    injected_suffix,
     noisy_body_plan,
     sample_injection_pattern,
     spawn_rng,
@@ -118,6 +130,16 @@ class TestDensityParity:
 # Trajectory path: serial replay of the same keyed RNG streams
 # ----------------------------------------------------------------------
 
+def _variant_codes(variant):
+    labels_code = 0
+    for label in variant.inits:
+        labels_code = labels_code * len(INIT_LABELS) + INIT_LABELS.index(label)
+    bases_code = 0
+    for name in variant.bases:
+        bases_code = bases_code * len(MEAS_BASES) + MEAS_BASES.index(name)
+    return labels_code, bases_code
+
+
 def _serial_trajectory_replay(subcircuit, spec, variant):
     """Independent per-variant re-derivation of the batched estimator.
 
@@ -125,38 +147,62 @@ def _serial_trajectory_replay(subcircuit, spec, variant):
     :class:`Statevector` passes, drawing from the same
     :func:`~repro.sim.noise.spawn_rng` keys the batched engine uses —
     any drift in stream assignment or estimator mixing shows up as a
-    mismatch far beyond accumulation error.
+    mismatch far beyond accumulation error.  Shot noise is left out:
+    ``multinomial`` branches on values such as ``p == 0.5``, so two
+    distributions 1e-16 apart can sample differently
+    (:func:`_assert_replay_parity` checks the shot stream on its own).
     """
-    noise = spec.noise
-    width = subcircuit.width
-    body = subcircuit.circuit.gates
-    plan = noisy_body_plan(body, noise, width, 2)
-    clean_ops = fuse_gates(body, 2)
+    noise = spec.effective_noise
     init_positions = [line.line for line in subcircuit.init_lines]
     meas_positions = [line.line for line in subcircuit.meas_lines]
+    if spec.device is None:
+        body = subcircuit.circuit.gates
+        width = subcircuit.width
+        keep = None
+
+        def lower(name, position, layout):
+            return [Gate(name, (position,))]
+
+        initial = final = None
+    else:
+        # The device path routes the body alone and lowers each 1q
+        # fragment in place on the wire its line starts / ends on.
+        transpiled = transpile(subcircuit.circuit, spec.device)
+        initial, final = transpiled.initial_layout, transpiled.final_layout
+        compact, kept = compact_circuit(
+            transpiled.circuit, keep=sorted(set(initial) | set(final))
+        )
+        body = compact.gates
+        width = compact.num_qubits
+        keep = [kept.index(final[q]) for q in range(subcircuit.width)]
+
+        def lower(name, position, layout):
+            return _native_1q(Gate(name, (kept.index(layout[position]),)))
+
+    plan = noisy_body_plan(body, noise, width, 2)
+    clean_ops = fuse_gates(body, 2)
     index = subcircuit.index
     seed = spec.seed
     pauli = [gate_matrix(name) for name in PAULI_NAMES_1Q]
 
-    labels_code = 0
-    for label in variant.inits:
-        labels_code = labels_code * len(INIT_LABELS) + INIT_LABELS.index(label)
-    bases_code = 0
-    for name in variant.bases:
-        bases_code = bases_code * len(MEAS_BASES) + MEAS_BASES.index(name)
+    labels_code, _ = _variant_codes(variant)
 
     prep_gates = [
-        [Gate(spec_[0], (position,)) for spec_ in _PREP_GATES[label]]
+        [g for spec_ in _PREP_GATES[label] for g in lower(spec_[0], position, initial)]
         for label, position in zip(variant.inits, init_positions)
     ]
     basis_gates = [
-        [Gate(spec_[0], (position,)) for spec_ in _BASIS_GATES[name]]
+        [g for spec_ in _BASIS_GATES[name] for g in lower(spec_[0], position, final)]
         for name, position in zip(variant.bases, meas_positions)
+    ]
+    prep_wires = [
+        position if initial is None else kept.index(initial[position])
+        for position in init_positions
     ]
 
     def clean_pass():
         vectors = [INITIAL_STATES["zero"]] * width
-        for gates, position in zip(prep_gates, init_positions):
+        for gates, position in zip(prep_gates, prep_wires):
             vector = INITIAL_STATES["zero"]
             for gate in gates:
                 vector = gate.matrix() @ vector
@@ -181,7 +227,7 @@ def _serial_trajectory_replay(subcircuit, spec, variant):
             )
             vectors = [INITIAL_STATES["zero"]] * width
             rng = spawn_rng(seed, 1, index, trajectory, labels_code)
-            for gates, position in zip(prep_gates, init_positions):
+            for gates, position in zip(prep_gates, prep_wires):
                 vector = INITIAL_STATES["zero"]
                 for gate in gates:
                     vector = gate.matrix() @ vector
@@ -227,40 +273,237 @@ def _serial_trajectory_replay(subcircuit, spec, variant):
         else:
             mixed = clean
     result = apply_readout_error(mixed, noise.readout)
-    if spec.shots:
-        result = sample_distribution(
-            result,
-            spec.shots,
-            spawn_rng(seed, 3, index, labels_code, bases_code),
-        )
+    if keep is not None:
+        tensor = result.reshape((2,) * width)
+        tensor = tensor.sum(axis=tuple(q for q in range(width) if q not in keep))
+        order = sorted(keep)
+        result = np.transpose(
+            tensor, [order.index(q) for q in keep]
+        ).reshape(-1)
     return result
 
 
+#: Where the forked execution branches: the benchmark's rates (most
+#: trajectories skip the body), sites only on 2q gates (the stepping
+#: plan has fused runs between sites, the fork plan does not care),
+#: sites only on 1q gates (about half the trajectories leave the body
+#: clean and are read off the walk's final state, in the basis subtrees
+#: whose fragment fired), rates high enough that injections share a
+#: block, sit in adjacent blocks and in block 0 and that prep fragments
+#: fire, and the device path (routed body, native fragments, ``keep``
+#: marginalisation).
+REGIMES = {
+    "benchmark": dict(noise=NOISE),
+    "2q-only": dict(
+        noise=NoiseModel(error_1q=0.0, error_2q=0.08, readout=0.01)
+    ),
+    "1q-only": dict(noise=NoiseModel(error_1q=0.1, error_2q=0.0)),
+    "heavy": dict(noise=NoiseModel(error_1q=0.2, error_2q=0.3)),
+    "device": dict(
+        device=make_device(
+            "replay", 5, "line",
+            noise=NoiseModel(error_1q=0.03, error_2q=0.1, readout=0.01),
+            seed=11,
+        )
+    ),
+}
+
+
+@pytest.fixture
+def chain_cut():
+    """Three pieces; the middle one has rho = 1, O = 1 and four blocks."""
+    circuit = QuantumCircuit(5)
+    for qubit in range(5):
+        circuit.h(qubit)
+    circuit.cz(0, 1).cz(1, 2)
+    circuit.t(2).h(1)
+    circuit.cz(2, 3).cz(1, 2)
+    circuit.h(3)
+    circuit.cz(2, 3).cz(3, 4)
+    return cut_circuit(circuit, [(1, 1), (3, 2)])
+
+
+def _assert_replay_parity(subcircuit, spec):
+    """Estimates match the replay to 1e-10; with ``spec.shots`` (bare
+    noise models only: the device path samples before it marginalises)
+    the sampled rows are the keyed shot stream's draw from them."""
+    exact = dataclasses.replace(spec, shots=None)
+    batched, passes = batched_noisy_variant_probabilities(subcircuit, exact)
+    if spec.shots:
+        sampled, _ = batched_noisy_variant_probabilities(subcircuit, spec)
+    for variant in generate_variants(subcircuit):
+        key = (variant.inits, variant.bases)
+        reference = _serial_trajectory_replay(subcircuit, exact, variant)
+        assert np.abs(batched[key] - reference).max() <= 1e-10
+        if spec.shots:
+            rng = spawn_rng(
+                spec.seed, 3, subcircuit.index, *_variant_codes(variant)
+            )
+            assert np.array_equal(
+                sampled[key],
+                sample_distribution(batched[key], spec.shots, rng),
+            )
+    return passes
+
+
+class _CountedApply:
+    """Counts ``BatchedStatevector.apply_matrix`` calls and batch sizes."""
+
+    def __init__(self, monkeypatch):
+        self.batch_sizes = []
+        original = BatchedStatevector.apply_matrix
+
+        def counted(state, matrix, qubits):
+            self.batch_sizes.append(state.batch_size)
+            return original(state, matrix, qubits)
+
+        monkeypatch.setattr(BatchedStatevector, "apply_matrix", counted)
+
+
 class TestTrajectoryParity:
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         st.integers(min_value=3, max_value=4),
         st.integers(min_value=0, max_value=10**6),
         st.booleans(),
+        st.sampled_from(sorted(REGIMES)),
     )
-    def test_matches_serial_replay(self, n, seed, with_shots):
+    def test_matches_serial_replay(self, n, seed, with_shots, regime):
         circuit = random_connected_circuit(n, 2 * n, seed)
         cut = random_small_cut(circuit, seed + 1)
         if cut is None:
             return
         spec = NoisyEvalSpec(
-            noise=NOISE,
             method="trajectory",
             trajectories=6,
-            shots=256 if with_shots else None,
+            shots=256 if with_shots and regime != "device" else None,
             seed=seed % 97,
+            **REGIMES[regime],
         )
         for subcircuit in cut.subcircuits:
-            batched, _ = batched_noisy_variant_probabilities(subcircuit, spec)
-            for variant in generate_variants(subcircuit):
-                reference = _serial_trajectory_replay(subcircuit, spec, variant)
-                got = batched[(variant.inits, variant.bases)]
-                assert np.abs(got - reference).max() <= 1e-10
+            _assert_replay_parity(subcircuit, spec)
+
+    def test_heavy_noise_takes_every_fork_branch(self, chain_cut):
+        middle = chain_cut.subcircuits[1]
+        assert len(middle.init_lines) == 1 and len(middle.meas_lines) == 1
+        spec = NoisyEvalSpec(
+            trajectories=12, shots=None, seed=1, **REGIMES["heavy"]
+        )
+        passes = _assert_replay_parity(middle, spec)
+
+        plan = noisy_body_plan(
+            middle.circuit.gates, spec.noise, middle.width, 2
+        )
+        first_blocks, shared, adjacent = [], False, False
+        for trajectory in range(spec.trajectories):
+            pattern, _ = sample_injection_pattern(
+                plan, spawn_rng(spec.seed, 0, middle.index, trajectory)
+            )
+            hit = [
+                block
+                for (block, _), choice in zip(plan.site_slots, pattern)
+                if choice is not None
+            ]
+            first_block, suffix = injected_suffix(plan, pattern)
+            assert len(suffix) == len(plan.ops) - first_block
+            first_blocks.append(first_block)
+            shared = shared or len(hit) > len(set(hit))
+            adjacent = adjacent or any(b + 1 in hit for b in hit)
+        assert 0 in first_blocks and max(first_blocks) > 0
+        assert shared and adjacent
+        # Rows whose prep fragment drew a Pauli (never 'zero': it has no
+        # gate) run the trajectory's whole body as a batch of their own.
+        fired = 0
+        for trajectory in range(spec.trajectories):
+            rows = 0
+            for code, label in enumerate(INIT_LABELS):
+                rng = spawn_rng(spec.seed, 1, middle.index, trajectory, code)
+                hit = False
+                for _ in _PREP_GATES[label]:
+                    if rng.random() < spec.noise.error_1q:
+                        rng.integers(3)
+                        hit = True
+                rows += hit
+            assert rows < len(INIT_LABELS)
+            fired += rows > 0
+        assert 0 < fired < spec.trajectories
+        forked = sum(first < len(plan.ops) for first in first_blocks)
+        assert passes == 1 + forked + fired
+
+    def test_nothing_fired_is_the_clean_walk(self, chain_cut, monkeypatch):
+        silent = NoiseModel(error_1q=1e-15, error_2q=1e-15)
+        for subcircuit in chain_cut.subcircuits:
+            exact, _ = batched_noisy_variant_probabilities(
+                subcircuit,
+                NoisyEvalSpec(noise=NoiseModel(), shots=None, seed=5),
+            )
+            counter = _CountedApply(monkeypatch)
+            estimate, passes = batched_noisy_variant_probabilities(
+                subcircuit, NoisyEvalSpec(noise=silent, shots=None, seed=5)
+            )
+            assert passes == 1  # the walk; zero suffix passes
+            plan = noisy_body_plan(
+                subcircuit.circuit.gates, silent, subcircuit.width, 2
+            )
+            # the walk plus one clean fan-out (X and Y per measured line)
+            assert len(counter.batch_sizes) == len(plan.ops) + 2 * len(
+                subcircuit.meas_lines
+            )
+            for key in exact:
+                assert np.array_equal(estimate[key], exact[key])
+
+    def test_batch_span_says_why_it_was_cheap(self, chain_cut):
+        middle = chain_cut.subcircuits[1]
+        spec = NoisyEvalSpec(
+            trajectories=12, shots=None, seed=1, **REGIMES["heavy"]
+        )
+        with trace.start("root") as root:
+            _, passes = batched_noisy_variant_probabilities(middle, spec)
+        (batch,) = root.children
+        assert batch.name == "evaluate.noisy_variant_batch"
+        suffixes = [
+            child for child in batch.children
+            if child.name == "sim.noisy.trajectory_body"
+        ]
+        blocks = len(noisy_body_plan(
+            middle.circuit.gates, spec.noise, middle.width, 2
+        ).ops)
+        assert batch.attrs["trajectories"] == spec.trajectories
+        assert batch.attrs["forked"] == len(suffixes) == passes - 1
+        assert 0 <= batch.attrs["skipped"] < spec.trajectories
+        assert batch.attrs["blocks_applied"] == blocks + sum(
+            child.attrs["blocks"] for child in suffixes
+        )
+        for child in suffixes:
+            assert child.attrs["first_block"] + child.attrs["blocks"] == blocks
+
+    @pytest.mark.parametrize("trajectories", [6, 48])
+    def test_calls_and_live_state_stay_bounded(self, monkeypatch, trajectories):
+        # bv-16 on a 9-qubit line is the benchmark's largest noisy job.
+        cut = CutQC(bv(16), 9).cut()
+        for error_2q, factor in ((0.01, 5), (0.5, 1)):
+            device = make_device(
+                "line9", 9, "line",
+                noise=NoiseModel(
+                    error_1q=0.001, error_2q=error_2q, readout=0.015
+                ),
+                seed=3,
+            )
+            spec = NoisyEvalSpec(
+                device=device, trajectories=trajectories, shots=None, seed=3
+            )
+            for subcircuit in cut.subcircuits:
+                counter = _CountedApply(monkeypatch)
+                batched_noisy_variant_probabilities(subcircuit, spec)
+                geometry = _compiled_noisy_geometry(subcircuit, spec, 2)
+                stepping = len(geometry.plan.steps) * (trajectories + 1)
+                assert len(counter.batch_sizes) * factor <= stepping
+                # No call ever sees more than the init batch: live
+                # state is the walk, one fork and one trajectory's
+                # prep-fired rows, however many trajectories run.
+                assert max(counter.batch_sizes) <= len(INIT_LABELS) ** len(
+                    subcircuit.init_lines
+                )
 
     def test_noiseless_trajectory_is_exact(self, fig4_cut):
         spec = NoisyEvalSpec(
