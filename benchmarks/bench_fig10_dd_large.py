@@ -7,13 +7,12 @@ Two parts:
   2^12-bin definition (2^35 in the paper; the definition is a parameter);
 
 * the engine benchmark — a *real* (exactly evaluated) 41-qubit BV
-  circuit, subcircuits <= 17 qubits, queried with the refactored DD
-  engine (incremental collapse cache + heap frontier + batched zoom)
-  against the pre-refactor path (per-recursion full re-collapse + linear
-  bin scan), locating the solution state without ever materializing the
-  2^41 vector.  Results — recursion latency, cache hit rate, measured
-  speedup, and the streaming-FD shard of the solution region — are
-  written to ``results/BENCH_dd.json`` for the CI perf trajectory.
+  circuit, subcircuits <= 17 qubits, queried with the DD engine
+  (incremental collapse cache + k-way-merge frontier + batched zoom),
+  locating the solution state without ever materializing the 2^41
+  vector.  Results — absolute query and per-recursion seconds, cache hit
+  rate, and the streaming-FD shard of the solution region — are written
+  to ``results/BENCH_dd.json``.
 """
 
 import json
@@ -53,10 +52,6 @@ _DD_QUBITS = int(os.environ.get("REPRO_BENCH_DD_QUBITS", "41"))
 _DD_DEVICE = int(os.environ.get("REPRO_BENCH_DD_DEVICE", "17"))
 _DD_RECURSIONS = int(os.environ.get("REPRO_BENCH_DD_RECURSIONS", "33"))
 _DD_ZOOM_WIDTH = int(os.environ.get("REPRO_BENCH_DD_ZOOM_WIDTH", "8"))
-#: Assertion floor for the measured speedup (reference machine: >10x).
-#: CI smoke runs lower it — a loaded shared runner measures timing noise,
-#: not code regressions.
-_DD_MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_DD_MIN_SPEEDUP", "3.0"))
 
 
 def _one(name, size, kwargs, device):
@@ -118,46 +113,18 @@ def test_fig10_dd_beyond_simulation_limit(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Engine benchmark: refactored DD vs the pre-refactor path, real tensors
+# Engine benchmark: DD on real tensors, absolute seconds
 # ----------------------------------------------------------------------
-
-class _PreRefactorQuery(DynamicDefinitionQuery):
-    """The seed implementation's bin frontier: an O(bins) linear scan
-    (building each candidate's assignment dict) instead of the heap."""
-
-    def _pop_bin(self):
-        best = None
-        total = self.provider.num_qubits
-        for candidate in self.bins:
-            if candidate.zoomed:
-                continue
-            if len(candidate.assignment) >= total:
-                continue
-            if best is None or candidate.probability > best.probability:
-                best = candidate
-        return best
-
-    _peek_bin = _pop_bin
-
 
 def test_fig10_dd_zoom_cache_speedup():
     """>= 40-qubit sparse circuit, subcircuits <= 25 qubits: the solution
-    state is located without a 2^n vector, and the refactored engine is
-    measured against the pre-refactor DD path."""
+    state is located without a 2^n vector; the query's absolute seconds
+    are recorded."""
     circuit = bv(_DD_QUBITS)
     solution = find_cuts(circuit, _DD_DEVICE, method="heuristic", max_cuts=8)
     cut = solution.apply(circuit)
     assert cut.max_subcircuit_width() <= 25
     results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-
-    naive = _PreRefactorQuery(
-        PrecomputedTensorProvider(cut, results=results, cache=False),
-        max_active_qubits=_DEFINITION_QUBITS,
-        engine=ContractionEngine(strategy="kron"),
-    )
-    began = time.perf_counter()
-    naive.run(_DD_RECURSIONS)
-    naive_seconds = time.perf_counter() - began
 
     refactored = DynamicDefinitionQuery(
         PrecomputedTensorProvider(cut, results=results, cache=True),
@@ -169,17 +136,12 @@ def test_fig10_dd_zoom_cache_speedup():
     refactored.run(_DD_RECURSIONS)
     refactored_seconds = time.perf_counter() - began
 
-    speedup = naive_seconds / refactored_seconds
     stats = refactored.stats()
     states = refactored.solution_states(threshold=0.25)
     expected = bv_solution(_DD_QUBITS)
     assert states and states[0][0] == expected
     assert abs(states[0][1] - 1.0) < 1e-6
-    assert naive.solution_states(threshold=0.25)[0][0] == expected
     assert stats.cache_hit_rate > 0.5
-    # Measured >= 5x on the reference machine; assert a safe floor so a
-    # loaded CI runner cannot flake the suite.
-    assert speedup >= _DD_MIN_SPEEDUP, f"speedup {speedup:.1f}x below floor"
 
     # Streaming-FD shard of the solution region: 2^(n-12) shards exist
     # but only the located one is computed — peak memory is one shard.
@@ -207,9 +169,7 @@ def test_fig10_dd_zoom_cache_speedup():
             "definition_qubits": _DEFINITION_QUBITS,
             "recursions": len(refactored.recursions),
             "zoom_width": _DD_ZOOM_WIDTH,
-            "naive_seconds": naive_seconds,
             "refactored_seconds": refactored_seconds,
-            "speedup": speedup,
             "cache_hits": stats.cache_hits,
             "cache_misses": stats.cache_misses,
             "cache_hit_rate": stats.cache_hit_rate,
@@ -241,11 +201,8 @@ def test_fig10_dd_zoom_cache_speedup():
         f"{len(refactored.recursions)} recursions at 2^{_DEFINITION_QUBITS} bins",
         ["path", "seconds", "cache hit rate", "solution"],
         [
-            ("pre-refactor (scan, no cache)", f"{naive_seconds:.3f}", "--",
-             naive.solution_states(0.25)[0][0][:8] + "..."),
-            (f"refactored (heap, cache, zoom {_DD_ZOOM_WIDTH})",
+            (f"k-way merge, cache, zoom {_DD_ZOOM_WIDTH}",
              f"{refactored_seconds:.3f}", f"{stats.cache_hit_rate:.2f}",
              states[0][0][:8] + "..."),
-            ("speedup", f"{speedup:.1f}x", "--", "--"),
         ],
     )

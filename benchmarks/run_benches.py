@@ -73,9 +73,8 @@ BENCHES: List[Bench] = [
             "REPRO_BENCH_DD_QUBITS": "33",
             "REPRO_BENCH_DD_DEVICE": "13",
             "REPRO_BENCH_DD_RECURSIONS": "25",
-            "REPRO_BENCH_DD_MIN_SPEEDUP": "1.5",
         },
-        full_env={},  # module defaults: bv-41 on 17 qubits, 3x floor
+        full_env={},  # module defaults: bv-41 on 17 qubits
         artifacts=["results/BENCH_dd.json", "results/fig10_dd_engine.txt"],
     ),
     Bench(

@@ -16,8 +16,14 @@ This implementation is built for scale:
   signature (:class:`~repro.postprocess.plan.CachingTensorProvider`), so
   sibling bins and successive recursions reuse collapses instead of
   re-summing full term tensors;
-* the bin frontier is a priority heap — choosing the next bin is
-  O(log bins), not an O(bins) rescan of every bin ever created;
+* a recursion *is* its probability array: bins are ``probabilities[i]``
+  plus a boolean ``zoomed`` mask (9 B per bin), and :class:`Bin` values
+  are materialised only for what a caller reads;
+* the bin frontier is a k-way merge — each expandable recursion keeps
+  one stable descending order of its probabilities and the heap holds
+  one cursor per recursion, so its size is <= the number of recursions
+  and bins are chosen highest probability first, ties by recursion then
+  bin index;
 * ``zoom_width=k`` expands the top-k bins per round, contracting them in
   parallel through the shared
   :class:`~repro.postprocess.engine.ContractionEngine` worker pool.
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,15 +45,7 @@ import numpy as np
 from ..obs import trace
 from ..obs.metrics import get_registry
 from .engine import ContractionEngine
-from .plan import (
-    CachingTensorProvider,
-    PrecomputedTensorProvider,
-    QueryPlan,
-    Role,
-    RoleMap,
-    TensorProvider,
-    binned_tensor,
-)
+from .plan import PrecomputedTensorProvider, QueryPlan, TensorProvider
 
 __all__ = [
     "Bin",
@@ -70,7 +68,11 @@ _DD_CACHE = get_registry().counter(
 
 @dataclass
 class Bin:
-    """One probability bin: fixed (zoomed) qubits + one active-qubit state."""
+    """One probability bin: fixed (zoomed) qubits + one active-qubit state.
+
+    A value materialised on read from its :class:`DDRecursion`; ``fixed``
+    is the recursion's own mapping, shared read-only by all its bins.
+    """
 
     fixed: Dict[int, int]
     active: Tuple[int, ...]
@@ -100,7 +102,14 @@ class Bin:
 
 @dataclass
 class DDRecursion:
-    """The output of one DD recursion (one reconstruction pass)."""
+    """The output of one DD recursion (one reconstruction pass).
+
+    The recursion owns its ``2**len(active)`` bins as arrays: bin ``i``
+    has mass ``probabilities[i]`` and ``zoomed[i]`` is set once a later
+    recursion refined it.  ``order`` is the stable descending sort of the
+    probabilities the query's frontier walks; it exists only while the
+    recursion still has bins to expand.
+    """
 
     index: int
     fixed: Dict[int, int]
@@ -108,6 +117,29 @@ class DDRecursion:
     probabilities: np.ndarray
     elapsed_seconds: float
     parent_bin: Optional[Bin] = None
+    zoomed: np.ndarray = field(init=False, repr=False)
+    order: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.zoomed = np.zeros(self.probabilities.size, dtype=bool)
+
+    @property
+    def num_resolved(self) -> int:
+        """Qubits every bin of this recursion resolves (fixed + active)."""
+        return len(self.fixed) + len(self.active)
+
+    def bins(self, indices: Optional[np.ndarray] = None) -> List[Bin]:
+        """Materialise the bins at ``indices`` (default: all) as values."""
+        if indices is None:
+            indices = np.arange(self.probabilities.size)
+        return [
+            Bin(self.fixed, self.active, index, probability, self.index, zoomed)
+            for index, probability, zoomed in zip(
+                indices.tolist(),
+                self.probabilities[indices].tolist(),
+                self.zoomed[indices].tolist(),
+            )
+        ]
 
 
 @dataclass
@@ -197,21 +229,23 @@ class DynamicDefinitionQuery:
         if sorted(order) != list(range(provider.num_qubits)):
             raise ValueError("active_order must be a permutation of all wires")
         self.active_order = order
-        self.bins: List[Bin] = []
         self.recursions: List[DDRecursion] = []
-        # Max-heap frontier of expandable bins: (-probability, seq, Bin).
-        # Bins never change probability and are removed when zoomed, so
-        # lazy invalidation keeps every operation O(log bins).
-        self._frontier: List[Tuple[float, int, Bin]] = []
-        self._pushed = 0
+        # K-way merge over the expandable recursions' sorted orders: one
+        # (-probability, recursion index, rank) cursor per recursion, so
+        # bins pop highest probability first, ties by recursion then bin
+        # index, and the heap never outgrows the recursion count.
+        self._frontier: List[Tuple[float, int, int]] = []
         self._num_rounds = 0
         self._collapse_seconds = 0.0
         self._contract_seconds = 0.0
         # Snapshot the provider's cache counters so stats() reports this
         # query's hits/misses even when the provider is reused.
-        cache = getattr(provider, "cache_stats", None)
-        self._cache_base_hits = cache.hits if cache is not None else 0
-        self._cache_base_misses = cache.misses if cache is not None else 0
+        self._cache_base = self._cache_counts()
+
+    def _cache_counts(self) -> Tuple[int, int]:
+        """The provider's lifetime collapse-cache (hits, misses)."""
+        cache = getattr(self.provider, "cache_stats", None)
+        return (0, 0) if cache is None else (cache.hits, cache.misses)
 
     # ------------------------------------------------------------------
     def run(self, max_recursions: int) -> List[DDRecursion]:
@@ -223,7 +257,7 @@ class DynamicDefinitionQuery:
         """
         target = len(self.recursions) + max_recursions
         while len(self.recursions) < target:
-            if self.recursions and self._peek_bin() is None:
+            if self.recursions and not self._frontier:
                 break  # nothing left to zoom into
             width = min(self.zoom_width, target - len(self.recursions))
             self._expand_round(width)
@@ -235,19 +269,15 @@ class DynamicDefinitionQuery:
 
     def _expand_round(self, width: int) -> List[DDRecursion]:
         """Expand up to ``width`` frontier bins as one batched round."""
-        cache = getattr(self.provider, "cache_stats", None)
-        hits0 = cache.hits if cache is not None else 0
-        misses0 = cache.misses if cache is not None else 0
+        hits0, misses0 = self._cache_counts()
         with trace.span("query.dd.round", {"width": width}):
             recursions = self._expand_round_impl(width)
         _DD_ROUNDS.inc()
-        if cache is not None:
-            hit_delta = cache.hits - hits0
-            miss_delta = cache.misses - misses0
-            if hit_delta:
-                _DD_CACHE.inc(hit_delta, outcome="hit")
-            if miss_delta:
-                _DD_CACHE.inc(miss_delta, outcome="miss")
+        hits, misses = self._cache_counts()
+        if hits - hits0:
+            _DD_CACHE.inc(hits - hits0, outcome="hit")
+        if misses - misses0:
+            _DD_CACHE.inc(misses - misses0, outcome="miss")
         return recursions
 
     def _expand_round_impl(self, width: int) -> List[DDRecursion]:
@@ -261,7 +291,6 @@ class DynamicDefinitionQuery:
                     if not parents:
                         raise RuntimeError("no expandable bin remains")
                     break
-                parent.zoomed = True
                 parents.append(parent)
 
         prepared = []
@@ -277,21 +306,32 @@ class DynamicDefinitionQuery:
                 fixed,
                 active,
             )
-            collapse_began = time.perf_counter()
-            prep = plan.prepared(self.provider)
-            collapse_seconds.append(time.perf_counter() - collapse_began)
+            hits0, misses0 = self._cache_counts()
+            with trace.span(
+                "query.dd.prepare",
+                {"fixed": len(fixed), "active": len(active)},
+            ) as prepare_span:
+                collapse_began = time.perf_counter()
+                prep = plan.prepared(self.provider)
+                collapse_seconds.append(time.perf_counter() - collapse_began)
+                hits, misses = self._cache_counts()
+                prepare_span.set(
+                    cache_hits=hits - hits0, cache_misses=misses - misses0
+                )
             prepared.append((parent, fixed, tuple(active), prep))
 
         contract_began = time.perf_counter()
         if len(prepared) == 1:
             # Single bin: let the engine parallelize *inside* the sweep.
-            contractions = [
-                prepared[0][3].contract(self.engine).contraction
-            ]
+            executions = [prepared[0][3].contract(self.engine)]
         else:
             contractions = self.engine.contract_batch(
-                [prep.payload for _, _, _, prep in prepared]
+                [prep.payload for *_, prep in prepared]
             )
+            executions = [
+                prep.finish(contraction)
+                for (*_, prep), contraction in zip(prepared, contractions)
+            ]
         contract_elapsed = time.perf_counter() - contract_began
         self._collapse_seconds += sum(collapse_seconds)
         self._contract_seconds += contract_elapsed
@@ -299,67 +339,55 @@ class DynamicDefinitionQuery:
 
         recursions: List[DDRecursion] = []
         share = contract_elapsed / len(prepared)
-        for (parent, fixed, active, prep), contraction, collapsed_s in zip(
-            prepared, contractions, collapse_seconds
+        for (parent, fixed, active, _), execution, collapsed_s in zip(
+            prepared, executions, collapse_seconds
         ):
-            probabilities = prep.finish(contraction).probabilities
             recursion = DDRecursion(
                 index=len(self.recursions),
                 fixed=fixed,
                 active=active,
-                probabilities=probabilities,
+                probabilities=execution.probabilities,
                 elapsed_seconds=collapsed_s + share,
                 parent_bin=parent,
             )
             self.recursions.append(recursion)
             recursions.append(recursion)
-            self._emit_bins(recursion)
+            if recursion.num_resolved < self.provider.num_qubits:
+                # Expandable: its bins enter the frontier, heaviest first.
+                recursion.order = np.argsort(
+                    -recursion.probabilities, kind="stable"
+                )
+                self._push(recursion, 0)
         return recursions
 
-    def _emit_bins(self, recursion: DDRecursion) -> None:
-        expandable = (
-            len(recursion.fixed) + len(recursion.active)
-            < self.provider.num_qubits
-        )
-        for index, probability in enumerate(recursion.probabilities):
-            entry = Bin(
-                fixed=dict(recursion.fixed),
-                active=recursion.active,
-                index=index,
-                probability=float(probability),
-                recursion=recursion.index,
-            )
-            self.bins.append(entry)
-            if expandable:
-                heapq.heappush(
-                    self._frontier,
-                    (-entry.probability, self._pushed, entry),
-                )
-                self._pushed += 1
+    def _push(self, recursion: DDRecursion, rank: int) -> None:
+        """Put the recursion's cursor for ``order[rank]`` on the heap."""
+        probability = float(recursion.probabilities[recursion.order[rank]])
+        heapq.heappush(self._frontier, (-probability, recursion.index, rank))
 
     # ------------------------------------------------------------------
-    def _pop_bin(self) -> Optional[Bin]:
-        """Remove and return the highest-probability expandable bin."""
-        while self._frontier:
-            _, _, candidate = heapq.heappop(self._frontier)
-            if candidate.zoomed:
-                continue  # invalidated lazily
-            return candidate
-        return None
-
     def _peek_bin(self) -> Optional[Bin]:
         """The bin :meth:`_pop_bin` would return, without removing it."""
-        while self._frontier:
-            _, _, candidate = self._frontier[0]
-            if candidate.zoomed:
-                heapq.heappop(self._frontier)
-                continue
-            return candidate
-        return None
+        if not self._frontier:
+            return None
+        _, which, rank = self._frontier[0]
+        recursion = self.recursions[which]
+        return recursion.bins(recursion.order[rank : rank + 1])[0]
 
-    def _choose_bin(self) -> Optional[Bin]:
-        """Highest-probability bin that still has merged qubits to expand."""
-        return self._peek_bin()
+    def _pop_bin(self) -> Optional[Bin]:
+        """Remove, mark zoomed and return the highest-probability
+        expandable bin; its recursion's cursor moves to the next rank."""
+        chosen = self._peek_bin()
+        if chosen is None:
+            return None
+        _, which, rank = heapq.heappop(self._frontier)
+        recursion = self.recursions[which]
+        recursion.zoomed[chosen.index] = chosen.zoomed = True
+        if rank + 1 < recursion.order.size:
+            self._push(recursion, rank + 1)
+        else:
+            recursion.order = None  # exhausted: release the sort order
+        return chosen
 
     def _next_active(self, fixed: Dict[int, int]) -> List[int]:
         remaining = [w for w in self.active_order if w not in fixed]
@@ -369,22 +397,31 @@ class DynamicDefinitionQuery:
     # Query products
     # ------------------------------------------------------------------
     @property
+    def bins(self) -> List[Bin]:
+        """Every bin of every recursion, in creation order."""
+        return [b for r in self.recursions for b in r.bins()]
+
+    @property
     def current_partition(self) -> List[Bin]:
         """Bins that currently tile the whole Hilbert space (not zoomed)."""
-        return [b for b in self.bins if not b.zoomed]
+        return [
+            b
+            for r in self.recursions
+            for b in r.bins(np.flatnonzero(~r.zoomed))
+        ]
 
     def solution_states(self, threshold: float = 0.5) -> List[Tuple[str, float]]:
         """Fully-resolved states with probability above ``threshold``."""
         total = self.provider.num_qubits
         states = []
-        for candidate in self.bins:
-            if candidate.num_resolved < total:
+        for recursion in self.recursions:
+            if recursion.num_resolved < total:
                 continue
-            if candidate.probability < threshold:
-                continue
-            resolved = candidate.assignment
-            bits = "".join(str(resolved[w]) for w in range(total))
-            states.append((bits, candidate.probability))
+            hits = np.flatnonzero(recursion.probabilities >= threshold)
+            for candidate in recursion.bins(hits):
+                resolved = candidate.assignment
+                bits = "".join(str(resolved[w]) for w in range(total))
+                states.append((bits, candidate.probability))
         states.sort(key=lambda item: -item[1])
         return states
 
@@ -408,21 +445,23 @@ class DynamicDefinitionQuery:
 
     def stats(self) -> DDStats:
         """Latency, cache and frontier statistics for the query so far."""
-        cache = getattr(self.provider, "cache_stats", None)
-        hits = misses = 0
-        if cache is not None:
-            # Deltas against the construction-time snapshot: the counters
-            # must describe *this query*, not the provider's lifetime.
-            hits = max(0, cache.hits - self._cache_base_hits)
-            misses = max(0, cache.misses - self._cache_base_misses)
+        # Deltas against the construction-time snapshot: the counters
+        # must describe *this query*, not the provider's lifetime.
+        hits, misses = self._cache_counts()
+        hits = max(0, hits - self._cache_base[0])
+        misses = max(0, misses - self._cache_base[1])
         requests = hits + misses
         rate = hits / requests if requests else 0.0
         return DDStats(
             num_recursions=len(self.recursions),
             num_rounds=self._num_rounds,
             zoom_width=self.zoom_width,
-            num_bins=len(self.bins),
-            frontier_size=len(self._frontier),
+            num_bins=sum(r.probabilities.size for r in self.recursions),
+            # Each cursor stands for the bins at and after its rank.
+            frontier_size=sum(
+                self.recursions[which].order.size - rank
+                for _, which, rank in self._frontier
+            ),
             total_elapsed_seconds=sum(
                 r.elapsed_seconds for r in self.recursions
             ),

@@ -302,14 +302,15 @@ def _derive_fixed(
     fixed = {
         wire: int(role[1]) for wire, role in signature if role[0] == "fixed"
     }
-    position_of = {wire: index for index, wire in enumerate(active_wires)}
-    shape = (tensor.data.shape[0],) + (2,) * len(active_wires)
-    working = tensor.data.reshape(shape)
-    # Index from the highest axis down so earlier axis numbers stay valid.
-    for wire in sorted(fixed, key=lambda w: -position_of[w]):
-        working = np.take(working, fixed[wire], axis=1 + position_of[wire])
+    rows = tensor.data.shape[0]
+    # One basic index over every fixed axis is a view; it is copied once,
+    # at its final size, instead of once per fixed wire.
+    selector = (slice(None),) + tuple(
+        fixed.get(wire, slice(None)) for wire in active_wires
+    )
+    view = tensor.data.reshape((rows,) + (2,) * len(active_wires))[selector]
     remaining = [wire for wire in active_wires if wire not in fixed]
-    data = working.reshape(tensor.data.shape[0], -1)
+    data = np.ascontiguousarray(view).reshape(rows, -1)
     derived = TermTensor(
         subcircuit_index=tensor.subcircuit_index,
         cut_order=list(tensor.cut_order),

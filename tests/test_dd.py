@@ -1,25 +1,35 @@
 """Tests for the dynamic-definition query (Algorithm 1)."""
 
+import functools
+import gc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CutQC,
-    QuantumCircuit,
     cut_circuit,
     evaluate_subcircuit,
+    get_benchmark,
     simulate_probabilities,
     supremacy,
 )
 from repro.library import bv, bv_solution
 from repro.metrics import chi_square_loss
+from repro.obs import trace
 from repro.postprocess import (
     DynamicDefinitionQuery,
     PrecomputedTensorProvider,
     binned_tensor,
     build_term_tensor,
 )
+from repro.postprocess.attribution import TermTensor
+from repro.postprocess.dd import Bin
 from repro.utils import marginalize
+from tests.dd_frontier_oracle import replay_frontier
 
 
 def _provider(circuit, cuts):
@@ -293,6 +303,32 @@ class TestDDStats:
         assert stats.cache_hits + stats.cache_misses == 3 * 2
 
 
+class TestDDTrace:
+    def test_one_prepare_span_per_expanded_bin(self, fig4_circuit):
+        _, provider = _provider(fig4_circuit, [(2, 1)])
+        query = DynamicDefinitionQuery(
+            provider, max_active_qubits=1, zoom_width=2
+        )
+        with trace.start("dd") as root:
+            query.run(5)
+        stats = query.stats()
+        rounds = root.to_dict()["children"]
+        assert [r["name"] for r in rounds] == (
+            ["query.dd.round"] * stats.num_rounds
+        )
+        prepares = [
+            child["attrs"]
+            for each in rounds
+            for child in each["children"]
+            if child["name"] == "query.dd.prepare"
+        ]
+        assert [(p["fixed"], p["active"]) for p in prepares] == [
+            (len(r.fixed), len(r.active)) for r in query.recursions
+        ]
+        assert sum(p["cache_hits"] for p in prepares) == stats.cache_hits
+        assert sum(p["cache_misses"] for p in prepares) == stats.cache_misses
+
+
 class TestProgressiveRun:
     def test_repeated_run_deepens(self, fig4_circuit):
         _, provider = _provider(fig4_circuit, [(2, 1)])
@@ -301,3 +337,191 @@ class TestProgressiveRun:
         assert len(query.recursions) == 2
         query.run(1)  # run() adds *further* recursions on repeat calls
         assert len(query.recursions) == 3
+
+
+# ----------------------------------------------------------------------
+# The array frontier against the heap-of-Bins it replaced
+# ----------------------------------------------------------------------
+
+#: Inputs whose bins tie: exact zeros ordered by index (bv, hwea), equal
+#: masses in different recursions (bv), round-off negatives (adder).
+_TIE_CASES = {
+    "bv": (8, 5, {}),
+    "hwea": (8, 5, {"seed": 3}),
+    "adder": (8, 5, {"seed": 3}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _tie_provider(family):
+    qubits, device, kwargs = _TIE_CASES[family]
+    pipeline = CutQC(get_benchmark(family, qubits, **kwargs), device)
+    return PrecomputedTensorProvider(
+        pipeline.cut(), results=pipeline.evaluate()
+    )
+
+
+class _VectorProvider:
+    """A zero-cut provider whose whole distribution is one given vector."""
+
+    num_cuts = 0
+
+    def __init__(self, vector):
+        self.vector = np.asarray(vector, dtype=float)
+        self.num_qubits = int(np.log2(self.vector.size))
+        self._circuit = SimpleNamespace(
+            output_lines=[
+                SimpleNamespace(wire=w) for w in range(self.num_qubits)
+            ]
+        )
+
+    def collapsed(self, roles):
+        tensor = TermTensor(
+            subcircuit_index=0,
+            cut_order=[],
+            num_effective=self.num_qubits,
+            data=self.vector.reshape(1, -1),
+            nonzero=np.array([True]),
+        )
+        return [binned_tensor(tensor, self._circuit, roles)]
+
+
+def _assert_replays(query, budgets):
+    parents, frontier_size = replay_frontier(query, budgets)
+    assert [r.parent_bin for r in query.recursions] == parents
+    assert query.stats().frontier_size == frontier_size
+
+
+def _scanned_solution_states(query, threshold):
+    """``solution_states`` as the per-bin scan it replaced."""
+    total = query.provider.num_qubits
+    states = []
+    for candidate in query.bins:
+        if candidate.num_resolved < total:
+            continue
+        if candidate.probability < threshold:
+            continue
+        resolved = candidate.assignment
+        bits = "".join(str(resolved[w]) for w in range(total))
+        states.append((bits, candidate.probability))
+    states.sort(key=lambda item: -item[1])
+    return states
+
+
+class TestFrontierReplay:
+    """Every parent bin is the one the old (-probability, creation
+    sequence) heap of ``Bin`` objects pops, ties included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(_TIE_CASES)),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_tying_benchmarks(self, family, active, zoom_width, first, more):
+        query = DynamicDefinitionQuery(
+            _tie_provider(family), active, zoom_width=zoom_width
+        )
+        query.run(first)
+        query.run(more)  # a budget extended by a second run()
+        _assert_replays(query, [first, more])
+        for threshold in (0.0, 0.25):
+            assert query.solution_states(threshold) == (
+                _scanned_solution_states(query, threshold)
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # Masses k/64 (exact under every merged sum), signed zeros and
+        # round-off dust: repeated values within and across recursions.
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1e-17, -1e-17, 1 / 64, 2 / 64, 3 / 64]),
+            min_size=32,
+            max_size=32,
+        ),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=0, max_value=10),
+    )
+    def test_synthetic_repeated_values(
+        self, vector, active, zoom_width, first, more
+    ):
+        query = DynamicDefinitionQuery(
+            _VectorProvider(vector), active, zoom_width=zoom_width
+        )
+        query.run(first)
+        query.run(more)
+        _assert_replays(query, [first, more])
+
+    def test_tie_cases_do_tie(self):
+        """The property above is only as strong as its inputs."""
+        masses = {}
+        for family in _TIE_CASES:
+            query = DynamicDefinitionQuery(_tie_provider(family), 2)
+            query.run(12)
+            masses[family] = np.concatenate(
+                [r.probabilities for r in query.recursions]
+            )
+        assert np.count_nonzero(masses["hwea"] == 0.0) > 10
+        assert np.count_nonzero(masses["adder"] < 0.0) > 0
+        positive = masses["bv"][masses["bv"] > 0.0]
+        assert np.unique(positive).size < positive.size
+
+
+class TestBinsMaterialiseOnRead:
+    def test_run_creates_no_per_bin_objects(self):
+        def live_bins():
+            gc.collect()
+            return sum(isinstance(o, Bin) for o in gc.get_objects())
+
+        before = live_bins()
+        query = DynamicDefinitionQuery(_tie_provider("bv"), 3, zoom_width=2)
+        query.run(9)
+        num_bins = sum(2 ** len(r.active) for r in query.recursions)
+        assert query.stats().num_bins == num_bins > 5 * len(query.recursions)
+        # Only the popped parents exist, one per non-root recursion ...
+        assert live_bins() - before == len(query.recursions) - 1
+        # ... until a caller reads the partition, and again once it is dropped.
+        partition = query.current_partition
+        assert live_bins() - before == len(query.recursions) - 1 + len(partition)
+        assert len(query.bins) == num_bins
+        del partition
+        assert live_bins() - before == len(query.recursions) - 1
+
+    def test_bins_share_their_recursions_fixed_mapping(self):
+        query = DynamicDefinitionQuery(_tie_provider("bv"), 2)
+        query.run(3)
+        for entry in query.bins:
+            assert entry.fixed is query.recursions[entry.recursion].fixed
+
+    def test_exhausted_recursion_releases_its_order(self, fig4_circuit):
+        _, provider = _provider(fig4_circuit, [(2, 1)])
+        query = DynamicDefinitionQuery(provider, max_active_qubits=2)
+        query.run(5)  # the root's four bins are all zoomed by now
+        root = query.recursions[0]
+        assert root.zoomed.all() and root.order is None
+        for recursion in query.recursions:
+            # An order exists exactly while there is a bin left to zoom.
+            open_bins = recursion.num_resolved < 5 and not recursion.zoomed.all()
+            assert (recursion.order is not None) == open_bins
+
+
+class TestSolutionStates:
+    def test_matches_per_bin_scan(self):
+        pipeline = CutQC(bv(6), max_subcircuit_qubits=4)
+        query = pipeline.dd_query(max_active_qubits=2, max_recursions=8)
+        for threshold in (0.0, 0.25, 0.9, 2.0):
+            assert query.solution_states(threshold) == (
+                _scanned_solution_states(query, threshold)
+            )
+        assert query.solution_states(0.9)[0][0] == bv_solution(6)
+        assert query.solution_states(2.0) == []
+
+    def test_no_fully_resolved_recursion(self, fig4_circuit):
+        _, provider = _provider(fig4_circuit, [(2, 1)])
+        query = DynamicDefinitionQuery(provider, max_active_qubits=2)
+        query.run(2)  # at most 4 of 5 wires resolved
+        assert query.solution_states(0.0) == []

@@ -5,6 +5,8 @@ collapse + fixed-axis derivation) *bit-matches* the naive per-recursion
 collapse on random cut circuits — not just within tolerance, exactly.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,14 @@ from repro.postprocess import (
     DynamicDefinitionQuery,
     PrecomputedTensorProvider,
     QueryPlan,
+    binned_tensor,
     generalized_signature,
     reconstruct_full,
     restricted_signature,
 )
+from repro.postprocess.attribution import TermTensor
 from repro.postprocess.engine import ContractionEngine
+from repro.postprocess.plan import _derive_fixed
 from repro.utils import marginalize
 from tests.conftest import random_connected_circuit
 
@@ -112,6 +117,39 @@ class TestCollapseCache:
             assert got.num_effective == want.num_effective
             assert np.array_equal(got.data, want.data)
             assert np.array_equal(got.nonzero, want.nonzero)
+
+    @pytest.mark.parametrize(
+        "fixed",
+        [
+            {},  # none fixed: the generalized tensor itself
+            {0: 1, 3: 0},  # non-adjacent axes
+            {1: 0, 2: 1, 4: 1},
+            {0: 1, 1: 0, 2: 0, 3: 1, 4: 1},  # every axis fixed
+        ],
+    )
+    def test_derive_fixed_equals_direct_collapse(self, rng, fixed):
+        """One basic index over all fixed axes == ``binned_tensor`` with
+        the fixed roles on the full tensor, for any subset of axes."""
+        wires = [7, 2, 9, 4, 5]  # axis order is the subcircuit's, not sorted
+        subcircuit = SimpleNamespace(
+            output_lines=[SimpleNamespace(wire=wire) for wire in wires]
+        )
+        data = rng.normal(size=(16, 2 ** len(wires)))
+        data[3] = 0.0  # an all-zero row must stay flagged
+        full = TermTensor(0, [0, 1], len(wires), data, np.any(data != 0.0, axis=1))
+        roles = {
+            wire: ("fixed", fixed[axis]) if axis in fixed else ("active",)
+            for axis, wire in enumerate(wires)
+        }
+        signature = restricted_signature(subcircuit, roles)
+        got, got_wires = _derive_fixed(full, wires, signature)
+        want, want_wires = binned_tensor(full, subcircuit, roles)
+        assert got_wires == want_wires
+        assert got.num_effective == want.num_effective
+        assert got.data.shape == want.data.shape
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got.nonzero, want.nonzero)
+        assert got.data.flags.c_contiguous
 
     def test_cache_limit_evicts(self, fig4_circuit):
         cut, provider = _cut_and_provider(fig4_circuit, [(2, 1)])
@@ -270,8 +308,8 @@ class TestHeapFrontierParity:
         query.step()
         for _ in range(2):
             want = self._linear_scan_choice(query)
-            got = query._choose_bin()
-            assert got is want
+            got = query._peek_bin()
+            assert got == want  # a Bin is a value, not an identity
             query.step()
 
 

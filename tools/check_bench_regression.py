@@ -35,7 +35,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def resolve_key(document, dotted):
-    """Walk a dotted path (``dd.speedup``) through nested dicts."""
+    """Walk a dotted path (``load.queries_per_second``) through nested dicts."""
     value = document
     for part in dotted.split("."):
         if not isinstance(value, dict) or part not in value:
