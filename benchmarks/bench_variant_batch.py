@@ -2,18 +2,23 @@
 
 The quantum-workload half of every CutQC run is evaluating the
 ``3^O * 4^rho`` physical variants of each subcircuit.  The per-variant
-path (PRs 1-4) simulates one full circuit per variant through a Python
-per-gate loop; the batched strategy simulates the measurement-free body
-**once per init batch** (all ``4^rho`` init states stacked on a batch
-axis, gates fused to <= ``fusion_width`` qubits) and derives every
-``3^O`` measurement basis from the retained states.
+path (``sim_batch=0``) simulates one full circuit per variant through a
+Python per-gate loop and builds term tensors from the raw vectors; the
+batched strategy simulates the measurement-free body **once over the
+``2^rho`` basis columns of the init wires** (stacked on a batch axis,
+gates fused to <= ``fusion_width`` qubits), holds those amplitudes, and
+builds term tensors from them directly.
 
 This bench runs a fig6-style BV sweep through both
-:class:`~repro.core.executor.VariantExecutor` strategies, verifies the
-distributions agree to 1e-10, and gates an aggregate (total serial /
-total batched) speedup floor.  Both paths are measured warm (the fusion
-memo and NumPy buffers populated), matching the steady state a service
-observes.  Results land in ``results/BENCH_variant_batch.json``.
+:class:`~repro.core.executor.VariantExecutor` strategies and times the
+unit a query consumes — ``executor.run`` **plus** ``build_term_tensor``
+per result — on both sides; outside the timed window it verifies that
+the batched side's *materialised* distributions agree with the
+per-variant ones to 1e-10.  It gates an aggregate (total serial / total
+batched) speedup floor.  Both paths are measured warm (the fusion memo
+and NumPy buffers populated), matching the steady state a service
+observes.  Absolute seconds per row land in
+``results/BENCH_variant_batch.json``.
 """
 
 import json
@@ -26,6 +31,7 @@ from repro import CutQC
 from repro.core.executor import VariantExecutor
 from repro.cutting import num_physical_variants
 from repro.library import get_benchmark
+from repro.postprocess import build_term_tensor
 
 from conftest import RESULTS_DIR, report
 
@@ -49,10 +55,18 @@ _MAX_ABS_ERROR = 1e-10
 
 
 def _measure(executor, subcircuits):
-    executor.run(subcircuits)  # warm: fusion memo, allocator, caches
+    """Seconds per evaluate + term-tensor build, and the last results."""
+
+    def once():
+        results = executor.run(subcircuits)
+        for result in results:
+            build_term_tensor(result)
+        return results
+
+    once()  # warm: fusion memo, allocator, caches
     began = time.perf_counter()
     for _ in range(_REPS):
-        results = executor.run(subcircuits)
+        results = once()
     return (time.perf_counter() - began) / _REPS, results
 
 
@@ -72,13 +86,18 @@ def test_variant_batch_speedup():
         cut = pipeline.cut()
         subcircuits = cut.subcircuits
 
-        serial_seconds, serial = _measure(VariantExecutor(), subcircuits)
+        serial_executor = VariantExecutor(sim_batch=0)
+        serial_seconds, serial = _measure(serial_executor, subcircuits)
+        assert serial_executor.last_report.mode == "serial"
         batched_executor = VariantExecutor(
             sim_batch=_SIM_BATCH, fusion_width=_FUSION_WIDTH
         )
         batched_seconds, batched = _measure(batched_executor, subcircuits)
         batched_report = batched_executor.last_report
 
+        # Untimed: reading ``probabilities`` materialises the batched
+        # side's raw vectors from its amplitudes.
+        assert all(result.raw_vectors is None for result in batched)
         worst = max(
             np.abs(a.probabilities[key] - b.probabilities[key]).max()
             for a, b in zip(serial, batched)
@@ -153,8 +172,9 @@ def test_variant_batch_speedup():
     )
     report(
         "bench_variant_batch",
-        f"Batched+fused variant simulation vs per-variant — {_BENCHMARK} "
-        f"sweep, fusion width {_FUSION_WIDTH}, init batch {_SIM_BATCH}",
+        f"Batched+fused evaluate + term-tensor build vs per-variant — "
+        f"{_BENCHMARK} sweep, fusion width {_FUSION_WIDTH}, "
+        f"<= {_SIM_BATCH} columns per pass",
         ["config", "D", "cuts", "variants", "passes", "serial ms",
          "batched ms", "speedup"],
         rows,

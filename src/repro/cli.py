@@ -92,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--sim-batch", type=int, default=None, metavar="B",
-            help="batched variant simulation: one fused body pass per init "
-                 "batch of <= B states, measurement bases derived from the "
-                 "retained states (default: on, 256; applies to exact and "
-                 "--device evaluation)",
+            help="batched variant simulation: fused body passes of <= B "
+                 "columns (exact: the 2^rho basis columns of the init wires; "
+                 "--device: init states) (default: on, 256; applies to exact "
+                 "and --device evaluation)",
         )
         sub.add_argument(
             "--no-sim-batch", action="store_true",
@@ -276,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="trajectory",
                         help="batched noisy estimator used with --device")
     submit.add_argument("--sim-batch", type=int, default=None, metavar="B",
-                        help="batched variant simulation with init batches "
-                             "of <= B states (default: on, 256)")
+                        help="batched variant simulation, <= B columns "
+                             "per fused body pass (default: on, 256)")
     submit.add_argument("--no-sim-batch", action="store_true",
                         help="force per-variant execution "
                              "(equivalent to --sim-batch 0)")

@@ -32,10 +32,11 @@ from ..cutting.variants import (
     SubcircuitResult,
     SubcircuitVariant,
     VariantCircuitFactory,
+    basis_column_amplitudes,
     batched_noisy_variant_probabilities,
-    batched_variant_probabilities,
     circuit_fingerprint,
     generate_variants,
+    num_physical_variants,
 )
 from ..devices.device import VirtualDevice
 from ..devices.pool import DevicePool
@@ -68,7 +69,8 @@ _EVAL_VARIANTS = get_registry().counter(
 )
 _EVAL_BODY_PASSES = get_registry().counter(
     "repro_eval_body_passes_total",
-    "Fused body passes simulated by the batched strategy.",
+    "Fused body passes (of <= sim_batch columns each) simulated by the "
+    "batched strategy.",
 )
 _EVAL_SECONDS = get_registry().histogram(
     "repro_eval_seconds",
@@ -134,9 +136,11 @@ class ExecutionReport:
     pool_makespan_seconds: Optional[float] = None
     pool_serial_seconds: Optional[float] = None
     #: Batched-strategy accounting: fused body passes actually simulated
-    #: and the knobs that shaped them (None on the per-variant path).  On
-    #: the noisy trajectory path a pass is the clean walk or one forked
-    #: suffix of it, so the count follows the injections drawn.
+    #: (``sim_batch`` = columns per pass: basis columns when exact, init
+    #: states when noisy) and the knobs that shaped them (None on the
+    #: per-variant path).  On the noisy trajectory path a pass is the clean
+    #: walk or one forked suffix of it, so the count follows the injections
+    #: drawn.  ``num_variants`` stays the variants *answered for*.
     num_body_passes: Optional[int] = None
     sim_batch: Optional[int] = None
     fusion_width: Optional[int] = None
@@ -168,10 +172,13 @@ def _run_init_batch(payload):
     Module-level so it crosses process boundaries (ephemeral
     ``multiprocessing`` pools here, the persistent
     :class:`~repro.postprocess.parallel.WorkerPool` via its own wrapper).
-    Exact payloads are ``(subcircuit, combos, fusion_width)``; noisy
-    payloads append a :class:`~repro.cutting.variants.NoisyEvalSpec` —
-    the compiled geometry and fused body plan it implies are memoized
-    per process, so chunks landing on a warm worker reuse them.
+    Exact payloads are ``(subcircuit, (start, stop), fusion_width)`` — a
+    range of basis columns, answered with its amplitude slab; noisy
+    payloads are ``(subcircuit, combos, fusion_width, spec)`` with a
+    :class:`~repro.cutting.variants.NoisyEvalSpec`, answered with raw
+    vectors — the compiled geometry and fused body plan the spec implies
+    are memoized per process, so chunks landing on a warm worker reuse
+    them.  Either way the answer is ``(data, num_body_passes)``.
     """
     if len(payload) == 4:
         subcircuit, init_combos, fusion_width, spec = payload
@@ -179,9 +186,9 @@ def _run_init_batch(payload):
             subcircuit, spec, fusion_width=fusion_width,
             init_combos=init_combos,
         )
-    subcircuit, init_combos, fusion_width = payload
-    return batched_variant_probabilities(
-        subcircuit, fusion_width=fusion_width, init_combos=init_combos
+    subcircuit, columns, fusion_width = payload
+    return basis_column_amplitudes(
+        subcircuit, fusion_width=fusion_width, columns=columns
     )
 
 
@@ -239,11 +246,12 @@ class VariantExecutor:
         (DevicePool) executes the batch.
     sim_batch:
         The **batched strategy**: instead of executing one circuit per
-        variant, each subcircuit's measurement-free body is simulated
-        once per init batch (at most ``sim_batch`` of the ``4^rho`` init
-        states stacked per fused pass) and all ``3^O`` measurement bases
-        are derived from the retained states.  Work units shipped to
-        workers are whole init-batches, never individual circuits.
+        variant, each subcircuit's measurement-free body is simulated in
+        fused passes of at most ``sim_batch`` columns.  Exact: the
+        ``2^rho`` basis columns of the init wires, and the result holds
+        their amplitudes.  Noisy: the ``4^rho`` init states, all ``3^O``
+        bases derived from the retained states.  Work units shipped to
+        workers are whole batches, never individual circuits.
         ``None`` (the default) resolves to :data:`DEFAULT_SIM_BATCH`
         whenever batching can apply — exact simulation, or a ``device``
         (noisy batching) — and to ``0`` under a custom ``backend`` or a
@@ -384,7 +392,7 @@ class VariantExecutor:
             results.append(
                 SubcircuitResult(
                     subcircuit=subcircuit,
-                    probabilities=probabilities,
+                    raw_vectors=probabilities,
                     num_variants=len(variant_slots),
                     num_unique_circuits=unique,
                 )
@@ -451,11 +459,11 @@ class VariantExecutor:
     def _run_batched(
         self, subcircuits: Sequence[Subcircuit]
     ) -> List[SubcircuitResult]:
-        """One fused body pass per init batch, per *unique* subcircuit.
+        """Fused body passes per *unique* subcircuit.
 
         Subcircuits with equal body keys (same body, same cut-line
         positions) have pairwise-identical variant sets, so each group
-        is simulated once and its members share the result vectors —
+        is simulated once and its members share the result data —
         the batched counterpart of the per-variant cross-subcircuit
         dedup, with identical ``ExecutionReport`` accounting.
         """
@@ -480,25 +488,27 @@ class VariantExecutor:
         else:
             group_specs = [self.noisy_spec] * len(group_heads)
 
-        # One payload per (group, init chunk): workers receive whole
-        # init-batches, never individual circuits.  On the noisy path
-        # the spec rides along; geometry compiles once per process.
+        # One payload per (group, chunk): workers receive whole batches,
+        # never individual circuits — a range of basis columns on the
+        # exact path, init label tuples with the spec riding along on the
+        # noisy one (geometry compiles once per process).
         payloads: List[Tuple] = []
         payload_group: List[int] = []
         for index, head in enumerate(group_heads):
-            combos = [
-                tuple(combo)
-                for combo in itertools.product(
-                    INIT_LABELS, repeat=len(head.init_lines)
-                )
-            ]
             spec = group_specs[index]
-            for start in range(0, len(combos), self.sim_batch):
-                chunk = combos[start : start + self.sim_batch]
-                if spec is not None:
-                    payloads.append((head, chunk, self.fusion_width, spec))
-                else:
+            if spec is None:
+                members = range(1 << len(head.init_lines))
+            else:
+                members = list(
+                    itertools.product(INIT_LABELS, repeat=len(head.init_lines))
+                )
+            for start in range(0, len(members), self.sim_batch):
+                chunk = members[start : start + self.sim_batch]
+                if spec is None:
+                    chunk = (chunk.start, chunk.stop)
                     payloads.append((head, chunk, self.fusion_width))
+                else:
+                    payloads.append((head, chunk, self.fusion_width, spec))
                 payload_group.append(index)
 
         if self.pool is not None:
@@ -509,31 +519,37 @@ class VariantExecutor:
             prefix = "batched"
         outputs, mode = self._execute_batched(payloads, prefix)
 
-        group_probabilities: List[Dict] = [{} for _ in group_heads]
+        # A group's data is one amplitude array (exact) or one raw-vector
+        # mapping (noisy); its members share it.
+        group_parts: List[List] = [[] for _ in group_heads]
         group_passes = [0] * len(group_heads)
-        for index, (probabilities, passes) in zip(payload_group, outputs):
-            group_probabilities[index].update(probabilities)
+        for index, (part, passes) in zip(payload_group, outputs):
+            group_parts[index].append(part)
             group_passes[index] += passes
+        group_data = [
+            {"amplitudes": parts[0] if len(parts) == 1 else np.concatenate(parts)}
+            if spec is None
+            else {"raw_vectors": {k: v for part in parts for k, v in part.items()}}
+            for spec, parts in zip(group_specs, group_parts)
+        ]
 
         results: List[SubcircuitResult] = []
         for subcircuit, index in zip(subcircuits, member_group):
-            probabilities = group_probabilities[index]
+            count = num_physical_variants(subcircuit)
             results.append(
                 SubcircuitResult(
                     subcircuit=subcircuit,
-                    probabilities=probabilities,
-                    num_variants=len(probabilities),
-                    num_unique_circuits=len(probabilities),
+                    num_variants=count,
+                    num_unique_circuits=count,
                     mode=prefix,
                     num_body_passes=group_passes[index],
+                    **group_data[index],
                 )
             )
         self.last_report = ExecutionReport(
             num_subcircuits=len(subcircuits),
             num_variants=sum(r.num_variants for r in results),
-            num_unique_circuits=sum(
-                len(probabilities) for probabilities in group_probabilities
-            ),
+            num_unique_circuits=sum(map(num_physical_variants, group_heads)),
             workers=self.workers,
             mode=mode,
             elapsed_seconds=time.perf_counter() - began,
@@ -563,8 +579,6 @@ class VariantExecutor:
         noise streams a deterministic function of ``(device, seed,
         subcircuit)``, independent of which other groups share the batch.
         """
-        from ..cutting.variants import num_physical_variants
-
         devices = self.pool.devices
         loads = [0.0] * len(devices)
         chosen_of: List[Optional[int]] = [None] * len(group_heads)

@@ -95,9 +95,10 @@ class CutQC:
         does not own the pool — the caller closes it.
     sim_batch:
         Evaluate variants with the batched fused-simulation strategy:
-        each subcircuit body runs once per init batch of at most
-        ``sim_batch`` members and all measurement bases derive from the
-        retained states.  ``None`` (the default) turns batching **on**
+        each subcircuit body runs in fused passes of at most ``sim_batch``
+        columns — the ``2^rho`` basis columns of its init wires when
+        exact, the ``4^rho`` init states when noisy.  ``None`` (the
+        default) turns batching **on**
         — exact statevector batching, batched noisy evaluation when a
         ``device`` is set, and per-group batched dispatch over a
         ``pool`` — resolving to ``0`` only under a custom ``backend``.
@@ -225,7 +226,7 @@ class CutQC:
         """Content fingerprint of the evaluate stage.
 
         ``backend`` is a config *tag* describing how variants are
-        executed (e.g. ``"statevector:batched:v2"``,
+        executed (e.g. ``"statevector:batched:v3"``,
         ``"device:bogota:trajectory:batched:v1"``) — the callable itself
         cannot be hashed.  ``config`` carries extra result-shaping knobs
         (e.g. trajectory counts) into the digest.  The circuit's bound

@@ -5,7 +5,11 @@ bases {I, X, Y, Z} and the downstream side is initialized in one of
 {|0>, |1>, |+>, |+i>}.  The I and Z measurements share the same physical
 circuit, so a subcircuit with ``O`` measurement lines and ``rho``
 initialization lines has ``3^O * 4^rho`` distinct physical variants — the
-circuits a quantum device actually runs.
+circuits a quantum device actually runs.  The exact statevector backend
+does not run them: the final state is linear in each init wire's 2-vector,
+so it simulates the ``2^rho`` basis columns once and an exact
+:class:`SubcircuitResult` *is* those amplitudes; the raw variant vectors are
+materialised only when something reads ``probabilities``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ __all__ = [
     "variant_circuit",
     "VariantCircuitFactory",
     "circuit_fingerprint",
+    "basis_column_amplitudes",
+    "materialise_probabilities",
     "batched_variant_probabilities",
     "NoisyEvalSpec",
     "batched_noisy_variant_probabilities",
@@ -48,6 +54,9 @@ __all__ = [
 MEAS_BASES: Tuple[str, ...] = ("Z", "X", "Y")
 #: Downstream initialization states, in the order used by the term transform.
 INIT_LABELS: Tuple[str, ...] = ("zero", "one", "plus", "plus_i")
+#: ``(4, 2)``: row ``l`` is the 2-vector of ``INIT_LABELS[l]`` — the map from
+#: a cut wire's two basis columns to its four initial states.
+INIT_MATRIX = np.array([INITIAL_STATES[label] for label in INIT_LABELS])
 
 _PREP_GATES: Dict[str, Tuple[Tuple[str, ...], ...]] = {
     "zero": (),
@@ -201,8 +210,94 @@ def _statevector_backend(circuit: QuantumCircuit) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Batched evaluation: one fused body pass per init batch
+# Batched evaluation: one fused body pass over the 2^rho basis columns
 # ----------------------------------------------------------------------
+
+def basis_column_amplitudes(
+    subcircuit: Subcircuit,
+    fusion_width: int = 2,
+    max_batch: int = 0,
+    columns: Optional[Tuple[int, int]] = None,
+) -> Tuple[np.ndarray, int]:
+    """Final amplitudes of the init wires' computational-basis columns.
+
+    Column ``c`` puts bit ``k`` of ``c`` (MSB first) on init line ``k`` and
+    ``|0>`` on every other wire: the initial batch is rows of an identity
+    scattered to the init positions.  ``columns = (start, stop)`` restricts
+    the sweep to a range — the unit a
+    :class:`~repro.core.executor.VariantExecutor` ships to pool workers;
+    ``max_batch`` caps the columns per fused pass (``columns * 2^width *
+    16`` bytes per live tensor, ``0`` = one pass).  Returns the
+    ``(stop - start, 2^width)`` complex128 slab and the number of passes.
+    """
+    from ..sim import batch
+
+    if max_batch < 0:
+        raise ValueError("max_batch must be >= 0")
+    width = subcircuit.width
+    positions = [line.line for line in subcircuit.init_lines]
+    start, stop = columns or (0, 1 << len(positions))
+    # Looked up at call time: the e2e tracer patches ``batch.fuse_gates``.
+    ops = batch.fuse_gates(subcircuit.circuit, fusion_width)
+    members = np.arange(start, stop)
+    basis_index = np.zeros_like(members)
+    for k, position in enumerate(positions):
+        bit = (members >> (len(positions) - 1 - k)) & 1
+        basis_index |= bit << (width - 1 - position)
+    chunk = max_batch or stop - start
+    slabs = []
+    for begin in range(0, stop - start, chunk):
+        count = min(chunk, stop - start - begin)
+        with trace.span(
+            "evaluate.variant_batch",
+            {"subcircuit": subcircuit.index, "width": width, "columns": count,
+             "rho": len(positions), "num_meas": len(subcircuit.meas_lines)},
+        ):
+            data = np.zeros((count, 1 << width), dtype=complex)
+            data[np.arange(count), basis_index[begin : begin + count]] = 1.0
+            state = batch.BatchedStatevector(width, count, data)
+            slabs.append(state.apply_fused(ops).amplitudes())
+    return (slabs[0] if len(slabs) == 1 else np.concatenate(slabs)), len(slabs)
+
+
+def expand_inits(columns: np.ndarray, num_lines: int) -> np.ndarray:
+    """Fan-in by linearity: ``(2^k, m)`` basis-column amplitudes to the
+    ``(4^k, m)`` amplitudes of every :data:`INIT_LABELS` combination."""
+    tensor = columns
+    for axis in range(num_lines):
+        # (4, 2) @ (lead, 2, rest): the label axis lands where ``axis`` was.
+        tensor = np.matmul(INIT_MATRIX, tensor.reshape(4**axis, 2, -1))
+    return tensor.reshape(4**num_lines, -1)
+
+
+def materialise_probabilities(
+    subcircuit: Subcircuit, amplitudes: np.ndarray
+) -> Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], np.ndarray]:
+    """Every raw ``(inits, bases)`` vector an exact result stands for.
+
+    Expands the inits, applies the ``3^O`` single-qubit basis rotations and
+    squares; rows are views into one stacked ``(4^rho, 3^O, 2^width)``
+    array.  Off the hot path: term tensors build from the amplitudes.
+    """
+    from ..sim.batch import BatchedStatevector
+
+    num_init = len(subcircuit.init_lines)
+    states = expand_inits(amplitudes, num_init)
+    leaves = [BatchedStatevector(subcircuit.width, len(states), states)]
+    for line in subcircuit.meas_lines:  # first line slowest, bases in order
+        leaves = [
+            leaf if basis == "Z"
+            else leaf.applied(_BASIS_MATRICES[basis], [line.line])
+            for leaf in leaves
+            for basis in MEAS_BASES
+        ]
+    stacked = np.stack([leaf.probabilities() for leaf in leaves], axis=1)
+    keys = itertools.product(
+        itertools.product(INIT_LABELS, repeat=num_init),
+        itertools.product(MEAS_BASES, repeat=len(subcircuit.meas_lines)),
+    )
+    return dict(zip(keys, stacked.reshape(-1, stacked.shape[-1])))
+
 
 def batched_variant_probabilities(
     subcircuit: Subcircuit,
@@ -210,86 +305,20 @@ def batched_variant_probabilities(
     max_batch: int = 0,
     init_combos: Optional[Sequence[Tuple[str, ...]]] = None,
 ) -> Tuple[Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], np.ndarray], int]:
-    """Every variant distribution from a handful of fused batched passes.
+    """:func:`basis_column_amplitudes`, then :func:`materialise_probabilities`.
 
-    Instead of ``3^O * 4^rho`` full simulations, the measurement-free
-    body is simulated **once per init batch**: the ``4^rho`` initial
-    product states are stacked on the batch axis of a
-    :class:`~repro.sim.batch.BatchedStatevector`, the body is applied as
-    fused <= ``fusion_width``-qubit unitaries, and all ``3^O``
-    measurement-basis distributions are derived from the retained final
-    states by applying only the cheap single-qubit basis rotations
-    (sharing every common basis prefix).
-
-    ``max_batch`` caps the members per pass (memory is
-    ``members * 2^width * 16`` bytes per live tensor); ``0`` runs the
-    whole init space in one pass.  ``init_combos`` restricts the sweep to
-    a subset of init label tuples — the unit a
-    :class:`~repro.core.executor.VariantExecutor` ships to pool workers.
-
-    Returns ``(probabilities, num_body_passes)`` with the same
-    ``(inits, bases) -> vector`` keying as :func:`evaluate_subcircuit`.
+    ``init_combos`` keeps only those init label tuples.  Returns
+    ``(probabilities, num_body_passes)`` keyed like :func:`evaluate_subcircuit`.
     """
-    from ..sim.batch import BatchedStatevector, fuse_gates
-
-    if max_batch < 0:
-        raise ValueError("max_batch must be >= 0")
-    width = subcircuit.width
-    init_positions = [line.line for line in subcircuit.init_lines]
-    meas_positions = [line.line for line in subcircuit.meas_lines]
-    if init_combos is None:
-        init_combos = [
-            tuple(combo)
-            for combo in itertools.product(
-                INIT_LABELS, repeat=len(init_positions)
-            )
-        ]
-    else:
-        init_combos = [tuple(combo) for combo in init_combos]
-    ops = fuse_gates(subcircuit.circuit, fusion_width)
-
-    probabilities: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], np.ndarray] = {}
-    zero = INITIAL_STATES["zero"]
-
-    def emit(
-        state: "BatchedStatevector",
-        line_index: int,
-        bases: Tuple[str, ...],
-        combos: Sequence[Tuple[str, ...]],
-    ) -> None:
-        """Depth-first over measurement lines, sharing basis prefixes."""
-        if line_index == len(meas_positions):
-            vectors = state.probabilities()
-            for row, inits in enumerate(combos):
-                probabilities[(inits, bases)] = vectors[row]
-            return
-        position = meas_positions[line_index]
-        for basis in MEAS_BASES:
-            if basis == "Z":
-                rotated = state
-            else:
-                rotated = state.applied(_BASIS_MATRICES[basis], [position])
-            emit(rotated, line_index + 1, bases + (basis,), combos)
-
-    chunk = max_batch if max_batch else len(init_combos)
-    num_passes = 0
-    for start in range(0, len(init_combos), chunk):
-        combos = init_combos[start : start + chunk]
-        with trace.span(
-            "evaluate.variant_batch",
-            {"subcircuit": subcircuit.index, "width": width,
-             "members": len(combos)},
-        ):
-            members = []
-            for labels in combos:
-                per_qubit = [zero] * width
-                for label, position in zip(labels, init_positions):
-                    per_qubit[position] = INITIAL_STATES[label]
-                members.append(per_qubit)
-            state = BatchedStatevector.from_product_batch(members)
-            state.apply_fused(ops)
-            num_passes += 1
-            emit(state, 0, (), combos)
+    amplitudes, num_passes = basis_column_amplitudes(
+        subcircuit, fusion_width=fusion_width, max_batch=max_batch
+    )
+    probabilities = materialise_probabilities(subcircuit, amplitudes)
+    if init_combos is not None:
+        wanted = {tuple(combo) for combo in init_combos}
+        probabilities = {
+            key: row for key, row in probabilities.items() if key[0] in wanted
+        }
     return probabilities, num_passes
 
 
@@ -893,30 +922,48 @@ def batched_noisy_variant_probabilities(
 
 @dataclass
 class SubcircuitResult:
-    """Raw evaluation results of all physical variants of one subcircuit.
+    """Evaluation results of all physical variants of one subcircuit.
 
-    ``probabilities[(inits, bases)]`` is the 2**width probability vector
-    of the corresponding variant (line 0 is the most significant bit).
-    ``num_variants`` / ``num_unique_circuits`` record how much of the
+    An **exact** batched result holds ``amplitudes`` — the
+    ``(2^rho, 2^width)`` complex128 :func:`basis_column_amplitudes`, which
+    determine every variant; any other result (noisy, device, custom
+    backend, per-variant) holds ``raw_vectors`` — a mixed state has no
+    amplitude.  Either way ``probabilities[(inits, bases)]`` is the
+    2**width probability vector of the corresponding variant (line 0 is
+    the most significant bit); an exact result materialises it on first
+    read.  ``num_variants`` / ``num_unique_circuits`` record how much of the
     variant space was served by shared physical executions (beyond the
     I/Z sharing already folded into :data:`MEAS_BASES`).  ``mode`` says
-    how the vectors were produced (``"per-variant"`` circuit executions
+    how the result was produced (``"per-variant"`` circuit executions
     or ``"batched"`` fused body passes); ``num_body_passes`` counts the
     batched passes (0 on the per-variant path; on the noisy trajectory
     path: clean walk + forked suffixes).  ``term_tensor`` is the
     memo slot of :func:`repro.postprocess.attribution.build_term_tensor`
-    (the vectors never change after construction, so neither does it).
+    (the data never changes after construction, so neither does it).
     """
 
     subcircuit: Subcircuit
-    probabilities: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], np.ndarray]
+    raw_vectors: Optional[
+        Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], np.ndarray]
+    ] = None
     num_variants: int = 0
     num_unique_circuits: int = 0
     mode: str = "per-variant"
     num_body_passes: int = 0
+    amplitudes: Optional[np.ndarray] = None
     term_tensor: Optional["TermTensor"] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @property
+    def probabilities(
+        self,
+    ) -> Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], np.ndarray]:
+        if self.raw_vectors is None:
+            self.raw_vectors = materialise_probabilities(
+                self.subcircuit, self.amplitudes
+            )
+        return self.raw_vectors
 
     @property
     def dedup_ratio(self) -> float:
@@ -945,10 +992,10 @@ def evaluate_subcircuit(
     achieved ratio is reported on the returned :class:`SubcircuitResult`.
 
     With ``sim_batch > 0`` (exact backend only) the batched fast path
-    replaces per-variant execution: the fused body runs once per init
-    batch of at most ``sim_batch`` members and all measurement bases are
-    derived from the retained states — see
-    :func:`batched_variant_probabilities`.  With a :class:`NoisyEvalSpec`
+    replaces per-variant execution: the fused body runs on the ``2^rho``
+    basis columns of the init wires, at most ``sim_batch`` columns per
+    pass, and the result holds those amplitudes — see
+    :func:`basis_column_amplitudes`.  With a :class:`NoisyEvalSpec`
     the noisy batched engine runs instead
     (:func:`batched_noisy_variant_probabilities`, mode ``batched-noisy``)
     — ``noisy`` requires ``sim_batch > 0`` and excludes ``backend``.
@@ -965,7 +1012,7 @@ def evaluate_subcircuit(
         )
         return SubcircuitResult(
             subcircuit=subcircuit,
-            probabilities=probabilities,
+            raw_vectors=probabilities,
             num_variants=len(probabilities),
             num_unique_circuits=len(probabilities),
             mode="batched-noisy",
@@ -977,16 +1024,16 @@ def evaluate_subcircuit(
                 "sim_batch requires the exact statevector backend "
                 "(a custom backend evaluates whole circuits)"
             )
-        probabilities, num_passes = batched_variant_probabilities(
+        amplitudes, num_passes = basis_column_amplitudes(
             subcircuit, fusion_width=fusion_width, max_batch=sim_batch
         )
         return SubcircuitResult(
             subcircuit=subcircuit,
-            probabilities=probabilities,
-            num_variants=len(probabilities),
-            num_unique_circuits=len(probabilities),
+            num_variants=num_physical_variants(subcircuit),
+            num_unique_circuits=num_physical_variants(subcircuit),
             mode="batched",
             num_body_passes=num_passes,
+            amplitudes=amplitudes,
         )
     backend = backend or _statevector_backend
     factory = VariantCircuitFactory(subcircuit)
@@ -1007,7 +1054,7 @@ def evaluate_subcircuit(
         num_variants += 1
     return SubcircuitResult(
         subcircuit=subcircuit,
-        probabilities=probabilities,
+        raw_vectors=probabilities,
         num_variants=num_variants,
         num_unique_circuits=len(executed),
     )

@@ -21,6 +21,14 @@ A subcircuit touching ``m`` cuts therefore yields a tensor with one
 length-4 axis per cut plus a length ``2^f`` axis of effective outputs; the
 reconstructor combines these tensors over all ``4^K`` assignments.  The
 tensor is built once per :class:`SubcircuitResult` and memoised on it.
+
+An exact result holds amplitudes, not ``p``/``q`` vectors, and the tensor is
+built from them directly: the ``q_s`` rows by linearity in the inits, and
+the upstream terms as sesquilinear forms of the measured qubit's amplitudes
+(``t1, t2 = 2|psi_0|^2, 2|psi_1|^2``, ``t3 = <X>``, ``t4 = <Y>``, with
+outcome 0 of the Y circuit ``H Sdg`` being the ``+i`` eigenstate) — no raw
+vector is formed.  Results without amplitudes (noisy, device, custom
+backend, per-variant: a mixed state has none) build from their vectors.
 """
 
 from __future__ import annotations
@@ -32,7 +40,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..cutting.variants import INIT_LABELS, MEAS_BASES, SubcircuitResult
+from ..cutting.variants import (
+    _BASIS_MATRICES,
+    INIT_LABELS,
+    MEAS_BASES,
+    SubcircuitResult,
+    expand_inits,
+)
 from ..obs import trace
 from ..obs.metrics import get_registry
 
@@ -40,6 +54,7 @@ __all__ = [
     "UPSTREAM_TERMS",
     "DOWNSTREAM_TERMS",
     "ATTRIBUTION_BASES",
+    "MEASURE_FORMS",
     "TermTensor",
     "build_term_tensor",
 ]
@@ -74,6 +89,14 @@ _CIRCUIT = np.char.replace(ATTRIBUTION_BASES, "I", "Z")[:, None] == MEAS_BASES
 #: One measurement line, whole: ``(4 terms, 3 physical bases, 2 outcomes)``
 #: — :data:`UPSTREAM_TERMS` with the signs and the I->Z reuse folded in.
 MEASURE_TERMS = np.einsum("ta,ab,as->tbs", UPSTREAM_TERMS, 1.0 * _CIRCUIT, _SIGNS)
+#: The same four terms as sesquilinear forms of one measured qubit's
+#: amplitudes: ``t = sum_aa' MEASURE_FORMS[t, 2a + a'] psi[a] conj(psi[a'])``.
+#: Derived from the constants the raw-vector build uses, so it cannot drift;
+#: evaluates to ``<psi|M|psi>`` for ``M = 2|0><0|, 2|1><1|, X, Y``.
+_ROTATIONS = np.stack([np.eye(2), _BASIS_MATRICES["X"], _BASIS_MATRICES["Y"]])
+MEASURE_FORMS = np.einsum(
+    "tbs,bsa,bsc->tac", MEASURE_TERMS, _ROTATIONS, _ROTATIONS.conj()
+).reshape(4, 4)
 
 #: Raw bytes gathered per step, so a build never holds a second copy of a
 #: subcircuit's results and each step's block stays cache-resident.
@@ -124,48 +147,35 @@ def build_term_tensor(result: SubcircuitResult) -> TermTensor:
 
     A re-evaluated (or rebound-dirty) subcircuit is a new
     :class:`SubcircuitResult`, so the memo never needs invalidating.  The
-    build is array algebra, no per-variant loop: the variant vectors are
-    stacked ``_GATHER_BYTES`` of init rows at a time into a
-    ``(rows, 3^O, 2^w)`` block and each measurement line's (basis axis,
-    qubit axis) pair is contracted against :data:`MEASURE_TERMS`.
+    build is array algebra, no per-variant loop, and its source is chosen
+    by what the result holds: ``amplitudes`` (exact) or raw vectors.
     """
     if result.term_tensor is not None:
         _BUILDS.inc(cached="true")
         return result.term_tensor
     subcircuit = result.subcircuit
     init_lines, meas_lines = subcircuit.init_lines, subcircuit.meas_lines
-    num_meas = len(meas_lines)
     vec_len = 1 << subcircuit.num_effective
     cut_ids = [line.init_cut for line in init_lines]
     cut_ids += [line.meas_cut for line in meas_lines]
-    init_combos = list(itertools.product(INIT_LABELS, repeat=len(init_lines)))
-    basis_combos = list(itertools.product(MEAS_BASES, repeat=num_meas))
-    row_bytes = len(basis_combos) * (8 << subcircuit.width)
-    step = max(1, _GATHER_BYTES // row_bytes)
+    if result.amplitudes is not None:
+        source, fill = "amplitudes", _attribute_amplitudes
+        read = result.amplitudes.nbytes
+    else:
+        source, fill = "vectors", _attribute_vectors
+        read = 4 ** len(init_lines) * 3 ** len(meas_lines) * (8 << subcircuit.width)
     began = time.perf_counter()
     with trace.span(
         "attribute",
         {"subcircuit": subcircuit.index, "rho": len(init_lines),
-         "num_meas": num_meas, "rows": len(init_combos) * len(basis_combos),
-         "bytes": len(init_combos) * row_bytes},
+         "num_meas": len(meas_lines), "source": source, "bytes": read},
     ):
         # One row per init combination, then one length-4 *term* axis per
         # measurement line, then the effective-output axis.
-        attributed = np.empty((len(init_combos),) + (4,) * num_meas + (vec_len,))
-        for start in range(0, len(init_combos), step):
-            inits = init_combos[start : start + step]
-            keys = itertools.product(inits, basis_combos)
-            tensor = np.concatenate([result.probabilities[key] for key in keys])
-            tensor = tensor.reshape(
-                (len(inits),) + (3,) * num_meas + (2,) * subcircuit.width
-            )
-            # Highest line first: lower qubit axes keep their positions, each
-            # step shrinks the block 6 -> 4 and prepends the line's term axis.
-            for line in reversed(meas_lines):
-                axes = ([1, 2], [num_meas, num_meas + 1 + line.line])
-                tensor = np.tensordot(MEASURE_TERMS, tensor, axes=axes)
-            tensor = tensor.reshape((4,) * num_meas + (len(inits), vec_len))
-            attributed[start : start + step] = np.moveaxis(tensor, num_meas, 0)
+        attributed = np.empty(
+            (4 ** len(init_lines),) + (4,) * len(meas_lines) + (vec_len,)
+        )
+        fill(result, attributed)
         result.term_tensor = transform_attributed_to_terms(
             attributed.reshape((4,) * len(cut_ids) + (vec_len,)),
             num_init=len(init_lines), num_meas=0,  # meas axes hold terms already
@@ -175,6 +185,71 @@ def build_term_tensor(result: SubcircuitResult) -> TermTensor:
     _BUILD_SECONDS.observe(time.perf_counter() - began)
     _BUILDS.inc(cached="false")
     return result.term_tensor
+
+
+def _attribute_amplitudes(result: SubcircuitResult, attributed: np.ndarray) -> None:
+    """Fill ``attributed`` from an exact result's basis-column amplitudes.
+
+    Per block of init rows: (i) the rows' amplitudes by linearity in the
+    inits; (ii) with the measured qubits in front, the outer product
+    ``psi[a] * conj(psi)[a']`` over them — pairs ``(a, a')`` interleaved
+    per line — and one :data:`MEASURE_FORMS` gemm per measured line, each
+    rotating its line's term axis to the back; the real part is the block.
+    Leading init lines are expanded once, the trailing ones per block, so
+    the temporaries stay within ``_GATHER_BYTES``.
+    """
+    subcircuit = result.subcircuit
+    num_init = len(subcircuit.init_lines)
+    meas = [1 + line.line for line in subcircuit.meas_lines]
+    kept = [1 + line.line for line in subcircuit.output_lines]
+    terms = (4,) * len(meas)
+    # The outer product holds 4^O * 2^f complex numbers per init row; a
+    # block is the 4^tail rows of one combination of the leading inits.
+    step = max(1, _GATHER_BYTES // (16 * 4 ** len(meas) * 2 ** len(kept)))
+    tail = min(num_init, (step.bit_length() - 1) // 2)
+    rows = 4**tail
+    lead = expand_inits(
+        result.amplitudes.reshape(1 << (num_init - tail), -1), num_init - tail
+    )
+    for block, columns in enumerate(lead):
+        psi = expand_inits(columns.reshape(1 << tail, -1), tail)
+        psi = psi.reshape((rows,) + (2,) * subcircuit.width)
+        ket = psi.transpose(meas + [0] + kept).reshape((2, 1) * len(meas) + (-1,))
+        tensor = ket * ket.conj().reshape((1, 2) * len(meas) + (-1,))
+        for _ in meas:
+            tensor = tensor.reshape(4, -1).T @ MEASURE_FORMS.T
+        attributed[block * rows : (block + 1) * rows] = np.moveaxis(
+            tensor.real.reshape((rows, -1) + terms), 1, -1
+        )
+
+
+def _attribute_vectors(result: SubcircuitResult, attributed: np.ndarray) -> None:
+    """Fill ``attributed`` from raw variant vectors (noisy, device, custom
+    backend, per-variant): stacked ``_GATHER_BYTES`` of init rows at a time
+    into a ``(rows, 3^O, 2^w)`` block, each measurement line's (basis axis,
+    qubit axis) pair contracted against :data:`MEASURE_TERMS`."""
+    subcircuit = result.subcircuit
+    meas_lines = subcircuit.meas_lines
+    num_meas = len(meas_lines)
+    init_combos = list(
+        itertools.product(INIT_LABELS, repeat=len(subcircuit.init_lines))
+    )
+    basis_combos = list(itertools.product(MEAS_BASES, repeat=num_meas))
+    step = max(1, _GATHER_BYTES // (len(basis_combos) * (8 << subcircuit.width)))
+    for start in range(0, len(init_combos), step):
+        inits = init_combos[start : start + step]
+        keys = itertools.product(inits, basis_combos)
+        tensor = np.concatenate([result.probabilities[key] for key in keys])
+        tensor = tensor.reshape(
+            (len(inits),) + (3,) * num_meas + (2,) * subcircuit.width
+        )
+        # Highest line first: lower qubit axes keep their positions, each
+        # step shrinks the block 6 -> 4 and prepends the line's term axis.
+        for line in reversed(meas_lines):
+            axes = ([1, 2], [num_meas, num_meas + 1 + line.line])
+            tensor = np.tensordot(MEASURE_TERMS, tensor, axes=axes)
+        tensor = tensor.reshape((4,) * num_meas + (len(inits), -1))
+        attributed[start : start + step] = np.moveaxis(tensor, num_meas, 0)
 
 
 def transform_attributed_to_terms(

@@ -276,37 +276,25 @@ def _run_reduce(payload):
 
 
 def _run_variant_batch(payload):
-    """Evaluate one whole init-batch of subcircuit variants, fused.
+    """Evaluate one shipped batch of a subcircuit's variants, fused.
 
-    The payload carries the subcircuit plus init *label* tuples — a few
-    hundred bytes — instead of ``3^O * 4^rho`` pickled circuits; the
-    returned dict holds every derived ``(inits, bases)`` distribution.
-    Noisy payloads append a
-    :class:`~repro.cutting.variants.NoisyEvalSpec`; the transpiled
-    geometry and fused body plan it implies are memoized per worker
-    process, so later chunks of the same subcircuit land warm.
+    The payload is :func:`repro.core.executor._run_init_batch`'s: the
+    subcircuit plus a range of basis columns (exact; answered with the
+    ``(columns, 2^width)`` amplitude slab) or init *label* tuples and a
+    :class:`~repro.cutting.variants.NoisyEvalSpec` (answered with every
+    derived ``(inits, bases)`` distribution) — a few hundred bytes
+    instead of ``3^O * 4^rho`` pickled circuits.  The fused body (and the
+    noisy geometry) is memoized per worker process, so later chunks of
+    the same subcircuit land warm.
     """
-    # Local import: repro.cutting does not import repro.postprocess, so
-    # this stays cycle-free and spawn-safe.
-    from ..cutting.variants import (
-        batched_noisy_variant_probabilities,
-        batched_variant_probabilities,
-    )
+    # Local import: repro.core imports repro.postprocess at package
+    # initialization time.
+    from ..core.executor import _run_init_batch
 
     began = time.perf_counter()
-    if len(payload) == 4:
-        subcircuit, init_combos, fusion_width, spec = payload
-        probabilities, passes = batched_noisy_variant_probabilities(
-            subcircuit, spec, fusion_width=fusion_width,
-            init_combos=init_combos,
-        )
-    else:
-        subcircuit, init_combos, fusion_width = payload
-        probabilities, passes = batched_variant_probabilities(
-            subcircuit, fusion_width=fusion_width, init_combos=init_combos
-        )
+    data, passes = _run_init_batch(payload)
     meta = _TaskMeta(pid=os.getpid(), elapsed_seconds=time.perf_counter() - began)
-    return probabilities, passes, meta
+    return data, passes, meta
 
 
 def _run_backend_chunk(payload):
@@ -1498,20 +1486,20 @@ class WorkerPool:
 
     def map_variant_batches(
         self, payloads: Sequence[Tuple]
-    ) -> List[Tuple[Dict, int]]:
-        """Evaluate whole init-batches of subcircuit variants, warm.
+    ) -> List[Tuple[object, int]]:
+        """Evaluate whole batches of subcircuit variants, warm.
 
-        Each payload is ``(subcircuit, init_combos, fusion_width)`` —
+        Each payload is ``(subcircuit, (start, stop), fusion_width)`` —
         the batched-strategy work unit of
-        :class:`~repro.core.executor.VariantExecutor` — or the noisy
-        4-tuple with a trailing
-        :class:`~repro.cutting.variants.NoisyEvalSpec` (recorded as kind
-        ``"noisy-variant-batch"``).  Returns
-        ``(probabilities, num_body_passes)`` per payload, in order.
+        :class:`~repro.core.executor.VariantExecutor`, a range of basis
+        columns — or the noisy 4-tuple ``(subcircuit, init_combos,
+        fusion_width, spec)`` (recorded as kind
+        ``"noisy-variant-batch"``).  Returns ``(amplitude slab or
+        probabilities, num_body_passes)`` per payload, in order.
         """
         self._ensure_started()
         pending = []
-        outputs: List[Tuple[Dict, int]] = []
+        outputs: List[Tuple[object, int]] = []
         try:
             for payload in payloads:
                 kind = (
@@ -1522,12 +1510,12 @@ class WorkerPool:
                 pending.append((kind, self._dispatch(kind, payload)))
             for kind, task in pending:
                 try:
-                    probabilities, passes, meta = self._reap(task)
+                    data, passes, meta = self._reap(task)
                 except Exception:
                     self._record(kind, None, ok=False)
                     raise
                 self._record(kind, meta, ok=True)
-                outputs.append((probabilities, passes))
+                outputs.append((data, passes))
         finally:
             for _, task in pending:
                 self._discard(task)

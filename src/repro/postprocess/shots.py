@@ -71,10 +71,10 @@ class ShotBasedTensorProvider(CachingTensorProvider):
     sim_batch:
         With the default exact backend, fill each subcircuit's variant
         distributions from batched fused body passes (at most
-        ``sim_batch`` init states per pass) instead of simulating one
+        ``sim_batch`` basis columns per pass) instead of simulating one
         circuit per variant — the shots are then sampled from the
-        basis-rotated retained states.  ``0`` disables; ignored when a
-        custom ``backend`` is given.
+        distributions materialised from those amplitudes.  ``0``
+        disables; ignored when a custom ``backend`` is given.
     fusion_width:
         Max fused-unitary width for the batched fill's fusion pass.
     """

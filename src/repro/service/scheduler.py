@@ -262,7 +262,7 @@ class JobSpec:
 
         Batched and per-variant evaluation agree to ~1e-10 but are not
         bit-identical, so they address distinct store artifacts; the
-        batched tags are *versioned* (``:v2``/``:v1``) so artifacts
+        batched tags are *versioned* (``:v3``/``:v1``) so artifacts
         cached under older batched semantics recompute instead of
         silently colliding after an engine change.
         """
@@ -270,7 +270,7 @@ class JobSpec:
             if self.batched:
                 return f"device:{self.device}:{self.noisy_method}:batched:v1"
             return f"device:{self.device}"
-        return "statevector:batched:v2" if self.batched else "statevector"
+        return "statevector:batched:v3" if self.batched else "statevector"
 
     def to_dict(self) -> Dict:
         return asdict(self)

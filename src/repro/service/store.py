@@ -215,7 +215,7 @@ def evaluation_fingerprint(
     """Fingerprint of ``(cut, params, backend config, shots, seed)`` — the
     evaluation-artifact key.  ``backend`` is a config *tag*, not a
     callable; batched execution modes carry a versioned tag (e.g.
-    ``"statevector:batched:v2"``, ``"device:bogota:trajectory:batched:v1"``)
+    ``"statevector:batched:v3"``, ``"device:bogota:trajectory:batched:v1"``)
     so artifacts produced by older evaluation semantics recompute
     instead of silently colliding.  ``config`` holds extra
     result-shaping knobs (e.g. trajectory counts); it enters the digest
@@ -591,16 +591,29 @@ class ArtifactStore:
     def put_evaluation(
         self, key: str, results: Sequence[SubcircuitResult]
     ) -> Path:
-        """Persist evaluated variant tensors, deduplicated.
+        """Persist evaluated subcircuit results, as compact as they are.
 
-        Variants that shared one physical execution share one stored row:
-        each subcircuit stores its unique vectors as a 2-D array plus a
-        variant-key -> row map, so the artifact is as compact as the
-        execution itself was.
+        An exact result stores its ``(2^rho, 2^width)`` amplitudes as
+        ``amp{position}``, never the variant vectors they stand for.  A
+        raw-vector result stores its unique vectors as a 2-D
+        ``sub{position}`` array plus a variant-key -> row map: variants
+        that shared one physical execution share one stored row.
         """
         arrays: Dict[str, np.ndarray] = {}
         meta_subcircuits: List[Dict] = []
         for position, result in enumerate(results):
+            meta = {
+                "index": result.subcircuit.index,
+                "width": result.subcircuit.width,
+                "num_variants": result.num_variants,
+                "num_unique_circuits": result.num_unique_circuits,
+                "mode": result.mode,
+                "num_body_passes": result.num_body_passes,
+            }
+            meta_subcircuits.append(meta)
+            if result.amplitudes is not None:
+                arrays[f"amp{position}"] = result.amplitudes
+                continue
             rows: List[np.ndarray] = []
             row_of: Dict[int, int] = {}
             variants: List[List] = []
@@ -614,17 +627,7 @@ class ArtifactStore:
             arrays[f"sub{position}"] = (
                 np.stack(rows) if rows else np.zeros((0, 0))
             )
-            meta_subcircuits.append(
-                {
-                    "index": result.subcircuit.index,
-                    "width": result.subcircuit.width,
-                    "num_variants": result.num_variants,
-                    "num_unique_circuits": result.num_unique_circuits,
-                    "mode": result.mode,
-                    "num_body_passes": result.num_body_passes,
-                    "variants": variants,
-                }
-            )
+            meta["variants"] = variants
 
         buffer = io.BytesIO()
         np.savez(buffer, **arrays)
@@ -685,21 +688,29 @@ class ArtifactStore:
                         or int(meta["width"]) != subcircuit.width
                     ):
                         raise ValueError("artifact does not match the cut")
-                    matrix = archive[f"sub{position}"]
-                    # One shared array object per stored row, so the
-                    # restored results dedup exactly like the originals.
-                    shared = [np.array(matrix[row]) for row in
-                              range(matrix.shape[0])]
-                    probabilities = {}
-                    for inits, bases, slot in meta["variants"]:
-                        vector = shared[int(slot)]
-                        if vector.size != 1 << subcircuit.width:
-                            raise ValueError("tensor width mismatch")
-                        probabilities[(tuple(inits), tuple(bases))] = vector
+                    if "variants" not in meta:  # exact: the amplitudes
+                        amplitudes = archive[f"amp{position}"]
+                        shape = (1 << len(subcircuit.init_lines),
+                                 1 << subcircuit.width)
+                        if (amplitudes.shape, amplitudes.dtype) != (shape, complex):
+                            raise ValueError("amplitude shape/dtype mismatch")
+                        data = {"amplitudes": amplitudes}
+                    else:
+                        matrix = archive[f"sub{position}"]
+                        # One shared array object per stored row, so the
+                        # restored results dedup exactly like the originals.
+                        shared = [np.array(matrix[row]) for row in
+                                  range(matrix.shape[0])]
+                        vectors = {}
+                        for inits, bases, slot in meta["variants"]:
+                            vector = shared[int(slot)]
+                            if vector.size != 1 << subcircuit.width:
+                                raise ValueError("tensor width mismatch")
+                            vectors[(tuple(inits), tuple(bases))] = vector
+                        data = {"raw_vectors": vectors}
                     results.append(
                         SubcircuitResult(
                             subcircuit=subcircuit,
-                            probabilities=probabilities,
                             num_variants=int(meta["num_variants"]),
                             num_unique_circuits=int(
                                 meta["num_unique_circuits"]
@@ -709,6 +720,7 @@ class ArtifactStore:
                             num_body_passes=int(
                                 meta.get("num_body_passes", 0)
                             ),
+                            **data,
                         )
                     )
         except (KeyError, TypeError, ValueError, IndexError,

@@ -337,24 +337,19 @@ class BatchedStatevector:
         ``b`` (every member must cover the same qubit count).  The build
         is vectorized over the batch: one outer product per qubit.
         """
-        if not states:
+        if not len(states):
             raise ValueError("need at least one batch member")
-        num_qubits = len(states[0])
-        if num_qubits == 0:
-            raise ValueError("members must cover at least one qubit")
-        per_qubit = []
-        for qubit in range(num_qubits):
-            column = np.array(
-                [np.asarray(member[qubit], dtype=complex).reshape(2)
-                 for member in states]
+        table = np.asarray(states, dtype=complex)
+        if table.ndim != 3 or table.shape[1] == 0 or table.shape[2] != 2:
+            raise ValueError(
+                "members must each cover the same >= 1 qubits with 2-vectors"
             )
-            per_qubit.append(column)
-        vector = np.ones((len(states), 1), dtype=complex)
-        for column in per_qubit:
-            vector = (vector[:, :, None] * column[:, None, :]).reshape(
-                len(states), -1
+        vector = np.ones((len(table), 1), dtype=complex)
+        for qubit in range(table.shape[1]):
+            vector = (vector[:, :, None] * table[:, None, qubit]).reshape(
+                len(table), -1
             )
-        return cls(num_qubits, len(states), vector)
+        return cls(table.shape[1], len(table), vector)
 
     def copy(self) -> "BatchedStatevector":
         return BatchedStatevector(
@@ -436,12 +431,12 @@ class BatchedStatevector:
     # ------------------------------------------------------------------
     def amplitudes(self) -> np.ndarray:
         """``(B, 2^n)`` complex amplitudes (a copy)."""
-        return self._tensor.reshape(self.batch_size, -1).copy()
+        return np.array(self._tensor, order="C").reshape(self.batch_size, -1)
 
     def probabilities(self) -> np.ndarray:
         """``(B, 2^n)`` float probabilities."""
         flat = self._tensor.reshape(self.batch_size, -1)
-        return (flat.real**2 + flat.imag**2).astype(float)
+        return flat.real**2 + flat.imag**2
 
     def member(self, index: int) -> Statevector:
         """Batch member ``index`` as a standalone :class:`Statevector`."""

@@ -19,11 +19,14 @@ from repro.circuits import build_circuit_graph
 from repro.core.executor import VariantExecutor
 from repro.library.qaoa import qaoa_maxcut, ring_graph
 from repro.obs.metrics import get_registry
+from repro.cutting.variants import _BASIS_MATRICES
 from repro.postprocess import (
     DOWNSTREAM_TERMS,
     UPSTREAM_TERMS,
     build_term_tensor,
+    reconstruct_full,
 )
+from repro.postprocess.attribution import MEASURE_FORMS
 from repro.service.store import ArtifactStore
 from repro.sim import NoiseModel, simulate_probabilities
 from tests.attribution_oracle import attributed_vector, reference_term_tensor
@@ -48,6 +51,21 @@ class TestTransformMatrices:
             DOWNSTREAM_TERMS,
             [[1, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 2, 0], [-1, -1, 0, 2]],
         )
+
+    def test_measure_forms_are_the_four_hand_written_forms(self):
+        # term t of a measured qubit = <psi|M_t|psi> = sum_ac M_t[c, a]
+        # psi[a] conj(psi[c]) for M = 2|0><0|, 2|1><1|, X, Y.
+        hand = np.array(
+            [[[2, 0], [0, 0]], [[0, 0], [0, 2]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]]
+        )
+        forms = MEASURE_FORMS.reshape(4, 2, 2)
+        assert np.abs(forms - hand.transpose(0, 2, 1)).max() <= 1e-15
+        # The Y sign is the Y circuit's: H Sdg sends the +i eigenstate to
+        # outcome 0, so p_Y(0) - p_Y(1) = +<Y>.
+        assert np.allclose(_BASIS_MATRICES["Y"] @ [1, 1j], [np.sqrt(2), 0])
+        plus_i = np.array([1, 1j]) / np.sqrt(2)
+        outer = np.outer(plus_i, plus_i.conj()).reshape(4)
+        assert np.allclose(MEASURE_FORMS @ outer, [1, 1, 0, 1])
 
     def test_single_qubit_wire_identity(self):
         # The 4-term expansion must resolve the identity channel: for any
@@ -210,7 +228,9 @@ def _assert_matches_oracle(result):
 
 def _random_cut(n, seed, parts=2):
     """Time slices of the gate list with a few gates moved across: enough
-    cuts to mix the roles, few enough for the oracle's 4^(rho+O) loop."""
+    cuts to mix the roles, few enough for the oracle's 4^(rho+O) loop.
+    A cluster assignment straight into ``cut_circuit_from_assignment`` —
+    shapes no searcher would pick (see ``test_generated_cuts_cover...``)."""
     circuit = random_connected_circuit(n, 2 * n, seed)
     vertices = np.arange(build_circuit_graph(circuit).num_vertices)
     rng = np.random.default_rng(seed + 1)
@@ -268,18 +288,50 @@ class TestVectorisedBuildParity:
     @given(
         st.integers(min_value=3, max_value=6),
         st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=2, max_value=4),
     )
     def test_random_circuits_random_cuts(self, n, seed, parts):
         cut = _random_cut(n, seed, parts)
         if cut is None:
             return
+        truth = simulate_probabilities(cut.circuit)
         # sim_batch=0: per-variant execution, equal circuits share one
-        # vector object; sim_batch=3: several slabs per subcircuit.
+        # vector object, tensors build from raw vectors; sim_batch=3:
+        # several column slabs per subcircuit, tensors build from the
+        # amplitudes and the oracle reads the materialised vectors.
         for sim_batch in (0, 3):
             executor = VariantExecutor(sim_batch=sim_batch)
-            for result in executor.run(cut.subcircuits):
+            results = executor.run(cut.subcircuits)
+            for result in results:
+                assert (result.amplitudes is None) == (sim_batch == 0)
                 _assert_matches_oracle(result)
+            for strategy in ("kron", "tensor_network", "auto"):
+                full = reconstruct_full(cut, results, strategy=strategy)
+                assert np.abs(full.probabilities - truth).max() <= 1e-10
+
+    def test_generated_cuts_cover_the_shapes_no_searcher_picks(self):
+        """The property above is only as strong as its generator."""
+        seen = set()
+        for seed in range(40):
+            cut = _random_cut(3 + seed % 4, seed, 2 + seed % 3)
+            if cut is None:
+                continue
+            seen.add(f"{min(cut.num_subcircuits, 3)} subcircuits")
+            for sub in cut.subcircuits:
+                inits, meas = sub.init_lines, sub.meas_lines
+                seen.add("rho=0" if not inits else "O=0" if not meas else "mixed")
+                if not sub.num_effective:
+                    seen.add("no effective outputs")
+                if any(line.meas_cut is not None for line in inits):
+                    seen.add("line both init and meas")
+                ids = [l.init_cut for l in inits] + [l.meas_cut for l in meas]
+                if ids != sorted(ids):
+                    seen.add("non-monotone cut ids")
+        assert seen >= {
+            "2 subcircuits", "3 subcircuits", "rho=0", "O=0", "mixed",
+            "no effective outputs", "line both init and meas",
+            "non-monotone cut ids",
+        }
 
     def test_noisy_density_results(self):
         circuit = random_connected_circuit(5, 9, seed=11)

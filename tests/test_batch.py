@@ -20,7 +20,11 @@ from repro.cutting import (
     evaluate_subcircuit,
     num_physical_variants,
 )
-from repro.cutting.variants import VariantCircuitFactory, generate_variants
+from repro.cutting.variants import (
+    VariantCircuitFactory,
+    generate_variants,
+    variant_circuit,
+)
 from repro.library import get_benchmark
 from repro.postprocess import ShotBasedTensorProvider, WorkerPool
 from repro.sim import (
@@ -158,6 +162,15 @@ class TestBatchedStatevector:
         with pytest.raises(ValueError, match="qubits"):
             BatchedStatevector(2, 1).apply_circuit(QuantumCircuit(3).h(0))
 
+    def test_product_batch_is_one_checked_table(self):
+        zero, plus = INITIAL_STATES["zero"], INITIAL_STATES["plus"]
+        batch = BatchedStatevector.from_product_batch([[zero, plus], [plus, plus]])
+        assert np.allclose(batch.amplitudes()[0], np.kron(zero, plus))
+        assert batch.probabilities().dtype == np.float64
+        for bad in ([], [[]], [[zero], [zero, plus]], [[np.ones(3)]], [zero]):
+            with pytest.raises(ValueError):
+                BatchedStatevector.from_product_batch(bad)
+
 
 # ----------------------------------------------------------------------
 # Batched variant evaluation parity (the tentpole's contract)
@@ -187,16 +200,56 @@ class TestBatchedVariantParity:
                     vector - serial.probabilities[key]
                 ).max() <= 1e-10
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=5),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_materialised_vectors_match_per_variant_simulation(
+        self, n, seed, sim_batch
+    ):
+        """The per-variant simulator is the oracle of the materialiser:
+        three clusters, so lines that are both initialised and measured."""
+        circuit = random_connected_circuit(n, 2 * n, seed)
+        graph = build_circuit_graph(circuit)
+        assignment = np.random.default_rng(seed).integers(0, 3, graph.num_vertices)
+        cut = cut_circuit_from_assignment(circuit, list(assignment), graph=graph)
+        for subcircuit in cut.subcircuits:
+            if num_physical_variants(subcircuit) > 4**5:
+                continue
+            result = evaluate_subcircuit(subcircuit, sim_batch=sim_batch)
+            assert result.raw_vectors is None  # lazy until read
+            variants = generate_variants(subcircuit)
+            assert len(result.probabilities) == len(variants)
+            for variant in variants:
+                want = simulate_probabilities(variant_circuit(subcircuit, variant))
+                got = result.vector(variant.inits, variant.bases)
+                assert np.abs(got - want).max() <= 1e-10
+
+    def test_materialised_rows_are_views_of_one_stacked_array(self, fig4_circuit):
+        from repro import cut_circuit
+
+        down = cut_circuit(fig4_circuit, [(2, 1)]).subcircuits[1]
+        result = evaluate_subcircuit(down, sim_batch=8)
+        assert result.amplitudes.shape == (2, 1 << down.width)
+        assert result.amplitudes.dtype == np.complex128
+        rows = list(result.probabilities.values())
+        assert result.probabilities is result.probabilities  # materialised once
+        assert all(row.base is rows[0].base for row in rows)
+        assert rows[0].base.size == 4 * 1 * (1 << down.width)
+
     def test_chunked_batches_cover_the_init_space(self, fig4_circuit):
         from repro import cut_circuit
 
         cut = cut_circuit(fig4_circuit, [(2, 1)])
-        downstream = cut.subcircuits[1]  # one init line: 4 combos
+        downstream = cut.subcircuits[1]  # one init line: 2 basis columns
         full, one_pass = batched_variant_probabilities(downstream)
         chunked, passes = batched_variant_probabilities(
             downstream, max_batch=1
         )
-        assert one_pass == 1 and passes == 4
+        assert one_pass == 1 and passes == 2  # max_batch = columns per pass
+        assert len(full) == 4
         assert set(full) == set(chunked)
         for key in full:
             assert np.allclose(full[key], chunked[key], atol=1e-12)
@@ -274,11 +327,12 @@ class TestBatchedExecutor:
         report = executor.last_report
         assert report.num_variants == 2 * report.num_unique_circuits
         assert report.dedup_ratio == pytest.approx(2.0)
-        for key in results[0].probabilities:
-            assert (
-                results[0].probabilities[key]
-                is results[1].probabilities[key]
-            )
+        # Body-key twins share one amplitude array: the group ran once and
+        # counts once in ``num_unique_circuits``.
+        assert results[0].amplitudes is results[1].amplitudes
+        assert report.num_unique_circuits == num_physical_variants(twin[0])
+        for key, vector in results[0].probabilities.items():
+            assert np.array_equal(vector, results[1].probabilities[key])
 
     def test_init_batches_ship_over_worker_pool(self, bv_cut):
         serial = VariantExecutor().run(bv_cut.subcircuits)

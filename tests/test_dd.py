@@ -343,12 +343,14 @@ class TestProgressiveRun:
 # The array frontier against the heap-of-Bins it replaced
 # ----------------------------------------------------------------------
 
-#: Inputs whose bins tie: exact zeros ordered by index (bv, hwea), equal
-#: masses in different recursions (bv), round-off negatives (adder).
+#: Inputs whose bins tie: exact zeros ordered by index (hwea, adder), equal
+#: masses in different recursions (bv), round-off negatives (adder).  Which
+#: operands leave negative dust follows the arithmetic of the term-tensor
+#: build; ``test_tie_cases_do_tie`` checks these still do.
 _TIE_CASES = {
     "bv": (8, 5, {}),
     "hwea": (8, 5, {"seed": 3}),
-    "adder": (8, 5, {"seed": 3}),
+    "adder": (8, 5, {"seed": 1}),
 }
 
 
@@ -466,6 +468,7 @@ class TestFrontierReplay:
                 [r.probabilities for r in query.recursions]
             )
         assert np.count_nonzero(masses["hwea"] == 0.0) > 10
+        assert np.count_nonzero(masses["adder"] == 0.0) > 10
         assert np.count_nonzero(masses["adder"] < 0.0) > 0
         positive = masses["bv"][masses["bv"] > 0.0]
         assert np.unique(positive).size < positive.size

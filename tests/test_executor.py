@@ -106,8 +106,65 @@ class TestVariantExecutor:
         report = executor.last_report
         assert report.num_variants == 2 * report.num_unique_circuits
         assert report.dedup_ratio == pytest.approx(2.0)
-        for key in results[0].probabilities:
-            assert results[0].probabilities[key] is results[1].probabilities[key]
+        # ... because the twins share the one amplitude array that ran.
+        assert results[0].amplitudes is results[1].amplitudes
+        assert report.num_unique_circuits == num_physical_variants(twin[0])
+        for key, vector in results[0].probabilities.items():
+            assert np.array_equal(vector, results[1].probabilities[key])
+
+    def test_amplitudes_identical_across_slabs_and_transports(self):
+        from repro.library import supremacy
+        from repro.postprocess import WorkerPool
+
+        # (rho, O) = (2, 4), (2, 5), (6, 1): sim_batch=4 < 2^rho on the last.
+        cut = CutQC(supremacy(12, seed=0), max_subcircuit_qubits=8).cut()
+        inline = VariantExecutor()
+        want = inline.run(cut.subcircuits)
+        assert inline.last_report.num_body_passes == len(cut.subcircuits)
+        with WorkerPool(workers=2) as pool:
+            executors = [
+                VariantExecutor(sim_batch=4),
+                VariantExecutor(sim_batch=4, workers=2),
+                VariantExecutor(sim_batch=4, worker_pool=pool),
+            ]
+            runs = [executor.run(cut.subcircuits) for executor in executors]
+        modes = [executor.last_report.mode for executor in executors]
+        assert modes == ["batched", "batched-process", "batched-pool"]
+        for executor, results in zip(executors, runs):
+            report = executor.last_report
+            assert report.num_body_passes == 1 + 1 + 64 // 4
+            assert report.num_variants == inline.last_report.num_variants
+            for a, b in zip(want, results):
+                assert b.amplitudes.dtype == np.complex128
+                assert np.array_equal(a.amplitudes, b.amplitudes)
+
+    def test_exact_pipeline_never_materialises_raw_vectors(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cutting import variants
+        from repro.library import supremacy
+        from repro.service.store import ArtifactStore
+
+        def refuse(*args):
+            raise AssertionError("a (4^rho, 3^O, 2^w) array was materialised")
+
+        monkeypatch.setattr(variants, "materialise_probabilities", refuse)
+        pipeline = CutQC(supremacy(8, seed=0), max_subcircuit_qubits=5)
+        pipeline.cut()
+        results = pipeline.evaluate()
+        pipeline.fd_query()
+        pipeline.dd_query(max_active_qubits=3, max_recursions=4)
+        pipeline.fd_top_k(4, 3)
+        store = ArtifactStore(tmp_path)
+        store.put_evaluation("key", results)
+        restored = store.get_evaluation("key", pipeline.cut())
+        CutQC(pipeline.circuit, 5).load_cut(pipeline.cut()).load_results(
+            restored
+        ).fd_query()
+        for result in list(results) + restored:
+            assert result.amplitudes is not None and result.raw_vectors is None
+        with pytest.raises(AssertionError, match="materialised"):
+            results[0].probabilities
 
     def test_report_counts(self, bv_cut):
         executor = VariantExecutor()

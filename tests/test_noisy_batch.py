@@ -698,7 +698,7 @@ class TestStoreMigration:
         from repro.service.scheduler import JobSpec
 
         base = dict(device_size=5, benchmark="bv", qubits=6)
-        assert JobSpec(**base).backend_tag() == "statevector:batched:v2"
+        assert JobSpec(**base).backend_tag() == "statevector:batched:v3"
         assert JobSpec(**base, sim_batch=0).backend_tag() == "statevector"
         assert (
             JobSpec(**base, device="bogota").backend_tag()

@@ -1,5 +1,7 @@
 """Artifact store: fingerprints, bit-identical round trips, corruption."""
 
+import hashlib
+import io
 import json
 import os
 
@@ -7,9 +9,12 @@ import numpy as np
 import pytest
 
 from repro import CutQC, evaluate_subcircuit, find_cuts
+from repro.cutting import SubcircuitResult
 from repro.library import bv, supremacy
+from repro.service.scheduler import JobSpec
 from repro.service.store import (
     ArtifactStore,
+    _digest,
     circuit_digest,
     cut_fingerprint,
     evaluation_fingerprint,
@@ -200,6 +205,95 @@ class TestEvaluationRoundTrip:
             "cuts": 1, "evaluations": 1, "traces": 0,
         }
         assert store.as_dict()["writes"] == 2
+
+
+def _rewrite_tensors(store, key, edit):
+    """Apply ``edit`` to the artifact's arrays and re-seal both checksums,
+    so only the content — not the envelope — is wrong."""
+    meta_path, tensor_path = store.evaluation_path(key)
+    with np.load(io.BytesIO(tensor_path.read_bytes())) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    edit(arrays)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    tensor_path.write_bytes(buffer.getvalue())
+    document = json.loads(meta_path.read_text())
+    document["payload"]["tensors_sha256"] = hashlib.sha256(
+        buffer.getvalue()
+    ).hexdigest()
+    document["checksum"] = _digest(document["payload"])
+    meta_path.write_text(json.dumps(document))
+
+
+class TestExactEvaluationArtifacts:
+    """An exact result is stored as what it holds: its amplitudes."""
+
+    @pytest.fixture
+    def exact(self):
+        circuit, solution, cut = _cut_bv()
+        results = [evaluate_subcircuit(s, sim_batch=8) for s in cut.subcircuits]
+        position = [bool(s.init_lines) for s in cut.subcircuits].index(True)
+        return cut, results, position
+
+    def test_amplitudes_persist_without_a_variant_row_list(self, store, exact):
+        cut, results, _ = exact
+        meta_path = store.put_evaluation("key", results)
+        assert all(r.raw_vectors is None for r in results)  # put stayed lazy
+        for meta in json.loads(meta_path.read_text())["payload"]["subcircuits"]:
+            assert set(meta) == {
+                "index", "width", "num_variants", "num_unique_circuits",
+                "mode", "num_body_passes",
+            }
+        with np.load(store.evaluation_path("key")[1]) as archive:
+            assert sorted(archive.files) == [f"amp{i}" for i in range(len(results))]
+        for original, loaded in zip(results, store.get_evaluation("key", cut)):
+            assert loaded.raw_vectors is None
+            assert loaded.amplitudes.dtype == np.complex128
+            assert np.array_equal(loaded.amplitudes, original.amplitudes)
+            assert loaded.mode == original.mode == "batched"
+            assert loaded.num_variants == original.num_variants
+            assert loaded.num_body_passes == original.num_body_passes
+
+    @pytest.mark.parametrize("damage", ["shape", "dtype", "width", "missing"])
+    def test_mismatched_amplitudes_are_a_miss_and_discarded(
+        self, store, exact, damage
+    ):
+        cut, results, position = exact
+        name = f"amp{position}"
+        edits = {
+            "shape": lambda arrays: arrays.update({name: arrays[name][:1]}),
+            "dtype": lambda arrays: arrays.update(
+                {name: arrays[name].astype(np.complex64)}
+            ),
+            "width": lambda arrays: arrays.update({name: arrays[name][:, ::2]}),
+            "missing": lambda arrays: arrays.pop(name),
+        }
+        store.put_evaluation("key", results)
+        _rewrite_tensors(store, "key", edits[damage])
+        assert store.get_evaluation("key", cut) is None
+        assert store.stats.corrupt == 1
+        assert not any(path.exists() for path in store.evaluation_path("key"))
+
+    def test_v2_artifact_is_a_miss_under_the_v3_key(self, store, exact):
+        cut, results, _ = exact
+        base = dict(device_size=5, benchmark="bv", qubits=6)
+        assert JobSpec(**base).backend_tag() == "statevector:batched:v3"
+        # What a v2 engine stored: every raw vector, under the v2 tag.
+        v2_results = [
+            SubcircuitResult(
+                subcircuit=r.subcircuit, raw_vectors=dict(r.probabilities),
+                num_variants=r.num_variants, mode="batched",
+                num_unique_circuits=r.num_unique_circuits,
+            )
+            for r in results
+        ]
+        v2_key = evaluation_fingerprint("cut", backend="statevector:batched:v2")
+        store.put_evaluation(v2_key, v2_results)
+        v3_key = evaluation_fingerprint("cut", backend=JobSpec(**base).backend_tag())
+        assert store.get_evaluation(v3_key, cut) is None  # recomputed ...
+        assert (store.stats.misses, store.stats.corrupt) == (1, 0)
+        old = store.get_evaluation(v2_key, cut)  # ... never misread
+        assert all(r.amplitudes is None for r in old)
 
 
 class TestLruBudget:
