@@ -222,6 +222,7 @@ class CutQC:
         shots: Optional[int] = None,
         seed: Optional[int] = None,
         config: Optional[dict] = None,
+        cut_key: Optional[str] = None,
     ) -> str:
         """Content fingerprint of the evaluate stage.
 
@@ -231,12 +232,13 @@ class CutQC:
         cannot be hashed.  ``config`` carries extra result-shaping knobs
         (e.g. trajectory counts) into the digest.  The circuit's bound
         parameter values always enter the digest: the cut fingerprint is
-        parameter-invariant, so the angles disambiguate rebinds.
+        parameter-invariant, so the angles disambiguate rebinds.  A caller
+        that already holds :meth:`cut_fingerprint` passes it as ``cut_key``.
         """
         from ..service.store import evaluation_fingerprint
 
         return evaluation_fingerprint(
-            self.cut_fingerprint(),
+            cut_key or self.cut_fingerprint(),
             backend=backend,
             shots=shots,
             seed=seed,

@@ -58,15 +58,14 @@ _TORN_LINES = get_registry().counter(
 )
 
 
-def _flock(stream, exclusive: bool) -> None:
+def _flock(fd: int, exclusive: bool) -> None:
     if fcntl is not None:
-        mode = fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH
-        fcntl.flock(stream.fileno(), mode)
+        fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
 
 
-def _funlock(stream) -> None:
+def _funlock(fd: int) -> None:
     if fcntl is not None:
-        fcntl.flock(stream.fileno(), fcntl.LOCK_UN)
+        fcntl.flock(fd, fcntl.LOCK_UN)
 
 
 def pid_alive(pid: Optional[int]) -> bool:
@@ -93,13 +92,34 @@ class JobJournal:
         self.path = self.root / "journal.jsonl"
         self.claims_dir = self.root / "claims"
         self.claims_dir.mkdir(parents=True, exist_ok=True)
-        self.path.touch(exist_ok=True)
         self._steal_lock_path = self.root / "claims.lock"
         self._fsync = bool(fsync)
         self._lock = threading.Lock()
         self._offset = 0
+        self._fd: Optional[int] = None
+        self._descriptor()
 
     # -- log ------------------------------------------------------------
+    def _descriptor(self) -> int:
+        """The one held ``O_APPEND`` descriptor every append writes on;
+        (re-)opened when absent or when the log file was replaced."""
+        try:
+            if os.fstat(self._fd).st_ino == os.stat(self.path).st_ino:
+                return self._fd
+        except (TypeError, OSError):  # no descriptor yet / no file any more
+            pass
+        self.close()
+        self._fd = os.open(
+            self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+        )
+        return self._fd
+
+    def close(self) -> None:
+        """Release the append descriptor (a later append re-opens it)."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
     def append(self, event_type: str, job_id: str, **fields) -> Dict:
         """Append one event; returns the record as written."""
         chaos.on_journal_append()
@@ -107,15 +127,14 @@ class JobJournal:
         record.update(fields)
         data = (json.dumps(record, separators=(",", ":")) + "\n").encode()
         with self._lock:
-            with open(self.path, "ab") as stream:
-                _flock(stream, exclusive=True)
-                try:
-                    stream.write(data)
-                    stream.flush()
-                    if self._fsync:
-                        os.fsync(stream.fileno())
-                finally:
-                    _funlock(stream)
+            fd = self._descriptor()
+            _flock(fd, exclusive=True)
+            try:
+                os.write(fd, data)
+                if self._fsync:
+                    os.fsync(fd)
+            finally:
+                _funlock(fd)
         return record
 
     def read_new(self) -> List[Dict]:
@@ -127,12 +146,12 @@ class JobJournal:
         with self._lock:
             try:
                 with open(self.path, "rb") as stream:
-                    _flock(stream, exclusive=False)
+                    _flock(stream.fileno(), exclusive=False)
                     try:
                         stream.seek(self._offset)
                         data = stream.read()
                     finally:
-                        _funlock(stream)
+                        _funlock(stream.fileno())
             except OSError:
                 return []
             records: List[Dict] = []
@@ -208,7 +227,7 @@ class JobJournal:
         Returns True iff ``owner`` now holds the claim.
         """
         with open(self._steal_lock_path, "ab") as guard:
-            _flock(guard, exclusive=True)
+            _flock(guard.fileno(), exclusive=True)
             try:
                 info = self.claim_info(job_id)
                 if info is not None:
@@ -225,7 +244,7 @@ class JobJournal:
                 os.replace(temp, path)
                 return True
             finally:
-                _funlock(guard)
+                _funlock(guard.fileno())
 
     def release_claim(self, job_id: str, owner: str) -> None:
         """Drop a claim we hold (used when a claimed job is requeued)."""

@@ -44,7 +44,8 @@ import threading
 import time
 import uuid
 import weakref
-from dataclasses import asdict, dataclass, field
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..circuits import QuantumCircuit
@@ -113,6 +114,9 @@ QUERY_TYPES = ("fd", "dd", "top_k", "variational")
 
 #: States a job can never leave.
 _TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
+#: A journaled scheduler keeps ``result``/``trace`` in memory for this many
+#: of its newest terminal records; older ones are served from the store.
+_RETAINED_PAYLOADS = 64
 
 
 @dataclass
@@ -273,7 +277,8 @@ class JobSpec:
         return "statevector:batched:v3" if self.batched else "statevector"
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        # Every field is a scalar: no need for asdict's deep copy.
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "JobSpec":
@@ -466,6 +471,7 @@ class JobScheduler:
         self._queue = FairQueue(self.tenants)
         self._records: Dict[str, JobRecord] = {}
         self._order: List[str] = []
+        self._retained: deque = deque()
         self._lock = threading.Lock()
         self._threads: List[threading.Thread] = []
         self._tail_thread: Optional[threading.Thread] = None
@@ -532,6 +538,8 @@ class JobScheduler:
                 thread.join(timeout=30)
             if self._tail_thread is not None:
                 self._tail_thread.join(timeout=5)
+        if self.journal is not None:
+            self.journal.close()
         # Close the owned pool only once every job thread has exited —
         # tearing it down under a still-running job (wait=False, or a
         # join timeout) would fail that job with "worker pool is
@@ -724,18 +732,19 @@ class JobScheduler:
     def load_persisted(self, record: JobRecord) -> None:
         """Rehydrate a terminal record from the store's job document.
 
-        Covers jobs executed by a peer server or a previous process:
-        the journal carries their states and timings, but the (large)
-        result document lives only in the store.
+        Covers jobs executed by a peer server or a previous process, and
+        own jobs past the retention window: the journal carries their
+        states and timings, but the (large) result document lives only in
+        the store.  Only empty fields are filled; a live one is never
+        overwritten.
         """
-        if self.journal is None or not record.done:
+        if self.journal is None or not record.done or record.result is not None:
             return
-        with record._lock:
-            if record.result is not None or record.owner == self.owner_id:
-                return
         document = self.store.get_job_document(record.job_id)
         if not document:
             return
+        if document.get("result") is not None:
+            self._retain(record)
         with record._lock:
             if record.result is None:
                 record.result = document.get("result")
@@ -750,6 +759,19 @@ class JobScheduler:
                 record.execution = document.get("execution")
             if not record.iterations and document.get("iterations"):
                 record.iterations = list(document["iterations"])
+
+    def _retain(self, record: JobRecord) -> None:
+        """Admit a record whose payloads are in the store to the newest
+        ``_RETAINED_PAYLOADS`` that keep them in memory too; the one that
+        falls out drops its ``result``/``trace`` (rehydrated on demand by
+        :meth:`load_persisted` / ``store.get_trace``)."""
+        with self._lock:
+            self._retained.append(record)
+            if len(self._retained) <= _RETAINED_PAYLOADS:
+                return
+            stale = self._retained.popleft()
+        if stale is not record:
+            stale.update(result=None, trace=None)
 
     # ------------------------------------------------------------------
     def submit(self, spec: JobSpec) -> str:
@@ -1025,10 +1047,11 @@ class JobScheduler:
             _JOBS.inc(state=record.state, tenant=record.spec.tenant)
             document = root.to_dict()
             record.update(trace=document)
+            persisted = self.journal is not None
             try:
                 self.store.put_trace(job_id, document)
             except Exception:  # pragma: no cover - store teardown
-                pass
+                persisted = False
             for kind, key in record.pins:
                 self.store.unpin(kind, key)
             record.pins = []
@@ -1043,7 +1066,9 @@ class JobScheduler:
                         job_id, record.as_dict(include_result=True)
                     )
                 except Exception:  # pragma: no cover - store teardown
-                    pass
+                    persisted = False
+            if persisted:
+                self._retain(record)
             record.mark_settled()
 
     def _pin(self, record: JobRecord, kind: str, key: str) -> None:
@@ -1123,9 +1148,9 @@ class JobScheduler:
             return
         self._advance(record, "cutting")
         began = time.perf_counter()
+        cut_key = pipeline.cut_fingerprint()  # once: both stages key on it
 
         def cut_stage() -> None:
-            cut_key = pipeline.cut_fingerprint()
             record.set_fingerprint("cut", cut_key)
             self._pin(record, "cut", cut_key)
             restored = self.store.get_cut(cut_key, circuit)
@@ -1163,6 +1188,7 @@ class JobScheduler:
                 shots=spec.shots if sampling else None,
                 seed=spec.seed if sampling else None,
                 config=config,
+                cut_key=cut_key,
             )
             record.set_fingerprint("evaluate", evaluation_key)
             self._pin(record, "evaluation", evaluation_key)
@@ -1261,8 +1287,9 @@ class JobScheduler:
             sim_batch=spec.sim_batch,
             fusion_width=spec.fusion_width,
         )
-        record.set_fingerprint("cut", session.cut_fingerprint())
-        self._pin(record, "cut", session.cut_fingerprint())
+        cut_key = session.cut_fingerprint()
+        record.set_fingerprint("cut", cut_key)
+        self._pin(record, "cut", cut_key)
 
         # Warm-up: first rebind cuts (or restores) and evaluates all.
         self._advance(record, "evaluating")

@@ -12,6 +12,10 @@ Routes (all JSON)::
     GET  /metrics            Prometheus text exposition (not JSON)
     GET  /healthz            liveness probe
 
+Bodies are compact JSON; append ``?pretty=1`` for an indented one.  The
+server speaks HTTP/1.1 with a ``Content-Length`` on every response, so a
+client may keep its connection open between requests.
+
 Built on :class:`http.server.ThreadingHTTPServer` — no third-party web
 framework, matching the repo's stdlib-only dependency rule.  Pass
 ``port=0`` to bind an ephemeral port (tests, CI smoke); the bound port is
@@ -45,14 +49,27 @@ class _Handler(BaseHTTPRequestHandler):
 
     api: JobServiceAPI  # injected by JobServer via subclassing
     server_version = "CutQCJobService/1.0"
+    protocol_version = "HTTP/1.1"
+    #: Buffered replies: headers and body leave in one send.
+    wbufsize = 1 << 16
+    #: Seconds an idle kept-alive connection may hold its handler thread.
+    timeout = 60.0
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # keep test/CI output clean; stats live at /stats
 
-    def _send(self, status: int, document: Dict) -> None:
-        body = (json.dumps(document, indent=2) + "\n").encode()
-        self._send_bytes(status, body, "application/json")
+    def _send(self, status: int, document) -> None:
+        if isinstance(document, str):  # /metrics: Prometheus text, not JSON
+            return self._send_bytes(
+                status, document.encode(),
+                "text/plain; version=0.0.4; charset=utf-8",
+            )
+        if "pretty=1" in self.path.partition("?")[2].split("&"):
+            text = json.dumps(document, indent=2)
+        else:
+            text = json.dumps(document, separators=(",", ":"))
+        self._send_bytes(status, (text + "\n").encode(), "application/json")
 
     def _send_bytes(
         self, status: int, body: bytes, content_type: str
@@ -60,14 +77,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY_BYTES:
-            raise ApiError(413, "request body too large")
-        raw = self.rfile.read(length) if length else b""
+        """The JSON body of a request whose route wants one.  (Every
+        ``POST`` body was already consumed into ``self._raw``: left unread
+        it would be parsed as the kept connection's next request.)"""
+        raw = self._raw
         if not raw:
             raise ApiError(400, "request body must be JSON")
         try:
@@ -76,24 +95,6 @@ class _Handler(BaseHTTPRequestHandler):
             raise ApiError(400, f"invalid JSON body: {error}") from None
 
     def _dispatch(self, method: str) -> None:
-        path = self.path.split("?", 1)[0].rstrip("/")
-        if method == "GET" and path == "/metrics":
-            # Prometheus text exposition, not JSON — separate send path.
-            try:
-                body = self.api.metrics().encode()
-            except Exception as error:  # noqa: BLE001 - never kill serving
-                self._send(
-                    500,
-                    {
-                        "error": f"{type(error).__name__}: {error}",
-                        "status": 500,
-                    },
-                )
-                return
-            self._send_bytes(
-                200, body, "text/plain; version=0.0.4; charset=utf-8"
-            )
-            return
         try:
             status, document = self._route(method)
         except ApiError as error:
@@ -106,12 +107,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(status, document)
 
     # -- routing --------------------------------------------------------
-    def _route(self, method: str) -> Tuple[int, Dict]:
+    def _route(self, method: str) -> Tuple[int, object]:
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         if method == "GET" and path == "/healthz":
             return 200, {"status": "ok"}
         if method == "GET" and path == "/stats":
             return 200, self.api.stats()
+        if method == "GET" and path == "/metrics":
+            return 200, self.api.metrics()
         if path == "/jobs":
             if method == "POST":
                 return 202, self.api.create_job(self._read_body())
@@ -136,6 +139,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("GET")
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        length = int(self.headers.get("Content-Length") or 0)
+        if length > _MAX_BODY_BYTES:
+            self.close_connection = True  # refused unread
+            self._send(413, ApiError(413, "request body too large").as_dict())
+            return
+        self._raw = self.rfile.read(length) if length else b""
         self._dispatch("POST")
 
 
@@ -240,7 +249,7 @@ class JobServer:
         self.httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10)
-        self.scheduler.shutdown(wait=True)
+        self.scheduler.shutdown(wait=True)  # also closes the journal descriptor
 
     def __enter__(self) -> "JobServer":
         return self

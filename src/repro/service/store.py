@@ -43,6 +43,11 @@ fingerprints until the footprint fits.  Artifacts *pinned* by a live job
 evicted; markers whose pid died are garbage-collected on the next
 eviction pass.  Evictions feed ``repro_store_evictions_total``.
 
+Resident tier: ``get_cut`` / ``get_evaluation`` keep the objects they
+verified and restored in a small byte-bounded LRU keyed by fingerprint,
+and serve them while ``stat`` shows the same files.  Content addressing
+makes that coherent — a resident copy can be gone, never stale.
+
 The store also persists terminal job documents (``jobs/results/``) so a
 restarted or peer scheduler can serve ``GET /jobs/<id>/result`` for jobs
 it never executed; the job journal itself lives under ``jobs/`` too (see
@@ -59,7 +64,8 @@ import os
 import tempfile
 import threading
 import zipfile
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,6 +88,10 @@ __all__ = [
 
 #: Bump when the on-disk layout changes; mismatched artifacts are misses.
 _FORMAT_VERSION = 1
+#: Bound of the resident tier: verified, restored artifacts kept in memory
+#: in front of the disk files, least recently used out first.
+_RESIDENT_MAX_BYTES = 32 * 1024 * 1024
+_RESIDENT_MAX_ENTRIES = 64
 
 # Process-wide mirrors of the per-instance StoreStats counters: every
 # store feeds the same registry series, so ``GET /metrics`` reflects
@@ -93,6 +103,15 @@ _STORE_MISSES = get_registry().counter(
     "repro_store_misses_total",
     "Artifact-store cache misses by kind.",
     ("kind",),
+)
+_STORE_RESIDENT_HITS = get_registry().counter(
+    "repro_store_resident_hits_total",
+    "Store hits served from the resident tier (no parse), by kind.",
+    ("kind",),
+)
+_STORE_RESIDENT_BYTES = get_registry().gauge(
+    "repro_store_resident_bytes",
+    "Bytes charged to the resident tier of the store that last changed it.",
 )
 _STORE_CORRUPT = get_registry().counter(
     "repro_store_corrupt_total", "Artifacts that failed verification."
@@ -258,21 +277,16 @@ class StoreStats:
     evicted_bytes: int = 0
     hits_by_kind: Dict[str, int] = field(default_factory=dict)
     misses_by_kind: Dict[str, int] = field(default_factory=dict)
+    #: The resident tier: hits it served, what it holds now.
+    resident_hits: int = 0
+    resident_entries: int = 0
+    resident_bytes: int = 0
 
     def _count(self, table: Dict[str, int], kind: str) -> None:
         table[kind] = table.get(kind, 0) + 1
 
     def as_dict(self) -> Dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "writes": self.writes,
-            "evictions": self.evictions,
-            "evicted_bytes": self.evicted_bytes,
-            "hits_by_kind": dict(self.hits_by_kind),
-            "misses_by_kind": dict(self.misses_by_kind),
-        }
+        return asdict(self)
 
 
 class ArtifactStore:
@@ -283,7 +297,7 @@ class ArtifactStore:
         cuts/<fingerprint>.json          assignment + priced solution
         evaluations/<fingerprint>.json   variant key map + checksums
         evaluations/<fingerprint>.npz    unique variant tensors
-        pins/<kind>-<key>@<pid>          live-job pin markers
+        pins/<kind>-<key>@<pid>          live-job pin markers (budgeted stores)
         jobs/results/<job_id>.json       terminal job documents
         jobs/journal.jsonl, jobs/claims/ the job journal (journal.py)
 
@@ -316,6 +330,9 @@ class ArtifactStore:
         self._pin_lock = threading.Lock()
         self._pins: Dict[str, int] = {}
         self._evict_lock = threading.Lock()
+        #: Resident tier, LRU first: (kind, key) -> (stamp, value, bytes).
+        self._resident: "OrderedDict[Tuple[str, str], Tuple]" = OrderedDict()
+        self._resident_lock = threading.Lock()
 
     # -- helpers --------------------------------------------------------
     @staticmethod
@@ -338,11 +355,17 @@ class ArtifactStore:
                 pass
             raise
 
-    def _record_hit(self, kind: str) -> None:
+    def _hit(self, kind: str, value, *paths: Path, resident: bool = False):
+        """Count a hit, refresh the files' recency, hand ``value`` back."""
         with self._stats_lock:
             self.stats.hits += 1
             self.stats._count(self.stats.hits_by_kind, kind)
+            self.stats.resident_hits += resident
         _STORE_HITS.inc(kind=kind)
+        if resident:
+            _STORE_RESIDENT_HITS.inc(kind=kind)
+        self._touch(*paths)
+        return value
 
     def _record_miss(self, kind: str, corrupt: bool = False) -> None:
         with self._stats_lock:
@@ -359,6 +382,33 @@ class ArtifactStore:
             self.stats.writes += 1
         _STORE_WRITES.inc()
 
+    def _put_sealed(self, path: Path, kind: str, key: str, payload: Dict) -> Path:
+        """Write an artifact's metadata in its checksummed envelope, then
+        hold the byte budget (never evicting what was just written)."""
+        document = {
+            "version": _FORMAT_VERSION,
+            "kind": kind,
+            "fingerprint": key,
+            "payload": payload,
+            "checksum": _digest(payload),
+        }
+        self._write_atomic(path, (json.dumps(document, indent=2) + "\n").encode())
+        self._record_write()
+        self.enforce_budget(protect=key)
+        return path
+
+    @staticmethod
+    def _unsealed(text: str) -> Dict:
+        """The payload of an envelope whose version and checksum hold."""
+        document = json.loads(text)
+        payload = document["payload"]
+        if (
+            document.get("version") != _FORMAT_VERSION
+            or document.get("checksum") != _digest(payload)
+        ):
+            raise ValueError("artifact failed verification")
+        return payload
+
     @staticmethod
     def _discard(*paths: Path) -> None:
         """Remove corrupt artifact files so the slot self-heals."""
@@ -367,6 +417,42 @@ class ArtifactStore:
                 path.unlink()
             except OSError:
                 pass
+
+    # -- resident tier ---------------------------------------------------
+    @staticmethod
+    def _stamp(*paths: Path) -> Optional[Tuple]:
+        """``(inode, size)`` per file, ``None`` if one is missing: what the
+        files of a resident artifact must still show for it to be served
+        (eviction, ``_discard`` or a rewrite by anyone ends residency)."""
+        try:
+            return tuple((s.st_ino, s.st_size) for s in map(os.stat, paths))
+        except OSError:
+            return None
+
+    def _resident_value(self, kind: str, key: str, stamp: Tuple):
+        with self._resident_lock:
+            held = self._resident.get((kind, key))
+            if held is None or held[0] != stamp:
+                return None
+            self._resident.move_to_end((kind, key))
+            return held[1]
+
+    def _resident_set(self, kind: str, key: str, entry=None) -> None:
+        """Admit ``entry = (stamp, value, bytes)`` — or, without one, end
+        the key's residency — and hold the tier to its bound."""
+        with self._resident_lock:
+            self._resident.pop((kind, key), None)
+            if entry is not None:
+                self._resident[(kind, key)] = entry
+            total = sum(held[2] for held in self._resident.values())
+            while self._resident and (
+                total > _RESIDENT_MAX_BYTES
+                or len(self._resident) > _RESIDENT_MAX_ENTRIES
+            ):
+                total -= self._resident.popitem(last=False)[1][2]
+            self.stats.resident_entries = len(self._resident)
+            self.stats.resident_bytes = total
+        _STORE_RESIDENT_BYTES.set(float(total))
 
     @staticmethod
     def _touch(*paths: Path) -> None:
@@ -385,15 +471,16 @@ class ArtifactStore:
     def pin(self, kind: str, key: str) -> None:
         """Protect an artifact from eviction while a live job uses it.
 
-        Pins are reference-counted in-process and mirrored as a marker
-        file carrying this pid, so N servers sharing one store dir see
-        each other's pins; markers of dead pids are swept lazily.
+        Pins are reference-counted in-process and, by a store that has a
+        byte budget (only such a store ever evicts), mirrored as a marker
+        file carrying this pid, so N budgeted servers sharing one store
+        dir see each other's pins; markers of dead pids are swept lazily.
         """
         token = self._pin_token(kind, key)
         with self._pin_lock:
             count = self._pins.get(token, 0)
             self._pins[token] = count + 1
-            if count == 0:
+            if count == 0 and self.max_bytes is not None:
                 try:
                     (self._pins_dir / f"{token}@{os.getpid()}").touch()
                 except OSError:
@@ -407,7 +494,8 @@ class ArtifactStore:
                 self._pins[token] = count
                 return
             self._pins.pop(token, None)
-            self._discard(self._pins_dir / f"{token}@{os.getpid()}")
+            if self.max_bytes is not None:
+                self._discard(self._pins_dir / f"{token}@{os.getpid()}")
 
     def pinned_tokens(self) -> set:
         """Tokens pinned by any live process (dead-pid markers swept)."""
@@ -529,18 +617,7 @@ class ArtifactStore:
             "structure": structural_digest(circuit),
             "solution": solution.to_dict() if solution is not None else None,
         }
-        document = {
-            "version": _FORMAT_VERSION,
-            "kind": "cut",
-            "fingerprint": key,
-            "payload": payload,
-            "checksum": _digest(payload),
-        }
-        path = self.cut_path(key)
-        self._write_atomic(path, (json.dumps(document, indent=2) + "\n").encode())
-        self._record_write()
-        self.enforce_budget(protect=key)
-        return path
+        return self._put_sealed(self.cut_path(key), "cut", key, payload)
 
     def get_cut(
         self, key: str, circuit: QuantumCircuit
@@ -548,18 +625,22 @@ class ArtifactStore:
         """Restore a cut for ``circuit``; ``None`` on miss or corruption."""
         chaos.on_store_read("cut")
         path = self.cut_path(key)
-        if not path.exists():
+        stamp = self._stamp(path)
+        if stamp is None:
+            self._resident_set("cut", key)
             self._record_miss("cut")
             return None
+        asked = (structural_digest(circuit), circuit.parameters())
+        held = self._resident_value("cut", key, stamp)
+        # The key is parameter-invariant: a rebind of the same structure
+        # must not be served another binding's subcircuits.
+        if held is not None and held[1] == asked:
+            return self._hit("cut", held[0], path, resident=True)
         try:
-            document = json.loads(path.read_text())
-            payload = document["payload"]
-            if (
-                document.get("version") != _FORMAT_VERSION
-                or document.get("checksum") != _digest(payload)
-                or payload.get("structure") != structural_digest(circuit)
-            ):
-                raise ValueError("cut artifact failed verification")
+            text = path.read_text()
+            payload = self._unsealed(text)
+            if payload.get("structure") != asked[0]:
+                raise ValueError("cut artifact is for another circuit")
             assignment = [int(a) for a in payload["assignment"]]
             restored = cut_circuit_from_assignment(circuit, assignment)
             if restored.num_cuts != int(payload["num_cuts"]):
@@ -572,10 +653,11 @@ class ArtifactStore:
         except (KeyError, TypeError, ValueError, json.JSONDecodeError):
             self._record_miss("cut", corrupt=True)
             self._discard(path)
+            self._resident_set("cut", key)
             return None
-        self._record_hit("cut")
-        self._touch(path)
-        return restored, solution
+        held = ((restored, solution), asked)
+        self._resident_set("cut", key, (stamp, held, len(text)))
+        return self._hit("cut", held[0], path)
 
     # -- evaluation artifacts -------------------------------------------
     def evaluation_path(self, key: str) -> Tuple[Path, Path]:
@@ -583,10 +665,6 @@ class ArtifactStore:
             self._evaluations / f"{key}.json",
             self._evaluations / f"{key}.npz",
         )
-
-    def has_evaluation(self, key: str) -> bool:
-        meta, tensors = self.evaluation_path(key)
-        return meta.exists() and tensors.exists()
 
     def put_evaluation(
         self, key: str, results: Sequence[SubcircuitResult]
@@ -636,21 +714,9 @@ class ArtifactStore:
             "subcircuits": meta_subcircuits,
             "tensors_sha256": hashlib.sha256(tensor_bytes).hexdigest(),
         }
-        document = {
-            "version": _FORMAT_VERSION,
-            "kind": "evaluation",
-            "fingerprint": key,
-            "payload": payload,
-            "checksum": _digest(payload),
-        }
         meta_path, tensor_path = self.evaluation_path(key)
         self._write_atomic(tensor_path, tensor_bytes)
-        self._write_atomic(
-            meta_path, (json.dumps(document, indent=2) + "\n").encode()
-        )
-        self._record_write()
-        self.enforce_budget(protect=key)
-        return meta_path
+        return self._put_sealed(meta_path, "evaluation", key, payload)
 
     def get_evaluation(
         self, key: str, cut_circuit: CutCircuit
@@ -659,17 +725,21 @@ class ArtifactStore:
         bit-identical to what was stored; ``None`` on miss or corruption."""
         chaos.on_store_read("evaluation")
         meta_path, tensor_path = self.evaluation_path(key)
-        if not (meta_path.exists() and tensor_path.exists()):
+        stamp = self._stamp(meta_path, tensor_path)
+        if stamp is None:
+            self._resident_set("evaluation", key)
             self._record_miss("evaluation")
             return None
+        held = self._resident_value("evaluation", key, stamp)
+        # Results belong to the subcircuit *objects* of one restored cut.
+        if held is not None and [id(r.subcircuit) for r in held] == [
+            id(subcircuit) for subcircuit in cut_circuit.subcircuits
+        ]:
+            return self._hit(
+                "evaluation", list(held), meta_path, tensor_path, resident=True
+            )
         try:
-            document = json.loads(meta_path.read_text())
-            payload = document["payload"]
-            if (
-                document.get("version") != _FORMAT_VERSION
-                or document.get("checksum") != _digest(payload)
-            ):
-                raise ValueError("evaluation metadata failed verification")
+            payload = self._unsealed(meta_path.read_text())
             tensor_bytes = tensor_path.read_bytes()
             if (
                 hashlib.sha256(tensor_bytes).hexdigest()
@@ -727,27 +797,30 @@ class ArtifactStore:
                 json.JSONDecodeError, OSError, zipfile.BadZipFile):
             self._record_miss("evaluation", corrupt=True)
             self._discard(meta_path, tensor_path)
+            self._resident_set("evaluation", key)
             return None
-        self._record_hit("evaluation")
-        self._touch(meta_path, tensor_path)
-        return results
+        # Charged for what it will hold once queried: the payload plus the
+        # (4^cuts, 2^effective) term-tensor memo each result grows.
+        size = len(tensor_bytes) + sum(
+            4 ** (len(sub.init_lines) + len(sub.meas_lines))
+            * (8 << sub.num_effective)
+            for sub in cut_circuit.subcircuits
+        )
+        self._resident_set("evaluation", key, (stamp, tuple(results), size))
+        return self._hit("evaluation", results, meta_path, tensor_path)
 
     # -- trace artifacts ------------------------------------------------
     def trace_path(self, job_id: str) -> Path:
         return self._traces / f"{job_id}.json"
 
-    def put_trace(self, job_id: str, document: Dict) -> Path:
-        """Persist a job's span tree (keyed by job id, not content)."""
-        path = self.trace_path(job_id)
-        self._write_atomic(
-            path, (json.dumps(document, indent=2) + "\n").encode()
-        )
+    def _put_json(self, path: Path, document: Dict) -> Path:
+        """One compact line: these are read by programs, once or never."""
+        text = json.dumps(document, separators=(",", ":"))
+        self._write_atomic(path, (text + "\n").encode())
         self._record_write()
         return path
 
-    def get_trace(self, job_id: str) -> Optional[Dict]:
-        """Restore a job's span tree; ``None`` if absent or unreadable."""
-        path = self.trace_path(job_id)
+    def _get_json(self, path: Path) -> Optional[Dict]:
         if not path.exists():
             return None
         try:
@@ -755,6 +828,14 @@ class ArtifactStore:
         except (ValueError, OSError):
             self._discard(path)
             return None
+
+    def put_trace(self, job_id: str, document: Dict) -> Path:
+        """Persist a job's span tree (keyed by job id, not content)."""
+        return self._put_json(self.trace_path(job_id), document)
+
+    def get_trace(self, job_id: str) -> Optional[Dict]:
+        """Restore a job's span tree; ``None`` if absent or unreadable."""
+        return self._get_json(self.trace_path(job_id))
 
     # -- job documents (terminal job records, keyed by job id) ----------
     def job_document_path(self, job_id: str) -> Path:
@@ -763,22 +844,10 @@ class ArtifactStore:
     def put_job_document(self, job_id: str, document: Dict) -> Path:
         """Persist a terminal job record so any server can serve its
         status/result after a restart (not LRU-budgeted)."""
-        path = self.job_document_path(job_id)
-        self._write_atomic(
-            path, (json.dumps(document, indent=2) + "\n").encode()
-        )
-        self._record_write()
-        return path
+        return self._put_json(self.job_document_path(job_id), document)
 
     def get_job_document(self, job_id: str) -> Optional[Dict]:
-        path = self.job_document_path(job_id)
-        if not path.exists():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except (ValueError, OSError):
-            self._discard(path)
-            return None
+        return self._get_json(self.job_document_path(job_id))
 
     # -- reporting ------------------------------------------------------
     def artifact_counts(self) -> Dict[str, int]:

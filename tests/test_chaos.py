@@ -274,6 +274,33 @@ class TestSchedulerChaos:
         finally:
             scheduler.shutdown()
 
+    def test_read_hook_fires_once_per_lookup_on_resident_hits_too(
+        self, tmp_path
+    ):
+        """Warm jobs are served from the store's resident tier; the fault
+        site in front of it must still be consulted exactly once each."""
+        retries = get_registry().counter(
+            "repro_scheduler_stage_retries_total", labelnames=("stage",)
+        )
+        store = ArtifactStore(tmp_path / "store")
+        scheduler = JobScheduler(store, workers=1)
+        try:
+            for _ in range(3):  # cold, disk-warm (admits), resident-warm
+                done = scheduler.wait(scheduler.submit(_bv_spec()), timeout=60)
+            assert store.stats.resident_hits == 2
+            before = retries.value(stage="evaluate")
+            # Lookups of the next job: cut = 1, evaluation = 2.
+            chaos.configure("store_ioerror@at=2")
+            record = scheduler.wait(scheduler.submit(_bv_spec()), timeout=60)
+            assert record.state == "done", record.error
+            assert record.attempts == {"cut": 1, "evaluate": 2, "query": 1}
+            assert retries.value(stage="evaluate") == before + 1
+            assert record.cache_hits == {"cut": True, "evaluate": True}
+            assert _stable(record.result) == _stable(done.result)
+            assert store.stats.resident_hits == 4
+        finally:
+            scheduler.shutdown()
+
     def test_pool_down_degrades_job_instead_of_failing(self, tmp_path):
         degraded_gauge = get_registry().gauge("repro_scheduler_degraded_mode")
         scheduler = JobScheduler(

@@ -114,6 +114,61 @@ class TestHttpApi:
                          payload={})
         assert excinfo.value.status == 405
 
+    def test_bodies_are_compact_unless_pretty_is_asked_for(self, server):
+        import urllib.request
+
+        def body(path):
+            with urllib.request.urlopen(f"{server.url}{path}") as response:
+                assert response.headers["Content-Length"] == str(
+                    len(payload := response.read())
+                )
+                return payload.decode()
+
+        assert body("/healthz") == '{"status":"ok"}\n'
+        assert body("/healthz?pretty=1") == '{\n  "status": "ok"\n}\n'
+        assert "\n" not in body("/stats").rstrip("\n")
+        assert json.loads(body("/stats?pretty=1")).keys() == json.loads(
+            body("/stats")
+        ).keys()
+
+    def test_one_connection_serves_many_requests(self, server):
+        import http.client
+
+        connection = http.client.HTTPConnection(server.host, server.port)
+        try:
+            connection.request(
+                "POST", "/jobs", body=json.dumps(_BV_JOB),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert (response.status, response.version) == (202, 11)
+            job_id = json.loads(response.read())["job_id"]
+            sock = connection.sock
+            for path in (f"/jobs/{job_id}", "/jobs/nope", "/healthz"):
+                connection.request("GET", path)
+                response = connection.getresponse()
+                response.read()
+                assert not response.will_close
+            assert connection.sock is sock  # never reconnected
+            # A body its route ignores is still consumed, never left to be
+            # parsed as the connection's next request.
+            connection.request("POST", f"/jobs/{job_id}/cancel", body='{"x": 1}')
+            response = connection.getresponse()
+            assert response.status == 200 and "cancelled" in json.loads(response.read())
+            connection.request("GET", "/healthz")
+            assert json.loads(connection.getresponse().read()) == {"status": "ok"}
+            assert connection.sock is sock
+            # An oversized body is refused unread, so that connection ends.
+            connection.putrequest("POST", "/jobs")
+            connection.putheader("Content-Length", str(9 * 1024 * 1024))
+            connection.endheaders()
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 413 and response.will_close
+        finally:
+            connection.close()
+        _poll(server, job_id)
+
     def test_jobs_listing(self, server):
         listing = request_json("GET", f"{server.url}/jobs")
         assert isinstance(listing["jobs"], list)

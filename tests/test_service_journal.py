@@ -118,6 +118,53 @@ class TestJournalLog:
         writer.append("submit", "job-1")
         assert [e["job_id"] for e in reader.read_new()] == ["job-1"]
 
+    def test_two_processes_on_held_descriptors_never_interleave(self, tmp_path):
+        """Each writer keeps one O_APPEND descriptor for all its appends;
+        long lines from two processes still land whole."""
+        from repro.obs.metrics import get_registry
+
+        script = (
+            "import sys\n"
+            "from repro.service import JobJournal\n"
+            "journal = JobJournal(sys.argv[1])\n"
+            "fd = journal._descriptor()\n"
+            "for index in range(300):\n"
+            "    journal.append('state', sys.argv[2], index=index, pad='x' * 5000)\n"
+            "assert journal._descriptor() == fd\n"
+        )
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(tmp_path / "jobs"), name],
+                env=env,
+            )
+            for name in ("job-a", "job-b")
+        ]
+        assert [writer.wait(timeout=60) for writer in writers] == [0, 0]
+        torn = get_registry().counter("repro_journal_torn_lines_total")
+        before = torn.value()
+        events = JobJournal(tmp_path / "jobs").read_new()
+        assert torn.value() == before
+        for name in ("job-a", "job-b"):
+            mine = [e["index"] for e in events if e["job_id"] == name]
+            assert mine == list(range(300))
+        assert all(e["pad"] == "x" * 5000 for e in events)
+
+    def test_append_reopens_after_the_log_was_replaced(self, tmp_path):
+        journal = JobJournal(tmp_path / "jobs")
+        journal.append("submit", "job-1")
+        rotated = tmp_path / "jobs" / "journal.rotated"
+        os.replace(journal.path, rotated)  # e.g. an operator's log rotation
+        journal.append("submit", "job-2")
+        assert [e["job_id"] for e in JobJournal(tmp_path / "jobs").read_new()] == [
+            "job-2"
+        ]
+        assert rotated.read_text().count("\n") == 1
+        journal.close()
+        journal.append("submit", "job-3")  # a closed journal re-opens too
+        journal.rewind()
+        assert [e["job_id"] for e in journal.read_new()] == ["job-2", "job-3"]
+
 
 class TestClaims:
     def test_claim_is_exclusive_but_idempotent_per_owner(self, tmp_path):

@@ -163,6 +163,83 @@ class TestJobExecution:
         }
 
 
+class TestPayloadRetention:
+    """Only the newest K terminal records keep result/trace in memory."""
+
+    def test_old_payloads_drop_and_are_served_from_the_store(
+        self, scheduler, monkeypatch
+    ):
+        from repro.service import scheduler as scheduler_module
+        from repro.service.api import JobServiceAPI
+
+        monkeypatch.setattr(scheduler_module, "_RETAINED_PAYLOADS", 3)
+        api = JobServiceAPI(scheduler)
+        first_fetch = {}
+        job_ids = []
+        for _ in range(13):  # K + 10
+            job_id = scheduler.submit(_bv_spec())
+            scheduler.wait(job_id, timeout=60)
+            first_fetch[job_id] = (api.job_result(job_id), api.job_trace(job_id))
+            job_ids.append(job_id)
+        for job_id in job_ids[:10]:
+            record = scheduler.get(job_id)
+            assert record.result is None and record.trace is None
+        for job_id in job_ids[10:]:
+            record = scheduler.get(job_id)
+            assert record.result is not None and record.trace is not None
+        for job_id in job_ids[:4]:  # rehydrated on demand, equal documents
+            assert api.job_result(job_id) == first_fetch[job_id][0]
+            assert api.job_trace(job_id) == first_fetch[job_id][1]
+        # Rehydrated payloads re-enter the same window; nothing accumulates.
+        held = [j for j in job_ids if scheduler.get(j).result is not None]
+        assert len(held) == 3
+        assert scheduler.stats()["jobs"]["by_state"]["done"] == 13
+
+    def test_unjournaled_scheduler_keeps_everything(self, tmp_path, monkeypatch):
+        from repro.service import scheduler as scheduler_module
+
+        monkeypatch.setattr(scheduler_module, "_RETAINED_PAYLOADS", 1)
+        scheduler = JobScheduler(
+            ArtifactStore(tmp_path / "store"), workers=1, journal=False
+        )
+        try:
+            records = [
+                scheduler.wait(scheduler.submit(_bv_spec()), timeout=60)
+                for _ in range(4)
+            ]
+            assert all(r.result is not None and r.trace is not None for r in records)
+        finally:
+            scheduler.shutdown()
+
+    def test_load_persisted_fills_only_empty_fields(self, scheduler):
+        record = scheduler.wait(scheduler.submit(_bv_spec()), timeout=60)
+        timings, hits = dict(record.timings), dict(record.cache_hits)
+        document = scheduler.store.get_job_document(record.job_id)
+        document["timings"] = {"cut": 99.0}
+        document["cache_hits"] = {"cut": True}
+        document["result"] = dict(document["result"], num_qubits=-1)
+        scheduler.store.put_job_document(record.job_id, document)
+        kept = record.result
+        scheduler.load_persisted(record)  # result live: nothing is read
+        assert record.result is kept
+        record.update(result=None)  # as past the retention window
+        scheduler.load_persisted(record)
+        assert record.result["num_qubits"] == -1  # filled from the store
+        assert (record.timings, record.cache_hits) == (timings, hits)
+
+    def test_one_cut_fingerprint_per_job(self, scheduler, monkeypatch):
+        from repro.service import store as store_module
+
+        calls = []
+        real = store_module.cut_fingerprint
+        monkeypatch.setattr(
+            store_module, "cut_fingerprint",
+            lambda *args: calls.append(1) or real(*args),
+        )
+        record = scheduler.wait(scheduler.submit(_bv_spec()), timeout=60)
+        assert record.state == "done" and len(calls) == 1
+
+
 class TestPipelinePreloading:
     def test_load_cut_rejects_budget_violation(self):
         circuit = bv(6)

@@ -11,6 +11,7 @@ import pytest
 from repro import CutQC, evaluate_subcircuit, find_cuts
 from repro.cutting import SubcircuitResult
 from repro.library import bv, supremacy
+from repro.service import store as store_module
 from repro.service.scheduler import JobSpec
 from repro.service.store import (
     ArtifactStore,
@@ -391,3 +392,216 @@ class TestLruBudget:
     def test_max_bytes_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
             ArtifactStore(tmp_path / "store", max_bytes=0)
+
+
+def _warm_pipeline(store, circuit, device=5):
+    """A pipeline fed from ``store`` the way a warm job is."""
+    pipeline = CutQC(circuit, device)
+    pipeline.load_cut(*store.get_cut("cut", circuit))
+    pipeline.load_results(store.get_evaluation("eval", pipeline.cut()))
+    return pipeline
+
+
+def _answers(pipeline):
+    dd = pipeline.dd_query(max_active_qubits=3, max_recursions=4)
+    return (
+        pipeline.fd_query().probabilities,
+        [r.probabilities for r in dd.recursions],
+        pipeline.fd_top_k(2, 3),
+    )
+
+
+class TestResidentTier:
+    """Verified artifacts stay parsed in memory, in front of the files."""
+
+    @pytest.fixture
+    def filled(self, tmp_path):
+        circuit, solution, cut = _cut_bv(8, 5)
+        store = ArtifactStore(tmp_path / "store")
+        store.put_cut("cut", circuit, cut, solution)
+        store.put_evaluation(
+            "eval", [evaluate_subcircuit(s, sim_batch=8) for s in cut.subcircuits]
+        )
+        return store, circuit
+
+    def test_a_put_does_not_populate_and_a_hit_returns_the_same_objects(
+        self, filled
+    ):
+        store, circuit = filled
+        assert store.stats.resident_entries == 0  # a cold job's puts: nothing
+        first = _warm_pipeline(store, circuit)
+        assert (store.stats.hits, store.stats.resident_hits) == (2, 0)
+        second = _warm_pipeline(store, circuit)
+        assert (store.stats.hits, store.stats.resident_hits) == (4, 2)
+        assert second.cut() is first.cut()
+        assert all(a is b for a, b in zip(second.evaluate(), first.evaluate()))
+        assert second.evaluate() is not first.evaluate()  # a list per caller
+        assert store.as_dict()["resident_entries"] == 2
+        assert 0 < store.as_dict()["resident_bytes"] <= store_module._RESIDENT_MAX_BYTES
+
+    def test_resident_answers_equal_the_disk_paths(self, filled, tmp_path):
+        store, circuit = filled
+        _warm_pipeline(store, circuit)  # admits
+        resident = _answers(_warm_pipeline(store, circuit))
+        disk = _answers(_warm_pipeline(ArtifactStore(tmp_path / "store"), circuit))
+        assert store.stats.resident_hits == 2
+        assert np.array_equal(resident[0], disk[0])
+        assert len(resident[1]) == len(disk[1]) and all(
+            np.array_equal(a, b) for a, b in zip(resident[1], disk[1])
+        )
+        assert resident[2] == disk[2]
+
+    def test_deleted_file_ends_residency(self, filled):
+        store, circuit = filled
+        cut = _warm_pipeline(store, circuit).cut()
+        store.cut_path("cut").unlink()
+        store.evaluation_path("eval")[1].unlink()
+        assert store.get_cut("cut", circuit) is None
+        assert store.get_evaluation("eval", cut) is None
+        assert (store.stats.misses, store.stats.corrupt) == (2, 0)
+        assert store.stats.resident_entries == 0
+
+    def test_rewritten_file_is_verified_again_not_served_from_memory(self, filled):
+        store, circuit = filled
+        cut = _warm_pipeline(store, circuit).cut()
+        _, tensor_path = store.evaluation_path("eval")
+        tensor_path.write_bytes(tensor_path.read_bytes()[:-7])
+        assert store.get_evaluation("eval", cut) is None
+        assert store.stats.corrupt == 1
+        assert not tensor_path.exists()
+        # Recompute, as the scheduler would: served from disk again first.
+        store.put_evaluation(
+            "eval", [evaluate_subcircuit(s, sim_batch=8) for s in cut.subcircuits]
+        )
+        hits = store.stats.resident_hits
+        assert store.get_evaluation("eval", cut) is not None
+        assert store.stats.resident_hits == hits
+
+    def test_budget_eviction_is_not_masked(self, filled, tmp_path):
+        store, circuit = filled
+        cut = _warm_pipeline(store, circuit).cut()
+        peer = ArtifactStore(tmp_path / "store", max_bytes=1)
+        assert sorted(peer.enforce_budget()) == ["cut", "eval"]
+        assert store.get_cut("cut", circuit) is None
+        assert store.get_evaluation("eval", cut) is None
+
+    def test_a_rebind_is_not_served_another_bindings_cut(self, store):
+        from repro.library import get_benchmark
+
+        circuit = get_benchmark("hwea", 6)
+        solution = find_cuts(circuit, 4)
+        store.put_cut("cut", circuit, solution.apply(circuit), solution)
+        first, _ = store.get_cut("cut", circuit)
+        assert store.get_cut("cut", circuit)[0] is first
+        assert store.stats.resident_hits == 1
+        rebound, _ = circuit.bind([p + 0.25 for p in circuit.parameters()])
+        other, _ = store.get_cut("cut", rebound)
+        assert store.stats.resident_hits == 1  # same key, no resident hit
+        assert other is not first
+        assert other.circuit.parameters() == rebound.parameters()
+        gates = [g for s in other.subcircuits for g in s.circuit.gates]
+        assert {p for g in gates for p in g.params} <= set(rebound.parameters())
+
+    def test_results_of_another_cut_object_are_not_served(self, filled, tmp_path):
+        store, circuit = filled
+        _warm_pipeline(store, circuit)
+        foreign = ArtifactStore(tmp_path / "store").get_cut("cut", circuit)[0]
+        hits = store.stats.resident_hits
+        restored = store.get_evaluation("eval", foreign)
+        assert store.stats.resident_hits == hits
+        assert all(
+            r.subcircuit is s for r, s in zip(restored, foreign.subcircuits)
+        )
+
+    def test_threads_share_one_artifact_and_never_mutate_it(self, filled):
+        import threading
+
+        store, circuit = filled
+        results = _warm_pipeline(store, circuit).evaluate()
+
+        def fingerprint():
+            return [hashlib.sha256(r.amplitudes.tobytes()).hexdigest() for r in results]
+
+        before = fingerprint()
+        answers = [None, None]
+
+        def work(slot):
+            for _ in range(5):
+                answers[slot] = _answers(_warm_pipeline(store, circuit))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert fingerprint() == before
+        assert np.array_equal(answers[0][0], answers[1][0])
+        assert answers[0][2] == answers[1][2]
+        assert store.stats.resident_hits == 20
+        assert all(r.raw_vectors is None for r in results)  # queries stayed lazy
+
+    def test_tier_stays_under_its_bounds(self, filled, monkeypatch):
+        store, circuit = filled
+        cut = _warm_pipeline(store, circuit).cut()
+        one = store.stats.resident_bytes
+        results = [evaluate_subcircuit(s, sim_batch=8) for s in cut.subcircuits]
+        monkeypatch.setattr(store_module, "_RESIDENT_MAX_ENTRIES", 4)
+        for index in range(5):  # N + 1 distinct artifacts
+            store.put_evaluation(f"e{index}", results)
+            assert store.get_evaluation(f"e{index}", cut) is not None
+            assert store.stats.resident_entries <= 4
+        assert store.get_evaluation("e4", cut) is not None
+        assert store.stats.resident_hits == 1  # the newest stayed
+        monkeypatch.setattr(store_module, "_RESIDENT_MAX_BYTES", one)
+        store.get_evaluation("e0", cut)
+        assert store.stats.resident_bytes <= one
+        # 200 cold jobs (lookup misses, then writes) admit nothing.
+        held = store.stats.resident_entries
+        for index in range(200):
+            assert store.get_evaluation(f"cold{index}", cut) is None
+            store.put_evaluation(f"cold{index}", results)
+        assert store.stats.resident_entries == held
+
+    def test_resident_hits_feed_the_metrics_registry(self, filled):
+        from repro.obs.metrics import get_registry
+
+        counter = get_registry().counter(
+            "repro_store_resident_hits_total", "", ("kind",)
+        )
+        store, circuit = filled
+        before = counter.value(kind="evaluation")
+        _warm_pipeline(store, circuit)
+        _warm_pipeline(store, circuit)
+        assert counter.value(kind="evaluation") == before + 1
+        assert "repro_store_resident_bytes" in get_registry().render()
+
+
+class TestPinMarkers:
+    def test_unbudgeted_store_writes_no_marker(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        store.pin("cut", "k")
+        assert list((tmp_path / "store" / "pins").iterdir()) == []
+        assert "cut-k" in store.pinned_tokens()  # still pinned in-process
+        store.unpin("cut", "k")
+        assert store.pinned_tokens() == set()
+
+    def test_budgeted_store_honours_a_peers_marker(self, tmp_path):
+        circuit, solution, cut = _cut_bv()
+        peer = ArtifactStore(tmp_path / "store", max_bytes=1 << 30)
+        peer.put_cut("k", circuit, cut, solution)
+        peer.pin("cut", "k")
+        assert len(list((tmp_path / "store" / "pins").iterdir())) == 1
+        tight = ArtifactStore(tmp_path / "store", max_bytes=1)
+        assert tight.enforce_budget() == []
+        peer.unpin("cut", "k")
+        assert tight.enforce_budget() == ["k"]
+
+    def test_old_indented_artifacts_and_compact_documents_both_load(self, store):
+        circuit, solution, cut = _cut_bv()
+        path = store.put_cut("k", circuit, cut, solution)
+        assert "\n  " in path.read_text()  # artifacts stay human-readable
+        path.write_text(json.dumps(json.loads(path.read_text())))  # compact
+        assert store.get_cut("k", circuit) is not None
+        document = store.put_job_document("job-1", {"state": "done", "n": [1, 2]})
+        assert document.read_text() == '{"state":"done","n":[1,2]}\n'
+        assert store.put_trace("job-1", {"a": {"b": 1}}).read_text() == '{"a":{"b":1}}\n'
