@@ -5,7 +5,10 @@ the *same circuit structure* at two SPSA probe points per iteration.
 
 * **naive** — what every probe cost before PR 7: a fresh
   :class:`~repro.core.CutQC` per probe, re-running cut search, variant
-  planning, fusion and evaluation from scratch;
+  planning, fusion and evaluation from scratch (the strawman clears
+  ``find_cuts``' process-level memo before each probe: left warm, a
+  resident process no longer re-searches and the ratio measures
+  something else — CHANGES.md, PR 24, has both numbers);
 * **warm** — one :class:`~repro.core.VariationalSession`: the cut is
   found once (the reported warm-up), then each probe is a ``rebind``
   that re-fuses only blocks whose angles moved and reuses every
@@ -29,6 +32,7 @@ import numpy as np
 
 from repro import CutQC, VariationalSession
 from repro.core import spsa_gains
+from repro.cutting import clear_cut_memo
 from repro.library.qaoa import (
     maxcut_cost,
     qaoa_maxcut,
@@ -48,10 +52,11 @@ _ITERATIONS = int(os.environ.get("REPRO_BENCH_VAR_ITERATIONS", "4"))
 _SEED = int(os.environ.get("REPRO_BENCH_VAR_SEED", "7"))
 #: Graph instance seed, separate from the SPSA stream: seed 1 yields a
 #: 3-regular instance whose branch-and-bound search is genuinely hard
-#: (~3s on the reference machine) — the cost the warm path amortizes.
+#: (~0.5 s on the reference machine, ~3 s before PR 24's allocation-free
+#: recursion) — the cost the warm path amortizes.
 _GRAPH_SEED = int(os.environ.get("REPRO_BENCH_VAR_GRAPH_SEED", "1"))
 #: Assertion floor for steady-state warm-vs-naive per probe (reference
-#: machine measures ~60x: ~3s of cut search skipped per probe).
+#: machine measures ~12x: ~0.5 s of cut search skipped per probe).
 _MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_VAR_MIN_SPEEDUP", "5.0"))
 
 
@@ -102,6 +107,7 @@ def test_variational_warm_vs_naive():
     # -- naive: a fresh pipeline per probe, identical work -------------
     naive_began = time.perf_counter()
     for probe, warm_cost in probes:
+        clear_cut_memo()  # "from scratch" includes the cut search
         pipeline = CutQC(
             qaoa_maxcut(
                 _QUBITS, edges, layers=_LAYERS, parameters=list(probe)

@@ -182,6 +182,12 @@ def run_bench(bench: Bench, profile: str) -> float:
     env["PYTHONPATH"] = (
         src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     )
+    # One BLAS thread unless the caller says otherwise, as benchmarks/e2e
+    # pins it: on a small shared host OpenBLAS's worker wake-ups after an
+    # idle spell triple a 50 ms probe (bench_variational's warm phase:
+    # 0.049 -> 0.16 s), and a ratio gate then measures that, not the code.
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(name, "1")
     env.update(bench.env_for(profile))
     command = [sys.executable, "-m", "pytest", "-q", "-s", bench.target]
     began = time.perf_counter()

@@ -1106,7 +1106,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return handlers[args.command](args)
     except CutSearchError as error:
-        print(f"cut search failed: {error}", file=sys.stderr)
+        verdict = "proved infeasible" if error.proved else "not proved infeasible"
+        print(f"cut search failed ({verdict}): {error}", file=sys.stderr)
         return 1
 
 

@@ -296,18 +296,15 @@ class CutQC:
             if self._explicit_cuts is not None:
                 self._cut = cut_circuit(self.circuit, self._explicit_cuts)
             else:
-                with trace.span(
-                    "cut.search",
-                    {"qubits": self.circuit.num_qubits,
-                     "method": self.method},
-                ):
-                    self._solution = find_cuts(
-                        self.circuit,
-                        self.max_subcircuit_qubits,
-                        max_subcircuits=self.max_subcircuits,
-                        max_cuts=self.max_cuts,
-                        method=self.method,
-                    )
+                # find_cuts opens the ``cut.search`` span and hands the
+                # gate graph it keyed its memo on to ``apply``.
+                self._solution = find_cuts(
+                    self.circuit,
+                    self.max_subcircuit_qubits,
+                    max_subcircuits=self.max_subcircuits,
+                    max_cuts=self.max_cuts,
+                    method=self.method,
+                )
                 self._cut = self._solution.apply(self.circuit)
             width = self._cut.max_subcircuit_width()
             if width > self.max_subcircuit_qubits:

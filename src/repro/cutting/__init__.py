@@ -8,13 +8,21 @@ from .cutter import (
     cut_circuit,
     cut_circuit_from_assignment,
 )
-from .model import CutSearchError, PartitionCost, evaluate_partition, objective_from_f
+from .model import (
+    CutSearchBudgetExceeded,
+    CutSearchError,
+    PartitionCost,
+    evaluate_partition,
+    objective_from_f,
+)
 from .mip import MIPCutSearcher, branch_and_bound_search
 from .heuristics import heuristic_search, local_search, scan_partition
 from .searcher import (
     DEFAULT_MAX_CUTS,
     DEFAULT_MAX_SUBCIRCUITS,
     CutSolution,
+    clear_cut_memo,
+    cut_memo_stats,
     find_cuts,
 )
 from .variants import (
@@ -39,6 +47,7 @@ __all__ = [
     "cut_circuit",
     "cut_circuit_from_assignment",
     "CutSearchError",
+    "CutSearchBudgetExceeded",
     "PartitionCost",
     "evaluate_partition",
     "objective_from_f",
@@ -51,6 +60,8 @@ __all__ = [
     "DEFAULT_MAX_SUBCIRCUITS",
     "CutSolution",
     "find_cuts",
+    "clear_cut_memo",
+    "cut_memo_stats",
     "INIT_LABELS",
     "MEAS_BASES",
     "SubcircuitResult",

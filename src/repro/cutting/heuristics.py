@@ -311,8 +311,10 @@ def heuristic_search(
             seeds.append((assignment, cost))
     if not seeds:
         raise CutSearchError(
-            f"no feasible heuristic cut into <= {max_subcircuits} subcircuits "
-            f"of <= {max_subcircuit_qubits} qubits within {max_cuts} cuts"
+            f"heuristic search gave up: no scan or KL seed cuts into <= "
+            f"{max_subcircuits} subcircuits of <= {max_subcircuit_qubits} "
+            f"qubits within {max_cuts} cuts (a cut may still exist)",
+            proved=False,
         )
     if refine:
         refined = []

@@ -22,11 +22,35 @@ from typing import Dict, List, Optional, Sequence
 
 from ..circuits import CircuitGraph
 
-__all__ = ["PartitionCost", "evaluate_partition", "objective_from_f", "CutSearchError"]
+__all__ = [
+    "PartitionCost",
+    "evaluate_partition",
+    "objective_from_f",
+    "CutSearchError",
+    "CutSearchBudgetExceeded",
+]
 
 
 class CutSearchError(RuntimeError):
-    """No feasible cut satisfies the size/cut-count budgets."""
+    """No feasible cut was found within the size/cut-count budgets.
+
+    ``proved`` is True when an exhaustive search showed none exists and
+    False when a search gave up (heuristics only, or a node budget).
+    """
+
+    def __init__(self, message: str, proved: bool = True):
+        super().__init__(message)
+        self.proved = proved
+
+    def __reduce__(self):
+        return type(self), (str(self), self.proved)
+
+
+class CutSearchBudgetExceeded(CutSearchError):
+    """The exact search hit its node limit before finishing."""
+
+    def __init__(self, message: str, proved: bool = False):
+        super().__init__(message, proved)
 
 
 @dataclass

@@ -10,16 +10,26 @@ back to the scan + local-search heuristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
-from ..circuits import QuantumCircuit, build_circuit_graph
+from ..circuits import CircuitGraph, QuantumCircuit, build_circuit_graph
+from ..obs import trace
 from .cutter import CutCircuit, cut_circuit_from_assignment
 from .heuristics import heuristic_search
 from .mip import branch_and_bound_search
-from .model import CutSearchError, PartitionCost
+from .model import CutSearchBudgetExceeded, CutSearchError, PartitionCost
 
-__all__ = ["CutSolution", "find_cuts", "DEFAULT_MAX_SUBCIRCUITS", "DEFAULT_MAX_CUTS"]
+__all__ = [
+    "CutSolution",
+    "find_cuts",
+    "clear_cut_memo",
+    "cut_memo_stats",
+    "DEFAULT_MAX_SUBCIRCUITS",
+    "DEFAULT_MAX_CUTS",
+]
 
 #: The experiment limits the paper uses throughout §5/§6.
 DEFAULT_MAX_SUBCIRCUITS = 5
@@ -27,6 +37,29 @@ DEFAULT_MAX_CUTS = 10
 
 #: Above this vertex count the exact search is usually intractable.
 _EXACT_VERTEX_LIMIT = 22
+
+#: Search-outcome memo: the searchers read the gate graph's vertex weights,
+#: its ``(source, target)`` edge list and the budgets — never angles,
+#: single-qubit gates or the backend — so that tuple *is* the key and a hit
+#: cannot be stale.  Values are private copies: ``(assignment, cost,
+#: method)``, or the ``(type, message, proved)`` of a refusal.
+_CUT_MEMO: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+_CUT_MEMO_LIMIT = 64
+_CUT_MEMO_LOCK = threading.Lock()
+_CUT_MEMO_STATS = {"hits": 0, "misses": 0}
+
+
+def cut_memo_stats() -> Dict[str, int]:
+    """Per-process ``{hits, misses, size}`` of :func:`find_cuts`' memo."""
+    with _CUT_MEMO_LOCK:
+        return dict(_CUT_MEMO_STATS, size=len(_CUT_MEMO))
+
+
+def clear_cut_memo() -> None:
+    """Forget every memoised search and zero the counters."""
+    with _CUT_MEMO_LOCK:
+        _CUT_MEMO.clear()
+        _CUT_MEMO_STATS.update(hits=0, misses=0)
 
 
 @dataclass
@@ -36,6 +69,11 @@ class CutSolution:
     assignment: List[int]
     cost: PartitionCost
     method: str
+    #: The gate graph :func:`find_cuts` built of the searched circuit;
+    #: :meth:`apply` splits that circuit with it instead of rebuilding it.
+    graph: Optional[CircuitGraph] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def num_cuts(self) -> int:
@@ -47,7 +85,10 @@ class CutSolution:
 
     def apply(self, circuit: QuantumCircuit) -> CutCircuit:
         """Cut ``circuit`` according to this solution."""
-        return cut_circuit_from_assignment(circuit, self.assignment)
+        graph = self.graph
+        if graph is not None and graph.circuit is not circuit:
+            graph = None
+        return cut_circuit_from_assignment(circuit, self.assignment, graph=graph)
 
     # -- serialization (artifact store) ---------------------------------
     def to_dict(self) -> Dict:
@@ -67,6 +108,34 @@ class CutSolution:
         )
 
 
+def _copy_cost(cost: PartitionCost) -> PartitionCost:
+    return replace(
+        cost, alpha=list(cost.alpha), rho=list(cost.rho), O=list(cost.O)
+    )
+
+
+def _remember(key: Tuple, outcome: Tuple) -> None:
+    with _CUT_MEMO_LOCK:
+        _CUT_MEMO[key] = outcome
+        while len(_CUT_MEMO) > _CUT_MEMO_LIMIT:
+            _CUT_MEMO.popitem(last=False)
+
+
+def _search(
+    graph: CircuitGraph, budgets: Tuple[int, int, int], method: str
+) -> Tuple[List[int], PartitionCost, str]:
+    """Run the solver ``method`` names: ``(assignment, cost, solver)``."""
+    if method == "mip" or (
+        method == "auto" and graph.num_vertices <= _EXACT_VERTEX_LIMIT
+    ):
+        try:
+            return (*branch_and_bound_search(graph, *budgets), "mip")
+        except CutSearchBudgetExceeded:
+            if method == "mip":
+                raise
+    return (*heuristic_search(graph, *budgets), "heuristic")
+
+
 def find_cuts(
     circuit: QuantumCircuit,
     max_subcircuit_qubits: int,
@@ -75,6 +144,10 @@ def find_cuts(
     method: str = "auto",
 ) -> CutSolution:
     """Locate the cheapest cut of ``circuit`` onto a ``D``-qubit device.
+
+    The outcome is memoised per process on what the search reads (see
+    ``_CUT_MEMO``): circuits sharing a multi-qubit-gate graph and budgets
+    share one search, and every call returns its own ``CutSolution``.
 
     Parameters
     ----------
@@ -87,36 +160,46 @@ def find_cuts(
     Raises
     ------
     CutSearchError
-        If no feasible cut exists within the budgets.
+        If no feasible cut was found within the budgets; ``error.proved``
+        says whether the exact search exhausted them or a search gave up.
     """
     if method not in ("auto", "mip", "heuristic"):
         raise ValueError(f"unknown method {method!r}")
-    graph = build_circuit_graph(circuit)
-
-    if method == "mip":
-        assignment, cost = branch_and_bound_search(
-            graph, max_subcircuit_qubits, max_subcircuits, max_cuts
+    with trace.span(
+        "cut.search", {"qubits": circuit.num_qubits, "method": method}
+    ) as span:
+        graph = build_circuit_graph(circuit)
+        budgets = (max_subcircuit_qubits, max_subcircuits, max_cuts)
+        key = (
+            tuple(graph.vertex_weights),
+            tuple((edge.source, edge.target) for edge in graph.edges),
+            budgets,
+            method,
         )
-        return CutSolution(assignment=assignment, cost=cost, method="mip")
-    if method == "heuristic":
-        assignment, cost = heuristic_search(
-            graph, max_subcircuit_qubits, max_subcircuits, max_cuts
+        with _CUT_MEMO_LOCK:
+            outcome = _CUT_MEMO.get(key)
+            if outcome is not None:
+                _CUT_MEMO.move_to_end(key)
+            _CUT_MEMO_STATS["misses" if outcome is None else "hits"] += 1
+        span.set(
+            memo="miss" if outcome is None else "hit",
+            vertices=graph.num_vertices,
         )
-        return CutSolution(assignment=assignment, cost=cost, method="heuristic")
-
-    if graph.num_vertices <= _EXACT_VERTEX_LIMIT:
-        try:
-            assignment, cost = branch_and_bound_search(
-                graph, max_subcircuit_qubits, max_subcircuits, max_cuts
-            )
-            return CutSolution(assignment=assignment, cost=cost, method="mip")
-        except CutSearchError as error:
-            if "node limit" not in str(error):
+        if outcome is None:
+            try:
+                assignment, cost, solver = _search(graph, budgets, method)
+            except CutSearchError as error:
+                _remember(key, (type(error), str(error), error.proved))
                 raise
-    assignment, cost = heuristic_search(
-        graph, max_subcircuit_qubits, max_subcircuits, max_cuts
-    )
-    return CutSolution(assignment=assignment, cost=cost, method="heuristic")
+            _remember(key, (tuple(assignment), _copy_cost(cost), solver))
+        elif isinstance(outcome[0], type):
+            refusal, message, proved = outcome
+            raise refusal(message, proved=proved)
+        else:
+            assignment, cost, solver = outcome
+            assignment, cost = list(assignment), _copy_cost(cost)
+        span.set(searcher=solver)
+        return CutSolution(assignment, cost, solver, graph)
 
 
 def cut_positions(solution: CutSolution, circuit: QuantumCircuit) -> List[Tuple[int, int]]:

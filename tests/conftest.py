@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 from repro import QuantumCircuit
+from repro.cutting import clear_cut_memo
+
+
+@pytest.fixture(autouse=True)
+def _fresh_cut_memo():
+    """``find_cuts`` memoises per process: start every test with an empty
+    memo so no outcome (or monkeypatched searcher) depends on suite order."""
+    clear_cut_memo()
 
 
 def random_connected_circuit(

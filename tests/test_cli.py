@@ -110,7 +110,18 @@ class TestCommands:
              "--device-size", "4", "--max-cuts", "2"]
         )
         assert code == 1
-        assert "cut search failed" in capsys.readouterr().err
+        # 36 vertices: only heuristics ran, so this is a give-up, not a proof.
+        err = capsys.readouterr().err
+        assert "cut search failed (not proved infeasible)" in err
+        assert "gave up" in err
+
+    def test_proved_infeasible_cut_says_so(self, capsys):
+        code = main(
+            ["cut", "--benchmark", "bv", "--qubits", "6",
+             "--device-size", "3", "--max-cuts", "1"]
+        )
+        assert code == 1
+        assert "cut search failed (proved infeasible)" in capsys.readouterr().err
 
     def test_run_tensor_network_strategy(self, capsys):
         code = main(

@@ -7,6 +7,7 @@ import pytest
 
 from repro import QuantumCircuit, build_circuit_graph
 from repro.cutting import (
+    CutSearchBudgetExceeded,
     CutSearchError,
     MIPCutSearcher,
     branch_and_bound_search,
@@ -116,6 +117,35 @@ class TestConstraints:
         searcher = MIPCutSearcher(graph, 4, node_limit=10)
         with pytest.raises(CutSearchError, match="node limit"):
             searcher.search()
+
+    def test_node_limit_is_a_typed_give_up(self):
+        circuit = random_connected_circuit(6, 14, seed=9, with_1q=False)
+        searcher = MIPCutSearcher(build_circuit_graph(circuit), 4, node_limit=10)
+        with pytest.raises(CutSearchBudgetExceeded) as caught:
+            searcher.search()
+        assert caught.value.proved is False
+        assert searcher.nodes_visited == 11
+
+    def test_exhausted_search_is_a_proof(self):
+        circuit = QuantumCircuit(3).cx(0, 1).cx(1, 2).cx(0, 2)
+        with pytest.raises(CutSearchError) as caught:
+            branch_and_bound_search(build_circuit_graph(circuit), 2, 2, max_cuts=1)
+        assert type(caught.value) is CutSearchError and caught.value.proved
+
+    @pytest.mark.parametrize(
+        "family,qubits,device,nodes",
+        [("aqft", 8, 5, 2338), ("bv", 11, 5, 93), ("hwea", 12, 7, 12)],
+    )
+    def test_search_order_is_pinned(self, family, qubits, device, nodes):
+        """Same depth-first order, same three prunes: the node count of a
+        search is part of what a rewrite of the recursion must keep."""
+        from repro.library import get_benchmark
+
+        graph = build_circuit_graph(get_benchmark(family, qubits))
+        searcher = MIPCutSearcher(graph, device)
+        assignment, cost = searcher.search()
+        assert searcher.nodes_visited == nodes
+        assert cost == evaluate_partition(graph, assignment, device, 10, 5)
 
     def test_nodes_visited_reported(self, fig4_circuit):
         graph = build_circuit_graph(fig4_circuit)

@@ -6,10 +6,12 @@ import pytest
 from repro import (
     CutQC,
     QuantumCircuit,
+    build_circuit_graph,
     evaluate_with_cutqc,
     make_device,
     simulate_probabilities,
 )
+from repro.cutting import cut_memo_stats, cutter, searcher
 from repro.library import adder, aqft, bv, hwea, supremacy
 from repro.metrics import chi_square_loss
 from repro.sim import NoiseModel, ShotSampler
@@ -63,6 +65,70 @@ class TestAutomaticPipeline:
                 device=device,
                 backend=lambda c: np.ones(2),
             )
+
+
+class TestCutStageMemo:
+    def test_one_graph_build_per_cut(self, monkeypatch):
+        built = []
+
+        def spy(circuit):
+            built.append(circuit)
+            return build_circuit_graph(circuit)
+
+        monkeypatch.setattr(searcher, "build_circuit_graph", spy)
+        monkeypatch.setattr(cutter, "build_circuit_graph", spy)
+        circuit = bv(8)
+        cold = CutQC(circuit, max_subcircuit_qubits=5)
+        cut = cold.cut()
+        assert built == [circuit]
+        assert cut.graph is cold.solution.graph
+        other = bv(8).x(2)
+        warm = CutQC(other, max_subcircuit_qubits=5)
+        assert warm.cut().graph.circuit is other
+        assert built == [circuit, other]
+        assert cut_memo_stats() == {"hits": 1, "misses": 1, "size": 1}
+        assert warm.cut().assignment == cut.assignment
+
+    def test_pipelines_sharing_a_graph_share_a_search(self):
+        """Different phases, backends and seeds: one search, own answers."""
+        first = hwea(8, seed=1)
+        second = hwea(8, seed=2)
+        exact = CutQC(first, 5).fd_query().probabilities
+        device = make_device("ideal", 5, "line", noise=NoiseModel())
+        noisy = CutQC(second, 5, device=device, device_shots=0)
+        rebuilt = noisy.fd_query().probabilities
+        assert cut_memo_stats() == {"hits": 1, "misses": 1, "size": 1}
+        assert np.allclose(exact, simulate_probabilities(first), atol=1e-10)
+        assert np.allclose(rebuilt, simulate_probabilities(second), atol=1e-8)
+
+    def test_explicit_cuts_and_load_cut_never_consult_the_memo(
+        self, fig4_circuit
+    ):
+        searched = CutQC(fig4_circuit, max_subcircuit_qubits=3)
+        searched.cut()
+        before = cut_memo_stats()
+        explicit = CutQC(fig4_circuit, max_subcircuit_qubits=3, cuts=[(2, 1)])
+        explicit.cut()
+        loaded = CutQC(fig4_circuit, max_subcircuit_qubits=3)
+        loaded.load_cut(searched.cut(), searched.solution)
+        loaded.fd_query()
+        assert cut_memo_stats() == before == {"hits": 0, "misses": 1, "size": 1}
+
+    def test_search_span_says_hit_or_miss(self):
+        from repro.obs import trace
+
+        attrs = []
+        for _ in range(2):
+            with trace.start("job") as root:
+                CutQC(bv(8), max_subcircuit_qubits=5).cut()
+            (span,) = [
+                child for child in root.to_dict()["children"]
+                if child["name"] == "cut.search"
+            ]
+            attrs.append(span["attrs"])
+        assert attrs[0] == {"qubits": 8, "method": "auto", "memo": "miss",
+                            "vertices": 7, "searcher": "mip"}
+        assert attrs[1] == dict(attrs[0], memo="hit")
 
 
 class TestBackends:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import CutQC
+from repro import CutQC, simulate_probabilities
+from repro.cutting import cut_memo_stats
 from repro.library import bv
 from repro.service import ArtifactStore, JobScheduler, JobSpec
 
@@ -77,6 +78,28 @@ class TestJobExecution:
         assert stats["cache"]["stage_hits"] == {"cut": 1, "evaluate": 1}
         assert stats["cache"]["stage_misses"] == {"cut": 1, "evaluate": 1}
         assert stats["jobs"]["by_state"]["done"] == 2
+
+    def test_store_miss_on_a_searched_graph_is_not_a_store_hit(self, scheduler):
+        """An X-masked BV has BV's gate graph: its cut stage misses the
+        store (another structure), skips the search through the
+        ``find_cuts`` memo, and is reported cold all the same."""
+        from repro.circuits.qasm import to_qasm
+
+        scheduler.wait(scheduler.submit(_bv_spec()), timeout=60)
+        assert cut_memo_stats() == {"hits": 0, "misses": 1, "size": 1}
+        masked = bv(6).x(0).x(3)
+        spec = JobSpec(device_size=5, qasm=to_qasm(masked), query="fd", top=1)
+        record = scheduler.wait(scheduler.submit(spec), timeout=60)
+        assert record.state == "done"
+        assert record.cache_hits == {"cut": False, "evaluate": False}
+        assert cut_memo_stats() == {"hits": 1, "misses": 1, "size": 1}
+        truth = simulate_probabilities(masked)
+        top = record.result["top_states"][0]
+        assert int(top["state"], 2) == int(np.argmax(truth))
+        assert top["probability"] == pytest.approx(float(truth.max()))
+        cache = scheduler.stats()["cache"]
+        assert cache["stage_hits"] == {"cut": 0, "evaluate": 0}
+        assert cache["stage_misses"] == {"cut": 2, "evaluate": 2}
 
     def test_sibling_query_reuses_cut_and_evaluation(self, scheduler):
         scheduler.wait(scheduler.submit(_bv_spec()), timeout=60)
@@ -266,3 +289,5 @@ class TestPipelinePreloading:
         warm.load_cut(pipeline.cut(), pipeline.solution)
         warm.load_results(pipeline.evaluate())
         assert np.array_equal(warm.fd_query().probabilities, truth)
+        # Adopting a cut never consults the search memo.
+        assert cut_memo_stats() == {"hits": 0, "misses": 1, "size": 1}

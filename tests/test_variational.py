@@ -31,6 +31,7 @@ from repro import (
 )
 from repro.circuits.gates import PARAM_COUNTS
 from repro.core import spsa_gains
+from repro.cutting import cut_memo_stats
 from repro.devices.pool import DevicePool
 from repro.library.qaoa import maxcut_cost, qaoa_maxcut, ring_graph
 from repro.service.store import (
@@ -243,6 +244,22 @@ class TestVariationalSession:
         summary = session.summary()
         assert summary["iterations"] == 2
         assert summary["cut_cache_hits"] == 1
+
+    def test_sessions_of_one_structure_share_one_cut_search(self):
+        """No store: the second session's cold cut is a ``find_cuts`` memo
+        hit — not a session cut-cache hit — and still cuts its own angles."""
+        first = VariationalSession(_qaoa(), max_subcircuit_qubits=5)
+        first.rebind(first.circuit.parameters())
+        target = _qaoa(theta=(1.2, 0.1))
+        second = VariationalSession(target, max_subcircuit_qubits=5)
+        stats = second.rebind(target.parameters())
+        assert cut_memo_stats() == {"hits": 1, "misses": 1, "size": 1}
+        assert not stats.cut_cache_hit and not second.cut_store_hit
+        assert second.cut.assignment == first.cut.assignment
+        assert second.cut.circuit.parameters() == target.parameters()
+        assert np.allclose(
+            second.probabilities(), simulate_probabilities(target), atol=1e-10
+        )
 
     def test_store_backed_session_hits_cut_every_time(self, tmp_path):
         store = ArtifactStore(tmp_path)
