@@ -73,10 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_execution_options(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
-            "--workers", type=int, default=1,
-            help="processes for variant execution and kron reconstruction",
-        )
-        sub.add_argument(
             "--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY,
             help=f"contraction strategy (default: {DEFAULT_STRATEGY})",
         )
@@ -87,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--pool-workers", type=int, default=0, metavar="N",
-            help="run the query pipeline on a persistent N-process worker "
-                 "pool (shared-memory tensor transport; 0 = no pool)",
+            help="run variant execution and every query on a persistent "
+                 "N-process worker pool (shared-memory tensor transport; "
+                 "0 = no pool, everything inline)",
         )
         sub.add_argument(
             "--sim-batch", type=int, default=None, metavar="B",
@@ -168,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "setting)")
     dd.add_argument("--zoom-width", type=int, default=1, metavar="K",
                     help="expand the top-K frontier bins per round, "
-                         "contracted in parallel when --workers > 1")
+                         "contracted in parallel on the --pool-workers pool")
     dd.add_argument("--json", action="store_true",
                     help="machine-readable JSON output (recursions, "
                          "solution states, cache stats)")
@@ -369,7 +366,6 @@ def _build_pipeline(args: argparse.Namespace, backend=None, device=None) -> CutQ
         noisy_method=getattr(args, "noisy_method", "trajectory"),
         pool=pool,
         pool_shots=pool_shots,
-        workers=getattr(args, "workers", 1),
         strategy=getattr(args, "strategy", DEFAULT_STRATEGY),
         seed=args.seed,
         worker_pool=worker_pool,
@@ -643,7 +639,7 @@ def _command_run_body(args: argparse.Namespace, pipeline: CutQC) -> int:
             print(f"max |shard - truth| error: {max_abs_error:.3e}")
         return 0
 
-    result = pipeline.fd_query(workers=args.workers)
+    result = pipeline.fd_query()
     report = pipeline.execution_report
     stats = result.stats
     probabilities = result.probabilities

@@ -5,7 +5,8 @@ variants of every subcircuit (Fig. 3).  The seed pipeline ran them one
 subcircuit at a time through a single backend callable; this module
 flattens **all** subcircuits' variants into one batch, executes every
 distinct physical circuit exactly once, and fans the unique batch out —
-serially, across ``multiprocessing`` workers, or over a
+inline, over a persistent
+:class:`~repro.postprocess.parallel.WorkerPool`, or over a
 :class:`~repro.devices.pool.DevicePool` (the paper's §5.1 many-small-QPUs
 deployment).
 
@@ -54,7 +55,7 @@ __all__ = [
 
 Backend = Callable[[QuantumCircuit], np.ndarray]
 
-#: A process pool is only worth spawning for at least this many circuits.
+#: A worker-pool dispatch only pays off for at least this many circuits.
 _MIN_PARALLEL_CIRCUITS = 4
 
 #: Init-batch size used when ``sim_batch`` is left unset (``None``).
@@ -124,12 +125,11 @@ class ExecutionReport:
     num_subcircuits: int
     num_variants: int
     num_unique_circuits: int
-    workers: int
-    #: "serial" | "process" | "pool" | "worker-pool" on the per-variant
-    #: path; "batched" | "batched-process" | "batched-pool" on the fused
-    #: init-batch path; the same three with a "batched-noisy" prefix on
-    #: the batched device (noisy) path and a "batched-devicepool" prefix
-    #: when a DevicePool executes the groups.
+    #: "serial" | "pool" | "worker-pool" on the per-variant path;
+    #: "batched" | "batched-pool" on the fused init-batch path; the same
+    #: two with a "batched-noisy" prefix on the batched device (noisy)
+    #: path and a "batched-devicepool" prefix when a DevicePool executes
+    #: the groups.  A "-pool" suffix means the WorkerPool ran the batch.
     mode: str
     elapsed_seconds: float
     #: Modelled quantum wall-clock when a pool executed the batch.
@@ -153,28 +153,15 @@ class ExecutionReport:
         return self.num_variants / self.num_unique_circuits
 
 
-# -- multiprocessing plumbing -------------------------------------------------
-
-_EXEC_STATE: dict = {}
-
-
-def _exec_init(backend):  # pragma: no cover - runs in worker processes
-    _EXEC_STATE["backend"] = backend
-
-
-def _exec_run(circuit):  # pragma: no cover - runs in worker processes
-    return np.asarray(_EXEC_STATE["backend"](circuit), dtype=float)
-
-
 def _run_init_batch(payload):
     """One shipped work unit of the batched strategy: a whole init batch.
 
-    Module-level so it crosses process boundaries (ephemeral
-    ``multiprocessing`` pools here, the persistent
-    :class:`~repro.postprocess.parallel.WorkerPool` via its own wrapper).
-    Exact payloads are ``(subcircuit, (start, stop), fusion_width)`` — a
-    range of basis columns, answered with its amplitude slab; noisy
-    payloads are ``(subcircuit, combos, fusion_width, spec)`` with a
+    Module-level so it crosses process boundaries (the persistent
+    :class:`~repro.postprocess.parallel.WorkerPool` runs it via its own
+    wrapper).  Exact payloads are ``(subcircuit, (start, stop),
+    fusion_width)`` — a range of basis columns, answered with its
+    amplitude slab; noisy payloads are ``(subcircuit, combos,
+    fusion_width, spec)`` with a
     :class:`~repro.cutting.variants.NoisyEvalSpec`, answered with raw
     vectors — the compiled geometry and fused body plan the spec implies
     are memoized per process, so chunks landing on a warm worker reuse
@@ -211,14 +198,6 @@ class VariantExecutor:
     backend:
         ``circuit -> probability vector`` callable.  Defaults to the exact
         statevector simulator.  Mutually exclusive with ``pool``.
-    workers:
-        Process count for fanning the unique batch out with
-        ``multiprocessing``.  ``1`` executes in-process.  Deterministic
-        backends (the default exact simulator) produce bit-identical
-        results at any worker count; a *stochastic* backend closure is
-        duplicated into each forked worker with its RNG state, so its
-        noise streams are correlated across workers — run noisy backends
-        serially or through a seeded ``pool``.
     pool:
         A :class:`~repro.devices.pool.DevicePool`.  With batching on (the
         default) each *body-key group* of subcircuits is pinned to the
@@ -239,11 +218,16 @@ class VariantExecutor:
     seed:
         Seed for the pool's per-job trajectory sampling.
     worker_pool:
-        A persistent :class:`~repro.postprocess.parallel.WorkerPool`.
-        When set, the unique batch fans out over the warm workers
-        (mode ``"worker-pool"``) instead of forking a throwaway
-        ``multiprocessing`` pool per call; ignored when a ``pool``
-        (DevicePool) executes the batch.
+        A persistent :class:`~repro.postprocess.parallel.WorkerPool` —
+        the only way variant execution leaves this process.  When set,
+        the unique batch fans out over the warm workers (mode
+        ``"worker-pool"``, or a ``"-pool"`` suffix on the batched modes);
+        without it everything runs inline.  Deterministic backends (the
+        default exact simulator) produce bit-identical results either
+        way; a *stochastic* backend closure is pickled into each worker
+        with its RNG state, so its noise streams are correlated across
+        workers — run noisy backends inline or through a seeded ``pool``.
+        Ignored when a ``pool`` (DevicePool) executes the batch.
     sim_batch:
         The **batched strategy**: instead of executing one circuit per
         variant, each subcircuit's measurement-free body is simulated in
@@ -282,7 +266,6 @@ class VariantExecutor:
     def __init__(
         self,
         backend: Optional[Backend] = None,
-        workers: int = 1,
         pool: Optional[DevicePool] = None,
         pool_shots: Optional[int] = None,
         seed: Optional[int] = None,
@@ -300,8 +283,6 @@ class VariantExecutor:
             raise ValueError("pass either a device or a backend, not both")
         if device is not None and pool is not None:
             raise ValueError("pass either a device or a pool, not both")
-        if workers < 1:
-            raise ValueError("workers must be positive")
         from ..sim.batch import MAX_FUSION_WIDTH
 
         if not 1 <= fusion_width <= MAX_FUSION_WIDTH:
@@ -309,7 +290,6 @@ class VariantExecutor:
                 f"fusion_width must be in [1, {MAX_FUSION_WIDTH}], "
                 f"got {fusion_width}"
             )
-        self.workers = int(workers)
         self.pool = pool
         self.pool_shots = pool_shots
         self.seed = seed
@@ -401,7 +381,6 @@ class VariantExecutor:
             num_subcircuits=len(subcircuits),
             num_variants=sum(len(slots) for slots in assignments),
             num_unique_circuits=len(unique_circuits),
-            workers=self.workers,
             mode=mode,
             elapsed_seconds=time.perf_counter() - began,
             pool_makespan_seconds=makespan,
@@ -416,7 +395,7 @@ class VariantExecutor:
 
         A pool whose respawn budget is exhausted fails every dispatch
         with ``PoolUnrecoverableError``; treating it as absent degrades
-        this executor to its forked/serial paths instead.
+        this executor to its inline path instead.
         """
         pool = self.worker_pool
         if pool is not None and getattr(pool, "broken", False):
@@ -438,18 +417,17 @@ class VariantExecutor:
             )
         backend = self.backend or simulate_probabilities
         # Probe picklability once, up front: a lambda/closure backend
-        # falls back to serial here, while a genuine backend exception
-        # raised *during* parallel execution propagates immediately
-        # instead of being misread as a transport failure and re-run.
+        # runs inline here, while a genuine backend exception raised
+        # *during* parallel execution propagates immediately instead of
+        # being misread as a transport failure and re-run.
         worker_pool = self._usable_pool()
-        parallel_wanted = (
-            worker_pool is not None or self.workers > 1
-        ) and len(circuits) >= _MIN_PARALLEL_CIRCUITS
-        if parallel_wanted and _crosses_process_boundary(backend):
-            if worker_pool is not None:
-                vectors = worker_pool.map_backend(backend, list(circuits))
-                return vectors, "worker-pool", None, None
-            return self._execute_parallel(backend, circuits), "process", None, None
+        if (
+            worker_pool is not None
+            and len(circuits) >= _MIN_PARALLEL_CIRCUITS
+            and _crosses_process_boundary(backend)
+        ):
+            vectors = worker_pool.map_backend(backend, list(circuits))
+            return vectors, "worker-pool", None, None
         vectors = [np.asarray(backend(c), dtype=float) for c in circuits]
         return vectors, "serial", None, None
 
@@ -550,7 +528,6 @@ class VariantExecutor:
             num_subcircuits=len(subcircuits),
             num_variants=sum(r.num_variants for r in results),
             num_unique_circuits=sum(map(num_physical_variants, group_heads)),
-            workers=self.workers,
             mode=mode,
             elapsed_seconds=time.perf_counter() - began,
             pool_makespan_seconds=makespan,
@@ -637,12 +614,9 @@ class VariantExecutor:
     def _execute_batched(
         self, payloads: Sequence[Tuple], prefix: str
     ) -> Tuple[List[Tuple[Dict, int]], str]:
-        """Run init-batch payloads serially, on the warm pool, or forked."""
+        """Run init-batch payloads inline or on the warm pool."""
         worker_pool = self._usable_pool()
-        parallel_wanted = (
-            worker_pool is not None or self.workers > 1
-        ) and len(payloads) > 1
-        if parallel_wanted and worker_pool is not None:
+        if worker_pool is not None and len(payloads) > 1:
             with trace.span(
                 "evaluate.dispatch",
                 {"mode": f"{prefix}-pool", "payloads": len(payloads)},
@@ -654,43 +628,7 @@ class VariantExecutor:
 
             publish_cache_gauges(worker_pool)
             return outputs, f"{prefix}-pool"
-        if parallel_wanted:
-            import multiprocessing
-
-            with trace.span(
-                "evaluate.dispatch",
-                {"mode": f"{prefix}-process", "payloads": len(payloads)},
-            ):
-                pool = multiprocessing.Pool(processes=self.workers)
-                try:
-                    outputs = pool.map(_run_init_batch, list(payloads))
-                finally:
-                    pool.terminate()
-                    pool.join()
-            return outputs, f"{prefix}-process"
         with trace.span(
             "evaluate.dispatch", {"mode": prefix, "payloads": len(payloads)}
         ):
             return [_run_init_batch(payload) for payload in payloads], prefix
-
-    def _execute_parallel(
-        self, backend: Backend, circuits: Sequence[QuantumCircuit]
-    ) -> List[np.ndarray]:
-        """Map the batch over a freshly constructed process pool."""
-        import multiprocessing
-
-        # try/finally with an explicit join: a worker exception (e.g. a
-        # backend raising mid-batch) must not orphan the freshly
-        # constructed pool's processes — ``with`` terminates the pool
-        # but never waits for the children to exit.
-        pool = multiprocessing.Pool(
-            processes=self.workers,
-            initializer=_exec_init,
-            initargs=(backend,),
-        )
-        try:
-            chunk = max(1, len(circuits) // (self.workers * 4))
-            return pool.map(_exec_run, list(circuits), chunksize=chunk)
-        finally:
-            pool.terminate()
-            pool.join()

@@ -2,8 +2,9 @@
 
 ``CutQC`` wires the stages together: the MIP cut searcher locates cuts,
 the cutter produces subcircuits, a :class:`~repro.core.executor.VariantExecutor`
-runs every physical variant (deduplicated, optionally across
-``multiprocessing`` workers or a :class:`~repro.devices.pool.DevicePool`),
+runs every physical variant (deduplicated; inline, on a persistent
+:class:`~repro.postprocess.parallel.WorkerPool`, or on a
+:class:`~repro.devices.pool.DevicePool`),
 and the postprocessor answers full-definition, streaming (sharded) FD,
 or dynamic-definition queries through the shared query-plan layer and
 contraction engine.
@@ -70,9 +71,6 @@ class CutQC:
     cuts:
         Explicit ``(wire, wire_index)`` cut points; when given, the MIP
         search is skipped.
-    workers:
-        Default process count for both variant execution and the ``kron``
-        reconstruction sweep (overridable per query).
     pool:
         Evaluate variants on a :class:`~repro.devices.pool.DevicePool`
         instead of a single backend (the paper's many-small-QPUs model).
@@ -88,11 +86,13 @@ class CutQC:
         evaluation reproducible.
     worker_pool:
         A persistent :class:`~repro.postprocess.parallel.WorkerPool`
-        shared by every stage: variant execution fans out over the warm
-        workers, streaming-FD shards evaluate concurrently (tensors
-        published to shared memory once), and DD zoom rounds / large
-        ``kron`` sweeps dispatch through the same pool.  The pipeline
-        does not own the pool — the caller closes it.
+        shared by every stage — the pipeline's only process
+        parallelism: variant execution fans out over the warm workers,
+        streaming-FD shards evaluate concurrently (tensors published to
+        shared memory once), and DD zoom rounds / large ``kron`` sweeps
+        dispatch through the same pool.  Without one, every stage runs
+        inline.  The pipeline does not own the pool — the caller closes
+        it.
     sim_batch:
         Evaluate variants with the batched fused-simulation strategy:
         each subcircuit body runs in fused passes of at most ``sim_batch``
@@ -128,7 +128,6 @@ class CutQC:
         backend: Optional[Backend] = None,
         device: Optional[VirtualDevice] = None,
         cuts: Optional[Sequence[Tuple[int, int]]] = None,
-        workers: int = 1,
         pool: Optional[DevicePool] = None,
         pool_shots: Optional[int] = None,
         strategy: str = DEFAULT_STRATEGY,
@@ -171,13 +170,10 @@ class CutQC:
         self.pool = pool
         self.pool_shots = pool_shots
         self.seed = seed
-        self.workers = int(workers)
         self.worker_pool = worker_pool
         self.sim_batch = resolve_sim_batch(sim_batch, backend=backend, pool=pool)
         self.fusion_width = int(fusion_width)
-        self.engine = ContractionEngine(
-            strategy=strategy, workers=self.workers, pool=worker_pool
-        )
+        self.engine = ContractionEngine(strategy=strategy, pool=worker_pool)
         self._explicit_cuts = list(cuts) if cuts is not None else None
         self._solution: Optional[CutSolution] = None
         self._cut: Optional[CutCircuit] = None
@@ -321,7 +317,6 @@ class CutQC:
             cut = self.cut()
             executor = VariantExecutor(
                 backend=self.backend,
-                workers=self.workers,
                 pool=self.pool,
                 pool_shots=self.pool_shots,
                 seed=self.seed,
@@ -343,7 +338,6 @@ class CutQC:
     # ------------------------------------------------------------------
     def fd_query(
         self,
-        workers: Optional[int] = None,
         greedy_order: bool = True,
         early_termination: bool = True,
         strategy: Optional[str] = None,
@@ -357,7 +351,6 @@ class CutQC:
                 self.cut(), results=self.evaluate(), engine=self.engine
             )
             result = reconstructor.reconstruct(
-                workers=workers,
                 greedy_order=greedy_order,
                 early_termination=early_termination,
                 strategy=strategy,
@@ -383,7 +376,7 @@ class CutQC:
         precomputed exact tensors.
 
         ``zoom_width`` expands that many frontier bins per round (in
-        parallel when ``workers > 1``); ``cache=False`` disables the
+        parallel on the ``worker_pool``, if any); ``cache=False`` disables the
         incremental collapse cache (the naive per-recursion re-collapse).
         """
         began = time.perf_counter()
@@ -432,7 +425,7 @@ class CutQC:
                 shots=shots_per_variant,
                 backend=backend,
                 seed=seed,
-                workers=self.workers,
+                worker_pool=self.worker_pool,
                 cache=cache,
                 sim_batch=self.sim_batch if backend is None else 0,
                 fusion_width=self.fusion_width,
@@ -448,7 +441,6 @@ class CutQC:
                 self.cut(),
                 results=self.evaluate(),
                 engine=self.engine,
-                pool=self.worker_pool,
             )
         return self._streamer
 
@@ -506,7 +498,6 @@ def evaluate_with_cutqc(
     circuit: QuantumCircuit,
     max_subcircuit_qubits: int,
     backend: Optional[Backend] = None,
-    workers: int = 1,
     **kwargs,
 ) -> np.ndarray:
     """One-call FD evaluation: returns the reconstructed distribution."""
@@ -516,4 +507,4 @@ def evaluate_with_cutqc(
         backend=backend,
         **kwargs,
     )
-    return pipeline.fd_query(workers=workers).probabilities
+    return pipeline.fd_query().probabilities

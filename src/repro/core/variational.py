@@ -218,7 +218,6 @@ class VariationalSession:
         pipeline = self._pipeline
         return VariantExecutor(
             backend=pipeline.backend,
-            workers=pipeline.workers,
             pool=pipeline.pool,
             pool_shots=pipeline.pool_shots,
             seed=pipeline.seed,

@@ -36,7 +36,8 @@ class RuntimeExperimentConfig:
     cases: Sequence[Tuple[str, int, int]] = ()
     size_multiplier: float = 2.0
     max_circuit_qubits: int = 15
-    #: processes for variant execution and the kron reconstruction sweep
+    #: size of the one WorkerPool the sweep runs variant execution and the
+    #: kron reconstruction sweep on (``1`` = everything inline)
     workers: int = 1
     #: contraction strategy: "kron", "tensor_network", or "auto"
     strategy: str = "kron"
@@ -72,15 +73,19 @@ def _circuit(config: RuntimeExperimentConfig, name: str, size: int):
 
 
 def _run_one(
-    config: RuntimeExperimentConfig, name: str, size: int, device: int
+    config: RuntimeExperimentConfig,
+    name: str,
+    size: int,
+    device: int,
+    worker_pool=None,
 ) -> RuntimeRecord:
     circuit = _circuit(config, name, size)
     try:
         pipeline = CutQC(
             circuit,
             max_subcircuit_qubits=device,
-            workers=config.workers,
             strategy=config.strategy,
+            worker_pool=worker_pool,
         )
         cut = pipeline.cut()
     except CutSearchError:
@@ -106,7 +111,7 @@ def _run_one(
         )
         postprocess_seconds = pipeline.stream_stats.elapsed_seconds
     else:
-        result = pipeline.fd_query(workers=config.workers)
+        result = pipeline.fd_query()
         probabilities = result.probabilities
         postprocess_seconds = result.stats.elapsed_seconds
     began = time.perf_counter()
@@ -132,13 +137,25 @@ def run_runtime_experiment(
 ) -> List[RuntimeRecord]:
     """Run the sweep; returns one record per configuration."""
     config = config or RuntimeExperimentConfig()
-    records: List[RuntimeRecord] = []
     if config.cases:
-        for name, size, device in config.cases:
-            records.append(_run_one(config, name, size, device))
-        return records
-    for device in config.device_sizes:
-        for name in config.benchmarks:
-            for size in _sizes_for(config, name, device):
-                records.append(_run_one(config, name, size, device))
-    return records
+        runs = list(config.cases)
+    else:
+        runs = [
+            (name, size, device)
+            for device in config.device_sizes
+            for name in config.benchmarks
+            for size in _sizes_for(config, name, device)
+        ]
+    worker_pool = None
+    if config.workers > 1:
+        from ..postprocess import WorkerPool
+
+        worker_pool = WorkerPool(config.workers)
+    try:
+        return [
+            _run_one(config, name, size, device, worker_pool)
+            for name, size, device in runs
+        ]
+    finally:
+        if worker_pool is not None:
+            worker_pool.close()

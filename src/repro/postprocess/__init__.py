@@ -21,6 +21,7 @@ from .plan import (
     PlanExecution,
     PreparedPlan,
     QueryPlan,
+    binned_tensor,
     restricted_signature,
     generalized_signature,
 )
@@ -28,7 +29,6 @@ from .reconstruct import (
     ReconstructionResult,
     ReconstructionStats,
     Reconstructor,
-    binned_tensor,
     reconstruct_full,
 )
 from .parallel import ParallelStats, WorkerPool

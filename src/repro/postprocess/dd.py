@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -188,18 +188,13 @@ class DynamicDefinitionQuery:
     active_order:
         Wire activation order (default: ascending wire index).
     engine:
-        Shared contraction engine; its ``workers`` setting also drives
+        Shared contraction engine; its worker pool (if any) also runs
         the parallel zoom when ``zoom_width > 1``.
     zoom_width:
         Bins expanded per round by :meth:`run`.  ``1`` reproduces the
         paper's strictly sequential Algorithm 1; ``k > 1`` zooms into the
-        top-k frontier bins per round and contracts them in parallel.
-    pool:
-        A persistent :class:`~repro.postprocess.parallel.WorkerPool`.
-        When set, every batched zoom round dispatches to the warm
-        workers instead of constructing a throwaway
-        ``multiprocessing.Pool`` per round (the engine is cloned with
-        the pool attached if it does not already carry one).
+        top-k frontier bins per round and contracts them as one batch
+        (fanned over the engine's worker pool when it has one).
     """
 
     def __init__(
@@ -209,7 +204,6 @@ class DynamicDefinitionQuery:
         active_order: Optional[Sequence[int]] = None,
         engine: Optional[ContractionEngine] = None,
         zoom_width: int = 1,
-        pool=None,
     ):
         if max_active_qubits < 1:
             raise ValueError("max_active_qubits must be positive")
@@ -217,8 +211,6 @@ class DynamicDefinitionQuery:
             raise ValueError("zoom_width must be positive")
         self.provider = provider
         self.engine = engine or ContractionEngine()
-        if pool is not None and self.engine.pool is None:
-            self.engine = replace(self.engine, pool=pool)
         self.max_active_qubits = int(max_active_qubits)
         self.zoom_width = int(zoom_width)
         order = (

@@ -16,7 +16,9 @@ Three strategies are provided:
     broadcasted outer product plus a single BLAS matmul per block —
     ``accumulator += prefix.T @ last`` — instead of a per-assignment
     Python ``reduce(np.kron, ...)`` loop.  Implements the paper's greedy
-    order, early termination, and multiprocessing optimizations.
+    order and early termination; the parallel range split (§4.2's third
+    optimization) runs on an injected
+    :class:`~repro.postprocess.parallel.WorkerPool`.
 
 ``tensor_network``
     Greedy pairwise contraction of the term tensors as a tensor network.
@@ -33,7 +35,6 @@ Three strategies are provided:
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -63,7 +64,7 @@ DEFAULT_STRATEGY = "auto"
 _CHUNK = 1 << 14
 #: Soft cap on elements held by one batched-Kronecker prefix block.
 _BLOCK_ELEMENTS = 1 << 22
-#: Below this many assignments, multiprocessing overhead cannot pay off.
+#: Below this many assignments, a worker-pool range split cannot pay off.
 _MIN_PARALLEL_TERMS = 256
 
 
@@ -149,59 +150,6 @@ def _accumulate_range(
                 )
             accumulator += (prefix.T @ matrices[-1]).reshape(-1)
     return accumulator, skipped
-
-
-# -- multiprocessing plumbing -------------------------------------------------
-
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(tensors, order, num_cuts, early_termination):  # pragma: no cover
-    _WORKER_STATE["args"] = (tensors, order, num_cuts, early_termination)
-
-
-def _worker_run(bounds):  # pragma: no cover - exercised via integration tests
-    tensors, order, num_cuts, early_termination = _WORKER_STATE["args"]
-    return _accumulate_range(
-        tensors, order, num_cuts, bounds[0], bounds[1], early_termination
-    )
-
-
-def _enumerate_kron(
-    tensors: Sequence[TermTensor],
-    order: Sequence[int],
-    num_cuts: int,
-    workers: int,
-    early_termination: bool,
-) -> Tuple[np.ndarray, int]:
-    """The full ``4^K`` sweep, optionally partitioned across processes."""
-    total = 4**num_cuts
-    if workers <= 1 or total < _MIN_PARALLEL_TERMS:
-        return _accumulate_range(
-            tensors, order, num_cuts, 0, total, early_termination
-        )
-    bounds = []
-    step = (total + workers - 1) // workers
-    for start in range(0, total, step):
-        bounds.append((start, min(start + step, total)))
-    # try/finally with an explicit join so a worker exception cannot
-    # orphan the pool's processes (``with`` terminates but never joins).
-    pool = multiprocessing.Pool(
-        processes=workers,
-        initializer=_worker_init,
-        initargs=(list(tensors), list(order), num_cuts, early_termination),
-    )
-    try:
-        partials = pool.map(_worker_run, bounds)
-    finally:
-        pool.terminate()
-        pool.join()
-    vector = np.zeros_like(partials[0][0])
-    skipped = 0
-    for partial, partial_skipped in partials:
-        vector += partial
-        skipped += partial_skipped
-    return vector, skipped
 
 
 # ----------------------------------------------------------------------
@@ -355,25 +303,11 @@ def resolve_strategy(
 # Public entry points
 # ----------------------------------------------------------------------
 
-def _contract_payload(payload):
-    """Top-level (picklable) worker for :meth:`ContractionEngine.contract_batch`."""
-    tensors, order, num_cuts, strategy, early_termination = payload
-    return contract_terms(
-        tensors,
-        order,
-        num_cuts,
-        strategy=strategy,
-        workers=1,
-        early_termination=early_termination,
-    )
-
-
 def contract_terms(
     tensors: Sequence[TermTensor],
     order: Sequence[int],
     num_cuts: int,
     strategy: str = DEFAULT_STRATEGY,
-    workers: int = 1,
     early_termination: bool = True,
 ) -> ContractionResult:
     """Contract term tensors into the (unscaled) combined output vector.
@@ -389,9 +323,6 @@ def contract_terms(
         K — the global number of cuts (term rows use 2 bits per cut).
     strategy:
         ``"kron"``, ``"tensor_network"``, or ``"auto"`` (cost-model pick).
-    workers:
-        Process count for the ``kron`` enumeration (ignored by the
-        tensor-network path, whose BLAS calls already use native threads).
     early_termination:
         Skip assignments whose component vector is all zeros (§4.2);
         ``kron`` only.
@@ -407,8 +338,8 @@ def contract_terms(
             return ContractionResult(
                 vector=vector, num_skipped=0, strategy=resolved
             )
-        vector, skipped = _enumerate_kron(
-            tensors, order, num_cuts, workers, early_termination
+        vector, skipped = _accumulate_range(
+            tensors, order, num_cuts, 0, 4**num_cuts, early_termination
         )
         return ContractionResult(
             vector=vector, num_skipped=skipped, strategy=resolved
@@ -421,15 +352,14 @@ class ContractionEngine:
 
     The pipeline creates one engine and hands it to both the FD
     reconstructor and the DD query so a single set of knobs governs every
-    contraction in a run.  With a persistent
-    :class:`~repro.postprocess.parallel.WorkerPool` injected via
-    ``pool``, every parallel dispatch (a large ``kron`` sweep, a batch of
-    DD-bin contractions) reuses the warm workers instead of constructing
-    a throwaway ``multiprocessing.Pool`` per call.
+    contraction in a run.  Parallelism is an injected
+    :class:`~repro.postprocess.parallel.WorkerPool` (``pool``): a large
+    ``kron`` sweep is range-split across its warm workers and a batch of
+    DD-bin contractions fans out over them.  Without a pool every
+    contraction runs inline.
     """
 
     strategy: str = DEFAULT_STRATEGY
-    workers: int = 1
     early_termination: bool = True
     pool: Optional["WorkerPool"] = None
 
@@ -438,8 +368,6 @@ class ContractionEngine:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}"
             )
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
 
     def contract(
         self,
@@ -447,15 +375,13 @@ class ContractionEngine:
         order: Sequence[int],
         num_cuts: int,
         strategy: Optional[str] = None,
-        workers: Optional[int] = None,
         early_termination: Optional[bool] = None,
     ) -> ContractionResult:
         """:func:`contract_terms` with this engine's defaults.
 
         When a worker pool is injected and the ``kron`` strategy wins, a
         large enough sweep is range-split across the warm workers with a
-        shared-memory reduction tree (ignoring the per-call ``workers``
-        count — the pool's size governs).
+        shared-memory reduction tree.
         """
         resolved_strategy = self.strategy if strategy is None else strategy
         early = (
@@ -483,7 +409,6 @@ class ContractionEngine:
             order,
             num_cuts,
             strategy=resolved_strategy,
-            workers=self.workers if workers is None else workers,
             early_termination=early,
         )
 
@@ -498,9 +423,8 @@ class ContractionEngine:
         ``batch`` holds ``(tensors, order, num_cuts)`` triples — one per
         DD zoom bin or FD shard.  With an injected worker pool the batch
         fans out over the persistent workers (shared-memory transport);
-        otherwise ``workers > 1`` falls back to a per-call process pool
-        (each item single-process internally).  The per-item parallelism
-        of :meth:`contract` is the right tool for *one* large
+        otherwise the items contract inline, in order.  The per-item
+        parallelism of :meth:`contract` is the right tool for *one* large
         contraction, this one for *many* small ones.
         """
         strategy = self.strategy if strategy is None else strategy
@@ -513,18 +437,10 @@ class ContractionEngine:
             return self.pool.contract_batch(
                 batch, strategy=strategy, early_termination=early
             )
-        payloads = [
-            (list(tensors), list(order), num_cuts, strategy, early)
+        return [
+            contract_terms(
+                tensors, order, num_cuts,
+                strategy=strategy, early_termination=early,
+            )
             for tensors, order, num_cuts in batch
         ]
-        if self.workers <= 1 or len(payloads) <= 1:
-            return [_contract_payload(payload) for payload in payloads]
-        # try/finally with an explicit join: a worker exception must not
-        # orphan the freshly constructed pool's processes (``with`` only
-        # terminates, it does not wait for the children to die).
-        pool = multiprocessing.Pool(processes=min(self.workers, len(payloads)))
-        try:
-            return pool.map(_contract_payload, payloads)
-        finally:
-            pool.terminate()
-            pool.join()

@@ -1,14 +1,16 @@
-"""Process-parallel query runtime: one warm worker pool for every query path.
+"""Process-parallel runtime: the one way work leaves the process.
 
-The pre-existing parallel paths each paid the full process-pool setup
-cost per call: :class:`~repro.core.executor.VariantExecutor` and
-:meth:`~repro.postprocess.engine.ContractionEngine.contract_batch` spun
-up a fresh ``multiprocessing.Pool`` per invocation (fork + import +
-pickle of every tensor, every time), and the streaming-FD shard loop ran
-strictly serially in the parent.  :class:`WorkerPool` replaces all of
-that with a single persistent, spawn-safe process pool shared by the
-whole pipeline:
+:class:`WorkerPool` is a single persistent, spawn-safe, supervised
+process pool shared by the whole pipeline — variant execution
+(:class:`~repro.core.executor.VariantExecutor`), large ``kron`` sweeps
+and DD zoom batches (:class:`~repro.postprocess.engine.ContractionEngine`)
+and streaming-FD shards.  Every caller without a pool runs inline; this
+module is the only one in the package that imports ``multiprocessing``.
 
+* **Supervision** — a dead or hung worker (heartbeat deadline) is
+  respawned and its task re-dispatched; a task that keeps killing workers
+  is quarantined and fails only its caller; past the respawn budget the
+  pool is *broken* and callers degrade to inline execution.
 * **Shared-memory transport** — term tensors are *published* once via
   ``multiprocessing.shared_memory`` (:meth:`WorkerPool.publish`); work
   items then carry only role-signature plan descriptions (a few hundred
@@ -54,7 +56,6 @@ from .engine import (
     ContractionResult,
     _accumulate_range,
     contract_terms,
-    resolve_strategy,
 )
 from .plan import PrecomputedTensorProvider, QueryPlan
 
@@ -189,12 +190,7 @@ def _run_contract(payload) -> Tuple[ContractionResult, _TaskMeta]:
     began = time.perf_counter()
     tensors = [_tensor_from_ref(ref) for ref in refs]
     result = contract_terms(
-        tensors,
-        order,
-        num_cuts,
-        strategy=strategy,
-        workers=1,
-        early_termination=early,
+        tensors, order, num_cuts, strategy=strategy, early_termination=early
     )
     meta = _TaskMeta(pid=os.getpid(), elapsed_seconds=time.perf_counter() - began)
     return result, meta
@@ -213,9 +209,7 @@ def _run_plan(payload):
     provider = _provider_for(handle_id, cut_blob, refs)
     stats = provider.cache_stats
     hits0, misses0 = stats.hits, stats.misses
-    engine = ContractionEngine(
-        strategy=strategy, workers=1, early_termination=early
-    )
+    engine = ContractionEngine(strategy=strategy, early_termination=early)
     probabilities = plan.execute(provider, engine).probabilities
     hits = provider.cache_stats.hits - hits0
     misses = provider.cache_stats.misses - misses0
@@ -619,7 +613,7 @@ class WorkerPool:
         Worker deaths tolerated over the pool's lifetime (default
         ``4 * workers``).  Beyond it the pool is *broken*: every pending
         and future call raises :class:`PoolUnrecoverableError` so the
-        scheduler can degrade to serial evaluation.
+        scheduler can degrade to inline evaluation.
 
     Supervision: a daemon thread watches one result pipe per worker.
     Workers send a synchronous ``start`` heartbeat before each task, so
@@ -1290,9 +1284,9 @@ class WorkerPool:
     ) -> List[ContractionResult]:
         """Contract many independent term sets on the warm workers.
 
-        Drop-in replacement for the ephemeral-pool path of
+        The pooled path of
         :meth:`~repro.postprocess.engine.ContractionEngine.contract_batch`
-        — same argument triple, same result order.
+        — same argument triple, same result order as inline.
         """
         self._ensure_started()
         pending = []

@@ -418,7 +418,6 @@ class QueryPlan:
         engine: ContractionEngine,
         order: Optional[Sequence[int]] = None,
         strategy: Optional[str] = None,
-        workers: Optional[int] = None,
         early_termination: Optional[bool] = None,
     ) -> PlanExecution:
         """Prepare and contract in one call."""
@@ -428,7 +427,6 @@ class QueryPlan:
             return self.prepared(provider, order=order).contract(
                 engine,
                 strategy=strategy,
-                workers=workers,
                 early_termination=early_termination,
             )
 
@@ -451,7 +449,6 @@ class PreparedPlan:
         self,
         engine: ContractionEngine,
         strategy: Optional[str] = None,
-        workers: Optional[int] = None,
         early_termination: Optional[bool] = None,
     ) -> PlanExecution:
         contraction = engine.contract(
@@ -459,7 +456,6 @@ class PreparedPlan:
             self.order,
             self.plan.num_cuts,
             strategy=strategy,
-            workers=workers,
             early_termination=early_termination,
         )
         return self.finish(contraction)

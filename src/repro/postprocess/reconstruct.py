@@ -12,9 +12,9 @@ optimizations through the engine:
   subcircuits first, minimizing carry-over vector sizes;
 * **early termination** — a term whose component vector is all zeros
   contributes nothing and is skipped;
-* **parallel processing** — the ``4^K`` term space is partitioned across a
-  ``multiprocessing`` pool with no inter-worker communication (the paper's
-  compute-node model).
+* **parallel processing** — the ``4^K`` term space is range-split across
+  the engine's :class:`~repro.postprocess.parallel.WorkerPool` with no
+  inter-worker communication (the paper's compute-node model).
 
 The engine's ``tensor_network`` strategy (greedy pairwise contraction of
 the same tensors) computes the identical output without the explicit 4^K
@@ -38,14 +38,13 @@ from ..cutting.cutter import CutCircuit
 from ..cutting.variants import SubcircuitResult
 from .attribution import TermTensor, build_term_tensor
 from .engine import DEFAULT_STRATEGY, STRATEGIES, ContractionEngine
-from .plan import PrecomputedTensorProvider, QueryPlan, binned_tensor
+from .plan import PrecomputedTensorProvider, QueryPlan
 
 __all__ = [
     "ReconstructionStats",
     "ReconstructionResult",
     "Reconstructor",
     "reconstruct_full",
-    "binned_tensor",
 ]
 
 
@@ -57,6 +56,7 @@ class ReconstructionStats:
     num_terms: int
     num_skipped: int
     elapsed_seconds: float
+    #: Size of the engine's worker pool (1 when the query ran inline).
     workers: int
     strategy: str
     subcircuit_order: Tuple[int, ...]
@@ -106,18 +106,16 @@ class Reconstructor:
 
     def reconstruct(
         self,
-        workers: Optional[int] = None,
         greedy_order: bool = True,
         early_termination: Optional[bool] = None,
         strategy: Optional[str] = None,
     ) -> ReconstructionResult:
         """Compute the full 2**n distribution of the uncut circuit.
 
-        ``workers``, ``early_termination`` and ``strategy`` default to the
-        bound :class:`~repro.postprocess.engine.ContractionEngine`'s
-        settings when not given.
+        ``early_termination`` and ``strategy`` default to the bound
+        :class:`~repro.postprocess.engine.ContractionEngine`'s settings
+        when not given; the engine's worker pool (if any) runs the sweep.
         """
-        workers = self.engine.workers if workers is None else workers
         strategy = self.engine.strategy if strategy is None else strategy
         if early_termination is None:
             early_termination = self.engine.early_termination
@@ -132,7 +130,6 @@ class Reconstructor:
             self.engine,
             order=order,
             strategy=strategy,
-            workers=workers,
             early_termination=early_termination,
         )
         elapsed = time.perf_counter() - began
@@ -141,7 +138,7 @@ class Reconstructor:
             num_terms=4**num_cuts,
             num_skipped=execution.contraction.num_skipped,
             elapsed_seconds=elapsed,
-            workers=workers,
+            workers=self.engine.pool.workers if self.engine.pool else 1,
             strategy=execution.contraction.strategy,
             subcircuit_order=tuple(order),
         )
@@ -153,7 +150,6 @@ class Reconstructor:
 def reconstruct_full(
     cut_circuit: CutCircuit,
     results: Sequence[SubcircuitResult],
-    workers: int = 1,
     greedy_order: bool = True,
     early_termination: bool = True,
     strategy: str = DEFAULT_STRATEGY,
@@ -161,13 +157,7 @@ def reconstruct_full(
     """One-call FD query: results -> full uncut distribution."""
     reconstructor = Reconstructor(cut_circuit, results=results)
     return reconstructor.reconstruct(
-        workers=workers,
         greedy_order=greedy_order,
         early_termination=early_termination,
         strategy=strategy,
     )
-
-
-# ``binned_tensor`` moved to :mod:`repro.postprocess.plan` (the collapse
-# primitive belongs with the query-plan layer); re-exported here for
-# backwards compatibility via the import above.

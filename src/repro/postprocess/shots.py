@@ -59,11 +59,12 @@ class ShotBasedTensorProvider(CachingTensorProvider):
         exact statevector simulation.  (Devices already add their own
         shot noise — pass ``device.backend(shots=...)`` there and keep
         this provider's ``shots`` for the merging path only.)
-    workers:
-        When > 1, the first recursion evaluates all physical variants as
+    worker_pool:
+        A persistent :class:`~repro.postprocess.parallel.WorkerPool`.
+        When set, the first recursion evaluates all physical variants as
         one batch through a
-        :class:`~repro.core.executor.VariantExecutor` fanned over this
-        many processes (instead of lazily, one circuit at a time).
+        :class:`~repro.core.executor.VariantExecutor` fanned over the
+        pool's workers (instead of lazily, one circuit at a time).
     cache:
         Reuse merged shot tensors across bins/recursions whose role
         signature matches (Algorithm 1's "group shots with common merged
@@ -85,7 +86,7 @@ class ShotBasedTensorProvider(CachingTensorProvider):
         shots: int = 8192,
         backend=None,
         seed: Optional[int] = None,
-        workers: int = 1,
+        worker_pool=None,
         cache: bool = True,
         cache_limit: int = 512,
         sim_batch: int = 0,
@@ -99,7 +100,7 @@ class ShotBasedTensorProvider(CachingTensorProvider):
         self.shots = int(shots)
         self._exact_backend = backend is None
         self.backend = backend or simulate_probabilities
-        self.workers = int(workers)
+        self.worker_pool = worker_pool
         self.sim_batch = int(sim_batch) if backend is None else 0
         self.fusion_width = int(fusion_width)
         self._rng = np.random.default_rng(seed)
@@ -119,9 +120,9 @@ class ShotBasedTensorProvider(CachingTensorProvider):
         return self._evaluate_merged(subcircuit, roles)
 
     def _prefill(self) -> None:
-        """Populate the distribution cache as one deduplicated parallel
-        batch (only worthwhile when workers > 1)."""
-        if self._prefilled or self.workers <= 1:
+        """Populate the distribution cache as one deduplicated batch on
+        the worker pool (only worthwhile with one)."""
+        if self._prefilled or self.worker_pool is None:
             return
         # Local import: repro.core imports repro.postprocess at package
         # initialization time.
@@ -129,7 +130,7 @@ class ShotBasedTensorProvider(CachingTensorProvider):
 
         executor = VariantExecutor(
             backend=None if self._exact_backend else self.backend,
-            workers=self.workers,
+            worker_pool=self.worker_pool,
             sim_batch=self.sim_batch,
             fusion_width=self.fusion_width,
         )

@@ -19,8 +19,8 @@ each, lazily, as an iterator:
 * ``shard_indices`` restricts the stream to chosen shards (e.g. only the
   region a DD query located), and :meth:`top_k` folds the stream into
   the k highest-probability states without retaining any shard;
-* with a :class:`~repro.postprocess.parallel.WorkerPool` injected, the
-  shards are evaluated *concurrently*: the full term tensors are
+* with a :class:`~repro.postprocess.parallel.WorkerPool` on the engine,
+  the shards are evaluated *concurrently*: the full term tensors are
   published to shared memory once, each worker derives its shards from
   its own collapse cache, and :meth:`top_k` merges per-shard top-k
   candidates across workers (only k entries per shard cross the process
@@ -158,13 +158,11 @@ class StreamingReconstructor:
         ready :class:`~repro.postprocess.plan.TensorProvider` (the
         provider's collapse cache then persists across queries).
     engine:
-        Shared contraction engine (strategy + workers).
-    pool:
-        A persistent :class:`~repro.postprocess.parallel.WorkerPool`.
-        When set (and the provider exposes precomputed full tensors),
-        shards are evaluated concurrently: tensors are published to
-        shared memory once and each task ships only the shard's
-        role-signature plan.  Defaults to the engine's pool.
+        Shared contraction engine (strategy + worker pool).  When it
+        carries a :class:`~repro.postprocess.parallel.WorkerPool` (and
+        the provider exposes precomputed full tensors), shards are
+        evaluated concurrently: tensors are published to shared memory
+        once and each task ships only the shard's role-signature plan.
     """
 
     def __init__(
@@ -174,7 +172,6 @@ class StreamingReconstructor:
         tensors: Optional[Sequence[TermTensor]] = None,
         engine: Optional[ContractionEngine] = None,
         provider: Optional[TensorProvider] = None,
-        pool=None,
     ):
         self.cut_circuit = cut_circuit
         self.engine = engine or ContractionEngine()
@@ -183,7 +180,7 @@ class StreamingReconstructor:
                 cut_circuit, results=results, tensors=tensors
             )
         self.provider = provider
-        self.pool = pool if pool is not None else self.engine.pool
+        self.pool = self.engine.pool
         self._handle = None  # lazily published tensors (pool transport)
         self.last_stats: Optional[StreamStats] = None
 

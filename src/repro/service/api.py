@@ -11,11 +11,13 @@ Request shape for job creation (``POST /jobs``)::
       # or      {"qasm": "OPENQASM 2.0; ..."}                    # inline
       "device_size": 5,
       "query": {"type": "fd", "top": 5},        # or "dd" / "top_k" params
-      "method": "auto", "strategy": "auto", "workers": 1, ...
+      "method": "auto", "strategy": "auto", "sim_batch": 256, ...
     }
 
 ``circuit`` and ``query`` may also be given flat (``benchmark=...``,
-``query="fd"``); the nested form is sugar.  Errors raise
+``query="fd"``); the nested form is sugar.  A ``workers`` field is
+accepted and ignored: process parallelism is the operator's
+``--pool-workers``, never a per-job knob.  Errors raise
 :class:`ApiError` carrying the HTTP status the transport should emit.
 """
 

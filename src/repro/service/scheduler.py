@@ -155,7 +155,6 @@ class JobSpec:
     device: Optional[str] = None
     shots: Optional[int] = None
     strategy: str = DEFAULT_STRATEGY
-    workers: int = 1
     #: ``None`` = batching on by default (exact *and* device paths);
     #: ``0`` = the legacy per-variant escape hatch.
     sim_batch: Optional[int] = None
@@ -215,8 +214,6 @@ class JobSpec:
             raise ValueError("zoom_width must be positive")
         if self.top < 1:
             raise ValueError("top must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
         if self.sim_batch is not None and self.sim_batch < 0:
             raise ValueError("sim_batch must be >= 0")
         from ..sim.batch import MAX_FUSION_WIDTH
@@ -282,6 +279,9 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "JobSpec":
+        # Older journals (and clients) carry a per-job ``workers``: drop it
+        # at any value so those jobs replay instead of being skipped.
+        payload = {k: v for k, v in payload.items() if k != "workers"}
         known = {f for f in cls.__dataclass_fields__}  # noqa: C401
         unknown = set(payload) - known
         if unknown:
@@ -1135,7 +1135,6 @@ class JobScheduler:
             device_shots=spec.shots,
             trajectories=spec.trajectories,
             noisy_method=spec.noisy_method,
-            workers=spec.workers,
             strategy=spec.strategy,
             seed=spec.seed,
             worker_pool=self.worker_pool if use_pool else None,
@@ -1280,7 +1279,6 @@ class JobScheduler:
             device_shots=spec.shots,
             trajectories=spec.trajectories,
             noisy_method=spec.noisy_method,
-            workers=spec.workers,
             strategy=spec.strategy,
             seed=spec.seed,
             worker_pool=self.worker_pool if use_pool else None,

@@ -30,18 +30,28 @@ class TestParser:
     def test_execution_flags(self):
         args = build_parser().parse_args(
             ["run", "--benchmark", "bv", "--qubits", "6",
-             "--device-size", "5", "--workers", "3",
+             "--device-size", "5", "--pool-workers", "3",
              "--strategy", "tensor_network", "--pool", "bogota:2"]
         )
-        assert args.workers == 3
+        assert args.pool_workers == 3
         assert args.strategy == "tensor_network"
         assert args.pool == "bogota:2"
         dd_args = build_parser().parse_args(
             ["dd", "--benchmark", "bv", "--qubits", "6",
-             "--device-size", "5", "--workers", "2", "--strategy", "auto"]
+             "--device-size", "5", "--pool-workers", "2", "--strategy", "auto"]
         )
-        assert dd_args.workers == 2
+        assert dd_args.pool_workers == 2
         assert dd_args.strategy == "auto"
+
+    @pytest.mark.parametrize("command", ["run", "dd"])
+    def test_workers_flag_is_gone(self, command, capsys):
+        # Process parallelism is --pool-workers; there is no second knob.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [command, "--benchmark", "bv", "--qubits", "6",
+                 "--device-size", "5", "--workers", "2"]
+            )
+        assert "--workers" in capsys.readouterr().err
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SystemExit):
@@ -137,7 +147,7 @@ class TestCommands:
     def test_run_reports_dedup(self, capsys):
         code = main(
             ["run", "--benchmark", "bv", "--qubits", "6",
-             "--device-size", "5", "--workers", "2"]
+             "--device-size", "5", "--pool-workers", "2"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -166,7 +176,7 @@ class TestCommands:
         code = main(
             ["dd", "--benchmark", "bv", "--qubits", "6",
              "--device-size", "5", "--active", "2", "--recursions", "4",
-             "--workers", "2", "--strategy", "auto"]
+             "--pool-workers", "2", "--strategy", "auto"]
         )
         out = capsys.readouterr().out
         assert code == 0

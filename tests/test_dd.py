@@ -244,22 +244,24 @@ class TestBatchedZoom:
     def test_parallel_zoom_matches_serial(self, fig4_circuit):
         _, provider_a = _provider(fig4_circuit, [(2, 1)])
         _, provider_b = _provider(fig4_circuit, [(2, 1)])
-        from repro.postprocess import ContractionEngine
+        from repro.postprocess import ContractionEngine, WorkerPool
 
         serial = DynamicDefinitionQuery(
             provider_a,
             max_active_qubits=1,
             zoom_width=2,
-            engine=ContractionEngine(strategy="kron", workers=1),
-        )
-        parallel = DynamicDefinitionQuery(
-            provider_b,
-            max_active_qubits=1,
-            zoom_width=2,
-            engine=ContractionEngine(strategy="kron", workers=2),
+            engine=ContractionEngine(strategy="kron"),
         )
         serial.run(5)
-        parallel.run(5)
+        with WorkerPool(workers=2) as pool:
+            parallel = DynamicDefinitionQuery(
+                provider_b,
+                max_active_qubits=1,
+                zoom_width=2,
+                engine=ContractionEngine(strategy="kron", pool=pool),
+            )
+            parallel.run(5)
+            assert pool.stats().tasks_completed > 0
         assert len(serial.recursions) == len(parallel.recursions)
         for got, want in zip(parallel.recursions, serial.recursions):
             assert got.fixed == want.fixed

@@ -2,8 +2,8 @@
 
 Covers the tentpole guarantees of :mod:`repro.postprocess.engine`:
 
-* every strategy (``kron``, ``tensor_network``, ``auto``), worker count,
-  and the DD path with all qubits active compute the *same* distribution
+* every strategy (``kron``, ``tensor_network``, ``auto``), the
+  ``WorkerPool`` path, and the DD path with all qubits active compute the *same* distribution
   on real library circuits (BV, QAOA, supremacy);
 * the tensor-network path has no symbol pool — it contracts networks
   whose ``num_cuts + num_subcircuits`` exceeds the 52 letters of the old
@@ -22,6 +22,7 @@ from repro.postprocess import (
     ContractionEngine,
     DynamicDefinitionQuery,
     PrecomputedTensorProvider,
+    WorkerPool,
     contract_terms,
     reconstruct_full,
     resolve_strategy,
@@ -38,8 +39,14 @@ def _library_cases():
     ]
 
 
+@pytest.fixture(scope="module")
+def pool():
+    with WorkerPool(workers=2) as shared:
+        yield shared
+
+
 class TestStrategyParity:
-    """Satellite: FD kron == tensor_network == auto == parallel workers
+    """Satellite: FD kron == tensor_network == auto == WorkerPool kron
     == DD-with-all-qubits-active, on 3+ library circuits."""
 
     @pytest.mark.parametrize(
@@ -47,7 +54,7 @@ class TestStrategyParity:
         _library_cases(),
         ids=[case[0] for case in _library_cases()],
     )
-    def test_all_paths_agree(self, name, circuit, device):
+    def test_all_paths_agree(self, name, circuit, device, pool):
         pipeline = CutQC(circuit, max_subcircuit_qubits=device)
         truth = simulate_probabilities(circuit)
         kron = pipeline.fd_query(strategy="kron")
@@ -55,7 +62,9 @@ class TestStrategyParity:
 
         network = pipeline.fd_query(strategy="tensor_network")
         auto = pipeline.fd_query(strategy="auto")
-        parallel = pipeline.fd_query(strategy="kron", workers=2)
+        pooled = CutQC(circuit, max_subcircuit_qubits=device, worker_pool=pool)
+        pooled.load_cut(pipeline.cut()).load_results(pipeline.evaluate())
+        parallel = pooled.fd_query(strategy="kron")
         for result in (network, auto, parallel):
             assert np.allclose(
                 result.probabilities, kron.probabilities, atol=1e-10
@@ -178,8 +187,6 @@ class TestEngineInternals:
             contract_terms(tensors, [0, 1, 2], 2, strategy="magic")
         with pytest.raises(ValueError, match="strategy"):
             ContractionEngine(strategy="magic")
-        with pytest.raises(ValueError, match="workers"):
-            ContractionEngine(workers=0)
 
     def test_single_tensor_no_cuts(self):
         data = np.array([[0.25, 0.75]])

@@ -8,6 +8,7 @@ from repro.core import VariantExecutor, circuit_fingerprint
 from repro.cutting import evaluate_subcircuit, num_physical_variants
 from repro.devices.pool import DevicePool
 from repro.library import bv
+from repro.postprocess import WorkerPool
 from repro.sim import NoiseModel
 
 
@@ -18,6 +19,12 @@ def _ideal(name, qubits, seed=0):
 @pytest.fixture
 def bv_cut():
     return CutQC(bv(6), max_subcircuit_qubits=5).cut()
+
+
+@pytest.fixture(scope="module")
+def worker_pool():
+    with WorkerPool(workers=2) as pool:
+        yield pool
 
 
 class TestVariantExecutor:
@@ -31,14 +38,14 @@ class TestVariantExecutor:
                     result.probabilities[key], direct.probabilities[key]
                 )
 
-    def test_serial_vs_parallel_bit_identical(self, bv_cut):
+    def test_serial_vs_parallel_bit_identical(self, bv_cut, worker_pool):
         # sim_batch=0: this test pins the per-variant transport modes.
-        serial_exec = VariantExecutor(workers=1, sim_batch=0)
-        parallel_exec = VariantExecutor(workers=2, sim_batch=0)
+        serial_exec = VariantExecutor(sim_batch=0)
+        parallel_exec = VariantExecutor(sim_batch=0, worker_pool=worker_pool)
         serial = serial_exec.run(bv_cut.subcircuits)
         parallel = parallel_exec.run(bv_cut.subcircuits)
         assert serial_exec.last_report.mode == "serial"
-        assert parallel_exec.last_report.mode == "process"
+        assert parallel_exec.last_report.mode == "worker-pool"
         for a, b in zip(serial, parallel):
             assert a.probabilities.keys() == b.probabilities.keys()
             for key in a.probabilities:
@@ -112,24 +119,23 @@ class TestVariantExecutor:
         for key, vector in results[0].probabilities.items():
             assert np.array_equal(vector, results[1].probabilities[key])
 
-    def test_amplitudes_identical_across_slabs_and_transports(self):
+    def test_amplitudes_identical_across_slabs_and_transports(
+        self, worker_pool
+    ):
         from repro.library import supremacy
-        from repro.postprocess import WorkerPool
 
         # (rho, O) = (2, 4), (2, 5), (6, 1): sim_batch=4 < 2^rho on the last.
         cut = CutQC(supremacy(12, seed=0), max_subcircuit_qubits=8).cut()
         inline = VariantExecutor()
         want = inline.run(cut.subcircuits)
         assert inline.last_report.num_body_passes == len(cut.subcircuits)
-        with WorkerPool(workers=2) as pool:
-            executors = [
-                VariantExecutor(sim_batch=4),
-                VariantExecutor(sim_batch=4, workers=2),
-                VariantExecutor(sim_batch=4, worker_pool=pool),
-            ]
-            runs = [executor.run(cut.subcircuits) for executor in executors]
+        executors = [
+            VariantExecutor(sim_batch=4),
+            VariantExecutor(sim_batch=4, worker_pool=worker_pool),
+        ]
+        runs = [executor.run(cut.subcircuits) for executor in executors]
         modes = [executor.last_report.mode for executor in executors]
-        assert modes == ["batched", "batched-process", "batched-pool"]
+        assert modes == ["batched", "batched-pool"]
         for executor, results in zip(executors, runs):
             report = executor.last_report
             assert report.num_body_passes == 1 + 1 + 64 // 4
@@ -195,8 +201,6 @@ class TestVariantExecutor:
                 backend=simulate_probabilities,
                 pool=DevicePool([_ideal("a", 3)]),
             )
-        with pytest.raises(ValueError, match="workers"):
-            VariantExecutor(workers=0)
 
     def test_run_accepts_one_shot_iterable(self, bv_cut):
         executor = VariantExecutor()
@@ -213,15 +217,16 @@ class TestVariantExecutor:
 
 
 class TestPipelineWiring:
-    def test_cutqc_parallel_evaluation_exact(self):
+    def test_cutqc_parallel_evaluation_exact(self, worker_pool):
         circuit = bv(6)
-        # sim_batch=0: pins the legacy per-variant process transport.
+        # sim_batch=0: pins the per-variant worker-pool transport.
         pipeline = CutQC(
-            circuit, max_subcircuit_qubits=5, workers=2, sim_batch=0
+            circuit, max_subcircuit_qubits=5, worker_pool=worker_pool,
+            sim_batch=0,
         )
         result = pipeline.fd_query()
         assert pipeline.execution_report is not None
-        assert pipeline.execution_report.mode == "process"
+        assert pipeline.execution_report.mode == "worker-pool"
         truth = simulate_probabilities(circuit)
         assert np.allclose(result.probabilities, truth, atol=1e-8)
 
@@ -269,7 +274,7 @@ class TestPipelineWiring:
             assert 1 <= result.num_unique_circuits <= result.num_variants
             assert result.dedup_ratio >= 1.0
 
-    def test_shot_provider_prefill_matches_lazy(self):
+    def test_shot_provider_prefill_matches_lazy(self, worker_pool):
         from repro.postprocess import (
             DynamicDefinitionQuery,
             ShotBasedTensorProvider,
@@ -277,9 +282,12 @@ class TestPipelineWiring:
 
         cut = CutQC(bv(6), max_subcircuit_qubits=5).cut()
         lazy = ShotBasedTensorProvider(cut, shots=512, seed=13)
-        batched = ShotBasedTensorProvider(cut, shots=512, seed=13, workers=2)
+        batched = ShotBasedTensorProvider(
+            cut, shots=512, seed=13, worker_pool=worker_pool
+        )
         lazy_query = DynamicDefinitionQuery(lazy, max_active_qubits=2)
         batched_query = DynamicDefinitionQuery(batched, max_active_qubits=2)
         lazy_rec = lazy_query.step()
         batched_rec = batched_query.step()
+        assert batched._prefilled
         assert np.array_equal(lazy_rec.probabilities, batched_rec.probabilities)

@@ -559,24 +559,6 @@ class TestWorkerCountInvariance:
     def _device(self):
         return make_device("inv", 5, "line", noise=NOISE, seed=11)
 
-    def test_one_vs_n_workers_bit_identical(self, fig4_cut):
-        results = {}
-        modes = {}
-        for workers in (1, 2):
-            executor = VariantExecutor(
-                device=self._device(), workers=workers, sim_batch=1, seed=5
-            )
-            results[workers] = executor.run(fig4_cut.subcircuits)
-            modes[workers] = executor.last_report.mode
-        assert modes[1] == "batched-noisy"
-        assert modes[2] == "batched-noisy-process"
-        for a, b in zip(results[1], results[2]):
-            assert a.probabilities.keys() == b.probabilities.keys()
-            for key in a.probabilities:
-                assert np.array_equal(
-                    a.probabilities[key], b.probabilities[key]
-                )
-
     def test_worker_pool_transport_bit_identical(self, fig4_cut):
         serial_exec = VariantExecutor(device=self._device(), sim_batch=1, seed=5)
         serial = serial_exec.run(fig4_cut.subcircuits)
@@ -590,6 +572,7 @@ class TestWorkerCountInvariance:
             stats = pool.stats()
             assert stats.tasks_by_kind.get("noisy-variant-batch", 0) >= 2
         for a, b in zip(serial, pooled):
+            assert a.probabilities.keys() == b.probabilities.keys()
             for key in a.probabilities:
                 assert np.array_equal(
                     a.probabilities[key], b.probabilities[key]

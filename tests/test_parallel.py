@@ -9,14 +9,17 @@ survive poisoned tasks without orphaning processes, and the job service
 must surface its utilization statistics.
 """
 
+import ast
 import multiprocessing
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import CutQC, cut_circuit_from_assignment, evaluate_subcircuit
 from repro.circuits import build_circuit_graph
 from repro.core import VariantExecutor
@@ -37,6 +40,13 @@ from tests.conftest import random_connected_circuit
 def pool():
     """One warm two-worker pool shared by the whole module (cheap tasks)."""
     with WorkerPool(workers=2) as shared:
+        yield shared
+
+
+@pytest.fixture(scope="module")
+def single_pool():
+    """A one-worker pool: dispatches batches, never range-splits one sweep."""
+    with WorkerPool(workers=1) as shared:
         yield shared
 
 
@@ -100,7 +110,9 @@ class TestWorkerPool:
         cut, results = bv8_pieces
         with WorkerPool(workers=2) as shm_pool:
             serial = StreamingReconstructor(cut, results=results)
-            pooled = StreamingReconstructor(cut, results=results, pool=shm_pool)
+            pooled = StreamingReconstructor(
+                cut, results=results, engine=ContractionEngine(pool=shm_pool)
+            )
             expected = np.concatenate(
                 [s.probabilities for s in serial.shards(2)]
             )
@@ -165,22 +177,42 @@ class TestPoisonedTasks:
         [ok] = pool.contract_batch([(tensors, order, cut.num_cuts)])
         assert ok.vector.size == 1 << 8
 
-    def test_executor_poison_does_not_orphan(self, bv8_pieces):
+    def test_executor_poison_does_not_orphan(self, pool, bv8_pieces):
         cut, _ = bv8_pieces
+        _warm(pool, bv8_pieces)
         before = set(multiprocessing.active_children())
-        executor = VariantExecutor(backend=_poison_backend, workers=2)
+        failed = pool.stats().tasks_failed
+        executor = VariantExecutor(backend=_poison_backend, worker_pool=pool)
         with pytest.raises(RuntimeError, match="poisoned"):
             executor.run(cut.subcircuits)
+        assert pool.stats().tasks_failed > failed
+        # The poison failed its caller only: the same workers serve on.
+        served = VariantExecutor(sim_batch=0, worker_pool=pool)
+        served.run(cut.subcircuits)
+        assert served.last_report.mode == "worker-pool"
+        assert not pool.broken
         assert _no_orphans(before)
 
-    def test_engine_batch_poison_does_not_orphan(self, bv8_pieces):
+    def test_engine_batch_poison_does_not_orphan(self, pool, bv8_pieces):
         cut, results = bv8_pieces
         tensors = [build_term_tensor(r) for r in results]
-        engine = ContractionEngine(strategy="kron", workers=2)
+        engine = ContractionEngine(strategy="kron", pool=pool)
+        _warm(pool, bv8_pieces)
         before = set(multiprocessing.active_children())
         with pytest.raises(Exception):
             engine.contract_batch([(tensors, [99], cut.num_cuts)] * 2)
+        order = list(range(len(tensors)))
+        ok = engine.contract_batch([(tensors, order, cut.num_cuts)] * 2)
+        assert [r.vector.size for r in ok] == [1 << 8] * 2
+        assert not pool.broken
         assert _no_orphans(before)
+
+
+def _warm(pool, bv8_pieces):
+    """Start the pool's workers so they predate the orphan check."""
+    cut, results = bv8_pieces
+    tensors = [build_term_tensor(r) for r in results]
+    pool.contract_batch([(tensors, list(range(len(tensors))), cut.num_cuts)])
 
 
 def _poison_backend(circuit):
@@ -212,7 +244,9 @@ class TestQueryPathParity:
             return
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
         serial = StreamingReconstructor(cut, results=results)
-        pooled = StreamingReconstructor(cut, results=results, pool=pool)
+        pooled = StreamingReconstructor(
+            cut, results=results, engine=ContractionEngine(pool=pool)
+        )
         expected = np.concatenate(
             [s.probabilities for s in serial.shards(2)]
         )
@@ -225,7 +259,7 @@ class TestQueryPathParity:
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_dd_query_bit_matches_serial(self, pool, seed):
+    def test_dd_query_bit_matches_serial(self, single_pool, seed):
         cut = _random_cut(6, seed)
         if cut is None:
             return
@@ -237,29 +271,33 @@ class TestQueryPathParity:
                 provider,
                 max_active_qubits=2,
                 zoom_width=2,
-                pool=pool if with_pool else None,
+                engine=ContractionEngine(
+                    pool=single_pool if with_pool else None
+                ),
             )
             dd.run(4)
             return dd
 
         serial = query(False)
         pooled = query(True)
-        assert pooled.engine.pool is pool
+        assert pooled.engine.pool is single_pool
         assert len(serial.recursions) == len(pooled.recursions)
+        # Batched zoom rounds run the serial contraction code in a worker,
+        # and a one-worker pool never range-splits a single-bin round, so
+        # both queries share every rounding: bins that tie in exact
+        # arithmetic (symmetric circuits have many) are zoomed in the same
+        # order on both sides.  A range-split sweep sums in another order
+        # and may flip such a tie; it has its own 1e-12 parity tests.
         for a, b in zip(serial.recursions, pooled.recursions):
             assert a.fixed == b.fixed and a.active == b.active
-            # Batched zoom rounds are bit-identical; a single-bin round
-            # may dispatch through the pool's range-split kron sweep,
-            # whose reduction-tree summation order differs from the
-            # serial chunk order — hence the spec's 1e-12 tolerance.
-            np.testing.assert_allclose(
-                a.probabilities, b.probabilities, atol=1e-12, rtol=0
-            )
+            assert np.array_equal(a.probabilities, b.probabilities)
 
     def test_top_k_merged_across_workers(self, pool, bv8_pieces):
         cut, results = bv8_pieces
         serial = StreamingReconstructor(cut, results=results)
-        pooled = StreamingReconstructor(cut, results=results, pool=pool)
+        pooled = StreamingReconstructor(
+            cut, results=results, engine=ContractionEngine(pool=pool)
+        )
         expected = serial.top_k(3, 5)
         merged = pooled.top_k(3, 5)
         assert pooled.last_stats.transport == "pool"
@@ -268,14 +306,18 @@ class TestQueryPathParity:
 
     def test_shard_subset_and_order_preserved(self, pool, bv8_pieces):
         cut, results = bv8_pieces
-        pooled = StreamingReconstructor(cut, results=results, pool=pool)
+        pooled = StreamingReconstructor(
+            cut, results=results, engine=ContractionEngine(pool=pool)
+        )
         indices = [3, 0, 2]
         shards = list(pooled.shards(2, shard_indices=indices))
         assert [s.index for s in shards] == indices
 
     def test_bad_shard_index_rejected(self, pool, bv8_pieces):
         cut, results = bv8_pieces
-        pooled = StreamingReconstructor(cut, results=results, pool=pool)
+        pooled = StreamingReconstructor(
+            cut, results=results, engine=ContractionEngine(pool=pool)
+        )
         with pytest.raises(ValueError, match="out of range"):
             list(pooled.shards(2, shard_indices=[4]))
 
@@ -305,7 +347,9 @@ class TestSegmentLifecycle:
         monkeypatch.setattr(parallel_module, "_MIN_SHM_RESULT_BYTES", 1)
         cut, results = bv8_pieces
         with WorkerPool(workers=2) as shm_pool:
-            streamer = StreamingReconstructor(cut, results=results, pool=shm_pool)
+            streamer = StreamingReconstructor(
+                cut, results=results, engine=ContractionEngine(pool=shm_pool)
+            )
             stream = streamer.shards(3)
             next(stream)  # consume one shard of eight, then walk away
             stream.close()
@@ -338,3 +382,22 @@ class TestSegmentLifecycle:
         # return value) instead of surfacing a pickling error.
         with pytest.raises(ValueError, match="size"):
             executor.run(cut.subcircuits)
+
+
+class TestOneProcessMechanism:
+    """The WorkerPool is the only way work leaves the process."""
+
+    def test_only_the_worker_pool_imports_multiprocessing(self):
+        package = Path(repro.__file__).parent
+        importers = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] == "multiprocessing" for m in modules):
+                    importers.add(path.relative_to(package).as_posix())
+        assert importers == {"postprocess/parallel.py"}

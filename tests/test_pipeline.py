@@ -5,7 +5,6 @@ import pytest
 
 from repro import (
     CutQC,
-    QuantumCircuit,
     build_circuit_graph,
     evaluate_with_cutqc,
     make_device,
@@ -186,9 +185,11 @@ class TestQueries:
         )
 
     def test_fd_query_workers(self, fig4_circuit):
-        pipeline = CutQC(fig4_circuit, 3)
-        serial = pipeline.fd_query(workers=1)
-        parallel = pipeline.fd_query(workers=2)
+        from repro.postprocess import WorkerPool
+
+        serial = CutQC(fig4_circuit, 3).fd_query()
+        with WorkerPool(workers=2) as pool:
+            parallel = CutQC(fig4_circuit, 3, worker_pool=pool).fd_query()
         assert np.allclose(
             serial.probabilities, parallel.probabilities, atol=1e-12
         )

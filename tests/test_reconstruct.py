@@ -20,7 +20,7 @@ from repro import (
     simulate_probabilities,
 )
 from repro.circuits import build_circuit_graph
-from repro.postprocess import Reconstructor
+from repro.postprocess import ContractionEngine, Reconstructor, WorkerPool
 from tests.conftest import random_connected_circuit
 
 
@@ -139,16 +139,22 @@ class TestOptions:
             reconstruct_full(cut, results, strategy="magic")
 
     def test_parallel_workers_match_serial(self):
-        circuit = QuantumCircuit(5)
-        for q in range(5):
+        # Four cuts: 4^4 = 256 terms, enough for the pool's range split.
+        circuit = QuantumCircuit(6)
+        for q in range(6):
             circuit.ry(0.2 * (q + 1), q)
-        for q in range(4):
+        for q in range(5):
             circuit.cx(q, q + 1)
-        cut = cut_circuit(circuit, [(1, 1), (3, 1)])
+        cut = cut_circuit(circuit, [(1, 1), (2, 1), (3, 1), (4, 1)])
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        serial = reconstruct_full(cut, results, workers=1)
-        parallel = reconstruct_full(cut, results, workers=2)
+        serial = reconstruct_full(cut, results, strategy="kron")
+        with WorkerPool(workers=2) as pool:
+            engine = ContractionEngine(strategy="kron", pool=pool)
+            parallel = Reconstructor(cut, results=results, engine=engine)
+            parallel = parallel.reconstruct()
+            assert pool.stats().tasks_by_kind.get("kron-range") == 2
         assert np.allclose(serial.probabilities, parallel.probabilities, atol=1e-12)
+        assert serial.stats.workers == 1
         assert parallel.stats.workers == 2
 
     def test_stats_fields(self, cut_and_results):

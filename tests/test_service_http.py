@@ -91,6 +91,17 @@ class TestHttpApi:
             # Scheduler may legitimately have finished already.
             assert _poll(server, created["job_id"])["state"] == "done"
 
+    def test_submitted_workers_is_accepted_and_ignored(self, server):
+        # Process parallelism is the operator's --pool-workers; an old
+        # client's per-job ``workers`` neither fails nor forks anything.
+        created = request_json(
+            "POST", f"{server.url}/jobs", payload={**_BV_JOB, "workers": 4}
+        )
+        assert created["state"] == "queued"
+        status = _poll(server, created["job_id"])
+        assert status["state"] == "done", status.get("error")
+        assert "workers" not in status["spec"]
+
     def test_unknown_job_is_404(self, server):
         with pytest.raises(ServiceClientError) as excinfo:
             request_json("GET", f"{server.url}/jobs/job-nope")

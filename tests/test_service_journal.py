@@ -236,6 +236,47 @@ class TestRestartRecovery:
         finally:
             second.shutdown()
 
+    def test_journal_with_legacy_workers_field_replays_every_job(
+        self, tmp_path
+    ):
+        """Specs journaled while ``workers`` was a JobSpec field carry it
+        (``to_dict`` wrote every field); replay drops the key at any
+        value instead of skipping the job as malformed."""
+        store_dir = tmp_path / "store"
+        first = JobScheduler(ArtifactStore(store_dir), workers=1)
+        done_ids = [first.submit(_bv_spec(top=top)) for top in (3, 4)]
+        done = {job_id: first.wait(job_id, timeout=60) for job_id in done_ids}
+        first.shutdown()
+        parked = JobScheduler(
+            ArtifactStore(store_dir), workers=1, autostart=False
+        )
+        queued_id = parked.submit(_bv_spec(top=5))
+        parked.shutdown()
+
+        journal_path = store_dir / "jobs" / "journal.jsonl"
+        events = [json.loads(line) for line in journal_path.read_text().splitlines()]
+        submits = [event for event in events if event["type"] == "submit"]
+        assert len(submits) == 3
+        for event, workers in zip(submits, (1, 3, 3)):
+            event["spec"]["workers"] = workers
+        journal_path.write_text(
+            "".join(json.dumps(event) + "\n" for event in events)
+        )
+
+        second = JobScheduler(ArtifactStore(store_dir), workers=1)
+        try:
+            for job_id, want in done.items():
+                record = second.get(job_id)
+                assert record.state == "done"
+                second.load_persisted(record)
+                assert _stable(record.result) == _stable(want.result)
+            adopted = second.wait(queued_id, timeout=60)
+            assert adopted.state == "done", adopted.error
+            assert adopted.result["top_states"][0]["state"] == "111111"
+            assert "workers" not in adopted.spec.to_dict()
+        finally:
+            second.shutdown()
+
     def test_kill_mid_stage_then_restart_resumes_not_restarts(self, tmp_path):
         """SIGKILL the executing process after cut+evaluate checkpointed:
         the successor must resume (cache hits on both stages) and produce
