@@ -3,11 +3,11 @@
 The quantum-workload half of every CutQC run is evaluating the
 ``3^O * 4^rho`` physical variants of each subcircuit.  The per-variant
 path (``sim_batch=0``) simulates one full circuit per variant through a
-Python per-gate loop and builds term tensors from the raw vectors; the
-batched strategy simulates the measurement-free body **once over the
-``2^rho`` basis columns of the init wires** (stacked on a batch axis,
-gates fused to <= ``fusion_width`` qubits), holds those amplitudes, and
-builds term tensors from them directly.
+Python per-gate loop and builds term tensors from the stacked
+distributions; the batched strategy simulates the measurement-free body
+**once over the ``2^rho`` basis columns of the init wires** (stacked on a
+batch axis, gates fused to <= ``fusion_width`` qubits), holds those
+amplitudes, and builds term tensors from them directly.
 
 This bench runs a fig6-style BV sweep through both
 :class:`~repro.core.executor.VariantExecutor` strategies and times the
@@ -95,13 +95,12 @@ def test_variant_batch_speedup():
         batched_seconds, batched = _measure(batched_executor, subcircuits)
         batched_report = batched_executor.last_report
 
-        # Untimed: reading ``probabilities`` materialises the batched
-        # side's raw vectors from its amplitudes.
-        assert all(result.raw_vectors is None for result in batched)
+        # Untimed: reading ``distributions`` materialises the batched
+        # side's variant distributions from its amplitudes.
+        assert all(result.amplitudes is not None for result in batched)
         worst = max(
-            np.abs(a.probabilities[key] - b.probabilities[key]).max()
+            np.abs(a.distributions - b.distributions).max()
             for a, b in zip(serial, batched)
-            for key in a.probabilities
         )
         assert worst <= _MAX_ABS_ERROR, (
             f"{_BENCHMARK}-{qubits} batched distributions diverge from the "

@@ -31,7 +31,6 @@ from .cutting import (
     CutSearchError,
     CutSolution,
     Subcircuit,
-    batched_variant_probabilities,
     cut_circuit,
     cut_circuit_from_assignment,
     evaluate_subcircuit,
@@ -87,7 +86,6 @@ __all__ = [
     "Subcircuit",
     "cut_circuit",
     "cut_circuit_from_assignment",
-    "batched_variant_probabilities",
     "evaluate_subcircuit",
     "find_cuts",
     "VirtualDevice",

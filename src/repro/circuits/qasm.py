@@ -13,9 +13,11 @@ qubit at the end, like the paper's shot model).
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .circuit import QuantumCircuit
 from .gates import Gate
@@ -112,85 +114,120 @@ _STATEMENT = re.compile(
 )
 _QUBIT = re.compile(r"^q\[(\d+)\]$")
 
-_ANGLE_ENV = {"pi": math.pi, "e": math.e}
+_ANGLE_NAMES = {"pi": math.pi, "e": math.e}
+_ANGLE_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.UAdd: operator.pos,
+    ast.USub: operator.neg,
+}
+
+
+def _angle_value(node: ast.AST) -> float:
+    """Fold an angle expression tree over floats, admitting only numeric
+    constants, ``pi``, ``e``, unary +/- and binary + - * /."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in _ANGLE_NAMES:
+        return _ANGLE_NAMES[node.id]
+    operation = _ANGLE_OPS.get(type(getattr(node, "op", None)))
+    if isinstance(node, ast.UnaryOp) and operation:
+        return operation(_angle_value(node.operand))
+    if isinstance(node, ast.BinOp) and operation:
+        return operation(_angle_value(node.left), _angle_value(node.right))
+    raise QasmError(f"{type(getattr(node, 'op', node)).__name__} is not allowed")
 
 
 def _parse_angle(text: str) -> float:
-    """Evaluate an angle expression (numbers, pi, + - * /, parentheses)."""
-    cleaned = text.strip()
-    if not re.fullmatch(r"[0-9eE\.\+\-\*/\(\)\s]*|.*pi.*", cleaned):
-        raise QasmError(f"unsupported angle expression {text!r}")
-    if not re.fullmatch(r"[0-9eEpi\.\+\-\*/\(\)\s]+", cleaned):
-        raise QasmError(f"unsupported angle expression {text!r}")
+    """Evaluate an angle expression (numbers, pi, e, + - * /, parentheses).
+
+    The expression is parsed, never executed: anything else (``**``,
+    calls, attributes) and any non-finite value raise :class:`QasmError`.
+    """
     try:
-        return float(eval(cleaned, {"__builtins__": {}}, _ANGLE_ENV))
-    except Exception as error:
+        value = _angle_value(ast.parse(text.strip(), mode="eval").body)
+    except QasmError as error:
+        raise QasmError(f"unsupported angle expression {text!r}: {error}") from None
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError,
+            MemoryError) as error:
         raise QasmError(f"cannot evaluate angle {text!r}: {error}") from None
+    if not math.isfinite(value):
+        raise QasmError(f"angle {text!r} is not finite")
+    return value
 
 
 def from_qasm(text: str) -> QuantumCircuit:
-    """Parse an OpenQASM 2.0 program (single quantum register subset)."""
-    num_qubits = None
-    circuit: QuantumCircuit | None = None
-    pending: List[Gate] = []
-    # Strip comments, normalize whitespace, split on semicolons.
-    stripped = re.sub(r"//[^\n]*", "", text)
-    statements = [s.strip() for s in stripped.replace("\n", " ").split(";")]
-    for statement in statements:
-        if not statement:
-            continue
-        lowered = statement.lower()
-        if lowered.startswith("openqasm"):
-            if "2.0" not in statement:
-                raise QasmError(f"unsupported OpenQASM version: {statement}")
-            continue
-        if lowered.startswith("include"):
-            continue
-        if lowered.startswith("qreg"):
-            match = re.fullmatch(r"qreg\s+([A-Za-z_]\w*)\[(\d+)\]", statement)
-            if not match:
-                raise QasmError(f"cannot parse register: {statement}")
-            if num_qubits is not None:
-                raise QasmError("only one quantum register is supported")
-            if match.group(1) != "q":
-                raise QasmError("the quantum register must be named 'q'")
-            num_qubits = int(match.group(2))
-            circuit = QuantumCircuit(num_qubits)
-            for gate in pending:  # pragma: no cover - gates precede qreg
-                circuit.append(gate)
-            continue
-        if lowered.startswith("creg") or lowered.startswith("barrier"):
-            continue
-        if lowered.startswith("measure") or lowered.startswith("reset"):
-            continue  # end-of-circuit measurement is implicit here
-        match = _STATEMENT.match(statement)
-        if not match:
-            raise QasmError(f"cannot parse statement: {statement!r}")
-        qasm_name = match.group("name")
-        if qasm_name not in _IMPORT_NAMES:
-            raise QasmError(f"unsupported gate {qasm_name!r}")
-        name, expected_params = _IMPORT_NAMES[qasm_name]
-        params_text = match.group("params")
-        params = (
-            tuple(_parse_angle(p) for p in params_text.split(","))
-            if params_text
-            else ()
-        )
-        if len(params) != expected_params:
-            raise QasmError(
-                f"gate {qasm_name!r} expects {expected_params} parameter(s), "
-                f"got {len(params)}"
+    """Parse an OpenQASM 2.0 program (single quantum register subset).
+
+    A statement outside the subset raises :class:`QasmError` prefixed with
+    ``line L, column C`` of the statement's first character.
+    """
+    # Blank comments out in place, so offsets stay those of ``text``.
+    code = re.sub(r"//[^\n]*", lambda match: " " * len(match.group()), text)
+    circuit: Optional[QuantumCircuit] = None
+    for match in re.finditer(r"[^;\s][^;]*", code):  # from its first character
+        try:
+            circuit = _apply_statement(
+                circuit, match.group().rstrip().replace("\n", " ")
             )
-        qubits = []
-        for arg in match.group("args").split(","):
-            qubit_match = _QUBIT.match(arg.strip())
-            if not qubit_match:
-                raise QasmError(f"cannot parse qubit argument {arg.strip()!r}")
-            qubits.append(int(qubit_match.group(1)))
-        gate = Gate(name, tuple(qubits), params)
-        if circuit is None:
-            raise QasmError("gate statement before qreg declaration")
-        circuit.append(gate)
+        except QasmError as error:
+            line = code.count("\n", 0, match.start()) + 1
+            column = match.start() - code.rfind("\n", 0, match.start())
+            raise QasmError(f"line {line}, column {column}: {error}") from None
     if circuit is None:
         raise QasmError("program declares no quantum register")
+    return circuit
+
+
+def _apply_statement(
+    circuit: Optional[QuantumCircuit], statement: str
+) -> Optional[QuantumCircuit]:
+    """The program after one statement (``None`` until its ``qreg``)."""
+    lowered = statement.lower()
+    if lowered.startswith("openqasm"):
+        if "2.0" not in statement:
+            raise QasmError(f"unsupported OpenQASM version: {statement}")
+        return circuit
+    # No gates here: end-of-circuit measurement is implicit in this model.
+    if lowered.startswith(("include", "creg", "barrier", "measure", "reset")):
+        return circuit
+    if lowered.startswith("qreg"):
+        match = re.fullmatch(r"qreg\s+([A-Za-z_]\w*)\[(\d+)\]", statement)
+        if not match:
+            raise QasmError(f"cannot parse register: {statement}")
+        if circuit is not None:
+            raise QasmError("only one quantum register is supported")
+        if match.group(1) != "q":
+            raise QasmError("the quantum register must be named 'q'")
+        return QuantumCircuit(int(match.group(2)))
+    match = _STATEMENT.match(statement)
+    if not match:
+        raise QasmError(f"cannot parse statement: {statement!r}")
+    qasm_name = match.group("name")
+    if qasm_name not in _IMPORT_NAMES:
+        raise QasmError(f"unsupported gate {qasm_name!r}")
+    name, expected_params = _IMPORT_NAMES[qasm_name]
+    params_text = match.group("params")
+    params = (
+        tuple(_parse_angle(p) for p in params_text.split(","))
+        if params_text
+        else ()
+    )
+    if len(params) != expected_params:
+        raise QasmError(
+            f"gate {qasm_name!r} expects {expected_params} parameter(s), "
+            f"got {len(params)}"
+        )
+    qubits = []
+    for arg in match.group("args").split(","):
+        qubit_match = _QUBIT.match(arg.strip())
+        if not qubit_match:
+            raise QasmError(f"cannot parse qubit argument {arg.strip()!r}")
+        qubits.append(int(qubit_match.group(1)))
+    gate = Gate(name, tuple(qubits), params)
+    if circuit is None:
+        raise QasmError("gate statement before qreg declaration")
+    circuit.append(gate)
     return circuit

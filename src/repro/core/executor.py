@@ -31,13 +31,13 @@ from ..cutting.variants import (
     INIT_LABELS,
     NoisyEvalSpec,
     SubcircuitResult,
-    SubcircuitVariant,
     VariantCircuitFactory,
     basis_column_amplitudes,
     batched_noisy_variant_probabilities,
     circuit_fingerprint,
     generate_variants,
     num_physical_variants,
+    stack_variant_rows,
 )
 from ..devices.device import VirtualDevice
 from ..devices.pool import DevicePool
@@ -162,10 +162,12 @@ def _run_init_batch(payload):
     fusion_width)`` — a range of basis columns, answered with its
     amplitude slab; noisy payloads are ``(subcircuit, combos,
     fusion_width, spec)`` with a
-    :class:`~repro.cutting.variants.NoisyEvalSpec`, answered with raw
-    vectors — the compiled geometry and fused body plan the spec implies
-    are memoized per process, so chunks landing on a warm worker reuse
-    them.  Either way the answer is ``(data, num_body_passes)``.
+    :class:`~repro.cutting.variants.NoisyEvalSpec`, answered with the
+    ``(len(combos), 3^O, 2^width)`` distributions slab — the compiled
+    geometry and fused body plan the spec implies are memoized per
+    process, so chunks landing on a warm worker reuse them.  Either way
+    the answer is ``(slab, num_body_passes)``, and a group's slabs
+    concatenate in payload order into its result.
     """
     if len(payload) == 4:
         subcircuit, init_combos, fusion_width, spec = payload
@@ -335,45 +337,36 @@ class VariantExecutor:
         #    are only materialized for keys never seen before.
         unique_circuits: List[QuantumCircuit] = []
         slot_of: Dict[Tuple, int] = {}
-        assignments: List[List[Tuple[SubcircuitVariant, int]]] = []
+        assignments: List[List[int]] = []
         local_unique: List[int] = []
         for subcircuit in subcircuits:
             factory = VariantCircuitFactory(subcircuit)
             seen_local = set()
-            variant_slots: List[Tuple[SubcircuitVariant, int]] = []
+            slots: List[int] = []
             for variant in generate_variants(subcircuit):
                 key = factory.structural_key(variant)
                 if key not in slot_of:
                     slot_of[key] = len(unique_circuits)
                     unique_circuits.append(factory.circuit(variant))
                 seen_local.add(key)
-                variant_slots.append((variant, slot_of[key]))
-            assignments.append(variant_slots)
+                slots.append(slot_of[key])
+            assignments.append(slots)
             local_unique.append(len(seen_local))
 
         # 2. Execute the unique batch.
         vectors, mode, makespan, serial_seconds = self._execute(unique_circuits)
 
-        # 3. Reassemble per-subcircuit results (shared vectors are shared
-        #    objects — no copies).
+        # 3. Reassemble per-subcircuit results, variants in generation order.
         results: List[SubcircuitResult] = []
-        for subcircuit, variant_slots, unique in zip(
+        for subcircuit, slots, unique in zip(
             subcircuits, assignments, local_unique
         ):
-            probabilities = {}
-            for variant, slot in variant_slots:
-                vector = vectors[slot]
-                if vector.size != 1 << subcircuit.width:
-                    raise ValueError(
-                        f"backend returned vector of size {vector.size} for a "
-                        f"{subcircuit.width}-qubit variant"
-                    )
-                probabilities[(variant.inits, variant.bases)] = vector
+            rows = [vectors[slot] for slot in slots]
             results.append(
                 SubcircuitResult(
                     subcircuit=subcircuit,
-                    raw_vectors=probabilities,
-                    num_variants=len(variant_slots),
+                    distributions=stack_variant_rows(subcircuit, rows),
+                    num_variants=len(slots),
                     num_unique_circuits=unique,
                 )
             )
@@ -497,19 +490,17 @@ class VariantExecutor:
             prefix = "batched"
         outputs, mode = self._execute_batched(payloads, prefix)
 
-        # A group's data is one amplitude array (exact) or one raw-vector
-        # mapping (noisy); its members share it.
+        # A group's data is one amplitude array (exact) or one distributions
+        # array (noisy), its payloads' slabs in init order; members share it.
         group_parts: List[List] = [[] for _ in group_heads]
         group_passes = [0] * len(group_heads)
         for index, (part, passes) in zip(payload_group, outputs):
             group_parts[index].append(part)
             group_passes[index] += passes
-        group_data = [
-            {"amplitudes": parts[0] if len(parts) == 1 else np.concatenate(parts)}
-            if spec is None
-            else {"raw_vectors": {k: v for part in parts for k, v in part.items()}}
-            for spec, parts in zip(group_specs, group_parts)
-        ]
+        group_data = []
+        for spec, parts in zip(group_specs, group_parts):
+            data = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            group_data.append({"amplitudes" if spec is None else "distributions": data})
 
         results: List[SubcircuitResult] = []
         for subcircuit, index in zip(subcircuits, member_group):

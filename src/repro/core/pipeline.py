@@ -37,6 +37,7 @@ from ..postprocess import (
     PrecomputedTensorProvider,
     ReconstructionResult,
     Reconstructor,
+    ShotBasedTensorProvider,
     StreamStats,
     StreamingReconstructor,
 )
@@ -224,7 +225,7 @@ class CutQC:
 
         ``backend`` is a config *tag* describing how variants are
         executed (e.g. ``"statevector:batched:v3"``,
-        ``"device:bogota:trajectory:batched:v1"``) — the callable itself
+        ``"device:bogota:trajectory:batched:v2"``) — the callable itself
         cannot be hashed.  ``config`` carries extra result-shaping knobs
         (e.g. trajectory counts) into the digest.  The circuit's bound
         parameter values always enter the digest: the cut fingerprint is
@@ -370,10 +371,13 @@ class CutQC:
     ) -> DynamicDefinitionQuery:
         """Dynamic-definition query: binned sampling with recursive zoom.
 
-        With ``shots_per_variant`` set, each recursion re-samples the
-        subcircuit variants with that many shots and merges at the shot
-        level (Algorithm 1's literal execution mode) instead of collapsing
-        precomputed exact tensors.
+        With ``shots_per_variant`` set, each collapse draws that many shots
+        from every variant of this pipeline's evaluated results (the same
+        :meth:`evaluate` that :meth:`fd_query` reads, on any backend,
+        device or pool) and collapses the sampled frequencies (Algorithm
+        1's shot-level execution mode) instead of the results themselves.
+        ``seed`` seeds only those shot draws; device noise follows the
+        pipeline's ``seed``, as it does for :meth:`fd_query`.
 
         ``zoom_width`` expands that many frontier bins per round (in
         parallel on the ``worker_pool``, if any); ``cache=False`` disables the
@@ -385,8 +389,17 @@ class CutQC:
             {"active_qubits": max_active_qubits,
              "recursions": max_recursions},
         ):
+            if shots_per_variant is None:
+                provider = PrecomputedTensorProvider(
+                    self.cut(), results=self.evaluate(), cache=cache
+                )
+            else:
+                provider = ShotBasedTensorProvider(
+                    self.cut(), self.evaluate(), shots=shots_per_variant,
+                    seed=seed, cache=cache,
+                )
             query = DynamicDefinitionQuery(
-                self._dd_provider(shots_per_variant, seed, cache),
+                provider,
                 max_active_qubits=max_active_qubits,
                 active_order=active_order,
                 engine=self.engine,
@@ -395,44 +408,6 @@ class CutQC:
             query.run(max_recursions)
         _QUERY_SECONDS.observe(time.perf_counter() - began, mode="dd")
         return query
-
-    def _dd_provider(
-        self, shots_per_variant: Optional[int], seed: Optional[int], cache: bool
-    ):
-        """The tensor provider :meth:`dd_query` zooms over."""
-        if shots_per_variant is not None:
-            from ..postprocess import ShotBasedTensorProvider
-
-            backend = self.backend
-            if backend is None and self.device is not None:
-                # Shot-based DD re-samples per variant: route through the
-                # device's per-circuit closure (the batched engine serves
-                # the precomputed-tensor path via evaluate()).
-                backend = self.device.backend(
-                    shots=self.device_shots,
-                    trajectories=self.trajectories,
-                    seed=seed if seed is not None else self.seed,
-                )
-            if backend is None and self.pool is not None:
-                # Honor a configured pool in shot-based DD too (fd_query
-                # already executes through it).
-                backend = self.pool.backend(
-                    shots=self.pool_shots,
-                    seed=seed if seed is not None else self.seed,
-                )
-            return ShotBasedTensorProvider(
-                self.cut(),
-                shots=shots_per_variant,
-                backend=backend,
-                seed=seed,
-                worker_pool=self.worker_pool,
-                cache=cache,
-                sim_batch=self.sim_batch if backend is None else 0,
-                fusion_width=self.fusion_width,
-            )
-        return PrecomputedTensorProvider(
-            self.cut(), results=self.evaluate(), cache=cache
-        )
 
     # ------------------------------------------------------------------
     def _streaming_reconstructor(self) -> StreamingReconstructor:

@@ -31,7 +31,6 @@ from .variants import (
     SubcircuitResult,
     SubcircuitVariant,
     VariantCircuitFactory,
-    batched_variant_probabilities,
     circuit_fingerprint,
     evaluate_subcircuit,
     generate_variants,
@@ -67,7 +66,6 @@ __all__ = [
     "SubcircuitResult",
     "SubcircuitVariant",
     "VariantCircuitFactory",
-    "batched_variant_probabilities",
     "circuit_fingerprint",
     "evaluate_subcircuit",
     "generate_variants",

@@ -8,15 +8,17 @@ initialization lines has ``3^O * 4^rho`` distinct physical variants — the
 circuits a quantum device actually runs.  The exact statevector backend
 does not run them: the final state is linear in each init wire's 2-vector,
 so it simulates the ``2^rho`` basis columns once and an exact
-:class:`SubcircuitResult` *is* those amplitudes; the raw variant vectors are
-materialised only when something reads ``probabilities``.
+:class:`SubcircuitResult` *is* those amplitudes.  Every other result is one
+``(4^rho, 3^O, 2^width)`` ``distributions`` array in
+:func:`generate_variants` order; an exact result materialises that array
+only when something reads it.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,8 +43,7 @@ __all__ = [
     "VariantCircuitFactory",
     "circuit_fingerprint",
     "basis_column_amplitudes",
-    "materialise_probabilities",
-    "batched_variant_probabilities",
+    "materialise_distributions",
     "NoisyEvalSpec",
     "batched_noisy_variant_probabilities",
     "evaluate_subcircuit",
@@ -205,10 +206,6 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> Tuple:
 Backend = Callable[[QuantumCircuit], np.ndarray]
 
 
-def _statevector_backend(circuit: QuantumCircuit) -> np.ndarray:
-    return simulate_probabilities(circuit)
-
-
 # ----------------------------------------------------------------------
 # Batched evaluation: one fused body pass over the 2^rho basis columns
 # ----------------------------------------------------------------------
@@ -270,19 +267,17 @@ def expand_inits(columns: np.ndarray, num_lines: int) -> np.ndarray:
     return tensor.reshape(4**num_lines, -1)
 
 
-def materialise_probabilities(
+def materialise_distributions(
     subcircuit: Subcircuit, amplitudes: np.ndarray
-) -> Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], np.ndarray]:
-    """Every raw ``(inits, bases)`` vector an exact result stands for.
+) -> np.ndarray:
+    """The ``(4^rho, 3^O, 2^width)`` variant distributions of an exact result.
 
     Expands the inits, applies the ``3^O`` single-qubit basis rotations and
-    squares; rows are views into one stacked ``(4^rho, 3^O, 2^width)``
-    array.  Off the hot path: term tensors build from the amplitudes.
+    squares.  Off the hot path: term tensors build from the amplitudes.
     """
     from ..sim.batch import BatchedStatevector
 
-    num_init = len(subcircuit.init_lines)
-    states = expand_inits(amplitudes, num_init)
+    states = expand_inits(amplitudes, len(subcircuit.init_lines))
     leaves = [BatchedStatevector(subcircuit.width, len(states), states)]
     for line in subcircuit.meas_lines:  # first line slowest, bases in order
         leaves = [
@@ -291,35 +286,7 @@ def materialise_probabilities(
             for leaf in leaves
             for basis in MEAS_BASES
         ]
-    stacked = np.stack([leaf.probabilities() for leaf in leaves], axis=1)
-    keys = itertools.product(
-        itertools.product(INIT_LABELS, repeat=num_init),
-        itertools.product(MEAS_BASES, repeat=len(subcircuit.meas_lines)),
-    )
-    return dict(zip(keys, stacked.reshape(-1, stacked.shape[-1])))
-
-
-def batched_variant_probabilities(
-    subcircuit: Subcircuit,
-    fusion_width: int = 2,
-    max_batch: int = 0,
-    init_combos: Optional[Sequence[Tuple[str, ...]]] = None,
-) -> Tuple[Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], np.ndarray], int]:
-    """:func:`basis_column_amplitudes`, then :func:`materialise_probabilities`.
-
-    ``init_combos`` keeps only those init label tuples.  Returns
-    ``(probabilities, num_body_passes)`` keyed like :func:`evaluate_subcircuit`.
-    """
-    amplitudes, num_passes = basis_column_amplitudes(
-        subcircuit, fusion_width=fusion_width, max_batch=max_batch
-    )
-    probabilities = materialise_probabilities(subcircuit, amplitudes)
-    if init_combos is not None:
-        wanted = {tuple(combo) for combo in init_combos}
-        probabilities = {
-            key: row for key, row in probabilities.items() if key[0] in wanted
-        }
-    return probabilities, num_passes
+    return np.stack([leaf.probabilities() for leaf in leaves], axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -592,10 +559,10 @@ def batched_noisy_variant_probabilities(
     fusion_width: int = 2,
     max_batch: int = 0,
     init_combos: Optional[Sequence[Tuple[str, ...]]] = None,
-) -> Tuple[Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], np.ndarray], int]:
+) -> Tuple[np.ndarray, int]:
     """Every *noisy* variant distribution from shared batched body passes.
 
-    The noisy analogue of :func:`batched_variant_probabilities`: the
+    The noisy analogue of :func:`basis_column_amplitudes`: the
     (transpiled, on the device path) measurement-free body is evolved
     once per init batch — prep fragments folded into the initial product
     states, so ``rho = 0`` variants never cost an extra pass — and all
@@ -614,10 +581,11 @@ def batched_noisy_variant_probabilities(
     keys encode ``(stage, subcircuit, trajectory, item)`` — results are
     bit-identical regardless of worker count or chunk order.
 
-    Returns ``(probabilities, num_body_passes)`` keyed like
-    :func:`evaluate_subcircuit` (trajectory passes: clean walk + forked
-    suffixes); on the device path each vector is already marginalized
-    to the subcircuit's logical qubits.
+    Returns ``(distributions, num_body_passes)``: a ``(len(init_combos),
+    3^O, 2^width)`` float64 array, rows in ``init_combos`` order and bases
+    in :func:`generate_variants` order (trajectory passes: clean walk +
+    forked suffixes); on the device path each distribution is already
+    marginalized to the subcircuit's logical qubits.
     """
     from ..sim.batch import BatchedStatevector
     from ..sim.density import BatchedDensityMatrix
@@ -879,7 +847,9 @@ def batched_noisy_variant_probabilities(
             leaves[bases] = mixed
         return leaves, 1 + len(forks)
 
-    probabilities: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], np.ndarray] = {}
+    distributions = np.empty(
+        (len(init_combos), len(MEAS_BASES) ** num_meas, 1 << subcircuit.width)
+    )
     num_passes = 0
     chunk = max_batch if max_batch else max(1, len(init_combos))
     for start in range(0, len(init_combos), chunk):
@@ -913,25 +883,25 @@ def batched_noisy_variant_probabilities(
                 rows = marginalize_rows(
                     rows, geometry.keep, geometry.num_wires
                 )
-            for row, labels in enumerate(combos):
-                probabilities[(labels, bases)] = np.ascontiguousarray(
-                    rows[row]
-                )
-    return probabilities, num_passes
+            distributions[start : start + len(combos), code] = rows
+    return distributions, num_passes
 
 
-@dataclass
 class SubcircuitResult:
     """Evaluation results of all physical variants of one subcircuit.
 
     An **exact** batched result holds ``amplitudes`` — the
     ``(2^rho, 2^width)`` complex128 :func:`basis_column_amplitudes`, which
-    determine every variant; any other result (noisy, device, custom
-    backend, per-variant) holds ``raw_vectors`` — a mixed state has no
-    amplitude.  Either way ``probabilities[(inits, bases)]`` is the
-    2**width probability vector of the corresponding variant (line 0 is
-    the most significant bit); an exact result materialises it on first
-    read.  ``num_variants`` / ``num_unique_circuits`` record how much of the
+    determine every variant.  Any other result (noisy, device, custom
+    backend, per-variant) holds ``distributions`` — a mixed state has no
+    amplitude: one float64 ``(4^rho, 3^O, 2^width)`` array whose
+    ``[i, b]`` row is the probability vector of the ``i``-th init combo
+    measured in the ``b``-th basis combo, both in :func:`generate_variants`
+    order (line 0 is the most significant bit of a row).  Reading
+    ``distributions`` on an exact result materialises the array once.
+    :meth:`vector` reads one row by its labels.
+
+    ``num_variants`` / ``num_unique_circuits`` record how much of the
     variant space was served by shared physical executions (beyond the
     I/Z sharing already folded into :data:`MEAS_BASES`).  ``mode`` says
     how the result was produced (``"per-variant"`` circuit executions
@@ -942,28 +912,32 @@ class SubcircuitResult:
     (the data never changes after construction, so neither does it).
     """
 
-    subcircuit: Subcircuit
-    raw_vectors: Optional[
-        Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], np.ndarray]
-    ] = None
-    num_variants: int = 0
-    num_unique_circuits: int = 0
-    mode: str = "per-variant"
-    num_body_passes: int = 0
-    amplitudes: Optional[np.ndarray] = None
-    term_tensor: Optional["TermTensor"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        subcircuit: Subcircuit,
+        distributions: Optional[np.ndarray] = None,
+        num_variants: int = 0,
+        num_unique_circuits: int = 0,
+        mode: str = "per-variant",
+        num_body_passes: int = 0,
+        amplitudes: Optional[np.ndarray] = None,
+    ):
+        self.subcircuit = subcircuit
+        self._distributions = distributions
+        self.num_variants = num_variants
+        self.num_unique_circuits = num_unique_circuits
+        self.mode = mode
+        self.num_body_passes = num_body_passes
+        self.amplitudes = amplitudes
+        self.term_tensor: Optional["TermTensor"] = None
 
     @property
-    def probabilities(
-        self,
-    ) -> Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], np.ndarray]:
-        if self.raw_vectors is None:
-            self.raw_vectors = materialise_probabilities(
+    def distributions(self) -> np.ndarray:
+        if self._distributions is None:
+            self._distributions = materialise_distributions(
                 self.subcircuit, self.amplitudes
             )
-        return self.raw_vectors
+        return self._distributions
 
     @property
     def dedup_ratio(self) -> float:
@@ -973,7 +947,11 @@ class SubcircuitResult:
         return self.num_variants / self.num_unique_circuits
 
     def vector(self, inits: Sequence[str], bases: Sequence[str]) -> np.ndarray:
-        return self.probabilities[(tuple(inits), tuple(bases))]
+        """The probability vector of the ``(inits, bases)`` variant."""
+        lines = (len(self.subcircuit.init_lines), len(self.subcircuit.meas_lines))
+        if (len(inits), len(bases)) != lines:
+            raise KeyError((tuple(inits), tuple(bases)))
+        return self.distributions[_labels_code(inits), _bases_code(bases)]
 
 
 def evaluate_subcircuit(
@@ -988,8 +966,8 @@ def evaluate_subcircuit(
     The default backend is the exact statevector simulator (what the paper
     uses for its runtime studies, §5.1); pass a noisy device's ``run`` for
     hardware emulation.  Variants whose physical circuits coincide (equal
-    structural keys) are executed once and share the result vector; the
-    achieved ratio is reported on the returned :class:`SubcircuitResult`.
+    structural keys) are executed once and fill every row they answer;
+    the achieved ratio is reported on the returned :class:`SubcircuitResult`.
 
     With ``sim_batch > 0`` (exact backend only) the batched fast path
     replaces per-variant execution: the fused body runs on the ``2^rho``
@@ -1007,14 +985,14 @@ def evaluate_subcircuit(
             raise ValueError("noisy evaluation excludes a custom backend")
         if not sim_batch:
             raise ValueError("noisy batched evaluation requires sim_batch > 0")
-        probabilities, num_passes = batched_noisy_variant_probabilities(
+        distributions, num_passes = batched_noisy_variant_probabilities(
             subcircuit, noisy, fusion_width=fusion_width, max_batch=sim_batch
         )
         return SubcircuitResult(
             subcircuit=subcircuit,
-            raw_vectors=probabilities,
-            num_variants=len(probabilities),
-            num_unique_circuits=len(probabilities),
+            distributions=distributions,
+            num_variants=num_physical_variants(subcircuit),
+            num_unique_circuits=num_physical_variants(subcircuit),
             mode="batched-noisy",
             num_body_passes=num_passes,
         )
@@ -1035,26 +1013,34 @@ def evaluate_subcircuit(
             num_body_passes=num_passes,
             amplitudes=amplitudes,
         )
-    backend = backend or _statevector_backend
+    backend = backend or simulate_probabilities
     factory = VariantCircuitFactory(subcircuit)
-    probabilities = {}
     executed: Dict[Tuple, np.ndarray] = {}
-    num_variants = 0
+    rows = []
     for variant in generate_variants(subcircuit):
         key = factory.structural_key(variant)
         if key not in executed:
-            vector = np.asarray(backend(factory.circuit(variant)), dtype=float)
-            if vector.size != 1 << subcircuit.width:
-                raise ValueError(
-                    f"backend returned vector of size {vector.size} for a "
-                    f"{subcircuit.width}-qubit variant"
-                )
-            executed[key] = vector
-        probabilities[(variant.inits, variant.bases)] = executed[key]
-        num_variants += 1
+            executed[key] = backend(factory.circuit(variant))
+        rows.append(executed[key])
     return SubcircuitResult(
         subcircuit=subcircuit,
-        raw_vectors=probabilities,
-        num_variants=num_variants,
+        distributions=stack_variant_rows(subcircuit, rows),
+        num_variants=len(rows),
         num_unique_circuits=len(executed),
+    )
+
+
+def stack_variant_rows(subcircuit: Subcircuit, rows: Sequence) -> np.ndarray:
+    """A backend's per-variant vectors, in :func:`generate_variants` order,
+    as one float64 ``(4^rho, 3^O, 2^width)`` distributions array."""
+    for row in rows:
+        if np.size(row) != 1 << subcircuit.width:
+            raise ValueError(
+                f"backend returned vector of size {np.size(row)} for a "
+                f"{subcircuit.width}-qubit variant"
+            )
+    return np.asarray(rows, dtype=float).reshape(
+        len(INIT_LABELS) ** len(subcircuit.init_lines),
+        len(MEAS_BASES) ** len(subcircuit.meas_lines),
+        1 << subcircuit.width,
     )

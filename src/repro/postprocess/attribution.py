@@ -28,12 +28,12 @@ the upstream terms as sesquilinear forms of the measured qubit's amplitudes
 (``t1, t2 = 2|psi_0|^2, 2|psi_1|^2``, ``t3 = <X>``, ``t4 = <Y>``, with
 outcome 0 of the Y circuit ``H Sdg`` being the ``+i`` eigenstate) — no raw
 vector is formed.  Results without amplitudes (noisy, device, custom
-backend, per-variant: a mixed state has none) build from their vectors.
+backend, per-variant, sampled shots: a mixed state has none) build from
+their ``(4^rho, 3^O, 2^w)`` distributions array.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -42,7 +42,6 @@ import numpy as np
 
 from ..cutting.variants import (
     _BASIS_MATRICES,
-    INIT_LABELS,
     MEAS_BASES,
     SubcircuitResult,
     expand_inits,
@@ -148,7 +147,7 @@ def build_term_tensor(result: SubcircuitResult) -> TermTensor:
     A re-evaluated (or rebound-dirty) subcircuit is a new
     :class:`SubcircuitResult`, so the memo never needs invalidating.  The
     build is array algebra, no per-variant loop, and its source is chosen
-    by what the result holds: ``amplitudes`` (exact) or raw vectors.
+    by what the result holds: ``amplitudes`` (exact) or ``distributions``.
     """
     if result.term_tensor is not None:
         _BUILDS.inc(cached="true")
@@ -163,7 +162,7 @@ def build_term_tensor(result: SubcircuitResult) -> TermTensor:
         read = result.amplitudes.nbytes
     else:
         source, fill = "vectors", _attribute_vectors
-        read = 4 ** len(init_lines) * 3 ** len(meas_lines) * (8 << subcircuit.width)
+        read = result.distributions.nbytes
     began = time.perf_counter()
     with trace.span(
         "attribute",
@@ -224,31 +223,27 @@ def _attribute_amplitudes(result: SubcircuitResult, attributed: np.ndarray) -> N
 
 
 def _attribute_vectors(result: SubcircuitResult, attributed: np.ndarray) -> None:
-    """Fill ``attributed`` from raw variant vectors (noisy, device, custom
-    backend, per-variant): stacked ``_GATHER_BYTES`` of init rows at a time
-    into a ``(rows, 3^O, 2^w)`` block, each measurement line's (basis axis,
-    qubit axis) pair contracted against :data:`MEASURE_TERMS`."""
+    """Fill ``attributed`` from a result's ``(4^rho, 3^O, 2^w)``
+    distributions (noisy, device, custom backend, per-variant, sampled
+    shots): ``_GATHER_BYTES`` of init rows at a time, each measurement
+    line's (basis axis, qubit axis) pair contracted against
+    :data:`MEASURE_TERMS`."""
     subcircuit = result.subcircuit
     meas_lines = subcircuit.meas_lines
     num_meas = len(meas_lines)
-    init_combos = list(
-        itertools.product(INIT_LABELS, repeat=len(subcircuit.init_lines))
-    )
-    basis_combos = list(itertools.product(MEAS_BASES, repeat=num_meas))
-    step = max(1, _GATHER_BYTES // (len(basis_combos) * (8 << subcircuit.width)))
-    for start in range(0, len(init_combos), step):
-        inits = init_combos[start : start + step]
-        keys = itertools.product(inits, basis_combos)
-        tensor = np.concatenate([result.probabilities[key] for key in keys])
-        tensor = tensor.reshape(
-            (len(inits),) + (3,) * num_meas + (2,) * subcircuit.width
+    distributions = result.distributions
+    step = max(1, _GATHER_BYTES // distributions[0].nbytes)
+    for start in range(0, len(distributions), step):
+        block = distributions[start : start + step]
+        tensor = block.reshape(
+            (len(block),) + (3,) * num_meas + (2,) * subcircuit.width
         )
         # Highest line first: lower qubit axes keep their positions, each
         # step shrinks the block 6 -> 4 and prepends the line's term axis.
         for line in reversed(meas_lines):
             axes = ([1, 2], [num_meas, num_meas + 1 + line.line])
             tensor = np.tensordot(MEASURE_TERMS, tensor, axes=axes)
-        tensor = tensor.reshape((4,) * num_meas + (len(inits), -1))
+        tensor = tensor.reshape((4,) * num_meas + (len(block), -1))
         attributed[start : start + step] = np.moveaxis(tensor, num_meas, 0)
 
 

@@ -275,8 +275,8 @@ def _run_variant_batch(payload):
     The payload is :func:`repro.core.executor._run_init_batch`'s: the
     subcircuit plus a range of basis columns (exact; answered with the
     ``(columns, 2^width)`` amplitude slab) or init *label* tuples and a
-    :class:`~repro.cutting.variants.NoisyEvalSpec` (answered with every
-    derived ``(inits, bases)`` distribution) — a few hundred bytes
+    :class:`~repro.cutting.variants.NoisyEvalSpec` (answered with the
+    ``(len(labels), 3^O, 2^width)`` distributions slab) — a few hundred bytes
     instead of ``3^O * 4^rho`` pickled circuits.  The fused body (and the
     noisy geometry) is memoized per worker process, so later chunks of
     the same subcircuit land warm.
@@ -1488,8 +1488,9 @@ class WorkerPool:
         :class:`~repro.core.executor.VariantExecutor`, a range of basis
         columns — or the noisy 4-tuple ``(subcircuit, init_combos,
         fusion_width, spec)`` (recorded as kind
-        ``"noisy-variant-batch"``).  Returns ``(amplitude slab or
-        probabilities, num_body_passes)`` per payload, in order.
+        ``"noisy-variant-batch"``).  Returns ``(slab, num_body_passes)``
+        per payload, in order: the ``(columns, 2^width)`` amplitude slab,
+        or the ``(len(init_combos), 3^O, 2^width)`` distributions slab.
         """
         self._ensure_started()
         pending = []

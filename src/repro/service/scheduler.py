@@ -262,16 +262,19 @@ class JobSpec:
         """The evaluation-fingerprint backend config tag.
 
         Batched and per-variant evaluation agree to ~1e-10 but are not
-        bit-identical, so they address distinct store artifacts; the
-        batched tags are *versioned* (``:v3``/``:v1``) so artifacts
-        cached under older batched semantics recompute instead of
-        silently colliding after an engine change.
+        bit-identical, so they address distinct store artifacts.  Every
+        tag is *versioned*, so artifacts cached under an older engine or
+        an older artifact layout recompute instead of silently colliding:
+        ``:v3`` for exact amplitudes, ``:v2`` for everything stored as a
+        ``(4^rho, 3^O, 2^w)`` distributions array.
         """
         if self.device is not None:
             if self.batched:
-                return f"device:{self.device}:{self.noisy_method}:batched:v1"
-            return f"device:{self.device}"
-        return "statevector:batched:v3" if self.batched else "statevector"
+                return f"device:{self.device}:{self.noisy_method}:batched:v2"
+            return f"device:{self.device}:per-variant:v2"
+        if self.batched:
+            return "statevector:batched:v3"
+        return "statevector:per-variant:v2"
 
     def to_dict(self) -> Dict:
         # Every field is a scalar: no need for asdict's deep copy.

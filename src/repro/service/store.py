@@ -233,8 +233,8 @@ def evaluation_fingerprint(
 ) -> str:
     """Fingerprint of ``(cut, params, backend config, shots, seed)`` — the
     evaluation-artifact key.  ``backend`` is a config *tag*, not a
-    callable; batched execution modes carry a versioned tag (e.g.
-    ``"statevector:batched:v3"``, ``"device:bogota:trajectory:batched:v1"``)
+    callable; the scheduler's tags are versioned (e.g.
+    ``"statevector:batched:v3"``, ``"device:bogota:trajectory:batched:v2"``)
     so artifacts produced by older evaluation semantics recompute
     instead of silently colliding.  ``config`` holds extra
     result-shaping knobs (e.g. trajectory counts); it enters the digest
@@ -672,40 +672,25 @@ class ArtifactStore:
         """Persist evaluated subcircuit results, as compact as they are.
 
         An exact result stores its ``(2^rho, 2^width)`` amplitudes as
-        ``amp{position}``, never the variant vectors they stand for.  A
-        raw-vector result stores its unique vectors as a 2-D
-        ``sub{position}`` array plus a variant-key -> row map: variants
-        that shared one physical execution share one stored row.
+        ``amp{position}``, never the variant distributions they stand for;
+        any other result stores its ``(4^rho, 3^O, 2^width)``
+        distributions as ``dist{position}``.
         """
         arrays: Dict[str, np.ndarray] = {}
         meta_subcircuits: List[Dict] = []
         for position, result in enumerate(results):
-            meta = {
+            meta_subcircuits.append({
                 "index": result.subcircuit.index,
                 "width": result.subcircuit.width,
                 "num_variants": result.num_variants,
                 "num_unique_circuits": result.num_unique_circuits,
                 "mode": result.mode,
                 "num_body_passes": result.num_body_passes,
-            }
-            meta_subcircuits.append(meta)
+            })
             if result.amplitudes is not None:
                 arrays[f"amp{position}"] = result.amplitudes
-                continue
-            rows: List[np.ndarray] = []
-            row_of: Dict[int, int] = {}
-            variants: List[List] = []
-            for (inits, bases), vector in result.probabilities.items():
-                slot = row_of.get(id(vector))
-                if slot is None:
-                    slot = len(rows)
-                    row_of[id(vector)] = slot
-                    rows.append(np.asarray(vector, dtype=float))
-                variants.append([list(inits), list(bases), slot])
-            arrays[f"sub{position}"] = (
-                np.stack(rows) if rows else np.zeros((0, 0))
-            )
-            meta["variants"] = variants
+            else:
+                arrays[f"dist{position}"] = result.distributions
 
         buffer = io.BytesIO()
         np.savez(buffer, **arrays)
@@ -758,26 +743,20 @@ class ArtifactStore:
                         or int(meta["width"]) != subcircuit.width
                     ):
                         raise ValueError("artifact does not match the cut")
-                    if "variants" not in meta:  # exact: the amplitudes
-                        amplitudes = archive[f"amp{position}"]
+                    if f"amp{position}" in archive.files:
+                        name, dtype = "amplitudes", complex
+                        array = archive[f"amp{position}"]
                         shape = (1 << len(subcircuit.init_lines),
                                  1 << subcircuit.width)
-                        if (amplitudes.shape, amplitudes.dtype) != (shape, complex):
-                            raise ValueError("amplitude shape/dtype mismatch")
-                        data = {"amplitudes": amplitudes}
-                    else:
-                        matrix = archive[f"sub{position}"]
-                        # One shared array object per stored row, so the
-                        # restored results dedup exactly like the originals.
-                        shared = [np.array(matrix[row]) for row in
-                                  range(matrix.shape[0])]
-                        vectors = {}
-                        for inits, bases, slot in meta["variants"]:
-                            vector = shared[int(slot)]
-                            if vector.size != 1 << subcircuit.width:
-                                raise ValueError("tensor width mismatch")
-                            vectors[(tuple(inits), tuple(bases))] = vector
-                        data = {"raw_vectors": vectors}
+                    else:  # a KeyError when absent: corrupt
+                        name, dtype = "distributions", float
+                        array = archive[f"dist{position}"]
+                        shape = (4 ** len(subcircuit.init_lines),
+                                 3 ** len(subcircuit.meas_lines),
+                                 1 << subcircuit.width)
+                    if (array.shape, array.dtype) != (shape, dtype):
+                        raise ValueError(f"{name} shape/dtype mismatch")
+                    data = {name: array}
                     results.append(
                         SubcircuitResult(
                             subcircuit=subcircuit,

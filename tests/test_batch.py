@@ -15,14 +15,12 @@ from hypothesis import strategies as st
 from repro import CutQC, QuantumCircuit, cut_circuit_from_assignment
 from repro.circuits import build_circuit_graph
 from repro.core.executor import VariantExecutor
-from repro.cutting import (
-    batched_variant_probabilities,
-    evaluate_subcircuit,
-    num_physical_variants,
-)
+from repro.cutting import evaluate_subcircuit, num_physical_variants
 from repro.cutting.variants import (
     VariantCircuitFactory,
+    basis_column_amplitudes,
     generate_variants,
+    materialise_distributions,
     variant_circuit,
 )
 from repro.library import get_benchmark
@@ -190,15 +188,13 @@ class TestBatchedVariantParity:
             return
         for subcircuit in cut.subcircuits:
             serial = evaluate_subcircuit(subcircuit)
-            batched, passes = batched_variant_probabilities(
+            amplitudes, passes = basis_column_amplitudes(
                 subcircuit, fusion_width=width
             )
             assert passes == 1
-            assert set(batched) == set(serial.probabilities)
-            for key, vector in batched.items():
-                assert np.abs(
-                    vector - serial.probabilities[key]
-                ).max() <= 1e-10
+            batched = materialise_distributions(subcircuit, amplitudes)
+            assert batched.shape == serial.distributions.shape
+            assert np.abs(batched - serial.distributions).max() <= 1e-10
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -219,9 +215,9 @@ class TestBatchedVariantParity:
             if num_physical_variants(subcircuit) > 4**5:
                 continue
             result = evaluate_subcircuit(subcircuit, sim_batch=sim_batch)
-            assert result.raw_vectors is None  # lazy until read
+            assert result._distributions is None  # lazy until read
             variants = generate_variants(subcircuit)
-            assert len(result.probabilities) == len(variants)
+            assert result.distributions[..., 0].size == len(variants)
             for variant in variants:
                 want = simulate_probabilities(variant_circuit(subcircuit, variant))
                 got = result.vector(variant.inits, variant.bases)
@@ -234,25 +230,27 @@ class TestBatchedVariantParity:
         result = evaluate_subcircuit(down, sim_batch=8)
         assert result.amplitudes.shape == (2, 1 << down.width)
         assert result.amplitudes.dtype == np.complex128
-        rows = list(result.probabilities.values())
-        assert result.probabilities is result.probabilities  # materialised once
-        assert all(row.base is rows[0].base for row in rows)
-        assert rows[0].base.size == 4 * 1 * (1 << down.width)
+        distributions = result.distributions
+        assert result.distributions is distributions  # materialised once
+        assert distributions.shape == (4, 1, 1 << down.width)
+        assert distributions.dtype == np.float64
+        rows = [result.vector((label,), ()) for label in ("zero", "plus_i")]
+        assert all(np.shares_memory(row, distributions) for row in rows)
 
     def test_chunked_batches_cover_the_init_space(self, fig4_circuit):
         from repro import cut_circuit
 
         cut = cut_circuit(fig4_circuit, [(2, 1)])
         downstream = cut.subcircuits[1]  # one init line: 2 basis columns
-        full, one_pass = batched_variant_probabilities(downstream)
-        chunked, passes = batched_variant_probabilities(
-            downstream, max_batch=1
-        )
+        full, one_pass = basis_column_amplitudes(downstream)
+        chunked, passes = basis_column_amplitudes(downstream, max_batch=1)
         assert one_pass == 1 and passes == 2  # max_batch = columns per pass
-        assert len(full) == 4
-        assert set(full) == set(chunked)
-        for key in full:
-            assert np.allclose(full[key], chunked[key], atol=1e-12)
+        assert full.shape == chunked.shape == (2, 1 << downstream.width)
+        assert np.allclose(
+            materialise_distributions(downstream, full),
+            materialise_distributions(downstream, chunked),
+            atol=1e-12,
+        )
 
     def test_evaluate_subcircuit_fast_path_fields(self, fig4_circuit):
         from repro import cut_circuit
@@ -314,11 +312,8 @@ class TestBatchedExecutor:
         assert report.num_unique_circuits <= report.num_variants
         assert report.num_body_passes >= len(bv_cut.subcircuits)
         for a, b in zip(serial, batched):
-            assert set(a.probabilities) == set(b.probabilities)
-            for key in a.probabilities:
-                assert np.abs(
-                    a.probabilities[key] - b.probabilities[key]
-                ).max() <= 1e-10
+            assert a.distributions.shape == b.distributions.shape
+            assert np.abs(a.distributions - b.distributions).max() <= 1e-10
 
     def test_twin_subcircuits_share_batched_results(self, bv_cut):
         twin = [bv_cut.subcircuits[0], bv_cut.subcircuits[0]]
@@ -331,8 +326,7 @@ class TestBatchedExecutor:
         # counts once in ``num_unique_circuits``.
         assert results[0].amplitudes is results[1].amplitudes
         assert report.num_unique_circuits == num_physical_variants(twin[0])
-        for key, vector in results[0].probabilities.items():
-            assert np.array_equal(vector, results[1].probabilities[key])
+        assert np.array_equal(results[0].distributions, results[1].distributions)
 
     def test_init_batches_ship_over_worker_pool(self, bv_cut):
         serial = VariantExecutor().run(bv_cut.subcircuits)
@@ -343,10 +337,7 @@ class TestBatchedExecutor:
         assert executor.last_report.mode == "batched-pool"
         assert stats.tasks_by_kind.get("variant-batch", 0) >= 2
         for a, b in zip(serial, pooled):
-            for key in a.probabilities:
-                assert np.abs(
-                    a.probabilities[key] - b.probabilities[key]
-                ).max() <= 1e-10
+            assert np.abs(a.distributions - b.distributions).max() <= 1e-10
 
     def test_sim_batch_conflicts_rejected(self):
         with pytest.raises(ValueError, match="sim_batch"):
@@ -385,22 +376,23 @@ class TestBatchedExecutor:
 
 class TestShotProviderBatched:
     def test_distribution_cache_filled_from_batched_states(self):
+        """The provider samples the pipeline's batched results: their
+        distributions, materialised from the amplitudes, match the
+        per-variant simulation."""
         circuit = get_benchmark("bv", 8)
-        pipeline = CutQC(circuit, max_subcircuit_qubits=5)
+        pipeline = CutQC(circuit, max_subcircuit_qubits=5, sim_batch=64)
         cut = pipeline.cut()
-        provider = ShotBasedTensorProvider(
-            cut, shots=512, seed=3, sim_batch=64
-        )
+        results = pipeline.evaluate()
+        provider = ShotBasedTensorProvider(cut, results, shots=512, seed=3)
         roles = {wire: ("active", None) for wire in range(8)}
         provider.collapsed(roles)
-        assert provider._distribution_cache
-        for subcircuit in cut.subcircuits:
-            exact = evaluate_subcircuit(subcircuit)
-            for (inits, bases), vector in exact.probabilities.items():
-                key = (subcircuit.index, inits, bases)
-                assert np.abs(
-                    provider._distribution_cache[key] - vector
-                ).max() <= 1e-10
+        for result in results:
+            assert result.amplitudes is not None
+            assert provider.results[result.subcircuit.index] is result
+            exact = evaluate_subcircuit(result.subcircuit)
+            assert np.abs(
+                result.distributions - exact.distributions
+            ).max() <= 1e-10
 
     def test_dd_query_with_sim_batch_resolves_solution(self):
         circuit = get_benchmark("bv", 9)

@@ -10,6 +10,7 @@ from repro.devices.pool import DevicePool
 from repro.library import bv
 from repro.postprocess import WorkerPool
 from repro.sim import NoiseModel
+from tests.shot_merge_oracle import first_recursion_error
 
 
 def _ideal(name, qubits, seed=0):
@@ -32,11 +33,8 @@ class TestVariantExecutor:
         batched = VariantExecutor().run(bv_cut.subcircuits)
         for result, subcircuit in zip(batched, bv_cut.subcircuits):
             direct = evaluate_subcircuit(subcircuit)
-            assert result.probabilities.keys() == direct.probabilities.keys()
-            for key in direct.probabilities:
-                assert np.allclose(
-                    result.probabilities[key], direct.probabilities[key]
-                )
+            assert result.distributions.shape == direct.distributions.shape
+            assert np.allclose(result.distributions, direct.distributions)
 
     def test_serial_vs_parallel_bit_identical(self, bv_cut, worker_pool):
         # sim_batch=0: this test pins the per-variant transport modes.
@@ -47,9 +45,7 @@ class TestVariantExecutor:
         assert serial_exec.last_report.mode == "serial"
         assert parallel_exec.last_report.mode == "worker-pool"
         for a, b in zip(serial, parallel):
-            assert a.probabilities.keys() == b.probabilities.keys()
-            for key in a.probabilities:
-                assert np.array_equal(a.probabilities[key], b.probabilities[key])
+            assert np.array_equal(a.distributions, b.distributions)
 
     def test_pool_mode_exact_and_reported(self, bv_cut):
         # Batching is the default on the pool path too: each body-key
@@ -69,10 +65,7 @@ class TestVariantExecutor:
         }
         serial = VariantExecutor().run(bv_cut.subcircuits)
         for a, b in zip(pooled, serial):
-            for key in a.probabilities:
-                assert np.allclose(
-                    a.probabilities[key], b.probabilities[key], atol=1e-9
-                )
+            assert np.allclose(a.distributions, b.distributions, atol=1e-9)
 
     def test_pool_legacy_per_circuit_mode(self, bv_cut):
         # sim_batch=0 keeps the per-circuit dispatch (--no-sim-batch).
@@ -88,10 +81,7 @@ class TestVariantExecutor:
             pool_shots=0,
         ).run(bv_cut.subcircuits)
         for a, b in zip(pooled, batched):
-            for key in a.probabilities:
-                assert np.allclose(
-                    a.probabilities[key], b.probabilities[key], atol=1e-9
-                )
+            assert np.allclose(a.distributions, b.distributions, atol=1e-9)
 
     def test_pool_affinity_pins_placement(self, bv_cut):
         pool = DevicePool([_ideal("a", 5, seed=1), _ideal("b", 5, seed=2)])
@@ -116,8 +106,7 @@ class TestVariantExecutor:
         # ... because the twins share the one amplitude array that ran.
         assert results[0].amplitudes is results[1].amplitudes
         assert report.num_unique_circuits == num_physical_variants(twin[0])
-        for key, vector in results[0].probabilities.items():
-            assert np.array_equal(vector, results[1].probabilities[key])
+        assert np.array_equal(results[0].distributions, results[1].distributions)
 
     def test_amplitudes_identical_across_slabs_and_transports(
         self, worker_pool
@@ -154,7 +143,7 @@ class TestVariantExecutor:
         def refuse(*args):
             raise AssertionError("a (4^rho, 3^O, 2^w) array was materialised")
 
-        monkeypatch.setattr(variants, "materialise_probabilities", refuse)
+        monkeypatch.setattr(variants, "materialise_distributions", refuse)
         pipeline = CutQC(supremacy(8, seed=0), max_subcircuit_qubits=5)
         pipeline.cut()
         results = pipeline.evaluate()
@@ -168,9 +157,9 @@ class TestVariantExecutor:
             restored
         ).fd_query()
         for result in list(results) + restored:
-            assert result.amplitudes is not None and result.raw_vectors is None
+            assert result.amplitudes is not None and result._distributions is None
         with pytest.raises(AssertionError, match="materialised"):
-            results[0].probabilities
+            results[0].distributions
 
     def test_report_counts(self, bv_cut):
         executor = VariantExecutor()
@@ -255,6 +244,20 @@ class TestPipelineWiring:
         )
         first = query.recursions[0]
         assert np.isclose(first.probabilities.sum(), 1.0, atol=0.05)
+        # Shot noise on the pool: shot DD samples the very results the
+        # pipeline's FD contracted, so at 2^16 shots per variant its first
+        # recursion sits inside the one-sigma bound of FD's marginal.
+        noise = NoiseModel(error_1q=0.001, error_2q=0.005, readout=0.01)
+        pool = DevicePool([
+            make_device(name, 5, "line", noise=noise, seed=seed)
+            for name, seed in (("a", 1), ("b", 2))
+        ])
+        pipeline = CutQC(
+            bv(6), max_subcircuit_qubits=5, pool=pool, pool_shots=1024, seed=4
+        )
+        error, chi2, bound = first_recursion_error(pipeline, 3, 1 << 16, seed=7)
+        assert pipeline.execution_report.mode == "batched-devicepool"
+        assert error <= bound and chi2 <= 1e-3, (error, chi2, bound)
 
     def test_cutqc_pool_backend_conflict_rejected(self):
         pool = DevicePool([_ideal("a", 5)])
@@ -273,21 +276,3 @@ class TestPipelineWiring:
             assert result.num_variants == num_physical_variants(subcircuit)
             assert 1 <= result.num_unique_circuits <= result.num_variants
             assert result.dedup_ratio >= 1.0
-
-    def test_shot_provider_prefill_matches_lazy(self, worker_pool):
-        from repro.postprocess import (
-            DynamicDefinitionQuery,
-            ShotBasedTensorProvider,
-        )
-
-        cut = CutQC(bv(6), max_subcircuit_qubits=5).cut()
-        lazy = ShotBasedTensorProvider(cut, shots=512, seed=13)
-        batched = ShotBasedTensorProvider(
-            cut, shots=512, seed=13, worker_pool=worker_pool
-        )
-        lazy_query = DynamicDefinitionQuery(lazy, max_active_qubits=2)
-        batched_query = DynamicDefinitionQuery(batched, max_active_qubits=2)
-        lazy_rec = lazy_query.step()
-        batched_rec = batched_query.step()
-        assert batched._prefilled
-        assert np.array_equal(lazy_rec.probabilities, batched_rec.probabilities)

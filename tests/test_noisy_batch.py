@@ -111,10 +111,10 @@ class TestDensityParity:
             )
             assert passes == 1  # prep folding: one pass serves all inits
             variants = generate_variants(subcircuit)
-            assert len(batched) == len(variants)
+            assert batched[..., 0].size == len(variants)
             for variant in variants:
                 reference = serial.run(variant_circuit(subcircuit, variant))
-                got = batched[(variant.inits, variant.bases)]
+                got = batched[_variant_codes(variant)]
                 assert np.abs(got - reference).max() <= 1e-10
 
     def test_prep_folding_saves_passes(self, fig4_cut):
@@ -332,13 +332,11 @@ def _assert_replay_parity(subcircuit, spec):
     if spec.shots:
         sampled, _ = batched_noisy_variant_probabilities(subcircuit, spec)
     for variant in generate_variants(subcircuit):
-        key = (variant.inits, variant.bases)
+        key = _variant_codes(variant)
         reference = _serial_trajectory_replay(subcircuit, exact, variant)
         assert np.abs(batched[key] - reference).max() <= 1e-10
         if spec.shots:
-            rng = spawn_rng(
-                spec.seed, 3, subcircuit.index, *_variant_codes(variant)
-            )
+            rng = spawn_rng(spec.seed, 3, subcircuit.index, *key)
             assert np.array_equal(
                 sampled[key],
                 sample_distribution(batched[key], spec.shots, rng),
@@ -449,8 +447,7 @@ class TestTrajectoryParity:
             assert len(counter.batch_sizes) == len(plan.ops) + 2 * len(
                 subcircuit.meas_lines
             )
-            for key in exact:
-                assert np.array_equal(estimate[key], exact[key])
+            assert np.array_equal(estimate, exact)
 
     def test_batch_span_says_why_it_was_cheap(self, chain_cut):
         middle = chain_cut.subcircuits[1]
@@ -515,8 +512,7 @@ class TestTrajectoryParity:
             )
             assert passes == 1  # no gate noise: the clean pass suffices
             exact = evaluate_subcircuit(subcircuit, sim_batch=64)
-            for key, vector in batched.items():
-                assert np.abs(vector - exact.probabilities[key]).max() <= 1e-10
+            assert np.abs(batched - exact.distributions).max() <= 1e-10
 
     def test_trajectory_converges_to_density(self, fig4_cut):
         downstream = fig4_cut.subcircuits[1]
@@ -534,8 +530,7 @@ class TestTrajectoryParity:
             downstream,
             NoisyEvalSpec(noise=NOISE, method="density", shots=None),
         )
-        for key in exact:
-            assert np.abs(estimate[key] - exact[key]).max() <= 5e-3
+        assert np.abs(estimate - exact).max() <= 5e-3
 
     def test_chunking_is_bit_identical(self, fig4_cut):
         downstream = fig4_cut.subcircuits[1]
@@ -546,9 +541,7 @@ class TestTrajectoryParity:
         chunked, _ = batched_noisy_variant_probabilities(
             downstream, spec, max_batch=1
         )
-        assert set(whole) == set(chunked)
-        for key in whole:
-            assert np.array_equal(whole[key], chunked[key])
+        assert np.array_equal(whole, chunked)
 
 
 # ----------------------------------------------------------------------
@@ -572,11 +565,7 @@ class TestWorkerCountInvariance:
             stats = pool.stats()
             assert stats.tasks_by_kind.get("noisy-variant-batch", 0) >= 2
         for a, b in zip(serial, pooled):
-            assert a.probabilities.keys() == b.probabilities.keys()
-            for key in a.probabilities:
-                assert np.array_equal(
-                    a.probabilities[key], b.probabilities[key]
-                )
+            assert np.array_equal(a.distributions, b.distributions)
 
 
 # ----------------------------------------------------------------------
@@ -682,20 +671,25 @@ class TestStoreMigration:
 
         base = dict(device_size=5, benchmark="bv", qubits=6)
         assert JobSpec(**base).backend_tag() == "statevector:batched:v3"
-        assert JobSpec(**base, sim_batch=0).backend_tag() == "statevector"
+        # Every tag whose artifacts hold a distributions array moved to v2
+        # with that layout.
+        assert (
+            JobSpec(**base, sim_batch=0).backend_tag()
+            == "statevector:per-variant:v2"
+        )
         assert (
             JobSpec(**base, device="bogota").backend_tag()
-            == "device:bogota:trajectory:batched:v1"
+            == "device:bogota:trajectory:batched:v2"
         )
         assert (
             JobSpec(
                 **base, device="bogota", noisy_method="density"
             ).backend_tag()
-            == "device:bogota:density:batched:v1"
+            == "device:bogota:density:batched:v2"
         )
         assert (
             JobSpec(**base, device="bogota", sim_batch=0).backend_tag()
-            == "device:bogota"
+            == "device:bogota:per-variant:v2"
         )
 
     def test_fingerprint_config_and_version_fragment_keys(self):

@@ -229,3 +229,25 @@ class TestShotLevelDD:
         )
         states = query.solution_states(threshold=0.3)
         assert states and states[0][0] == bv_solution(6)
+
+    def test_shot_level_dd_samples_the_device_pipelines_results(self):
+        """On the batched device engine, shot DD draws from the results
+        FD contracts: at 2^16 shots per variant the first recursion sits
+        inside the one-sigma bound of the same pipeline's FD marginal."""
+        from repro.library import bv
+        from tests.shot_merge_oracle import first_recursion_error
+
+        device = make_device(
+            "noisy",
+            5,
+            "line",
+            noise=NoiseModel(error_1q=0.001, error_2q=0.005, readout=0.01),
+            seed=9,
+        )
+        pipeline = CutQC(
+            bv(6), max_subcircuit_qubits=5, device=device, device_shots=1024,
+            seed=4,
+        )
+        error, chi2, bound = first_recursion_error(pipeline, 3, 1 << 16, seed=2)
+        assert pipeline.execution_report.mode == "batched-noisy"
+        assert error <= bound and chi2 <= 1e-3, (error, chi2, bound)

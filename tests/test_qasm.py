@@ -1,6 +1,7 @@
 """Tests for OpenQASM 2.0 import/export."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -118,6 +119,24 @@ class TestImport:
     def test_malicious_angle_rejected(self):
         with pytest.raises(QasmError):
             from_qasm("OPENQASM 2.0; qreg q[1]; rz(__import__) q[0];")
+
+    @pytest.mark.parametrize(
+        "angle", ["9**9**9", "pi**2", "e.real", "1j", "True", "1/0", "1e400"]
+    )
+    def test_angle_outside_plain_arithmetic_rejected_fast(self, angle):
+        # ``**`` once reached ``eval``: 9**9**9 never returned.
+        began = time.perf_counter()
+        with pytest.raises(QasmError, match="angle"):
+            from_qasm(f"OPENQASM 2.0; qreg q[1]; rx({angle}) q[0];")
+        assert time.perf_counter() - began < 0.1
+
+    def test_error_names_the_statement_line_and_column(self):
+        with pytest.raises(QasmError, match=r"^line 3, column 1: unsupported gate"):
+            from_qasm("OPENQASM 2.0;\nqreg q[3];\nccx q[0],q[1],q[2];")
+        with pytest.raises(QasmError, match=r"^line 3, column 11: .*'foo'"):
+            from_qasm(
+                "OPENQASM 2.0; // one; two\nqreg q[2];\n  h q[0]; foo q[1];\n"
+            )
 
 
 class TestRoundTrip:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import CutQC, evaluate_subcircuit, find_cuts
-from repro.cutting import SubcircuitResult
+from repro.cutting import SubcircuitResult, generate_variants
 from repro.library import bv, supremacy
 from repro.service import store as store_module
 from repro.service.scheduler import JobSpec
@@ -143,23 +143,10 @@ class TestEvaluationRoundTrip:
             assert loaded.subcircuit is cut.subcircuits[original.subcircuit.index]
             assert loaded.num_variants == original.num_variants
             assert loaded.num_unique_circuits == original.num_unique_circuits
-            assert set(loaded.probabilities) == set(original.probabilities)
-            for variant_key, vector in original.probabilities.items():
-                loaded_vector = loaded.probabilities[variant_key]
-                assert loaded_vector.dtype == vector.dtype
-                # Bit-identical, not merely close.
-                assert np.array_equal(loaded_vector, vector)
-
-    def test_restored_results_preserve_dedup_sharing(self, store):
-        circuit, solution, cut = _cut_bv()
-        results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        key = "dedupkey"
-        store.put_evaluation(key, results)
-        restored = store.get_evaluation(key, cut)
-        for original, loaded in zip(results, restored):
-            original_unique = len({id(v) for v in original.probabilities.values()})
-            loaded_unique = len({id(v) for v in loaded.probabilities.values()})
-            assert loaded_unique == original_unique
+            assert loaded.amplitudes is None
+            assert loaded.distributions.dtype == original.distributions.dtype
+            # Bit-identical, not merely close.
+            assert np.array_equal(loaded.distributions, original.distributions)
 
     def test_restored_results_reconstruct_identically(self, store):
         circuit, solution, cut = _cut_bv()
@@ -239,7 +226,7 @@ class TestExactEvaluationArtifacts:
     def test_amplitudes_persist_without_a_variant_row_list(self, store, exact):
         cut, results, _ = exact
         meta_path = store.put_evaluation("key", results)
-        assert all(r.raw_vectors is None for r in results)  # put stayed lazy
+        assert all(r._distributions is None for r in results)  # put stayed lazy
         for meta in json.loads(meta_path.read_text())["payload"]["subcircuits"]:
             assert set(meta) == {
                 "index", "width", "num_variants", "num_unique_circuits",
@@ -248,25 +235,34 @@ class TestExactEvaluationArtifacts:
         with np.load(store.evaluation_path("key")[1]) as archive:
             assert sorted(archive.files) == [f"amp{i}" for i in range(len(results))]
         for original, loaded in zip(results, store.get_evaluation("key", cut)):
-            assert loaded.raw_vectors is None
+            assert loaded._distributions is None
             assert loaded.amplitudes.dtype == np.complex128
             assert np.array_equal(loaded.amplitudes, original.amplitudes)
             assert loaded.mode == original.mode == "batched"
             assert loaded.num_variants == original.num_variants
             assert loaded.num_body_passes == original.num_body_passes
 
-    @pytest.mark.parametrize("damage", ["shape", "dtype", "width", "missing"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["shape", "dtype", "width", "missing",
+         "dist-shape", "dist-dtype", "dist-width", "dist-missing"],
+    )
     def test_mismatched_amplitudes_are_a_miss_and_discarded(
         self, store, exact, damage
     ):
         cut, results, position = exact
         name = f"amp{position}"
+        if damage.startswith("dist-"):
+            # The same damage to a distributions array: a per-variant result.
+            damage = damage[len("dist-"):]
+            name = f"dist{position}"
+            results = [evaluate_subcircuit(s) for s in cut.subcircuits]
         edits = {
             "shape": lambda arrays: arrays.update({name: arrays[name][:1]}),
             "dtype": lambda arrays: arrays.update(
                 {name: arrays[name].astype(np.complex64)}
             ),
-            "width": lambda arrays: arrays.update({name: arrays[name][:, ::2]}),
+            "width": lambda arrays: arrays.update({name: arrays[name][..., ::2]}),
             "missing": lambda arrays: arrays.pop(name),
         }
         store.put_evaluation("key", results)
@@ -282,7 +278,7 @@ class TestExactEvaluationArtifacts:
         # What a v2 engine stored: every raw vector, under the v2 tag.
         v2_results = [
             SubcircuitResult(
-                subcircuit=r.subcircuit, raw_vectors=dict(r.probabilities),
+                subcircuit=r.subcircuit, distributions=r.distributions,
                 num_variants=r.num_variants, mode="batched",
                 num_unique_circuits=r.num_unique_circuits,
             )
@@ -295,6 +291,76 @@ class TestExactEvaluationArtifacts:
         assert (store.stats.misses, store.stats.corrupt) == (1, 0)
         old = store.get_evaluation(v2_key, cut)  # ... never misread
         assert all(r.amplitudes is None for r in old)
+
+
+def _put_parent_layout(store, key, results):
+    """Persist ``results`` as the previous artifact layout did: each
+    variant's row in a 2-D ``sub{i}`` array plus a variant -> row map."""
+    arrays, metas = {}, []
+    for position, result in enumerate(results):
+        rows, variants = [], []
+        for variant in generate_variants(result.subcircuit):
+            variants.append([list(variant.inits), list(variant.bases), len(rows)])
+            rows.append(result.vector(variant.inits, variant.bases))
+        arrays[f"sub{position}"] = np.stack(rows)
+        metas.append({
+            "index": result.subcircuit.index,
+            "width": result.subcircuit.width,
+            "num_variants": result.num_variants,
+            "num_unique_circuits": result.num_unique_circuits,
+            "mode": result.mode,
+            "num_body_passes": result.num_body_passes,
+            "variants": variants,
+        })
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    meta_path, tensor_path = store.evaluation_path(key)
+    store._write_atomic(tensor_path, buffer.getvalue())
+    store._put_sealed(meta_path, "evaluation", key, {
+        "subcircuits": metas,
+        "tensors_sha256": hashlib.sha256(buffer.getvalue()).hexdigest(),
+    })
+
+
+class TestPreviousLayoutArtifacts:
+    def test_device_artifact_is_a_miss_and_the_job_recomputes(self, tmp_path):
+        """A store written before the distributions layout: its batched
+        device artifact sits under the ``:v1`` tag, which no job asks for
+        now — a plain miss, not a corrupt read, and the same answer."""
+        from repro.devices import get_device
+        from repro.service.scheduler import JobScheduler
+
+        spec = JobSpec(
+            device_size=5, benchmark="bv", qubits=6, device="bogota",
+            shots=1024, trajectories=8, query="fd", top=4,
+        )
+        pipeline = CutQC(
+            spec.build_circuit(), 5, device=get_device("bogota", seed=0),
+            device_shots=1024, trajectories=8, seed=0,
+        )
+        cut_key = pipeline.cut_fingerprint()
+        old_key = pipeline.evaluation_fingerprint(
+            backend="device:bogota:trajectory:batched:v1", shots=1024, seed=0,
+            config={"trajectories": 8}, cut_key=cut_key,
+        )
+        store = ArtifactStore(tmp_path / "old")
+        store.put_cut(cut_key, pipeline.circuit, pipeline.cut(), pipeline.solution)
+        _put_parent_layout(store, old_key, pipeline.evaluate())
+
+        records = []
+        for target in (store, ArtifactStore(tmp_path / "fresh")):
+            scheduler = JobScheduler(target, workers=1)
+            try:
+                records.append(scheduler.wait(scheduler.submit(spec), timeout=120))
+            finally:
+                scheduler.shutdown()
+        old, fresh = records
+        assert old.state == fresh.state == "done"
+        assert old.cache_hits == {"cut": True, "evaluate": False}
+        assert old.fingerprints["evaluate"] != old_key
+        assert (store.stats.misses, store.stats.corrupt) == (1, 0)
+        assert store.stats.misses_by_kind == {"evaluation": 1}
+        assert old.result["top_states"] == fresh.result["top_states"]
 
 
 class TestLruBudget:
@@ -538,7 +604,7 @@ class TestResidentTier:
         assert np.array_equal(answers[0][0], answers[1][0])
         assert answers[0][2] == answers[1][2]
         assert store.stats.resident_hits == 20
-        assert all(r.raw_vectors is None for r in results)  # queries stayed lazy
+        assert all(r._distributions is None for r in results)  # queries stayed lazy
 
     def test_tier_stays_under_its_bounds(self, filled, monkeypatch):
         store, circuit = filled

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import cut_circuit
+from repro import cut_circuit, cut_circuit_from_assignment
+from repro.circuits import build_circuit_graph
+from repro.core.executor import VariantExecutor
+from repro.cutting import evaluate_subcircuit, num_physical_variants
 from repro.library import bv, bv_solution
 from repro.postprocess.dd import DynamicDefinitionQuery
 from repro.postprocess.shots import (
@@ -12,23 +17,31 @@ from repro.postprocess.shots import (
 )
 from repro.sim import simulate_probabilities
 from repro.utils import marginalize
+from tests.conftest import random_connected_circuit
+from tests.shot_merge_oracle import merged_collapse
+
+
+def _provider(cut, **options):
+    """A shot provider over per-variant exact results of ``cut``."""
+    results = [evaluate_subcircuit(s) for s in cut.subcircuits]
+    return ShotBasedTensorProvider(cut, results, **options)
 
 
 class TestShotBasedProvider:
     def test_protocol_fields(self, fig4_circuit):
         cut = cut_circuit(fig4_circuit, [(2, 1)])
-        provider = ShotBasedTensorProvider(cut, shots=128, seed=0)
+        provider = _provider(cut, shots=128, seed=0)
         assert provider.num_qubits == 5
         assert provider.num_cuts == 1
 
     def test_shots_validated(self, fig4_circuit):
         cut = cut_circuit(fig4_circuit, [(2, 1)])
         with pytest.raises(ValueError):
-            ShotBasedTensorProvider(cut, shots=0)
+            _provider(cut, shots=0)
 
     def test_converges_to_exact_marginal(self, fig4_circuit):
         cut = cut_circuit(fig4_circuit, [(2, 1)])
-        provider = ShotBasedTensorProvider(cut, shots=200_000, seed=1)
+        provider = _provider(cut, shots=200_000, seed=1)
         query = DynamicDefinitionQuery(provider, max_active_qubits=2)
         recursion = query.step()
         truth = marginalize(simulate_probabilities(fig4_circuit), [0, 1], 5)
@@ -41,7 +54,7 @@ class TestShotBasedProvider:
         def error(shots):
             deviations = []
             for seed in range(4):
-                provider = ShotBasedTensorProvider(cut, shots=shots, seed=seed)
+                provider = _provider(cut, shots=shots, seed=seed)
                 query = DynamicDefinitionQuery(provider, max_active_qubits=2)
                 recursion = query.step()
                 deviations.append(np.abs(recursion.probabilities - truth).max())
@@ -52,7 +65,7 @@ class TestShotBasedProvider:
     def test_locates_bv_solution_with_shots(self):
         circuit = bv(6)
         cut = cut_circuit(circuit, [(5, 1)])
-        provider = ShotBasedTensorProvider(cut, shots=4096, seed=3)
+        provider = _provider(cut, shots=4096, seed=3)
         query = DynamicDefinitionQuery(provider, max_active_qubits=2)
         query.run(3)
         states = query.solution_states(threshold=0.5)
@@ -66,18 +79,68 @@ class TestShotBasedProvider:
             return simulate_probabilities(circuit)
 
         cut = cut_circuit(fig4_circuit, [(2, 1)])
-        provider = ShotBasedTensorProvider(cut, shots=64, backend=backend, seed=0)
+        results = VariantExecutor(backend=backend).run(cut.subcircuits)
+        provider = ShotBasedTensorProvider(
+            cut, results, shots=64, seed=0, cache=False
+        )
         query = DynamicDefinitionQuery(provider, max_active_qubits=1)
         query.run(2)
-        # 7 physical variants total, simulated once despite 2 recursions.
+        # 7 physical variants total, simulated once although each of the
+        # 2 recursions redraws its shots.
         assert sum(calls) == 7
 
     def test_bins_roughly_normalized(self, fig4_circuit):
         cut = cut_circuit(fig4_circuit, [(2, 1)])
-        provider = ShotBasedTensorProvider(cut, shots=20_000, seed=5)
+        provider = _provider(cut, shots=20_000, seed=5)
         query = DynamicDefinitionQuery(provider, max_active_qubits=2)
         recursion = query.step()
         assert np.isclose(recursion.probabilities.sum(), 1.0, atol=0.05)
+
+
+class TestShotCollapseOracle:
+    """The provider's collapse against the long-hand shot merge."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=5),
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([64, 1024, 4096, 100, 3000]),
+    )
+    def test_matches_merged_counts_and_consumes_the_same_draws(
+        self, n, seed, shots
+    ):
+        circuit = random_connected_circuit(n, 2 * n, seed)
+        graph = build_circuit_graph(circuit)
+        rng = np.random.default_rng(seed)
+        assignment = rng.integers(0, 3, graph.num_vertices)
+        cut = cut_circuit_from_assignment(circuit, list(assignment), graph=graph)
+        if any(num_physical_variants(s) > 4**4 for s in cut.subcircuits):
+            return
+        kinds = [("active",), ("merged",), ("fixed", 0), ("fixed", 1)]
+        roles = {
+            wire: kinds[int(choice)]
+            for wire, choice in enumerate(rng.integers(0, 4, n))
+        }
+        results = VariantExecutor().run(cut.subcircuits)
+        provider = ShotBasedTensorProvider(
+            cut, results, shots=shots, seed=seed, cache=False
+        )
+        oracle_rng = np.random.default_rng(seed)
+        for (got, wires), result in zip(provider.collapsed(roles), results):
+            want, want_wires = merged_collapse(
+                result.subcircuit, result.distributions, roles, shots, oracle_rng
+            )
+            assert wires == want_wires
+            assert got.cut_order == want.cut_order
+            assert got.data.shape == want.data.shape
+            if shots & (shots - 1) == 0:  # frequencies are exact dyadics
+                assert np.array_equal(got.data, want.data)
+                assert np.array_equal(got.nonzero, want.nonzero)
+            else:
+                assert np.abs(got.data - want.data).max() <= 1e-12
+        assert (
+            provider._rng.bit_generator.state == oracle_rng.bit_generator.state
+        )
 
 
 class TestShotEstimator:
@@ -109,7 +172,7 @@ class TestShotEstimator:
         cut = cut_circuit(fig4_circuit, [(2, 1)])
         target = 0.05
         shots = estimate_required_shots(cut, target_error=target)
-        provider = ShotBasedTensorProvider(cut, shots=shots, seed=11)
+        provider = _provider(cut, shots=shots, seed=11)
         query = DynamicDefinitionQuery(provider, max_active_qubits=2)
         recursion = query.step()
         truth = marginalize(simulate_probabilities(fig4_circuit), [0, 1], 5)

@@ -98,9 +98,11 @@ class TestEvaluation:
     def test_result_vectors_are_distributions(self, fig4_cut):
         for sub in fig4_cut.subcircuits:
             result = evaluate_subcircuit(sub)
-            for vector in result.probabilities.values():
-                assert np.isclose(vector.sum(), 1.0)
-                assert np.all(vector >= -1e-12)
+            assert result.distributions.shape == (
+                4 ** len(sub.init_lines), 3 ** len(sub.meas_lines), 1 << sub.width
+            )
+            assert np.allclose(result.distributions.sum(axis=-1), 1.0)
+            assert np.all(result.distributions >= -1e-12)
 
     def test_custom_backend_used(self, fig4_cut):
         up = fig4_cut.subcircuits[0]
@@ -112,8 +114,7 @@ class TestEvaluation:
 
         result = evaluate_subcircuit(up, backend)
         assert len(calls) == num_physical_variants(up)
-        for vector in result.probabilities.values():
-            assert np.allclose(vector, 1.0 / (1 << up.width))
+        assert np.allclose(result.distributions, 1.0 / (1 << up.width))
 
     def test_backend_size_mismatch_detected(self, fig4_cut):
         up = fig4_cut.subcircuits[0]
