@@ -19,8 +19,7 @@ import json
 import os
 import time
 
-
-from repro import evaluate_subcircuit
+from repro.core import VariantExecutor
 from repro.cutting import CutSearchError, find_cuts
 from repro.library import bv, bv_solution, get_benchmark
 
@@ -124,7 +123,7 @@ def test_fig10_dd_zoom_cache_speedup():
     solution = find_cuts(circuit, _DD_DEVICE, method="heuristic", max_cuts=8)
     cut = solution.apply(circuit)
     assert cut.max_subcircuit_width() <= 25
-    results = [evaluate_subcircuit(s) for s in cut.subcircuits]
+    results = VariantExecutor().run(cut.subcircuits)
 
     refactored = DynamicDefinitionQuery(
         PrecomputedTensorProvider(cut, results=results, cache=True),

@@ -11,7 +11,9 @@ body stays resident across chunks via the per-process geometry memo.
 
 This bench runs a fig11-style BV sweep on a line-topology virtual
 device through both :class:`~repro.core.executor.VariantExecutor`
-strategies, sanity-checks the batched distributions, and gates an
+evaluators — the per-circuit path is the device's own
+``backend(shots, trajectories, seed)`` closure, the path a
+``MitigatedBackend`` still takes — sanity-checks the batched distributions, and gates an
 aggregate (total per-circuit / total batched) speedup floor.  Both
 paths are measured warm (transpile/geometry memos populated), matching
 the steady state a service observes.  Results land in
@@ -45,7 +47,6 @@ _SWEEP = [
 _BENCHMARK = os.environ.get("REPRO_BENCH_NB_BENCHMARK", "bv")
 _TRAJECTORIES = int(os.environ.get("REPRO_BENCH_NB_TRAJECTORIES", "8"))
 _SHOTS = int(os.environ.get("REPRO_BENCH_NB_SHOTS", "2048"))
-_SIM_BATCH = int(os.environ.get("REPRO_BENCH_NB_SIM_BATCH", "256"))
 _REPS = int(os.environ.get("REPRO_BENCH_NB_REPS", "3"))
 _MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_NB_MIN_SPEEDUP", "12.0"))
 
@@ -80,21 +81,18 @@ def test_noisy_batch_speedup():
         )
 
         legacy_executor = VariantExecutor(
-            device=device,
-            device_shots=_SHOTS,
-            trajectories=_TRAJECTORIES,
-            seed=17,
-            sim_batch=0,
+            backend=device.backend(
+                shots=_SHOTS, trajectories=_TRAJECTORIES, seed=17
+            ),
         )
         legacy_seconds, _ = _measure(legacy_executor, subcircuits)
-        assert legacy_executor.last_report.mode == "serial"
+        assert legacy_executor.last_report.mode == "backend"
 
         batched_executor = VariantExecutor(
             device=device,
             device_shots=_SHOTS,
             trajectories=_TRAJECTORIES,
             seed=17,
-            sim_batch=_SIM_BATCH,
         )
         batched_seconds, batched = _measure(batched_executor, subcircuits)
         batched_report = batched_executor.last_report
@@ -144,7 +142,6 @@ def test_noisy_batch_speedup():
         "benchmark": _BENCHMARK,
         "trajectories": _TRAJECTORIES,
         "shots": _SHOTS,
-        "sim_batch": _SIM_BATCH,
         "reps": _REPS,
         "min_speedup": _MIN_SPEEDUP,
         "gated": True,

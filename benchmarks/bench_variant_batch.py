@@ -2,15 +2,16 @@
 
 The quantum-workload half of every CutQC run is evaluating the
 ``3^O * 4^rho`` physical variants of each subcircuit.  The per-variant
-path (``sim_batch=0``) simulates one full circuit per variant through a
-Python per-gate loop and builds term tensors from the stacked
-distributions; the batched strategy simulates the measurement-free body
+path (a ``backend=simulate_probabilities`` executor) simulates one full
+circuit per variant through a Python per-gate loop and builds term
+tensors from the stacked distributions; the batched engine simulates
+the measurement-free body
 **once over the ``2^rho`` basis columns of the init wires** (stacked on a
 batch axis, gates fused to <= ``fusion_width`` qubits), holds those
 amplitudes, and builds term tensors from them directly.
 
 This bench runs a fig6-style BV sweep through both
-:class:`~repro.core.executor.VariantExecutor` strategies and times the
+:class:`~repro.core.executor.VariantExecutor` evaluators and times the
 unit a query consumes — ``executor.run`` **plus** ``build_term_tensor``
 per result — on both sides; outside the timed window it verifies that
 the batched side's *materialised* distributions agree with the
@@ -27,7 +28,7 @@ import time
 
 import numpy as np
 
-from repro import CutQC
+from repro import CutQC, simulate_probabilities
 from repro.core.executor import VariantExecutor
 from repro.cutting import num_physical_variants
 from repro.library import get_benchmark
@@ -48,7 +49,6 @@ _SWEEP = [
 ]
 _BENCHMARK = os.environ.get("REPRO_BENCH_VB_BENCHMARK", "bv")
 _FUSION_WIDTH = int(os.environ.get("REPRO_BENCH_VB_FUSION_WIDTH", "4"))
-_SIM_BATCH = int(os.environ.get("REPRO_BENCH_VB_SIM_BATCH", "256"))
 _REPS = int(os.environ.get("REPRO_BENCH_VB_REPS", "3"))
 _MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_VB_MIN_SPEEDUP", "5.0"))
 _MAX_ABS_ERROR = 1e-10
@@ -86,12 +86,10 @@ def test_variant_batch_speedup():
         cut = pipeline.cut()
         subcircuits = cut.subcircuits
 
-        serial_executor = VariantExecutor(sim_batch=0)
+        serial_executor = VariantExecutor(backend=simulate_probabilities)
         serial_seconds, serial = _measure(serial_executor, subcircuits)
-        assert serial_executor.last_report.mode == "serial"
-        batched_executor = VariantExecutor(
-            sim_batch=_SIM_BATCH, fusion_width=_FUSION_WIDTH
-        )
+        assert serial_executor.last_report.mode == "backend"
+        batched_executor = VariantExecutor(fusion_width=_FUSION_WIDTH)
         batched_seconds, batched = _measure(batched_executor, subcircuits)
         batched_report = batched_executor.last_report
 
@@ -144,7 +142,6 @@ def test_variant_batch_speedup():
         "generated_by": "bench_variant_batch.py",
         "benchmark": _BENCHMARK,
         "fusion_width": _FUSION_WIDTH,
-        "sim_batch": _SIM_BATCH,
         "reps": _REPS,
         "min_speedup": _MIN_SPEEDUP,
         "gated": True,
@@ -173,7 +170,7 @@ def test_variant_batch_speedup():
         "bench_variant_batch",
         f"Batched+fused evaluate + term-tensor build vs per-variant — "
         f"{_BENCHMARK} sweep, fusion width {_FUSION_WIDTH}, "
-        f"<= {_SIM_BATCH} columns per pass",
+        "<= 256 columns per pass",
         ["config", "D", "cuts", "variants", "passes", "serial ms",
          "batched ms", "speedup"],
         rows,

@@ -33,7 +33,6 @@ from .cutting import (
     Subcircuit,
     cut_circuit,
     cut_circuit_from_assignment,
-    evaluate_subcircuit,
     find_cuts,
 )
 from .devices import VirtualDevice, bogota, get_device, johannesburg, make_device
@@ -86,7 +85,6 @@ __all__ = [
     "Subcircuit",
     "cut_circuit",
     "cut_circuit_from_assignment",
-    "evaluate_subcircuit",
     "find_cuts",
     "VirtualDevice",
     "bogota",

@@ -88,21 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
                  "0 = no pool, everything inline)",
         )
         sub.add_argument(
-            "--sim-batch", type=int, default=None, metavar="B",
-            help="batched variant simulation: fused body passes of <= B "
-                 "columns (exact: the 2^rho basis columns of the init wires; "
-                 "--device: init states) (default: on, 256; applies to exact "
-                 "and --device evaluation)",
-        )
-        sub.add_argument(
-            "--no-sim-batch", action="store_true",
-            help="force the legacy per-variant execution path "
-                 "(equivalent to --sim-batch 0)",
-        )
-        sub.add_argument(
             "--fusion-width", type=int, default=2, metavar="K",
-            help="max fused-unitary width for --sim-batch's gate-fusion "
-                 "pass (default: 2)",
+            help="max fused-unitary width for the batched engines' "
+                 "gate-fusion pass (default: 2)",
         )
         sub.add_argument(
             "--trace", action="store_true",
@@ -272,14 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("trajectory", "density"),
                         default="trajectory",
                         help="batched noisy estimator used with --device")
-    submit.add_argument("--sim-batch", type=int, default=None, metavar="B",
-                        help="batched variant simulation, <= B columns "
-                             "per fused body pass (default: on, 256)")
-    submit.add_argument("--no-sim-batch", action="store_true",
-                        help="force per-variant execution "
-                             "(equivalent to --sim-batch 0)")
     submit.add_argument("--fusion-width", type=int, default=2, metavar="K",
-                        help="max fused-unitary width for --sim-batch")
+                        help="max fused-unitary width for the batched "
+                             "engines' gate-fusion pass")
     submit.add_argument("--wait", action="store_true",
                         help="poll until the job finishes and print the result")
     submit.add_argument("--timeout", type=float, default=300.0,
@@ -331,14 +314,7 @@ def _parse_pool(spec: str, seed: int):
     return DevicePool(devices)
 
 
-def _cli_sim_batch(args: argparse.Namespace) -> Optional[int]:
-    """Resolve --sim-batch/--no-sim-batch: None keeps batching default."""
-    if getattr(args, "no_sim_batch", False):
-        return 0
-    return getattr(args, "sim_batch", None)
-
-
-def _build_pipeline(args: argparse.Namespace, backend=None, device=None) -> CutQC:
+def _build_pipeline(args: argparse.Namespace, device=None) -> CutQC:
     circuit = _build_circuit(args)
     pool = None
     pool_shots = None
@@ -359,7 +335,6 @@ def _build_pipeline(args: argparse.Namespace, backend=None, device=None) -> CutQ
         max_subcircuits=args.max_subcircuits,
         max_cuts=args.max_cuts,
         method=args.method,
-        backend=backend,
         device=device,
         device_shots=getattr(args, "shots", None) if device is not None else None,
         trajectories=getattr(args, "trajectories", 24),
@@ -369,7 +344,6 @@ def _build_pipeline(args: argparse.Namespace, backend=None, device=None) -> CutQ
         strategy=getattr(args, "strategy", DEFAULT_STRATEGY),
         seed=args.seed,
         worker_pool=worker_pool,
-        sim_batch=_cli_sim_batch(args),
         fusion_width=getattr(args, "fusion_width", 2),
     )
 
@@ -495,7 +469,6 @@ def _execution_report_dict(report) -> Optional[dict]:
         "pool_makespan_seconds": report.pool_makespan_seconds,
         "pool_serial_seconds": report.pool_serial_seconds,
         "num_body_passes": report.num_body_passes,
-        "sim_batch": report.sim_batch,
         "fusion_width": report.fusion_width,
     }
 
@@ -508,7 +481,7 @@ def _print_execution_report(report) -> None:
         f"{report.num_unique_circuits} unique circuits "
         f"(dedup {report.dedup_ratio:.2f}x, {report.mode})"
     )
-    if report.num_body_passes is not None:
+    if report.num_body_passes:
         line += (
             f", {report.num_body_passes} fused body pass(es) "
             f"(fusion width {report.fusion_width})"
@@ -915,7 +888,6 @@ def _submit_payload(args: argparse.Namespace) -> dict:
         "max_cuts": args.max_cuts,
         "method": args.method,
         "strategy": args.strategy,
-        "sim_batch": _cli_sim_batch(args),
         "fusion_width": args.fusion_width,
         "query": query,
     }

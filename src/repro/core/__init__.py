@@ -1,6 +1,6 @@
 """The paper's primary contribution: the end-to-end CutQC pipeline."""
 
-from .executor import ExecutionReport, VariantExecutor, circuit_fingerprint
+from .executor import ExecutionReport, VariantExecutor
 from .pipeline import CutQC, evaluate_with_cutqc
 from .variational import RebindStats, VariationalSession, spsa_gains
 
@@ -9,7 +9,6 @@ __all__ = [
     "evaluate_with_cutqc",
     "ExecutionReport",
     "VariantExecutor",
-    "circuit_fingerprint",
     "RebindStats",
     "VariationalSession",
     "spsa_gains",

@@ -41,7 +41,7 @@ from ..postprocess import (
     StreamStats,
     StreamingReconstructor,
 )
-from .executor import ExecutionReport, VariantExecutor, resolve_sim_batch
+from .executor import ExecutionReport, VariantExecutor
 
 __all__ = ["CutQC", "evaluate_with_cutqc"]
 
@@ -66,9 +66,12 @@ class CutQC:
     max_subcircuit_qubits:
         Device size ``D`` — the qubit budget per subcircuit.
     backend:
-        A ``circuit -> probability vector`` callable used to evaluate
-        subcircuit variants.  Defaults to exact statevector simulation.
-        Pass ``device.backend(...)`` for noisy hardware emulation.
+        A ``circuit -> probability vector`` callable that evaluates every
+        subcircuit variant, inline (mode ``"backend"``).  Defaults to the
+        batched exact statevector engine.  ``device.backend(...)`` or a
+        :class:`~repro.devices.mitigation.MitigatedBackend` emulate
+        hardware one circuit at a time; ``device=`` is the batched noisy
+        engine for the same device.
     cuts:
         Explicit ``(wire, wire_index)`` cut points; when given, the MIP
         search is skipped.
@@ -94,23 +97,11 @@ class CutQC:
         dispatch through the same pool.  Without one, every stage runs
         inline.  The pipeline does not own the pool — the caller closes
         it.
-    sim_batch:
-        Evaluate variants with the batched fused-simulation strategy:
-        each subcircuit body runs in fused passes of at most ``sim_batch``
-        columns — the ``2^rho`` basis columns of its init wires when
-        exact, the ``4^rho`` init states when noisy.  ``None`` (the
-        default) turns batching **on**
-        — exact statevector batching, batched noisy evaluation when a
-        ``device`` is set, and per-group batched dispatch over a
-        ``pool`` — resolving to ``0`` only under a custom ``backend``.
-        An explicit positive value with ``backend`` raises; ``0``
-        forces the legacy per-variant path (the ``--no-sim-batch``
-        escape hatch, including per-circuit pool dispatch).
     fusion_width:
-        Max fused-unitary width for the batched strategy's fusion pass.
+        Max fused-unitary width for the batched engines' fusion pass.
     device_shots:
-        Shots per variant on the batched device path (``None`` = the
-        device's configured default, ``0`` = noise-only distributions).
+        Shots per variant on the device path (``None`` = the device's
+        configured default, ``0`` = noise-only distributions).
     trajectories:
         Monte-Carlo trajectories per variant for batched noisy
         evaluation on a ``device``.
@@ -134,7 +125,6 @@ class CutQC:
         strategy: str = DEFAULT_STRATEGY,
         seed: Optional[int] = None,
         worker_pool=None,
-        sim_batch: Optional[int] = None,
         fusion_width: int = 2,
         device_shots: Optional[int] = None,
         trajectories: int = 24,
@@ -172,7 +162,6 @@ class CutQC:
         self.pool_shots = pool_shots
         self.seed = seed
         self.worker_pool = worker_pool
-        self.sim_batch = resolve_sim_batch(sim_batch, backend=backend, pool=pool)
         self.fusion_width = int(fusion_width)
         self.engine = ContractionEngine(strategy=strategy, pool=worker_pool)
         self._explicit_cuts = list(cuts) if cuts is not None else None
@@ -311,24 +300,27 @@ class CutQC:
                 )
         return self._cut
 
+    def make_executor(self) -> VariantExecutor:
+        """A :class:`VariantExecutor` configured like this pipeline."""
+        return VariantExecutor(
+            backend=self.backend,
+            pool=self.pool,
+            pool_shots=self.pool_shots,
+            seed=self.seed,
+            worker_pool=self.worker_pool,
+            fusion_width=self.fusion_width,
+            device=self.device,
+            device_shots=self.device_shots,
+            trajectories=self.trajectories,
+            noisy_method=self.noisy_method,
+        )
+
     def evaluate(self) -> List[SubcircuitResult]:
         """Run every physical variant of every subcircuit, batched and
         deduplicated, via the :class:`VariantExecutor`."""
         if self._results is None:
             cut = self.cut()
-            executor = VariantExecutor(
-                backend=self.backend,
-                pool=self.pool,
-                pool_shots=self.pool_shots,
-                seed=self.seed,
-                worker_pool=self.worker_pool,
-                sim_batch=self.sim_batch,
-                fusion_width=self.fusion_width,
-                device=self.device,
-                device_shots=self.device_shots,
-                trajectories=self.trajectories,
-                noisy_method=self.noisy_method,
-            )
+            executor = self.make_executor()
             with trace.span(
                 "evaluate", {"subcircuits": cut.num_subcircuits}
             ):

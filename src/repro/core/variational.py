@@ -212,24 +212,6 @@ class VariationalSession:
             )
         return cut, False
 
-    def _make_executor(self):
-        from .executor import VariantExecutor
-
-        pipeline = self._pipeline
-        return VariantExecutor(
-            backend=pipeline.backend,
-            pool=pipeline.pool,
-            pool_shots=pipeline.pool_shots,
-            seed=pipeline.seed,
-            worker_pool=pipeline.worker_pool,
-            sim_batch=pipeline.sim_batch,
-            fusion_width=pipeline.fusion_width,
-            device=pipeline.device,
-            device_shots=pipeline.device_shots,
-            trajectories=pipeline.trajectories,
-            noisy_method=pipeline.noisy_method,
-        )
-
     # ------------------------------------------------------------------
     def rebind(self, values: Sequence[float]) -> RebindStats:
         """Bind new parameters and re-evaluate only what they touched."""
@@ -275,7 +257,7 @@ class VariationalSession:
         self._pipeline.circuit = bound
 
         if self._executor is None:
-            self._executor = self._make_executor()
+            self._executor = self._pipeline.make_executor()
         executor = self._executor
 
         fusion_before = fusion_stats()

@@ -31,8 +31,6 @@ from .variants import (
     SubcircuitResult,
     SubcircuitVariant,
     VariantCircuitFactory,
-    circuit_fingerprint,
-    evaluate_subcircuit,
     generate_variants,
     num_physical_variants,
     variant_circuit,
@@ -66,8 +64,6 @@ __all__ = [
     "SubcircuitResult",
     "SubcircuitVariant",
     "VariantCircuitFactory",
-    "circuit_fingerprint",
-    "evaluate_subcircuit",
     "generate_variants",
     "num_physical_variants",
     "variant_circuit",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from ..circuits import Gate, QuantumCircuit
 from ..circuits.gates import gate_matrix
 from ..obs import trace
 from ..sim.noise import NoiseModel, clean_log_weight
-from ..sim.statevector import INITIAL_STATES, simulate_probabilities
+from ..sim.statevector import INITIAL_STATES
 from .cutter import Subcircuit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -41,12 +41,10 @@ __all__ = [
     "generate_variants",
     "variant_circuit",
     "VariantCircuitFactory",
-    "circuit_fingerprint",
     "basis_column_amplitudes",
     "materialise_distributions",
     "NoisyEvalSpec",
     "batched_noisy_variant_probabilities",
-    "evaluate_subcircuit",
     "SubcircuitResult",
     "num_physical_variants",
 ]
@@ -119,8 +117,9 @@ class VariantCircuitFactory:
     It also owns the **structural key**: the cheap hashable identity
     ``(width, body gates, init/meas line positions, inits, bases)``.
     Two variants — of the same or of different subcircuits — with equal
-    structural keys produce identical physical circuits, so every dedup
-    path can key on it instead of fingerprinting full gate lists.
+    structural keys produce identical physical circuits.  The key is
+    ``(body_key, inits, bases)``, so grouping subcircuits by
+    :attr:`body_key` shares exactly the circuits the key would.
     """
 
     def __init__(self, subcircuit: Subcircuit):
@@ -192,20 +191,6 @@ def variant_circuit(
     return VariantCircuitFactory(subcircuit).circuit(variant)
 
 
-def circuit_fingerprint(circuit: QuantumCircuit) -> Tuple:
-    """Hashable identity of a physical circuit (width + exact gate list).
-
-    Two variants with equal fingerprints produce identical output
-    distributions on any backend, so one execution can serve both; every
-    dedup path (per-subcircuit and batched) keys on this one function.
-    """
-    return (circuit.num_qubits, circuit.gates)
-
-
-#: An evaluation backend maps a runnable circuit to a probability vector.
-Backend = Callable[[QuantumCircuit], np.ndarray]
-
-
 # ----------------------------------------------------------------------
 # Batched evaluation: one fused body pass over the 2^rho basis columns
 # ----------------------------------------------------------------------
@@ -213,7 +198,6 @@ Backend = Callable[[QuantumCircuit], np.ndarray]
 def basis_column_amplitudes(
     subcircuit: Subcircuit,
     fusion_width: int = 2,
-    max_batch: int = 0,
     columns: Optional[Tuple[int, int]] = None,
 ) -> Tuple[np.ndarray, int]:
     """Final amplitudes of the init wires' computational-basis columns.
@@ -221,16 +205,14 @@ def basis_column_amplitudes(
     Column ``c`` puts bit ``k`` of ``c`` (MSB first) on init line ``k`` and
     ``|0>`` on every other wire: the initial batch is rows of an identity
     scattered to the init positions.  ``columns = (start, stop)`` restricts
-    the sweep to a range — the unit a
-    :class:`~repro.core.executor.VariantExecutor` ships to pool workers;
-    ``max_batch`` caps the columns per fused pass (``columns * 2^width *
-    16`` bytes per live tensor, ``0`` = one pass).  Returns the
-    ``(stop - start, 2^width)`` complex128 slab and the number of passes.
+    the sweep to a range — the init batch a
+    :class:`~repro.core.executor.VariantExecutor` payload carries; the
+    range is one fused pass (``(stop - start) * 2^width * 16`` bytes per
+    live tensor).  Returns the ``(stop - start, 2^width)`` complex128 slab
+    and the number of passes, 1.
     """
     from ..sim import batch
 
-    if max_batch < 0:
-        raise ValueError("max_batch must be >= 0")
     width = subcircuit.width
     positions = [line.line for line in subcircuit.init_lines]
     start, stop = columns or (0, 1 << len(positions))
@@ -241,20 +223,16 @@ def basis_column_amplitudes(
     for k, position in enumerate(positions):
         bit = (members >> (len(positions) - 1 - k)) & 1
         basis_index |= bit << (width - 1 - position)
-    chunk = max_batch or stop - start
-    slabs = []
-    for begin in range(0, stop - start, chunk):
-        count = min(chunk, stop - start - begin)
-        with trace.span(
-            "evaluate.variant_batch",
-            {"subcircuit": subcircuit.index, "width": width, "columns": count,
-             "rho": len(positions), "num_meas": len(subcircuit.meas_lines)},
-        ):
-            data = np.zeros((count, 1 << width), dtype=complex)
-            data[np.arange(count), basis_index[begin : begin + count]] = 1.0
-            state = batch.BatchedStatevector(width, count, data)
-            slabs.append(state.apply_fused(ops).amplitudes())
-    return (slabs[0] if len(slabs) == 1 else np.concatenate(slabs)), len(slabs)
+    count = stop - start
+    with trace.span(
+        "evaluate.variant_batch",
+        {"subcircuit": subcircuit.index, "width": width, "columns": count,
+         "rho": len(positions), "num_meas": len(subcircuit.meas_lines)},
+    ):
+        data = np.zeros((count, 1 << width), dtype=complex)
+        data[np.arange(count), basis_index] = 1.0
+        state = batch.BatchedStatevector(width, count, data)
+        return state.apply_fused(ops).amplitudes(), 1
 
 
 def expand_inits(columns: np.ndarray, num_lines: int) -> np.ndarray:
@@ -557,7 +535,6 @@ def batched_noisy_variant_probabilities(
     subcircuit: Subcircuit,
     spec: NoisyEvalSpec,
     fusion_width: int = 2,
-    max_batch: int = 0,
     init_combos: Optional[Sequence[Tuple[str, ...]]] = None,
 ) -> Tuple[np.ndarray, int]:
     """Every *noisy* variant distribution from shared batched body passes.
@@ -601,8 +578,6 @@ def batched_noisy_variant_probabilities(
     )
     from ..sim.sampler import sample_distribution
 
-    if max_batch < 0:
-        raise ValueError("max_batch must be >= 0")
     geometry = _compiled_noisy_geometry(subcircuit, spec, fusion_width)
     noise = spec.effective_noise
     gate_noise = noise.error_1q > 0.0 or noise.error_2q > 0.0
@@ -847,43 +822,36 @@ def batched_noisy_variant_probabilities(
             leaves[bases] = mixed
         return leaves, 1 + len(forks)
 
+    codes = [_labels_code(labels) for labels in init_combos]
+    with trace.span(
+        "evaluate.noisy_variant_batch",
+        {"subcircuit": index, "method": spec.method,
+         "members": len(init_combos)},
+    ) as span:
+        if spec.method == "density":
+            leaves, num_passes = density_chunk(init_combos)
+        else:
+            leaves, num_passes = trajectory_chunk(init_combos, codes, span)
     distributions = np.empty(
         (len(init_combos), len(MEAS_BASES) ** num_meas, 1 << subcircuit.width)
     )
-    num_passes = 0
-    chunk = max_batch if max_batch else max(1, len(init_combos))
-    for start in range(0, len(init_combos), chunk):
-        combos = init_combos[start : start + chunk]
-        codes = [_labels_code(labels) for labels in combos]
-        with trace.span(
-            "evaluate.noisy_variant_batch",
-            {"subcircuit": index, "method": spec.method,
-             "members": len(combos)},
-        ) as span:
-            if spec.method == "density":
-                leaves, passes = density_chunk(combos)
-            else:
-                leaves, passes = trajectory_chunk(combos, codes, span)
-        num_passes += passes
-        for bases, rows in leaves.items():
-            rows = apply_readout_error_rows(rows, noise.readout)
-            code = _bases_code(bases)
-            if spec.shots:
-                rows = np.stack(
-                    [
-                        sample_distribution(
-                            rows[row],
-                            spec.shots,
-                            spawn_rng(seed, 3, index, codes[row], code),
-                        )
-                        for row in range(len(combos))
-                    ]
-                )
-            if geometry.keep is not None:
-                rows = marginalize_rows(
-                    rows, geometry.keep, geometry.num_wires
-                )
-            distributions[start : start + len(combos), code] = rows
+    for bases, rows in leaves.items():
+        rows = apply_readout_error_rows(rows, noise.readout)
+        code = _bases_code(bases)
+        if spec.shots:
+            rows = np.stack(
+                [
+                    sample_distribution(
+                        rows[row],
+                        spec.shots,
+                        spawn_rng(seed, 3, index, codes[row], code),
+                    )
+                    for row in range(len(init_combos))
+                ]
+            )
+        if geometry.keep is not None:
+            rows = marginalize_rows(rows, geometry.keep, geometry.num_wires)
+        distributions[:, code] = rows
     return distributions, num_passes
 
 
@@ -893,7 +861,7 @@ class SubcircuitResult:
     An **exact** batched result holds ``amplitudes`` — the
     ``(2^rho, 2^width)`` complex128 :func:`basis_column_amplitudes`, which
     determine every variant.  Any other result (noisy, device, custom
-    backend, per-variant) holds ``distributions`` — a mixed state has no
+    backend, sampled shots) holds ``distributions`` — a mixed state has no
     amplitude: one float64 ``(4^rho, 3^O, 2^width)`` array whose
     ``[i, b]`` row is the probability vector of the ``i``-th init combo
     measured in the ``b``-th basis combo, both in :func:`generate_variants`
@@ -904,10 +872,10 @@ class SubcircuitResult:
     ``num_variants`` / ``num_unique_circuits`` record how much of the
     variant space was served by shared physical executions (beyond the
     I/Z sharing already folded into :data:`MEAS_BASES`).  ``mode`` says
-    how the result was produced (``"per-variant"`` circuit executions
-    or ``"batched"`` fused body passes); ``num_body_passes`` counts the
-    batched passes (0 on the per-variant path; on the noisy trajectory
-    path: clean walk + forked suffixes).  ``term_tensor`` is the
+    how the result was produced (``"backend"`` circuit executions or a
+    ``"batched"`` engine's fused body passes); ``num_body_passes`` counts
+    the fused passes (0 under a backend; on the noisy trajectory path:
+    clean walk + forked suffixes).  ``term_tensor`` is the
     memo slot of :func:`repro.postprocess.attribution.build_term_tensor`
     (the data never changes after construction, so neither does it).
     """
@@ -918,7 +886,7 @@ class SubcircuitResult:
         distributions: Optional[np.ndarray] = None,
         num_variants: int = 0,
         num_unique_circuits: int = 0,
-        mode: str = "per-variant",
+        mode: str = "backend",
         num_body_passes: int = 0,
         amplitudes: Optional[np.ndarray] = None,
     ):
@@ -954,84 +922,8 @@ class SubcircuitResult:
         return self.distributions[_labels_code(inits), _bases_code(bases)]
 
 
-def evaluate_subcircuit(
-    subcircuit: Subcircuit,
-    backend: Optional[Backend] = None,
-    sim_batch: int = 0,
-    fusion_width: int = 2,
-    noisy: Optional[NoisyEvalSpec] = None,
-) -> SubcircuitResult:
-    """Run every physical variant of ``subcircuit`` through ``backend``.
-
-    The default backend is the exact statevector simulator (what the paper
-    uses for its runtime studies, §5.1); pass a noisy device's ``run`` for
-    hardware emulation.  Variants whose physical circuits coincide (equal
-    structural keys) are executed once and fill every row they answer;
-    the achieved ratio is reported on the returned :class:`SubcircuitResult`.
-
-    With ``sim_batch > 0`` (exact backend only) the batched fast path
-    replaces per-variant execution: the fused body runs on the ``2^rho``
-    basis columns of the init wires, at most ``sim_batch`` columns per
-    pass, and the result holds those amplitudes — see
-    :func:`basis_column_amplitudes`.  With a :class:`NoisyEvalSpec`
-    the noisy batched engine runs instead
-    (:func:`batched_noisy_variant_probabilities`, mode ``batched-noisy``)
-    — ``noisy`` requires ``sim_batch > 0`` and excludes ``backend``.
-    """
-    if sim_batch < 0:
-        raise ValueError("sim_batch must be >= 0")
-    if noisy is not None:
-        if backend is not None:
-            raise ValueError("noisy evaluation excludes a custom backend")
-        if not sim_batch:
-            raise ValueError("noisy batched evaluation requires sim_batch > 0")
-        distributions, num_passes = batched_noisy_variant_probabilities(
-            subcircuit, noisy, fusion_width=fusion_width, max_batch=sim_batch
-        )
-        return SubcircuitResult(
-            subcircuit=subcircuit,
-            distributions=distributions,
-            num_variants=num_physical_variants(subcircuit),
-            num_unique_circuits=num_physical_variants(subcircuit),
-            mode="batched-noisy",
-            num_body_passes=num_passes,
-        )
-    if sim_batch:
-        if backend is not None:
-            raise ValueError(
-                "sim_batch requires the exact statevector backend "
-                "(a custom backend evaluates whole circuits)"
-            )
-        amplitudes, num_passes = basis_column_amplitudes(
-            subcircuit, fusion_width=fusion_width, max_batch=sim_batch
-        )
-        return SubcircuitResult(
-            subcircuit=subcircuit,
-            num_variants=num_physical_variants(subcircuit),
-            num_unique_circuits=num_physical_variants(subcircuit),
-            mode="batched",
-            num_body_passes=num_passes,
-            amplitudes=amplitudes,
-        )
-    backend = backend or simulate_probabilities
-    factory = VariantCircuitFactory(subcircuit)
-    executed: Dict[Tuple, np.ndarray] = {}
-    rows = []
-    for variant in generate_variants(subcircuit):
-        key = factory.structural_key(variant)
-        if key not in executed:
-            executed[key] = backend(factory.circuit(variant))
-        rows.append(executed[key])
-    return SubcircuitResult(
-        subcircuit=subcircuit,
-        distributions=stack_variant_rows(subcircuit, rows),
-        num_variants=len(rows),
-        num_unique_circuits=len(executed),
-    )
-
-
 def stack_variant_rows(subcircuit: Subcircuit, rows: Sequence) -> np.ndarray:
-    """A backend's per-variant vectors, in :func:`generate_variants` order,
+    """A backend's variant vectors, in :func:`generate_variants` order,
     as one float64 ``(4^rho, 3^O, 2^width)`` distributions array."""
     for row in rows:
         if np.size(row) != 1 << subcircuit.width:

@@ -1,7 +1,7 @@
 """Virtual NISQ devices, presets and the transpiler substrate."""
 
 from .device import VirtualDevice
-from .pool import DeviceJob, DevicePool, PoolSchedule
+from .pool import DevicePool
 from .calibration import CalibratedDevice, Calibration, noise_adaptive_layout
 from .mitigation import MitigatedBackend, calibrate_confusion_matrix, mitigate_distribution
 from .presets import (
@@ -28,9 +28,7 @@ from .transpiler import (
 
 __all__ = [
     "VirtualDevice",
-    "DeviceJob",
     "DevicePool",
-    "PoolSchedule",
     "CalibratedDevice",
     "Calibration",
     "noise_adaptive_layout",

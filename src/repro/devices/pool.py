@@ -3,61 +3,31 @@
 The paper (§5.1) notes "CutQC allows executing the subcircuits on many
 small quantum computers in parallel to further reduce the time spent on
 quantum computers".  :class:`DevicePool` implements that execution model:
-variant circuits are dispatched round-robin (or greedily by queue depth)
-over a set of virtual devices, and a simple timing model — shots x
-circuit depth x gate time, plus per-job queue latency — estimates the
-quantum wall-clock the paper treats as negligible.
+:meth:`DevicePool.place` spreads jobs (the
+:class:`~repro.core.executor.VariantExecutor` places one per body-key
+group of subcircuits) over a set of virtual devices, and a simple timing
+model — shots x circuit depth x gate time, plus per-job queue latency —
+estimates the quantum wall-clock the paper treats as negligible.
 
 The pool is also the natural place to model *device heterogeneity*: each
 member device has its own size, topology and noise, and the pool refuses
-to place a variant on a device it does not fit.
+to place a job on a device it does not fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
-
-import numpy as np
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..circuits import QuantumCircuit
 from .device import VirtualDevice
 
-__all__ = ["DeviceJob", "PoolSchedule", "DevicePool"]
+__all__ = ["DevicePool"]
 
 #: Superconducting gate time scale used by the wall-clock model (§5.1:
 #: "gate times ... are on the order of nanoseconds").
 _GATE_SECONDS = 500e-9
 #: Per-job overhead (load + readout reset), a few milliseconds on clouds.
 _JOB_OVERHEAD_SECONDS = 2e-3
-
-
-@dataclass
-class DeviceJob:
-    """One variant execution assigned to one pool device."""
-
-    device_index: int
-    circuit: QuantumCircuit
-    shots: int
-    estimated_seconds: float
-
-
-@dataclass
-class PoolSchedule:
-    """The placement of a batch of variant circuits onto the pool."""
-
-    jobs: List[DeviceJob] = field(default_factory=list)
-    per_device_seconds: List[float] = field(default_factory=list)
-
-    @property
-    def makespan_seconds(self) -> float:
-        """Parallel quantum wall-clock: the busiest device's total."""
-        return max(self.per_device_seconds, default=0.0)
-
-    @property
-    def serial_seconds(self) -> float:
-        """What one device alone would have spent."""
-        return float(sum(self.per_device_seconds))
 
 
 class DevicePool:
@@ -77,99 +47,40 @@ class DevicePool:
         """Shot-serial execution-time model for one variant."""
         return _JOB_OVERHEAD_SECONDS + shots * circuit.depth() * _GATE_SECONDS
 
-    def schedule(
-        self, circuits: Sequence[QuantumCircuit], shots: int
-    ) -> PoolSchedule:
-        """Place each circuit on the least-loaded fitting device, in LPT
-        (longest-processing-time-first) order.
+    def place(
+        self,
+        jobs: Sequence[Tuple[int, float]],
+        pinned: Optional[Mapping[int, int]] = None,
+    ) -> Tuple[List[int], List[float]]:
+        """Place ``(width, seconds)`` jobs on the least-loaded fitting
+        device, in LPT (longest-processing-time-first) order.
 
         Placing the longest jobs first before the greedy least-loaded
         assignment is the classic makespan heuristic (4/3-approximate vs
         the 2-approximate arbitrary-order greedy): short jobs fill in the
-        load gaps the long ones leave behind.  ``jobs`` is returned in the
-        *input* circuit order regardless of placement order.
+        load gaps the long ones leave behind.  Ties go to the lowest
+        device index.  ``pinned`` maps a job's position to the device that
+        takes it regardless of load.  Returns each job's device index, in
+        input order, and the per-device loads: their max is the modelled
+        quantum makespan, their sum what one device alone would spend.
         """
-        circuits = list(circuits)
+        pinned = pinned or {}
         loads = [0.0] * len(self.devices)
-        schedule = PoolSchedule(per_device_seconds=loads)
-        seconds = [
-            self.estimate_job_seconds(circuit, shots) for circuit in circuits
-        ]
+        chosen = [0] * len(jobs)
         # LPT: sort stably by descending runtime, place greedily.
-        placement_order = sorted(
-            range(len(circuits)), key=lambda index: -seconds[index]
-        )
-        jobs: List[Optional[DeviceJob]] = [None] * len(circuits)
-        for index in placement_order:
-            circuit = circuits[index]
-            candidates = [
-                device_index
-                for device_index, device in enumerate(self.devices)
-                if device.num_qubits >= circuit.num_qubits
-            ]
-            if not candidates:
-                raise ValueError(
-                    f"no pool device fits a {circuit.num_qubits}-qubit variant"
-                )
-            chosen = min(candidates, key=lambda device_index: loads[device_index])
-            loads[chosen] += seconds[index]
-            jobs[index] = DeviceJob(
-                device_index=chosen,
-                circuit=circuit,
-                shots=shots,
-                estimated_seconds=seconds[index],
-            )
-        schedule.jobs.extend(jobs)
-        return schedule
-
-    # ------------------------------------------------------------------
-    def backend(
-        self,
-        shots: Optional[int] = None,
-        trajectories: int = 24,
-        seed: Optional[int] = None,
-    ) -> Callable[[QuantumCircuit], np.ndarray]:
-        """A CutQC evaluation backend that load-balances over the pool.
-
-        Each call places the variant on the currently least-loaded fitting
-        device (tracking the same timing model as :meth:`schedule`) and
-        executes it there, so heterogeneous pools behave like the paper's
-        many-small-QPUs deployment.  The accumulated schedule is available
-        as the callable's ``schedule`` attribute.
-        """
-        rng = np.random.default_rng(seed)
-        loads = [0.0] * len(self.devices)
-        schedule = PoolSchedule(per_device_seconds=loads)
-
-        def run(circuit: QuantumCircuit) -> np.ndarray:
-            candidates = [
-                index
-                for index, device in enumerate(self.devices)
-                if device.num_qubits >= circuit.num_qubits
-            ]
-            if not candidates:
-                raise ValueError(
-                    f"no pool device fits a {circuit.num_qubits}-qubit variant"
-                )
-            chosen = min(candidates, key=lambda index: loads[index])
-            device = self.devices[chosen]
-            effective_shots = shots if shots is not None else device.shots
-            seconds = self.estimate_job_seconds(circuit, effective_shots or 0)
-            loads[chosen] += seconds
-            schedule.jobs.append(
-                DeviceJob(
-                    device_index=chosen,
-                    circuit=circuit,
-                    shots=effective_shots or 0,
-                    estimated_seconds=seconds,
-                )
-            )
-            return device.run(
-                circuit,
-                shots=effective_shots,
-                trajectories=trajectories,
-                seed=int(rng.integers(2**31 - 1)),
-            )
-
-        run.schedule = schedule  # type: ignore[attr-defined]
-        return run
+        for index in sorted(range(len(jobs)), key=lambda i: -jobs[i][1]):
+            width, seconds = jobs[index]
+            if index in pinned:
+                device = pinned[index]
+            else:
+                fitting = [
+                    device_index
+                    for device_index, device in enumerate(self.devices)
+                    if device.num_qubits >= width
+                ]
+                if not fitting:
+                    raise ValueError(f"no pool device fits a {width}-qubit job")
+                device = min(fitting, key=loads.__getitem__)
+            loads[device] += seconds
+            chosen[index] = device
+        return chosen, loads

@@ -28,7 +28,7 @@ the upstream terms as sesquilinear forms of the measured qubit's amplitudes
 (``t1, t2 = 2|psi_0|^2, 2|psi_1|^2``, ``t3 = <X>``, ``t4 = <Y>``, with
 outcome 0 of the Y circuit ``H Sdg`` being the ``+i`` eigenstate) — no raw
 vector is formed.  Results without amplitudes (noisy, device, custom
-backend, per-variant, sampled shots: a mixed state has none) build from
+backend, sampled shots: a mixed state has none) build from
 their ``(4^rho, 3^O, 2^w)`` distributions array.
 """
 
@@ -224,9 +224,9 @@ def _attribute_amplitudes(result: SubcircuitResult, attributed: np.ndarray) -> N
 
 def _attribute_vectors(result: SubcircuitResult, attributed: np.ndarray) -> None:
     """Fill ``attributed`` from a result's ``(4^rho, 3^O, 2^w)``
-    distributions (noisy, device, custom backend, per-variant, sampled
-    shots): ``_GATHER_BYTES`` of init rows at a time, each measurement
-    line's (basis axis, qubit axis) pair contracted against
+    distributions (noisy, device, custom backend, sampled shots):
+    ``_GATHER_BYTES`` of init rows at a time, each measurement line's
+    (basis axis, qubit axis) pair contracted against
     :data:`MEASURE_TERMS`."""
     subcircuit = result.subcircuit
     meas_lines = subcircuit.meas_lines

@@ -291,15 +291,6 @@ def _run_variant_batch(payload):
     return data, passes, meta
 
 
-def _run_backend_chunk(payload):
-    """Evaluate a chunk of circuits through a pickled backend callable."""
-    backend, circuits = payload
-    began = time.perf_counter()
-    vectors = [np.asarray(backend(circuit), dtype=float) for circuit in circuits]
-    meta = _TaskMeta(pid=os.getpid(), elapsed_seconds=time.perf_counter() - began)
-    return vectors, meta
-
-
 #: Task kind -> module-level function; the traced wrapper dispatches by
 #: kind so payload tuples keep their exact untraced shapes.
 _TASK_FNS = {
@@ -309,7 +300,6 @@ _TASK_FNS = {
     "reduce": _run_reduce,
     "variant-batch": _run_variant_batch,
     "noisy-variant-batch": _run_variant_batch,
-    "backend": _run_backend_chunk,
 }
 
 
@@ -1515,34 +1505,3 @@ class WorkerPool:
             for _, task in pending:
                 self._discard(task)
         return outputs
-
-    def map_backend(self, backend, circuits: Sequence) -> List[np.ndarray]:
-        """Evaluate circuits through ``backend`` on the warm workers.
-
-        Chunked to amortize dispatch; result order matches input order.
-        Raises whatever the backend raises (including pickling errors
-        for backends that cannot cross a process boundary).
-        """
-        self._ensure_started()
-        circuits = list(circuits)
-        if not circuits:
-            return []
-        chunk = max(1, len(circuits) // (self.workers * 4))
-        pending = []
-        vectors: List[np.ndarray] = []
-        try:
-            for start in range(0, len(circuits), chunk):
-                payload = (backend, circuits[start : start + chunk])
-                pending.append(self._dispatch("backend", payload))
-            for task in pending:
-                try:
-                    chunk_vectors, meta = self._reap(task)
-                except Exception:
-                    self._record("backend", None, ok=False)
-                    raise
-                self._record("backend", meta, ok=True)
-                vectors.extend(chunk_vectors)
-        finally:
-            for task in pending:
-                self._discard(task)
-        return vectors

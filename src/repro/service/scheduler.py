@@ -155,9 +155,6 @@ class JobSpec:
     device: Optional[str] = None
     shots: Optional[int] = None
     strategy: str = DEFAULT_STRATEGY
-    #: ``None`` = batching on by default (exact *and* device paths);
-    #: ``0`` = the legacy per-variant escape hatch.
-    sim_batch: Optional[int] = None
     fusion_width: int = 2
     trajectories: int = 24
     noisy_method: str = "trajectory"
@@ -214,8 +211,6 @@ class JobSpec:
             raise ValueError("zoom_width must be positive")
         if self.top < 1:
             raise ValueError("top must be positive")
-        if self.sim_batch is not None and self.sim_batch < 0:
-            raise ValueError("sim_batch must be >= 0")
         from ..sim.batch import MAX_FUSION_WIDTH
 
         if not 1 <= self.fusion_width <= MAX_FUSION_WIDTH:
@@ -252,29 +247,17 @@ class JobSpec:
             )
         return ring_graph(self.qubits)
 
-    @property
-    def batched(self) -> bool:
-        """Whether this spec evaluates through the batched engine
-        (``sim_batch`` unset defaults to on)."""
-        return self.sim_batch is None or self.sim_batch > 0
-
     def backend_tag(self) -> str:
         """The evaluation-fingerprint backend config tag.
 
-        Batched and per-variant evaluation agree to ~1e-10 but are not
-        bit-identical, so they address distinct store artifacts.  Every
-        tag is *versioned*, so artifacts cached under an older engine or
-        an older artifact layout recompute instead of silently colliding:
-        ``:v3`` for exact amplitudes, ``:v2`` for everything stored as a
-        ``(4^rho, 3^O, 2^w)`` distributions array.
+        Every tag is *versioned*, so artifacts cached under an older
+        engine or an older artifact layout recompute instead of silently
+        colliding: ``:v3`` for exact amplitudes, ``:v2`` for everything
+        stored as a ``(4^rho, 3^O, 2^w)`` distributions array.
         """
         if self.device is not None:
-            if self.batched:
-                return f"device:{self.device}:{self.noisy_method}:batched:v2"
-            return f"device:{self.device}:per-variant:v2"
-        if self.batched:
-            return "statevector:batched:v3"
-        return "statevector:per-variant:v2"
+            return f"device:{self.device}:{self.noisy_method}:batched:v2"
+        return "statevector:batched:v3"
 
     def to_dict(self) -> Dict:
         # Every field is a scalar: no need for asdict's deep copy.
@@ -282,9 +265,12 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "JobSpec":
-        # Older journals (and clients) carry a per-job ``workers``: drop it
-        # at any value so those jobs replay instead of being skipped.
-        payload = {k: v for k, v in payload.items() if k != "workers"}
+        # Older journals (and clients) carry a per-job ``workers`` or
+        # ``sim_batch``: drop them at any value so those jobs replay
+        # instead of being skipped.
+        payload = {
+            k: v for k, v in payload.items() if k not in ("workers", "sim_batch")
+        }
         known = {f for f in cls.__dataclass_fields__}  # noqa: C401
         unknown = set(payload) - known
         if unknown:
@@ -1141,7 +1127,6 @@ class JobScheduler:
             strategy=spec.strategy,
             seed=spec.seed,
             worker_pool=self.worker_pool if use_pool else None,
-            sim_batch=spec.sim_batch,
             fusion_width=spec.fusion_width,
         )
 
@@ -1180,7 +1165,7 @@ class JobScheduler:
             # are inert and would only fragment the warm cache.
             sampling = spec.device is not None
             config = None
-            if sampling and spec.batched:
+            if sampling:
                 # Trajectory count shapes the estimated distributions on
                 # the batched noisy path; fold it into the artifact
                 # identity.
@@ -1212,7 +1197,6 @@ class JobScheduler:
                         "num_unique_circuits": report.num_unique_circuits,
                         "dedup_ratio": report.dedup_ratio,
                         "num_body_passes": report.num_body_passes,
-                        "sim_batch": report.sim_batch,
                     })
 
         with trace.span("job.evaluate"):
@@ -1285,7 +1269,6 @@ class JobScheduler:
             strategy=spec.strategy,
             seed=spec.seed,
             worker_pool=self.worker_pool if use_pool else None,
-            sim_batch=spec.sim_batch,
             fusion_width=spec.fusion_width,
         )
         cut_key = session.cut_fingerprint()

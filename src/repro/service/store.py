@@ -765,7 +765,7 @@ class ArtifactStore:
                                 meta["num_unique_circuits"]
                             ),
                             # Absent in pre-batched artifacts.
-                            mode=str(meta.get("mode", "per-variant")),
+                            mode=str(meta.get("mode", "backend")),
                             num_body_passes=int(
                                 meta.get("num_body_passes", 0)
                             ),

@@ -1,5 +1,6 @@
 """Tests for cut-term attribution (Eqs. 2-3 of the paper)."""
 
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from repro import (
     VariationalSession,
     cut_circuit,
     cut_circuit_from_assignment,
-    evaluate_subcircuit,
     make_device,
 )
 from repro.circuits import build_circuit_graph
+from repro.core import executor as executor_module
 from repro.core.executor import VariantExecutor
 from repro.library.qaoa import qaoa_maxcut, ring_graph
 from repro.obs.metrics import get_registry
@@ -31,6 +32,7 @@ from repro.service.store import ArtifactStore
 from repro.sim import NoiseModel, simulate_probabilities
 from tests.attribution_oracle import attributed_vector, reference_term_tensor
 from tests.conftest import random_connected_circuit
+from tests.variant_oracle import evaluate_subcircuit
 
 
 @pytest.fixture
@@ -247,6 +249,12 @@ def _random_cut(n, seed, parts=2):
     return None
 
 
+def _batched(subcircuits, init_batch, backend=None):
+    """One executor run with ``init_batch``-member payloads."""
+    with mock.patch.object(executor_module, "_INIT_BATCH", init_batch):
+        return VariantExecutor(backend=backend).run(subcircuits)
+
+
 class TestVectorisedBuildParity:
     """`build_term_tensor` against the relocated per-variant oracle."""
 
@@ -282,7 +290,7 @@ class TestVectorisedBuildParity:
             assert sub.init_lines[0].init_cut > sub.meas_lines[0].meas_cut
         for sub in cut.subcircuits:
             _assert_matches_oracle(evaluate_subcircuit(sub))
-            _assert_matches_oracle(evaluate_subcircuit(sub, sim_batch=3))
+            _assert_matches_oracle(_batched([sub], init_batch=3)[0])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -295,15 +303,14 @@ class TestVectorisedBuildParity:
         if cut is None:
             return
         truth = simulate_probabilities(cut.circuit)
-        # sim_batch=0: per-variant execution, equal circuits share one
-        # vector object, tensors build from raw vectors; sim_batch=3:
-        # several column slabs per subcircuit, tensors build from the
-        # amplitudes and the oracle reads the materialised vectors.
-        for sim_batch in (0, 3):
-            executor = VariantExecutor(sim_batch=sim_batch)
-            results = executor.run(cut.subcircuits)
+        # A per-circuit backend: tensors build from the distributions
+        # array; 3-member init batches: several column slabs per
+        # subcircuit, tensors build from the amplitudes and the oracle
+        # reads the materialised vectors.
+        for backend in (simulate_probabilities, None):
+            results = _batched(cut.subcircuits, init_batch=3, backend=backend)
             for result in results:
-                assert (result.amplitudes is None) == (sim_batch == 0)
+                assert (result.amplitudes is None) == (backend is not None)
                 _assert_matches_oracle(result)
             for strategy in ("kron", "tensor_network", "auto"):
                 full = reconstruct_full(cut, results, strategy=strategy)
@@ -351,7 +358,7 @@ class TestVectorisedBuildParity:
 
     def test_store_round_trip(self, tmp_path):
         cut = _random_cut(5, seed=3)  # (rho, O) = (1, 5) and (5, 1)
-        results = [evaluate_subcircuit(s, sim_batch=4) for s in cut.subcircuits]
+        results = _batched(cut.subcircuits, init_batch=4)
         store = ArtifactStore(tmp_path)
         store.put_evaluation("key", results)
         for original, loaded in zip(results, store.get_evaluation("key", cut)):

@@ -7,6 +7,8 @@ init-batch body passes has to match the serial per-variant simulation to
 under the ``batched`` strategy.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro import CutQC, QuantumCircuit, cut_circuit_from_assignment
 from repro.circuits import build_circuit_graph
+from repro.core import executor as executor_module
 from repro.core.executor import VariantExecutor
-from repro.cutting import evaluate_subcircuit, num_physical_variants
+from repro.cutting import num_physical_variants
 from repro.cutting.variants import (
     VariantCircuitFactory,
     basis_column_amplitudes,
@@ -23,6 +26,7 @@ from repro.cutting.variants import (
     materialise_distributions,
     variant_circuit,
 )
+from repro.devices import get_device
 from repro.library import get_benchmark
 from repro.postprocess import ShotBasedTensorProvider, WorkerPool
 from repro.sim import (
@@ -33,6 +37,7 @@ from repro.sim import (
 )
 from repro.sim.statevector import INITIAL_STATES
 from tests.conftest import random_connected_circuit
+from tests.variant_oracle import evaluate_subcircuit
 
 
 def random_small_cut(circuit, seed, max_cuts=2):
@@ -203,10 +208,11 @@ class TestBatchedVariantParity:
         st.integers(min_value=1, max_value=3),
     )
     def test_materialised_vectors_match_per_variant_simulation(
-        self, n, seed, sim_batch
+        self, n, seed, init_batch
     ):
         """The per-variant simulator is the oracle of the materialiser:
-        three clusters, so lines that are both initialised and measured."""
+        three clusters, so lines that are both initialised and measured;
+        init batches of 1-3 members, so slabs concatenate."""
         circuit = random_connected_circuit(n, 2 * n, seed)
         graph = build_circuit_graph(circuit)
         assignment = np.random.default_rng(seed).integers(0, 3, graph.num_vertices)
@@ -214,7 +220,8 @@ class TestBatchedVariantParity:
         for subcircuit in cut.subcircuits:
             if num_physical_variants(subcircuit) > 4**5:
                 continue
-            result = evaluate_subcircuit(subcircuit, sim_batch=sim_batch)
+            with mock.patch.object(executor_module, "_INIT_BATCH", init_batch):
+                (result,) = VariantExecutor().run([subcircuit])
             assert result._distributions is None  # lazy until read
             variants = generate_variants(subcircuit)
             assert result.distributions[..., 0].size == len(variants)
@@ -227,7 +234,7 @@ class TestBatchedVariantParity:
         from repro import cut_circuit
 
         down = cut_circuit(fig4_circuit, [(2, 1)]).subcircuits[1]
-        result = evaluate_subcircuit(down, sim_batch=8)
+        (result,) = VariantExecutor().run([down])
         assert result.amplitudes.shape == (2, 1 << down.width)
         assert result.amplitudes.dtype == np.complex128
         distributions = result.distributions
@@ -243,8 +250,12 @@ class TestBatchedVariantParity:
         cut = cut_circuit(fig4_circuit, [(2, 1)])
         downstream = cut.subcircuits[1]  # one init line: 2 basis columns
         full, one_pass = basis_column_amplitudes(downstream)
-        chunked, passes = basis_column_amplitudes(downstream, max_batch=1)
-        assert one_pass == 1 and passes == 2  # max_batch = columns per pass
+        slabs = [
+            basis_column_amplitudes(downstream, columns=(column, column + 1))
+            for column in range(2)
+        ]
+        assert one_pass == 1 and [passes for _, passes in slabs] == [1, 1]
+        chunked = np.concatenate([slab for slab, _ in slabs])
         assert full.shape == chunked.shape == (2, 1 << downstream.width)
         assert np.allclose(
             materialise_distributions(downstream, full),
@@ -256,27 +267,16 @@ class TestBatchedVariantParity:
         from repro import cut_circuit
 
         cut = cut_circuit(fig4_circuit, [(2, 1)])
-        for subcircuit in cut.subcircuits:
-            result = evaluate_subcircuit(subcircuit, sim_batch=64)
+        for result in VariantExecutor().run(cut.subcircuits):
             assert result.mode == "batched"
             assert result.num_body_passes == 1
-            assert result.num_variants == num_physical_variants(subcircuit)
-            assert result.dedup_ratio >= 1.0
-
-    def test_fast_path_rejects_custom_backend(self, fig4_circuit):
-        from repro import cut_circuit
-
-        cut = cut_circuit(fig4_circuit, [(2, 1)])
-        with pytest.raises(ValueError, match="sim_batch"):
-            evaluate_subcircuit(
-                cut.subcircuits[0],
-                backend=lambda c: np.ones(1 << c.num_qubits),
-                sim_batch=8,
+            assert result.num_variants == num_physical_variants(
+                result.subcircuit
             )
+            assert result.dedup_ratio >= 1.0
 
     def test_structural_key_matches_fingerprint_dedup(self, fig4_circuit):
         from repro import cut_circuit
-        from repro.core.executor import circuit_fingerprint
 
         cut = cut_circuit(fig4_circuit, [(2, 1)])
         for subcircuit in cut.subcircuits:
@@ -286,7 +286,7 @@ class TestBatchedVariantParity:
             for variant in generate_variants(subcircuit):
                 keys.add(factory.structural_key(variant))
                 circuit = factory.circuit(variant)
-                fingerprints.add(circuit_fingerprint(circuit))
+                fingerprints.add((circuit.num_qubits, circuit.gates))
             assert len(keys) == len(fingerprints)
 
 
@@ -300,12 +300,12 @@ class TestBatchedExecutor:
         return CutQC(get_benchmark("bv", 11), max_subcircuit_qubits=6).cut()
 
     def test_parity_and_report(self, bv_cut):
-        serial = VariantExecutor().run(bv_cut.subcircuits)
-        executor = VariantExecutor(sim_batch=64)
+        serial = [evaluate_subcircuit(s) for s in bv_cut.subcircuits]
+        executor = VariantExecutor()
         batched = executor.run(bv_cut.subcircuits)
         report = executor.last_report
         assert report.mode == "batched"
-        assert report.sim_batch == 64 and report.fusion_width == 2
+        assert report.fusion_width == 2
         assert report.num_variants == sum(
             num_physical_variants(s) for s in bv_cut.subcircuits
         )
@@ -317,7 +317,7 @@ class TestBatchedExecutor:
 
     def test_twin_subcircuits_share_batched_results(self, bv_cut):
         twin = [bv_cut.subcircuits[0], bv_cut.subcircuits[0]]
-        executor = VariantExecutor(sim_batch=64)
+        executor = VariantExecutor()
         results = executor.run(twin)
         report = executor.last_report
         assert report.num_variants == 2 * report.num_unique_circuits
@@ -328,10 +328,11 @@ class TestBatchedExecutor:
         assert report.num_unique_circuits == num_physical_variants(twin[0])
         assert np.array_equal(results[0].distributions, results[1].distributions)
 
-    def test_init_batches_ship_over_worker_pool(self, bv_cut):
+    def test_init_batches_ship_over_worker_pool(self, bv_cut, monkeypatch):
         serial = VariantExecutor().run(bv_cut.subcircuits)
+        monkeypatch.setattr(executor_module, "_INIT_BATCH", 1)
         with WorkerPool(workers=2) as pool:
-            executor = VariantExecutor(sim_batch=1, worker_pool=pool)
+            executor = VariantExecutor(worker_pool=pool)
             pooled = executor.run(bv_cut.subcircuits)
             stats = pool.stats()
         assert executor.last_report.mode == "batched-pool"
@@ -340,12 +341,11 @@ class TestBatchedExecutor:
             assert np.abs(a.distributions - b.distributions).max() <= 1e-10
 
     def test_sim_batch_conflicts_rejected(self):
-        with pytest.raises(ValueError, match="sim_batch"):
-            VariantExecutor(
-                backend=simulate_probabilities, sim_batch=8
-            )
-        with pytest.raises(ValueError, match="sim_batch"):
-            VariantExecutor(sim_batch=-1)
+        # Init batches have one fixed size: the knob itself is refused.
+        with pytest.raises(TypeError, match="sim_batch"):
+            VariantExecutor(sim_batch=8)
+        with pytest.raises(TypeError, match="sim_batch"):
+            CutQC(get_benchmark("bv", 6), max_subcircuit_qubits=4, sim_batch=0)
         with pytest.raises(ValueError, match="fusion_width"):
             VariantExecutor(fusion_width=0)
         with pytest.raises(ValueError, match="fusion_width"):
@@ -353,7 +353,7 @@ class TestBatchedExecutor:
 
     def test_pipeline_fd_query_parity(self):
         circuit = get_benchmark("bv", 10)
-        pipeline = CutQC(circuit, max_subcircuit_qubits=6, sim_batch=64)
+        pipeline = CutQC(circuit, max_subcircuit_qubits=6)
         result = pipeline.fd_query()
         truth = simulate_probabilities(circuit)
         assert np.abs(result.probabilities - truth).max() <= 1e-10
@@ -361,12 +361,12 @@ class TestBatchedExecutor:
 
     def test_pipeline_rejects_conflicting_backends(self):
         circuit = get_benchmark("bv", 6)
-        with pytest.raises(ValueError, match="sim_batch"):
+        with pytest.raises(ValueError, match="not both"):
             CutQC(
                 circuit,
                 max_subcircuit_qubits=4,
                 backend=simulate_probabilities,
-                sim_batch=8,
+                device=get_device("bogota"),
             )
 
 
@@ -380,7 +380,7 @@ class TestShotProviderBatched:
         distributions, materialised from the amplitudes, match the
         per-variant simulation."""
         circuit = get_benchmark("bv", 8)
-        pipeline = CutQC(circuit, max_subcircuit_qubits=5, sim_batch=64)
+        pipeline = CutQC(circuit, max_subcircuit_qubits=5)
         cut = pipeline.cut()
         results = pipeline.evaluate()
         provider = ShotBasedTensorProvider(cut, results, shots=512, seed=3)
@@ -396,7 +396,7 @@ class TestShotProviderBatched:
 
     def test_dd_query_with_sim_batch_resolves_solution(self):
         circuit = get_benchmark("bv", 9)
-        pipeline = CutQC(circuit, max_subcircuit_qubits=5, sim_batch=32)
+        pipeline = CutQC(circuit, max_subcircuit_qubits=5)
         query = pipeline.dd_query(
             max_active_qubits=3,
             max_recursions=4,

@@ -22,7 +22,7 @@ bit-identical answer an unfaulted run produces:
 import numpy as np
 import pytest
 
-from repro import CutQC, chaos, evaluate_subcircuit
+from repro import CutQC, chaos
 from repro.faults import (
     ChaosInjectedError,
     PoisonedTaskError,
@@ -37,6 +37,7 @@ from repro.postprocess import ContractionEngine, WorkerPool
 from repro.postprocess.attribution import build_term_tensor
 from repro.service import ArtifactStore, JobScheduler, JobSpec
 from repro.service.api import ApiError, JobServiceAPI
+from tests.variant_oracle import evaluate_subcircuit
 
 
 @pytest.fixture(autouse=True)

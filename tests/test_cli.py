@@ -53,6 +53,17 @@ class TestParser:
             )
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "dd", "submit"])
+    @pytest.mark.parametrize("flag", [["--sim-batch", "8"], ["--no-sim-batch"]])
+    def test_sim_batch_flags_are_gone(self, command, flag, capsys):
+        # Every evaluation is a body-key group of fixed-size init batches.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [command, "--benchmark", "bv", "--qubits", "6",
+                 "--device-size", "5", *flag]
+            )
+        assert flag[0] in capsys.readouterr().err
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro import (
     CutQC,
     cut_circuit,
-    evaluate_subcircuit,
     get_benchmark,
     simulate_probabilities,
     supremacy,
@@ -30,6 +29,7 @@ from repro.postprocess.attribution import TermTensor
 from repro.postprocess.dd import Bin
 from repro.utils import marginalize
 from tests.dd_frontier_oracle import replay_frontier
+from tests.variant_oracle import evaluate_subcircuit
 
 
 def _provider(circuit, cuts):

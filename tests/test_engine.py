@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import CutQC, QuantumCircuit, simulate_probabilities
-from repro.cutting import cut_circuit_from_assignment, evaluate_subcircuit
+from repro.cutting import cut_circuit_from_assignment
 from repro.library import bv, qaoa_maxcut, supremacy
 from repro.postprocess import (
     ContractionEngine,
@@ -29,6 +29,7 @@ from repro.postprocess import (
 )
 from repro.postprocess.attribution import TermTensor
 from repro.postprocess.engine import _accumulate_range
+from tests.variant_oracle import evaluate_subcircuit
 
 
 def _library_cases():

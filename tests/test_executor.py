@@ -1,16 +1,25 @@
 """The batched variant execution layer (:mod:`repro.core.executor`)."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import CutQC, QuantumCircuit, make_device, simulate_probabilities
-from repro.core import VariantExecutor, circuit_fingerprint
-from repro.cutting import evaluate_subcircuit, num_physical_variants
+import repro
+from repro import CutQC, build_circuit_graph, make_device, simulate_probabilities
+from repro.core import VariantExecutor
+from repro.core import executor as executor_module
+from repro.cutting import cut_circuit_from_assignment, num_physical_variants
 from repro.devices.pool import DevicePool
 from repro.library import bv
 from repro.postprocess import WorkerPool
 from repro.sim import NoiseModel
+from tests.conftest import random_connected_circuit
 from tests.shot_merge_oracle import first_recursion_error
+from tests.variant_oracle import evaluate_subcircuit, evaluate_variants
 
 
 def _ideal(name, qubits, seed=0):
@@ -37,15 +46,14 @@ class TestVariantExecutor:
             assert np.allclose(result.distributions, direct.distributions)
 
     def test_serial_vs_parallel_bit_identical(self, bv_cut, worker_pool):
-        # sim_batch=0: this test pins the per-variant transport modes.
-        serial_exec = VariantExecutor(sim_batch=0)
-        parallel_exec = VariantExecutor(sim_batch=0, worker_pool=worker_pool)
+        serial_exec = VariantExecutor()
+        parallel_exec = VariantExecutor(worker_pool=worker_pool)
         serial = serial_exec.run(bv_cut.subcircuits)
         parallel = parallel_exec.run(bv_cut.subcircuits)
-        assert serial_exec.last_report.mode == "serial"
-        assert parallel_exec.last_report.mode == "worker-pool"
+        assert serial_exec.last_report.mode == "batched"
+        assert parallel_exec.last_report.mode == "batched-pool"
         for a, b in zip(serial, parallel):
-            assert np.array_equal(a.distributions, b.distributions)
+            assert np.array_equal(a.amplitudes, b.amplitudes)
 
     def test_pool_mode_exact_and_reported(self, bv_cut):
         # Batching is the default on the pool path too: each body-key
@@ -65,22 +73,6 @@ class TestVariantExecutor:
         }
         serial = VariantExecutor().run(bv_cut.subcircuits)
         for a, b in zip(pooled, serial):
-            assert np.allclose(a.distributions, b.distributions, atol=1e-9)
-
-    def test_pool_legacy_per_circuit_mode(self, bv_cut):
-        # sim_batch=0 keeps the per-circuit dispatch (--no-sim-batch).
-        executor = VariantExecutor(
-            pool=DevicePool([_ideal("a", 5, seed=1), _ideal("b", 5, seed=2)]),
-            pool_shots=0,
-            sim_batch=0,
-        )
-        pooled = executor.run(bv_cut.subcircuits)
-        assert executor.last_report.mode == "pool"
-        batched = VariantExecutor(
-            pool=DevicePool([_ideal("a", 5, seed=1), _ideal("b", 5, seed=2)]),
-            pool_shots=0,
-        ).run(bv_cut.subcircuits)
-        for a, b in zip(pooled, batched):
             assert np.allclose(a.distributions, b.distributions, atol=1e-9)
 
     def test_pool_affinity_pins_placement(self, bv_cut):
@@ -109,18 +101,20 @@ class TestVariantExecutor:
         assert np.array_equal(results[0].distributions, results[1].distributions)
 
     def test_amplitudes_identical_across_slabs_and_transports(
-        self, worker_pool
+        self, worker_pool, monkeypatch
     ):
         from repro.library import supremacy
 
-        # (rho, O) = (2, 4), (2, 5), (6, 1): sim_batch=4 < 2^rho on the last.
+        # (rho, O) = (2, 4), (2, 5), (6, 1): 4-member init batches split
+        # the last piece's 2^6 basis columns into 16 payloads.
         cut = CutQC(supremacy(12, seed=0), max_subcircuit_qubits=8).cut()
         inline = VariantExecutor()
         want = inline.run(cut.subcircuits)
         assert inline.last_report.num_body_passes == len(cut.subcircuits)
+        monkeypatch.setattr(executor_module, "_INIT_BATCH", 4)
         executors = [
-            VariantExecutor(sim_batch=4),
-            VariantExecutor(sim_batch=4, worker_pool=worker_pool),
+            VariantExecutor(),
+            VariantExecutor(worker_pool=worker_pool),
         ]
         runs = [executor.run(cut.subcircuits) for executor in executors]
         modes = [executor.last_report.mode for executor in executors]
@@ -197,25 +191,16 @@ class TestVariantExecutor:
         assert len(results) == len(bv_cut.subcircuits)
         assert executor.last_report.num_subcircuits == len(bv_cut.subcircuits)
 
-    def test_fingerprint_distinguishes_circuits(self):
-        a = QuantumCircuit(2).h(0).cx(0, 1)
-        b = QuantumCircuit(2).h(0).cx(0, 1)
-        c = QuantumCircuit(2).h(1).cx(0, 1)
-        assert circuit_fingerprint(a) == circuit_fingerprint(b)
-        assert circuit_fingerprint(a) != circuit_fingerprint(c)
-
 
 class TestPipelineWiring:
     def test_cutqc_parallel_evaluation_exact(self, worker_pool):
         circuit = bv(6)
-        # sim_batch=0: pins the per-variant worker-pool transport.
         pipeline = CutQC(
-            circuit, max_subcircuit_qubits=5, worker_pool=worker_pool,
-            sim_batch=0,
+            circuit, max_subcircuit_qubits=5, worker_pool=worker_pool
         )
         result = pipeline.fd_query()
         assert pipeline.execution_report is not None
-        assert pipeline.execution_report.mode == "worker-pool"
+        assert pipeline.execution_report.mode == "batched-pool"
         truth = simulate_probabilities(circuit)
         assert np.allclose(result.probabilities, truth, atol=1e-8)
 
@@ -276,3 +261,121 @@ class TestPipelineWiring:
             assert result.num_variants == num_physical_variants(subcircuit)
             assert 1 <= result.num_unique_circuits <= result.num_variants
             assert result.dedup_ratio >= 1.0
+
+
+def _recording(log, backend):
+    """``backend`` that also appends each circuit it runs to ``log``."""
+
+    def run(circuit):
+        log.append((circuit.num_qubits, circuit.gates))
+        return backend(circuit)
+
+    return run
+
+
+def _three_cluster_cut(n, seed):
+    """A random 3-way split: lines both initialised and measured, and
+    sometimes body-key twins once the batch repeats a piece."""
+    circuit = random_connected_circuit(n, 2 * n, seed)
+    graph = build_circuit_graph(circuit)
+    assignment = np.random.default_rng(seed).integers(0, 3, graph.num_vertices)
+    return cut_circuit_from_assignment(circuit, list(assignment), graph=graph)
+
+
+class TestOneEvaluationPath:
+    """Every evaluation is a body-key group of init batches; a custom
+    backend is the group's evaluator and runs exactly the circuits the
+    per-variant loop (:mod:`tests.variant_oracle`) ran, in its order."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=5),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_groups_replay_the_per_variant_loop(self, n, seed):
+        cut = _three_cluster_cut(n, seed)
+        pieces = [
+            s for s in cut.subcircuits if num_physical_variants(s) <= 4**4
+        ]
+        if not pieces:
+            return
+        batch = pieces + pieces[:1]  # a body-key twin: cross-piece dedup
+        oracle = evaluate_variants(batch)
+        for got, want in zip(VariantExecutor().run(batch), oracle):
+            assert np.abs(got.distributions - want.distributions).max() <= 1e-12
+
+        seen, expected = [], []
+        executor = VariantExecutor(
+            backend=_recording(seen, simulate_probabilities)
+        )
+        recorded = executor.run(batch)
+        evaluate_variants(batch, _recording(expected, simulate_probabilities))
+        assert seen == expected
+        assert len(seen) == executor.last_report.num_unique_circuits
+        assert executor.last_report.mode == "backend"
+        for got, want in zip(recorded, oracle):
+            assert got.mode == "backend" and got.num_body_passes == 0
+            assert np.array_equal(got.distributions, want.distributions)
+
+        device = make_device(
+            "p", max(s.width for s in batch), "line",
+            noise=NoiseModel(0.01, 0.02, 0.02), seed=seed,
+        )
+        noisy = VariantExecutor(
+            backend=device.backend(shots=64, trajectories=2, seed=seed)
+        ).run(batch)
+        reference = evaluate_variants(
+            batch, device.backend(shots=64, trajectories=2, seed=seed)
+        )
+        for got, want in zip(noisy, reference):
+            assert np.array_equal(got.distributions, want.distributions)
+
+    def test_backend_runs_inline_beside_a_worker_pool(self, bv_cut, worker_pool):
+        seen = []
+        executor = VariantExecutor(
+            backend=_recording(seen, simulate_probabilities),
+            worker_pool=worker_pool,
+        )
+        results = executor.run(bv_cut.subcircuits)
+        assert executor.last_report.mode == "backend"
+        assert len(seen) == executor.last_report.num_variants
+        for got, want in zip(results, evaluate_variants(bv_cut.subcircuits)):
+            assert np.array_equal(got.distributions, want.distributions)
+
+    def test_no_per_variant_surface_in_src(self):
+        """The removed knob and second evaluator stay removed: no
+        ``sim_batch`` identifier outside ``JobSpec.from_dict``'s legacy
+        drop, and no ``map_backend`` / ``evaluate_subcircuit`` at all."""
+        forbidden = {"sim_batch", "no_sim_batch", "map_backend",
+                     "evaluate_subcircuit"}
+        root = pathlib.Path(repro.__file__).parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            exempt = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "from_dict":
+                    exempt.update(id(child) for child in ast.walk(node))
+            for node in ast.walk(tree):
+                names = []
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.arg):
+                    names = [node.arg]
+                elif isinstance(node, ast.keyword):
+                    names = [node.arg]
+                elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.alias):
+                    names = [node.name, node.asname]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if id(node) not in exempt:
+                        names = [node.value.lstrip("-").replace("-", "_")]
+                for name in names:
+                    if name in forbidden:
+                        found.append(f"{path.relative_to(root)}:{node.lineno} {name}")
+        assert found == []
+        assert not hasattr(DevicePool, "backend")
+        assert not hasattr(WorkerPool, "map_backend")

@@ -158,10 +158,10 @@ class TestSolutionUsability:
     def test_solution_reconstructs_exactly(self, fig4_circuit):
         from repro import (
             cut_circuit_from_assignment,
-            evaluate_subcircuit,
             reconstruct_full,
             simulate_probabilities,
         )
+        from tests.variant_oracle import evaluate_subcircuit
 
         graph = build_circuit_graph(fig4_circuit)
         assignment, _ = branch_and_bound_search(graph, 3, 5, 10)

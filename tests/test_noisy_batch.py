@@ -28,17 +28,13 @@ from repro import (
 )
 from repro.circuits import Gate
 from repro.circuits.gates import gate_matrix
-from repro.core.executor import (
-    DEFAULT_SIM_BATCH,
-    VariantExecutor,
-    resolve_sim_batch,
-)
+from repro.core import executor as executor_module
+from repro.core.executor import VariantExecutor
 from repro.cutting.variants import (
     INIT_LABELS,
     MEAS_BASES,
     NoisyEvalSpec,
     batched_noisy_variant_probabilities,
-    evaluate_subcircuit,
     generate_variants,
     variant_circuit,
     _BASIS_GATES,
@@ -62,9 +58,10 @@ from repro.sim import (
 from repro.sim.noise import apply_readout_error
 from repro.sim.noisy_batch import PAULI_NAMES_1Q
 from repro.sim.sampler import sample_distribution
-from repro.sim.statevector import INITIAL_STATES, Statevector
+from repro.sim.statevector import INITIAL_STATES, Statevector, simulate_probabilities
 from tests.conftest import random_connected_circuit
 from tests.test_batch import random_small_cut
+from tests.variant_oracle import evaluate_subcircuit
 
 
 NOISE = NoiseModel(error_1q=0.002, error_2q=0.01, readout=0.01)
@@ -511,7 +508,7 @@ class TestTrajectoryParity:
                 subcircuit, spec
             )
             assert passes == 1  # no gate noise: the clean pass suffices
-            exact = evaluate_subcircuit(subcircuit, sim_batch=64)
+            exact = evaluate_subcircuit(subcircuit)
             assert np.abs(batched - exact.distributions).max() <= 1e-10
 
     def test_trajectory_converges_to_density(self, fig4_cut):
@@ -538,9 +535,12 @@ class TestTrajectoryParity:
             noise=NOISE, method="trajectory", trajectories=8, shots=512, seed=7
         )
         whole, _ = batched_noisy_variant_probabilities(downstream, spec)
-        chunked, _ = batched_noisy_variant_probabilities(
-            downstream, spec, max_batch=1
-        )
+        chunked = np.concatenate([
+            batched_noisy_variant_probabilities(
+                downstream, spec, init_combos=[(label,)]
+            )[0]
+            for label in INIT_LABELS
+        ])
         assert np.array_equal(whole, chunked)
 
 
@@ -552,13 +552,14 @@ class TestWorkerCountInvariance:
     def _device(self):
         return make_device("inv", 5, "line", noise=NOISE, seed=11)
 
-    def test_worker_pool_transport_bit_identical(self, fig4_cut):
-        serial_exec = VariantExecutor(device=self._device(), sim_batch=1, seed=5)
+    def test_worker_pool_transport_bit_identical(self, fig4_cut, monkeypatch):
+        monkeypatch.setattr(executor_module, "_INIT_BATCH", 1)
+        serial_exec = VariantExecutor(device=self._device(), seed=5)
         serial = serial_exec.run(fig4_cut.subcircuits)
         assert serial_exec.last_report.mode == "batched-noisy"
         with WorkerPool(workers=2) as pool:
             pooled_exec = VariantExecutor(
-                device=self._device(), worker_pool=pool, sim_batch=1, seed=5
+                device=self._device(), worker_pool=pool, seed=5
             )
             pooled = pooled_exec.run(fig4_cut.subcircuits)
             assert pooled_exec.last_report.mode == "batched-noisy-pool"
@@ -569,29 +570,20 @@ class TestWorkerCountInvariance:
 
 
 # ----------------------------------------------------------------------
-# Batching by default: resolution rules and query parity
+# Batching by default: query parity with per-circuit evaluation
 # ----------------------------------------------------------------------
 
 class TestBatchingDefault:
-    def test_resolution_rules(self):
-        assert resolve_sim_batch(None) == DEFAULT_SIM_BATCH
-        assert resolve_sim_batch(None, backend=lambda c: None) == 0
-        assert resolve_sim_batch(0) == 0
-        assert resolve_sim_batch(8) == 8
-        with pytest.raises(ValueError, match="sim_batch"):
-            resolve_sim_batch(-1)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            resolve_sim_batch(8, backend=lambda c: None)
-
     def test_default_flip_changes_no_fd_result(self):
         circuit = bv(6)
         default = CutQC(circuit, max_subcircuit_qubits=5)
-        legacy = CutQC(circuit, max_subcircuit_qubits=5, sim_batch=0)
+        legacy = CutQC(
+            circuit, max_subcircuit_qubits=5, backend=simulate_probabilities
+        )
         fd_default = default.fd_query()
         fd_legacy = legacy.fd_query()
         assert default.execution_report.mode == "batched"
-        assert default.execution_report.sim_batch == DEFAULT_SIM_BATCH
-        assert legacy.execution_report.mode == "serial"
+        assert legacy.execution_report.mode == "backend"
         assert (
             np.abs(fd_default.probabilities - fd_legacy.probabilities).max()
             <= 1e-10
@@ -609,9 +601,9 @@ class TestBatchingDefault:
         default = CutQC(circuit, max_subcircuit_qubits=5).dd_query(
             max_active_qubits=2
         )
-        legacy = CutQC(circuit, max_subcircuit_qubits=5, sim_batch=0).dd_query(
-            max_active_qubits=2
-        )
+        legacy = CutQC(
+            circuit, max_subcircuit_qubits=5, backend=simulate_probabilities
+        ).dd_query(max_active_qubits=2)
         assert [state for state, _ in default.solution_states()] == [
             state for state, _ in legacy.solution_states()
         ]
@@ -621,16 +613,8 @@ class TestBatchingDefault:
         pipeline = CutQC(bv(6), max_subcircuit_qubits=5, device=device)
         pipeline.fd_query()
         assert pipeline.execution_report.mode == "batched-noisy"
-        assert pipeline.execution_report.sim_batch == DEFAULT_SIM_BATCH
 
     def test_explicit_conflicts_still_rejected(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            CutQC(
-                bv(6),
-                max_subcircuit_qubits=5,
-                backend=lambda c: None,
-                sim_batch=8,
-            )
         with pytest.raises(ValueError, match="not both"):
             CutQC(
                 bv(6),
@@ -646,19 +630,6 @@ class TestBatchingDefault:
             NoisyEvalSpec()
         with pytest.raises(ValueError, match="trajectories"):
             NoisyEvalSpec(noise=NOISE, trajectories=0)
-        with pytest.raises(ValueError, match="sim_batch"):
-            evaluate_subcircuit(
-                fig4_cut.subcircuits[0],
-                sim_batch=0,
-                noisy=NoisyEvalSpec(noise=NOISE),
-            )
-        with pytest.raises(ValueError, match="backend"):
-            evaluate_subcircuit(
-                fig4_cut.subcircuits[0],
-                backend=lambda c: None,
-                sim_batch=16,
-                noisy=NoisyEvalSpec(noise=NOISE),
-            )
 
 
 # ----------------------------------------------------------------------
@@ -671,12 +642,12 @@ class TestStoreMigration:
 
         base = dict(device_size=5, benchmark="bv", qubits=6)
         assert JobSpec(**base).backend_tag() == "statevector:batched:v3"
+        # A journaled legacy spec keyed per-variant artifacts; it now
+        # addresses the batched ones, which a parent store already holds.
+        legacy = JobSpec.from_dict({**base, "sim_batch": 0})
+        assert legacy.backend_tag() == "statevector:batched:v3"
         # Every tag whose artifacts hold a distributions array moved to v2
         # with that layout.
-        assert (
-            JobSpec(**base, sim_batch=0).backend_tag()
-            == "statevector:per-variant:v2"
-        )
         assert (
             JobSpec(**base, device="bogota").backend_tag()
             == "device:bogota:trajectory:batched:v2"
@@ -686,10 +657,6 @@ class TestStoreMigration:
                 **base, device="bogota", noisy_method="density"
             ).backend_tag()
             == "device:bogota:density:batched:v2"
-        )
-        assert (
-            JobSpec(**base, device="bogota", sim_batch=0).backend_tag()
-            == "device:bogota:per-variant:v2"
         )
 
     def test_fingerprint_config_and_version_fragment_keys(self):
@@ -749,7 +716,7 @@ class TestStoreMigration:
             )
             assert first.state == "done"
             assert first.execution["mode"] == "batched-noisy"
-            assert first.execution["sim_batch"] == DEFAULT_SIM_BATCH
+            assert first.execution["num_body_passes"] >= 2
             # Trajectory count is part of the artifact identity on the
             # batched noisy path: a different count recomputes.
             second = scheduler.wait(

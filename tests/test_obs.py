@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import CutQC, evaluate_subcircuit
+from repro import CutQC
 from repro.library import bv
 from repro.obs import trace
 from repro.obs.metrics import (
@@ -16,6 +16,7 @@ from repro.obs.metrics import (
     get_registry,
 )
 from repro.postprocess.parallel import WorkerPool
+from tests.variant_oracle import evaluate_subcircuit
 
 
 def _span_names(doc, acc=None):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import CutQC, cut_circuit_from_assignment, evaluate_subcircuit
+from repro import CutQC, cut_circuit_from_assignment
 from repro.circuits import build_circuit_graph
 from repro.core import VariantExecutor
 from repro.library import bv
@@ -34,6 +34,7 @@ from repro.postprocess import parallel as parallel_module
 from repro.postprocess.attribution import build_term_tensor
 from repro.postprocess.dd import DynamicDefinitionQuery
 from tests.conftest import random_connected_circuit
+from tests.variant_oracle import evaluate_subcircuit
 
 
 @pytest.fixture(scope="module")
@@ -182,14 +183,17 @@ class TestPoisonedTasks:
         _warm(pool, bv8_pieces)
         before = set(multiprocessing.active_children())
         failed = pool.stats().tasks_failed
-        executor = VariantExecutor(backend=_poison_backend, worker_pool=pool)
-        with pytest.raises(RuntimeError, match="poisoned"):
+        executor = VariantExecutor(worker_pool=pool)
+        # Past the constructor's check: every init-batch payload carries
+        # a fusion width the worker's fusion pass refuses.
+        executor.fusion_width = 0
+        with pytest.raises(ValueError, match="fusion_width"):
             executor.run(cut.subcircuits)
         assert pool.stats().tasks_failed > failed
         # The poison failed its caller only: the same workers serve on.
-        served = VariantExecutor(sim_batch=0, worker_pool=pool)
+        served = VariantExecutor(worker_pool=pool)
         served.run(cut.subcircuits)
-        assert served.last_report.mode == "worker-pool"
+        assert served.last_report.mode == "batched-pool"
         assert not pool.broken
         assert _no_orphans(before)
 
@@ -213,10 +217,6 @@ def _warm(pool, bv8_pieces):
     cut, results = bv8_pieces
     tensors = [build_term_tensor(r) for r in results]
     pool.contract_batch([(tensors, list(range(len(tensors))), cut.num_cuts)])
-
-
-def _poison_backend(circuit):
-    raise RuntimeError("poisoned task")
 
 
 def _random_cut(num_qubits, seed):
@@ -322,17 +322,14 @@ class TestQueryPathParity:
             list(pooled.shards(2, shard_indices=[4]))
 
     def test_cutqc_worker_pool_end_to_end(self, pool):
-        # sim_batch=0: pins the per-variant worker-pool transport mode.
-        serial = CutQC(bv(7), max_subcircuit_qubits=5, sim_batch=0)
-        pooled = CutQC(
-            bv(7), max_subcircuit_qubits=5, worker_pool=pool, sim_batch=0
-        )
+        serial = CutQC(bv(7), max_subcircuit_qubits=5)
+        pooled = CutQC(bv(7), max_subcircuit_qubits=5, worker_pool=pool)
         assert np.allclose(
             pooled.fd_query().probabilities,
             serial.fd_query().probabilities,
             atol=1e-12,
         )
-        assert pooled.execution_report.mode == "worker-pool"
+        assert pooled.execution_report.mode == "batched-pool"
         assert pooled.fd_top_k(2, 3) == serial.fd_top_k(2, 3)
         assert pooled.parallel_stats is not None
         assert pooled.parallel_stats.tasks_completed > 0
@@ -377,9 +374,9 @@ class TestSegmentLifecycle:
         executor = VariantExecutor(
             backend=lambda circuit: np.ones(3), worker_pool=pool
         )
-        # A lambda cannot cross the process boundary: the probe routes
-        # the batch to the serial path (which then raises on the bogus
-        # return value) instead of surfacing a pickling error.
+        # A custom backend never crosses the process boundary: it runs
+        # inline (and raises on the bogus return value) instead of
+        # surfacing a pickling error.
         with pytest.raises(ValueError, match="size"):
             executor.run(cut.subcircuits)
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro import (
     cut_circuit,
     cut_circuit_from_assignment,
-    evaluate_subcircuit,
     simulate_probabilities,
 )
 from repro.circuits import build_circuit_graph
@@ -33,6 +32,7 @@ from repro.postprocess.engine import ContractionEngine
 from repro.postprocess.plan import _derive_fixed
 from repro.utils import marginalize
 from tests.conftest import random_connected_circuit
+from tests.variant_oracle import evaluate_subcircuit
 
 
 def _cut_and_provider(circuit, cuts, **kwargs):

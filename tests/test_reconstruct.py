@@ -15,13 +15,13 @@ from repro import (
     QuantumCircuit,
     cut_circuit,
     cut_circuit_from_assignment,
-    evaluate_subcircuit,
     reconstruct_full,
     simulate_probabilities,
 )
 from repro.circuits import build_circuit_graph
 from repro.postprocess import ContractionEngine, Reconstructor, WorkerPool
 from tests.conftest import random_connected_circuit
+from tests.variant_oracle import evaluate_subcircuit
 
 
 def _reconstruct(circuit, cuts, **kwargs):

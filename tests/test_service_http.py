@@ -102,6 +102,20 @@ class TestHttpApi:
         assert status["state"] == "done", status.get("error")
         assert "workers" not in status["spec"]
 
+    def test_submitted_sim_batch_is_accepted_and_ignored(self, server):
+        # Init batches have one fixed size; an old client's ``sim_batch``
+        # (per-variant 0 included) neither fails nor changes the engine.
+        created = request_json(
+            "POST", f"{server.url}/jobs", payload={**_BV_JOB, "sim_batch": 0}
+        )
+        status = _poll(server, created["job_id"])
+        assert status["state"] == "done", status.get("error")
+        assert "sim_batch" not in status["spec"]
+        plain = request_json("POST", f"{server.url}/jobs", payload=_BV_JOB)
+        plain = _poll(server, plain["job_id"])
+        # Both address the one batched evaluation artifact.
+        assert status["fingerprints"] == plain["fingerprints"]
+
     def test_unknown_job_is_404(self, server):
         with pytest.raises(ServiceClientError) as excinfo:
             request_json("GET", f"{server.url}/jobs/job-nope")

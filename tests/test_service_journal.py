@@ -43,6 +43,45 @@ def _stable(result):
     return document
 
 
+def _replay_with_legacy_field(tmp_path, field, values):
+    """Journal two done jobs and one queued job, write ``field`` into
+    their journaled specs, and restart: every job must replay."""
+    store_dir = tmp_path / "store"
+    first = JobScheduler(ArtifactStore(store_dir), workers=1)
+    done_ids = [first.submit(_bv_spec(top=top)) for top in (3, 4)]
+    done = {job_id: first.wait(job_id, timeout=60) for job_id in done_ids}
+    first.shutdown()
+    parked = JobScheduler(
+        ArtifactStore(store_dir), workers=1, autostart=False
+    )
+    queued_id = parked.submit(_bv_spec(top=5))
+    parked.shutdown()
+
+    journal_path = store_dir / "jobs" / "journal.jsonl"
+    events = [json.loads(line) for line in journal_path.read_text().splitlines()]
+    submits = [event for event in events if event["type"] == "submit"]
+    assert len(submits) == 3
+    for event, value in zip(submits, values):
+        event["spec"][field] = value
+    journal_path.write_text(
+        "".join(json.dumps(event) + "\n" for event in events)
+    )
+
+    second = JobScheduler(ArtifactStore(store_dir), workers=1)
+    try:
+        for job_id, want in done.items():
+            record = second.get(job_id)
+            assert record.state == "done"
+            second.load_persisted(record)
+            assert _stable(record.result) == _stable(want.result)
+        adopted = second.wait(queued_id, timeout=60)
+        assert adopted.state == "done", adopted.error
+        assert adopted.result["top_states"][0]["state"] == "111111"
+        assert field not in adopted.spec.to_dict()
+    finally:
+        second.shutdown()
+
+
 def _dead_pid():
     """A pid guaranteed to name no live process."""
     probe = subprocess.Popen([sys.executable, "-c", ""])
@@ -242,40 +281,14 @@ class TestRestartRecovery:
         """Specs journaled while ``workers`` was a JobSpec field carry it
         (``to_dict`` wrote every field); replay drops the key at any
         value instead of skipping the job as malformed."""
-        store_dir = tmp_path / "store"
-        first = JobScheduler(ArtifactStore(store_dir), workers=1)
-        done_ids = [first.submit(_bv_spec(top=top)) for top in (3, 4)]
-        done = {job_id: first.wait(job_id, timeout=60) for job_id in done_ids}
-        first.shutdown()
-        parked = JobScheduler(
-            ArtifactStore(store_dir), workers=1, autostart=False
-        )
-        queued_id = parked.submit(_bv_spec(top=5))
-        parked.shutdown()
+        _replay_with_legacy_field(tmp_path, "workers", (1, 3, 3))
 
-        journal_path = store_dir / "jobs" / "journal.jsonl"
-        events = [json.loads(line) for line in journal_path.read_text().splitlines()]
-        submits = [event for event in events if event["type"] == "submit"]
-        assert len(submits) == 3
-        for event, workers in zip(submits, (1, 3, 3)):
-            event["spec"]["workers"] = workers
-        journal_path.write_text(
-            "".join(json.dumps(event) + "\n" for event in events)
-        )
-
-        second = JobScheduler(ArtifactStore(store_dir), workers=1)
-        try:
-            for job_id, want in done.items():
-                record = second.get(job_id)
-                assert record.state == "done"
-                second.load_persisted(record)
-                assert _stable(record.result) == _stable(want.result)
-            adopted = second.wait(queued_id, timeout=60)
-            assert adopted.state == "done", adopted.error
-            assert adopted.result["top_states"][0]["state"] == "111111"
-            assert "workers" not in adopted.spec.to_dict()
-        finally:
-            second.shutdown()
+    def test_journal_with_legacy_sim_batch_field_replays_every_job(
+        self, tmp_path
+    ):
+        """The same for ``sim_batch``, at the per-variant value and the
+        batched one: every job replays and evaluates batched."""
+        _replay_with_legacy_field(tmp_path, "sim_batch", (0, 256, 0))
 
     def test_kill_mid_stage_then_restart_resumes_not_restarts(self, tmp_path):
         """SIGKILL the executing process after cut+evaluate checkpointed:

@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from repro import CutQC, evaluate_subcircuit, find_cuts
+from repro import CutQC, find_cuts
+from repro.core import VariantExecutor
 from repro.cutting import SubcircuitResult, generate_variants
 from repro.library import bv, supremacy
 from repro.service import store as store_module
@@ -20,6 +21,7 @@ from repro.service.store import (
     cut_fingerprint,
     evaluation_fingerprint,
 )
+from tests.variant_oracle import evaluate_subcircuit
 
 
 @pytest.fixture
@@ -219,7 +221,7 @@ class TestExactEvaluationArtifacts:
     @pytest.fixture
     def exact(self):
         circuit, solution, cut = _cut_bv()
-        results = [evaluate_subcircuit(s, sim_batch=8) for s in cut.subcircuits]
+        results = VariantExecutor().run(cut.subcircuits)
         position = [bool(s.init_lines) for s in cut.subcircuits].index(True)
         return cut, results, position
 
@@ -253,7 +255,7 @@ class TestExactEvaluationArtifacts:
         cut, results, position = exact
         name = f"amp{position}"
         if damage.startswith("dist-"):
-            # The same damage to a distributions array: a per-variant result.
+            # The same damage to a distributions array: a backend result.
             damage = damage[len("dist-"):]
             name = f"dist{position}"
             results = [evaluate_subcircuit(s) for s in cut.subcircuits]
@@ -486,7 +488,7 @@ class TestResidentTier:
         store = ArtifactStore(tmp_path / "store")
         store.put_cut("cut", circuit, cut, solution)
         store.put_evaluation(
-            "eval", [evaluate_subcircuit(s, sim_batch=8) for s in cut.subcircuits]
+            "eval", VariantExecutor().run(cut.subcircuits)
         )
         return store, circuit
 
@@ -537,7 +539,7 @@ class TestResidentTier:
         assert not tensor_path.exists()
         # Recompute, as the scheduler would: served from disk again first.
         store.put_evaluation(
-            "eval", [evaluate_subcircuit(s, sim_batch=8) for s in cut.subcircuits]
+            "eval", VariantExecutor().run(cut.subcircuits)
         )
         hits = store.stats.resident_hits
         assert store.get_evaluation("eval", cut) is not None
@@ -610,7 +612,7 @@ class TestResidentTier:
         store, circuit = filled
         cut = _warm_pipeline(store, circuit).cut()
         one = store.stats.resident_bytes
-        results = [evaluate_subcircuit(s, sim_batch=8) for s in cut.subcircuits]
+        results = VariantExecutor().run(cut.subcircuits)
         monkeypatch.setattr(store_module, "_RESIDENT_MAX_ENTRIES", 4)
         for index in range(5):  # N + 1 distinct artifacts
             store.put_evaluation(f"e{index}", results)

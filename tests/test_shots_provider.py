@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro import cut_circuit, cut_circuit_from_assignment
 from repro.circuits import build_circuit_graph
 from repro.core.executor import VariantExecutor
-from repro.cutting import evaluate_subcircuit, num_physical_variants
+from repro.cutting import num_physical_variants
 from repro.library import bv, bv_solution
 from repro.postprocess.dd import DynamicDefinitionQuery
 from repro.postprocess.shots import (
@@ -19,6 +19,7 @@ from repro.sim import simulate_probabilities
 from repro.utils import marginalize
 from tests.conftest import random_connected_circuit
 from tests.shot_merge_oracle import merged_collapse
+from tests.variant_oracle import evaluate_subcircuit
 
 
 def _provider(cut, **options):

@@ -7,13 +7,14 @@ distribution exactly (atol=1e-12), at peak memory of one shard.
 import numpy as np
 import pytest
 
-from repro import CutQC, cut_circuit, evaluate_subcircuit
+from repro import CutQC, cut_circuit
 from repro.library import bv, bv_solution, get_benchmark
 from repro.postprocess import (
     PrecomputedTensorProvider,
     StreamingReconstructor,
     reconstruct_full,
 )
+from tests.variant_oracle import evaluate_subcircuit
 
 
 def _streamer(circuit, cuts):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro import cut_circuit, evaluate_subcircuit
+from repro import cut_circuit
 from repro.library import bv, supremacy
 from repro.postprocess import PrecomputedTensorProvider, RandomTensorProvider
 from repro.postprocess.dd import DynamicDefinitionQuery
 from repro.cutting import find_cuts
+from tests.variant_oracle import evaluate_subcircuit
 
 
 class TestRandomTensorProvider:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import QuantumCircuit, cut_circuit, evaluate_subcircuit
+from repro import QuantumCircuit, cut_circuit
+from repro.core import VariantExecutor
 from repro.cutting import (
     generate_variants,
     num_physical_variants,
@@ -88,7 +89,7 @@ class TestVariantCircuits:
 class TestEvaluation:
     def test_default_backend_is_statevector(self, fig4_cut):
         up = fig4_cut.subcircuits[0]
-        result = evaluate_subcircuit(up)
+        result = VariantExecutor().run([up])[0]
         for variant in generate_variants(up):
             expected = simulate_probabilities(variant_circuit(up, variant))
             assert np.allclose(
@@ -97,7 +98,7 @@ class TestEvaluation:
 
     def test_result_vectors_are_distributions(self, fig4_cut):
         for sub in fig4_cut.subcircuits:
-            result = evaluate_subcircuit(sub)
+            result = VariantExecutor().run([sub])[0]
             assert result.distributions.shape == (
                 4 ** len(sub.init_lines), 3 ** len(sub.meas_lines), 1 << sub.width
             )
@@ -112,11 +113,11 @@ class TestEvaluation:
             calls.append(circuit)
             return np.full(1 << circuit.num_qubits, 1.0 / (1 << circuit.num_qubits))
 
-        result = evaluate_subcircuit(up, backend)
+        result = VariantExecutor(backend=backend).run([up])[0]
         assert len(calls) == num_physical_variants(up)
         assert np.allclose(result.distributions, 1.0 / (1 << up.width))
 
     def test_backend_size_mismatch_detected(self, fig4_cut):
         up = fig4_cut.subcircuits[0]
         with pytest.raises(ValueError):
-            evaluate_subcircuit(up, lambda c: np.ones(2))
+            VariantExecutor(backend=lambda c: np.ones(2)).run([up])
