@@ -15,7 +15,6 @@ import numpy as np
 
 from repro import CutQC
 from repro.library import bv, supremacy
-from repro.postprocess import Reconstructor
 
 from conftest import report
 
@@ -23,9 +22,7 @@ from conftest import report
 def _prepare(circuit, device):
     # Greedy order and early termination are knobs of the kron sweep.
     pipeline = CutQC(circuit, max_subcircuit_qubits=device, strategy="kron")
-    return Reconstructor(
-        pipeline.cut(), results=pipeline.evaluate(), engine=pipeline.engine
-    )
+    return pipeline.reconstructor()
 
 
 def _timed(reconstructor, **kwargs):

@@ -28,7 +28,7 @@ from repro.postprocess import (
     DynamicDefinitionQuery,
     PrecomputedTensorProvider,
     RandomTensorProvider,
-    StreamingReconstructor,
+    Reconstructor,
 )
 from repro.postprocess.engine import ContractionEngine
 
@@ -146,10 +146,8 @@ def test_fig10_dd_zoom_cache_speedup():
     # but only the located one is computed — peak memory is one shard.
     shard_qubits = _DD_QUBITS - _DEFINITION_QUBITS
     solution_shard = int(expected[:shard_qubits], 2)
-    streamer = StreamingReconstructor(
-        cut,
-        provider=PrecomputedTensorProvider(cut, results=results),
-        engine=ContractionEngine(strategy="kron"),
+    streamer = Reconstructor(
+        cut, results=results, engine=ContractionEngine(strategy="kron")
     )
     shards = list(streamer.shards(shard_qubits, shard_indices=[solution_shard]))
     stream_stats = streamer.last_stats

@@ -53,9 +53,7 @@ from .postprocess import (
     PrecomputedTensorProvider,
     QueryPlan,
     Reconstructor,
-    StreamingReconstructor,
     contract_terms,
-    reconstruct_full,
 )
 from .sim import (
     BatchedStatevector,
@@ -107,7 +105,6 @@ __all__ = [
     "DynamicDefinitionQuery",
     "PrecomputedTensorProvider",
     "Reconstructor",
-    "reconstruct_full",
     "NoiseModel",
     "NoisySimulator",
     "ShotSampler",

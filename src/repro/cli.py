@@ -555,34 +555,18 @@ def _command_run_body(args: argparse.Namespace, pipeline: CutQC) -> int:
                 file=sys.stderr,
             )
             return 2
-        from .postprocess.stream import top_k_from_shards
-
-        on_shard = None
-        errors: List[float] = []
+        max_abs_error = None
         if args.verify:
+            # A check pass over the shards; the top-k query then finds
+            # every collapse it needs in the pipeline's reconstructor.
             truth = simulate_probabilities(pipeline.circuit).reshape(
                 1 << shard_qubits, -1
             )
-
-            def on_shard(shard):
-                errors.append(
-                    float(
-                        np.abs(
-                            shard.probabilities - truth[shard.index]
-                        ).max()
-                    )
-                )
-
-        # One pass over the stream: each shard folds into the running
-        # top-k (and the verification check) before being discarded.
-        states = top_k_from_shards(
-            pipeline.fd_stream(shard_qubits),
-            num_qubits=n,
-            shard_qubits=shard_qubits,
-            k=max(1, args.top),
-            on_shard=on_shard,
-        )
-        max_abs_error = max(errors) if errors else None
+            max_abs_error = max(
+                float(np.abs(shard.probabilities - truth[shard.index]).max())
+                for shard in pipeline.fd_stream(shard_qubits)
+            )
+        states = pipeline.fd_top_k(shard_qubits, max(1, args.top))
         stream_stats = pipeline.stream_stats
         report = pipeline.execution_report
         document["execution"] = _execution_report_dict(report)

@@ -7,7 +7,9 @@ runs every physical variant (deduplicated; inline, on a persistent
 :class:`~repro.devices.pool.DevicePool`),
 and the postprocessor answers full-definition, streaming (sharded) FD,
 or dynamic-definition queries through the shared query-plan layer and
-contraction engine.
+contraction engine.  One :class:`~repro.postprocess.reconstruct.Reconstructor`
+per evaluated result set serves them all, so they share one collapse
+cache.
 """
 
 from __future__ import annotations
@@ -34,12 +36,10 @@ from ..postprocess import (
     DEFAULT_STRATEGY,
     ContractionEngine,
     DynamicDefinitionQuery,
-    PrecomputedTensorProvider,
     ReconstructionResult,
     Reconstructor,
     ShotBasedTensorProvider,
     StreamStats,
-    StreamingReconstructor,
 )
 from .executor import ExecutionReport, VariantExecutor
 
@@ -168,7 +168,7 @@ class CutQC:
         self._solution: Optional[CutSolution] = None
         self._cut: Optional[CutCircuit] = None
         self._results: Optional[List[SubcircuitResult]] = None
-        self._streamer: Optional[StreamingReconstructor] = None
+        self._reconstructor: Optional[Reconstructor] = None
         self.execution_report: Optional[ExecutionReport] = None
 
     # ------------------------------------------------------------------
@@ -241,7 +241,7 @@ class CutQC:
 
         The cut must respect this pipeline's qubit budget and describe
         this pipeline's circuit; loading resets any downstream state
-        (evaluation results, streamers).
+        (evaluation results, the reconstructor).
         """
         width = cut.max_subcircuit_width()
         if width > self.max_subcircuit_qubits:
@@ -257,7 +257,7 @@ class CutQC:
         self._cut = cut
         self._solution = solution
         self._results = None
-        self._streamer = None
+        self._reconstructor = None
         self.execution_report = None
         return self
 
@@ -272,7 +272,7 @@ class CutQC:
                 "subcircuits"
             )
         self._results = results
-        self._streamer = None
+        self._reconstructor = None
         self.execution_report = None
         return self
 
@@ -329,6 +329,16 @@ class CutQC:
         return self._results
 
     # ------------------------------------------------------------------
+    def reconstructor(self) -> Reconstructor:
+        """The one reconstructor over this pipeline's evaluated results,
+        built on first use: every FD, streamed, top-k and exact DD query
+        reads it (or its ``provider``) and so shares its collapse cache."""
+        if self._reconstructor is None:
+            self._reconstructor = Reconstructor(
+                self.cut(), results=self.evaluate(), engine=self.engine
+            )
+        return self._reconstructor
+
     def fd_query(
         self,
         greedy_order: bool = True,
@@ -340,10 +350,7 @@ class CutQC:
         with trace.span(
             "query.fd", {"strategy": strategy or self.strategy}
         ):
-            reconstructor = Reconstructor(
-                self.cut(), results=self.evaluate(), engine=self.engine
-            )
-            result = reconstructor.reconstruct(
+            result = self.reconstructor().reconstruct(
                 greedy_order=greedy_order,
                 early_termination=early_termination,
                 strategy=strategy,
@@ -359,7 +366,6 @@ class CutQC:
         shots_per_variant: Optional[int] = None,
         seed: Optional[int] = None,
         zoom_width: int = 1,
-        cache: bool = True,
     ) -> DynamicDefinitionQuery:
         """Dynamic-definition query: binned sampling with recursive zoom.
 
@@ -372,8 +378,9 @@ class CutQC:
         pipeline's ``seed``, as it does for :meth:`fd_query`.
 
         ``zoom_width`` expands that many frontier bins per round (in
-        parallel on the ``worker_pool``, if any); ``cache=False`` disables the
-        incremental collapse cache (the naive per-recursion re-collapse).
+        parallel on the ``worker_pool``, if any).  An exact query reads
+        :meth:`reconstructor`'s provider, so it reuses every collapse an
+        earlier query on this pipeline cached.
         """
         began = time.perf_counter()
         with trace.span(
@@ -382,13 +389,11 @@ class CutQC:
              "recursions": max_recursions},
         ):
             if shots_per_variant is None:
-                provider = PrecomputedTensorProvider(
-                    self.cut(), results=self.evaluate(), cache=cache
-                )
+                provider = self.reconstructor().provider
             else:
                 provider = ShotBasedTensorProvider(
                     self.cut(), self.evaluate(), shots=shots_per_variant,
-                    seed=seed, cache=cache,
+                    seed=seed,
                 )
             query = DynamicDefinitionQuery(
                 provider,
@@ -402,15 +407,6 @@ class CutQC:
         return query
 
     # ------------------------------------------------------------------
-    def _streaming_reconstructor(self) -> StreamingReconstructor:
-        if self._streamer is None:
-            self._streamer = StreamingReconstructor(
-                self.cut(),
-                results=self.evaluate(),
-                engine=self.engine,
-            )
-        return self._streamer
-
     def fd_stream(
         self,
         shard_qubits: int,
@@ -426,8 +422,8 @@ class CutQC:
         consumed.
         """
         with trace.span("query.stream", {"shard_qubits": shard_qubits}):
-            streamer = self._streaming_reconstructor()
-        return streamer.shards(shard_qubits, shard_indices)
+            reconstructor = self.reconstructor()
+        return reconstructor.shards(shard_qubits, shard_indices)
 
     def fd_top_k(
         self,
@@ -440,7 +436,7 @@ class CutQC:
         with trace.span(
             "query.top_k", {"shard_qubits": shard_qubits, "k": k}
         ):
-            result = self._streaming_reconstructor().top_k(
+            result = self.reconstructor().top_k(
                 shard_qubits, k, shard_indices
             )
         _QUERY_SECONDS.observe(time.perf_counter() - began, mode="top_k")
@@ -449,9 +445,9 @@ class CutQC:
     @property
     def stream_stats(self) -> Optional[StreamStats]:
         """Stats of the most recent :meth:`fd_stream`/:meth:`fd_top_k`."""
-        if self._streamer is None:
+        if self._reconstructor is None:
             return None
-        return self._streamer.last_stats
+        return self._reconstructor.last_stats
 
     @property
     def parallel_stats(self):

@@ -19,9 +19,10 @@ resident and recomputes only what a rebind actually touched:
 * inside a dirty subcircuit, the fusion pass reuses the structural block
   partition and every per-block unitary whose gates didn't move
   (:func:`~repro.sim.batch.fuse_gates`);
-* clean subcircuits are served from their **stored term tensors** —
-  :class:`~repro.postprocess.reconstruct.Reconstructor` accepts the
-  tensor list directly, so untouched subcircuits never rebuild anything.
+* clean subcircuits are served from their **stored term tensors** — the
+  :class:`~repro.postprocess.reconstruct.Reconstructor` a query builds
+  takes the tensor list directly, so untouched subcircuits never rebuild
+  anything.
 
 Every :meth:`VariationalSession.rebind` returns a :class:`RebindStats`
 record proving the reuse (cut cache hit, dirty set, fused blocks rebuilt

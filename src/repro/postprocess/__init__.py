@@ -19,6 +19,7 @@ from .plan import (
     CacheStats,
     CachingTensorProvider,
     PlanExecution,
+    PrecomputedTensorProvider,
     PreparedPlan,
     QueryPlan,
     binned_tensor,
@@ -29,17 +30,11 @@ from .reconstruct import (
     ReconstructionResult,
     ReconstructionStats,
     Reconstructor,
-    reconstruct_full,
+    Shard,
+    StreamStats,
 )
 from .parallel import ParallelStats, WorkerPool
-from .stream import Shard, StreamStats, StreamingReconstructor
-from .dd import (
-    Bin,
-    DDRecursion,
-    DDStats,
-    DynamicDefinitionQuery,
-    PrecomputedTensorProvider,
-)
+from .dd import Bin, DDRecursion, DDStats, DynamicDefinitionQuery
 from .cost import (
     classical_simulation_flops,
     estimate_speedup,
@@ -64,7 +59,6 @@ __all__ = [
     "ReconstructionStats",
     "Reconstructor",
     "binned_tensor",
-    "reconstruct_full",
     "CacheStats",
     "CachingTensorProvider",
     "PlanExecution",
@@ -76,7 +70,6 @@ __all__ = [
     "WorkerPool",
     "Shard",
     "StreamStats",
-    "StreamingReconstructor",
     "Bin",
     "DDRecursion",
     "DDStats",

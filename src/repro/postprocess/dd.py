@@ -11,7 +11,8 @@ definition without ever storing the full ``2**n`` vector.
 This implementation is built for scale:
 
 * every recursion is a :class:`~repro.postprocess.plan.QueryPlan` — the
-  same abstraction the FD and streaming-FD paths dispatch through;
+  same abstraction the FD and streaming-FD paths dispatch through, and on
+  a pipeline the same provider (one collapse cache per result set);
 * collapsed subcircuit tensors are cached by their restricted role
   signature (:class:`~repro.postprocess.plan.CachingTensorProvider`), so
   sibling bins and successive recursions reuse collapses instead of
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,14 +46,12 @@ import numpy as np
 from ..obs import trace
 from ..obs.metrics import get_registry
 from .engine import ContractionEngine
-from .plan import PrecomputedTensorProvider, QueryPlan, TensorProvider
+from .plan import CacheStats, QueryPlan, TensorProvider
 
 __all__ = [
     "Bin",
     "DDRecursion",
     "DDStats",
-    "TensorProvider",
-    "PrecomputedTensorProvider",
     "DynamicDefinitionQuery",
 ]
 
@@ -159,19 +158,7 @@ class DDStats:
     cache_hit_rate: float
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "num_recursions": self.num_recursions,
-            "num_rounds": self.num_rounds,
-            "zoom_width": self.zoom_width,
-            "num_bins": self.num_bins,
-            "frontier_size": self.frontier_size,
-            "total_elapsed_seconds": self.total_elapsed_seconds,
-            "collapse_seconds": self.collapse_seconds,
-            "contract_seconds": self.contract_seconds,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-        }
+        return asdict(self)
 
 
 class DynamicDefinitionQuery:
@@ -234,10 +221,11 @@ class DynamicDefinitionQuery:
         # query's hits/misses even when the provider is reused.
         self._cache_base = self._cache_counts()
 
-    def _cache_counts(self) -> Tuple[int, int]:
-        """The provider's lifetime collapse-cache (hits, misses)."""
+    def _cache_counts(self) -> CacheStats:
+        """A snapshot of the provider's lifetime collapse-cache counters
+        (zeros for a provider without a cache)."""
         cache = getattr(self.provider, "cache_stats", None)
-        return (0, 0) if cache is None else (cache.hits, cache.misses)
+        return CacheStats() if cache is None else cache.snapshot()
 
     # ------------------------------------------------------------------
     def run(self, max_recursions: int) -> List[DDRecursion]:
@@ -261,15 +249,15 @@ class DynamicDefinitionQuery:
 
     def _expand_round(self, width: int) -> List[DDRecursion]:
         """Expand up to ``width`` frontier bins as one batched round."""
-        hits0, misses0 = self._cache_counts()
+        before = self._cache_counts()
         with trace.span("query.dd.round", {"width": width}):
             recursions = self._expand_round_impl(width)
         _DD_ROUNDS.inc()
-        hits, misses = self._cache_counts()
-        if hits - hits0:
-            _DD_CACHE.inc(hits - hits0, outcome="hit")
-        if misses - misses0:
-            _DD_CACHE.inc(misses - misses0, outcome="miss")
+        delta = self._cache_counts().since(before)
+        if delta.hits:
+            _DD_CACHE.inc(delta.hits, outcome="hit")
+        if delta.misses:
+            _DD_CACHE.inc(delta.misses, outcome="miss")
         return recursions
 
     def _expand_round_impl(self, width: int) -> List[DDRecursion]:
@@ -298,7 +286,7 @@ class DynamicDefinitionQuery:
                 fixed,
                 active,
             )
-            hits0, misses0 = self._cache_counts()
+            before = self._cache_counts()
             with trace.span(
                 "query.dd.prepare",
                 {"fixed": len(fixed), "active": len(active)},
@@ -306,9 +294,9 @@ class DynamicDefinitionQuery:
                 collapse_began = time.perf_counter()
                 prep = plan.prepared(self.provider)
                 collapse_seconds.append(time.perf_counter() - collapse_began)
-                hits, misses = self._cache_counts()
+                delta = self._cache_counts().since(before)
                 prepare_span.set(
-                    cache_hits=hits - hits0, cache_misses=misses - misses0
+                    cache_hits=delta.hits, cache_misses=delta.misses
                 )
             prepared.append((parent, fixed, tuple(active), prep))
 
@@ -439,11 +427,7 @@ class DynamicDefinitionQuery:
         """Latency, cache and frontier statistics for the query so far."""
         # Deltas against the construction-time snapshot: the counters
         # must describe *this query*, not the provider's lifetime.
-        hits, misses = self._cache_counts()
-        hits = max(0, hits - self._cache_base[0])
-        misses = max(0, misses - self._cache_base[1])
-        requests = hits + misses
-        rate = hits / requests if requests else 0.0
+        cache = self._cache_counts().since(self._cache_base)
         return DDStats(
             num_recursions=len(self.recursions),
             num_rounds=self._num_rounds,
@@ -459,7 +443,7 @@ class DynamicDefinitionQuery:
             ),
             collapse_seconds=self._collapse_seconds,
             contract_seconds=self._contract_seconds,
-            cache_hits=hits,
-            cache_misses=misses,
-            cache_hit_rate=rate,
+            cache_hits=cache.hits,
+            cache_misses=cache.misses,
+            cache_hit_rate=cache.hit_rate,
         )

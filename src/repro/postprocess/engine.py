@@ -4,8 +4,8 @@ Both query modes end at the same mathematical object: the sum over all
 ``4^K`` cut-term assignments of the Kronecker product of per-subcircuit
 term vectors (Eq. 2/§4.2 for the full-definition query, the collapsed
 variant of it for every dynamic-definition recursion).  This module is
-the single implementation of that contraction; :mod:`.reconstruct` and
-:mod:`.dd` are thin dispatchers over it.
+the single implementation of that contraction; :mod:`.reconstruct` (FD,
+streamed and top-k) and :mod:`.dd` are thin dispatchers over it.
 
 Three strategies are provided:
 

@@ -41,7 +41,7 @@ import threading
 import time
 import uuid
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -207,23 +207,21 @@ def _run_plan(payload):
     handle_id, cut_blob, refs, plan, strategy, early, top_k = payload
     began = time.perf_counter()
     provider = _provider_for(handle_id, cut_blob, refs)
-    stats = provider.cache_stats
-    hits0, misses0 = stats.hits, stats.misses
+    before = provider.cache_stats.snapshot()
     engine = ContractionEngine(strategy=strategy, early_termination=early)
     probabilities = plan.execute(provider, engine).probabilities
-    hits = provider.cache_stats.hits - hits0
-    misses = provider.cache_stats.misses - misses0
+    delta = provider.cache_stats.since(before)
     nbytes = int(probabilities.nbytes)
     if top_k is not None:
-        # The same candidate selection the serial fold applies, so the
-        # parent's merge replays the serial heap exactly.
-        from .stream import _shard_top_candidates
+        # The same candidate selection the inline fold applies, so the
+        # parent's merge replays the inline heap exactly.
+        from .reconstruct import _shard_top_candidates
 
         result = ("topk", _shard_top_candidates(probabilities, top_k))
     else:
         result = _ship_vector(probabilities, via_shm=True)
     meta = _TaskMeta(pid=os.getpid(), elapsed_seconds=time.perf_counter() - began)
-    return result, hits, misses, nbytes, meta
+    return result, delta.hits, delta.misses, nbytes, meta
 
 
 def _run_kron_range(payload):
@@ -501,24 +499,7 @@ class ParallelStats:
     busy_by_worker: Dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> Dict:
-        return {
-            "workers": self.workers,
-            "started": self.started,
-            "tasks_completed": self.tasks_completed,
-            "tasks_failed": self.tasks_failed,
-            "busy_seconds": self.busy_seconds,
-            "wall_seconds": self.wall_seconds,
-            "utilization": self.utilization,
-            "bytes_published": self.bytes_published,
-            "shm_segments": self.shm_segments,
-            "worker_respawns": self.worker_respawns,
-            "task_retries": self.task_retries,
-            "tasks_quarantined": self.tasks_quarantined,
-            "broken": self.broken,
-            "tasks_by_kind": dict(self.tasks_by_kind),
-            "busy_seconds_by_kind": dict(self.busy_seconds_by_kind),
-            "busy_by_worker": dict(self.busy_by_worker),
-        }
+        return asdict(self)
 
 
 @dataclass

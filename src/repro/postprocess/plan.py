@@ -27,14 +27,13 @@ This module owns that shared machinery:
     zoom round, share a single full collapse per subcircuit.
 
 :func:`binned_tensor`
-    The primitive collapse of one term tensor per a role spec (formerly
-    in :mod:`.reconstruct`, re-exported there for compatibility).
+    The primitive collapse of one term tensor per a role spec.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -175,6 +174,19 @@ class CacheStats:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+    def snapshot(self) -> "CacheStats":
+        """A copy of the counters now, for a later :meth:`since`."""
+        return replace(self)
+
+    def since(self, before: "CacheStats") -> "CacheStats":
+        """The lookups counted after the snapshot ``before`` (floored at
+        zero, should the cache have been cleared in between)."""
+        return CacheStats(
+            hits=max(0, self.hits - before.hits),
+            misses=max(0, self.misses - before.misses),
+            entries=self.entries,
+        )
 
 
 class CachingTensorProvider:
@@ -348,16 +360,6 @@ class QueryPlan:
     active: Tuple[int, ...]
 
     @classmethod
-    def full(cls, num_qubits: int, num_cuts: int) -> "QueryPlan":
-        """The FD plan: every wire active, original order."""
-        return cls(
-            num_qubits=num_qubits,
-            num_cuts=num_cuts,
-            roles={wire: ("active",) for wire in range(num_qubits)},
-            active=tuple(range(num_qubits)),
-        )
-
-    @classmethod
     def binned(
         cls,
         num_qubits: int,
@@ -366,7 +368,8 @@ class QueryPlan:
         active: Sequence[int],
     ) -> "QueryPlan":
         """A binned plan: ``fixed`` wires indexed, ``active`` kept,
-        every other wire merged (one DD recursion or one FD shard)."""
+        every other wire merged (one DD recursion or one FD shard; FD
+        itself is ``binned(n, K, {}, range(n))``)."""
         active_set = set(active)
         roles: RoleMap = {}
         for wire in range(num_qubits):

@@ -6,7 +6,7 @@ distributions for the subcircuit outputs (§5.1: "we used uniform
 distributions as the subcircuit output to study the runtime").
 
 :class:`RandomTensorProvider` implements the DD
-:class:`~repro.postprocess.dd.TensorProvider` protocol without ever
+:class:`~repro.postprocess.plan.TensorProvider` protocol without ever
 materializing a subcircuit's full ``2^f`` output: for each physical
 variant it draws (or fixes to uniform) the *merged* distribution over the
 cut-measure bits and the currently-active output bits only, then runs the

@@ -209,6 +209,13 @@ class JobSpec:
                     raise ValueError("degree * qubits must be even")
         if self.zoom_width < 1:
             raise ValueError("zoom_width must be positive")
+        # Inline QASM has no width until parsed: the reconstructor checks
+        # its upper bound at query time.
+        width = self.qubits if self.benchmark is not None else float("inf")
+        if self.shard_qubits is not None and not 0 <= self.shard_qubits <= width:
+            raise ValueError(
+                f"shard_qubits must be in [0, qubits], got {self.shard_qubits}"
+            )
         if self.top < 1:
             raise ValueError("top must be positive")
         from ..sim.batch import MAX_FUSION_WIDTH
@@ -1417,10 +1424,6 @@ class JobScheduler:
         shard_qubits = spec.shard_qubits
         if shard_qubits is None:
             shard_qubits = max(1, min(num_qubits - 1, num_qubits // 2))
-        if not 0 <= shard_qubits <= num_qubits:
-            raise ValueError(
-                f"shard_qubits must be in [0, {num_qubits}]"
-            )
         states = pipeline.fd_top_k(shard_qubits, spec.top)
         stream_stats = pipeline.stream_stats
         return {

@@ -24,8 +24,8 @@ from repro.cutting.variants import _BASIS_MATRICES
 from repro.postprocess import (
     DOWNSTREAM_TERMS,
     UPSTREAM_TERMS,
+    Reconstructor,
     build_term_tensor,
-    reconstruct_full,
 )
 from repro.postprocess.attribution import MEASURE_FORMS
 from repro.service.store import ArtifactStore
@@ -81,9 +81,8 @@ class TestTransformMatrices:
         circuit.ry(0.4, 1)
         cut = cut_circuit(circuit, [(0, 1), (1, 1)])
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        from repro.postprocess import reconstruct_full
 
-        reconstruction = reconstruct_full(cut, results)
+        reconstruction = Reconstructor(cut, results=results).reconstruct()
         assert np.allclose(
             reconstruction.probabilities, simulate_probabilities(circuit), atol=1e-10
         )
@@ -313,7 +312,9 @@ class TestVectorisedBuildParity:
                 assert (result.amplitudes is None) == (backend is not None)
                 _assert_matches_oracle(result)
             for strategy in ("kron", "tensor_network", "auto"):
-                full = reconstruct_full(cut, results, strategy=strategy)
+                full = Reconstructor(cut, results=results).reconstruct(
+                    strategy=strategy
+                )
                 assert np.abs(full.probabilities - truth).max() <= 1e-10
 
     def test_generated_cuts_cover_the_shapes_no_searcher_picks(self):
@@ -390,10 +391,12 @@ class TestBuildOnce:
         first = pipeline.fd_query()
         assert _builds(False) - built == num
         assert _builds(True) - served == 0
+        # Later queries read the pipeline's one reconstructor: they never
+        # ask for a term tensor again, not even from the memo.
         second = pipeline.fd_query()
         pipeline.dd_query(max_active_qubits=2, max_recursions=2)
         assert _builds(False) - built == num
-        assert _builds(True) - served == 2 * num
+        assert _builds(True) - served == 0
         assert np.array_equal(first.probabilities, second.probabilities)
 
     def test_rebind_rebuilds_exactly_the_dirty_subcircuits(self):

@@ -259,6 +259,21 @@ class TestJsonOutput:
         assert document["query"]["peak_shard_bytes"] == (1 << 4) * 8
         assert document["top_states"][0]["state"] == "111111"
 
+    def test_run_json_parallel_keys(self, capsys):
+        code = main(
+            ["run", "--benchmark", "bv", "--qubits", "6",
+             "--device-size", "5", "--pool-workers", "1", "--json"]
+        )
+        assert code == 0
+        document = json.loads(capsys.readouterr().out)
+        assert list(document["parallel"]) == [
+            "workers", "started", "tasks_completed", "tasks_failed",
+            "busy_seconds", "wall_seconds", "utilization",
+            "bytes_published", "shm_segments", "worker_respawns",
+            "task_retries", "tasks_quarantined", "broken", "tasks_by_kind",
+            "busy_seconds_by_kind", "busy_by_worker",
+        ]
+
     def test_dd_json(self, capsys):
         code = main(
             ["dd", "--benchmark", "bv", "--qubits", "6",

@@ -23,8 +23,8 @@ from repro.postprocess import (
     DynamicDefinitionQuery,
     PrecomputedTensorProvider,
     WorkerPool,
+    Reconstructor,
     contract_terms,
-    reconstruct_full,
     resolve_strategy,
 )
 from repro.postprocess.attribution import TermTensor
@@ -163,8 +163,8 @@ class TestSymbolExhaustionRegression:
         cut = cut_circuit_from_assignment(circuit, list(range(num_gates)))
         assert cut.num_cuts + cut.num_subcircuits > 52
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        reconstruction = reconstruct_full(
-            cut, results, strategy="tensor_network"
+        reconstruction = Reconstructor(cut, results=results).reconstruct(
+            strategy="tensor_network"
         )
         truth = simulate_probabilities(circuit)
         assert np.allclose(reconstruction.probabilities, truth, atol=1e-8)

@@ -157,8 +157,8 @@ class TestConstraints:
 class TestSolutionUsability:
     def test_solution_reconstructs_exactly(self, fig4_circuit):
         from repro import (
+            Reconstructor,
             cut_circuit_from_assignment,
-            reconstruct_full,
             simulate_probabilities,
         )
         from tests.variant_oracle import evaluate_subcircuit
@@ -167,7 +167,7 @@ class TestSolutionUsability:
         assignment, _ = branch_and_bound_search(graph, 3, 5, 10)
         cut = cut_circuit_from_assignment(fig4_circuit, assignment)
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        rec = reconstruct_full(cut, results)
+        rec = Reconstructor(cut, results=results).reconstruct()
         assert np.allclose(
             rec.probabilities, simulate_probabilities(fig4_circuit), atol=1e-10
         )

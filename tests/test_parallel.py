@@ -27,7 +27,7 @@ from repro.library import bv
 from repro.postprocess import (
     ContractionEngine,
     PrecomputedTensorProvider,
-    StreamingReconstructor,
+    Reconstructor,
     WorkerPool,
 )
 from repro.postprocess import parallel as parallel_module
@@ -110,8 +110,8 @@ class TestWorkerPool:
         monkeypatch.setattr(parallel_module, "_MIN_SHM_RESULT_BYTES", 1)
         cut, results = bv8_pieces
         with WorkerPool(workers=2) as shm_pool:
-            serial = StreamingReconstructor(cut, results=results)
-            pooled = StreamingReconstructor(
+            serial = Reconstructor(cut, results=results)
+            pooled = Reconstructor(
                 cut, results=results, engine=ContractionEngine(pool=shm_pool)
             )
             expected = np.concatenate(
@@ -243,8 +243,8 @@ class TestQueryPathParity:
         if cut is None:
             return
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        serial = StreamingReconstructor(cut, results=results)
-        pooled = StreamingReconstructor(
+        serial = Reconstructor(cut, results=results)
+        pooled = Reconstructor(
             cut, results=results, engine=ContractionEngine(pool=pool)
         )
         expected = np.concatenate(
@@ -294,8 +294,8 @@ class TestQueryPathParity:
 
     def test_top_k_merged_across_workers(self, pool, bv8_pieces):
         cut, results = bv8_pieces
-        serial = StreamingReconstructor(cut, results=results)
-        pooled = StreamingReconstructor(
+        serial = Reconstructor(cut, results=results)
+        pooled = Reconstructor(
             cut, results=results, engine=ContractionEngine(pool=pool)
         )
         expected = serial.top_k(3, 5)
@@ -306,7 +306,7 @@ class TestQueryPathParity:
 
     def test_shard_subset_and_order_preserved(self, pool, bv8_pieces):
         cut, results = bv8_pieces
-        pooled = StreamingReconstructor(
+        pooled = Reconstructor(
             cut, results=results, engine=ContractionEngine(pool=pool)
         )
         indices = [3, 0, 2]
@@ -315,7 +315,7 @@ class TestQueryPathParity:
 
     def test_bad_shard_index_rejected(self, pool, bv8_pieces):
         cut, results = bv8_pieces
-        pooled = StreamingReconstructor(
+        pooled = Reconstructor(
             cut, results=results, engine=ContractionEngine(pool=pool)
         )
         with pytest.raises(ValueError, match="out of range"):
@@ -344,7 +344,7 @@ class TestSegmentLifecycle:
         monkeypatch.setattr(parallel_module, "_MIN_SHM_RESULT_BYTES", 1)
         cut, results = bv8_pieces
         with WorkerPool(workers=2) as shm_pool:
-            streamer = StreamingReconstructor(
+            streamer = Reconstructor(
                 cut, results=results, engine=ContractionEngine(pool=shm_pool)
             )
             stream = streamer.shards(3)

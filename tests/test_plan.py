@@ -22,9 +22,9 @@ from repro.postprocess import (
     DynamicDefinitionQuery,
     PrecomputedTensorProvider,
     QueryPlan,
+    Reconstructor,
     binned_tensor,
     generalized_signature,
-    reconstruct_full,
     restricted_signature,
 )
 from repro.postprocess.attribution import TermTensor
@@ -186,9 +186,9 @@ class TestQueryPlan:
         cut = cut_circuit(fig4_circuit, [(2, 1)])
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
         provider = PrecomputedTensorProvider(cut, results=results)
-        plan = QueryPlan.full(5, cut.num_cuts)
+        plan = QueryPlan.binned(5, cut.num_cuts, {}, range(5))
         execution = plan.execute(provider, ContractionEngine(strategy="kron"))
-        want = reconstruct_full(cut, results).probabilities
+        want = Reconstructor(cut, results=results).reconstruct().probabilities
         assert np.allclose(execution.probabilities, want, atol=1e-12)
 
     def test_binned_plan_matches_marginal(self, fig4_circuit):

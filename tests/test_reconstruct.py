@@ -15,7 +15,6 @@ from repro import (
     QuantumCircuit,
     cut_circuit,
     cut_circuit_from_assignment,
-    reconstruct_full,
     simulate_probabilities,
 )
 from repro.circuits import build_circuit_graph
@@ -24,10 +23,14 @@ from tests.conftest import random_connected_circuit
 from tests.variant_oracle import evaluate_subcircuit
 
 
+def _fd(cut, results, **kwargs):
+    return Reconstructor(cut, results=results).reconstruct(**kwargs)
+
+
 def _reconstruct(circuit, cuts, **kwargs):
     cut = cut_circuit(circuit, cuts)
     results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-    return cut, reconstruct_full(cut, results, **kwargs)
+    return cut, _fd(cut, results, **kwargs)
 
 
 class TestExactEquality:
@@ -55,7 +58,7 @@ class TestExactEquality:
         circuit.ry(0.5, 0)
         cut = cut_circuit(circuit, [(0, 1), (0, 2)])
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        result = reconstruct_full(cut, results)
+        result = _fd(cut, results)
         truth = simulate_probabilities(circuit)
         assert np.allclose(result.probabilities, truth, atol=1e-10)
 
@@ -68,7 +71,7 @@ class TestExactEquality:
         circuit.h(1)
         cut = cut_circuit(circuit, [(0, 1), (1, 1)])
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        result = reconstruct_full(cut, results)
+        result = _fd(cut, results)
         truth = simulate_probabilities(circuit)
         assert np.allclose(result.probabilities, truth, atol=1e-10)
 
@@ -92,7 +95,7 @@ class TestExactEquality:
         if cut.num_cuts > 7:
             return  # keep runtime bounded
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        result = reconstruct_full(cut, results)
+        result = _fd(cut, results)
         truth = simulate_probabilities(circuit)
         assert np.allclose(result.probabilities, truth, atol=1e-8)
 
@@ -107,21 +110,22 @@ class TestOptions:
     def test_greedy_order_sorts_by_effective_size(self, cut_and_results):
         _, cut, results = cut_and_results
         rec = Reconstructor(cut, results=results)
-        order = rec.subcircuit_order(greedy=True)
-        sizes = [rec.tensors[i].num_effective for i in order]
+        order = rec.reconstruct(greedy_order=True).stats.subcircuit_order
+        sizes = [rec.provider.tensors[i].num_effective for i in order]
         assert sizes == sorted(sizes)
 
     def test_natural_order_option(self, cut_and_results):
         _, cut, results = cut_and_results
         rec = Reconstructor(cut, results=results)
-        assert rec.subcircuit_order(greedy=False) == [0, 1]
+        stats = rec.reconstruct(greedy_order=False).stats
+        assert stats.subcircuit_order == (0, 1)
 
     def test_all_option_combinations_agree(self, cut_and_results):
         circuit, cut, results = cut_and_results
         truth = simulate_probabilities(circuit)
         for greedy in (True, False):
             for early in (True, False):
-                result = reconstruct_full(
+                result = _fd(
                     cut, results, greedy_order=greedy,
                     early_termination=early, strategy="kron",
                 )
@@ -129,14 +133,14 @@ class TestOptions:
 
     def test_tensor_network_strategy_matches(self, cut_and_results):
         circuit, cut, results = cut_and_results
-        kron = reconstruct_full(cut, results, strategy="kron")
-        tn = reconstruct_full(cut, results, strategy="tensor_network")
+        kron = _fd(cut, results, strategy="kron")
+        tn = _fd(cut, results, strategy="tensor_network")
         assert np.allclose(kron.probabilities, tn.probabilities, atol=1e-10)
 
     def test_unknown_strategy_rejected(self, cut_and_results):
         _, cut, results = cut_and_results
         with pytest.raises(ValueError):
-            reconstruct_full(cut, results, strategy="magic")
+            _fd(cut, results, strategy="magic")
 
     def test_parallel_workers_match_serial(self):
         # Four cuts: 4^4 = 256 terms, enough for the pool's range split.
@@ -147,7 +151,7 @@ class TestOptions:
             circuit.cx(q, q + 1)
         cut = cut_circuit(circuit, [(1, 1), (2, 1), (3, 1), (4, 1)])
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        serial = reconstruct_full(cut, results, strategy="kron")
+        serial = _fd(cut, results, strategy="kron")
         with WorkerPool(workers=2) as pool:
             engine = ContractionEngine(strategy="kron", pool=pool)
             parallel = Reconstructor(cut, results=results, engine=engine)
@@ -159,7 +163,7 @@ class TestOptions:
 
     def test_stats_fields(self, cut_and_results):
         _, cut, results = cut_and_results
-        result = reconstruct_full(cut, results, strategy="kron")
+        result = _fd(cut, results, strategy="kron")
         stats = result.stats
         assert stats.num_cuts == 1
         assert stats.num_terms == 4
@@ -174,7 +178,7 @@ class TestOptions:
         circuit = bv(5)
         cut = cut_circuit(circuit, [(4, 1)])
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        result = reconstruct_full(
+        result = _fd(
             cut, results, early_termination=True, strategy="kron"
         )
         truth = simulate_probabilities(circuit)
@@ -196,7 +200,7 @@ class TestReconstructorValidation:
     def test_output_is_normalized_distribution(self, fig4_circuit):
         cut = cut_circuit(fig4_circuit, [(2, 1)])
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        probs = reconstruct_full(cut, results).probabilities
+        probs = _fd(cut, results).probabilities
         assert np.isclose(probs.sum(), 1.0, atol=1e-9)
         assert np.all(probs >= -1e-9)
 
@@ -224,7 +228,7 @@ class TestExhaustiveCutPositions:
             except ValueError:
                 continue  # not a separating single cut
             results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-            result = reconstruct_full(cut, results)
+            result = _fd(cut, results)
             assert np.allclose(result.probabilities, truth, atol=1e-9), (
                 f"cut ({edge.wire}, {edge.wire_index}) failed"
             )
@@ -254,7 +258,7 @@ class TestExhaustiveCutPositions:
             if cut.num_cuts != 2:
                 continue
             results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-            result = reconstruct_full(cut, results)
+            result = _fd(cut, results)
             assert np.allclose(result.probabilities, truth, atol=1e-9), pair
             tested += 1
         assert tested >= 3

@@ -128,6 +128,47 @@ class TestHttpApi:
         assert excinfo.value.status == 400
         assert "device_size" in excinfo.value.document["error"]
 
+    @pytest.mark.parametrize("shard_qubits", [99, -1])
+    def test_out_of_range_shard_qubits_is_400_at_admission(
+        self, server, shard_qubits
+    ):
+        before = len(request_json("GET", f"{server.url}/jobs")["jobs"])
+        with pytest.raises(ServiceClientError) as excinfo:
+            request_json("POST", f"{server.url}/jobs", payload={
+                "benchmark": "bv", "qubits": 8, "device_size": 5,
+                "query": "top_k", "shard_qubits": shard_qubits,
+            })
+        assert excinfo.value.status == 400
+        assert "shard_qubits" in excinfo.value.document["error"]
+        # Refused before a record existed: no cut or evaluate stage ran.
+        after = len(request_json("GET", f"{server.url}/jobs")["jobs"])
+        assert after == before
+
+    def test_job_documents_pin_their_stats_keys(self, server):
+        """The ``dd`` job's ``stats`` and the ``top_k`` job's ``stream``
+        are dataclass dumps: their keys are the HTTP API."""
+        documents = {}
+        for query in ({"type": "dd", "active": 2, "recursions": 3},
+                      {"type": "top_k", "top": 2, "shard_qubits": 2}):
+            created = request_json("POST", f"{server.url}/jobs", payload={
+                **_BV_JOB, "query": query,
+            })
+            assert _poll(server, created["job_id"])["state"] == "done"
+            documents[query["type"]] = request_json(
+                "GET", f"{server.url}/jobs/{created['job_id']}/result"
+            )["result"]
+        assert list(documents["dd"]["stats"]) == [
+            "num_recursions", "num_rounds", "zoom_width", "num_bins",
+            "frontier_size", "total_elapsed_seconds", "collapse_seconds",
+            "contract_seconds", "cache_hits", "cache_misses",
+            "cache_hit_rate",
+        ]
+        assert list(documents["top_k"]["stream"]) == [
+            "shard_qubits", "num_shards_total", "num_shards_emitted",
+            "peak_shard_bytes", "elapsed_seconds", "cache_hits",
+            "cache_misses", "cache_hit_rate", "transport", "workers",
+        ]
+
     def test_unknown_route_is_404(self, server):
         with pytest.raises(ServiceClientError) as excinfo:
             request_json("GET", f"{server.url}/nope")

@@ -1,34 +1,51 @@
 """Golden tests for sharded streaming FD reconstruction.
 
 The contract: shards concatenated in index order reproduce ``fd_query``'s
-distribution exactly (atol=1e-12), at peak memory of one shard.
+distribution exactly (atol=1e-12), at peak memory of one shard.  Streams
+are :meth:`Reconstructor.shards` — the same object (and collapse cache)
+that answers the whole FD query.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro import CutQC, cut_circuit
 from repro.library import bv, bv_solution, get_benchmark
-from repro.postprocess import (
-    PrecomputedTensorProvider,
-    StreamingReconstructor,
-    reconstruct_full,
-)
+from repro.postprocess import ContractionEngine, Reconstructor, WorkerPool
+from tests.test_attribution import _random_cut
 from tests.variant_oracle import evaluate_subcircuit
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with WorkerPool(workers=2) as shared:
+        yield shared
 
 
 def _streamer(circuit, cuts):
     cut = cut_circuit(circuit, cuts)
     results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-    full = reconstruct_full(cut, results).probabilities
-    return StreamingReconstructor(cut, results=results), full
+    full = Reconstructor(cut, results=results).reconstruct().probabilities
+    return Reconstructor(cut, results=results), full
+
+
+def _concatenated(reconstructor, shard_qubits):
+    return np.concatenate(
+        [shard.probabilities for shard in reconstructor.shards(shard_qubits)]
+    )
 
 
 class TestShardsConcatenateExactly:
     @pytest.mark.parametrize("shard_qubits", [0, 1, 2, 3, 5])
     def test_fig4_all_definitions(self, fig4_circuit, shard_qubits):
         streamer, full = _streamer(fig4_circuit, [(2, 1)])
-        got = streamer.full_distribution(shard_qubits)
+        got = _concatenated(streamer, shard_qubits)
         assert got.shape == full.shape
         assert np.allclose(got, full, atol=1e-12)
 
@@ -140,13 +157,141 @@ class TestValidation:
             list(streamer.shards(1, shard_indices=[2]))
 
     def test_provider_reuse_shares_cache(self, fig4_circuit):
-        cut = cut_circuit(fig4_circuit, [(2, 1)])
-        results = [evaluate_subcircuit(s) for s in cut.subcircuits]
-        provider = PrecomputedTensorProvider(cut, results=results)
-        streamer = StreamingReconstructor(cut, provider=provider)
+        streamer, _ = _streamer(fig4_circuit, [(2, 1)])
+        provider = streamer.provider
         for _ in streamer.shards(1):
             pass
         first_misses = provider.cache_stats.misses
         for _ in streamer.shards(1):
             pass
         assert provider.cache_stats.misses == first_misses  # all hits
+        assert streamer.last_stats.cache_misses == 0
+
+
+class TestOneReconstructor:
+    """FD, streams and top-k on one reconstructor share one cache."""
+
+    def test_stream_after_fd_is_all_hits(self, fig4_circuit):
+        streamer, full = _streamer(fig4_circuit, [(2, 1)])
+        whole = streamer.reconstruct().probabilities
+        assert np.array_equal(whole, full)
+        # FD's all-active collapse is every shard's generalized collapse.
+        got = _concatenated(streamer, 2)
+        assert streamer.last_stats.cache_misses == 0
+        assert np.allclose(got, whole, atol=1e-12)
+
+    def test_pipeline_queries_share_one_reconstructor(self):
+        pipeline = CutQC(bv(8), max_subcircuit_qubits=5)
+        reconstructor = pipeline.reconstructor()
+        pipeline.fd_query()
+        pipeline.fd_top_k(3, 2)
+        query = pipeline.dd_query(max_active_qubits=2, max_recursions=2)
+        assert pipeline.reconstructor() is reconstructor
+        assert query.provider is reconstructor.provider
+        assert pipeline.stream_stats is reconstructor.last_stats
+        pipeline.load_results(pipeline.evaluate())
+        assert pipeline.reconstructor() is not reconstructor
+
+
+def _random_pipeline(num_qubits, seed, parts):
+    """A pipeline over a random connected circuit and a random explicit
+    cut (the searcher is bypassed), or None when no small cut came up."""
+    cut = _random_cut(num_qubits, seed, parts)
+    if cut is None:
+        return None
+    return CutQC(cut.circuit, cut.max_subcircuit_width()).load_cut(cut)
+
+
+class TestEveryQueryReadsOneReconstructor:
+    """Streams, top-k, the pool and a later DD agree with FD on one
+    reconstructor, over random circuits and explicit cuts."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        num_qubits=st.integers(min_value=3, max_value=6),
+        seed=st.integers(min_value=0, max_value=10**6),
+        parts=st.integers(min_value=2, max_value=3),
+    )
+    def test_queries_agree(self, pool, num_qubits, seed, parts):
+        pipeline = _random_pipeline(num_qubits, seed, parts)
+        if pipeline is None:
+            return
+        reconstructor = pipeline.reconstructor()
+        full = pipeline.fd_query().probabilities
+        for shard_qubits in range(num_qubits + 1):
+            got = _concatenated(reconstructor, shard_qubits)
+            assert np.abs(got - full).max() <= 1e-12
+        k = 5
+        top = reconstructor.top_k(num_qubits // 2, k)
+        want = np.sort(full)[::-1][:k]
+        assert np.abs([p for _, p in top] - want).max() <= 1e-12
+        for bits, probability in top:
+            assert abs(full[int(bits, 2)] - probability) <= 1e-12
+
+        pooled = Reconstructor(
+            pipeline.cut(),
+            results=pipeline.evaluate(),
+            engine=ContractionEngine(pool=pool),
+        )
+        for shard_qubits in (1, 2):
+            inline = _concatenated(reconstructor, shard_qubits)
+            shipped = _concatenated(pooled, shard_qubits)
+            assert pooled.last_stats.transport == "pool"
+            assert np.array_equal(shipped, inline)
+            assert pooled.top_k(shard_qubits, k) == reconstructor.top_k(
+                shard_qubits, k
+            )
+        pooled.close()
+
+        after = pipeline.dd_query(max_active_qubits=2, max_recursions=4)
+        fresh = CutQC(pipeline.circuit, pipeline.max_subcircuit_qubits)
+        fresh.load_cut(pipeline.cut())
+        alone = fresh.dd_query(max_active_qubits=2, max_recursions=4)
+        assert len(after.recursions) == len(alone.recursions)
+        for got, want in zip(after.recursions, alone.recursions):
+            assert got.fixed == want.fixed and got.active == want.active
+            assert np.array_equal(got.probabilities, want.probabilities)
+        assert after.solution_states() == alone.solution_states()
+
+
+class TestOneReconstructionPath:
+    """FD, streamed and top-k queries have one front end."""
+
+    def test_removed_paths_stay_removed(self):
+        package = Path(repro.__file__).parent
+        assert not (package / "postprocess" / "stream.py").exists()
+        removed = {"StreamingReconstructor", "reconstruct_full"}
+        found = set()
+        for path in package.rglob("*.py"):
+            where = path.relative_to(package).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    methods = {
+                        item.name: item
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                    }
+                    if node.name == "QueryPlan" and "full" in methods:
+                        found.add(f"{where}: QueryPlan.full")
+                    if node.name == "CutQC" and "dd_query" in methods:
+                        args = methods["dd_query"].args
+                        if "cache" in {
+                            a.arg for a in args.args + args.kwonlyargs
+                        }:
+                            found.add(f"{where}: CutQC.dd_query(cache=)")
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "full"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "QueryPlan"
+                ):
+                    found.add(f"{where}: QueryPlan.full")
+                name = (
+                    getattr(node, "name", None)
+                    or getattr(node, "id", None)
+                    or getattr(node, "attr", None)
+                    or getattr(node, "value", None)
+                )
+                if isinstance(name, str) and name in removed:
+                    found.add(f"{where}: {name}")
+        assert found == set()
