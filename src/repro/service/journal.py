@@ -8,14 +8,24 @@ root (``<store>/jobs/``)::
     jobs/claims/<job_id>  existence = some scheduler owns the job
     jobs/claims.lock      serializes stale-claim stealing across processes
 
-Three event types flow through the log:
+Every event is one JSON object with ``type``, ``job_id``, ``ts`` (the
+append time) and ``owner`` (the id of the scheduler that wrote it).
+Three types flow through the log:
 
-* ``submit`` — a new job: id, tenant and the full ``JobSpec`` document.
-* ``state``  — a state transition, stamped with the owning scheduler;
-  terminal events also carry timings/cache hits so peer servers can
-  answer status queries without touching the executor.
+* ``submit`` — a new job: ``tenant`` and ``spec``, the full ``JobSpec``
+  document; its ``ts`` is the job's ``submitted_at``.
+* ``state``  — a transition to ``state``, plus any of the record fields
+  it carries: ``owner``, ``started_at``, ``finished_at``, ``error``,
+  ``timings``, ``cache_hits``, ``fingerprints``, ``attempts``,
+  ``degraded``, ``execution``.  The terminal event carries all of them,
+  so every replica answers status queries exactly as the executor does.
 * ``cancel`` — a cancellation request (any server may record it; the
   owning scheduler honors it at its next stage boundary).
+
+:meth:`repro.service.JobRecord.apply` is the one fold of these events.
+Journals written before terminal events carried every field replay
+too: a missing field keeps its default, and a terminal event without
+``finished_at`` finishes at its ``ts``.
 
 Appends take an exclusive ``flock`` on the log so concurrent writers
 (N servers, one store dir) never interleave partial lines; readers tail
@@ -28,9 +38,9 @@ power-loss durability costs one ``fsync=True`` flag.
 atomically creates ``claims/<job_id>`` (``O_CREAT | O_EXCL``) holding
 its owner id and pid.  Creation succeeds exactly once, so of N
 schedulers tailing the same journal only one executes each job.  A
-claim whose pid no longer exists is *stale* — a restarted scheduler
-steals it (under ``claims.lock``) and resumes the job from its last
-checkpointed stage.
+claim whose pid no longer exists is *stale* — a restarted scheduler, or
+a live peer on its next tail poll, steals it (under ``claims.lock``) and
+resumes the job from its last checkpointed stage.
 """
 
 from __future__ import annotations

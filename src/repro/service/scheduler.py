@@ -24,10 +24,13 @@ Durability and scale-out (see :mod:`repro.service.journal` and
 :mod:`repro.service.tenancy`):
 
 * every submission, state transition and cancellation is appended to a
-  **journal** inside the store (``jobs/journal.jsonl``); a restarted
-  scheduler replays it, steals claims whose owner pid died, and resumes
-  interrupted jobs — the store checkpoints turn "resume" into cache
-  hits on every stage that already completed;
+  **journal** inside the store (``jobs/journal.jsonl``), and a job's
+  state moves only by folding those events (:meth:`JobRecord.apply`):
+  live, in a restarted scheduler replaying the journal, and in a peer
+  tailing it.  Restarted and live schedulers alike steal claims whose
+  owner pid died and resume the interrupted jobs — the store
+  checkpoints turn "resume" into cache hits on every stage that
+  already completed;
 * dispatch goes through a per-tenant **weighted-fair queue** with
   admission quotas (:class:`~repro.service.tenancy.TenantConfig`);
 * N schedulers (``serve --replicas N``, or N processes on one store
@@ -38,6 +41,7 @@ Durability and scale-out (see :mod:`repro.service.journal` and
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import threading
@@ -97,7 +101,8 @@ _QUOTA_REJECTIONS = get_registry().counter(
 )
 _STAGE_RETRIES = get_registry().counter(
     "repro_scheduler_stage_retries_total",
-    "Transient stage failures retried by the staged-retry policy.",
+    "Transient failures retried by the staged-retry policy: stage "
+    "bodies, journal appends and job-record writes.",
     ("stage",),
 )
 _DEGRADED_MODE = get_registry().gauge(
@@ -114,9 +119,21 @@ QUERY_TYPES = ("fd", "dd", "top_k", "variational")
 
 #: States a job can never leave.
 _TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
+#: Record fields a ``state`` event carries; :meth:`JobRecord.apply`
+#: copies each one present in the event.  The terminal event carries all
+#: of them, so every replica's status document equals the owner's.
+_CARRIED = (
+    "owner", "started_at", "finished_at", "timings", "cache_hits",
+    "fingerprints", "execution", "error", "attempts", "degraded",
+)
 #: A journaled scheduler keeps ``result``/``trace`` in memory for this many
 #: of its newest terminal records; older ones are served from the store.
 _RETAINED_PAYLOADS = 64
+
+
+def _copied(value):
+    """A carried field's value, with dicts copied (records never share)."""
+    return dict(value) if isinstance(value, dict) else value
 
 
 @dataclass
@@ -266,6 +283,29 @@ class JobSpec:
             return f"device:{self.device}:{self.noisy_method}:batched:v2"
         return "statevector:batched:v3"
 
+    def pipeline_options(self, worker_pool=None) -> Dict:
+        """The keyword arguments of every pipeline this job drives (a
+        :class:`~repro.core.CutQC` or a ``VariationalSession``)."""
+        device = None
+        if self.device is not None:
+            from ..devices import get_device
+
+            device = get_device(self.device, seed=self.seed)
+        return dict(
+            max_subcircuit_qubits=self.device_size,
+            max_subcircuits=self.max_subcircuits,
+            max_cuts=self.max_cuts,
+            method=self.method,
+            device=device,
+            device_shots=self.shots,
+            trajectories=self.trajectories,
+            noisy_method=self.noisy_method,
+            strategy=self.strategy,
+            seed=self.seed,
+            worker_pool=worker_pool,
+            fusion_width=self.fusion_width,
+        )
+
     def to_dict(self) -> Dict:
         # Every field is a scalar: no need for asdict's deep copy.
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -289,7 +329,12 @@ class JobSpec:
 
 @dataclass
 class JobRecord:
-    """One job's lifecycle: state, per-stage timing, cache hits, result."""
+    """One job's lifecycle: state, per-stage timing, cache hits, result.
+
+    ``state`` moves only through :meth:`apply`, the one fold of journal
+    events — the executing scheduler, a restarted one replaying the
+    journal and a peer tailing it all move a record the same way.
+    """
 
     job_id: str
     spec: JobSpec
@@ -317,9 +362,8 @@ class JobRecord:
     degraded: bool = False
     #: The job's span tree (set once the job reaches a terminal state).
     trace: Optional[Dict] = None
-    #: Owner id of the scheduler executing (or having executed) the job;
-    #: ``None`` while unclaimed.  Set from journal events for jobs run
-    #: by a peer server.
+    #: Id of the scheduler that last moved the job — its executor once
+    #: it runs; ``None`` until a scheduler first moves it.
     owner: Optional[str] = None
     #: ``(kind, key)`` store artifacts pinned against LRU eviction while
     #: this job runs; released by the worker at the terminal state.
@@ -352,14 +396,46 @@ class JobRecord:
     def done(self) -> bool:
         return self.state in _TERMINAL_STATES
 
+    def apply(self, event: Dict) -> bool:
+        """Fold one journal event into the record; True iff it moved.
+
+        ``cancel`` requests cancellation of a live job.  ``state`` moves
+        the job to a state in :data:`JOB_STATES` and copies the
+        :data:`_CARRIED` fields present in the event.  A terminal state
+        is never left, and an unknown state is ignored.
+        """
+        kind = event.get("type")
+        state = event.get("state")
+        with self._lock:
+            if self.state in _TERMINAL_STATES:
+                return False
+            if kind == "cancel":
+                self.cancel_requested = True
+                return True
+            if kind != "state" or state not in JOB_STATES:
+                return False
+            self.state = state
+            for name in _CARRIED:
+                if name in event:
+                    setattr(self, name, _copied(event[name]))
+            if state in _TERMINAL_STATES and "finished_at" not in event:
+                # Journals written before terminal events carried every
+                # field: the event's own stamp is the finish time.
+                self.finished_at = event.get("ts")
+            self._cond.notify_all()
+        return True
+
+    def carried(self) -> Dict:
+        """A snapshot of the :data:`_CARRIED` fields."""
+        with self._lock:
+            return {name: _copied(getattr(self, name)) for name in _CARRIED}
+
     # -- locked mutators (worker thread) -------------------------------
     def update(self, **fields) -> None:
-        """Atomically set record attributes."""
+        """Atomically set record attributes (never ``state``)."""
         with self._lock:
             for name, value in fields.items():
                 setattr(self, name, value)
-            if "state" in fields:
-                self._cond.notify_all()
 
     def set_timing(self, stage: str, seconds: float) -> None:
         with self._lock:
@@ -399,18 +475,9 @@ class JobRecord:
                 "job_id": self.job_id,
                 "state": self.state,
                 "tenant": self.spec.tenant,
-                "owner": self.owner,
                 "spec": self.spec.to_dict(),
                 "submitted_at": self.submitted_at,
-                "started_at": self.started_at,
-                "finished_at": self.finished_at,
-                "timings": dict(self.timings),
-                "cache_hits": dict(self.cache_hits),
-                "fingerprints": dict(self.fingerprints),
-                "execution": self.execution,
-                "error": self.error,
-                "attempts": dict(self.attempts),
-                "degraded": self.degraded,
+                **{name: _copied(getattr(self, name)) for name in _CARRIED},
             }
             if self.iterations or self.spec.query == "variational":
                 document["iterations"] = list(self.iterations)
@@ -467,6 +534,9 @@ class JobScheduler:
         self._queue = FairQueue(self.tenants)
         self._records: Dict[str, JobRecord] = {}
         self._order: List[str] = []
+        #: Records not yet seen terminal: what :meth:`_adopt_orphans`
+        #: checks on every poll (pruned there, so a poll costs O(live)).
+        self._live: Dict[str, JobRecord] = {}
         self._retained: deque = deque()
         self._lock = threading.Lock()
         self._threads: List[threading.Thread] = []
@@ -481,7 +551,7 @@ class JobScheduler:
         )
         self._journal_poll = max(0.01, float(journal_poll))
         if self.journal is not None:
-            self._replay_journal()
+            self._follow_journal(startup=True)
         self._register_depth_collector()
         if autostart:
             self.start()
@@ -549,190 +619,145 @@ class JobScheduler:
             self.worker_pool.close()
 
     # ------------------------------------------------------------------
-    # Journal: replay (restart recovery) and tail (peer discovery)
+    # Journal: the one fold (replay at startup, the tail on every poll)
     # ------------------------------------------------------------------
-    def _replay_journal(self) -> None:
-        """Rebuild the job table from the journal and adopt orphans.
+    def _follow_journal(self, startup: bool = False) -> None:
+        """Fold every journal event not yet read, then adopt orphans.
 
-        Runs before the workers start.  Jobs whose last journaled state
-        is terminal become read-only history (results rehydrate lazily
-        from the store's job documents).  Non-terminal jobs are
-        re-enqueued when unclaimed, or when their claim's pid is dead
-        (the mid-stage-kill case) — stage checkpoints already in the
-        store make the rerun resume, not restart.  Jobs claimed by a
-        live peer stay as mirrors updated by the tail thread.
+        At startup this replays the whole journal before the workers
+        start: terminal jobs become read-only history (results rehydrate
+        lazily from the store's job documents) and live peers' jobs stay
+        mirrors.  On every tail poll it folds what peers appended since,
+        and queues a job another scheduler made queued (a submission, or
+        a requeue) — whichever scheduler pops it first wins the claim.
         """
-        folded: Dict[str, Dict] = {}
-        order: List[str] = []
         for event in self.journal.read_new():
-            job_id = event.get("job_id")
-            kind = event.get("type")
-            if not isinstance(job_id, str):
-                continue
-            if kind == "submit" and job_id not in folded:
-                folded[job_id] = {
-                    "spec": event.get("spec"),
-                    "state": "queued",
-                    "submitted_at": event.get("ts"),
-                }
-                order.append(job_id)
-            elif kind == "state" and job_id in folded:
-                entry = folded[job_id]
-                entry["state"] = event.get("state", entry["state"])
-                entry["owner"] = event.get("owner")
-                for field_name in ("error", "timings", "cache_hits"):
-                    if event.get(field_name) is not None:
-                        entry[field_name] = event[field_name]
-                if event.get("state") in _TERMINAL_STATES:
-                    entry["finished_at"] = event.get("ts")
-            elif kind == "cancel" and job_id in folded:
-                folded[job_id]["cancel"] = True
-        for job_id in order:
-            entry = folded[job_id]
+            record = self._on_event(event)
+            if record is not None and not startup:
+                self._queue.push(record.spec.tenant, record.job_id)
+        self._adopt_orphans(startup)
+
+    def _on_event(self, event: Dict) -> Optional[JobRecord]:
+        """Fold one event another scheduler (or an earlier process) wrote.
+
+        Returns the record when the event made it queued.  Our own events
+        echoing back are skipped: they were folded when emitted.
+        """
+        job_id = event.get("job_id")
+        if not isinstance(job_id, str) or event.get("owner") == self.owner_id:
+            return None
+        with self._lock:
+            record = self._records.get(job_id)
+        if event.get("type") == "submit":
+            if record is not None:
+                return None
             try:
-                spec = JobSpec.from_dict(entry.get("spec") or {})
+                spec = JobSpec.from_dict(event.get("spec") or {})
             except (TypeError, ValueError):
-                continue  # unreadable record from an older format
-            record = JobRecord(
-                job_id=job_id,
-                spec=spec,
-                state=entry["state"],
-                owner=entry.get("owner"),
-            )
-            if entry.get("submitted_at"):
-                record.submitted_at = entry["submitted_at"]
-            if entry.get("finished_at"):
-                record.finished_at = entry["finished_at"]
-            if entry.get("error"):
-                record.error = entry["error"]
-            if isinstance(entry.get("timings"), dict):
-                record.timings = dict(entry["timings"])
-            if isinstance(entry.get("cache_hits"), dict):
-                record.cache_hits = {
-                    k: bool(v) for k, v in entry["cache_hits"].items()
-                }
-            with self._lock:
-                self._records[job_id] = record
-                self._order.append(job_id)
-            if record.done:
-                record.mark_settled()
-                continue
-            if entry.get("cancel"):
-                record.cancel_requested = True
-            info = self.journal.claim_info(job_id)
+                return None  # unreadable record from an older format
+            return self._register(job_id, spec, event.get("ts"))
+        if record is None or not record.apply(event):
+            return None
+        if record.done:
+            record.mark_settled()
+        return record if event.get("state") == "queued" else None
+
+    def _adopt_orphans(self, startup: bool) -> None:
+        """Requeue jobs no live scheduler will run.
+
+        A job whose claim's pid is dead (its replica was killed
+        mid-stage) is stolen and requeued on every pass; at startup an
+        unclaimed job is queued too.  Stage checkpoints already in the
+        store make the rerun resume, not restart.
+        """
+        with self._lock:
+            self._live = {
+                job_id: record for job_id, record in self._live.items()
+                if not record.done
+            }
+            live = list(self._live.values())
+        for record in live:
+            info = self.journal.claim_info(record.job_id)
             if info is None:
-                requeue = True  # never started; any worker may claim
-            elif self.journal.claim_is_stale(info) or info.get(
-                "owner"
-            ) == self.owner_id:
-                requeue = self.journal.steal_claim(job_id, self.owner_id)
-            else:
-                requeue = False  # a live peer is executing it
-            if requeue:
-                record.update(state="queued", owner=None)
-                self.journal.append(
-                    "state", job_id, state="queued",
-                    owner=self.owner_id, resumed=True,
-                )
-                self._queue.push(spec.tenant, job_id)
+                if not startup:
+                    continue  # already in the queue of whoever saw it
+            elif not (
+                self.journal.claim_is_stale(info)
+                and self.journal.steal_claim(record.job_id, self.owner_id)
+            ):
+                continue  # a live scheduler holds it
+            if record.state == "queued" or self._transition(
+                record, "queued", started_at=None
+            ):
+                self._queue.push(record.spec.tenant, record.job_id)
 
     def _tail_loop(self) -> None:
         """Poll the journal for events appended by peer schedulers."""
         while not self._shutdown:
             try:
-                self._apply_events(self.journal.read_new())
+                self._follow_journal()
             except Exception:  # pragma: no cover - keep the tail alive
                 pass
             time.sleep(self._journal_poll)
 
-    def _apply_events(self, events: List[Dict]) -> None:
-        for event in events:
-            job_id = event.get("job_id")
-            kind = event.get("type")
-            if not isinstance(job_id, str):
-                continue
-            if kind == "submit":
-                with self._lock:
-                    if job_id in self._records:
-                        continue  # our own submission echoing back
-                try:
-                    spec = JobSpec.from_dict(event.get("spec") or {})
-                except (TypeError, ValueError):
-                    continue
-                record = JobRecord(job_id=job_id, spec=spec)
-                if event.get("ts"):
-                    record.submitted_at = event["ts"]
-                with self._lock:
-                    if job_id in self._records:  # pragma: no cover - race
-                        continue
-                    self._records[job_id] = record
-                    self._order.append(job_id)
-                # Peer submissions enter our queue too: whichever
-                # scheduler pops first wins the claim, the others skip.
-                self._queue.push(spec.tenant, job_id)
-            elif kind == "state":
-                owner = event.get("owner")
-                if owner == self.owner_id:
-                    continue  # our own transition echoing back
-                with self._lock:
-                    record = self._records.get(job_id)
-                if record is None:
-                    continue
-                with record._lock:
-                    if record.owner == self.owner_id:
-                        continue  # we execute it; local state is truth
-                    state = event.get("state")
-                    if state in JOB_STATES:
-                        record.state = state
-                        record._cond.notify_all()
-                    record.owner = owner or record.owner
-                    if event.get("error"):
-                        record.error = event["error"]
-                    if isinstance(event.get("timings"), dict):
-                        record.timings = dict(event["timings"])
-                    if isinstance(event.get("cache_hits"), dict):
-                        record.cache_hits = {
-                            k: bool(v)
-                            for k, v in event["cache_hits"].items()
-                        }
-                    if record.state in _TERMINAL_STATES:
-                        if record.finished_at is None:
-                            record.finished_at = event.get("ts", time.time())
-                        record._settled = True
-                        record._cond.notify_all()
-            elif kind == "cancel":
-                with self._lock:
-                    record = self._records.get(job_id)
-                if record is None:
-                    continue
-                with record._lock:
-                    if record.state not in _TERMINAL_STATES:
-                        record.cancel_requested = True
-
-    def _journal_state(self, record: JobRecord, **extra) -> None:
+    def _emit(self, kind: str, job_id: str, **fields) -> Dict:
+        """Journal one event stamped with this scheduler's id, under the
+        retry policy; returns the event as written."""
+        fields["owner"] = self.owner_id
         if self.journal is None:
-            return
-        try:
-            self.journal.append(
-                "state", record.job_id, state=record.state,
-                owner=self.owner_id, **extra,
-            )
-        except OSError:  # pragma: no cover - disk full / torn teardown
-            pass
+            return {"type": kind, "job_id": job_id, "ts": time.time(), **fields}
+        return self._retry(
+            lambda: self.journal.append(kind, job_id, **fields), "journal"
+        )
 
-    def _advance(self, record: JobRecord, state: str) -> None:
-        """Set a non-terminal state and journal the transition."""
-        record.update(state=state)
-        self._journal_state(record)
+    def _transition(
+        self, record: JobRecord, state: str, journal: bool = True, **fields
+    ) -> bool:
+        """Fold a ``state`` event into ``record``, then journal it — unless
+        the caller journals it later, as the terminal event is.  False
+        (nothing journaled) when the fold is refused."""
+        fields["state"] = state
+        if not record.apply(
+            {"type": "state", **fields, "owner": self.owner_id}
+        ):
+            return False
+        if journal:
+            self._emit("state", record.job_id, **fields)
+        return True
+
+    def _retry(self, body: Callable, label: str):
+        """Run ``body`` under the staged-retry policy.
+
+        Transient faults (see :func:`repro.faults.is_transient`) are
+        retried up to ``max_retries`` times with exponential backoff and
+        jitter.  Permanent faults — including
+        :class:`PoolUnrecoverableError`, whose remedy is degradation —
+        propagate immediately, as does everything once shutting down.
+        """
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                return body()
+            except Exception as error:  # noqa: BLE001 - taxonomy below
+                if (
+                    attempt > self.max_retries
+                    or not is_transient(error)
+                    or self._shutdown
+                ):
+                    raise
+                _STAGE_RETRIES.inc(stage=label)
+                delay = min(2.0, self.retry_backoff * (2 ** (attempt - 1)))
+                time.sleep(delay * (0.5 + self._retry_rng.random()))
 
     def load_persisted(self, record: JobRecord) -> None:
         """Rehydrate a terminal record from the store's job document.
 
         Covers jobs executed by a peer server or a previous process, and
         own jobs past the retention window: the journal carries their
-        states and timings, but the (large) result document lives only in
-        the store.  Only empty fields are filled; a live one is never
-        overwritten.
+        states and carried fields, but the (large) result document lives
+        only in the store.  Only empty fields are filled; a live one is
+        never overwritten.
         """
         if self.journal is None or not record.done or record.result is not None:
             return
@@ -742,19 +767,9 @@ class JobScheduler:
         if document.get("result") is not None:
             self._retain(record)
         with record._lock:
-            if record.result is None:
-                record.result = document.get("result")
-            if not record.timings and document.get("timings"):
-                record.timings = dict(document["timings"])
-            if not record.cache_hits and document.get("cache_hits"):
-                record.cache_hits = {
-                    k: bool(v)
-                    for k, v in document["cache_hits"].items()
-                }
-            if record.execution is None:
-                record.execution = document.get("execution")
-            if not record.iterations and document.get("iterations"):
-                record.iterations = list(document["iterations"])
+            for name in ("result", "iterations", *_CARRIED):
+                if not getattr(record, name) and document.get(name):
+                    setattr(record, name, document[name])
 
     def _retain(self, record: JobRecord) -> None:
         """Admit a record whose payloads are in the store to the newest
@@ -769,12 +784,27 @@ class JobScheduler:
         if stale is not record:
             stale.update(result=None, trace=None)
 
+    def _register(
+        self, job_id: str, spec: JobSpec, submitted_at: Optional[float]
+    ) -> JobRecord:
+        """Add a job built from its ``submit`` event."""
+        record = JobRecord(
+            job_id=job_id, spec=spec, submitted_at=submitted_at or time.time()
+        )
+        with self._lock:
+            self._records[job_id] = record
+            self._live[job_id] = record
+            self._order.append(job_id)
+        return record
+
     # ------------------------------------------------------------------
     def submit(self, spec: JobSpec) -> str:
         """Validate, admission-check and enqueue a job; returns its id.
 
-        Raises :class:`~repro.service.tenancy.QuotaExceededError` when
-        the tenant is over quota (mapped to HTTP 429 by the API layer).
+        The record is built from the journaled ``submit`` event, so a
+        submission whose append fails leaves no job behind.  Raises
+        :class:`~repro.service.tenancy.QuotaExceededError` when the
+        tenant is over quota (mapped to HTTP 429 by the API layer).
         """
         if self._shutdown:
             raise RuntimeError("scheduler is shut down")
@@ -785,14 +815,10 @@ class JobScheduler:
             _QUOTA_REJECTIONS.inc(tenant=spec.tenant, reason=error.reason)
             raise
         job_id = f"job-{uuid.uuid4().hex[:12]}"
-        record = JobRecord(job_id=job_id, spec=spec)
-        with self._lock:
-            self._records[job_id] = record
-            self._order.append(job_id)
-        if self.journal is not None:
-            self.journal.append(
-                "submit", job_id, tenant=spec.tenant, spec=spec.to_dict()
-            )
+        event = self._emit(
+            "submit", job_id, tenant=spec.tenant, spec=spec.to_dict()
+        )
+        self._register(job_id, spec, event["ts"])
         self._queue.push(spec.tenant, job_id)
         return job_id
 
@@ -814,26 +840,22 @@ class JobScheduler:
     def cancel(self, job_id: str) -> bool:
         """Request cancellation; returns False if already terminal.
 
-        Queued jobs are dropped before they start; a running job stops at
-        its next stage boundary.
+        The request is journaled, and the job's executor honours it at
+        its next stage boundary.  A queued job whose claim this scheduler
+        wins is cancelled outright — no other scheduler can start it.
         """
         record = self.get(job_id)
-        with record._lock:
-            if record.state in _TERMINAL_STATES:
-                return False
-            record.cancel_requested = True
-            became_cancelled = False
-            if record.state == "queued":
-                record.state = "cancelled"
-                record.finished_at = time.time()
-                became_cancelled = True
-                record._cond.notify_all()
-        if self.journal is not None:
-            self.journal.append("cancel", job_id)
-            if became_cancelled:
-                self._journal_state(record, terminal=True)
-        if became_cancelled:
-            record.mark_settled()
+        if record.done:
+            return False
+        record.apply(self._emit("cancel", job_id))
+        if record.state == "queued" and (
+            self.journal is None or self.journal.claim(job_id, self.owner_id)
+        ):
+            if self._transition(
+                record, "cancelled",
+                **dict(record.carried(), finished_at=time.time()),
+            ):
+                record.mark_settled()
         return True
 
     def wait(
@@ -841,15 +863,13 @@ class JobScheduler:
     ) -> JobRecord:
         """Block until the job reaches a terminal state (or timeout).
 
-        Sleeps on the record's condition variable (notified on every
-        state transition) instead of busy-polling; ``poll`` is kept for
-        backward compatibility and only caps the wait slices, so a
-        transition journaled by a *peer* scheduler — applied without a
-        local notification path — is still observed promptly.
+        Sleeps on the record's condition variable, which
+        :meth:`JobRecord.apply` notifies on every transition — live,
+        replayed or tailed alike; ``poll`` is kept for backward
+        compatibility and is unused.
         """
         deadline = time.monotonic() + timeout
         record = self.get(job_id)
-        slice_cap = max(0.01, min(1.0, float(poll) * 100))
         with record._cond:
             while not record.done:
                 remaining = deadline - time.monotonic()
@@ -858,7 +878,7 @@ class JobScheduler:
                         f"job {job_id} still {record.state!r} "
                         f"after {timeout}s"
                     )
-                record._cond.wait(min(remaining, slice_cap))
+                record._cond.wait(remaining)
             # Terminal state is published *before* the worker's final
             # bookkeeping (trace/journal/store document); give that a
             # bounded grace so callers observe a fully-settled record.
@@ -967,7 +987,7 @@ class JobScheduler:
             job_id, self.owner_id
         ):
             return  # a peer scheduler owns this job
-        record.update(started_at=time.time(), owner=self.owner_id)
+        started = time.time()
         tracer = trace.start(
             "job",
             {
@@ -976,96 +996,106 @@ class JobScheduler:
                 "tenant": record.spec.tenant,
             },
         )
-        requeued = False
+        result = error = None
         try:
             with tracer as root:
-                use_pool = True
-                pool = self.worker_pool
-                if (
-                    pool is not None
-                    and self.degrade
-                    and getattr(pool, "broken", False)
-                ):
-                    # The pool is known-unrecoverable: go straight to
-                    # serial evaluation instead of paying one doomed
-                    # dispatch per job.
-                    use_pool = False
-                    record.update(degraded=True)
-                    _DEGRADED_MODE.set(1)
-                try:
-                    self._execute(record, use_pool=use_pool)
-                except PoolUnrecoverableError:
-                    if not self.degrade or pool is None or not use_pool:
-                        raise
-                    # Graceful degradation: the stage checkpoints
-                    # already in the store turn the serial re-run into
-                    # a resume of whatever had completed.
-                    record.update(degraded=True)
-                    _DEGRADED_MODE.set(1)
-                    with trace.span("job.degrade"):
-                        self._execute(record, use_pool=False)
-        except Exception as error:  # noqa: BLE001 - job isolation
+                if self._enter_stage(record, "cutting", started_at=started):
+                    result = self._execute_degradable(record)
+        except Exception as failure:  # noqa: BLE001 - job isolation
             if self._shutdown and not record.done:
-                # Shutdown tore a shared resource (worker pool, store)
-                # from under this in-flight job: requeue it for the
-                # next scheduler instead of failing it.
-                requeued = True
-                record.update(state="queued", owner=None, started_at=None)
-                if self.journal is not None:
-                    try:
-                        self.journal.release_claim(job_id, self.owner_id)
-                        self.journal.append(
-                            "state", job_id, state="queued",
-                            owner=self.owner_id, resumed=True,
-                        )
-                    except OSError:  # pragma: no cover - torn teardown
-                        pass
-            else:
-                record.update(
-                    state="failed",
-                    error=f"{type(error).__name__}: {error}",
-                )
-        finally:
-            if requeued:
-                for kind, key in record.pins:
-                    self.store.unpin(kind, key)
-                record.pins = []
+                self._requeue_on_shutdown(record)
                 return
-            if not record.done:  # pragma: no cover - defensive
-                record.update(
-                    state="failed",
-                    error=record.error or "worker exited mid-job",
-                )
-            record.update(finished_at=time.time())
-            record.set_timing(
-                "total", record.finished_at - record.started_at
+            error = f"{type(failure).__name__}: {failure}"
+        if error is not None:
+            state = "failed"
+        elif result is None:
+            state = "cancelled"
+        else:
+            state = "done"
+            record.update(result=result)
+        finished = time.time()
+        fields = dict(
+            record.carried(), owner=self.owner_id, started_at=started,
+            finished_at=finished, error=error,
+        )
+        fields["timings"]["total"] = finished - started
+        # Publish first (pollers see the outcome now); journal last, once
+        # the job document is in the store, so a replica that reads the
+        # terminal event can always load the result.
+        if not self._transition(record, state, journal=False, **fields):
+            self._release_pins(record)  # cancelled outright meanwhile
+            return
+        _JOBS.inc(state=state, tenant=record.spec.tenant)
+        _JOB_STAGE_SECONDS.observe(
+            finished - started, stage="total", tenant=record.spec.tenant
+        )
+        document = root.to_dict()
+        record.update(trace=document)
+        traced = self._persist(
+            lambda: self.store.put_trace(job_id, document), "trace"
+        )
+        self._release_pins(record)
+        if self.journal is not None:
+            documented = self._persist(
+                lambda: self.store.put_job_document(
+                    job_id, record.as_dict(include_result=True)
+                ),
+                "job_document",
             )
-            _JOBS.inc(state=record.state, tenant=record.spec.tenant)
-            document = root.to_dict()
-            record.update(trace=document)
-            persisted = self.journal is not None
-            try:
-                self.store.put_trace(job_id, document)
-            except Exception:  # pragma: no cover - store teardown
-                persisted = False
-            for kind, key in record.pins:
-                self.store.unpin(kind, key)
-            record.pins = []
-            _, timings, cache_hits, _ = record.stats_view()
-            self._journal_state(
-                record, terminal=True, error=record.error,
-                timings=timings, cache_hits=cache_hits,
+            self._persist(
+                lambda: self.journal.append(
+                    "state", job_id, state=state, **fields
+                ),
+                "journal",
             )
-            if self.journal is not None:
-                try:
-                    self.store.put_job_document(
-                        job_id, record.as_dict(include_result=True)
-                    )
-                except Exception:  # pragma: no cover - store teardown
-                    persisted = False
-            if persisted:
+            if traced and documented:
                 self._retain(record)
-            record.mark_settled()
+        record.mark_settled()
+
+    def _persist(self, body: Callable, label: str) -> bool:
+        """A finished job's write under :meth:`_retry`; False when it still
+        failed — the job's outcome stands either way."""
+        try:
+            self._retry(body, label)
+            return True
+        except Exception:  # noqa: BLE001 - retries exhausted
+            return False
+
+    def _execute_degradable(self, record: JobRecord) -> Optional[Dict]:
+        """:meth:`_execute` on the worker pool, re-run serially in-process
+        (``degraded``) when the pool is unrecoverable."""
+        pool = self.worker_pool
+        use_pool = True
+        if pool is not None and self.degrade and getattr(pool, "broken", False):
+            # The pool is known-unrecoverable: go straight to serial
+            # evaluation instead of paying one doomed dispatch per job.
+            use_pool = False
+            record.update(degraded=True)
+            _DEGRADED_MODE.set(1)
+        try:
+            return self._execute(record, use_pool=use_pool)
+        except PoolUnrecoverableError:
+            if not self.degrade or pool is None or not use_pool:
+                raise
+            # Graceful degradation: the stage checkpoints already in the
+            # store turn the serial re-run into a resume of whatever had
+            # completed.
+            record.update(degraded=True)
+            _DEGRADED_MODE.set(1)
+            with trace.span("job.degrade"):
+                return self._execute(record, use_pool=False)
+
+    def _requeue_on_shutdown(self, record: JobRecord) -> None:
+        """Shutdown tore a shared resource (worker pool, store) from under
+        this in-flight job: release it for the next scheduler instead of
+        failing it."""
+        self._release_pins(record)
+        try:
+            if self.journal is not None:
+                self.journal.release_claim(record.job_id, self.owner_id)
+            self._transition(record, "queued", started_at=None)
+        except OSError:  # pragma: no cover - torn teardown
+            pass  # unclaimed and unfinished: a successor adopts it anyway
 
     def _pin(self, record: JobRecord, kind: str, key: str) -> None:
         """Pin a store artifact for the lifetime of this job."""
@@ -1073,74 +1103,46 @@ class JobScheduler:
         with record._lock:
             record.pins.append((kind, key))
 
-    def _run_stage(self, record: JobRecord, stage: str, body: Callable):
-        """Run one stage body under the staged-retry policy.
+    def _release_pins(self, record: JobRecord) -> None:
+        for kind, key in record.pins:
+            self.store.unpin(kind, key)
+        record.pins = []
 
-        Transient faults (see :func:`repro.faults.is_transient`) are
-        retried up to ``max_retries`` times with exponential backoff and
-        jitter; the attempts consumed are recorded on the job.  Permanent
-        faults — including :class:`PoolUnrecoverableError`, whose remedy
-        is degradation — propagate immediately.
-        """
-        attempt = 0
-        while True:
-            attempt += 1
+    def _run_stage(self, record: JobRecord, stage: str, body: Callable):
+        """Run one stage body under :meth:`_retry`, recording on the job
+        the attempts consumed."""
+        attempts = itertools.count(1)
+
+        def attempt():
+            count = next(attempts)
             with record._lock:
                 record.attempts[stage] = max(
-                    attempt, record.attempts.get(stage, 0)
+                    count, record.attempts.get(stage, 0)
                 )
-            try:
-                return body()
-            except Exception as error:  # noqa: BLE001 - taxonomy below
-                if (
-                    attempt > self.max_retries
-                    or not is_transient(error)
-                    or self._shutdown
-                ):
-                    raise
-                _STAGE_RETRIES.inc(stage=stage)
-                delay = min(2.0, self.retry_backoff * (2 ** (attempt - 1)))
-                time.sleep(delay * (0.5 + self._retry_rng.random()))
+            return body()
 
-    def _cancelled(self, record: JobRecord) -> bool:
-        with record._lock:
-            if record.cancel_requested:
-                record.state = "cancelled"
-                record._cond.notify_all()
-                return True
-        return False
+        return self._retry(attempt, stage)
 
-    def _execute(self, record: JobRecord, use_pool: bool = True) -> None:
+    def _enter_stage(self, record: JobRecord, state: str, **fields) -> bool:
+        """Move a running job to its next stage; False once cancelled."""
+        return not record.cancel_requested and self._transition(
+            record, state, **fields
+        )
+
+    def _execute(
+        self, record: JobRecord, use_pool: bool = True
+    ) -> Optional[Dict]:
+        """Run a job's stages; its result, or ``None`` once cancelled."""
         spec = record.spec
         if spec.query == "variational":
-            self._execute_variational(record, use_pool=use_pool)
-            return
+            return self._execute_variational(record, use_pool=use_pool)
         circuit = spec.build_circuit()
-        device = None
-        if spec.device is not None:
-            from ..devices import get_device
-
-            device = get_device(spec.device, seed=spec.seed)
         pipeline = CutQC(
             circuit,
-            max_subcircuit_qubits=spec.device_size,
-            max_subcircuits=spec.max_subcircuits,
-            max_cuts=spec.max_cuts,
-            method=spec.method,
-            device=device,
-            device_shots=spec.shots,
-            trajectories=spec.trajectories,
-            noisy_method=spec.noisy_method,
-            strategy=spec.strategy,
-            seed=spec.seed,
-            worker_pool=self.worker_pool if use_pool else None,
-            fusion_width=spec.fusion_width,
+            **spec.pipeline_options(self.worker_pool if use_pool else None),
         )
 
         # -- stage 1: cut (checkpointed) --------------------------------
-        if self._cancelled(record):
-            return
-        self._advance(record, "cutting")
         began = time.perf_counter()
         cut_key = pipeline.cut_fingerprint()  # once: both stages key on it
 
@@ -1161,9 +1163,8 @@ class JobScheduler:
         record.set_timing("cut", time.perf_counter() - began)
 
         # -- stage 2: evaluate (checkpointed) ---------------------------
-        if self._cancelled(record):
-            return
-        self._advance(record, "evaluating")
+        if not self._enter_stage(record, "evaluating"):
+            return None
         began = time.perf_counter()
 
         def evaluate_stage() -> None:
@@ -1211,20 +1212,19 @@ class JobScheduler:
         record.set_timing("evaluate", time.perf_counter() - began)
 
         # -- stage 3: query ---------------------------------------------
-        if self._cancelled(record):
-            return
-        self._advance(record, "querying")
+        if not self._enter_stage(record, "querying"):
+            return None
         began = time.perf_counter()
         with trace.span("job.query", {"mode": spec.query}):
             result = self._run_stage(
                 record, "query", lambda: self._run_query(pipeline, spec)
             )
         record.set_timing("query", time.perf_counter() - began)
-        record.update(result=result, state="done")
+        return result
 
     def _execute_variational(
         self, record: JobRecord, use_pool: bool = True
-    ) -> None:
+    ) -> Optional[Dict]:
         """Server-side SPSA MaxCut loop over one warm
         :class:`~repro.core.variational.VariationalSession`.
 
@@ -1254,36 +1254,18 @@ class JobScheduler:
         rng = np.random.default_rng(spec.seed)
         theta = rng.uniform(0.1, np.pi - 0.1, size=2 * spec.layers)
 
-        if self._cancelled(record):
-            return
-        self._advance(record, "cutting")
-        device = None
-        if spec.device is not None:
-            from ..devices import get_device
-
-            device = get_device(spec.device, seed=spec.seed)
         session = VariationalSession(
             spec.build_circuit(),
-            max_subcircuit_qubits=spec.device_size,
             store=self.store,
-            max_subcircuits=spec.max_subcircuits,
-            max_cuts=spec.max_cuts,
-            method=spec.method,
-            device=device,
-            device_shots=spec.shots,
-            trajectories=spec.trajectories,
-            noisy_method=spec.noisy_method,
-            strategy=spec.strategy,
-            seed=spec.seed,
-            worker_pool=self.worker_pool if use_pool else None,
-            fusion_width=spec.fusion_width,
+            **spec.pipeline_options(self.worker_pool if use_pool else None),
         )
         cut_key = session.cut_fingerprint()
         record.set_fingerprint("cut", cut_key)
         self._pin(record, "cut", cut_key)
 
         # Warm-up: first rebind cuts (or restores) and evaluates all.
-        self._advance(record, "evaluating")
+        if not self._enter_stage(record, "evaluating"):
+            return None
         with trace.span("job.evaluate"):
             warmup = self._run_stage(
                 record, "evaluate", lambda: session.rebind(flat(theta))
@@ -1298,15 +1280,16 @@ class JobScheduler:
         initial_cost = best_cost = cost
         best_theta = theta.copy()
 
-        self._advance(record, "querying")
+        if not self._enter_stage(record, "querying"):
+            return None
         loop_span = trace.span(
             "job.query", {"mode": "variational", "iterations": spec.iterations}
         )
         loop_began = time.perf_counter()
         with loop_span:
             for k in range(spec.iterations):
-                if self._cancelled(record):
-                    return
+                if record.cancel_requested:
+                    return None
                 began = time.perf_counter()
                 a_k, c_k = spsa_gains(k)
                 delta = rng.choice((-1.0, 1.0), size=theta.size)
@@ -1363,7 +1346,7 @@ class JobScheduler:
                     },
                 })
         record.set_timing("query", time.perf_counter() - loop_began)
-        record.update(result={
+        return {
             "mode": "variational",
             "num_qubits": num_qubits,
             "num_cuts": session.cut.num_cuts,
@@ -1376,7 +1359,7 @@ class JobScheduler:
             "best_theta": [float(t) for t in best_theta],
             "final_theta": [float(t) for t in theta],
             "session": session.summary(),
-        }, state="done")
+        }
 
     def _run_query(self, pipeline: CutQC, spec: JobSpec) -> Dict:
         num_qubits = pipeline.circuit.num_qubits

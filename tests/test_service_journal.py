@@ -89,6 +89,51 @@ def _dead_pid():
     return probe.pid
 
 
+def _kill_child_mid_query(tmp_path, before_kill=None):
+    """Run one bv job in a child scheduler process, SIGKILL it once cut
+    and evaluate are checkpointed and the query has begun, and return
+    the job id.  ``before_kill`` runs while the child still holds the
+    job."""
+    store_dir = tmp_path / "store"
+    marker = tmp_path / "querying.marker"
+    child_code = (
+        "import sys, time\n"
+        "store_dir, marker = sys.argv[1], sys.argv[2]\n"
+        "from repro.service import ArtifactStore, JobScheduler, JobSpec\n"
+        "def hang(self, pipeline, spec):\n"
+        "    open(marker, 'w').write('querying')\n"
+        "    time.sleep(600)\n"
+        "JobScheduler._run_query = hang\n"
+        "scheduler = JobScheduler(ArtifactStore(store_dir), workers=1)\n"
+        "spec = JobSpec(device_size=5, benchmark='bv', qubits=6,\n"
+        "               query='fd', top=3)\n"
+        "open(marker + '.job', 'w').write(scheduler.submit(spec))\n"
+        "time.sleep(600)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC
+    child = subprocess.Popen(
+        [sys.executable, "-c", child_code, str(store_dir), str(marker)],
+        env=env,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not marker.exists():
+            assert child.poll() is None, "child scheduler died early"
+            assert time.monotonic() < deadline, "child never reached query"
+            time.sleep(0.05)
+        job_id = (tmp_path / "querying.marker.job").read_text().strip()
+        if before_kill is not None:
+            before_kill()
+        os.kill(child.pid, signal.SIGKILL)
+        child.wait(timeout=30)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait(timeout=30)
+    return job_id
+
+
 class TestJournalLog:
     def test_append_then_tail_reads_once(self, tmp_path):
         journal = JobJournal(tmp_path / "jobs")
@@ -295,41 +340,7 @@ class TestRestartRecovery:
         the successor must resume (cache hits on both stages) and produce
         a result bit-identical to an uninterrupted run."""
         store_dir = tmp_path / "store"
-        marker = tmp_path / "querying.marker"
-        child_code = (
-            "import sys, time\n"
-            "store_dir, marker = sys.argv[1], sys.argv[2]\n"
-            "from repro.service import ArtifactStore, JobScheduler, JobSpec\n"
-            "def hang(self, pipeline, spec):\n"
-            "    open(marker, 'w').write('querying')\n"
-            "    time.sleep(600)\n"
-            "JobScheduler._run_query = hang\n"
-            "scheduler = JobScheduler(ArtifactStore(store_dir), workers=1)\n"
-            "spec = JobSpec(device_size=5, benchmark='bv', qubits=6,\n"
-            "               query='fd', top=3)\n"
-            "open(marker + '.job', 'w').write(scheduler.submit(spec))\n"
-            "time.sleep(600)\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _SRC
-        child = subprocess.Popen(
-            [sys.executable, "-c", child_code, str(store_dir), str(marker)],
-            env=env,
-        )
-        try:
-            deadline = time.monotonic() + 120
-            while not marker.exists():
-                assert child.poll() is None, "child scheduler died early"
-                assert time.monotonic() < deadline, "child never reached query"
-                time.sleep(0.05)
-            job_id = (tmp_path / "querying.marker.job").read_text().strip()
-            os.kill(child.pid, signal.SIGKILL)
-            child.wait(timeout=30)
-        finally:
-            if child.poll() is None:
-                child.kill()
-                child.wait(timeout=30)
-
+        job_id = _kill_child_mid_query(tmp_path)
         successor = JobScheduler(ArtifactStore(store_dir), workers=1)
         try:
             record = successor.wait(job_id, timeout=60)
@@ -349,6 +360,28 @@ class TestRestartRecovery:
         finally:
             reference.shutdown()
         assert _stable(record.result) == _stable(uninterrupted.result)
+
+    def test_live_peer_adopts_a_killed_replicas_job(self, tmp_path):
+        """The same kill with a peer already running: its journal tail
+        sees the dead claim within a poll and resumes the job — no
+        restart needed."""
+        store_dir = tmp_path / "store"
+        peers = []
+
+        def start_peer():
+            peers.append(JobScheduler(
+                ArtifactStore(store_dir), workers=1, journal_poll=0.05
+            ))
+
+        job_id = _kill_child_mid_query(tmp_path, before_kill=start_peer)
+        peer, = peers
+        try:
+            record = peer.wait(job_id, timeout=15)
+            assert record.state == "done", record.error
+            assert record.cache_hits == {"cut": True, "evaluate": True}
+            assert record.owner == peer.owner_id
+        finally:
+            peer.shutdown()
 
 
 class TestMultiScheduler:
