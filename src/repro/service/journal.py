@@ -36,17 +36,21 @@ power-loss durability costs one ``fsync=True`` flag.
 
 **Claims** make execution exclusive: before running a job a worker
 atomically creates ``claims/<job_id>`` (``O_CREAT | O_EXCL``) holding
-its owner id and pid.  Creation succeeds exactly once, so of N
-schedulers tailing the same journal only one executes each job.  A
-claim whose pid no longer exists is *stale* — a restarted scheduler, or
-a live peer on its next tail poll, steals it (under ``claims.lock``) and
-resumes the job from its last checkpointed stage.
+its owner id, host name and pid.  Creation succeeds exactly once, so of
+N schedulers tailing the same journal only one executes each job.  A
+claim written on this host whose pid no longer exists is *stale* — a
+restarted scheduler, or a live peer on its next tail poll, steals it
+(under ``claims.lock``) and resumes the job from its last checkpointed
+stage.  A pid means nothing on another host, so a claim written there
+is never judged stale here (a claim without a host, from before claims
+carried one, counts as local).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
 import time
 from pathlib import Path
@@ -61,6 +65,9 @@ from .. import chaos
 from ..obs.metrics import get_registry
 
 __all__ = ["JobJournal"]
+
+#: Stamped on every claim: a claim's pid is only meaningful on its host.
+_HOST = socket.gethostname()
 
 _TORN_LINES = get_registry().counter(
     "repro_journal_torn_lines_total",
@@ -91,6 +98,12 @@ def pid_alive(pid: Optional[int]) -> bool:
     except OSError:  # pragma: no cover - defensive
         return False
     return True
+
+
+def _claim_payload(owner: str) -> str:
+    return json.dumps({
+        "owner": owner, "host": _HOST, "pid": os.getpid(), "ts": time.time()
+    })
 
 
 class JobJournal:
@@ -201,9 +214,7 @@ class JobJournal:
         True iff the claim was created now or is already held by this
         very owner (idempotent re-entry after a steal).
         """
-        payload = json.dumps(
-            {"owner": owner, "pid": os.getpid(), "ts": time.time()}
-        )
+        payload = _claim_payload(owner)
         try:
             handle = os.open(
                 self.claim_path(job_id),
@@ -224,8 +235,9 @@ class JobJournal:
             return None
 
     def claim_is_stale(self, info: Optional[Dict]) -> bool:
-        """A claim is stale when its holder's pid is gone."""
-        if info is None:
+        """A claim is stale when it was written on this host and its
+        holder's pid is gone."""
+        if info is None or info.get("host", _HOST) != _HOST:
             return False
         return not pid_alive(info.get("pid"))
 
@@ -245,12 +257,9 @@ class JobJournal:
                         return True
                     if not self.claim_is_stale(info):
                         return False
-                payload = json.dumps(
-                    {"owner": owner, "pid": os.getpid(), "ts": time.time()}
-                )
                 path = self.claim_path(job_id)
                 temp = path.with_suffix(".steal")
-                temp.write_text(payload)
+                temp.write_text(_claim_payload(owner))
                 os.replace(temp, path)
                 return True
             finally:

@@ -28,7 +28,7 @@ Durability and scale-out (see :mod:`repro.service.journal` and
   state moves only by folding those events (:meth:`JobRecord.apply`):
   live, in a restarted scheduler replaying the journal, and in a peer
   tailing it.  Restarted and live schedulers alike steal claims whose
-  owner pid died and resume the interrupted jobs — the store
+  owner died on this host and resume the interrupted jobs — the store
   checkpoints turn "resume" into cache hits on every stage that
   already completed;
 * dispatch goes through a per-tenant **weighted-fair queue** with
@@ -396,18 +396,19 @@ class JobRecord:
     def done(self) -> bool:
         return self.state in _TERMINAL_STATES
 
-    def apply(self, event: Dict) -> bool:
+    def apply(self, event: Dict, expect: Optional[str] = None) -> bool:
         """Fold one journal event into the record; True iff it moved.
 
         ``cancel`` requests cancellation of a live job.  ``state`` moves
         the job to a state in :data:`JOB_STATES` and copies the
         :data:`_CARRIED` fields present in the event.  A terminal state
-        is never left, and an unknown state is ignored.
+        is never left, and an unknown state is ignored.  With ``expect``
+        the fold is a compare-and-set: it happens only from that state.
         """
         kind = event.get("type")
         state = event.get("state")
         with self._lock:
-            if self.state in _TERMINAL_STATES:
+            if self.state in _TERMINAL_STATES or expect not in (None, self.state):
                 return False
             if kind == "cancel":
                 self.cancel_requested = True
@@ -535,7 +536,8 @@ class JobScheduler:
         self._records: Dict[str, JobRecord] = {}
         self._order: List[str] = []
         #: Records not yet seen terminal: what :meth:`_adopt_orphans`
-        #: checks on every poll (pruned there, so a poll costs O(live)).
+        #: walks on every poll (pruned there); only the running ones cost
+        #: a claim-file read.
         self._live: Dict[str, JobRecord] = {}
         self._retained: deque = deque()
         self._lock = threading.Lock()
@@ -629,7 +631,7 @@ class JobScheduler:
         lazily from the store's job documents) and live peers' jobs stay
         mirrors.  On every tail poll it folds what peers appended since,
         and queues a job another scheduler made queued (a submission, or
-        a requeue) — whichever scheduler pops it first wins the claim.
+        a requeue) — whichever scheduler claims it first runs it.
         """
         for event in self.journal.read_new():
             record = self._on_event(event)
@@ -665,10 +667,12 @@ class JobScheduler:
     def _adopt_orphans(self, startup: bool) -> None:
         """Requeue jobs no live scheduler will run.
 
-        A job whose claim's pid is dead (its replica was killed
-        mid-stage) is stolen and requeued on every pass; at startup an
-        unclaimed job is queued too.  Stage checkpoints already in the
-        store make the rerun resume, not restart.
+        A running job whose claim is stale (its replica was killed
+        mid-stage) or gone (its replica failed to journal a shutdown
+        requeue) is stolen and requeued on every pass; stage checkpoints
+        already in the store make the rerun resume, not restart.  At
+        startup every queued job is queued here too: the worker that
+        pops it claims it, stealing a stale claim, or drops it.
         """
         with self._lock:
             self._live = {
@@ -677,19 +681,26 @@ class JobScheduler:
             }
             live = list(self._live.values())
         for record in live:
+            if record.state == "queued":
+                if startup:
+                    self._queue.push(record.spec.tenant, record.job_id)
+                continue
             info = self.journal.claim_info(record.job_id)
-            if info is None:
-                if not startup:
-                    continue  # already in the queue of whoever saw it
-            elif not (
-                self.journal.claim_is_stale(info)
-                and self.journal.steal_claim(record.job_id, self.owner_id)
-            ):
+            if info is not None and not self.journal.claim_is_stale(info):
                 continue  # a live scheduler holds it
-            if record.state == "queued" or self._transition(
-                record, "queued", started_at=None
-            ):
+            if self.journal.steal_claim(
+                record.job_id, self.owner_id
+            ) and self._transition(record, "queued", started_at=None):
                 self._queue.push(record.spec.tenant, record.job_id)
+
+    def _claim(self, job_id: str) -> bool:
+        """Claim a queued job for this scheduler, stealing the claim of a
+        holder that died before starting it."""
+        journal = self.journal
+        return journal is None or journal.claim(job_id, self.owner_id) or (
+            journal.claim_is_stale(journal.claim_info(job_id))
+            and journal.steal_claim(job_id, self.owner_id)
+        )
 
     def _tail_loop(self) -> None:
         """Poll the journal for events appended by peer schedulers."""
@@ -711,14 +722,16 @@ class JobScheduler:
         )
 
     def _transition(
-        self, record: JobRecord, state: str, journal: bool = True, **fields
+        self, record: JobRecord, state: str, journal: bool = True,
+        expect: Optional[str] = None, **fields,
     ) -> bool:
-        """Fold a ``state`` event into ``record``, then journal it — unless
-        the caller journals it later, as the terminal event is.  False
-        (nothing journaled) when the fold is refused."""
+        """Fold a ``state`` event into ``record`` (from ``expect`` only,
+        when given), then journal it — unless the caller journals it
+        later, as the terminal event is.  False (nothing journaled) when
+        the fold is refused."""
         fields["state"] = state
         if not record.apply(
-            {"type": "state", **fields, "owner": self.owner_id}
+            {"type": "state", **fields, "owner": self.owner_id}, expect
         ):
             return False
         if journal:
@@ -848,9 +861,7 @@ class JobScheduler:
         if record.done:
             return False
         record.apply(self._emit("cancel", job_id))
-        if record.state == "queued" and (
-            self.journal is None or self.journal.claim(job_id, self.owner_id)
-        ):
+        if record.state == "queued" and self._claim(job_id):
             if self._transition(
                 record, "cancelled",
                 **dict(record.carried(), finished_at=time.time()),
@@ -858,15 +869,12 @@ class JobScheduler:
                 record.mark_settled()
         return True
 
-    def wait(
-        self, job_id: str, timeout: float = 60.0, poll: float = 0.01
-    ) -> JobRecord:
+    def wait(self, job_id: str, timeout: float = 60.0) -> JobRecord:
         """Block until the job reaches a terminal state (or timeout).
 
         Sleeps on the record's condition variable, which
         :meth:`JobRecord.apply` notifies on every transition — live,
-        replayed or tailed alike; ``poll`` is kept for backward
-        compatibility and is unused.
+        replayed or tailed alike.
         """
         deadline = time.monotonic() + timeout
         record = self.get(job_id)
@@ -981,12 +989,8 @@ class JobScheduler:
             record = self.get(job_id)
         except KeyError:  # pragma: no cover - defensive
             return
-        if record.state != "queued":
-            return  # cancelled while queued, or claimed+started by a peer
-        if self.journal is not None and not self.journal.claim(
-            job_id, self.owner_id
-        ):
-            return  # a peer scheduler owns this job
+        if record.state != "queued" or not self._claim(job_id):
+            return  # cancelled or started already, or a live peer's job
         started = time.time()
         tracer = trace.start(
             "job",
@@ -999,7 +1003,14 @@ class JobScheduler:
         result = error = None
         try:
             with tracer as root:
-                if self._enter_stage(record, "cutting", started_at=started):
+                # Leaving ``queued`` is a compare-and-set: a job can sit in
+                # this queue twice (a peer's submit, then its requeue), and
+                # only the worker whose fold succeeds runs it.
+                if not self._transition(
+                    record, "cutting", expect="queued", started_at=started
+                ):
+                    return
+                if not record.cancel_requested:
                     result = self._execute_degradable(record)
         except Exception as failure:  # noqa: BLE001 - job isolation
             if self._shutdown and not record.done:
@@ -1095,7 +1106,7 @@ class JobScheduler:
                 self.journal.release_claim(record.job_id, self.owner_id)
             self._transition(record, "queued", started_at=None)
         except OSError:  # pragma: no cover - torn teardown
-            pass  # unclaimed and unfinished: a successor adopts it anyway
+            pass  # unclaimed and running: a live peer or successor adopts it
 
     def _pin(self, record: JobRecord, kind: str, key: str) -> None:
         """Pin a store artifact for the lifetime of this job."""
@@ -1123,11 +1134,9 @@ class JobScheduler:
 
         return self._retry(attempt, stage)
 
-    def _enter_stage(self, record: JobRecord, state: str, **fields) -> bool:
+    def _enter_stage(self, record: JobRecord, state: str) -> bool:
         """Move a running job to its next stage; False once cancelled."""
-        return not record.cancel_requested and self._transition(
-            record, state, **fields
-        )
+        return not record.cancel_requested and self._transition(record, state)
 
     def _execute(
         self, record: JobRecord, use_pool: bool = True

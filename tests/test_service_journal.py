@@ -273,6 +273,24 @@ class TestClaims:
         assert journal.steal_claim("job-1", "sched-b")
         assert journal.claim_info("job-1")["owner"] == "sched-b"
 
+    def test_only_a_claim_written_on_this_host_can_be_stale(self, tmp_path):
+        """A pid names a process only on its own host: a claim written
+        elsewhere is never judged by a local pid probe."""
+        journal = JobJournal(tmp_path / "jobs")
+        journal.claim("job-1", "sched-a")
+        info = journal.claim_info("job-1")
+        dead = _dead_pid()
+        journal.claim_path("job-1").write_text(json.dumps(
+            dict(info, pid=dead, host=info["host"] + "-elsewhere")
+        ))
+        assert not journal.claim_is_stale(journal.claim_info("job-1"))
+        assert not journal.steal_claim("job-1", "sched-b")
+        # A claim written before claims carried a host counts as local.
+        journal.claim_path("job-1").write_text(json.dumps(
+            {"owner": "sched-a", "pid": dead, "ts": 0.0}
+        ))
+        assert journal.steal_claim("job-1", "sched-b")
+
     def test_release_claim_only_drops_our_own(self, tmp_path):
         journal = JobJournal(tmp_path / "jobs")
         journal.claim("job-1", "sched-a")

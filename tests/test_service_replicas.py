@@ -10,6 +10,8 @@ replica with the unfaulted answer.
 
 import ast
 import json
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -19,6 +21,7 @@ import pytest
 from repro import chaos
 from repro.service import ArtifactStore, JobRecord, JobScheduler, JobSpec
 from repro.service.api import JobServiceAPI
+from repro.service.journal import JobJournal
 
 _SERVICE = Path(__file__).resolve().parents[1] / "src" / "repro" / "service"
 _TERMINAL = ("done", "failed", "cancelled")
@@ -432,6 +435,102 @@ class TestShutdownRequeue:
             assert done.owner == successor.owner_id
         finally:
             successor.shutdown()
+
+
+def _dead_pid():
+    """A pid guaranteed to name no live process."""
+    probe = subprocess.Popen([sys.executable, "-c", ""])
+    probe.wait()
+    return probe.pid
+
+
+class TestLiveAdoption:
+    def _start_elsewhere(self, store_dir, claim=None):
+        """Journal a job as started by a scheduler that is not running
+        here, holding ``claim`` (a claim document, or none at all)."""
+        journal = JobJournal(Path(store_dir) / "jobs")
+        job_id, spec = "job-elsewhere", _bv_spec()
+        journal.append("submit", job_id, owner="sched-gone",
+                       tenant=spec.tenant, spec=spec.to_dict())
+        if claim is not None:
+            journal.claim_path(job_id).write_text(json.dumps(claim))
+        journal.append("state", job_id, owner="sched-gone", state="cutting",
+                       started_at=time.time())
+        journal.close()
+        return job_id
+
+    def test_a_claim_from_another_host_is_not_stolen(self, tmp_path):
+        """A dead-looking pid on another host's claim says nothing about
+        that host: a live peer's tail polls leave the job alone."""
+        store_dir = tmp_path / "store"
+        peer = _replica(store_dir, autostart=False)
+        try:
+            job_id = self._start_elsewhere(store_dir, claim={
+                "owner": "sched-gone", "host": "another-host",
+                "pid": _dead_pid(), "ts": time.time(),
+            })
+            for _ in range(3):
+                peer._follow_journal()  # one tail poll
+            assert peer.get(job_id).state == "cutting"
+            assert peer.journal.claim_info(job_id)["owner"] == "sched-gone"
+            assert [e.get("state") for e in _events(store_dir, job_id)] == [
+                None, "cutting"
+            ]
+        finally:
+            peer.shutdown()
+
+    def test_a_running_job_without_a_claim_is_adopted(self, tmp_path):
+        """A replica that released its claim but failed to journal the
+        requeue leaves a running, unclaimed job: a live peer's next tail
+        poll adopts it."""
+        store_dir = tmp_path / "store"
+        peer = _replica(store_dir, autostart=False)
+        try:
+            job_id = self._start_elsewhere(store_dir)
+            peer._follow_journal()  # one tail poll
+            assert peer.get(job_id).state == "queued"
+            assert peer.journal.claim_info(job_id)["owner"] == peer.owner_id
+            peer.start()
+            record = peer.wait(job_id, timeout=60)
+            assert record.state == "done", record.error
+            assert record.owner == peer.owner_id
+        finally:
+            peer.shutdown()
+
+    def test_a_job_queued_twice_runs_once(self, tmp_path, monkeypatch):
+        """Two workers that both pop one job and both hold its claim
+        before either starts it: only one runs it."""
+        both_claimed = threading.Barrier(2, timeout=30)
+        real_claim = JobScheduler._claim
+        real_execute = JobScheduler._execute_degradable
+        runs = []
+
+        def claim_together(scheduler, job_id):
+            claimed = real_claim(scheduler, job_id)
+            both_claimed.wait()
+            return claimed
+
+        def counted_execute(scheduler, record):
+            runs.append(record.job_id)
+            return real_execute(scheduler, record)
+
+        monkeypatch.setattr(JobScheduler, "_claim", claim_together)
+        monkeypatch.setattr(
+            JobScheduler, "_execute_degradable", counted_execute
+        )
+        scheduler = _replica(tmp_path / "store", workers=2, autostart=False)
+        try:
+            job_id = scheduler.submit(_bv_spec())
+            scheduler._queue.push(scheduler.get(job_id).spec.tenant, job_id)
+            scheduler.start()
+            record = scheduler.wait(job_id, timeout=60)
+            assert record.state == "done", record.error
+            assert runs == [job_id]
+            states = [e.get("state") for e in _events(tmp_path / "store",
+                                                      job_id)]
+            assert states.count("cutting") == 1
+        finally:
+            scheduler.shutdown()
 
 
 # ----------------------------------------------------------------------
