@@ -51,7 +51,7 @@ __all__ = [
 
 #: Physical measurement bases (I reuses the Z circuit during attribution).
 MEAS_BASES: Tuple[str, ...] = ("Z", "X", "Y")
-#: Downstream initialization states, in the order used by the term transform.
+#: Downstream initialization states: the row order of an init cut's term axis.
 INIT_LABELS: Tuple[str, ...] = ("zero", "one", "plus", "plus_i")
 #: ``(4, 2)``: row ``l`` is the 2-vector of ``INIT_LABELS[l]`` — the map from
 #: a cut wire's two basis columns to its four initial states.

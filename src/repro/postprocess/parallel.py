@@ -143,7 +143,6 @@ def _tensor_from_ref(ref) -> TermTensor:
         cut_order=list(cut_order),
         num_effective=num_effective,
         data=data,
-        nonzero=np.any(data != 0.0, axis=1),
     )
 
 

@@ -124,7 +124,6 @@ def binned_tensor(
         cut_order=list(tensor.cut_order),
         num_effective=len(active_wires),
         data=data,
-        nonzero=np.any(data != 0.0, axis=1),
     )
     return collapsed, active_wires
 
@@ -328,7 +327,6 @@ def _derive_fixed(
         cut_order=list(tensor.cut_order),
         num_effective=len(remaining),
         data=data,
-        nonzero=np.any(data != 0.0, axis=1),
     )
     return derived, remaining
 

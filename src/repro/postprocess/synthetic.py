@@ -10,30 +10,22 @@ distributions as the subcircuit output to study the runtime").
 materializing a subcircuit's full ``2^f`` output: for each physical
 variant it draws (or fixes to uniform) the *merged* distribution over the
 cut-measure bits and the currently-active output bits only, then runs the
-exact same attribution + term-transform code path as real evaluations.
+same attribution code as a real evaluation's distributions.
 Reconstruction cost and memory therefore match a real DD recursion at the
 same definition.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
 from ..cutting.cutter import CutCircuit
-from .attribution import ATTRIBUTION_BASES, TermTensor, transform_attributed_to_terms
+from .attribution import TermTensor, _attribute_vectors, _term_layout
 from .plan import CachingTensorProvider, Role
 
 __all__ = ["RandomTensorProvider"]
-
-_SIGNS = {
-    "I": np.array([1.0, 1.0]),
-    "X": np.array([1.0, -1.0]),
-    "Y": np.array([1.0, -1.0]),
-    "Z": np.array([1.0, -1.0]),
-}
 
 
 class RandomTensorProvider(CachingTensorProvider):
@@ -101,43 +93,20 @@ class RandomTensorProvider(CachingTensorProvider):
             )
         # Fixing a qubit keeps roughly half its shot mass per fixed bit.
         mass = 0.5**num_fixed
-
-        def merged_variant() -> np.ndarray:
-            """Distribution over (meas bits, active bits), summing to mass."""
-            size = (1 << num_meas) * kept
-            if self.distribution == "uniform":
-                flat = np.full(size, mass / size)
-            else:
-                flat = self._rng.random(size)
-                flat *= mass / flat.sum()
-            return flat.reshape((2,) * num_meas + (kept,))
-
-        shape = (4,) * (num_init + num_meas) + (kept,)
-        attributed = np.zeros(shape)
-        # Physical variants: I and Z share a circuit, so draw per physical
-        # basis combo and reuse for the I/Z attribution pair.
-        for init_combo in itertools.product(range(4), repeat=num_init):
-            physical: Dict[Tuple[int, ...], np.ndarray] = {}
-            for basis_combo in itertools.product(range(4), repeat=num_meas):
-                bases = tuple(ATTRIBUTION_BASES[b] for b in basis_combo)
-                key = tuple(3 if b == 0 else b for b in basis_combo)  # I -> Z
-                if key not in physical:
-                    physical[key] = merged_variant()
-                tensor = physical[key]
-                for axis in reversed(range(num_meas)):
-                    tensor = np.tensordot(
-                        tensor, _SIGNS[bases[axis]], axes=([axis], [0])
-                    )
-                attributed[init_combo + basis_combo] = tensor.reshape(-1)
-
-        axis_cut_ids = [line.init_cut for line in subcircuit.init_lines] + [
+        size = (1 << num_meas) * kept
+        cut_ids = [line.init_cut for line in subcircuit.init_lines] + [
             line.meas_cut for line in subcircuit.meas_lines
         ]
-        return transform_attributed_to_terms(
-            attributed,
-            num_init=num_init,
-            num_meas=num_meas,
-            axis_cut_ids=axis_cut_ids,
-            num_effective=num_active,
-            subcircuit_index=subcircuit.index,
-        )
+        data, out = _term_layout(cut_ids, kept)
+        # Per init combination, one distribution over (meas bits, active
+        # bits) summing to ``mass`` per physical basis combination (I and Z
+        # share a circuit, so they share a draw), then the real build's
+        # attribution with the meas bits as the leading qubit axes.
+        for index in np.ndindex((4,) * num_init):
+            if self.distribution == "uniform":
+                draws = np.full((1, 3**num_meas, size), mass / size)
+            else:
+                draws = self._rng.random((1, 3**num_meas, size))
+                draws *= mass / draws.sum(axis=-1, keepdims=True)
+            _attribute_vectors(draws, range(num_meas), out[index])
+        return TermTensor(subcircuit.index, sorted(cut_ids), num_active, data)

@@ -4,10 +4,11 @@
 Algorithm 1 states it: per init combination, one multinomial per physical
 basis combination, the counts grouped per qubit role ("meas bits kept,
 active bits kept, fixed selected, merged summed"), signed per attributed
-basis, then the 4-term transforms.  ``ShotBasedTensorProvider`` instead
-draws the same multinomials into a sampled-frequency result and collapses
-it like any evaluated result (term tensor, then roles); with the same
-generator both must agree and leave the generator in the same state.
+basis, then Eq. (2)'s 4-term transforms.  ``ShotBasedTensorProvider``
+instead draws the same multinomials into a sampled-frequency result and
+collapses it like any evaluated result (term tensor, then roles); with the
+same generator both must agree (through ``to_eq2_basis``) and leave the
+generator in the same state.
 
 :func:`first_recursion_error` is the oracle of shot-based DD on a noisy
 pipeline: its first recursion converges to the marginal of the *same*
@@ -24,13 +25,10 @@ import numpy as np
 from repro.cutting.cutter import Subcircuit
 from repro.cutting.variants import MEAS_BASES
 from repro.metrics import chi_square_loss
-from repro.postprocess.attribution import (
-    ATTRIBUTION_BASES,
-    TermTensor,
-    transform_attributed_to_terms,
-)
+from repro.postprocess.attribution import ATTRIBUTION_BASES, TermTensor
 from repro.sim.sampler import sample_counts
 from repro.utils import marginalize
+from tests.attribution_oracle import transform_attributed_to_terms
 
 _SIGNS = {
     "I": np.array([1.0, 1.0]),

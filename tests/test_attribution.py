@@ -1,5 +1,6 @@
 """Tests for cut-term attribution (Eqs. 2-3 of the paper)."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,19 +19,30 @@ from repro import (
 from repro.circuits import build_circuit_graph
 from repro.core import executor as executor_module
 from repro.core.executor import VariantExecutor
+from repro.library import get_benchmark
 from repro.library.qaoa import qaoa_maxcut, ring_graph
+from repro.obs import trace
 from repro.obs.metrics import get_registry
-from repro.cutting.variants import _BASIS_MATRICES
+from repro.cutting.variants import _BASIS_MATRICES, SubcircuitResult
 from repro.postprocess import (
     DOWNSTREAM_TERMS,
     UPSTREAM_TERMS,
     Reconstructor,
     build_term_tensor,
 )
-from repro.postprocess.attribution import MEASURE_FORMS
+from repro.postprocess.attribution import MEASURE_FORMS, MEASURE_TERMS
+from repro.postprocess.synthetic import RandomTensorProvider
 from repro.service.store import ArtifactStore
 from repro.sim import NoiseModel, simulate_probabilities
-from tests.attribution_oracle import attributed_vector, reference_term_tensor
+from repro.sim.sampler import sample_counts
+from tests.attribution_oracle import (
+    DOWNSTREAM_INVERSE,
+    attributed_vector,
+    from_eq2_basis,
+    reference_term_tensor,
+    synthetic_reference,
+    to_eq2_basis,
+)
 from tests.conftest import random_connected_circuit
 from tests.variant_oracle import evaluate_subcircuit
 
@@ -55,11 +67,12 @@ class TestTransformMatrices:
         )
 
     def test_measure_forms_are_the_four_hand_written_forms(self):
-        # term t of a measured qubit = <psi|M_t|psi> = sum_ac M_t[c, a]
-        # psi[a] conj(psi[c]) for M = 2|0><0|, 2|1><1|, X, Y.
-        hand = np.array(
-            [[[2, 0], [0, 0]], [[0, 0], [0, 2]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]]
-        )
+        # row s of a measured qubit = <psi|M_s|psi> = sum_ac M_s[c, a]
+        # psi[a] conj(psi[c]) for M = D^T (2|0><0|, 2|1><1|, X, Y)
+        # = 2|0><0| - X - Y, 2|1><1| - X - Y, 2X, 2Y.
+        x, y = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])
+        zero, one = np.diag([2, 0]), np.diag([0, 2])
+        hand = np.array([zero - x - y, one - x - y, 2 * x, 2 * y])
         forms = MEASURE_FORMS.reshape(4, 2, 2)
         assert np.abs(forms - hand.transpose(0, 2, 1)).max() <= 1e-15
         # The Y sign is the Y circuit's: H Sdg sends the +i eigenstate to
@@ -67,7 +80,29 @@ class TestTransformMatrices:
         assert np.allclose(_BASIS_MATRICES["Y"] @ [1, 1j], [np.sqrt(2), 0])
         plus_i = np.array([1, 1j]) / np.sqrt(2)
         outer = np.outer(plus_i, plus_i.conj()).reshape(4)
-        assert np.allclose(MEASURE_FORMS @ outer, [1, 1, 0, 1])
+        assert np.allclose(MEASURE_FORMS @ outer, [0, 0, 0, 2])
+
+    def test_measure_terms_fold_downstream_transposed_into_eq2(self):
+        # Eq. (2)'s upstream map per (physical basis, outcome), exactly:
+        # u = (p_I + p_Z, p_I - p_Z, p_X, p_Y) with I read off the Z circuit.
+        eq2 = np.zeros((4, 3, 2))
+        eq2[0, 0] = [2, 0]   # Z circuit: p_I + p_Z = 2 p(0)
+        eq2[1, 0] = [0, 2]   # p_I - p_Z = 2 p(1)
+        eq2[2, 1] = [1, -1]  # X circuit
+        eq2[3, 2] = [1, -1]  # Y circuit
+        folded = np.einsum("ts,tbc->sbc", DOWNSTREAM_TERMS, eq2)
+        assert np.array_equal(MEASURE_TERMS, folded)
+        assert np.array_equal(DOWNSTREAM_TERMS @ DOWNSTREAM_INVERSE, np.eye(4))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8))
+    def test_folded_pairing_equals_eq2(self, values):
+        # sum_s (D^T u)_s q_s == sum_t u_t (D q)_t for any u and q.
+        u, q = np.reshape(values, (2, 4))
+        folded = (DOWNSTREAM_TERMS.T @ u) @ q
+        eq2 = u @ (DOWNSTREAM_TERMS @ q)
+        scale = np.abs(u).sum() * np.abs(q).sum()
+        assert abs(folded - eq2) <= 1e-13 * scale
 
     def test_single_qubit_wire_identity(self):
         # The 4-term expansion must resolve the identity channel: for any
@@ -150,11 +185,12 @@ class TestTermTensor:
             physical = "Z" if basis == "I" else basis
             return attributed_vector(up, result.vector((), (physical,)), (basis,))
 
+        # Row s is (D^T u)_s with Eq. (2)'s u = (p_I + p_Z, p_I - p_Z, p_X, p_Y).
         p_i, p_x, p_y, p_z = (attributed(b) for b in "IXYZ")
-        assert np.allclose(tensor.data[0], p_i + p_z)
-        assert np.allclose(tensor.data[1], p_i - p_z)
-        assert np.allclose(tensor.data[2], p_x)
-        assert np.allclose(tensor.data[3], p_y)
+        assert np.allclose(tensor.data[0], p_i + p_z - p_x - p_y)
+        assert np.allclose(tensor.data[1], p_i - p_z - p_x - p_y)
+        assert np.allclose(tensor.data[2], 2 * p_x)
+        assert np.allclose(tensor.data[3], 2 * p_y)
 
     def test_downstream_terms_hand_computed(self, fig4_cut):
         down = fig4_cut.subcircuits[1]
@@ -162,10 +198,11 @@ class TestTermTensor:
         tensor = build_term_tensor(result)
         q = {label: result.vector((label,), ()) for label in
              ("zero", "one", "plus", "plus_i")}
+        # Row s is the raw q_s: Eq. (2)'s D moved to the upstream side.
         assert np.allclose(tensor.data[0], q["zero"])
         assert np.allclose(tensor.data[1], q["one"])
-        assert np.allclose(tensor.data[2], 2 * q["plus"] - q["zero"] - q["one"])
-        assert np.allclose(tensor.data[3], 2 * q["plus_i"] - q["zero"] - q["one"])
+        assert np.allclose(tensor.data[2], q["plus"])
+        assert np.allclose(tensor.data[3], q["plus_i"])
 
     def test_multi_cut_axis_order_sorted_by_cut_id(self):
         circuit = QuantumCircuit(3)
@@ -212,19 +249,25 @@ class TestPaperExampleSection32:
 
 def _assert_matches_oracle(result):
     """The vectorised build equals the per-variant loop it replaced."""
-    built = build_term_tensor(result)
-    want = reference_term_tensor(result)
+    built, want = build_term_tensor(result), reference_term_tensor(result)
+    _assert_pairs_like_eq2(built, want, result.subcircuit)
+
+
+def _assert_pairs_like_eq2(built, want, subcircuit):
+    """``built``, mapped to Eq. (2)'s rows, equals the oracle ``want``."""
     assert built.subcircuit_index == want.subcircuit_index
     assert built.cut_order == want.cut_order
     assert built.num_effective == want.num_effective
     assert built.data.shape == want.data.shape
-    assert np.abs(built.data - want.data).max() <= 1e-12
+    assert np.abs(to_eq2_basis(built, subcircuit).data - want.data).max() <= 1e-12
     assert np.array_equal(built.nonzero, np.any(built.data != 0.0, axis=1))
-    # The oracle's I+Z / I-Z sums round where the build's 2*p(0) / 2*p(1)
-    # do not, so the flags may differ only on rows that are zero to 1e-12.
-    differs = built.nonzero != want.nonzero
+    # The build and the oracle round differently, so the flags may differ
+    # from the oracle's (mapped to the build's rows) only on rows that are
+    # zero to 1e-12.
+    paired = from_eq2_basis(want, subcircuit)
+    differs = built.nonzero != paired.nonzero
     assert np.abs(built.data[differs]).max(initial=0.0) <= 1e-12
-    assert np.abs(want.data[differs]).max(initial=0.0) <= 1e-12
+    assert np.abs(paired.data[differs]).max(initial=0.0) <= 1e-12
 
 
 def _random_cut(n, seed, parts=2):
@@ -342,6 +385,14 @@ class TestVectorisedBuildParity:
         }
 
     def test_noisy_density_results(self):
+        self._assert_noisy_results_match("density", shots=0)
+
+    @pytest.mark.parametrize("method, shots", [("trajectory", 0), ("density", 512)])
+    def test_noisy_trajectory_and_device_shot_results(self, method, shots):
+        self._assert_noisy_results_match(method, shots)
+
+    @staticmethod
+    def _assert_noisy_results_match(method, shots):
         circuit = random_connected_circuit(5, 9, seed=11)
         pipeline = CutQC(
             circuit,
@@ -349,13 +400,39 @@ class TestVectorisedBuildParity:
             device=make_device(
                 "line-4", 4, "line", noise=NoiseModel(1e-3, 1e-2, 0.015)
             ),
-            noisy_method="density",
-            device_shots=0,
+            noisy_method=method,
+            device_shots=shots,
         )
         results = pipeline.evaluate()
         assert pipeline.execution_report.mode.startswith("batched-noisy")
         for result in results:
+            assert result.amplitudes is None
             _assert_matches_oracle(result)
+
+    def test_shot_sampled_results(self):
+        # Sampled frequencies, as shot-level DD collapses them.
+        cut = _random_cut(5, seed=3)
+        rng = np.random.default_rng(5)
+        for result in _batched(cut.subcircuits, init_batch=4):
+            shape = result.distributions.shape
+            rows = result.distributions.reshape(-1, shape[-1])
+            counts = np.stack([sample_counts(row, 1000, rng) for row in rows])
+            sampled = SubcircuitResult(
+                result.subcircuit, distributions=(counts / 1000).reshape(shape)
+            )
+            _assert_matches_oracle(sampled)
+
+    @pytest.mark.parametrize("distribution", ["random", "uniform"])
+    def test_synthetic_tensors(self, distribution):
+        cut = _random_cut(5, seed=3)
+        roles = {w: ("active",) if w % 2 else ("merged",) for w in range(5)}
+        roles[4] = ("fixed", 1)
+        provider = RandomTensorProvider(cut, seed=7, distribution=distribution)
+        rng = np.random.default_rng(7)
+        for (built, wires), sub in zip(provider.collapsed(roles), cut.subcircuits):
+            num_fixed = sum(roles[l.wire][0] == "fixed" for l in sub.output_lines)
+            want = synthetic_reference(sub, len(wires), num_fixed, rng, distribution)
+            _assert_pairs_like_eq2(built, want, sub)
 
     def test_store_round_trip(self, tmp_path):
         cut = _random_cut(5, seed=3)  # (rho, O) = (1, 5) and (5, 1)
@@ -399,6 +476,22 @@ class TestBuildOnce:
         assert _builds(True) - served == 0
         assert np.array_equal(first.probabilities, second.probabilities)
 
+    @pytest.mark.parametrize("backend", [None, simulate_probabilities])
+    def test_build_reports_source_and_bytes(self, fig4_cut, backend):
+        histogram = get_registry().histogram("repro_attribute_seconds")
+        result = _batched(fig4_cut.subcircuits[:1], 3, backend=backend)[0]
+        source = "vectors" if backend else "amplitudes"
+        read = result.distributions if backend else result.amplitudes
+        before = histogram.value(source=source)[0]
+        with trace.start("root") as root:
+            tensor = build_term_tensor(result)
+        (span,) = root.to_dict()["children"]
+        assert span["name"] == "attribute"
+        assert span["attrs"]["source"] == source
+        assert span["attrs"]["bytes"] == read.nbytes
+        assert span["attrs"]["bytes_out"] == tensor.data.nbytes
+        assert histogram.value(source=source)[0] == before + 1
+
     def test_rebind_rebuilds_exactly_the_dirty_subcircuits(self):
         circuit = qaoa_maxcut(6, ring_graph(6), layers=1, parameters=[0.3, 0.7])
         session = VariationalSession(circuit, max_subcircuit_qubits=5)
@@ -419,3 +512,26 @@ class TestBuildOnce:
         for index, result in enumerate(session.results):
             rebuilt = build_term_tensor(result) is not clean[index]
             assert rebuilt == (index in stats.dirty_subcircuits)
+
+
+class TestBuildMemory:
+    def test_peak_allocation_is_the_output_plus_one_block(self):
+        """Supremacy-12 on 8 qubits has a (rho, O, f) = (6, 1, 6) piece: its
+        8 MiB tensor is written once, in place, with no full-size
+        temporary beside it (a transform pass would need one)."""
+        pipeline = CutQC(get_benchmark("supremacy", 12, seed=0), 8)
+        piece = next(
+            result for result in pipeline.evaluate()
+            if len(result.subcircuit.init_lines) == 6
+        )
+        assert piece.term_tensor is None
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            tensor = build_term_tensor(piece)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tensor.data.nbytes == 8 << 20
+        assert peak <= 1.75 * tensor.data.nbytes

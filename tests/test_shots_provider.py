@@ -18,6 +18,7 @@ from repro.postprocess.shots import (
 from repro.sim import simulate_probabilities
 from repro.utils import marginalize
 from tests.conftest import random_connected_circuit
+from tests.attribution_oracle import from_eq2_basis, to_eq2_basis
 from tests.shot_merge_oracle import merged_collapse
 from tests.variant_oracle import evaluate_subcircuit
 
@@ -134,11 +135,14 @@ class TestShotCollapseOracle:
             assert wires == want_wires
             assert got.cut_order == want.cut_order
             assert got.data.shape == want.data.shape
+            # The basis maps hold 0, +-1, 2 and 1/2 only: dyadics stay exact.
+            eq2 = to_eq2_basis(got, result.subcircuit).data
             if shots & (shots - 1) == 0:  # frequencies are exact dyadics
-                assert np.array_equal(got.data, want.data)
-                assert np.array_equal(got.nonzero, want.nonzero)
+                assert np.array_equal(eq2, want.data)
+                paired = from_eq2_basis(want, result.subcircuit)
+                assert np.array_equal(got.nonzero, paired.nonzero)
             else:
-                assert np.abs(got.data - want.data).max() <= 1e-12
+                assert np.abs(eq2 - want.data).max() <= 1e-12
         assert (
             provider._rng.bit_generator.state == oracle_rng.bit_generator.state
         )
