@@ -214,7 +214,7 @@ class CutQC:
 
         ``backend`` is a config *tag* describing how variants are
         executed (e.g. ``"statevector:batched:v3"``,
-        ``"device:bogota:trajectory:batched:v2"``) — the callable itself
+        ``"device:bogota:trajectory:batched:v3"``) — the callable itself
         cannot be hashed.  ``config`` carries extra result-shaping knobs
         (e.g. trajectory counts) into the digest.  The circuit's bound
         parameter values always enter the digest: the cut fingerprint is

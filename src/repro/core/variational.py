@@ -13,9 +13,10 @@ resident and recomputes only what a rebind actually touched:
   shares clean :class:`~repro.cutting.cutter.Subcircuit` objects by
   reference;
 * only **dirty subcircuits** — those containing a changed gate — are
-  re-evaluated; their noise streams are keyed on the subcircuit index
-  (:func:`~repro.sim.noise.spawn_rng`), so the partial evaluation is
-  bit-identical to a from-scratch run;
+  re-evaluated; their noise draws are keyed on the subcircuit index
+  (:func:`~repro.sim.noise.keyed_uniforms` for injections,
+  :func:`~repro.sim.noise.spawn_rng` for shots), so the partial
+  evaluation is bit-identical to a from-scratch run;
 * inside a dirty subcircuit, the fusion pass reuses the structural block
   partition and every per-block unitary whose gates didn't move
   (:func:`~repro.sim.batch.fuse_gates`);

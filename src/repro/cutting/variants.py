@@ -26,7 +26,7 @@ import numpy as np
 from ..circuits import Gate, QuantumCircuit
 from ..circuits.gates import gate_matrix
 from ..obs import trace
-from ..sim.noise import NoiseModel, clean_log_weight
+from ..sim.noise import NoiseModel, check_seed, clean_log_weight
 from ..sim.statevector import INITIAL_STATES
 from .cutter import Subcircuit
 
@@ -288,9 +288,11 @@ class NoisyEvalSpec:
     ``"density"`` evolves the exact depolarizing channel through a
     :class:`~repro.sim.density.BatchedDensityMatrix`.  ``shots`` of 0 or
     ``None`` return estimated distributions without shot noise.  All
-    randomness derives from keyed child streams under ``seed`` (see
-    :func:`~repro.sim.noise.spawn_rng`), so results are bit-identical
-    for any worker count or chunking.
+    randomness is a pure function of ``seed`` and content-derived keys —
+    Pauli injections from :func:`~repro.sim.noise.keyed_uniforms`, shots
+    from :func:`~repro.sim.noise.spawn_rng` — so results are
+    bit-identical for any worker count or chunking.  ``seed`` is ``None``
+    or an int in ``[0, 2**63)``.
     """
 
     noise: Optional[NoiseModel] = None
@@ -309,6 +311,7 @@ class NoisyEvalSpec:
             raise ValueError("pass exactly one of noise or device")
         if self.trajectories <= 0:
             raise ValueError("trajectories must be positive")
+        check_seed(self.seed)
 
     @property
     def effective_noise(self) -> NoiseModel:
@@ -338,15 +341,20 @@ class _Fragment:
 
 
 class _NoisyGeometry:
-    """Everything fixed across a subcircuit's variants, compiled once."""
+    """Everything fixed across a subcircuit's variants, compiled once.
 
-    __slots__ = ("num_wires", "plan", "prep", "basis", "keep")
+    ``edges`` lists the basis tree's edges whose fragment has gates, as
+    ``((line, child code), fragment)`` — the items trajectory draws key on.
+    """
 
-    def __init__(self, num_wires, plan, prep, basis, keep):
+    __slots__ = ("num_wires", "plan", "prep", "basis", "edges", "keep")
+
+    def __init__(self, num_wires, plan, prep, basis, edges, keep):
         self.num_wires = num_wires
         self.plan = plan
         self.prep = prep
         self.basis = basis
+        self.edges = edges
         self.keep = keep
 
 
@@ -373,13 +381,6 @@ def geometry_stats() -> dict:
     }
 
 
-def _fold_matrices(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    matrix = np.eye(2, dtype=complex)
-    for factor in matrices:
-        matrix = factor @ matrix
-    return matrix
-
-
 def _prep_density(gates: Sequence[Gate], error_1q: float) -> np.ndarray:
     """The 2x2 density a noisy 1q prep fragment leaves on its wire."""
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -404,7 +405,7 @@ def _compiled_noisy_geometry(
     full variant circuit — one routing pass serves all ``3^O * 4^rho``
     variants.
     """
-    from ..sim.noisy_batch import noisy_body_plan
+    from ..sim.noisy_batch import fold_matrices, noisy_body_plan
 
     noise = spec.effective_noise
     width = subcircuit.width
@@ -481,9 +482,9 @@ def _compiled_noisy_geometry(
                 wire=wire,
                 log_clean=clean_log_weight(gates, noise),
                 matrices=matrices,
-                matrix=_fold_matrices(matrices),
+                matrix=fold_matrices(matrices),
                 rho=_prep_density(gates, noise.error_1q),
-                vector=_fold_matrices(matrices) @ INITIAL_STATES["zero"],
+                vector=fold_matrices(matrices) @ INITIAL_STATES["zero"],
             )
     basis: Dict[Tuple[str, int], _Fragment] = {}
     for line_index, position in enumerate(meas_positions):
@@ -496,14 +497,21 @@ def _compiled_noisy_geometry(
                 wire=wire,
                 log_clean=clean_log_weight(gates, noise),
                 matrices=matrices,
-                matrix=_fold_matrices(matrices),
+                matrix=fold_matrices(matrices),
             )
 
+    edges = []
+    for line_index in range(len(meas_positions)):
+        for child in range(len(MEAS_BASES) ** (line_index + 1)):
+            fragment = basis[(MEAS_BASES[child % len(MEAS_BASES)], line_index)]
+            if fragment.gates:
+                edges.append(((line_index, child), fragment))
     geometry = _NoisyGeometry(
         num_wires=num_wires,
         plan=noisy_body_plan(body_gates, noise, num_wires, fusion_width),
         prep=prep,
         basis=basis,
+        edges=tuple(edges),
         keep=keep,
     )
     _GEOMETRY_CACHE[key] = geometry
@@ -552,11 +560,14 @@ def batched_noisy_variant_probabilities(
     :class:`~repro.sim.noise.NoisySimulator`; a chunk costs one walk
     over the fused clean body plus one forked suffix per trajectory
     that injected (see ``trajectory_chunk``).  ``method="density"``
-    evolves the exact channel in one batched density pass.  Trajectory
-    injections, basis-fragment injections and shot sampling all draw
-    from keyed child RNGs (:func:`~repro.sim.noise.spawn_rng`) whose
-    keys encode ``(stage, subcircuit, trajectory, item)`` — results are
-    bit-identical regardless of worker count or chunk order.
+    evolves the exact channel in one batched density pass.  Body, prep
+    and basis-fragment injections come from three array draws of the
+    counter-based :func:`~repro.sim.noise.keyed_uniforms`, keyed
+    ``(seed, stage, subcircuit, trajectory, item, position, lane)``
+    (:func:`~repro.sim.noisy_batch.draw_injections`); shot sampling
+    draws from :func:`~repro.sim.noise.spawn_rng` at ``(3, subcircuit,
+    row code, basis code)``.  Every key derives from content, so results
+    are bit-identical regardless of worker count or chunk order.
 
     Returns ``(distributions, num_body_passes)``: a ``(len(init_combos),
     3^O, 2^width)`` float64 array, rows in ``init_combos`` order and bases
@@ -568,13 +579,12 @@ def batched_noisy_variant_probabilities(
     from ..sim.density import BatchedDensityMatrix
     from ..sim.noise import spawn_rng
     from ..sim.noisy_batch import (
-        PAULI_NAMES_1Q,
         apply_readout_error_rows,
+        draw_injections,
         fork_suffix,
         injected_suffix,
         marginalize_rows,
         run_density_body,
-        sample_injection_pattern,
     )
     from ..sim.sampler import sample_distribution
 
@@ -586,7 +596,6 @@ def batched_noisy_variant_probabilities(
     seed = spec.seed
     zero_vector = INITIAL_STATES["zero"]
     zero_rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    pauli_1q = [gate_matrix(name) for name in PAULI_NAMES_1Q]
 
     if init_combos is None:
         init_combos = [
@@ -639,18 +648,6 @@ def batched_noisy_variant_probabilities(
         emit(state, 0, ())
         return leaves, 1
 
-    def injected_fragment(fragment, rng):
-        """``fragment`` folded with this stream's Pauli draws (one draw
-        after each gate), or ``None`` when no draw fired."""
-        factors = []
-        for matrix in fragment.matrices:
-            factors.append(matrix)
-            if rng.random() < noise.error_1q:
-                factors.append(pauli_1q[rng.integers(3)])
-        if len(factors) == len(fragment.matrices):
-            return None
-        return _fold_matrices(factors)
-
     def fan_out(state, noisy, prune, leaf, line_index=0, bases=(), code=0):
         """Depth-first over measurement lines, sharing basis prefixes.
 
@@ -694,7 +691,8 @@ def batched_noisy_variant_probabilities(
         leaf, which the estimator does not accumulate.  Rows whose prep
         fragment fired do not start from the walk's state; they run the
         trajectory's whole body as a batch of their own.  All draws come
-        first, from the keyed streams, so none of this moves a stream.
+        first (:func:`~repro.sim.noisy_batch.draw_injections`, keyed on
+        content), so none of this moves a draw.
 
         Live states are bounded by the walk, one fork and one
         trajectory's prep-fired rows (plus one branch per tree level of
@@ -718,37 +716,6 @@ def batched_noisy_variant_probabilities(
             )
             return clean_leaves, 1
 
-        def draw(trajectory):
-            """``(first block, suffix ops, prep-fired rows, fired basis
-            edges)`` of one trajectory, each from its own keyed stream."""
-            pattern, _ = sample_injection_pattern(
-                plan, spawn_rng(seed, 0, index, trajectory)
-            )
-            prep_fired: Dict[int, Dict[int, np.ndarray]] = {}
-            noisy: Dict[Tuple[int, int], np.ndarray] = {}
-            for row, fragments in enumerate(prep):
-                if not any(f.gates for f in fragments):
-                    continue
-                rng = spawn_rng(seed, 1, index, trajectory, codes[row])
-                drawn = [injected_fragment(f, rng) for f in fragments]
-                if any(matrix is not None for matrix in drawn):
-                    prep_fired[row] = {
-                        f.wire: f.vector if matrix is None else matrix @ zero_vector
-                        for f, matrix in zip(fragments, drawn)
-                    }
-            for (name, line), fragment in geometry.basis.items():
-                if not fragment.gates:
-                    continue
-                number = MEAS_BASES.index(name)
-                for parent in range(len(MEAS_BASES) ** line):
-                    child = parent * len(MEAS_BASES) + number
-                    matrix = injected_fragment(
-                        fragment, spawn_rng(seed, 2, index, trajectory, line, child)
-                    )
-                    if matrix is not None:
-                        noisy[(line, child)] = matrix
-            return (*injected_suffix(plan, pattern), prep_fired, noisy)
-
         sums = {}
         counts = {}
         for bases in itertools.product(MEAS_BASES, repeat=num_meas):
@@ -767,9 +734,19 @@ def batched_noisy_variant_probabilities(
 
             fan_out(state, noisy, prune, accumulate)
 
+        schedule = []
+        for pattern, prep_fired, noisy in draw_injections(
+            plan, prep, codes, geometry.edges, noise.error_1q, seed, index,
+            spec.trajectories,
+        ):
+            first_block, suffix = (
+                (len(plan.ops), []) if pattern is None
+                else injected_suffix(plan, pattern)
+            )
+            schedule.append((first_block, suffix, prep_fired, noisy))
         cursor = skipped = 0
         for first_block, suffix, prep_fired, noisy in sorted(
-            map(draw, range(spec.trajectories)), key=lambda drawn: drawn[0]
+            schedule, key=lambda draw: draw[0]
         ):
             for op in plan.ops[cursor:first_block]:
                 walk.apply_matrix(op.matrix, op.qubits)

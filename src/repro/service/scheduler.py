@@ -62,6 +62,7 @@ from ..obs import trace
 from ..obs.metrics import get_registry
 from ..postprocess.engine import DEFAULT_STRATEGY
 from ..postprocess.parallel import WorkerPool
+from ..sim.noise import check_seed
 from .journal import JobJournal
 from .store import ArtifactStore
 from .tenancy import (
@@ -192,6 +193,7 @@ class JobSpec:
                 raise ValueError("library circuits need qubits >= 2")
         if self.device_size < 2:
             raise ValueError("device_size must be >= 2")
+        check_seed(self.seed)
         if (
             not isinstance(self.tenant, str)
             or not 0 < len(self.tenant) <= 64
@@ -275,13 +277,15 @@ class JobSpec:
         """The evaluation-fingerprint backend config tag.
 
         Every tag is *versioned*, so artifacts cached under an older
-        engine or an older artifact layout recompute instead of silently
-        colliding: ``:v3`` for exact amplitudes, ``:v2`` for everything
-        stored as a ``(4^rho, 3^O, 2^w)`` distributions array.
+        engine, layout or noise stream recompute instead of silently
+        colliding: ``:v3`` for exact amplitudes, ``:v2`` for the density
+        path's ``(4^rho, 3^O, 2^w)`` distributions array, ``:v3`` for the
+        trajectory path's (same layout, keyed-uniform injection draws).
         """
-        if self.device is not None:
-            return f"device:{self.device}:{self.noisy_method}:batched:v2"
-        return "statevector:batched:v3"
+        if self.device is None:
+            return "statevector:batched:v3"
+        version = "v3" if self.noisy_method == "trajectory" else "v2"
+        return f"device:{self.device}:{self.noisy_method}:batched:{version}"
 
     def pipeline_options(self, worker_pool=None) -> Dict:
         """The keyword arguments of every pipeline this job drives (a

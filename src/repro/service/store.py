@@ -234,7 +234,7 @@ def evaluation_fingerprint(
     """Fingerprint of ``(cut, params, backend config, shots, seed)`` — the
     evaluation-artifact key.  ``backend`` is a config *tag*, not a
     callable; the scheduler's tags are versioned (e.g.
-    ``"statevector:batched:v3"``, ``"device:bogota:trajectory:batched:v2"``)
+    ``"statevector:batched:v3"``, ``"device:bogota:trajectory:batched:v3"``)
     so artifacts produced by older evaluation semantics recompute
     instead of silently colliding.  ``config`` holds extra
     result-shaping knobs (e.g. trajectory counts); it enters the digest

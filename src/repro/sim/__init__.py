@@ -26,16 +26,17 @@ from .noise import (
     NoisySimulator,
     apply_readout_error,
     clean_log_weight,
+    keyed_uniforms,
     spawn_rng,
 )
 from .density import BatchedDensityMatrix, DensityMatrix, DensityMatrixSimulator
 from .noisy_batch import (
     NoisyBodyPlan,
     NoisySite,
+    draw_injections,
     injected_suffix,
     noisy_body_plan,
     run_density_body,
-    sample_injection_pattern,
 )
 from .feynman import FeynmanPathSimulator, gate_schmidt_terms
 
@@ -59,6 +60,7 @@ __all__ = [
     "NoisySimulator",
     "apply_readout_error",
     "clean_log_weight",
+    "keyed_uniforms",
     "spawn_rng",
     "BatchedDensityMatrix",
     "DensityMatrix",
@@ -67,8 +69,8 @@ __all__ = [
     "NoisySite",
     "noisy_body_plan",
     "run_density_body",
+    "draw_injections",
     "injected_suffix",
-    "sample_injection_pattern",
     "FeynmanPathSimulator",
     "gate_schmidt_terms",
 ]

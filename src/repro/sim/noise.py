@@ -23,7 +23,9 @@ __all__ = [
     "NoiseModel",
     "NoisySimulator",
     "apply_readout_error",
+    "check_seed",
     "clean_log_weight",
+    "keyed_uniforms",
     "spawn_rng",
 ]
 
@@ -91,16 +93,32 @@ def clean_log_weight(gates: Iterable[Gate], noise: NoiseModel) -> float:
     return float(log_p)
 
 
+def check_seed(seed: Optional[int]) -> None:
+    """Refuse a root seed that is neither ``None`` nor an int in
+    ``[0, 2**63)``, with an error that names the ``seed`` field."""
+    if seed is None:
+        return
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(
+            f"seed must be None or an integer, got {type(seed).__name__}"
+        )
+    if not 0 <= seed < 1 << 63:
+        raise ValueError(f"seed must be in [0, 2**63), got {seed}")
+
+
 def spawn_rng(seed: Optional[int], *key: int) -> np.random.Generator:
     """A child generator at spawn-key ``key`` under root ``seed``.
 
     Uses the :class:`numpy.random.SeedSequence` spawn-tree (the mechanism
     behind ``Generator.spawn``) with an explicit integer key instead of a
     sequential child counter, so the stream assigned to a work item —
-    e.g. (trajectory, variant index) — is the same no matter which worker
-    runs it, how the init space is chunked, or in what order tasks
-    complete.  ``seed=None`` maps to the fixed root 0: noisy batched
-    evaluation is deterministic by default.
+    e.g. (row, basis code) — is the same no matter which worker runs it,
+    how the init space is chunked, or in what order tasks complete.
+    ``seed=None`` maps to the fixed root 0: noisy batched evaluation is
+    deterministic by default.  Batched noisy evaluation uses it only for
+    shot sampling (stage 3); Pauli injections draw from
+    :func:`keyed_uniforms`, because building a ``SeedSequence`` per
+    stream cost more than the draws themselves.
     """
     return np.random.default_rng(
         np.random.SeedSequence(
@@ -108,6 +126,54 @@ def spawn_rng(seed: Optional[int], *key: int) -> np.random.Generator:
             spawn_key=tuple(int(k) for k in key),
         )
     )
+
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX_1 = 0xBF58476D1CE4E5B9
+_MIX_2 = 0x94D049BB133111EB
+# The same constants as numpy scalars: a Python int above 2**63 costs a
+# slow conversion in every uint64 op.
+_GOLDEN_U64, _MIX_1_U64, _MIX_2_U64 = map(np.uint64, (_GOLDEN, _MIX_1, _MIX_2))
+
+
+def keyed_uniforms(seed: Optional[int], *key) -> np.ndarray:
+    """Uniforms in ``[0, 1)`` that are a pure function of ``(seed, *key)``.
+
+    A counter-based generator in the sense of Salmon et al., "Parallel
+    random numbers: as easy as 1, 2, 3" (SC'11): no generator state, just
+    a hash of the key.  The hash chains SplitMix64 — starting from
+    ``h = seed`` (``None`` maps to 0), each key field ``f`` moves ``h`` to
+    the ``f``-th output of a SplitMix64 stream at state ``h``,
+    ``h <- mix64(h + (f + 1) * golden)`` — and the top 53 bits of the
+    final ``h`` are the uniform.  Key fields are non-negative integers or
+    integer arrays that broadcast together; the result has their
+    broadcast shape, so one call draws a whole block of keys in a few
+    numpy passes.  ``tests/keyed_draw_oracle.py`` holds the scalar
+    pure-Python reference.
+    """
+    shape = np.broadcast_shapes(*(np.shape(field) for field in key))
+    fields = list(key)
+    # The leading scalar fields in Python ints: a numpy step is a dozen
+    # ufunc calls, and per-call overhead dominates the small arrays one
+    # init chunk draws.
+    h = 0 if seed is None else int(seed)
+    while fields and not np.ndim(fields[0]):
+        z = (h + (int(fields.pop(0)) + 1) * _GOLDEN) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX_1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX_2) & _MASK
+        h = z ^ (z >> 31)
+    # Shape >= (1,) arrays, never numpy scalars: scalar uint64 arithmetic
+    # warns on the wrap-around the hash relies on.
+    h = np.full(1, h, dtype=np.uint64)
+    for field in fields:
+        h = h + (np.array(field, dtype=np.uint64, ndmin=1) + 1) * _GOLDEN_U64
+        h ^= h >> 30
+        h *= _MIX_1_U64
+        h ^= h >> 27
+        h *= _MIX_2_U64
+        h ^= h >> 31
+    return ((h >> 11) * 2.0**-53).reshape(shape)
 
 
 def apply_readout_error(probabilities: np.ndarray, flip: float) -> np.ndarray:

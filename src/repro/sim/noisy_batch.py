@@ -13,13 +13,14 @@ sweep:
   depolarizing site stays an individual step, preserving the per-gate
   noise placement exactly.  Plans are memoized per process, so warm
   workers never re-fuse a body they have already seen.
-* :func:`sample_injection_pattern` draws one Pauli-injection pattern for
-  a plan's noise sites.  A *fixed* pattern is the clean gate list with
-  Paulis appended after a few gates on those gates' own qubits, so the
-  body's fusion partition is unchanged: the trajectory equals the fused
-  clean pass up to its first injected block, and from there on only the
-  injected blocks need a new unitary (:func:`injected_suffix`,
-  :func:`fork_suffix`).
+* :func:`draw_injections` draws every trajectory's Pauli injections for
+  one init chunk — body sites, prep fragments and basis-tree edges — in
+  three array draws from :func:`~repro.sim.noise.keyed_uniforms`.  A
+  *fixed* body pattern is the clean gate list with Paulis appended after
+  a few gates on those gates' own qubits, so the body's fusion partition
+  is unchanged: the trajectory equals the fused clean pass up to its
+  first injected block, and from there on only the injected blocks need
+  a new unitary (:func:`injected_suffix`, :func:`fork_suffix`).
 * :func:`run_density_body` drives a
   :class:`~repro.sim.density.BatchedDensityMatrix` through the plan with
   the exact depolarizing channel applied batch-wide after each noisy
@@ -33,11 +34,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..circuits import Gate, QuantumCircuit
+from ..circuits.gates import gate_matrix
 from ..obs import trace
 from .batch import (
     BatchedStatevector,
@@ -47,13 +49,14 @@ from .batch import (
     gate_partition,
 )
 from .density import BatchedDensityMatrix
-from .noise import NoiseModel, clean_log_weight
+from .noise import NoiseModel, clean_log_weight, keyed_uniforms
 
 __all__ = [
     "NoisySite",
     "NoisyBodyPlan",
     "noisy_body_plan",
-    "sample_injection_pattern",
+    "draw_injections",
+    "fold_matrices",
     "injected_suffix",
     "fork_suffix",
     "run_density_body",
@@ -94,8 +97,9 @@ class NoisyBodyPlan:
     (maximal runs of zero-rate gates, fused) with :class:`NoisySite`
     entries (one per gate carrying a depolarizing site, in circuit
     order) — the density path's schedule.  ``sites`` lists the noisy
-    steps again for pattern sampling; ``log_clean`` is the body's
-    no-injection log-weight.
+    steps again for pattern sampling, with ``site_rates`` their rates and
+    ``site_choices`` their number of non-identity Paulis (3 or 15) as
+    arrays; ``log_clean`` is the body's no-injection log-weight.
 
     The trajectory path runs the *fully* fused body instead: ``blocks``
     holds the gate tuple of each fusion block, ``ops`` its clean
@@ -106,6 +110,8 @@ class NoisyBodyPlan:
     num_qubits: int
     steps: Tuple[Union[FusedOp, NoisySite], ...]
     sites: Tuple[NoisySite, ...]
+    site_rates: np.ndarray
+    site_choices: np.ndarray
     log_clean: float
     blocks: Tuple[Tuple[Gate, ...], ...]
     ops: Tuple[FusedOp, ...]
@@ -177,6 +183,14 @@ def noisy_body_plan(
         num_qubits=int(num_qubits),
         steps=tuple(steps),
         sites=tuple(sites),
+        site_rates=np.array([site.rate for site in sites]),
+        site_choices=np.array(
+            [
+                len(PAULI_PAIRS_2Q) if site.is_2q else len(PAULI_NAMES_1Q)
+                for site in sites
+            ],
+            dtype=np.intp,
+        ),
         log_clean=clean_log_weight(gates, noise),
         blocks=tuple(tuple(gates[p] for p in group) for group in members),
         ops=tuple(fuse_gates(gates, fusion_width)),
@@ -192,31 +206,169 @@ def noisy_body_plan(
 # Trajectory path: one shared injection pattern per batched pass
 # ----------------------------------------------------------------------
 
-def sample_injection_pattern(
-    plan: NoisyBodyPlan, rng: np.random.Generator
-) -> Tuple[Tuple[Optional[Tuple[str, ...]], ...], bool]:
-    """Draw one Pauli-injection pattern over the plan's noise sites.
+#: Keyed-draw stages (the second key field); stage 3 is shot sampling,
+#: which still draws from :func:`~repro.sim.noise.spawn_rng`.
+_BODY, _PREP, _BASIS = 0, 1, 2
+#: The last key field: lane 0 decides whether an entry fires, lane 1
+#: picks its Pauli.
+_LANES = np.arange(2).reshape(2, 1, 1)
+_PAULI_MATRICES_1Q = tuple(gate_matrix(name) for name in PAULI_NAMES_1Q)
 
-    Per site: with probability ``rate``, a uniformly random non-identity
-    Pauli (pair) — the same conditional draws as the serial
-    :class:`~repro.sim.noise.NoisySimulator`.  Returns
-    ``(pattern, injected)`` where ``pattern[i]`` is the Pauli name tuple
-    for site ``i`` (or ``None``) and ``injected`` says whether any site
-    fired.
+
+def fold_matrices(matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """The 2x2 product of ``matrices`` applied in order."""
+    matrix = np.eye(2, dtype=complex)
+    for factor in matrices:
+        matrix = factor @ matrix
+    return matrix
+
+
+def _fired(seed, key, trajectories, entries, rates, choices):
+    """One keyed draw over every ``(trajectory, entry)`` pair.
+
+    ``entries`` are the per-entry key fields, each an ``(E,)`` array, so
+    the pair's uniforms sit at ``(*key, trajectory, *entries, lane)``.
+    Returns the fired pairs as ``(trajectory, entry, choice)`` lists —
+    ``choice`` indexes the entry's ``choices`` non-identity Paulis — and
+    the number of uniforms drawn.
     """
-    pattern: List[Optional[Tuple[str, ...]]] = []
-    injected = False
-    for site in plan.sites:
-        if rng.random() < site.rate:
-            if site.is_2q:
-                choice = PAULI_PAIRS_2Q[rng.integers(len(PAULI_PAIRS_2Q))]
-            else:
-                choice = (PAULI_NAMES_1Q[rng.integers(3)],)
-            pattern.append(choice)
-            injected = True
-        else:
-            pattern.append(None)
-    return tuple(pattern), injected
+    uniforms = keyed_uniforms(
+        seed, *key, np.arange(trajectories)[:, None], *entries, _LANES
+    )
+    trajectory, entry = np.nonzero(uniforms[0] < rates)
+    if np.ndim(choices):
+        choices = choices[entry]
+    choice = (uniforms[1, trajectory, entry] * choices).astype(np.intp)
+    return trajectory.tolist(), entry.tolist(), choice.tolist(), uniforms.size
+
+
+def _injected_fragment(fragment: Any, fired: Dict[int, int]) -> np.ndarray:
+    """``fragment``'s gates folded with the Pauli ``fired[g]`` after each
+    fired gate ``g``."""
+    factors = []
+    for gate, matrix in enumerate(fragment.matrices):
+        factors.append(matrix)
+        if gate in fired:
+            factors.append(_PAULI_MATRICES_1Q[fired[gate]])
+    return fold_matrices(factors)
+
+
+def _fragment_hits(seed, key, trajectories, streams, items, rate):
+    """One keyed draw over every gate of every 1q fragment stream.
+
+    ``streams[s]`` lists stream ``s``'s fragments and ``items[s]`` its
+    key fields; a gate's ``position`` counts the stream's fragment gates
+    in order.  Returns ``{(trajectory, s): {fragment: {gate: choice}}}``
+    over the fired gates, the number of uniforms drawn and of gates fired.
+    """
+    slots = [
+        (stream, number, gate)
+        for stream, fragments in enumerate(streams)
+        for number, fragment in enumerate(fragments)
+        for gate in range(len(fragment.matrices))
+    ]
+    if not slots:
+        return {}, 0, 0
+    of_stream = np.array([stream for stream, _, _ in slots])
+    # A slot's offset from its stream's first slot.
+    positions = np.arange(len(slots)) - np.searchsorted(of_stream, of_stream)
+    fields = np.array(items, dtype=np.int64).reshape(len(items), -1)
+    trajectories_hit, entries, choices, keys = _fired(
+        seed, key, trajectories, (*fields[of_stream].T, positions), rate,
+        len(PAULI_NAMES_1Q),
+    )
+    hits: Dict[Tuple[int, int], Dict[int, Dict[int, int]]] = {}
+    for trajectory, entry, choice in zip(trajectories_hit, entries, choices):
+        stream, number, gate = slots[entry]
+        stream_hits = hits.setdefault((trajectory, stream), {})
+        stream_hits.setdefault(number, {})[gate] = choice
+    return hits, keys, len(entries)
+
+
+def draw_injections(
+    plan: NoisyBodyPlan,
+    prep: Sequence[Sequence[Any]],
+    codes: Sequence[int],
+    edges: Sequence[Tuple[Tuple[int, int], Any]],
+    error_1q: float,
+    seed: Optional[int],
+    index: int,
+    trajectories: int,
+) -> List[Tuple[Optional[List], Dict, Dict]]:
+    """Every trajectory's Pauli injections for one init chunk.
+
+    Per noise site, and per gate of a 1q fragment: with probability
+    ``rate``, a uniformly random non-identity Pauli (pair) — the serial
+    :class:`~repro.sim.noise.NoisySimulator`'s conditional draws.  The
+    draws are three :func:`~repro.sim.noise.keyed_uniforms` calls, one
+    per stage, keyed ``(seed, stage, index, trajectory, *item, position,
+    lane)``:
+
+    * body: no item; ``position`` is the site in ``plan.sites``;
+    * prep: item is ``codes[row]``, the row's global init-combo code;
+      ``position`` counts the gates of ``prep[row]``'s fragments, in
+      order;
+    * basis: item is the tree edge ``(line, child)`` of ``edges``;
+      ``position`` is the gate in its fragment.
+
+    Every key derives from content, never from the chunk, so a draw is
+    the same however the init space is split.  Fragments are compiled 1q
+    fragments (``matrices``; prep ones also ``wire`` and ``vector``).
+    Past listing the fragment gates, Python touches only the entries
+    that fired.
+
+    Returns one ``(pattern, prep-fired rows, fired basis edges)`` tuple
+    per trajectory: the body pattern for :func:`injected_suffix`
+    (``None`` when no site fired); ``{row: {wire: 2-vector}}`` for every
+    row whose prep drew a Pauli; ``{(line, child): fragment matrix}``
+    for every edge that did.
+    """
+    patterns: List[Optional[List]] = [None] * trajectories
+    prep_fired: List[Dict] = [{} for _ in range(trajectories)]
+    noisy: List[Dict] = [{} for _ in range(trajectories)]
+    keys = fired = 0
+    with trace.span("sim.noisy.draw") as span:
+        sites = plan.sites
+        if sites:
+            *hits, keys = _fired(
+                seed, (_BODY, index), trajectories,
+                (np.arange(len(sites)),), plan.site_rates, plan.site_choices,
+            )
+            for trajectory, site, choice in zip(*hits):
+                if patterns[trajectory] is None:
+                    patterns[trajectory] = [None] * len(sites)
+                patterns[trajectory][site] = (
+                    PAULI_PAIRS_2Q[choice] if sites[site].is_2q
+                    else (PAULI_NAMES_1Q[choice],)
+                )
+            fired = len(hits[0])
+        if error_1q > 0.0:
+            prep_hits, prep_keys, prep_count = _fragment_hits(
+                seed, (_PREP, index), trajectories, prep, codes, error_1q
+            )
+            for (trajectory, row), row_hits in prep_hits.items():
+                # A prep fragment acts on |0>: its first column.
+                prep_fired[trajectory][row] = {
+                    fragment.wire: (
+                        fragment.vector if number not in row_hits else
+                        _injected_fragment(fragment, row_hits[number])[:, 0]
+                    )
+                    for number, fragment in enumerate(prep[row])
+                }
+            edge_hits, edge_keys, edge_count = _fragment_hits(
+                seed, (_BASIS, index), trajectories,
+                [(fragment,) for _, fragment in edges],
+                [edge for edge, _ in edges], error_1q,
+            )
+            for (trajectory, number), fragment_hits in edge_hits.items():
+                edge, fragment = edges[number]
+                noisy[trajectory][edge] = _injected_fragment(
+                    fragment, fragment_hits[0]
+                )
+            keys += prep_keys + edge_keys
+            fired += prep_count + edge_count
+        span.set(keys=keys, fired=fired)
+    return list(zip(patterns, prep_fired, noisy))
 
 
 def injected_suffix(

@@ -5,8 +5,9 @@ Covers the tentpole's contract from three sides:
 * the batched density path is the *same exact channel* as the serial
   :class:`~repro.sim.density.DensityMatrixSimulator`, per variant;
 * the batched trajectory path matches an independent serial replay of
-  the same keyed RNG streams to 1e-10, and is bit-identical under any
-  chunking or worker count (the deterministic-seeding satellite);
+  the same keyed draws (scalar reference in ``tests/keyed_draw_oracle.py``)
+  to 1e-10, and is bit-identical under any chunking or worker count (the
+  deterministic-seeding satellite);
 * batching-by-default changes no query result, and the versioned
   evaluation fingerprints force old artifacts to recompute (the
   store-migration satellite).
@@ -52,7 +53,6 @@ from repro.sim import (
     fuse_gates,
     injected_suffix,
     noisy_body_plan,
-    sample_injection_pattern,
     spawn_rng,
 )
 from repro.sim.noise import apply_readout_error
@@ -60,6 +60,12 @@ from repro.sim.noisy_batch import PAULI_NAMES_1Q
 from repro.sim.sampler import sample_distribution
 from repro.sim.statevector import INITIAL_STATES, Statevector, simulate_probabilities
 from tests.conftest import random_connected_circuit
+from tests.keyed_draw_oracle import (
+    BASIS,
+    PREP,
+    fired_choice,
+    sample_injection_pattern,
+)
 from tests.test_batch import random_small_cut
 from tests.variant_oracle import evaluate_subcircuit
 
@@ -141,10 +147,10 @@ def _serial_trajectory_replay(subcircuit, spec, variant):
     """Independent per-variant re-derivation of the batched estimator.
 
     Rebuilds one variant's distribution with plain serial
-    :class:`Statevector` passes, drawing from the same
-    :func:`~repro.sim.noise.spawn_rng` keys the batched engine uses —
-    any drift in stream assignment or estimator mixing shows up as a
-    mismatch far beyond accumulation error.  Shot noise is left out:
+    :class:`Statevector` passes, drawing gate by gate from the scalar
+    reference of the keyed uniforms the batched engine uses — any drift
+    in key assignment or estimator mixing shows up as a mismatch far
+    beyond accumulation error.  Shot noise is left out:
     ``multinomial`` branches on values such as ``p == 0.5``, so two
     distributions 1e-16 apart can sample differently
     (:func:`_assert_replay_parity` checks the shot stream on its own).
@@ -220,17 +226,22 @@ def _serial_trajectory_replay(subcircuit, spec, variant):
         count = 0
         for trajectory in range(spec.trajectories):
             pattern, injected = sample_injection_pattern(
-                plan, spawn_rng(seed, 0, index, trajectory)
+                plan, seed, index, trajectory
             )
             vectors = [INITIAL_STATES["zero"]] * width
-            rng = spawn_rng(seed, 1, index, trajectory, labels_code)
+            gate_position = 0  # counts the gates of the row's fragments
             for gates, position in zip(prep_gates, prep_wires):
                 vector = INITIAL_STATES["zero"]
                 for gate in gates:
                     vector = gate.matrix() @ vector
-                    if rng.random() < noise.error_1q:
-                        vector = pauli[rng.integers(3)] @ vector
+                    choice = fired_choice(
+                        noise.error_1q, 3, seed, PREP, index, trajectory,
+                        labels_code, gate_position,
+                    )
+                    if choice is not None:
+                        vector = pauli[choice] @ vector
                         injected = True
+                    gate_position += 1
                 vectors[position] = vector
             state = Statevector.from_product(vectors)
             site = 0
@@ -248,13 +259,14 @@ def _serial_trajectory_replay(subcircuit, spec, variant):
                 zip(variant.bases, basis_gates)
             ):
                 code = code * len(MEAS_BASES) + MEAS_BASES.index(name)
-                if not gates:
-                    continue
-                rng = spawn_rng(seed, 2, index, trajectory, line_index, code)
-                for gate in gates:
+                for gate_position, gate in enumerate(gates):
                     state.apply_gate(gate)
-                    if rng.random() < noise.error_1q:
-                        state.apply_matrix(pauli[rng.integers(3)], gate.qubits)
+                    choice = fired_choice(
+                        noise.error_1q, 3, seed, BASIS, index, trajectory,
+                        line_index, code, gate_position,
+                    )
+                    if choice is not None:
+                        state.apply_matrix(pauli[choice], gate.qubits)
                         injected = True
             if injected:
                 sums += state.probabilities()
@@ -392,7 +404,7 @@ class TestTrajectoryParity:
         first_blocks, shared, adjacent = [], False, False
         for trajectory in range(spec.trajectories):
             pattern, _ = sample_injection_pattern(
-                plan, spawn_rng(spec.seed, 0, middle.index, trajectory)
+                plan, spec.seed, middle.index, trajectory
             )
             hit = [
                 block
@@ -412,13 +424,13 @@ class TestTrajectoryParity:
         for trajectory in range(spec.trajectories):
             rows = 0
             for code, label in enumerate(INIT_LABELS):
-                rng = spawn_rng(spec.seed, 1, middle.index, trajectory, code)
-                hit = False
-                for _ in _PREP_GATES[label]:
-                    if rng.random() < spec.noise.error_1q:
-                        rng.integers(3)
-                        hit = True
-                rows += hit
+                rows += any(
+                    fired_choice(
+                        spec.noise.error_1q, 3, spec.seed, PREP, middle.index,
+                        trajectory, code, position,
+                    ) is not None
+                    for position in range(len(_PREP_GATES[label]))
+                )
             assert rows < len(INIT_LABELS)
             fired += rows > 0
         assert 0 < fired < spec.trajectories
@@ -630,6 +642,16 @@ class TestBatchingDefault:
             NoisyEvalSpec()
         with pytest.raises(ValueError, match="trajectories"):
             NoisyEvalSpec(noise=NOISE, trajectories=0)
+        for seed in (-1, 1 << 63, 2.0, False):
+            with pytest.raises(ValueError, match="seed"):
+                NoisyEvalSpec(noise=NOISE, seed=seed)
+        NoisyEvalSpec(noise=NOISE, seed=(1 << 63) - 1)
+
+    def test_bad_seed_is_refused_before_numpy_sees_it(self):
+        device = make_device("seedless", 5, "line", noise=NOISE, seed=3)
+        pipeline = CutQC(bv(6), max_subcircuit_qubits=5, device=device, seed=-1)
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*63\)"):
+            pipeline.evaluate()
 
 
 # ----------------------------------------------------------------------
@@ -648,9 +670,11 @@ class TestStoreMigration:
         assert legacy.backend_tag() == "statevector:batched:v3"
         # Every tag whose artifacts hold a distributions array moved to v2
         # with that layout.
+        # The trajectory path moved to v3 with the keyed injection draws;
+        # the density path draws nothing and keeps v2.
         assert (
             JobSpec(**base, device="bogota").backend_tag()
-            == "device:bogota:trajectory:batched:v2"
+            == "device:bogota:trajectory:batched:v3"
         )
         assert (
             JobSpec(
@@ -694,6 +718,39 @@ class TestStoreMigration:
         )
         assert new_key != old_key
         assert store.get_evaluation(new_key, pipeline.cut()) is None
+
+    def test_v2_trajectory_artifact_is_not_served_to_a_v3_job(
+        self, tmp_path
+    ):
+        from repro.service.scheduler import JobScheduler, JobSpec
+        from repro.service.store import ArtifactStore
+
+        spec = JobSpec(
+            device_size=5, benchmark="bv", qubits=6, device="bogota",
+            shots=1024, trajectories=8,
+        )
+        pipeline = CutQC(spec.build_circuit(), **spec.pipeline_options())
+        store = ArtifactStore(tmp_path)
+
+        def key(backend):
+            # The scheduler's evaluation key, under a given backend tag.
+            return pipeline.evaluation_fingerprint(
+                backend=backend, shots=spec.shots, seed=spec.seed,
+                config={"trajectories": spec.trajectories},
+            )
+
+        # A parent store holds an old-stream artifact under the v2 tag.
+        old_key = key("device:bogota:trajectory:batched:v2")
+        store.put_evaluation(old_key, pipeline.evaluate())
+        scheduler = JobScheduler(store, workers=1, autostart=True)
+        try:
+            record = scheduler.wait(scheduler.submit(spec), timeout=180.0)
+        finally:
+            scheduler.shutdown()
+        assert record.state == "done", record.error
+        assert record.fingerprints["evaluate"] == key(spec.backend_tag())
+        assert record.fingerprints["evaluate"] != old_key
+        assert record.cache_hits["evaluate"] is False
 
     def test_scheduler_records_batched_noisy_mode(self, tmp_path):
         from repro.service.scheduler import JobScheduler, JobSpec

@@ -128,6 +128,15 @@ class TestHttpApi:
         assert excinfo.value.status == 400
         assert "device_size" in excinfo.value.document["error"]
 
+    def test_bad_seed_is_400_at_admission(self, server):
+        with pytest.raises(ServiceClientError) as excinfo:
+            request_json("POST", f"{server.url}/jobs", payload={
+                "benchmark": "bv", "qubits": 6, "device_size": 5,
+                "device": "bogota", "seed": -1,
+            })
+        assert excinfo.value.status == 400
+        assert "seed" in excinfo.value.document["error"]
+
     @pytest.mark.parametrize("shard_qubits", [99, -1])
     def test_out_of_range_shard_qubits_is_400_at_admission(
         self, server, shard_qubits

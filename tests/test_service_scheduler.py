@@ -46,6 +46,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown query"):
             _bv_spec(query="magic").validate()
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 63, 1.5, "3", True])
+    def test_rejects_bad_seed_by_name(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            _bv_spec(seed=seed).validate()
+        _bv_spec(seed=(1 << 63) - 1).validate()
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown job fields"):
             JobSpec.from_dict({"device_size": 5, "benchmark": "bv",
