@@ -7,7 +7,7 @@ circuit per variant through a Python per-gate loop and builds term
 tensors from the stacked distributions; the batched engine simulates
 the measurement-free body
 **once over the ``2^rho`` basis columns of the init wires** (stacked on a
-batch axis, gates fused to <= ``fusion_width`` qubits), holds those
+batch axis, gates fused to <= ``FUSION_WIDTH`` qubits), holds those
 amplitudes, and builds term tensors from them directly.
 
 This bench runs a fig6-style BV sweep through both
@@ -33,6 +33,7 @@ from repro.core.executor import VariantExecutor
 from repro.cutting import num_physical_variants
 from repro.library import get_benchmark
 from repro.postprocess import build_term_tensor
+from repro.sim.batch import FUSION_WIDTH
 
 from conftest import RESULTS_DIR, report
 
@@ -48,7 +49,6 @@ _SWEEP = [
     ).split(",")
 ]
 _BENCHMARK = os.environ.get("REPRO_BENCH_VB_BENCHMARK", "bv")
-_FUSION_WIDTH = int(os.environ.get("REPRO_BENCH_VB_FUSION_WIDTH", "4"))
 _REPS = int(os.environ.get("REPRO_BENCH_VB_REPS", "3"))
 _MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_VB_MIN_SPEEDUP", "5.0"))
 _MAX_ABS_ERROR = 1e-10
@@ -89,7 +89,7 @@ def test_variant_batch_speedup():
         serial_executor = VariantExecutor(backend=simulate_probabilities)
         serial_seconds, serial = _measure(serial_executor, subcircuits)
         assert serial_executor.last_report.mode == "backend"
-        batched_executor = VariantExecutor(fusion_width=_FUSION_WIDTH)
+        batched_executor = VariantExecutor()
         batched_seconds, batched = _measure(batched_executor, subcircuits)
         batched_report = batched_executor.last_report
 
@@ -141,7 +141,7 @@ def test_variant_batch_speedup():
     document = {
         "generated_by": "bench_variant_batch.py",
         "benchmark": _BENCHMARK,
-        "fusion_width": _FUSION_WIDTH,
+        "fusion_width": FUSION_WIDTH,
         "reps": _REPS,
         "min_speedup": _MIN_SPEEDUP,
         "gated": True,
@@ -169,7 +169,7 @@ def test_variant_batch_speedup():
     report(
         "bench_variant_batch",
         f"Batched+fused evaluate + term-tensor build vs per-variant — "
-        f"{_BENCHMARK} sweep, fusion width {_FUSION_WIDTH}, "
+        f"{_BENCHMARK} sweep, fusion width {FUSION_WIDTH}, "
         "<= 256 columns per pass",
         ["config", "D", "cuts", "variants", "passes", "serial ms",
          "batched ms", "speedup"],

@@ -88,11 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "0 = no pool, everything inline)",
         )
         sub.add_argument(
-            "--fusion-width", type=int, default=2, metavar="K",
-            help="max fused-unitary width for the batched engines' "
-                 "gate-fusion pass (default: 2)",
-        )
-        sub.add_argument(
             "--trace", action="store_true",
             help="record spans across the whole pipeline and print the "
                  "span tree (wall time + per-stage percentages)",
@@ -260,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("trajectory", "density"),
                         default="trajectory",
                         help="batched noisy estimator used with --device")
-    submit.add_argument("--fusion-width", type=int, default=2, metavar="K",
-                        help="max fused-unitary width for the batched "
-                             "engines' gate-fusion pass")
     submit.add_argument("--wait", action="store_true",
                         help="poll until the job finishes and print the result")
     submit.add_argument("--timeout", type=float, default=300.0,
@@ -344,7 +336,6 @@ def _build_pipeline(args: argparse.Namespace, device=None) -> CutQC:
         strategy=getattr(args, "strategy", DEFAULT_STRATEGY),
         seed=args.seed,
         worker_pool=worker_pool,
-        fusion_width=getattr(args, "fusion_width", 2),
     )
 
 
@@ -469,7 +460,6 @@ def _execution_report_dict(report) -> Optional[dict]:
         "pool_makespan_seconds": report.pool_makespan_seconds,
         "pool_serial_seconds": report.pool_serial_seconds,
         "num_body_passes": report.num_body_passes,
-        "fusion_width": report.fusion_width,
     }
 
 
@@ -482,10 +472,7 @@ def _print_execution_report(report) -> None:
         f"(dedup {report.dedup_ratio:.2f}x, {report.mode})"
     )
     if report.num_body_passes:
-        line += (
-            f", {report.num_body_passes} fused body pass(es) "
-            f"(fusion width {report.fusion_width})"
-        )
+        line += f", {report.num_body_passes} fused body pass(es)"
     if report.pool_makespan_seconds is not None:
         line += (
             f", quantum makespan {report.pool_makespan_seconds:.3f}s "
@@ -872,7 +859,6 @@ def _submit_payload(args: argparse.Namespace) -> dict:
         "max_cuts": args.max_cuts,
         "method": args.method,
         "strategy": args.strategy,
-        "fusion_width": args.fusion_width,
         "query": query,
     }
     if args.tenant:

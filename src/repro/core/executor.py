@@ -98,7 +98,6 @@ class ExecutionReport:
     #: forked suffix of it, so the count follows the injections drawn.
     #: ``num_variants`` stays the variants *answered for*.
     num_body_passes: int = 0
-    fusion_width: Optional[int] = None
 
     @property
     def dedup_ratio(self) -> float:
@@ -113,38 +112,37 @@ def _run_init_batch(payload):
 
     Module-level so it crosses process boundaries (the persistent
     :class:`~repro.postprocess.parallel.WorkerPool` runs it via its own
-    wrapper).  Exact payloads are ``(subcircuit, (start, stop),
-    fusion_width)`` — a range of basis columns, answered with its
-    amplitude slab; noisy payloads are ``(subcircuit, combos,
-    fusion_width, spec)`` with a
-    :class:`~repro.cutting.variants.NoisyEvalSpec`, answered with the
-    ``(len(combos), 3^O, 2^width)`` distributions slab — the compiled
-    geometry and fused body plan the spec implies are memoized per
-    process, so chunks landing on a warm worker reuse them.  A custom
-    backend's payload is ``(subcircuit, backend)``, the whole group: one
-    ``backend(circuit)`` call per variant in :func:`generate_variants`
-    order, stacked into the distributions array (never shipped).  Either
-    way the answer is ``(slab, num_body_passes)``, and a group's slabs
-    concatenate in payload order into its result.
+    wrapper).  A payload leads with its kind, the pool's task kind:
+    ``("variant-batch", subcircuit, (start, stop))`` is a range of basis
+    columns, answered with its amplitude slab;
+    ``("noisy-variant-batch", subcircuit, combos, spec)`` carries init
+    label tuples and a :class:`~repro.cutting.variants.NoisyEvalSpec`,
+    answered with the ``(len(combos), 3^O, 2^width)`` distributions slab
+    — the compiled geometry and fused body plan the spec implies are
+    memoized per process, so chunks landing on a warm worker reuse them.
+    ``("backend", subcircuit, backend)`` is a custom backend's whole
+    group: one ``backend(circuit)`` call per variant in
+    :func:`generate_variants` order, stacked into the distributions
+    array (never shipped).  Either way the answer is ``(slab,
+    num_body_passes)``, and a group's slabs concatenate in payload order
+    into its result.
     """
-    if len(payload) == 2:
-        subcircuit, backend = payload
+    kind, subcircuit, *rest = payload
+    if kind == "backend":
+        (backend,) = rest
         factory = VariantCircuitFactory(subcircuit)
         rows = [
             backend(factory.circuit(variant))
             for variant in generate_variants(subcircuit)
         ]
         return stack_variant_rows(subcircuit, rows), 0
-    if len(payload) == 4:
-        subcircuit, init_combos, fusion_width, spec = payload
+    if kind == "noisy-variant-batch":
+        init_combos, spec = rest
         return batched_noisy_variant_probabilities(
-            subcircuit, spec, fusion_width=fusion_width,
-            init_combos=init_combos,
+            subcircuit, spec, init_combos=init_combos
         )
-    subcircuit, columns, fusion_width = payload
-    return basis_column_amplitudes(
-        subcircuit, fusion_width=fusion_width, columns=columns
-    )
+    (columns,) = rest
+    return basis_column_amplitudes(subcircuit, columns=columns)
 
 
 class VariantExecutor:
@@ -190,9 +188,6 @@ class VariantExecutor:
         the payloads fan out over the warm workers (a ``"-pool"`` suffix
         on the mode) with bit-identical results; without it everything
         runs inline.  A custom ``backend`` always runs inline.
-    fusion_width:
-        Maximum fused-unitary width for the batched engines' gate-fusion
-        pass.
     device:
         A :class:`~repro.devices.device.VirtualDevice`: variants evaluate
         through the batched noisy engine
@@ -217,7 +212,6 @@ class VariantExecutor:
         pool_shots: Optional[int] = None,
         seed: Optional[int] = None,
         worker_pool=None,
-        fusion_width: int = 2,
         device: Optional[VirtualDevice] = None,
         device_shots: Optional[int] = None,
         trajectories: int = 24,
@@ -229,19 +223,11 @@ class VariantExecutor:
             raise ValueError("pass either a device or a backend, not both")
         if device is not None and pool is not None:
             raise ValueError("pass either a device or a pool, not both")
-        from ..sim.batch import MAX_FUSION_WIDTH
-
-        if not 1 <= fusion_width <= MAX_FUSION_WIDTH:
-            raise ValueError(
-                f"fusion_width must be in [1, {MAX_FUSION_WIDTH}], "
-                f"got {fusion_width}"
-            )
         self.backend = backend
         self.pool = pool
         self.pool_shots = pool_shots
         self.seed = seed
         self.worker_pool = worker_pool
-        self.fusion_width = int(fusion_width)
         self.trajectories = int(trajectories)
         self.noisy_method = noisy_method
         #: Optional subcircuit-index -> pool-device-index pinning for the
@@ -345,7 +331,6 @@ class VariantExecutor:
             pool_makespan_seconds=makespan,
             pool_serial_seconds=serial_seconds,
             num_body_passes=sum(group_passes),
-            fusion_width=self.fusion_width,
         )
         _observe_report(self.last_report)
         return results
@@ -362,17 +347,18 @@ class VariantExecutor:
         per process).  A custom backend's group is one payload.
         """
         if self.backend is not None:
-            return [(head, self.backend)]
+            return [("backend", head, self.backend)]
         if spec is None:
             count = 1 << len(head.init_lines)
             return [
-                (head, (start, min(start + _INIT_BATCH, count)),
-                 self.fusion_width)
+                ("variant-batch", head,
+                 (start, min(start + _INIT_BATCH, count)))
                 for start in range(0, count, _INIT_BATCH)
             ]
         combos = list(itertools.product(INIT_LABELS, repeat=len(head.init_lines)))
         return [
-            (head, combos[start : start + _INIT_BATCH], self.fusion_width, spec)
+            ("noisy-variant-batch", head, combos[start : start + _INIT_BATCH],
+             spec)
             for start in range(0, len(combos), _INIT_BATCH)
         ]
 

@@ -97,8 +97,6 @@ class CutQC:
         dispatch through the same pool.  Without one, every stage runs
         inline.  The pipeline does not own the pool — the caller closes
         it.
-    fusion_width:
-        Max fused-unitary width for the batched engines' fusion pass.
     device_shots:
         Shots per variant on the device path (``None`` = the device's
         configured default, ``0`` = noise-only distributions).
@@ -125,7 +123,6 @@ class CutQC:
         strategy: str = DEFAULT_STRATEGY,
         seed: Optional[int] = None,
         worker_pool=None,
-        fusion_width: int = 2,
         device_shots: Optional[int] = None,
         trajectories: int = 24,
         noisy_method: str = "trajectory",
@@ -134,13 +131,6 @@ class CutQC:
             raise ValueError("pass either a backend or a device, not both")
         if pool is not None and (backend is not None or device is not None):
             raise ValueError("pass either a pool or a backend/device, not both")
-        from ..sim.batch import MAX_FUSION_WIDTH
-
-        if not 1 <= fusion_width <= MAX_FUSION_WIDTH:
-            raise ValueError(
-                f"fusion_width must be in [1, {MAX_FUSION_WIDTH}], "
-                f"got {fusion_width}"
-            )
         if noisy_method not in ("trajectory", "density"):
             raise ValueError(
                 f"noisy_method must be 'trajectory' or 'density', "
@@ -162,7 +152,6 @@ class CutQC:
         self.pool_shots = pool_shots
         self.seed = seed
         self.worker_pool = worker_pool
-        self.fusion_width = int(fusion_width)
         self.engine = ContractionEngine(strategy=strategy, pool=worker_pool)
         self._explicit_cuts = list(cuts) if cuts is not None else None
         self._solution: Optional[CutSolution] = None
@@ -308,7 +297,6 @@ class CutQC:
             pool_shots=self.pool_shots,
             seed=self.seed,
             worker_pool=self.worker_pool,
-            fusion_width=self.fusion_width,
             device=self.device,
             device_shots=self.device_shots,
             trajectories=self.trajectories,

@@ -197,7 +197,6 @@ def variant_circuit(
 
 def basis_column_amplitudes(
     subcircuit: Subcircuit,
-    fusion_width: int = 2,
     columns: Optional[Tuple[int, int]] = None,
 ) -> Tuple[np.ndarray, int]:
     """Final amplitudes of the init wires' computational-basis columns.
@@ -217,7 +216,7 @@ def basis_column_amplitudes(
     positions = [line.line for line in subcircuit.init_lines]
     start, stop = columns or (0, 1 << len(positions))
     # Looked up at call time: the e2e tracer patches ``batch.fuse_gates``.
-    ops = batch.fuse_gates(subcircuit.circuit, fusion_width)
+    ops = batch.fuse_gates(subcircuit.circuit)
     members = np.arange(start, stop)
     basis_index = np.zeros_like(members)
     for k, position in enumerate(positions):
@@ -394,7 +393,7 @@ def _prep_density(gates: Sequence[Gate], error_1q: float) -> np.ndarray:
 
 
 def _compiled_noisy_geometry(
-    subcircuit: Subcircuit, spec: NoisyEvalSpec, fusion_width: int
+    subcircuit: Subcircuit, spec: NoisyEvalSpec
 ) -> _NoisyGeometry:
     """Compile (and memoize) the variant-invariant noisy machinery.
 
@@ -419,7 +418,7 @@ def _compiled_noisy_geometry(
         )
     key = (
         subcircuit.circuit.gates, width, init_positions, meas_positions,
-        device_key, noise, fusion_width,
+        device_key, noise,
     )
     cached = _GEOMETRY_CACHE.get(key)
     if cached is not None:
@@ -508,7 +507,7 @@ def _compiled_noisy_geometry(
                 edges.append(((line_index, child), fragment))
     geometry = _NoisyGeometry(
         num_wires=num_wires,
-        plan=noisy_body_plan(body_gates, noise, num_wires, fusion_width),
+        plan=noisy_body_plan(body_gates, noise, num_wires),
         prep=prep,
         basis=basis,
         edges=tuple(edges),
@@ -542,7 +541,6 @@ def _bases_code(bases: Sequence[str]) -> int:
 def batched_noisy_variant_probabilities(
     subcircuit: Subcircuit,
     spec: NoisyEvalSpec,
-    fusion_width: int = 2,
     init_combos: Optional[Sequence[Tuple[str, ...]]] = None,
 ) -> Tuple[np.ndarray, int]:
     """Every *noisy* variant distribution from shared batched body passes.
@@ -588,7 +586,7 @@ def batched_noisy_variant_probabilities(
     )
     from ..sim.sampler import sample_distribution
 
-    geometry = _compiled_noisy_geometry(subcircuit, spec, fusion_width)
+    geometry = _compiled_noisy_geometry(subcircuit, spec)
     noise = spec.effective_noise
     gate_noise = noise.error_1q > 0.0 or noise.error_2q > 0.0
     num_meas = len(subcircuit.meas_lines)

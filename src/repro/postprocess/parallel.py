@@ -1453,12 +1453,11 @@ class WorkerPool:
     ) -> List[Tuple[object, int]]:
         """Evaluate whole batches of subcircuit variants, warm.
 
-        Each payload is ``(subcircuit, (start, stop), fusion_width)`` —
-        the batched-strategy work unit of
-        :class:`~repro.core.executor.VariantExecutor`, a range of basis
-        columns — or the noisy 4-tuple ``(subcircuit, init_combos,
-        fusion_width, spec)`` (recorded as kind
-        ``"noisy-variant-batch"``).  Returns ``(slab, num_body_passes)``
+        Each payload is a work unit of
+        :class:`~repro.core.executor.VariantExecutor` and leads with its
+        task kind: ``("variant-batch", subcircuit, (start, stop))``, a
+        range of basis columns, or ``("noisy-variant-batch", subcircuit,
+        init_combos, spec)``.  Returns ``(slab, num_body_passes)``
         per payload, in order: the ``(columns, 2^width)`` amplitude slab,
         or the ``(len(init_combos), 3^O, 2^width)`` distributions slab.
         """
@@ -1467,11 +1466,7 @@ class WorkerPool:
         outputs: List[Tuple[object, int]] = []
         try:
             for payload in payloads:
-                kind = (
-                    "noisy-variant-batch"
-                    if len(payload) == 4
-                    else "variant-batch"
-                )
+                kind = payload[0]
                 pending.append((kind, self._dispatch(kind, payload)))
             for kind, task in pending:
                 try:

@@ -11,14 +11,14 @@ Request shape for job creation (``POST /jobs``)::
       # or      {"qasm": "OPENQASM 2.0; ..."}                    # inline
       "device_size": 5,
       "query": {"type": "fd", "top": 5},        # or "dd" / "top_k" params
-      "method": "auto", "strategy": "auto", "fusion_width": 2, ...
+      "method": "auto", "strategy": "auto", ...
     }
 
 ``circuit`` and ``query`` may also be given flat (``benchmark=...``,
-``query="fd"``); the nested form is sugar.  ``workers`` and
-``sim_batch`` fields are accepted and ignored: process parallelism is
-the operator's ``--pool-workers``, and init batches have one fixed
-size, never a per-job knob.  Errors raise
+``query="fd"``); the nested form is sugar.  ``workers``, ``sim_batch``
+and ``fusion_width`` fields are accepted and ignored: process
+parallelism is the operator's ``--pool-workers``, and init batches and
+fused blocks have one fixed size, never a per-job knob.  Errors raise
 :class:`ApiError` carrying the HTTP status the transport should emit.
 """
 

@@ -173,7 +173,6 @@ class JobSpec:
     device: Optional[str] = None
     shots: Optional[int] = None
     strategy: str = DEFAULT_STRATEGY
-    fusion_width: int = 2
     trajectories: int = 24
     noisy_method: str = "trajectory"
 
@@ -237,12 +236,6 @@ class JobSpec:
             )
         if self.top < 1:
             raise ValueError("top must be positive")
-        from ..sim.batch import MAX_FUSION_WIDTH
-
-        if not 1 <= self.fusion_width <= MAX_FUSION_WIDTH:
-            raise ValueError(
-                f"fusion_width must be in [1, {MAX_FUSION_WIDTH}]"
-            )
         if self.trajectories < 1:
             raise ValueError("trajectories must be positive")
         if self.noisy_method not in ("trajectory", "density"):
@@ -307,7 +300,6 @@ class JobSpec:
             strategy=self.strategy,
             seed=self.seed,
             worker_pool=worker_pool,
-            fusion_width=self.fusion_width,
         )
 
     def to_dict(self) -> Dict:
@@ -316,12 +308,11 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "JobSpec":
-        # Older journals (and clients) carry a per-job ``workers`` or
-        # ``sim_batch``: drop them at any value so those jobs replay
-        # instead of being skipped.
-        payload = {
-            k: v for k, v in payload.items() if k not in ("workers", "sim_batch")
-        }
+        # Older journals (and clients) carry a per-job ``workers``,
+        # ``sim_batch`` or ``fusion_width``: drop them at any value so
+        # those jobs replay instead of being skipped.
+        retired = ("workers", "sim_batch", "fusion_width")
+        payload = {k: v for k, v in payload.items() if k not in retired}
         known = {f for f in cls.__dataclass_fields__}  # noqa: C401
         unknown = set(payload) - known
         if unknown:

@@ -11,8 +11,8 @@ two standard techniques collapse the sweep to a handful of BLAS calls:
   ``B`` separate ``tensordot``/``moveaxis`` round trips through Python.
 * :func:`fuse_gates` is an Aer-style **gate-fusion pass**: adjacent
   single-qubit gates fold into their 2x2 product and contiguous gate
-  runs merge into unitaries on at most ``fusion_width`` qubits, so the
-  per-gate Python dispatch cost is paid once per *fused block*.
+  runs merge into unitaries on at most :data:`FUSION_WIDTH` qubits, so
+  the per-gate Python dispatch cost is paid once per *fused block*.
 
 Both are exact: results bit-match the per-gate :class:`Statevector`
 path to floating-point accumulation order (<= 1e-10 in practice).
@@ -24,6 +24,7 @@ builds directly on :class:`BatchedStatevector` and :func:`fuse_gates`.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -36,6 +37,7 @@ from .statevector import Statevector
 
 __all__ = [
     "FusedOp",
+    "FUSION_WIDTH",
     "MAX_FUSION_WIDTH",
     "fuse_gates",
     "fused_block",
@@ -50,6 +52,14 @@ __all__ = [
 #: than they save (and unbounded widths would let one shared qubit grow
 #: a block to the whole circuit — an exponential allocation).
 MAX_FUSION_WIDTH = 10
+
+#: The width every body is fused to.  One fused block is one full pass
+#: over the state, so wider blocks mean fewer passes, while the pass's
+#: small-``K`` matmul grows with ``2^k``.  Measured single-threaded, one
+#: uncut body pass at widths 2 / 3 / 4 / 5 takes 19.8 / 13.6 / 10.4 /
+#: 12.4 ms on supremacy-16 and 945 / 279 / 192 / 193 ms on adder-20:
+#: 4 is the knee on large states and costs nothing on small ones.
+FUSION_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -127,9 +137,14 @@ _PARTITION_CACHE_LIMIT = 128
 
 #: Per-block unitary memo keyed on the block's exact gate tuple.  Blocks
 #: untouched by a rebind hit here; only blocks containing a changed gate
-#: pay the ``2^k x 2^k`` rebuild.
+#: pay the ``2^k x 2^k`` rebuild.  Bounded by matrix bytes, not entries:
+#: a 4-qubit block is 4 KiB, 16 times a 2-qubit one.  The budget holds
+#: the ~220 blocks a noisy catalog sweep cycles through with room to
+#: spare.
 _BLOCK_CACHE: "OrderedDict[Tuple[Gate, ...], FusedOp]" = OrderedDict()
-_BLOCK_CACHE_LIMIT = 2048
+_BLOCK_CACHE_BYTES = 4 << 20
+_BLOCK_CACHE_LOCK = threading.Lock()
+_block_cache_held = 0
 
 #: Per-process fusion counters (see :func:`fusion_stats`).
 _STATS = {
@@ -159,17 +174,19 @@ def fusion_stats() -> dict:
 
     Besides the counters, the snapshot reports the live size of each
     memo layer (``fusion_cache_size`` / ``partition_cache_size`` /
-    ``block_cache_size``).
+    ``block_cache_size``) and the matrix bytes the block memo holds
+    (``block_cache_bytes``, at most its fixed budget).
     """
     stats = dict(_STATS)
     stats["fusion_cache_size"] = len(_FUSION_CACHE)
     stats["partition_cache_size"] = len(_PARTITION_CACHE)
     stats["block_cache_size"] = len(_BLOCK_CACHE)
+    stats["block_cache_bytes"] = _block_cache_held
     return stats
 
 
 def _partition_gates(
-    qubit_tuples: Sequence[Tuple[int, ...]], fusion_width: int
+    qubit_tuples: Sequence[Tuple[int, ...]], width: int
 ) -> Tuple[Tuple[int, ...], ...]:
     """Group gate indices into fusion blocks from qubit supports alone."""
     blocks: List[Tuple[set, List[int]]] = []
@@ -182,7 +199,7 @@ def _partition_gates(
         for index in range(len(blocks) - 1, -1, -1):
             block_qubits, members = blocks[index]
             if block_qubits & support:
-                if len(block_qubits | support) <= fusion_width:
+                if len(block_qubits | support) <= width:
                     block_qubits.update(support)
                     members.append(position)
                     placed = True
@@ -192,7 +209,7 @@ def _partition_gates(
             if (
                 tail is not None
                 and not (tail[0] & support)
-                and len(tail[0] | support) <= fusion_width
+                and len(tail[0] | support) <= width
             ):
                 tail[0].update(support)
                 tail[1].append(position)
@@ -202,13 +219,13 @@ def _partition_gates(
 
 
 def gate_partition(
-    gates: Sequence[Gate], fusion_width: int
+    gates: Sequence[Gate], width: int = FUSION_WIDTH
 ) -> Tuple[Tuple[int, ...], ...]:
     """The (memoized) structural partition: gate indices per fused block."""
-    structure = (tuple(gate.qubits for gate in gates), fusion_width)
+    structure = (tuple(gate.qubits for gate in gates), width)
     partition = _PARTITION_CACHE.get(structure)
     if partition is None:
-        partition = _partition_gates(structure[0], fusion_width)
+        partition = _partition_gates(structure[0], width)
         _PARTITION_CACHE[structure] = partition
         _STATS["partitions_built"] += 1
         while len(_PARTITION_CACHE) > _PARTITION_CACHE_LIMIT:
@@ -225,51 +242,61 @@ def fused_block(block_gates: Tuple[Gate, ...]) -> FusedOp:
     Pauli injected after one of its gates changes this block's unitary
     and nothing else about the partition.
     """
+    global _block_cache_held
     _STATS["blocks_total"] += 1
     op = _BLOCK_CACHE.get(block_gates)
-    if op is None:
-        block = _Block(block_gates[0])
-        for gate in block_gates[1:]:
-            block.absorb(gate)
-        op = block.to_op()
+    if op is not None:
+        try:
+            _BLOCK_CACHE.move_to_end(block_gates)
+        except KeyError:  # pragma: no cover - concurrent eviction
+            pass
+        return op
+    block = _Block(block_gates[0])
+    for gate in block_gates[1:]:
+        block.absorb(gate)
+    op = block.to_op()
+    _STATS["blocks_built"] += 1
+    with _BLOCK_CACHE_LOCK:
+        previous = _BLOCK_CACHE.pop(block_gates, None)
+        if previous is not None:  # another thread built it first
+            _block_cache_held -= previous.matrix.nbytes
         _BLOCK_CACHE[block_gates] = op
-        _STATS["blocks_built"] += 1
-        while len(_BLOCK_CACHE) > _BLOCK_CACHE_LIMIT:
-            _BLOCK_CACHE.popitem(last=False)
-    else:
-        _BLOCK_CACHE.move_to_end(block_gates)
+        _block_cache_held += op.matrix.nbytes
+        while _block_cache_held > _BLOCK_CACHE_BYTES:
+            _, evicted = _BLOCK_CACHE.popitem(last=False)
+            _block_cache_held -= evicted.matrix.nbytes
     return op
 
 
 def fuse_gates(
     circuit: Union[QuantumCircuit, Sequence[Gate]],
-    fusion_width: int = 2,
+    width: int = FUSION_WIDTH,
 ) -> List[FusedOp]:
-    """Fuse a gate sequence into unitaries on at most ``fusion_width`` qubits.
+    """Fuse a gate sequence into unitaries on at most ``width`` qubits.
 
     Every gate is merged into the most recent block it *overlaps* (shares
-    a qubit with) when the union stays within ``fusion_width``; a gate
-    disjoint from all later blocks commutes past them, so the merge is
-    exact.  A gate wider than ``fusion_width`` always forms its own block
-    (``fusion_width=1`` therefore still folds single-qubit runs while
-    leaving two-qubit gates unfused).
+    a qubit with) when the union stays within ``width``; a gate disjoint
+    from all later blocks commutes past them, so the merge is exact.  A
+    gate wider than ``width`` always forms its own block (``width=1``
+    therefore still folds single-qubit runs while leaving two-qubit gates
+    unfused).  Every caller fuses at :data:`FUSION_WIDTH`; the argument
+    exists so the partitioner can be tested at other widths.
 
     Memoization is layered for the variational warm path.  Exact repeats
-    hit the ``(gates, fusion_width)`` memo.  A parameter rebind misses it
-    but reuses (a) the structural partition, keyed only on the gates'
-    qubit tuples (:func:`gate_partition`), and (b) every per-block
-    unitary whose gates are bit-identical (:func:`fused_block`) — so a
-    rebind re-fuses *only the blocks whose parameters moved*.
+    hit the ``(gates, width)`` memo.  A parameter rebind misses it but
+    reuses (a) the structural partition, keyed only on the gates' qubit
+    tuples (:func:`gate_partition`), and (b) every per-block unitary
+    whose gates are bit-identical (:func:`fused_block`) — so a rebind
+    re-fuses *only the blocks whose parameters moved*.
     :func:`fusion_stats` exposes the counters.
     """
-    if not 1 <= fusion_width <= MAX_FUSION_WIDTH:
+    if not 1 <= width <= MAX_FUSION_WIDTH:
         raise ValueError(
-            f"fusion_width must be in [1, {MAX_FUSION_WIDTH}], "
-            f"got {fusion_width}"
+            f"fusion width must be in [1, {MAX_FUSION_WIDTH}], got {width}"
         )
     gates = circuit.gates if isinstance(circuit, QuantumCircuit) else circuit
     _STATS["calls"] += 1
-    key = (tuple(gates), fusion_width)
+    key = (tuple(gates), width)
     cached = _FUSION_CACHE.get(key)
     if cached is not None:
         _STATS["full_hits"] += 1
@@ -282,7 +309,7 @@ def fuse_gates(
     with trace.span("sim.fuse_body", {"gates": len(gates)}):
         ops = [
             fused_block(tuple(gates[index] for index in members))
-            for members in gate_partition(gates, fusion_width)
+            for members in gate_partition(gates, width)
         ]
         _FUSION_CACHE[key] = ops
         while len(_FUSION_CACHE) > _FUSION_CACHE_LIMIT:
@@ -406,27 +433,28 @@ class BatchedStatevector:
     def apply_fused(self, ops: Sequence[FusedOp]) -> "BatchedStatevector":
         # One span per body pass, not per op: the per-gate matmul loop is
         # the hot path the disabled tracer must not touch.
-        with trace.span("sim.batch.apply_fused"):
+        with trace.span(
+            "sim.batch.apply_fused",
+            {"ops": len(ops), "amplitudes": self.batch_size << self.num_qubits},
+        ):
             for op in ops:
                 self.apply_matrix(op.matrix, op.qubits)
         return self
 
     def apply_circuit(
-        self,
-        circuit: QuantumCircuit,
-        fusion_width: Optional[int] = None,
+        self, circuit: QuantumCircuit, fused: bool = False
     ) -> "BatchedStatevector":
-        """Apply ``circuit``, fused to ``fusion_width`` (None = unfused)."""
+        """Apply ``circuit`` gate by gate, or fused to :data:`FUSION_WIDTH`."""
         if circuit.num_qubits != self.num_qubits:
             raise ValueError(
                 f"circuit has {circuit.num_qubits} qubits, batch has "
                 f"{self.num_qubits}"
             )
-        if fusion_width is None:
-            for gate in circuit:
-                self.apply_gate(gate)
-            return self
-        return self.apply_fused(fuse_gates(circuit, fusion_width))
+        if fused:
+            return self.apply_fused(fuse_gates(circuit))
+        for gate in circuit:
+            self.apply_gate(gate)
+        return self
 
     # ------------------------------------------------------------------
     def amplitudes(self) -> np.ndarray:
@@ -451,8 +479,7 @@ class BatchedStatevector:
 def simulate_batch(
     circuit: QuantumCircuit,
     initial_states: Sequence[Sequence[np.ndarray]],
-    fusion_width: Optional[int] = 2,
 ) -> BatchedStatevector:
     """Run ``circuit`` over a batch of product initial states, fused."""
     state = BatchedStatevector.from_product_batch(initial_states)
-    return state.apply_circuit(circuit, fusion_width=fusion_width)
+    return state.apply_circuit(circuit, fused=True)

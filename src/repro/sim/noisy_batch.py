@@ -129,7 +129,6 @@ def noisy_body_plan(
     circuit: Union[QuantumCircuit, Sequence[Gate]],
     noise: NoiseModel,
     num_qubits: int,
-    fusion_width: int = 2,
 ) -> NoisyBodyPlan:
     """Compile ``circuit`` into a :class:`NoisyBodyPlan` (memoized).
 
@@ -142,7 +141,7 @@ def noisy_body_plan(
     gates = tuple(
         circuit.gates if isinstance(circuit, QuantumCircuit) else circuit
     )
-    key = (gates, noise.error_1q, noise.error_2q, num_qubits, fusion_width)
+    key = (gates, noise.error_1q, noise.error_2q, num_qubits)
     cached = _PLAN_CACHE.get(key)
     if cached is not None:
         try:
@@ -157,7 +156,7 @@ def noisy_body_plan(
 
     def flush() -> None:
         if run:
-            steps.extend(fuse_gates(tuple(run), fusion_width))
+            steps.extend(fuse_gates(tuple(run)))
             run.clear()
 
     for position, gate in enumerate(gates):
@@ -173,7 +172,7 @@ def noisy_body_plan(
         sites.append(site)
         site_gates.append(position)
     flush()
-    members = gate_partition(gates, fusion_width)
+    members = gate_partition(gates)
     slot_of = {
         position: (block, offset)
         for block, group in enumerate(members)
@@ -193,7 +192,7 @@ def noisy_body_plan(
         ),
         log_clean=clean_log_weight(gates, noise),
         blocks=tuple(tuple(gates[p] for p in group) for group in members),
-        ops=tuple(fuse_gates(gates, fusion_width)),
+        ops=tuple(fuse_gates(gates)),
         site_slots=tuple(slot_of[position] for position in site_gates),
     )
     _PLAN_CACHE[key] = plan

@@ -7,6 +7,9 @@ init-batch body passes has to match the serial per-variant simulation to
 under the ``batched`` strategy.
 """
 
+import ast
+import pathlib
+from collections import OrderedDict
 from unittest import mock
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import CutQC, QuantumCircuit, cut_circuit_from_assignment
 from repro.circuits import build_circuit_graph
 from repro.core import executor as executor_module
@@ -28,13 +32,16 @@ from repro.cutting.variants import (
 )
 from repro.devices import get_device
 from repro.library import get_benchmark
+from repro.obs import trace
 from repro.postprocess import ShotBasedTensorProvider, WorkerPool
+from repro.sim import batch as batch_module
 from repro.sim import (
     BatchedStatevector,
     Statevector,
     fuse_gates,
     simulate_probabilities,
 )
+from repro.sim.batch import FUSION_WIDTH, fused_block, fusion_stats
 from repro.sim.statevector import INITIAL_STATES
 from tests.conftest import random_connected_circuit
 from tests.variant_oracle import evaluate_subcircuit
@@ -107,12 +114,104 @@ class TestFusion:
         )
 
     def test_invalid_width_rejected(self):
-        with pytest.raises(ValueError, match="fusion_width"):
+        with pytest.raises(ValueError, match="fusion width"):
             fuse_gates(QuantumCircuit(1).h(0), 0)
         # Unbounded widths would let one shared qubit grow a block (and
         # its dense unitary) to the whole circuit — hard-capped instead.
-        with pytest.raises(ValueError, match="fusion_width"):
+        with pytest.raises(ValueError, match="fusion width"):
             fuse_gates(QuantumCircuit(1).h(0), 11)
+
+    def test_block_memo_is_bounded_by_bytes(self, monkeypatch):
+        """4-qubit blocks are 4 KiB each: inserting past the budget evicts
+        the oldest, and the memo never holds more matrix bytes than it."""
+        monkeypatch.setattr(batch_module, "_BLOCK_CACHE", OrderedDict())
+        monkeypatch.setattr(batch_module, "_block_cache_held", 0)
+
+        def block(index):
+            circuit = QuantumCircuit(4).rx(0.001 * index, 0)
+            return circuit.cx(0, 1).cx(1, 2).cx(2, 3).gates
+
+        cap = batch_module._BLOCK_CACHE_BYTES
+        fits = cap // (16 * 16 * 16)
+        for index in range(fits + 64):
+            assert fused_block(block(index)).num_qubits == 4
+            held = fusion_stats()["block_cache_bytes"]
+            assert held <= cap
+            assert held == sum(
+                op.matrix.nbytes for op in batch_module._BLOCK_CACHE.values()
+            )
+        assert fusion_stats()["block_cache_size"] == fits
+        assert block(fits + 63) in batch_module._BLOCK_CACHE
+        assert block(0) not in batch_module._BLOCK_CACHE
+
+    def test_apply_fused_span_reports_ops_and_amplitudes(self):
+        circuit = get_benchmark("bv", 6)
+        ops = fuse_gates(circuit)
+        with trace.start("root") as root:
+            BatchedStatevector(6, 3).apply_fused(ops)
+        (span,) = root.children
+        assert span.name == "sim.batch.apply_fused"
+        assert span.attrs == {"ops": len(ops), "amplitudes": 3 << 6}
+
+
+class TestConstantWidth:
+    """Every body fuses at :data:`FUSION_WIDTH`; no layer above
+    ``repro.sim`` picks a width."""
+
+    @pytest.mark.parametrize(
+        "name,qubits,device_size,piece_width,columns",
+        [("bv", 30, 16, 15, 1), ("adder", 20, 12, 12, 8)],
+    )
+    def test_catalog_piece_matches_per_gate_statevector(
+        self, name, qubits, device_size, piece_width, columns
+    ):
+        cut = CutQC(
+            get_benchmark(name, qubits), max_subcircuit_qubits=device_size
+        ).cut()
+        piece = next(
+            s for s in cut.subcircuits
+            if s.width == piece_width and 1 << len(s.init_lines) >= columns
+        )
+        assert max(op.num_qubits for op in fuse_gates(piece.circuit)) == (
+            FUSION_WIDTH
+        )
+        slab, passes = basis_column_amplitudes(piece, columns=(0, columns))
+        assert passes == 1 and slab.shape == (columns, 1 << piece.width)
+        rho = len(piece.init_lines)
+        for column in range(columns):
+            index = 0
+            for k, line in enumerate(piece.init_lines):
+                bit = (column >> (rho - 1 - k)) & 1
+                index |= bit << (piece.width - 1 - line.line)
+            data = np.zeros(1 << piece.width, dtype=complex)
+            data[index] = 1.0
+            want = Statevector(piece.width, data).apply_circuit(piece.circuit)
+            assert np.abs(slab[column] - want.amplitudes()).max() <= 1e-10
+
+    def test_no_fusion_width_knob_above_sim(self):
+        """No parameter, keyword, dataclass field or attribute is named
+        ``fusion_width`` anywhere in the package outside ``sim/batch.py``."""
+        root = pathlib.Path(repro.__file__).parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            if path.relative_to(root) == pathlib.Path("sim/batch.py"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.arg):
+                    name = node.arg
+                elif isinstance(node, ast.keyword):
+                    name = node.arg
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.AnnAssign) and isinstance(
+                    node.target, ast.Name
+                ):
+                    name = node.target.id
+                else:
+                    continue
+                if name == "fusion_width":
+                    found.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert found == []
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +233,7 @@ class TestBatchedStatevector:
             for _ in range(5)
         ]
         batch = BatchedStatevector.from_product_batch(members)
-        batch.apply_circuit(circuit, fusion_width=2)
+        batch.apply_circuit(circuit, fused=True)
         probabilities = batch.probabilities()
         assert probabilities.shape == (5, 1 << n)
         for row, states in enumerate(members):
@@ -184,18 +283,15 @@ class TestBatchedVariantParity:
     @given(
         st.integers(min_value=3, max_value=5),
         st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=1, max_value=3),
     )
-    def test_batched_matches_serial_all_combos(self, n, seed, width):
+    def test_batched_matches_serial_all_combos(self, n, seed):
         circuit = random_connected_circuit(n, 2 * n, seed)
         cut = random_small_cut(circuit, seed + 1)
         if cut is None:
             return
         for subcircuit in cut.subcircuits:
             serial = evaluate_subcircuit(subcircuit)
-            amplitudes, passes = basis_column_amplitudes(
-                subcircuit, fusion_width=width
-            )
+            amplitudes, passes = basis_column_amplitudes(subcircuit)
             assert passes == 1
             batched = materialise_distributions(subcircuit, amplitudes)
             assert batched.shape == serial.distributions.shape
@@ -305,7 +401,6 @@ class TestBatchedExecutor:
         batched = executor.run(bv_cut.subcircuits)
         report = executor.last_report
         assert report.mode == "batched"
-        assert report.fusion_width == 2
         assert report.num_variants == sum(
             num_physical_variants(s) for s in bv_cut.subcircuits
         )
@@ -340,16 +435,47 @@ class TestBatchedExecutor:
         for a, b in zip(serial, pooled):
             assert np.abs(a.distributions - b.distributions).max() <= 1e-10
 
+    def test_payload_kinds_are_told_apart_inline_and_pooled(self, bv_cut):
+        """An exact column range and a custom backend's group both ship a
+        subcircuit and one more item; each still reaches its own
+        evaluator, and pooled runs stay bit-identical to inline ones."""
+        inline = VariantExecutor().run(bv_cut.subcircuits)
+        backend = VariantExecutor(backend=simulate_probabilities)
+        by_backend = backend.run(bv_cut.subcircuits)
+        with WorkerPool(workers=2) as pool:
+            pooled_executor = VariantExecutor(worker_pool=pool)
+            pooled = pooled_executor.run(bv_cut.subcircuits)
+            pooled_backend = VariantExecutor(
+                backend=simulate_probabilities, worker_pool=pool
+            )
+            by_pooled_backend = pooled_backend.run(bv_cut.subcircuits)
+            kinds = pool.stats().tasks_by_kind
+        assert pooled_executor.last_report.mode == "batched-pool"
+        assert pooled_backend.last_report.mode == "backend"
+        assert kinds.get("variant-batch", 0) == len(bv_cut.subcircuits)
+        for exact, shipped, rows, pooled_rows in zip(
+            inline, pooled, by_backend, by_pooled_backend
+        ):
+            assert exact.amplitudes is not None
+            assert np.array_equal(exact.amplitudes, shipped.amplitudes)
+            assert rows.amplitudes is None and rows.num_body_passes == 0
+            assert np.array_equal(rows.distributions, pooled_rows.distributions)
+            assert np.abs(
+                rows.distributions - exact.distributions
+            ).max() <= 1e-10
+
     def test_sim_batch_conflicts_rejected(self):
         # Init batches have one fixed size: the knob itself is refused.
         with pytest.raises(TypeError, match="sim_batch"):
             VariantExecutor(sim_batch=8)
         with pytest.raises(TypeError, match="sim_batch"):
             CutQC(get_benchmark("bv", 6), max_subcircuit_qubits=4, sim_batch=0)
-        with pytest.raises(ValueError, match="fusion_width"):
-            VariantExecutor(fusion_width=0)
-        with pytest.raises(ValueError, match="fusion_width"):
-            VariantExecutor(fusion_width=64)
+        # Bodies fuse at one fixed width: that knob is gone too.
+        with pytest.raises(TypeError, match="fusion_width"):
+            VariantExecutor(fusion_width=4)
+        with pytest.raises(TypeError, match="fusion_width"):
+            CutQC(get_benchmark("bv", 6), max_subcircuit_qubits=4,
+                  fusion_width=2)
 
     def test_pipeline_fd_query_parity(self):
         circuit = get_benchmark("bv", 10)

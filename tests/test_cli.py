@@ -64,6 +64,16 @@ class TestParser:
             )
         assert flag[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "dd", "submit"])
+    def test_fusion_width_flag_is_gone(self, command, capsys):
+        # Bodies fuse at one fixed width; no command picks another.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [command, "--benchmark", "bv", "--qubits", "6",
+                 "--device-size", "5", "--fusion-width", "4"]
+            )
+        assert "--fusion-width" in capsys.readouterr().err
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -115,7 +115,7 @@ class TestDrawInjections:
         spec = NoisyEvalSpec(
             noise=NoiseModel(error_1q=0.05, error_2q=0.2), shots=None, seed=4
         )
-        geometry = _compiled_noisy_geometry(subcircuit, spec, 2)
+        geometry = _compiled_noisy_geometry(subcircuit, spec)
         drawn = draw_injections(
             geometry.plan, [], [], (), 0.0, spec.seed, subcircuit.index, 16
         )

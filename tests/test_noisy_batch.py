@@ -182,8 +182,8 @@ def _serial_trajectory_replay(subcircuit, spec, variant):
         def lower(name, position, layout):
             return _native_1q(Gate(name, (kept.index(layout[position]),)))
 
-    plan = noisy_body_plan(body, noise, width, 2)
-    clean_ops = fuse_gates(body, 2)
+    plan = noisy_body_plan(body, noise, width)
+    clean_ops = fuse_gates(body)
     index = subcircuit.index
     seed = spec.seed
     pauli = [gate_matrix(name) for name in PAULI_NAMES_1Q]
@@ -320,16 +320,16 @@ REGIMES = {
 
 @pytest.fixture
 def chain_cut():
-    """Three pieces; the middle one has rho = 1, O = 1 and four blocks."""
-    circuit = QuantumCircuit(5)
-    for qubit in range(5):
+    """Three pieces; the middle one has rho = 1, O = 1 and six qubits, so
+    it fuses to five blocks at the fixed fusion width."""
+    circuit = QuantumCircuit(8)
+    for qubit in range(8):
         circuit.h(qubit)
-    circuit.cz(0, 1).cz(1, 2)
-    circuit.t(2).h(1)
-    circuit.cz(2, 3).cz(1, 2)
-    circuit.h(3)
-    circuit.cz(2, 3).cz(3, 4)
-    return cut_circuit(circuit, [(1, 1), (3, 2)])
+    circuit.cz(0, 1)
+    circuit.cz(1, 2).t(2).h(1).cz(2, 3).cz(3, 4).h(3).cz(4, 5).cz(5, 6)
+    circuit.t(5).cz(1, 2).cz(2, 3).h(4).cz(3, 4).cz(4, 5).cz(5, 6)
+    circuit.cz(6, 7)
+    return cut_circuit(circuit, [(1, 1), (6, 2)])
 
 
 def _assert_replay_parity(subcircuit, spec):
@@ -399,8 +399,9 @@ class TestTrajectoryParity:
         passes = _assert_replay_parity(middle, spec)
 
         plan = noisy_body_plan(
-            middle.circuit.gates, spec.noise, middle.width, 2
+            middle.circuit.gates, spec.noise, middle.width
         )
+        assert len(plan.ops) >= 3  # room for a fork past block 0
         first_blocks, shared, adjacent = [], False, False
         for trajectory in range(spec.trajectories):
             pattern, _ = sample_injection_pattern(
@@ -450,7 +451,7 @@ class TestTrajectoryParity:
             )
             assert passes == 1  # the walk; zero suffix passes
             plan = noisy_body_plan(
-                subcircuit.circuit.gates, silent, subcircuit.width, 2
+                subcircuit.circuit.gates, silent, subcircuit.width
             )
             # the walk plus one clean fan-out (X and Y per measured line)
             assert len(counter.batch_sizes) == len(plan.ops) + 2 * len(
@@ -472,7 +473,7 @@ class TestTrajectoryParity:
             if child.name == "sim.noisy.trajectory_body"
         ]
         blocks = len(noisy_body_plan(
-            middle.circuit.gates, spec.noise, middle.width, 2
+            middle.circuit.gates, spec.noise, middle.width
         ).ops)
         assert batch.attrs["trajectories"] == spec.trajectories
         assert batch.attrs["forked"] == len(suffixes) == passes - 1
@@ -501,7 +502,7 @@ class TestTrajectoryParity:
             for subcircuit in cut.subcircuits:
                 counter = _CountedApply(monkeypatch)
                 batched_noisy_variant_probabilities(subcircuit, spec)
-                geometry = _compiled_noisy_geometry(subcircuit, spec, 2)
+                geometry = _compiled_noisy_geometry(subcircuit, spec)
                 stepping = len(geometry.plan.steps) * (trajectories + 1)
                 assert len(counter.batch_sizes) * factor <= stepping
                 # No call ever sees more than the init batch: live

@@ -184,10 +184,12 @@ class TestPoisonedTasks:
         before = set(multiprocessing.active_children())
         failed = pool.stats().tasks_failed
         executor = VariantExecutor(worker_pool=pool)
-        # Past the constructor's check: every init-batch payload carries
-        # a fusion width the worker's fusion pass refuses.
-        executor.fusion_width = 0
-        with pytest.raises(ValueError, match="fusion_width"):
+        # Every init-batch payload carries a reversed column range, whose
+        # negative batch size the worker's allocation refuses.
+        executor._payloads = lambda head, spec: [
+            ("variant-batch", head, (2, 1))
+        ]
+        with pytest.raises(ValueError, match="negative"):
             executor.run(cut.subcircuits)
         assert pool.stats().tasks_failed > failed
         # The poison failed its caller only: the same workers serve on.

@@ -116,6 +116,19 @@ class TestHttpApi:
         # Both address the one batched evaluation artifact.
         assert status["fingerprints"] == plain["fingerprints"]
 
+    def test_submitted_fusion_width_is_accepted_and_ignored(self, server):
+        # Bodies fuse at one fixed width; an old client's ``fusion_width``
+        # is admitted, runs, and addresses the same evaluation artifact.
+        created = request_json(
+            "POST", f"{server.url}/jobs", payload={**_BV_JOB, "fusion_width": 2}
+        )
+        status = _poll(server, created["job_id"])
+        assert status["state"] == "done", status.get("error")
+        assert "fusion_width" not in status["spec"]
+        plain = request_json("POST", f"{server.url}/jobs", payload=_BV_JOB)
+        plain = _poll(server, plain["job_id"])
+        assert status["fingerprints"] == plain["fingerprints"]
+
     def test_unknown_job_is_404(self, server):
         with pytest.raises(ServiceClientError) as excinfo:
             request_json("GET", f"{server.url}/jobs/job-nope")

@@ -353,6 +353,13 @@ class TestRestartRecovery:
         batched one: every job replays and evaluates batched."""
         _replay_with_legacy_field(tmp_path, "sim_batch", (0, 256, 0))
 
+    def test_journal_with_legacy_fusion_width_field_replays_every_job(
+        self, tmp_path
+    ):
+        """The same for ``fusion_width``, at the old default and a wider
+        value: bodies fuse at one fixed width, and every job replays."""
+        _replay_with_legacy_field(tmp_path, "fusion_width", (2, 4, 2))
+
     def test_kill_mid_stage_then_restart_resumes_not_restarts(self, tmp_path):
         """SIGKILL the executing process after cut+evaluate checkpointed:
         the successor must resume (cache hits on both stages) and produce

@@ -41,10 +41,30 @@ from repro.service.store import (
     structural_digest,
 )
 from repro.sim import NoiseModel, fusion_stats
+from repro.sim.batch import gate_partition
 
 
 def _qaoa(n=6, layers=1, theta=(0.3, 0.7)):
     return qaoa_maxcut(n, ring_graph(n), layers=layers, parameters=list(theta))
+
+
+def _moved_blocks(before, after):
+    """``(blocks, touched)``: fused blocks of the pieces whose gates moved
+    between two cuts of one structure, and how many hold a moved gate."""
+    blocks = touched = 0
+    for old, new in zip(before.subcircuits, after.subcircuits):
+        moved = {
+            index
+            for index, (a, b) in enumerate(
+                zip(old.circuit.gates, new.circuit.gates)
+            )
+            if a != b
+        }
+        if moved:
+            partition = gate_partition(new.circuit.gates)
+            blocks += len(partition)
+            touched += sum(1 for group in partition if moved & set(group))
+    return blocks, touched
 
 
 def _ideal_device(name, qubits, seed=0):
@@ -202,15 +222,20 @@ class TestRebound:
 
 class TestBlockReuse:
     def test_single_gate_change_rebuilds_one_block(self):
-        circuit = _qaoa()
+        # Eight qubits on five-qubit pieces: the dirty piece fuses to two
+        # blocks, and only one of them holds the moved gate.
+        circuit = _qaoa(n=8)
         pipeline = CutQC(circuit, max_subcircuit_qubits=5)
         pipeline.fd_query()
 
         flat = list(circuit.parameters())
         flat[-1] += 0.7
         bound, _ = circuit.bind(flat)
+        rebound = CutQC(bound, max_subcircuit_qubits=5)
+        blocks, touched = _moved_blocks(pipeline.cut(), rebound.cut())
+        assert blocks >= 2 and 1 <= touched < blocks
         before = fusion_stats()
-        CutQC(bound, max_subcircuit_qubits=5).fd_query()
+        rebound.fd_query()
         after = fusion_stats()
         built = after["blocks_built"] - before["blocks_built"]
         total = after["blocks_total"] - before["blocks_total"]
@@ -227,15 +252,19 @@ class TestBlockReuse:
 
 class TestVariationalSession:
     def test_reuse_stats_prove_warm_path(self):
-        circuit = _qaoa()
+        circuit = _qaoa(n=8)
         session = VariationalSession(circuit, max_subcircuit_qubits=5)
         first = session.rebind(circuit.parameters())
         assert not first.cut_cache_hit  # no store: first cut is computed
         assert first.reused_subcircuits == 0
+        cold_cut = session.cut
 
         flat = list(circuit.parameters())
         flat[-1] += 0.5
         second = session.rebind(flat)
+        # The dirty piece fuses to >= 2 blocks, one without the moved gate.
+        blocks, touched = _moved_blocks(cold_cut, session.cut)
+        assert blocks >= 2 and 1 <= touched < blocks
         assert second.cut_cache_hit
         assert second.dirty_subcircuits != ()
         assert second.reused_subcircuits >= 1
@@ -417,7 +446,16 @@ class TestVariationalJobs:
             entry = record.iterations[0]
             # Both SPSA probes per iteration rode the warm path.
             assert entry["reuse"]["cut_cache_hits"] == 2
-            assert entry["reuse"]["fusion_blocks_reused"] > 0
+            # SPSA moves every angle, so each probe re-fuses every piece
+            # and reuses exactly the blocks that hold no parametric gate.
+            cut = CutQC(spec.build_circuit(), **spec.pipeline_options()).cut()
+            fixed = sum(
+                1
+                for piece in cut.subcircuits
+                for group in gate_partition(piece.circuit.gates)
+                if not any(piece.circuit.gates[i].params for i in group)
+            )
+            assert entry["reuse"]["fusion_blocks_reused"] == 2 * fixed
             result = record.result
             assert result["mode"] == "variational"
             assert result["best_cost"] >= result["initial_cost"] - 1e-9
