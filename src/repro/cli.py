@@ -627,9 +627,12 @@ def _command_run_body(args: argparse.Namespace, pipeline: CutQC) -> int:
 
 
 def _command_dd(args: argparse.Namespace) -> int:
-    if args.zoom_width < 1:
-        print("error: --zoom-width must be positive", file=sys.stderr)
-        return 2
+    for flag, value, least in (("--active", args.active, 1),
+                               ("--recursions", args.recursions, 0),
+                               ("--zoom-width", args.zoom_width, 1)):
+        if value < least:
+            print(f"error: {flag} must be >= {least}", file=sys.stderr)
+            return 2
     try:
         pipeline = _build_pipeline(args)
     except ValueError as error:

@@ -45,6 +45,7 @@ import numpy as np
 
 from ..obs import trace
 from ..obs.metrics import get_registry
+from ..utils import check_count
 from .engine import ContractionEngine
 from .plan import CacheStats, QueryPlan, TensorProvider
 
@@ -192,14 +193,12 @@ class DynamicDefinitionQuery:
         engine: Optional[ContractionEngine] = None,
         zoom_width: int = 1,
     ):
-        if max_active_qubits < 1:
-            raise ValueError("max_active_qubits must be positive")
-        if zoom_width < 1:
-            raise ValueError("zoom_width must be positive")
         self.provider = provider
         self.engine = engine or ContractionEngine()
-        self.max_active_qubits = int(max_active_qubits)
-        self.zoom_width = int(zoom_width)
+        self.max_active_qubits = check_count(
+            "max_active_qubits", max_active_qubits, 1
+        )
+        self.zoom_width = check_count("zoom_width", zoom_width, 1)
         order = (
             list(range(provider.num_qubits))
             if active_order is None
@@ -235,6 +234,7 @@ class DynamicDefinitionQuery:
         Recursions are expanded in rounds of up to ``zoom_width`` bins;
         the loop stops early when no expandable bin remains.
         """
+        max_recursions = check_count("max_recursions", max_recursions)
         target = len(self.recursions) + max_recursions
         while len(self.recursions) < target:
             if self.recursions and not self._frontier:

@@ -36,7 +36,7 @@ Three strategies are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,9 +82,15 @@ class ContractionResult:
 # ----------------------------------------------------------------------
 
 def _row_indices(
-    tensor: TermTensor, assignments: np.ndarray, num_cuts: int
+    tensor: TermTensor, assignments: np.ndarray, num_cuts: int, memo=None
 ) -> np.ndarray:
-    """Vectorized map from global assignment indices to tensor rows."""
+    """Vectorized map from global assignment indices to tensor rows; with
+    a ``memo``, a whole-``4^K`` chunk is mapped once per cut order."""
+    if memo is not None and assignments.size == 4**num_cuts:
+        key = (tuple(tensor.cut_order), num_cuts)
+        if key not in memo:
+            memo[key] = _row_indices(tensor, assignments, num_cuts)
+        return memo[key]
     rows = np.zeros(assignments.shape, dtype=np.int64)
     for cut_id in tensor.cut_order:
         digit = (assignments >> (2 * (num_cuts - 1 - cut_id))) & 3
@@ -100,6 +106,7 @@ def _accumulate_range(
     stop: int,
     early_termination: bool,
     block_elements: int = _BLOCK_ELEMENTS,
+    rows_memo: Optional[Dict] = None,
 ) -> Tuple[np.ndarray, int]:
     """Sum the Kronecker terms for assignments in ``[start, stop)``.
 
@@ -125,7 +132,7 @@ def _accumulate_range(
     for chunk_start in range(start, stop, _CHUNK):
         chunk_stop = min(chunk_start + _CHUNK, stop)
         assignments = np.arange(chunk_start, chunk_stop, dtype=np.int64)
-        rows = [_row_indices(t, assignments, num_cuts) for t in ordered]
+        rows = [_row_indices(t, assignments, num_cuts, rows_memo) for t in ordered]
         if early_termination:
             alive = np.ones(assignments.shape, dtype=bool)
             for tensor, tensor_rows in zip(ordered, rows):
@@ -246,7 +253,8 @@ def _kron_cost(
     alive = 1.0
     for index in order:
         nonzero = tensors[index].nonzero
-        alive *= float(nonzero.mean()) if nonzero.size else 1.0
+        if nonzero.size:  # count / size: the mean, without its reduce
+            alive *= np.count_nonzero(nonzero) / nonzero.size
     return terms * len(order) + terms * alive * total
 
 
@@ -288,13 +296,22 @@ def resolve_strategy(
     num_cuts: int,
 ) -> str:
     """Resolve ``"auto"`` to a concrete strategy via the cost model."""
+    return _resolve(strategy, tensors, order, num_cuts, {})
+
+
+def _resolve(strategy, tensors, order, num_cuts, tn_costs: Dict) -> str:
+    """:func:`resolve_strategy` pricing each network structure (pieces'
+    cut orders and widths) once per ``tn_costs``; kron reads ``nonzero``."""
     if strategy not in STRATEGIES:
         raise ValueError(
             f"unknown strategy {strategy!r}; choose from {STRATEGIES}"
         )
     if strategy != "auto":
         return strategy
-    if _tn_cost(tensors, order) < _kron_cost(tensors, order, num_cuts):
+    key = tuple((tuple(tensors[i].cut_order), tensors[i].num_effective) for i in order)
+    if key not in tn_costs:
+        tn_costs[key] = _tn_cost(tensors, order)
+    if tn_costs[key] < _kron_cost(tensors, order, num_cuts):
         return "tensor_network"
     return "kron"
 
@@ -330,6 +347,14 @@ def contract_terms(
     Returns the raw sum; callers apply the ``1/2^K`` scale.
     """
     resolved = resolve_strategy(strategy, tensors, order, num_cuts)
+    return _contract(tensors, order, num_cuts, resolved, early_termination)
+
+
+def _contract(
+    tensors: Sequence[TermTensor], order: Sequence[int], num_cuts: int,
+    resolved: str, early_termination: bool, rows_memo: Optional[Dict] = None,
+) -> ContractionResult:
+    """Run the resolved strategy inline, under one ``contract`` span."""
     with trace.span(
         "contract", {"strategy": resolved, "num_cuts": num_cuts}
     ):
@@ -339,7 +364,8 @@ def contract_terms(
                 vector=vector, num_skipped=0, strategy=resolved
             )
         vector, skipped = _accumulate_range(
-            tensors, order, num_cuts, 0, 4**num_cuts, early_termination
+            tensors, order, num_cuts, 0, 4**num_cuts, early_termination,
+            rows_memo=rows_memo,
         )
         return ContractionResult(
             vector=vector, num_skipped=skipped, strategy=resolved
@@ -357,6 +383,10 @@ class ContractionEngine:
     ``kron`` sweep is range-split across its warm workers and a batch of
     DD-bin contractions fans out over them.  Without a pool every
     contraction runs inline.
+
+    The engine memoises what DD rounds repeat and depends on structure
+    alone (``auto``'s network price, the kron sweep's row indices), so
+    the memos live and die with it (one per pipeline).
     """
 
     strategy: str = DEFAULT_STRATEGY
@@ -364,6 +394,8 @@ class ContractionEngine:
     pool: Optional["WorkerPool"] = None
 
     def __post_init__(self) -> None:
+        self._tn_costs: Dict = {}
+        self._rows: Dict = {}
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}"
@@ -389,28 +421,20 @@ class ContractionEngine:
             if early_termination is None
             else early_termination
         )
-        if self.pool is not None:
-            resolved = resolve_strategy(
-                resolved_strategy, tensors, order, num_cuts
+        resolved = _resolve(resolved_strategy, tensors, order, num_cuts, self._tn_costs)
+        if (
+            self.pool is not None
+            and resolved == "kron"
+            and self.pool.workers > 1
+            and 4**num_cuts >= _MIN_PARALLEL_TERMS
+        ):
+            vector, skipped = self.pool.contract_kron(
+                tensors, order, num_cuts, early_termination=early
             )
-            if (
-                resolved == "kron"
-                and self.pool.workers > 1
-                and 4**num_cuts >= _MIN_PARALLEL_TERMS
-            ):
-                vector, skipped = self.pool.contract_kron(
-                    tensors, order, num_cuts, early_termination=early
-                )
-                return ContractionResult(
-                    vector=vector, num_skipped=skipped, strategy="kron"
-                )
-        return contract_terms(
-            tensors,
-            order,
-            num_cuts,
-            strategy=resolved_strategy,
-            early_termination=early,
-        )
+            return ContractionResult(
+                vector=vector, num_skipped=skipped, strategy="kron"
+            )
+        return _contract(tensors, order, num_cuts, resolved, early, self._rows)
 
     def contract_batch(
         self,
@@ -438,9 +462,10 @@ class ContractionEngine:
                 batch, strategy=strategy, early_termination=early
             )
         return [
-            contract_terms(
+            _contract(
                 tensors, order, num_cuts,
-                strategy=strategy, early_termination=early,
+                _resolve(strategy, tensors, order, num_cuts, self._tn_costs),
+                early, self._rows,
             )
             for tensors, order, num_cuts in batch
         ]

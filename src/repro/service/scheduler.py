@@ -63,6 +63,7 @@ from ..obs.metrics import get_registry
 from ..postprocess.engine import DEFAULT_STRATEGY
 from ..postprocess.parallel import WorkerPool
 from ..sim.noise import check_seed
+from ..utils import check_count
 from .journal import JobJournal
 from .store import ArtifactStore
 from .tenancy import (
@@ -188,10 +189,8 @@ class JobSpec:
                     f"unknown benchmark {self.benchmark!r}; "
                     f"expected one of {BENCHMARKS}"
                 )
-            if self.qubits is None or self.qubits < 2:
-                raise ValueError("library circuits need qubits >= 2")
-        if self.device_size < 2:
-            raise ValueError("device_size must be >= 2")
+            check_count("qubits", self.qubits, 2)
+        check_count("device_size", self.device_size, 2)
         check_seed(self.seed)
         if (
             not isinstance(self.tenant, str)
@@ -206,38 +205,34 @@ class JobSpec:
                 f"unknown query type {self.query!r}; "
                 f"expected one of {QUERY_TYPES}"
             )
-        if self.query == "dd" and (self.active < 1 or self.recursions < 1):
-            raise ValueError("dd queries need active >= 1, recursions >= 1")
+        least = 1 if self.query == "dd" else 0
+        check_count("active", self.active, least)
+        check_count("recursions", self.recursions, least)
+        check_count("zoom_width", self.zoom_width, 1)
         if self.query == "variational":
             if self.benchmark != "qaoa":
                 raise ValueError(
                     "variational jobs run the server-side MaxCut optimizer "
                     "and require benchmark='qaoa'"
                 )
-            if self.iterations < 1:
-                raise ValueError("iterations must be positive")
-            if self.layers < 1:
-                raise ValueError("layers must be positive")
-            if self.degree < 0:
-                raise ValueError("degree must be >= 0 (0 = ring graph)")
+            check_count("iterations", self.iterations, 1)
+            check_count("layers", self.layers, 1)
+            check_count("degree", self.degree)  # 0 = the ring graph
             if self.degree:
                 if self.degree >= self.qubits:
                     raise ValueError("degree must be smaller than qubits")
                 if (self.degree * self.qubits) % 2:
                     raise ValueError("degree * qubits must be even")
-        if self.zoom_width < 1:
-            raise ValueError("zoom_width must be positive")
         # Inline QASM has no width until parsed: the reconstructor checks
         # its upper bound at query time.
         width = self.qubits if self.benchmark is not None else float("inf")
-        if self.shard_qubits is not None and not 0 <= self.shard_qubits <= width:
+        shard = self.shard_qubits
+        if shard is not None and check_count("shard_qubits", shard) > width:
             raise ValueError(
                 f"shard_qubits must be in [0, qubits], got {self.shard_qubits}"
             )
-        if self.top < 1:
-            raise ValueError("top must be positive")
-        if self.trajectories < 1:
-            raise ValueError("trajectories must be positive")
+        check_count("top", self.top, 1)
+        check_count("trajectories", self.trajectories, 1)
         if self.noisy_method not in ("trajectory", "density"):
             raise ValueError(
                 "noisy_method must be 'trajectory' or 'density'"

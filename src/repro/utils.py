@@ -23,6 +23,7 @@ __all__ = [
     "kron_all",
     "normalize_distribution",
     "is_distribution",
+    "check_count",
 ]
 
 
@@ -61,6 +62,16 @@ def top_states(
         (index_to_bitstring(int(index), num_qubits), float(probabilities[index]))
         for index in order
     ]
+
+
+def check_count(name: str, value, minimum: int = 0) -> int:
+    """``value`` as an int, refusing a bool, a non-integer or a value below
+    ``minimum`` with an error that names the field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def permute_qubits(vector: np.ndarray, permutation: Sequence[int]) -> np.ndarray:

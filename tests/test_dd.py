@@ -25,9 +25,11 @@ from repro.postprocess import (
     binned_tensor,
     build_term_tensor,
 )
+from repro.postprocess import plan
 from repro.postprocess.attribution import TermTensor
 from repro.postprocess.dd import Bin
 from repro.utils import marginalize
+from tests import collapse_oracle
 from tests.dd_frontier_oracle import replay_frontier
 from tests.variant_oracle import evaluate_subcircuit
 
@@ -474,6 +476,109 @@ class TestFrontierReplay:
         assert np.count_nonzero(masses["adder"] < 0.0) > 0
         positive = masses["bv"][masses["bv"] > 0.0]
         assert np.unique(positive).size < positive.size
+
+
+class TestCollapseOracleQuery:
+    """A query whose provider collapses with the axis-by-axis oracle
+    (tests/collapse_oracle.py) makes the same recursions, bit for bit,
+    and the same ``DDStats`` counts as one on the default provider."""
+
+    @staticmethod
+    def _counts(query):
+        stats = query.stats()
+        return (
+            stats.num_recursions, stats.num_rounds, stats.num_bins,
+            stats.frontier_size, stats.cache_hits, stats.cache_misses,
+        )
+
+    def _assert_same(self, cut, tensors, active, zoom_width, budgets):
+        def run(provider):
+            query = DynamicDefinitionQuery(
+                provider, active, zoom_width=zoom_width
+            )
+            for budget in budgets:
+                query.run(budget)
+            return query
+
+        fast = run(PrecomputedTensorProvider(cut, tensors=tensors))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(plan, "_derive_fixed", collapse_oracle.derive_fixed)
+            slow = run(collapse_oracle.OracleTensorProvider(cut, tensors=tensors))
+        assert len(fast.recursions) == len(slow.recursions) > 1
+        for got, want in zip(fast.recursions, slow.recursions):
+            assert np.array_equal(got.probabilities, want.probabilities)
+            assert (got.fixed, got.active) == (want.fixed, want.active)
+            assert got.parent_bin == want.parent_bin
+        assert self._counts(fast) == self._counts(slow)
+
+    @pytest.mark.parametrize("family", sorted(_TIE_CASES))
+    @pytest.mark.parametrize(
+        "active, zoom_width", [(1, 1), (2, 1), (2, 3), (3, 2)]
+    )
+    def test_tie_cases(self, family, active, zoom_width):
+        shared = _tie_provider(family)
+        self._assert_same(
+            shared.cut_circuit, shared.tensors, active, zoom_width, [9, 5]
+        )
+
+    @pytest.mark.parametrize(
+        "family, qubits, device, kwargs",
+        [("bv", 20, 11, {}), ("adder", 20, 12, {"seed": 3})],
+    )
+    def test_wide_jobs(self, family, qubits, device, kwargs):
+        pipeline = CutQC(get_benchmark(family, qubits, **kwargs), device)
+        tensors = [build_term_tensor(r) for r in pipeline.evaluate()]
+        self._assert_same(pipeline.cut(), tensors, 6, 1, [16])
+
+    def test_collapse_spans_only_on_misses(self, fig4_circuit):
+        _, provider = _provider(fig4_circuit, [(2, 1)])
+        query = DynamicDefinitionQuery(provider, max_active_qubits=1)
+        with trace.start("dd") as root:
+            query.run(4)
+        prepares = [
+            child
+            for each in root.to_dict()["children"]
+            for child in each["children"]
+            if child["name"] == "query.dd.prepare"
+        ]
+        collapses = [
+            grandchild
+            for prepare in prepares
+            for grandchild in prepare.get("children", [])
+            if grandchild["name"] == "collapse"
+        ]
+        assert len(collapses) == query.stats().cache_misses > 0
+        for span in collapses:
+            assert set(span["attrs"]) == {
+                "merged", "fixed", "bytes_in", "bytes_out"
+            }
+
+
+class TestTypedRefusals:
+    """Counts are refused by name when they are bools, non-integers or
+    negative, instead of failing later or silently doing nothing."""
+
+    @pytest.mark.parametrize("value", [0, -2, 2.5, True, "3"])
+    @pytest.mark.parametrize("name", ["max_active_qubits", "zoom_width"])
+    def test_query_counts(self, fig4_circuit, name, value):
+        _, provider = _provider(fig4_circuit, [(2, 1)])
+        kwargs = {"max_active_qubits": 2, name: value}
+        with pytest.raises(ValueError, match=name):
+            DynamicDefinitionQuery(provider, **kwargs)
+
+    @pytest.mark.parametrize("value", [-3, 2.5, True, "3", None])
+    def test_run_budget(self, fig4_circuit, value):
+        _, provider = _provider(fig4_circuit, [(2, 1)])
+        query = DynamicDefinitionQuery(provider, max_active_qubits=2)
+        with pytest.raises(ValueError, match="max_recursions"):
+            query.run(value)
+        assert query.run(0) == []  # a zero budget stays a no-op
+        assert len(query.run(np.int64(2))) == 2
+
+    def test_pipeline_refuses_negative_recursions(self, fig4_circuit):
+        pipeline = CutQC(fig4_circuit, max_subcircuit_qubits=3)
+        with pytest.raises(ValueError, match="max_recursions"):
+            pipeline.dd_query(2, max_recursions=-3)
 
 
 class TestBinsMaterialiseOnRead:

@@ -236,3 +236,65 @@ class TestEngineInternals:
         override = engine.contract(tensors, [0, 1, 2], 2, strategy="kron")
         assert override.strategy == "kron"
         assert np.allclose(result.vector, override.vector, rtol=1e-12)
+
+
+class TestEngineMemos:
+    """A DD query's rounds repeat a few structures: the engine prices each
+    network structure once and maps each cut order's rows once, and
+    answers and ``auto``'s picks are those of the memo-free functions."""
+
+    def _query(self, engine):
+        pipeline = CutQC(bv(12), max_subcircuit_qubits=5)
+        provider = PrecomputedTensorProvider(
+            pipeline.cut(), results=pipeline.evaluate()
+        )
+        return DynamicDefinitionQuery(provider, 2, engine=engine)
+
+    def test_structures_priced_once(self, monkeypatch):
+        from repro.postprocess import engine as module
+
+        priced, per_call, picks = [], [], []
+        real_tn_cost = module._tn_cost
+
+        def counting(tensors, order):
+            priced.append(1)
+            return real_tn_cost(tensors, order)
+
+        monkeypatch.setattr(module, "_tn_cost", counting)
+        engine = ContractionEngine(strategy="auto")
+        real_contract = engine.contract
+
+        def recording(tensors, order, num_cuts, **kwargs):
+            before = len(priced)
+            result = real_contract(tensors, order, num_cuts, **kwargs)
+            per_call.append(len(priced) - before)
+            fresh = contract_terms(tensors, order, num_cuts, strategy="auto")
+            picks.append((result.strategy, fresh.strategy))
+            assert np.array_equal(result.vector, fresh.vector)
+            return result
+
+        monkeypatch.setattr(engine, "contract", recording)
+        query = self._query(engine)
+        query.run(10)
+        query.run(10)
+        assert len(per_call) == 20
+        assert 0 < sum(per_call) == len(engine._tn_costs) < 10
+        assert sum(per_call[10:]) == 0  # repeated structures: never re-priced
+        assert all(got == want for got, want in picks)
+
+    def test_memos_belong_to_the_engine(self):
+        first = ContractionEngine(strategy="kron")
+        second = ContractionEngine(strategy="kron")
+        self._query(first).run(3)
+        assert first._rows
+        assert not second._tn_costs and not second._rows
+
+    def test_memoised_rows_match_a_fresh_map(self):
+        rng = np.random.default_rng(4)
+        tensors = _chain_tensors(3, rng)
+        engine = ContractionEngine(strategy="kron")
+        for _ in range(2):
+            result = engine.contract(tensors, [0, 1, 2], 2)
+            fresh = contract_terms(tensors, [0, 1, 2], 2, strategy="kron")
+            assert np.array_equal(result.vector, fresh.vector)
+            assert result.num_skipped == fresh.num_skipped

@@ -29,8 +29,10 @@ from repro.postprocess import (
 )
 from repro.postprocess.attribution import TermTensor
 from repro.postprocess.engine import ContractionEngine
+from repro.obs import trace
 from repro.postprocess.plan import _derive_fixed
 from repro.utils import marginalize
+from tests import collapse_oracle
 from tests.conftest import random_connected_circuit
 from tests.variant_oracle import evaluate_subcircuit
 
@@ -179,6 +181,109 @@ class TestCollapseCache:
         provider.collapsed(roles)
         assert provider.cache_stats.hits == 0
         assert provider.cache_stats.misses == 0
+
+
+#: A role kind per output line; ``fixedB`` is ``("fixed", B)``.
+_KINDS = ("active", "merged", "fixed0", "fixed1")
+
+
+def _collapse_case(kinds, rows, seed):
+    """A term tensor over ``len(kinds)`` output lines in a shuffled wire
+    order, its subcircuit stand-in and role map.  Entries span 24 orders
+    of magnitude and carry exact zeros, all-zero rows and signed zeros,
+    so the order of the adds shows in the rounding."""
+    rng = np.random.default_rng(seed)
+    lines = len(kinds)
+    wires = [int(w) for w in rng.permutation(40)[:lines]]
+    subcircuit = SimpleNamespace(
+        output_lines=[SimpleNamespace(wire=wire) for wire in wires]
+    )
+    shape = (rows, 1 << lines)
+    data = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+    data[rng.random(shape) < 0.2] = 0.0
+    data[rng.random(shape) < 0.05] = -0.0
+    data[rng.random(rows) < 0.25] = 0.0
+    tensor = TermTensor(3, [4, 1], lines, data)
+    roles = {
+        wire: (kind,) if kind in ("active", "merged") else ("fixed", int(kind[-1]))
+        for wire, kind in zip(wires, kinds)
+    }
+    return tensor, subcircuit, roles
+
+
+def _assert_same_collapse(got, want):
+    (got_tensor, got_wires), (want_tensor, want_wires) = got, want
+    assert got_wires == want_wires
+    assert got_tensor.num_effective == want_tensor.num_effective
+    assert got_tensor.cut_order == want_tensor.cut_order
+    assert got_tensor.data.shape == want_tensor.data.shape
+    assert np.array_equal(got_tensor.data, want_tensor.data)
+    assert np.array_equal(got_tensor.nonzero, want_tensor.nonzero)
+    assert got_tensor.data.flags.c_contiguous
+
+
+class TestCollapseMatchesOracle:
+    """The halves-add collapse is ``array_equal`` to the axis-by-axis
+    ``sum`` / ``np.take`` collapse it replaced (tests/collapse_oracle.py),
+    directly and through a generalized collapse plus ``_derive_fixed``."""
+
+    def _check(self, kinds, rows, seed):
+        tensor, subcircuit, roles = _collapse_case(kinds, rows, seed)
+        want = collapse_oracle.binned_tensor(tensor, subcircuit, roles)
+        _assert_same_collapse(binned_tensor(tensor, subcircuit, roles), want)
+        generalized = {
+            wire: ("active",) if role[0] == "fixed" else role
+            for wire, role in roles.items()
+        }
+        signature = restricted_signature(subcircuit, roles)
+        full, wires = binned_tensor(tensor, subcircuit, generalized)
+        _assert_same_collapse(_derive_fixed(full, wires, signature), want)
+        old_full, old_wires = collapse_oracle.binned_tensor(
+            tensor, subcircuit, generalized
+        )
+        _assert_same_collapse(
+            collapse_oracle.derive_fixed(old_full, old_wires, signature), want
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_KINDS), min_size=1, max_size=16),
+        st.integers(min_value=1, max_value=256),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_random_role_maps(self, kinds, rows, seed):
+        # At most 2^18 entries (2 MiB) per tensor: wide ones get few rows.
+        self._check(kinds, min(rows, max(1, (1 << 18) >> len(kinds))), seed)
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ["merged"] + ["active"] * 7,  # merged first
+            ["active"] * 7 + ["merged"],  # merged last (the inner axis)
+            ["merged"] * 9,  # all merged
+            ["active"] * 6,  # none merged: the input itself
+            ["fixed1", "active", "fixed0", "active"],  # fixed, none merged
+            ["fixed0", "merged", "active", "fixed1", "merged", "merged"],
+            ["merged", "fixed1", "merged", "fixed0", "merged", "active"],
+            ["active", "merged"] * 6,
+        ],
+    )
+    @pytest.mark.parametrize("rows", [1, 64, 256])
+    def test_named_structures(self, kinds, rows):
+        self._check(kinds, rows, seed=len(kinds) * 1000 + rows)
+
+    def test_collapse_span(self):
+        tensor, subcircuit, roles = _collapse_case(
+            ["merged", "fixed1", "active", "merged"], 16, seed=5
+        )
+        with trace.start("probe") as root:
+            collapsed, _ = binned_tensor(tensor, subcircuit, roles)
+        (span,) = root.to_dict()["children"]
+        assert span["name"] == "collapse"
+        assert span["attrs"] == {
+            "merged": 2, "fixed": 1,
+            "bytes_in": tensor.data.nbytes, "bytes_out": collapsed.data.nbytes,
+        }
 
 
 class TestQueryPlan:

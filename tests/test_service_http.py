@@ -150,6 +150,23 @@ class TestHttpApi:
         assert excinfo.value.status == 400
         assert "seed" in excinfo.value.document["error"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("recursions", 2.5), ("active", True), ("recursions", "3"),
+         ("zoom_width", -2)],
+    )
+    def test_bad_dd_count_is_400_at_admission(self, server, field, value):
+        before = len(request_json("GET", f"{server.url}/jobs")["jobs"])
+        with pytest.raises(ServiceClientError) as excinfo:
+            request_json("POST", f"{server.url}/jobs", payload={
+                "benchmark": "bv", "qubits": 6, "device_size": 5,
+                "query": "dd", field: value,
+            })
+        assert excinfo.value.status == 400
+        assert field in excinfo.value.document["error"]
+        after = len(request_json("GET", f"{server.url}/jobs")["jobs"])
+        assert after == before
+
     @pytest.mark.parametrize("shard_qubits", [99, -1])
     def test_out_of_range_shard_qubits_is_400_at_admission(
         self, server, shard_qubits

@@ -52,6 +52,31 @@ class TestSpecValidation:
             _bv_spec(seed=seed).validate()
         _bv_spec(seed=(1 << 63) - 1).validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("active", 2.5), ("active", True), ("active", 0),
+         ("recursions", 2.5), ("recursions", "3"), ("recursions", -1),
+         ("zoom_width", 0), ("zoom_width", 1.0), ("zoom_width", False)],
+    )
+    def test_rejects_bad_dd_counts_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            _bv_spec(query="dd", **{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("top", 2.0), ("trajectories", True), ("device_size", "5"),
+         ("qubits", 6.5), ("shard_qubits", 1.5), ("shard_qubits", -1)],
+    )
+    def test_rejects_other_bad_counts_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            _bv_spec(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["active", "recursions"])
+    def test_dd_counts_typed_on_every_query(self, field):
+        with pytest.raises(ValueError, match=field):
+            _bv_spec(**{field: 2.5}).validate()
+        _bv_spec(**{field: 0}).validate()  # unused by fd: zero is fine
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown job fields"):
             JobSpec.from_dict({"device_size": 5, "benchmark": "bv",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate for the documentation tree.
 
-Two checks over every tracked Markdown file:
+Three checks, two over every tracked Markdown file:
 
 1. **Links** — every intra-repo link (``[text](path)`` and
    ``[text](path#anchor)``) must resolve to an existing file, and when
@@ -11,13 +11,17 @@ Two checks over every tracked Markdown file:
    ``python runnable`` are executed with ``PYTHONPATH=src`` from the
    repo root; a non-zero exit fails the check.  Mark a snippet runnable
    only when it is self-contained and fast — it runs on every CI push.
+3. **Span names** — every literal ``trace.span("…")`` name in
+   ``src/repro`` appears backticked in ``docs/metrics.md``, so a trace
+   never shows a span its reader cannot look up.
 
 Usage::
 
     python tools/check_docs.py            # check + run
-    python tools/check_docs.py --no-run   # links only
+    python tools/check_docs.py --no-run   # links and span names only
 
-Exit status is non-zero on any broken link or failing snippet.
+Exit status is non-zero on any broken link, failing snippet or
+undocumented span name.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
 _FENCE = re.compile(r"^(`{3,}|~{3,})\s*(.*)$")
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
+_SPAN = re.compile(r"""trace\.span\(\s*["']([^"']+)["']""")
 
 
 def markdown_files() -> List[pathlib.Path]:
@@ -122,6 +127,22 @@ def check_links(files: List[pathlib.Path]) -> List[str]:
     return errors
 
 
+def check_span_names() -> List[str]:
+    """Literal ``trace.span`` names in ``src/repro`` missing from the
+    span list in ``docs/metrics.md``."""
+    metrics_doc = REPO_ROOT / "docs" / "metrics.md"
+    documented = metrics_doc.read_text(encoding="utf-8")
+    missing = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for match in _SPAN.finditer(path.read_text(encoding="utf-8")):
+            if f"`{match.group(1)}`" not in documented:
+                missing.add((str(path.relative_to(REPO_ROOT)), match.group(1)))
+    return [
+        f"{source}: span '{name}' is not documented in docs/metrics.md"
+        for source, name in sorted(missing)
+    ]
+
+
 def iter_runnable_snippets(
     path: pathlib.Path,
 ) -> Iterator[Tuple[int, str]]:
@@ -187,13 +208,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--no-run", action="store_true",
-        help="check links only; skip executing runnable snippets",
+        help="check links and span names; skip executing runnable snippets",
     )
     args = parser.parse_args(argv)
 
     files = markdown_files()
     print(f"checking {len(files)} markdown files")
-    errors = check_links(files)
+    errors = check_links(files) + check_span_names()
     if not args.no_run:
         errors += run_snippets(files)
 
