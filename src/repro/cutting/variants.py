@@ -284,14 +284,15 @@ class NoisyEvalSpec:
     ``method`` selects the estimator: ``"trajectory"`` is the batched
     Pauli-injection Monte-Carlo sampler (matches the serial
     :class:`~repro.sim.noise.NoisySimulator` estimator family),
-    ``"density"`` evolves the exact depolarizing channel through a
-    :class:`~repro.sim.density.BatchedDensityMatrix`.  ``shots`` of 0 or
-    ``None`` return estimated distributions without shot noise.  All
-    randomness is a pure function of ``seed`` and content-derived keys —
-    Pauli injections from :func:`~repro.sim.noise.keyed_uniforms`, shots
-    from :func:`~repro.sim.noise.spawn_rng` — so results are
-    bit-identical for any worker count or chunking.  ``seed`` is ``None``
-    or an int in ``[0, 2**63)``.
+    ``"density"`` evolves the exact depolarizing channel as fused
+    superoperators (:func:`~repro.sim.noisy_batch.evolve_density`).
+    ``shots`` of 0 or ``None`` return estimated distributions without
+    shot noise.  All randomness is a pure function of ``seed`` and
+    content-derived keys — Pauli injections from
+    :func:`~repro.sim.noise.keyed_uniforms`, shots from
+    :func:`~repro.sim.noise.spawn_rng` — so results are bit-identical
+    for any worker count or chunking.  ``seed`` is ``None`` or an int
+    in ``[0, 2**63)``.
     """
 
     noise: Optional[NoiseModel] = None
@@ -574,15 +575,17 @@ def batched_noisy_variant_probabilities(
     marginalized to the subcircuit's logical qubits.
     """
     from ..sim.batch import BatchedStatevector
-    from ..sim.density import BatchedDensityMatrix
     from ..sim.noise import spawn_rng
     from ..sim.noisy_batch import (
         apply_readout_error_rows,
+        density_probabilities,
         draw_injections,
+        evolve_density,
         fork_suffix,
         injected_suffix,
         marginalize_rows,
-        run_density_body,
+        product_density,
+        superoperator,
     )
     from ..sim.sampler import sample_distribution
 
@@ -624,23 +627,25 @@ def batched_noisy_variant_probabilities(
                 fragment = geometry.prep[(label, line_index)]
                 per_wire[fragment.wire] = fragment.rho
             members.append(per_wire)
-        state = BatchedDensityMatrix.from_product_batch(members)
-        run_density_body(geometry.plan, state)
+        state = evolve_density(geometry.plan, product_density(members))
         leaves: Dict[Tuple[str, ...], np.ndarray] = {}
 
         def emit(state, line_index, bases):
             if line_index == num_meas:
-                leaves[bases] = state.probabilities()
+                leaves[bases] = density_probabilities(state)
                 return
             for name in MEAS_BASES:
                 fragment = geometry.basis[(name, line_index)]
                 branch = state
-                for position, matrix in enumerate(fragment.matrices):
-                    if position == 0:
-                        branch = state.applied(matrix, [fragment.wire])
-                    else:
-                        branch.apply_matrix(matrix, [fragment.wire])
-                    branch.apply_depolarizing([fragment.wire], noise.error_1q)
+                if fragment.matrices:
+                    # The fragment's gates, each with its 1q site: one
+                    # 4x4 superoperator on the wire's ket and bra axes.
+                    channel = np.eye(4, dtype=complex)
+                    for matrix in fragment.matrices:
+                        channel = superoperator(matrix, noise.error_1q) @ channel
+                    branch = state.applied(
+                        channel, [fragment.wire, geometry.num_wires + fragment.wire]
+                    )
                 emit(branch, line_index + 1, bases + (name,))
 
         emit(state, 0, ())

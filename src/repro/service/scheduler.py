@@ -266,14 +266,14 @@ class JobSpec:
 
         Every tag is *versioned*, so artifacts cached under an older
         engine, layout or noise stream recompute instead of silently
-        colliding: ``:v3`` for exact amplitudes, ``:v2`` for the density
-        path's ``(4^rho, 3^O, 2^w)`` distributions array, ``:v3`` for the
-        trajectory path's (same layout, keyed-uniform injection draws).
+        colliding: ``:v3`` for exact amplitudes, and ``:v3`` for both
+        noisy methods' ``(4^rho, 3^O, 2^w)`` distributions array (the
+        trajectory path's since its keyed-uniform injection draws, the
+        density path's since its fused-superoperator engine).
         """
         if self.device is None:
             return "statevector:batched:v3"
-        version = "v3" if self.noisy_method == "trajectory" else "v2"
-        return f"device:{self.device}:{self.noisy_method}:batched:{version}"
+        return f"device:{self.device}:{self.noisy_method}:batched:v3"
 
     def pipeline_options(self, worker_pool=None) -> Dict:
         """The keyword arguments of every pipeline this job drives (a

@@ -29,14 +29,13 @@ from .noise import (
     keyed_uniforms,
     spawn_rng,
 )
-from .density import BatchedDensityMatrix, DensityMatrix, DensityMatrixSimulator
+from .density import DensityMatrix, DensityMatrixSimulator
 from .noisy_batch import (
     NoisyBodyPlan,
     NoisySite,
     draw_injections,
     injected_suffix,
     noisy_body_plan,
-    run_density_body,
 )
 from .feynman import FeynmanPathSimulator, gate_schmidt_terms
 
@@ -62,13 +61,11 @@ __all__ = [
     "clean_log_weight",
     "keyed_uniforms",
     "spawn_rng",
-    "BatchedDensityMatrix",
     "DensityMatrix",
     "DensityMatrixSimulator",
     "NoisyBodyPlan",
     "NoisySite",
     "noisy_body_plan",
-    "run_density_body",
     "draw_injections",
     "injected_suffix",
     "FeynmanPathSimulator",

@@ -19,7 +19,8 @@ path to floating-point accumulation order (<= 1e-10 in practice).
 
 The noisy counterpart — batched trajectory and density-matrix evolution
 of noise-sited body plans — lives in :mod:`repro.sim.noisy_batch` and
-builds directly on :class:`BatchedStatevector` and :func:`fuse_gates`.
+builds directly on :class:`BatchedStatevector` and :func:`fuse_gates`:
+a density batch is a :class:`BatchedStatevector` over ``2n`` axes.
 """
 
 from __future__ import annotations
@@ -387,11 +388,14 @@ class BatchedStatevector:
     def apply_matrix(
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> "BatchedStatevector":
-        """Apply a ``2^k x 2^k`` unitary to all batch members in place.
+        """Apply a ``2^k x 2^k`` matrix to all batch members in place.
 
-        One transpose + one matmul sweeps the whole batch: the target
-        axes move to the end, the rest (batch included) flatten into the
-        row dimension of a single BLAS call.
+        The matrix is a unitary, or a superoperator when the batch holds
+        density matrices over ``2n`` axes
+        (:func:`~repro.sim.noisy_batch.product_density`).  One transpose
+        + one matmul sweeps the whole batch: the target axes move to the
+        end, the rest (batch included) flatten into the row dimension of
+        a single BLAS call.
         """
         qubits = list(qubits)
         k = len(qubits)

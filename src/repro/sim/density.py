@@ -30,7 +30,6 @@ from .statevector import initial_state
 
 __all__ = [
     "DensityMatrix",
-    "BatchedDensityMatrix",
     "DensityMatrixSimulator",
 ]
 
@@ -182,160 +181,6 @@ class DensityMatrix:
             return
         self._tensor = _depolarize_tensor(
             self._tensor, qubits, self.num_qubits, probability
-        )
-
-
-class BatchedDensityMatrix:
-    """``B`` mixed ``n``-qubit states advanced together through one body.
-
-    The density-matrix counterpart of
-    :class:`~repro.sim.batch.BatchedStatevector`: the state is a
-    ``(B,) + (2,)*(2n)`` complex tensor (axis 0 the batch, axes
-    ``1..n`` the ket indices, ``n+1..2n`` the bra indices), and one
-    gate application is two transpose+matmul sweeps (ket side and
-    conjugated bra side) over the whole batch.  Noise channels apply
-    batch-wide through the same closed-form superoperator the serial
-    :class:`DensityMatrix` uses.  Memory is ``B * 4^n * 16`` bytes.
-    """
-
-    def __init__(
-        self,
-        num_qubits: int,
-        batch_size: int,
-        data: Optional[np.ndarray] = None,
-    ):
-        if num_qubits <= 0:
-            raise ValueError("num_qubits must be positive")
-        if num_qubits > 14:
-            raise ValueError(
-                f"{num_qubits} qubits needs 4^{num_qubits} complex entries "
-                "per batch member; use the batched trajectory path instead"
-            )
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self.num_qubits = int(num_qubits)
-        self.batch_size = int(batch_size)
-        shape = (self.batch_size,) + (2,) * (2 * self.num_qubits)
-        if data is None:
-            tensor = np.zeros(shape, dtype=complex)
-            tensor[(slice(None),) + (0,) * (2 * self.num_qubits)] = 1.0
-            self._tensor = tensor
-        else:
-            array = np.asarray(data, dtype=complex)
-            if array.size != self.batch_size << (2 * self.num_qubits):
-                raise ValueError(
-                    f"data of size {array.size} does not match batch "
-                    f"{self.batch_size} x {self.num_qubits} qubits"
-                )
-            self._tensor = array.reshape(shape).copy()
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_product_batch(
-        cls, states: Sequence[Sequence[np.ndarray]]
-    ) -> "BatchedDensityMatrix":
-        """Build a batch of product mixed states.
-
-        ``states[b][q]`` is the 2x2 density matrix of qubit ``q`` in
-        batch member ``b``.  This is how noisy state-prep fragments fold
-        into the batch: a 1q prep gate followed by its depolarizing
-        channel keeps the state a product of per-qubit 2x2 densities, so
-        prep never costs a body pass of its own.
-        """
-        if not states:
-            raise ValueError("need at least one batch member")
-        num_qubits = len(states[0])
-        if num_qubits == 0:
-            raise ValueError("members must cover at least one qubit")
-        batch = len(states)
-        block = np.ones((batch, 1, 1), dtype=complex)
-        for qubit in range(num_qubits):
-            column = np.array(
-                [
-                    np.asarray(member[qubit], dtype=complex).reshape(2, 2)
-                    for member in states
-                ]
-            )
-            dim = block.shape[1]
-            block = np.einsum("bik,bjl->bijkl", block, column).reshape(
-                batch, dim * 2, dim * 2
-            )
-        return cls(num_qubits, batch, block)
-
-    def copy(self) -> "BatchedDensityMatrix":
-        return BatchedDensityMatrix(
-            self.num_qubits, self.batch_size, self._tensor
-        )
-
-    # ------------------------------------------------------------------
-    def apply_matrix(
-        self, matrix: np.ndarray, qubits: Sequence[int]
-    ) -> "BatchedDensityMatrix":
-        """``rho <- U rho U^dagger`` on every batch member, in place."""
-        qubits = list(qubits)
-        k = len(qubits)
-        if matrix.shape != (1 << k, 1 << k):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not act on {k} qubit(s)"
-            )
-        self._contract(matrix, [1 + q for q in qubits], k)
-        self._contract(
-            matrix.conj(), [1 + self.num_qubits + q for q in qubits], k
-        )
-        return self
-
-    def _contract(
-        self, matrix: np.ndarray, target_axes: Sequence[int], k: int
-    ) -> None:
-        rest = [
-            axis
-            for axis in range(self._tensor.ndim)
-            if axis not in target_axes
-        ]
-        perm = rest + list(target_axes)
-        moved = np.transpose(self._tensor, perm)
-        moved_shape = moved.shape
-        flat = np.ascontiguousarray(moved).reshape(-1, 1 << k)
-        out = flat @ matrix.T
-        self._tensor = np.transpose(
-            out.reshape(moved_shape), np.argsort(perm)
-        )
-
-    def applied(
-        self, matrix: np.ndarray, qubits: Sequence[int]
-    ) -> "BatchedDensityMatrix":
-        """A new batch with ``matrix`` applied; ``self`` is untouched."""
-        clone = BatchedDensityMatrix.__new__(BatchedDensityMatrix)
-        clone.num_qubits = self.num_qubits
-        clone.batch_size = self.batch_size
-        clone._tensor = self._tensor
-        return clone.apply_matrix(matrix, qubits)
-
-    def apply_gate(self, gate: Gate) -> "BatchedDensityMatrix":
-        return self.apply_matrix(gate.matrix(), gate.qubits)
-
-    def apply_depolarizing(
-        self, qubits: Sequence[int], probability: float
-    ) -> "BatchedDensityMatrix":
-        """Batch-wide depolarizing channel (one superoperator pass)."""
-        if probability > 0.0:
-            self._tensor = _depolarize_tensor(
-                self._tensor, qubits, self.num_qubits, probability, offset=1
-            )
-        return self
-
-    # ------------------------------------------------------------------
-    def probabilities(self) -> np.ndarray:
-        """``(B, 2^n)`` float diagonal probabilities."""
-        dim = 1 << self.num_qubits
-        flat = self._tensor.reshape(self.batch_size, dim, dim)
-        return np.real(np.diagonal(flat, axis1=1, axis2=2)).astype(float)
-
-    def member(self, index: int) -> DensityMatrix:
-        """Batch member ``index`` as a standalone :class:`DensityMatrix`."""
-        dim = 1 << self.num_qubits
-        return DensityMatrix(
-            self.num_qubits, self._tensor[index].reshape(dim, dim)
         )
 
 

@@ -7,11 +7,10 @@ trajectory*.  This module provides the primitives that collapse the
 sweep:
 
 * :func:`noisy_body_plan` compiles a gate sequence against a
-  :class:`~repro.sim.noise.NoiseModel` into an executable plan — maximal
-  noise-free gate runs are fused into unitaries (Aer-style, via
-  :func:`~repro.sim.batch.fuse_gates`) while every gate carrying a
-  depolarizing site stays an individual step, preserving the per-gate
-  noise placement exactly.  Plans are memoized per process, so warm
+  :class:`~repro.sim.noise.NoiseModel` into an executable plan: the
+  body fused to clean unitaries (Aer-style, via
+  :func:`~repro.sim.batch.fuse_gates`) with every depolarizing site
+  located in its block.  Plans are memoized per process, so warm
   workers never re-fuse a body they have already seen.
 * :func:`draw_injections` draws every trajectory's Pauli injections for
   one init chunk — body sites, prep fragments and basis-tree edges — in
@@ -21,10 +20,10 @@ sweep:
   is unchanged: the trajectory equals the fused clean pass up to its
   first injected block, and from there on only the injected blocks need
   a new unitary (:func:`injected_suffix`, :func:`fork_suffix`).
-* :func:`run_density_body` drives a
-  :class:`~repro.sim.density.BatchedDensityMatrix` through the plan with
-  the exact depolarizing channel applied batch-wide after each noisy
-  gate.
+* :func:`evolve_density` evolves the exact channel: a batch of density
+  matrices is a :class:`~repro.sim.batch.BatchedStatevector` over ``2n``
+  axes (ket, then bra), and each gate with its depolarizing site is one
+  superoperator, fused into the plan's :attr:`NoisyBodyPlan.density_ops`.
 * :func:`apply_readout_error_rows` / :func:`marginalize_rows` vectorize
   the classical post-steps over a stacked ``(V, 2^n)`` matrix of variant
   distributions.
@@ -34,6 +33,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,13 +42,14 @@ from ..circuits import Gate, QuantumCircuit
 from ..circuits.gates import gate_matrix
 from ..obs import trace
 from .batch import (
+    FUSION_WIDTH,
     BatchedStatevector,
     FusedOp,
+    _expand_to_block,
     fuse_gates,
     fused_block,
     gate_partition,
 )
-from .density import BatchedDensityMatrix
 from .noise import NoiseModel, clean_log_weight, keyed_uniforms
 
 __all__ = [
@@ -59,7 +60,10 @@ __all__ = [
     "fold_matrices",
     "injected_suffix",
     "fork_suffix",
-    "run_density_body",
+    "superoperator",
+    "product_density",
+    "evolve_density",
+    "density_probabilities",
     "apply_readout_error_rows",
     "marginalize_rows",
     "PAULI_NAMES_1Q",
@@ -80,7 +84,6 @@ PAULI_PAIRS_2Q: Tuple[Tuple[str, str], ...] = tuple(
 class NoisySite:
     """One body gate followed by a depolarizing site of strength ``rate``."""
 
-    matrix: np.ndarray
     qubits: Tuple[int, ...]
     rate: float
 
@@ -91,24 +94,21 @@ class NoisySite:
 
 @dataclass(frozen=True)
 class NoisyBodyPlan:
-    """A compiled noisy body: fused noise-free runs + individual sites.
+    """A compiled noisy body: the fused clean body + its noise sites.
 
-    ``steps`` interleaves :class:`~repro.sim.batch.FusedOp` entries
-    (maximal runs of zero-rate gates, fused) with :class:`NoisySite`
-    entries (one per gate carrying a depolarizing site, in circuit
-    order) — the density path's schedule.  ``sites`` lists the noisy
-    steps again for pattern sampling, with ``site_rates`` their rates and
-    ``site_choices`` their number of non-identity Paulis (3 or 15) as
-    arrays; ``log_clean`` is the body's no-injection log-weight.
+    ``sites`` lists the gates carrying a depolarizing site, in circuit
+    order, with ``site_rates`` their rates and ``site_choices`` their
+    number of non-identity Paulis (3 or 15) as arrays; ``log_clean`` is
+    the body's no-injection log-weight.
 
-    The trajectory path runs the *fully* fused body instead: ``blocks``
-    holds the gate tuple of each fusion block, ``ops`` its clean
-    unitary, and ``site_slots[i]`` the ``(block, offset)`` of the gate
-    that carries site ``i``.
+    The trajectory path runs the *fully* fused body: ``blocks`` holds the
+    gate tuple of each fusion block, ``ops`` its clean unitary, and
+    ``site_slots[i]`` the ``(block, offset)`` of the gate that carries
+    site ``i``.  The density path runs :attr:`density_ops`, compiled
+    from the same gates on first use.
     """
 
     num_qubits: int
-    steps: Tuple[Union[FusedOp, NoisySite], ...]
     sites: Tuple[NoisySite, ...]
     site_rates: np.ndarray
     site_choices: np.ndarray
@@ -116,6 +116,40 @@ class NoisyBodyPlan:
     blocks: Tuple[Tuple[Gate, ...], ...]
     ops: Tuple[FusedOp, ...]
     site_slots: Tuple[Tuple[int, int], ...]
+
+    @cached_property
+    def density_ops(self) -> Tuple[FusedOp, ...]:
+        """The exact channel as fused superoperators on ``2n`` axes.
+
+        The flattened ``blocks`` are a valid gate order.  Each gate,
+        followed by its site's depolarizing map (if it has one), is one
+        :func:`superoperator`; the gates are partitioned to
+        ``FUSION_WIDTH // 2`` qubits, so a fused op acts on at most
+        ``FUSION_WIDTH`` axes — ket qubits ``Q`` then bra axes
+        ``n + Q`` — of a :func:`product_density` state.  Compiled only
+        when a density pass first asks, and held with the plan in the
+        bounded plan memo.
+        """
+        gates = [gate for block in self.blocks for gate in block]
+        starts = np.cumsum([0] + [len(block) for block in self.blocks])
+        rates = [0.0] * len(gates)
+        for site, (block, offset) in zip(self.sites, self.site_slots):
+            rates[starts[block] + offset] = site.rate
+        ops = []
+        for members in gate_partition(gates, FUSION_WIDTH // 2):
+            qubits = sorted({q for p in members for q in gates[p].qubits})
+            position_of = {qubit: index for index, qubit in enumerate(qubits)}
+            width = 2 * len(qubits)
+            matrix = np.eye(1 << width, dtype=complex)
+            for position in members:
+                gate = gates[position]
+                ket = [position_of[q] for q in gate.qubits]
+                bra = [len(qubits) + index for index in ket]
+                channel = superoperator(gate.matrix(), rates[position])
+                matrix = _expand_to_block(channel, ket + bra, width) @ matrix
+            axes = tuple(qubits) + tuple(self.num_qubits + q for q in qubits)
+            ops.append(FusedOp(matrix=matrix, qubits=axes))
+        return tuple(ops)
 
 
 #: Per-process plan memo — the noisy analogue of ``batch._FUSION_CACHE``:
@@ -132,11 +166,10 @@ def noisy_body_plan(
 ) -> NoisyBodyPlan:
     """Compile ``circuit`` into a :class:`NoisyBodyPlan` (memoized).
 
-    Depolarizing noise applies after *every* gate, so gates with a
-    non-zero rate cannot fuse across their noise site without changing
-    the channel; only maximal runs of zero-rate gates fold into fused
-    unitaries.  With a noiseless model the whole body becomes one fused
-    run (the exact-path plan).
+    Depolarizing noise applies after *every* gate with a non-zero rate;
+    each such gate becomes a site, located by its fusion block and its
+    offset in it.  With a noiseless model the plan has no sites and
+    ``ops`` is the exact path's fused body.
     """
     gates = tuple(
         circuit.gates if isinstance(circuit, QuantumCircuit) else circuit
@@ -149,29 +182,13 @@ def noisy_body_plan(
         except KeyError:  # pragma: no cover - concurrent eviction
             pass
         return cached
-    steps: List[Union[FusedOp, NoisySite]] = []
     sites: List[NoisySite] = []
     site_gates: List[int] = []
-    run: List[Gate] = []
-
-    def flush() -> None:
-        if run:
-            steps.extend(fuse_gates(tuple(run)))
-            run.clear()
-
     for position, gate in enumerate(gates):
         rate = noise.error_2q if gate.is_multiqubit else noise.error_1q
-        if rate <= 0.0:
-            run.append(gate)
-            continue
-        flush()
-        site = NoisySite(
-            matrix=gate.matrix(), qubits=tuple(gate.qubits), rate=float(rate)
-        )
-        steps.append(site)
-        sites.append(site)
-        site_gates.append(position)
-    flush()
+        if rate > 0.0:
+            sites.append(NoisySite(qubits=tuple(gate.qubits), rate=float(rate)))
+            site_gates.append(position)
     members = gate_partition(gates)
     slot_of = {
         position: (block, offset)
@@ -180,7 +197,6 @@ def noisy_body_plan(
     }
     plan = NoisyBodyPlan(
         num_qubits=int(num_qubits),
-        steps=tuple(steps),
         sites=tuple(sites),
         site_rates=np.array([site.rate for site in sites]),
         site_choices=np.array(
@@ -419,25 +435,83 @@ def fork_suffix(
 
 
 # ----------------------------------------------------------------------
-# Density path: the exact channel, batch-wide
+# Density path: the exact channel as a batch over 2n axes
 # ----------------------------------------------------------------------
 
-def run_density_body(
-    plan: NoisyBodyPlan, state: BatchedDensityMatrix
-) -> BatchedDensityMatrix:
-    """Advance a batch of density matrices through the noisy body.
+def superoperator(matrix: np.ndarray, rate: float = 0.0) -> np.ndarray:
+    """``rho -> U rho U^dagger``, then a depolarizing site, as a matrix.
 
-    Fused zero-rate runs apply as plain unitaries; every noisy gate is a
-    unitary followed by its depolarizing superoperator, batch-wide —
-    bit-for-bit the serial :class:`~repro.sim.density.DensityMatrixSimulator`
-    channel, paid once per batch instead of once per variant.
+    The ``4^k x 4^k`` result acts on the gate's ``k`` ket axes followed
+    by its ``k`` bra axes: ``U (x) U*``, then (for ``rate > 0``) the
+    uniform non-identity Pauli channel in its twirled closed form
+    ``(1 - lam) I + (lam / d) |vec I><vec I|``, ``d = 2^k``,
+    ``lam = rate * d^2 / (d^2 - 1)`` — the map
+    :func:`~repro.sim.density._depolarize_tensor` applies.
     """
-    with trace.span("sim.noisy.density_body"):
-        for step in plan.steps:
-            state.apply_matrix(step.matrix, step.qubits)
-            if isinstance(step, NoisySite):
-                state.apply_depolarizing(step.qubits, step.rate)
+    dim = len(matrix)
+    channel = np.kron(matrix, matrix.conj())
+    if rate > 0.0:
+        lam = rate * dim * dim / (dim * dim - 1.0)
+        identity = np.eye(dim).reshape(-1)
+        channel = (1.0 - lam) * channel + (lam / dim) * np.outer(
+            identity, identity @ channel
+        )
+    return channel
+
+
+def product_density(
+    states: Sequence[Sequence[np.ndarray]],
+) -> BatchedStatevector:
+    """A batch of product mixed states as a ``2n``-axis batch.
+
+    ``states[b][q]`` is the 2x2 density matrix of qubit ``q`` in batch
+    member ``b``; axes ``0..n-1`` of a member are its ket indices and
+    ``n..2n-1`` its bra indices.  A noisy 1q prep fragment keeps the
+    state a product of per-qubit densities, so prep never costs a body
+    pass.  More than 14 qubits is refused before anything is allocated.
+    """
+    num_qubits = len(states[0])
+    if num_qubits > 14:
+        raise ValueError(
+            f"{num_qubits} qubits needs 4^{num_qubits} complex entries "
+            "per batch member; use the batched trajectory path instead"
+        )
+    batch = len(states)
+    block = np.ones((batch, 1, 1), dtype=complex)
+    for qubit in range(num_qubits):
+        column = np.array([member[qubit] for member in states], dtype=complex)
+        dim = block.shape[1]
+        block = np.einsum("bik,bjl->bijkl", block, column).reshape(
+            batch, dim * 2, dim * 2
+        )
+    return BatchedStatevector(2 * num_qubits, batch, block)
+
+
+def evolve_density(
+    plan: NoisyBodyPlan, state: BatchedStatevector
+) -> BatchedStatevector:
+    """Advance a :func:`product_density` batch through the noisy body.
+
+    One ``apply_matrix`` per fused superoperator of
+    :attr:`NoisyBodyPlan.density_ops`, batch-wide — the serial
+    :class:`~repro.sim.density.DensityMatrixSimulator` channel to
+    round-off, paid once per batch instead of once per variant.
+    """
+    ops = plan.density_ops
+    with trace.span(
+        "sim.noisy.density_body",
+        {"ops": len(ops), "amplitudes": state.batch_size << state.num_qubits},
+    ):
+        for op in ops:
+            state.apply_matrix(op.matrix, op.qubits)
     return state
+
+
+def density_probabilities(state: BatchedStatevector) -> np.ndarray:
+    """``(B, 2^n)`` probabilities: the real diagonal of each member."""
+    dim = 1 << (state.num_qubits // 2)
+    matrices = state.amplitudes().reshape(state.batch_size, dim, dim)
+    return np.real(np.diagonal(matrices, axis1=1, axis2=2)).astype(float)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Covers the tentpole's contract from three sides:
 
 * the batched density path is the *same exact channel* as the serial
-  :class:`~repro.sim.density.DensityMatrixSimulator`, per variant;
+  :class:`~repro.sim.density.DensityMatrixSimulator`, per variant, and
+  its fused superoperators match the step-by-step path they replaced
+  (``tests/density_oracle.py``) to 1e-12;
 * the batched trajectory path matches an independent serial replay of
   the same keyed draws (scalar reference in ``tests/keyed_draw_oracle.py``)
   to 1e-10, and is bit-identical under any chunking or worker count (the
@@ -14,6 +16,7 @@ Covers the tentpole's contract from three sides:
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,10 +59,23 @@ from repro.sim import (
     spawn_rng,
 )
 from repro.sim.noise import apply_readout_error
-from repro.sim.noisy_batch import PAULI_NAMES_1Q
+from repro.sim.batch import FUSION_WIDTH
+from repro.sim.noisy_batch import (
+    PAULI_NAMES_1Q,
+    evolve_density,
+    product_density,
+)
 from repro.sim.sampler import sample_distribution
 from repro.sim.statevector import INITIAL_STATES, Statevector, simulate_probabilities
 from tests.conftest import random_connected_circuit
+from tests.density_oracle import (
+    BatchedDensityMatrix,
+    Site,
+    body_gates,
+    density_steps,
+    oracle_distributions,
+    run_density_body,
+)
 from tests.keyed_draw_oracle import (
     BASIS,
     PREP,
@@ -127,6 +143,114 @@ class TestDensityParity:
         spec = NoisyEvalSpec(noise=NOISE, method="density", shots=None)
         _, passes = batched_noisy_variant_probabilities(downstream, spec)
         assert passes == 1
+
+
+#: Rate pairs of the oracle property: the benchmark's, zero-rate 1q
+#: gates, zero-rate 2q gates, no gate noise, and heavier noise.
+_DENSITY_RATES = [(0.002, 0.01), (0.0, 0.02), (0.01, 0.0), (0.0, 0.0),
+                  (0.003, 0.03)]
+
+
+def _random_densities(rng, batch, wires):
+    """``batch`` members of ``wires`` random 2x2 mixed states each."""
+    members = []
+    for _ in range(batch):
+        member = []
+        for _ in range(wires):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            rho = a @ a.conj().T
+            member.append(rho / np.trace(rho))
+        members.append(member)
+    return members
+
+
+class TestDensityOracle:
+    """The fused-superoperator engine against the step-by-step path it
+    replaced (``tests/density_oracle.py``), to 1e-12."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(_DENSITY_RATES),
+        st.booleans(),
+    )
+    def test_matches_step_oracle(self, n, seed, rates, on_device):
+        circuit = random_connected_circuit(n, 2 * n, seed)
+        cut = random_small_cut(circuit, seed + 1)  # rho <= 2, O <= 2
+        if cut is None:
+            return
+        noise = NoiseModel(error_1q=rates[0], error_2q=rates[1], readout=0.01)
+        if on_device:
+            device = make_device("oracle", n, "line", noise=noise, seed=seed)
+            spec = NoisyEvalSpec(device=device, method="density", shots=None)
+        else:
+            spec = NoisyEvalSpec(noise=noise, method="density", shots=None)
+        rng = np.random.default_rng(seed)
+        for subcircuit in cut.subcircuits:
+            got, _ = batched_noisy_variant_probabilities(subcircuit, spec)
+            reference = oracle_distributions(subcircuit, spec)
+            assert np.abs(got - reference).max() <= 1e-12
+            # The body alone, on random product mixed states.
+            geometry = _compiled_noisy_geometry(subcircuit, spec)
+            members = _random_densities(rng, 3, geometry.num_wires)
+            state = evolve_density(geometry.plan, product_density(members))
+            expected = run_density_body(
+                density_steps(body_gates(subcircuit, spec), noise),
+                BatchedDensityMatrix.from_product_batch(members),
+            )
+            assert np.abs(
+                state.amplitudes() - expected.matrices().reshape(3, -1)
+            ).max() <= 1e-12
+
+    def test_refuses_fifteen_wires_before_allocating(self):
+        device = make_device("wide", 16, "line", noise=NOISE, seed=3)
+        spec = NoisyEvalSpec(device=device, method="density", shots=None)
+        cut = CutQC(bv(16), 15).cut()
+        wide = max(cut.subcircuits, key=lambda piece: piece.width)
+        # Compile (and memoize) the geometry first: the refusal is
+        # measured, not the transpile.
+        assert _compiled_noisy_geometry(wide, spec).num_wires == 15
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ValueError,
+                match=r"^15 qubits needs 4\^15 complex entries per batch "
+                r"member; use the batched trajectory path instead$",
+            ):
+                batched_noisy_variant_probabilities(wide, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_one_apply_per_fused_superoperator(self, monkeypatch):
+        # bv-10/D=6 is the fd_noisy catalog's density job.
+        noise = NoiseModel(error_1q=1e-3, error_2q=1e-2, readout=0.015)
+        device = make_device("e2e-line", 6, "line", noise=noise, seed=3)
+        spec = NoisyEvalSpec(device=device, method="density", shots=None)
+        ops = steps = 0
+        for subcircuit in CutQC(bv(10), 6).cut().subcircuits:
+            geometry = _compiled_noisy_geometry(subcircuit, spec)
+            schedule = geometry.plan.density_ops
+            assert all(len(op.qubits) <= FUSION_WIDTH for op in schedule)
+            members = _random_densities(
+                np.random.default_rng(0), 2, geometry.num_wires
+            )
+            state = product_density(members)
+            counter = _CountedApply(monkeypatch)
+            with trace.start("root") as root:
+                evolve_density(geometry.plan, state)
+            assert len(counter.batch_sizes) == len(schedule)
+            (span,) = root.children
+            assert span.name == "sim.noisy.density_body"
+            assert span.attrs["ops"] == len(schedule)
+            assert span.attrs["amplitudes"] == 2 << (2 * geometry.num_wires)
+            ops += len(schedule)
+            steps += len(
+                density_steps(body_gates(subcircuit, spec), noise)
+            )
+        assert 3 * ops < steps
 
 
 # ----------------------------------------------------------------------
@@ -245,9 +369,9 @@ def _serial_trajectory_replay(subcircuit, spec, variant):
                 vectors[position] = vector
             state = Statevector.from_product(vectors)
             site = 0
-            for step in plan.steps:
+            for step in density_steps(body, noise):
                 state.apply_matrix(step.matrix, step.qubits)
-                if hasattr(step, "rate"):
+                if isinstance(step, Site):
                     choice = pattern[site]
                     site += 1
                     if choice is not None:
@@ -503,7 +627,10 @@ class TestTrajectoryParity:
                 counter = _CountedApply(monkeypatch)
                 batched_noisy_variant_probabilities(subcircuit, spec)
                 geometry = _compiled_noisy_geometry(subcircuit, spec)
-                stepping = len(geometry.plan.steps) * (trajectories + 1)
+                steps = density_steps(
+                    body_gates(subcircuit, spec), spec.effective_noise
+                )
+                stepping = len(steps) * (trajectories + 1)
                 assert len(counter.batch_sizes) * factor <= stepping
                 # No call ever sees more than the init batch: live
                 # state is the walk, one fork and one trajectory's
@@ -671,8 +798,9 @@ class TestStoreMigration:
         assert legacy.backend_tag() == "statevector:batched:v3"
         # Every tag whose artifacts hold a distributions array moved to v2
         # with that layout.
-        # The trajectory path moved to v3 with the keyed injection draws;
-        # the density path draws nothing and keeps v2.
+        # The trajectory path moved to v3 with the keyed injection draws,
+        # the density path to v3 with the fused-superoperator engine
+        # (its answers moved by round-off).
         assert (
             JobSpec(**base, device="bogota").backend_tag()
             == "device:bogota:trajectory:batched:v3"
@@ -681,7 +809,7 @@ class TestStoreMigration:
             JobSpec(
                 **base, device="bogota", noisy_method="density"
             ).backend_tag()
-            == "device:bogota:density:batched:v2"
+            == "device:bogota:density:batched:v3"
         )
 
     def test_fingerprint_config_and_version_fragment_keys(self):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate for the documentation tree.
 
-Three checks, two over every tracked Markdown file:
+Four checks, two over every tracked Markdown file:
 
 1. **Links** — every intra-repo link (``[text](path)`` and
    ``[text](path#anchor)``) must resolve to an existing file, and when
@@ -14,14 +14,18 @@ Three checks, two over every tracked Markdown file:
 3. **Span names** — every literal ``trace.span("…")`` name in
    ``src/repro`` appears backticked in ``docs/metrics.md``, so a trace
    never shows a span its reader cannot look up.
+4. **Backend tags** — every store tag ``JobSpec.backend_tag()`` can
+   return (statevector, device trajectory, device density; the device
+   name rendered ``<name>``) appears backticked in
+   ``docs/architecture.md``, so a version bump cannot skip the docs.
 
 Usage::
 
     python tools/check_docs.py            # check + run
-    python tools/check_docs.py --no-run   # links and span names only
+    python tools/check_docs.py --no-run   # links, span names and tags only
 
-Exit status is non-zero on any broken link, failing snippet or
-undocumented span name.
+Exit status is non-zero on any broken link, failing snippet,
+undocumented span name or undocumented backend tag.
 """
 
 from __future__ import annotations
@@ -143,6 +147,28 @@ def check_span_names() -> List[str]:
     ]
 
 
+def check_backend_tags() -> List[str]:
+    """Tags ``JobSpec.backend_tag()`` returns that ``docs/architecture.md``
+    does not show backticked."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.service.scheduler import JobSpec
+
+    base = dict(device_size=5, benchmark="bv", qubits=6)
+    specs = [JobSpec(**base)] + [
+        JobSpec(**base, device="bogota", noisy_method=method)
+        for method in ("trajectory", "density")
+    ]
+    documented = (REPO_ROOT / "docs" / "architecture.md").read_text(
+        encoding="utf-8"
+    )
+    tags = {spec.backend_tag().replace(":bogota:", ":<name>:") for spec in specs}
+    return [
+        f"docs/architecture.md: backend tag '{tag}' is not documented"
+        for tag in sorted(tags)
+        if f"`{tag}`" not in documented
+    ]
+
+
 def iter_runnable_snippets(
     path: pathlib.Path,
 ) -> Iterator[Tuple[int, str]]:
@@ -208,13 +234,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--no-run", action="store_true",
-        help="check links and span names; skip executing runnable snippets",
+        help="check links, span names and backend tags; skip executing "
+        "runnable snippets",
     )
     args = parser.parse_args(argv)
 
     files = markdown_files()
     print(f"checking {len(files)} markdown files")
-    errors = check_links(files) + check_span_names()
+    errors = check_links(files) + check_span_names() + check_backend_tags()
     if not args.no_run:
         errors += run_snippets(files)
 
