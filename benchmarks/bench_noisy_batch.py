@@ -11,10 +11,13 @@ body stays resident across chunks via the per-process geometry memo.
 
 This bench runs a fig11-style BV sweep on a line-topology virtual
 device through both :class:`~repro.core.executor.VariantExecutor`
-evaluators — the per-circuit path is the device's own
-``backend(shots, trajectories, seed)`` closure, the path a
-``MitigatedBackend`` still takes — sanity-checks the batched distributions, and gates an
-aggregate (total per-circuit / total batched) speedup floor.  Both
+evaluators — the per-circuit path is ``serial_device_backend(device,
+shots, trajectories, seed)`` from ``tests/noisy_oracle.py`` (put on
+``sys.path`` here): the serial transpile + Python trajectory loop per
+variant circuit that ``device.backend(...)`` ran before ``device.run``
+became a one-variant call into the batched engine — sanity-checks the
+batched distributions, and gates an aggregate (total per-circuit /
+total batched) speedup floor.  Both
 paths are measured warm (transpile/geometry memos populated), matching
 the steady state a service observes.  Results land in
 ``results/BENCH_noisy.json``.
@@ -22,6 +25,8 @@ the steady state a service observes.  Results land in
 
 import json
 import os
+import pathlib
+import sys
 import time
 
 import numpy as np
@@ -33,6 +38,9 @@ from repro.library import get_benchmark
 from repro.sim import NoiseModel
 
 from conftest import RESULTS_DIR, report
+
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from noisy_oracle import serial_device_backend  # noqa: E402
 
 #: (qubits, device size, max subcircuits) — BV configs whose middle
 #: subcircuits carry both init and measurement lines.  Env overrides:
@@ -81,8 +89,8 @@ def test_noisy_batch_speedup():
         )
 
         legacy_executor = VariantExecutor(
-            backend=device.backend(
-                shots=_SHOTS, trajectories=_TRAJECTORIES, seed=17
+            backend=serial_device_backend(
+                device, shots=_SHOTS, trajectories=_TRAJECTORIES, seed=17
             ),
         )
         legacy_seconds, _ = _measure(legacy_executor, subcircuits)

@@ -58,7 +58,6 @@ from .postprocess import (
 from .sim import (
     BatchedStatevector,
     NoiseModel,
-    NoisySimulator,
     ShotSampler,
     Statevector,
     fuse_gates,
@@ -106,7 +105,6 @@ __all__ = [
     "PrecomputedTensorProvider",
     "Reconstructor",
     "NoiseModel",
-    "NoisySimulator",
     "ShotSampler",
     "BatchedStatevector",
     "Statevector",

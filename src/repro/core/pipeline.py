@@ -69,9 +69,10 @@ class CutQC:
         A ``circuit -> probability vector`` callable that evaluates every
         subcircuit variant, inline (mode ``"backend"``).  Defaults to the
         batched exact statevector engine.  ``device.backend(...)`` or a
-        :class:`~repro.devices.mitigation.MitigatedBackend` emulate
-        hardware one circuit at a time; ``device=`` is the batched noisy
-        engine for the same device.
+        :class:`~repro.devices.mitigation.MitigatedBackend` run the
+        batched noisy engine one variant circuit at a time (the
+        mitigated backend then inverts each width's readout confusion);
+        ``device=`` runs it once per subcircuit, every variant batched.
     cuts:
         Explicit ``(wire, wire_index)`` cut points; when given, the MIP
         search is skipped.

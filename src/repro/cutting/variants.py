@@ -279,11 +279,15 @@ class NoisyEvalSpec:
     worker processes.  Exactly one of ``noise`` (simulate the raw
     subcircuit under a bare noise model) or ``device`` (transpile the
     body onto the device and use its noise model, the ``--device``
-    pipeline path) must be set.
+    pipeline path) must be set.  The engine reads a device's uniform
+    ``noise`` and its topological layout only, so a
+    :class:`~repro.devices.calibration.CalibratedDevice` (per-qubit and
+    per-link rates, noise-adaptive layout) is refused rather than run
+    as if it were uncalibrated.
 
     ``method`` selects the estimator: ``"trajectory"`` is the batched
-    Pauli-injection Monte-Carlo sampler (matches the serial
-    :class:`~repro.sim.noise.NoisySimulator` estimator family),
+    Pauli-injection Monte-Carlo sampler (the serial trajectory loop it
+    replaced is the oracle ``tests/noisy_oracle.py``),
     ``"density"`` evolves the exact depolarizing channel as fused
     superoperators (:func:`~repro.sim.noisy_batch.evolve_density`).
     ``shots`` of 0 or ``None`` return estimated distributions without
@@ -309,6 +313,14 @@ class NoisyEvalSpec:
             )
         if (self.noise is None) == (self.device is None):
             raise ValueError("pass exactly one of noise or device")
+        from ..devices.calibration import CalibratedDevice
+
+        if isinstance(self.device, CalibratedDevice):
+            raise ValueError(
+                f"device {self.device.name!r} is a CalibratedDevice: batched "
+                "noisy evaluation has no per-qubit rates or noise-adaptive "
+                "layout; use its per-circuit backend() instead"
+            )
         if self.trajectories <= 0:
             raise ValueError("trajectories must be positive")
         check_seed(self.seed)
@@ -555,8 +567,8 @@ def batched_noisy_variant_probabilities(
 
     ``method="trajectory"`` mixes the clean distribution with the mean
     of ``spec.trajectories`` Pauli-injection samples by the analytic
-    clean weight, exactly like the serial
-    :class:`~repro.sim.noise.NoisySimulator`; a chunk costs one walk
+    clean weight, exactly like the serial trajectory loop kept as the
+    oracle ``tests/noisy_oracle.py``; a chunk costs one walk
     over the fused clean body plus one forked suffix per trajectory
     that injected (see ``trajectory_chunk``).  ``method="density"``
     evolves the exact channel in one batched density pass.  Body, prep

@@ -4,7 +4,9 @@ The stand-in for IBM hardware (DESIGN.md substitutions).  ``run`` performs
 the full hardware pipeline the paper describes in §2: transpile to the
 device's connectivity and native gates, execute shots under the device
 noise model, and return the empirical distribution over the circuit's
-logical qubits.
+logical qubits.  It is the batched noisy engine CutQC's pieces run on,
+applied to one uncut circuit, so a direct run and a cut run share one
+estimator.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import networkx as nx
 import numpy as np
 
 from ..circuits import QuantumCircuit
-from ..sim.noise import NoiseModel, NoisySimulator
-from ..utils import marginalize
+from ..sim.noise import NoiseModel
 
 __all__ = ["VirtualDevice"]
 
@@ -64,37 +65,40 @@ class VirtualDevice:
     ) -> np.ndarray:
         """Transpile + noisy shots; distribution over the logical qubits.
 
-        ``shots=None`` uses the device default; ``shots=0`` disables shot
-        noise and returns the estimated noisy distribution itself.
+        The circuit runs as a piece with no cut lines (``rho = O = 0``)
+        through :func:`~repro.cutting.variants.batched_noisy_variant_probabilities`
+        on this device: the trajectory estimator, its keyed Pauli
+        injections and its shot sampling are those of every ``device=``
+        job.  ``shots=None`` uses the device default; ``shots=0``
+        disables shot noise and returns the estimated noisy distribution
+        itself.
+
+        ``seed=None`` falls back to the device's ``seed``; when both are
+        ``None`` the run is deterministic at root seed 0 (it does not draw
+        fresh entropy).  A seed that is not an int in ``[0, 2**63)``
+        raises :func:`~repro.sim.noise.check_seed`'s ``ValueError``.
         """
-        from .transpiler import compact_circuit, transpile
+        from ..cutting.cutter import Subcircuit
+        from ..cutting.variants import (
+            NoisyEvalSpec,
+            batched_noisy_variant_probabilities,
+        )
 
         if circuit.num_qubits > self.num_qubits:
             raise ValueError(
                 f"circuit of {circuit.num_qubits} qubits does not fit device "
                 f"{self.name!r} ({self.num_qubits} qubits)"
             )
-        transpiled = transpile(circuit, self)
-        # Simulate only the physical wires the routed circuit touches —
-        # idle device qubits stay in |0> and are never read out.  Wires
-        # holding (possibly gate-free) logical qubits must survive.
-        compacted, kept_wires = compact_circuit(
-            transpiled.circuit, keep=transpiled.final_layout
-        )
-        simulator = NoisySimulator(
-            self.noise,
+        spec = NoisyEvalSpec(
+            device=self,
             trajectories=trajectories,
             shots=shots if shots is not None else self.shots,
             seed=seed if seed is not None else self.seed,
         )
-        full = simulator.run(compacted)
-        # Read out only the physical qubits holding logical wires, in
-        # logical order (what hardware measurement mapping does).
-        keep = [
-            kept_wires.index(transpiled.final_layout[q])
-            for q in range(circuit.num_qubits)
-        ]
-        return marginalize(full, keep, compacted.num_qubits)
+        distributions, _ = batched_noisy_variant_probabilities(
+            Subcircuit(index=0, circuit=circuit), spec
+        )
+        return distributions[0, 0]
 
     def backend(
         self,

@@ -23,13 +23,10 @@ from .sampler import (
 )
 from .noise import (
     NoiseModel,
-    NoisySimulator,
-    apply_readout_error,
     clean_log_weight,
     keyed_uniforms,
     spawn_rng,
 )
-from .density import DensityMatrix, DensityMatrixSimulator
 from .noisy_batch import (
     NoisyBodyPlan,
     NoisySite,
@@ -56,13 +53,9 @@ __all__ = [
     "sample_counts",
     "sample_distribution",
     "NoiseModel",
-    "NoisySimulator",
-    "apply_readout_error",
     "clean_log_weight",
     "keyed_uniforms",
     "spawn_rng",
-    "DensityMatrix",
-    "DensityMatrixSimulator",
     "NoisyBodyPlan",
     "NoisySite",
     "noisy_body_plan",

@@ -1,42 +1,32 @@
-"""NISQ noise model and Monte-Carlo trajectory simulator.
+"""NISQ noise model and the keyed randomness of noisy evaluation.
 
 Substitutes for IBM hardware (see DESIGN.md): depolarizing noise after
-every gate plus readout (measurement) bit-flip error.  Noisy evaluation
-averages stochastic Pauli-injection trajectories — an unbiased sampler of
-the depolarizing channel — then applies the readout confusion and finally
-shot noise.  Larger/deeper circuits accumulate more injected errors, which
-reproduces the fidelity trends of Figures 1 and 11.
+every gate plus readout (measurement) bit-flip error.  The batched noisy
+engine (:mod:`repro.sim.noisy_batch`, driven by
+:func:`~repro.cutting.variants.batched_noisy_variant_probabilities`)
+averages stochastic Pauli-injection trajectories — an unbiased sampler
+of the depolarizing channel — or evolves the channel exactly, then
+applies the readout confusion and finally shot noise.  Larger/deeper
+circuits accumulate more injected errors, which reproduces the fidelity
+trends of Figures 1 and 11.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 import numpy as np
 
-from ..circuits import Gate, QuantumCircuit
-from .sampler import sample_distribution
-from .statevector import Statevector
+from ..circuits import Gate
 
 __all__ = [
     "NoiseModel",
-    "NoisySimulator",
-    "apply_readout_error",
     "check_seed",
     "clean_log_weight",
     "keyed_uniforms",
     "spawn_rng",
 ]
-
-_PAULI_NAMES_1Q = ("x", "y", "z")
-#: Non-identity two-qubit Pauli pairs for the 2q depolarizing channel.
-_PAULI_PAIRS_2Q = tuple(
-    (a, b)
-    for a in ("i", "x", "y", "z")
-    for b in ("i", "x", "y", "z")
-    if not (a == "i" and b == "i")
-)
 
 
 @dataclass(frozen=True)
@@ -174,137 +164,3 @@ def keyed_uniforms(seed: Optional[int], *key) -> np.ndarray:
         h *= _MIX_2_U64
         h ^= h >> 31
     return ((h >> 11) * 2.0**-53).reshape(shape)
-
-
-def apply_readout_error(probabilities: np.ndarray, flip: float) -> np.ndarray:
-    """Apply a symmetric per-qubit readout confusion to a distribution."""
-    if flip == 0.0:
-        return probabilities.astype(float)
-    num_qubits = int(np.log2(probabilities.size))
-    if 1 << num_qubits != probabilities.size:
-        raise ValueError("probability vector length is not a power of two")
-    confusion = np.array([[1.0 - flip, flip], [flip, 1.0 - flip]])
-    tensor = probabilities.reshape((2,) * num_qubits).astype(float)
-    for axis in range(num_qubits):
-        tensor = np.tensordot(confusion, tensor, axes=([1], [axis]))
-        tensor = np.moveaxis(tensor, 0, axis)
-    return tensor.reshape(-1)
-
-
-class NoisySimulator:
-    """Shot-based noisy circuit evaluation via Pauli-injection trajectories.
-
-    Parameters
-    ----------
-    noise:
-        The error rates to inject.
-    trajectories:
-        Number of Monte-Carlo trajectories averaged to estimate the noisy
-        distribution.  The all-identity (error-free) trajectory is always
-        evaluated once and mixed in analytically with its exact weight,
-        which keeps the estimator low-variance at realistic error rates.
-    shots:
-        Shots drawn from the estimated noisy distribution (``None`` or 0
-        returns the estimated distribution itself, without shot noise).
-    """
-
-    def __init__(
-        self,
-        noise: NoiseModel,
-        trajectories: int = 24,
-        shots: Optional[int] = 8192,
-        seed: Optional[int] = None,
-    ):
-        if trajectories <= 0:
-            raise ValueError("trajectories must be positive")
-        self.noise = noise
-        self.trajectories = int(trajectories)
-        self.shots = shots
-        self._rng = np.random.default_rng(seed)
-        #: Clean-trajectory weight per circuit identity: the O(gates)
-        #: log1p sweep is fixed physics per body, but every one of a
-        #: subcircuit's 3^O * 4^rho variants used to replay it.
-        self._clean_cache: Dict[Tuple, float] = {}
-
-    # ------------------------------------------------------------------
-    def run(self, circuit: QuantumCircuit, initial_labels=None) -> np.ndarray:
-        """Empirical (or exact if ``shots`` is falsy) noisy distribution."""
-        distribution = self.noisy_distribution(circuit, initial_labels)
-        if not self.shots:
-            return distribution
-        return sample_distribution(distribution, self.shots, self._rng)
-
-    def noisy_distribution(
-        self, circuit: QuantumCircuit, initial_labels=None
-    ) -> np.ndarray:
-        """Trajectory-averaged distribution with readout error applied."""
-        clean = self._trajectory(circuit, initial_labels, inject=False)
-        if self.noise.error_1q == 0.0 and self.noise.error_2q == 0.0:
-            averaged = clean
-        else:
-            clean_weight = self._clean_probability(circuit)
-            noisy = np.zeros_like(clean)
-            noisy_count = 0
-            for _ in range(self.trajectories):
-                sample = self._trajectory(circuit, initial_labels, inject=True)
-                if sample is None:
-                    # Trajectory drew no error: counts toward the clean part.
-                    continue
-                noisy += sample
-                noisy_count += 1
-            if noisy_count:
-                averaged = clean_weight * clean + (1.0 - clean_weight) * (
-                    noisy / noisy_count
-                )
-            else:
-                averaged = clean
-        return apply_readout_error(averaged, self.noise.readout)
-
-    # ------------------------------------------------------------------
-    def _clean_probability(self, circuit: QuantumCircuit) -> float:
-        """Probability that a trajectory injects no error at all.
-
-        Memoized per circuit identity (width + exact gate tuple): all
-        variants sharing a body reuse one :func:`clean_log_weight` sweep.
-        """
-        key = (circuit.num_qubits, circuit.gates)
-        cached = self._clean_cache.get(key)
-        if cached is None:
-            if len(self._clean_cache) >= 256:
-                self._clean_cache.clear()
-            cached = float(np.exp(clean_log_weight(circuit, self.noise)))
-            self._clean_cache[key] = cached
-        return cached
-
-    def _trajectory(
-        self, circuit: QuantumCircuit, initial_labels, inject: bool
-    ) -> Optional[np.ndarray]:
-        """One statevector run; with ``inject``, conditions on >=1 error.
-
-        Returns ``None`` for an injecting run that happened to draw no
-        error (the caller folds those into the clean component).
-        """
-        if initial_labels is None:
-            state = Statevector(circuit.num_qubits)
-        else:
-            state = Statevector.from_labels(initial_labels)
-        injected = False
-        for gate in circuit:
-            state.apply_gate(gate)
-            if not inject:
-                continue
-            if gate.is_multiqubit:
-                if self._rng.random() < self.noise.error_2q:
-                    pair = _PAULI_PAIRS_2Q[self._rng.integers(len(_PAULI_PAIRS_2Q))]
-                    for name, qubit in zip(pair, gate.qubits):
-                        if name != "i":
-                            state.apply_gate(Gate(name, (qubit,)))
-                    injected = True
-            else:
-                if self._rng.random() < self.noise.error_1q:
-                    name = _PAULI_NAMES_1Q[self._rng.integers(3)]
-                    state.apply_gate(Gate(name, gate.qubits))
-                    injected = True
-        if inject and not injected:
-            return None
-        return state.probabilities()

@@ -1,10 +1,11 @@
 """Batched noisy simulation: fused body plans + shared-pass trajectories.
 
 The noisy counterpart of :mod:`repro.sim.batch`.  A subcircuit's
-``3^O * 4^rho`` physical variants share one measurement-free body; the
-serial noisy simulators re-run that body once per variant *per
+``3^O * 4^rho`` physical variants share one measurement-free body; a
+serial noisy simulator (the test oracles ``tests/noisy_oracle.py`` and
+``tests/density_oracle.py``) re-runs that body once per variant *per
 trajectory*.  This module provides the primitives that collapse the
-sweep:
+sweep, for cut pieces and uncut circuits (``VirtualDevice.run``) alike:
 
 * :func:`noisy_body_plan` compiles a gate sequence against a
   :class:`~repro.sim.noise.NoiseModel` into an executable plan: the
@@ -313,8 +314,9 @@ def draw_injections(
     """Every trajectory's Pauli injections for one init chunk.
 
     Per noise site, and per gate of a 1q fragment: with probability
-    ``rate``, a uniformly random non-identity Pauli (pair) — the serial
-    :class:`~repro.sim.noise.NoisySimulator`'s conditional draws.  The
+    ``rate``, a uniformly random non-identity Pauli (pair) — the
+    conditional draws of the serial trajectory loop
+    (``tests/noisy_oracle.py``).  The
     draws are three :func:`~repro.sim.noise.keyed_uniforms` calls, one
     per stage, keyed ``(seed, stage, index, trajectory, *item, position,
     lane)``:
@@ -445,8 +447,8 @@ def superoperator(matrix: np.ndarray, rate: float = 0.0) -> np.ndarray:
     by its ``k`` bra axes: ``U (x) U*``, then (for ``rate > 0``) the
     uniform non-identity Pauli channel in its twirled closed form
     ``(1 - lam) I + (lam / d) |vec I><vec I|``, ``d = 2^k``,
-    ``lam = rate * d^2 / (d^2 - 1)`` — the map
-    :func:`~repro.sim.density._depolarize_tensor` applies.
+    ``lam = rate * d^2 / (d^2 - 1)`` — the map the serial oracle's
+    ``_depolarize_tensor`` (``tests/density_oracle.py``) applies.
     """
     dim = len(matrix)
     channel = np.kron(matrix, matrix.conj())
@@ -494,7 +496,7 @@ def evolve_density(
 
     One ``apply_matrix`` per fused superoperator of
     :attr:`NoisyBodyPlan.density_ops`, batch-wide — the serial
-    :class:`~repro.sim.density.DensityMatrixSimulator` channel to
+    ``DensityMatrixSimulator`` channel (``tests/density_oracle.py``) to
     round-off, paid once per batch instead of once per variant.
     """
     ops = plan.density_ops

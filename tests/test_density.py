@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from repro import QuantumCircuit
-from repro.sim import NoiseModel, NoisySimulator, simulate_probabilities
-from repro.sim.density import DensityMatrix, DensityMatrixSimulator
+from repro.sim import NoiseModel, simulate_probabilities
 from tests.conftest import random_connected_circuit
+from tests.density_oracle import DensityMatrix, DensityMatrixSimulator
+from tests.noisy_oracle import NoisySimulator
 
 
 class TestDensityMatrixBasics:

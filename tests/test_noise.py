@@ -1,15 +1,11 @@
-"""Tests for the NISQ noise model and trajectory simulator."""
+"""Tests for the NISQ noise model and the serial trajectory oracle."""
 
 import numpy as np
 import pytest
 
 from repro import QuantumCircuit
-from repro.sim import (
-    NoiseModel,
-    NoisySimulator,
-    apply_readout_error,
-    spawn_rng,
-)
+from repro.sim import NoiseModel, spawn_rng
+from tests.noisy_oracle import NoisySimulator, apply_readout_error
 
 
 class TestNoiseModel:

@@ -3,7 +3,7 @@
 Covers the tentpole's contract from three sides:
 
 * the batched density path is the *same exact channel* as the serial
-  :class:`~repro.sim.density.DensityMatrixSimulator`, per variant, and
+  ``DensityMatrixSimulator`` (``tests/density_oracle.py``), per variant, and
   its fused superoperators match the step-by-step path they replaced
   (``tests/density_oracle.py``) to 1e-12;
 * the batched trajectory path matches an independent serial replay of
@@ -50,7 +50,6 @@ from repro.library import get_benchmark
 from repro.obs import trace
 from repro.postprocess import WorkerPool
 from repro.sim import (
-    DensityMatrixSimulator,
     NoiseModel,
     clean_log_weight,
     fuse_gates,
@@ -58,7 +57,6 @@ from repro.sim import (
     noisy_body_plan,
     spawn_rng,
 )
-from repro.sim.noise import apply_readout_error
 from repro.sim.batch import FUSION_WIDTH
 from repro.sim.noisy_batch import (
     PAULI_NAMES_1Q,
@@ -70,6 +68,7 @@ from repro.sim.statevector import INITIAL_STATES, Statevector, simulate_probabil
 from tests.conftest import random_connected_circuit
 from tests.density_oracle import (
     BatchedDensityMatrix,
+    DensityMatrixSimulator,
     Site,
     body_gates,
     density_steps,
@@ -82,6 +81,7 @@ from tests.keyed_draw_oracle import (
     fired_choice,
     sample_injection_pattern,
 )
+from tests.noisy_oracle import apply_readout_error
 from tests.test_batch import random_small_cut
 from tests.variant_oracle import evaluate_subcircuit
 
