@@ -32,8 +32,8 @@ from ..cutting.variants import (
     NoisyEvalSpec,
     SubcircuitResult,
     VariantCircuitFactory,
-    basis_column_amplitudes,
     batched_noisy_variant_probabilities,
+    body_program,
     generate_variants,
     num_physical_variants,
     stack_variant_rows,
@@ -42,6 +42,7 @@ from ..devices.device import VirtualDevice
 from ..devices.pool import DevicePool
 from ..obs import trace
 from ..obs.metrics import get_registry
+from ..sim.noisy_batch import basis_column_amplitudes
 
 __all__ = ["ExecutionReport", "VariantExecutor"]
 
@@ -118,8 +119,8 @@ def _run_init_batch(payload):
     ``("noisy-variant-batch", subcircuit, combos, spec)`` carries init
     label tuples and a :class:`~repro.cutting.variants.NoisyEvalSpec`,
     answered with the ``(len(combos), 3^O, 2^width)`` distributions slab
-    — the compiled geometry and fused body plan the spec implies are
-    memoized per process, so chunks landing on a warm worker reuse them.
+    — the compiled body program either kind implies is memoized per
+    process, so chunks landing on a warm worker reuse it.
     ``("backend", subcircuit, backend)`` is a custom backend's whole
     group: one ``backend(circuit)`` call per variant in
     :func:`generate_variants` order, stacked into the distributions
@@ -142,7 +143,9 @@ def _run_init_batch(payload):
             subcircuit, spec, init_combos=init_combos
         )
     (columns,) = rest
-    return basis_column_amplitudes(subcircuit, columns=columns)
+    return basis_column_amplitudes(
+        body_program(subcircuit), columns, subcircuit.index
+    )
 
 
 class VariantExecutor:
@@ -343,8 +346,8 @@ class VariantExecutor:
 
         Workers receive whole batches, never individual circuits — a
         range of basis columns on the exact path, init label tuples with
-        the spec riding along on the noisy one (geometry compiles once
-        per process).  A custom backend's group is one payload.
+        the spec riding along on the noisy one (its program compiles
+        once per process).  A custom backend's group is one payload.
         """
         if self.backend is not None:
             return [("backend", head, self.backend)]
@@ -374,7 +377,7 @@ class VariantExecutor:
         seconds (:meth:`~repro.devices.pool.DevicePool.place`) — unless
         :attr:`pool_affinity` pins a group's subcircuit index to a
         device, in which case the pin wins.  Group-level placement keeps
-        one compiled device geometry per subcircuit body and makes the
+        one compiled device program per subcircuit body and makes the
         noise streams a deterministic function of ``(device, seed,
         subcircuit)``, independent of which other groups share the batch.
         """
@@ -442,7 +445,7 @@ class VariantExecutor:
                 {"mode": f"{prefix}-pool", "payloads": len(payloads)},
             ):
                 outputs = worker_pool.map_variant_batches(payloads)
-            # Pull the workers' fusion/geometry cache counters home while
+            # Pull the workers' fusion/program cache counters home while
             # the pool is warm — scrapes then read gauges, never dispatch.
             from ..postprocess.parallel import publish_cache_gauges
 

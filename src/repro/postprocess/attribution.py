@@ -51,14 +51,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cutting.variants import (
-    _BASIS_MATRICES,
-    MEAS_BASES,
-    SubcircuitResult,
-    expand_inits,
-)
+from ..cutting.variants import SubcircuitResult
 from ..obs import trace
 from ..obs.metrics import get_registry
+from ..sim.noisy_batch import BASIS_MATRICES, MEAS_BASES, expand_inits
 
 __all__ = [
     "UPSTREAM_TERMS",
@@ -110,7 +106,7 @@ MEASURE_TERMS = np.einsum(
 #: Derived from the constants the raw-vector build uses, so it cannot drift;
 #: evaluates to ``<psi|M|psi>`` for ``M = 2|0><0| - X - Y, 2|1><1| - X - Y,
 #: 2X, 2Y``.
-_ROTATIONS = np.stack([np.eye(2), _BASIS_MATRICES["X"], _BASIS_MATRICES["Y"]])
+_ROTATIONS = np.stack([np.eye(2), BASIS_MATRICES["X"], BASIS_MATRICES["Y"]])
 MEASURE_FORMS = np.einsum(
     "tbs,bsa,bsc->tac", MEASURE_TERMS, _ROTATIONS, _ROTATIONS.conj()
 ).reshape(4, 4)

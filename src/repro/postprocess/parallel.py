@@ -274,9 +274,9 @@ def _run_variant_batch(payload):
     ``(columns, 2^width)`` amplitude slab) or init *label* tuples and a
     :class:`~repro.cutting.variants.NoisyEvalSpec` (answered with the
     ``(len(labels), 3^O, 2^width)`` distributions slab) — a few hundred bytes
-    instead of ``3^O * 4^rho`` pickled circuits.  The fused body (and the
-    noisy geometry) is memoized per worker process, so later chunks of
-    the same subcircuit land warm.
+    instead of ``3^O * 4^rho`` pickled circuits.  The compiled body program
+    is memoized per worker process, so later chunks of the same subcircuit
+    land warm.
     """
     # Local import: repro.core imports repro.postprocess at package
     # initialization time.
@@ -320,17 +320,17 @@ def _run_cache_stats(_payload):
     """Report this worker's hidden per-process cache counters.
 
     Covers the fused-body memo (:func:`repro.sim.batch.fusion_stats`)
-    and the noisy-geometry cache
-    (:func:`repro.cutting.variants.geometry_stats`); the parent folds
+    and the body-program memo
+    (:func:`repro.sim.noisy_batch.program_stats`); the parent folds
     the reports into pid-labelled registry gauges.
     """
-    from ..cutting.variants import geometry_stats
     from ..sim.batch import fusion_stats
+    from ..sim.noisy_batch import program_stats
 
     return {
         "pid": os.getpid(),
         "fusion": fusion_stats(),
-        "geometry": geometry_stats(),
+        "program": program_stats(),
     }
 
 
@@ -418,11 +418,11 @@ def _publish_cache_report(report: Dict) -> None:
     registry = get_registry()
     pid = str(report.get("pid", os.getpid()))
     fusion = report.get("fusion", {})
-    geometry = report.get("geometry", {})
+    program = report.get("program", {})
     size_gauge = registry.gauge(
         "repro_cache_size",
-        "Live entries in per-process caches (fusion memo layers, noisy "
-        "geometry).",
+        "Live entries in per-process caches (fusion memo layers, body "
+        "programs).",
         ("cache", "pid"),
     )
     hit_gauge = registry.gauge(
@@ -438,24 +438,23 @@ def _publish_cache_report(report: Dict) -> None:
     size_gauge.set(
         fusion.get("block_cache_size", 0), cache="fusion_block", pid=pid
     )
-    size_gauge.set(geometry.get("size", 0), cache="geometry", pid=pid)
+    size_gauge.set(program.get("size", 0), cache="program", pid=pid)
     calls = fusion.get("calls", 0)
     if calls:
         hit_gauge.set(
             fusion.get("full_hits", 0) / calls, cache="fusion", pid=pid
         )
-    geometry_total = geometry.get("hits", 0) + geometry.get("misses", 0)
-    if geometry_total:
+    program_total = program.get("hits", 0) + program.get("misses", 0)
+    if program_total:
         hit_gauge.set(
-            geometry.get("hits", 0) / geometry_total, cache="geometry",
-            pid=pid,
+            program.get("hits", 0) / program_total, cache="program", pid=pid
         )
 
 
 def publish_cache_gauges(pool: Optional["WorkerPool"] = None) -> None:
     """Refresh the pid-labelled cache gauges.
 
-    Always publishes the calling (parent) process's fusion/geometry
+    Always publishes the calling (parent) process's fusion/program
     cache stats; with ``pool`` given, additionally pulls every
     responding pool worker's report (:meth:`WorkerPool.cache_stats`).
     The executor calls this at the end of pooled evaluations so scrapes

@@ -12,7 +12,6 @@ from .batch import (
     FusedOp,
     fuse_gates,
     fusion_stats,
-    simulate_batch,
 )
 from .sampler import (
     ShotSampler,
@@ -28,11 +27,10 @@ from .noise import (
     spawn_rng,
 )
 from .noisy_batch import (
-    NoisyBodyPlan,
-    NoisySite,
+    BodyProgram,
+    compile_program,
     draw_injections,
     injected_suffix,
-    noisy_body_plan,
 )
 from .feynman import FeynmanPathSimulator, gate_schmidt_terms
 
@@ -46,7 +44,6 @@ __all__ = [
     "FusedOp",
     "fuse_gates",
     "fusion_stats",
-    "simulate_batch",
     "ShotSampler",
     "counts_to_probabilities",
     "probabilities_to_counts_dict",
@@ -56,9 +53,8 @@ __all__ = [
     "clean_log_weight",
     "keyed_uniforms",
     "spawn_rng",
-    "NoisyBodyPlan",
-    "NoisySite",
-    "noisy_body_plan",
+    "BodyProgram",
+    "compile_program",
     "draw_injections",
     "injected_suffix",
     "FeynmanPathSimulator",

@@ -17,10 +17,10 @@ two standard techniques collapse the sweep to a handful of BLAS calls:
 Both are exact: results bit-match the per-gate :class:`Statevector`
 path to floating-point accumulation order (<= 1e-10 in practice).
 
-The noisy counterpart — batched trajectory and density-matrix evolution
-of noise-sited body plans — lives in :mod:`repro.sim.noisy_batch` and
-builds directly on :class:`BatchedStatevector` and :func:`fuse_gates`:
-a density batch is a :class:`BatchedStatevector` over ``2n`` axes.
+The compiled body programs and their exact, density and trajectory
+executors live in :mod:`repro.sim.noisy_batch` and build directly on
+:class:`BatchedStatevector` and :func:`fuse_gates`: a density batch is a
+:class:`BatchedStatevector` over ``2n`` axes.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "gate_partition",
     "fusion_stats",
     "BatchedStatevector",
-    "simulate_batch",
 ]
 
 #: Hard cap on fused-block width: a block's unitary is a dense
@@ -232,7 +231,10 @@ def gate_partition(
         while len(_PARTITION_CACHE) > _PARTITION_CACHE_LIMIT:
             _PARTITION_CACHE.popitem(last=False)
     else:
-        _PARTITION_CACHE.move_to_end(structure)
+        try:
+            _PARTITION_CACHE.move_to_end(structure)
+        except KeyError:  # pragma: no cover - concurrent eviction
+            pass
     return partition
 
 
@@ -473,17 +475,3 @@ class BatchedStatevector:
     def member(self, index: int) -> Statevector:
         """Batch member ``index`` as a standalone :class:`Statevector`."""
         return Statevector(self.num_qubits, self._tensor[index])
-
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(
-            self._tensor.reshape(self.batch_size, -1), axis=1
-        )
-
-
-def simulate_batch(
-    circuit: QuantumCircuit,
-    initial_states: Sequence[Sequence[np.ndarray]],
-) -> BatchedStatevector:
-    """Run ``circuit`` over a batch of product initial states, fused."""
-    state = BatchedStatevector.from_product_batch(initial_states)
-    return state.apply_circuit(circuit, fused=True)

@@ -1,45 +1,44 @@
-"""Batched noisy simulation: fused body plans + shared-pass trajectories.
+"""Compiled body programs and the three executors that run them.
 
-The noisy counterpart of :mod:`repro.sim.batch`.  A subcircuit's
-``3^O * 4^rho`` physical variants share one measurement-free body; a
-serial noisy simulator (the test oracles ``tests/noisy_oracle.py`` and
-``tests/density_oracle.py``) re-runs that body once per variant *per
-trajectory*.  This module provides the primitives that collapse the
-sweep, for cut pieces and uncut circuits (``VirtualDevice.run``) alike:
+A subcircuit's ``3^O * 4^rho`` physical variants share one
+measurement-free body (paper §3, Fig. 3); only the 1q prep and basis
+fragments around it differ.  :class:`BodyProgram` compiles that shared
+structure once — the fused clean unitaries with every depolarizing site
+located in its block, the exact channel's fused superoperators (compiled
+on first use), the prep and basis :class:`Fragment` objects and the map
+back to the logical qubits — and :func:`cached_program` memoises it per
+process.  The caller routes and keys the body; this module imports
+nothing from ``cutting`` or ``devices``.  Three executors run a program,
+for cut pieces and uncut circuits (``VirtualDevice.run``) alike:
 
-* :func:`noisy_body_plan` compiles a gate sequence against a
-  :class:`~repro.sim.noise.NoiseModel` into an executable plan: the
-  body fused to clean unitaries (Aer-style, via
-  :func:`~repro.sim.batch.fuse_gates`) with every depolarizing site
-  located in its block.  Plans are memoized per process, so warm
-  workers never re-fuse a body they have already seen.
-* :func:`draw_injections` draws every trajectory's Pauli injections for
-  one init chunk — body sites, prep fragments and basis-tree edges — in
-  three array draws from :func:`~repro.sim.noise.keyed_uniforms`.  A
-  *fixed* body pattern is the clean gate list with Paulis appended after
-  a few gates on those gates' own qubits, so the body's fusion partition
-  is unchanged: the trajectory equals the fused clean pass up to its
-  first injected block, and from there on only the injected blocks need
-  a new unitary (:func:`injected_suffix`, :func:`fork_suffix`).
-* :func:`evolve_density` evolves the exact channel: a batch of density
-  matrices is a :class:`~repro.sim.batch.BatchedStatevector` over ``2n``
-  axes (ket, then bra), and each gate with its depolarizing site is one
-  superoperator, fused into the plan's :attr:`NoisyBodyPlan.density_ops`.
-* :func:`apply_readout_error_rows` / :func:`marginalize_rows` vectorize
-  the classical post-steps over a stacked ``(V, 2^n)`` matrix of variant
-  distributions.
+* **exact**: :func:`basis_column_amplitudes` runs the ``2^rho`` basis
+  columns of the init wires in one fused pass, and
+  :func:`materialise_distributions` expands them into distributions;
+* **density**: the exact channel on a
+  :class:`~repro.sim.batch.BatchedStatevector` over ``2n`` axes (ket,
+  then bra), prep folded into the product initial state;
+* **trajectory**: every trajectory's Pauli injections come from three
+  keyed array draws (:func:`draw_injections`).  A body pattern only
+  appends Paulis after some gates, so the fusion partition is unchanged:
+  a trajectory equals the fused clean walk up to its first injected
+  block and rebuilds only the injected blocks (:func:`injected_suffix`).
+
+All three end in one basis-tree walk and one readout / shots /
+marginalise epilogue; :func:`noisy_distributions` runs the noisy two.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits import Gate, QuantumCircuit
+from ..circuits import Gate
 from ..circuits.gates import gate_matrix
 from ..obs import trace
 from .batch import (
@@ -51,16 +50,30 @@ from .batch import (
     fused_block,
     gate_partition,
 )
-from .noise import NoiseModel, clean_log_weight, keyed_uniforms
+from .noise import NoiseModel, clean_log_weight, keyed_uniforms, spawn_rng
+from .sampler import sample_distribution
+from .statevector import INITIAL_STATES
 
 __all__ = [
-    "NoisySite",
-    "NoisyBodyPlan",
-    "noisy_body_plan",
+    "MEAS_BASES",
+    "INIT_LABELS",
+    "PREP_GATES",
+    "BASIS_GATES",
+    "BASIS_MATRICES",
+    "Fragment",
+    "BodyProgram",
+    "compile_program",
+    "cached_program",
+    "program_stats",
+    "labels_code",
+    "bases_code",
+    "expand_inits",
+    "basis_column_amplitudes",
+    "materialise_distributions",
+    "noisy_distributions",
     "draw_injections",
     "fold_matrices",
     "injected_suffix",
-    "fork_suffix",
     "superoperator",
     "product_density",
     "evolve_density",
@@ -71,6 +84,34 @@ __all__ = [
     "PAULI_PAIRS_2Q",
 ]
 
+#: Physical measurement bases (I reuses the Z circuit during attribution).
+MEAS_BASES: Tuple[str, ...] = ("Z", "X", "Y")
+#: Downstream initialization states: the row order of an init cut's term axis.
+INIT_LABELS: Tuple[str, ...] = ("zero", "one", "plus", "plus_i")
+#: ``(4, 2)``: row ``l`` is the 2-vector of ``INIT_LABELS[l]`` — the map from
+#: a cut wire's two basis columns to its four initial states.
+INIT_MATRIX = np.array([INITIAL_STATES[label] for label in INIT_LABELS])
+
+#: The 1q gates that prepare each init state from |0>, in order.
+PREP_GATES: Dict[str, Tuple[str, ...]] = {
+    "zero": (),
+    "one": ("x",),
+    "plus": ("h",),
+    "plus_i": ("h", "s"),
+}
+#: The 1q gates that rotate each basis onto Z before measurement.
+BASIS_GATES: Dict[str, Tuple[str, ...]] = {
+    "Z": (),
+    "X": ("h",),
+    "Y": ("sdg", "h"),
+}
+#: The 2x2 unitary each non-Z basis rotation applies (gate order folded:
+#: Y measures through sdg then h, i.e. ``H @ Sdg`` as one matrix).
+BASIS_MATRICES: Dict[str, np.ndarray] = {
+    "X": gate_matrix("h"),
+    "Y": gate_matrix("h") @ gate_matrix("sdg"),
+}
+
 PAULI_NAMES_1Q: Tuple[str, ...] = ("x", "y", "z")
 #: Non-identity two-qubit Pauli pairs, in the serial simulator's order.
 PAULI_PAIRS_2Q: Tuple[Tuple[str, str], ...] = tuple(
@@ -79,44 +120,140 @@ PAULI_PAIRS_2Q: Tuple[Tuple[str, str], ...] = tuple(
     for b in ("i", "x", "y", "z")
     if not (a == "i" and b == "i")
 )
+_KET_ZERO = INITIAL_STATES["zero"]
+_ZERO_RHO = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class NoisySite:
-    """One body gate followed by a depolarizing site of strength ``rate``."""
+def labels_code(labels: Sequence[str], alphabet=INIT_LABELS) -> int:
+    """Global combo index: mixed-radix over ``alphabet`` (init labels, or
+    :data:`MEAS_BASES` for :func:`bases_code`).
 
-    qubits: Tuple[int, ...]
-    rate: float
+    Derived from the combo *content*, so RNG keys built on it are
+    independent of how the init space was chunked across workers.
+    """
+    code = 0
+    for label in labels:
+        code = code * len(alphabet) + alphabet.index(label)
+    return code
 
-    @property
-    def is_2q(self) -> bool:
-        return len(self.qubits) > 1
+
+def bases_code(bases: Sequence[str]) -> int:
+    """Global basis-combo index (mixed-radix over :data:`MEAS_BASES`)."""
+    return labels_code(bases, MEAS_BASES)
 
 
-@dataclass(frozen=True)
-class NoisyBodyPlan:
-    """A compiled noisy body: the fused clean body + its noise sites.
+# ----------------------------------------------------------------------
+# The compiled program and its memo
+# ----------------------------------------------------------------------
 
-    ``sites`` lists the gates carrying a depolarizing site, in circuit
-    order, with ``site_rates`` their rates and ``site_choices`` their
-    number of non-identity Paulis (3 or 15) as arrays; ``log_clean`` is
-    the body's no-injection log-weight.
+@dataclass(frozen=True, eq=False)
+class Fragment:
+    """A compiled 1q prep/basis fragment on one simulated wire.
 
-    The trajectory path runs the *fully* fused body: ``blocks`` holds the
-    gate tuple of each fusion block, ``ops`` its clean unitary, and
-    ``site_slots[i]`` the ``(block, offset)`` of the gate that carries
-    site ``i``.  The density path runs :attr:`density_ops`, compiled
-    from the same gates on first use.
+    ``gates`` are the fragment's (possibly native-decomposed) gates on
+    the simulated register; ``matrices`` are their 2x2 unitaries and
+    ``matrix`` the noise-free fold of those; ``log_clean`` the fragment's
+    no-injection log-weight.  Prep fragments also carry ``rho``/``vector``,
+    the per-qubit 2x2 noisy density / clean 2-vector they leave behind —
+    this is how prep folds into the first body block instead of costing a
+    pass.
     """
 
-    num_qubits: int
-    sites: Tuple[NoisySite, ...]
-    site_rates: np.ndarray
-    site_choices: np.ndarray
+    gates: Tuple[Gate, ...]
+    wire: int
     log_clean: float
+    matrices: Tuple[np.ndarray, ...]
+    matrix: np.ndarray
+    rho: Optional[np.ndarray] = None
+    vector: Optional[np.ndarray] = None
+
+
+def _as_is(gate: Gate) -> Tuple[Gate, ...]:
+    return (gate,)
+
+
+@dataclass(frozen=True, eq=False)
+class BodyProgram:
+    """One subcircuit body, compiled once for every variant and executor.
+
+    The body: ``blocks`` holds the gate tuple of each fusion block and
+    ``ops`` its clean unitary; the gates carrying a depolarizing site
+    have their rates in ``site_rates``, their number of non-identity
+    Paulis (3 or 15) in ``site_choices`` and their ``(block, offset)`` in
+    ``site_slots``, in circuit order; ``log_clean`` is the body's
+    no-injection log-weight.  The density executor runs
+    :attr:`density_ops`, compiled from the same gates on first use.
+
+    The variants: ``init_wires`` / ``meas_wires`` are where the init /
+    measurement lines start / end, ``keep`` the wire each logical qubit
+    is measured on (``None`` when the register is the subcircuit's own)
+    and ``lower`` the rewrite of a 1q fragment gate into the gates that
+    run.  The fragments (:attr:`prep`, :attr:`basis`, :attr:`edges`)
+    compile on first use, so the exact path never builds a prep one.
+    """
+
+    num_wires: int
+    noise: NoiseModel
     blocks: Tuple[Tuple[Gate, ...], ...]
     ops: Tuple[FusedOp, ...]
+    site_rates: np.ndarray
+    site_choices: np.ndarray
     site_slots: Tuple[Tuple[int, int], ...]
+    log_clean: float
+    init_wires: Tuple[int, ...]
+    meas_wires: Tuple[int, ...]
+    keep: Optional[Tuple[int, ...]] = None
+    lower: Callable[[Gate], Sequence[Gate]] = _as_is
+
+    @property
+    def num_meas(self) -> int:
+        return len(self.meas_wires)
+
+    @property
+    def width(self) -> int:
+        """Qubits of one output distribution (the logical register)."""
+        return self.num_wires if self.keep is None else len(self.keep)
+
+    def _fragment(self, names: Sequence[str], wire: int, prep: bool) -> Fragment:
+        gates = tuple(g for name in names for g in self.lower(Gate(name, (wire,))))
+        matrices = tuple(gate.matrix() for gate in gates)
+        matrix = fold_matrices(matrices)
+        return Fragment(
+            gates=gates, wire=wire, log_clean=clean_log_weight(gates, self.noise),
+            matrices=matrices, matrix=matrix,
+            rho=_prep_density(gates, self.noise.error_1q) if prep else None,
+            vector=matrix @ _KET_ZERO if prep else None,
+        )
+
+    @cached_property
+    def prep(self) -> Dict[Tuple[str, int], Fragment]:
+        """The prep :class:`Fragment` of each ``(label, line)``."""
+        return {
+            (label, line): self._fragment(PREP_GATES[label], wire, True)
+            for line, wire in enumerate(self.init_wires)
+            for label in INIT_LABELS
+        }
+
+    @cached_property
+    def basis(self) -> Dict[Tuple[str, int], Fragment]:
+        """The basis :class:`Fragment` of each ``(basis, line)``."""
+        return {
+            (name, line): self._fragment(BASIS_GATES[name], wire, False)
+            for line, wire in enumerate(self.meas_wires)
+            for name in MEAS_BASES
+        }
+
+    @cached_property
+    def edges(self) -> Tuple[Tuple[Tuple[int, int], Fragment], ...]:
+        """The basis tree's edges whose fragment has gates, as ``((line,
+        child code), fragment)`` — the items trajectory draws key on."""
+        edges = []
+        for line in range(self.num_meas):
+            for child in range(len(MEAS_BASES) ** (line + 1)):
+                fragment = self.basis[(MEAS_BASES[child % len(MEAS_BASES)], line)]
+                if fragment.gates:
+                    edges.append(((line, child), fragment))
+        return tuple(edges)
 
     @cached_property
     def density_ops(self) -> Tuple[FusedOp, ...]:
@@ -128,14 +265,14 @@ class NoisyBodyPlan:
         ``FUSION_WIDTH // 2`` qubits, so a fused op acts on at most
         ``FUSION_WIDTH`` axes — ket qubits ``Q`` then bra axes
         ``n + Q`` — of a :func:`product_density` state.  Compiled only
-        when a density pass first asks, and held with the plan in the
-        bounded plan memo.
+        when a density pass first asks, and held with the program in the
+        bounded program memo.
         """
         gates = [gate for block in self.blocks for gate in block]
         starts = np.cumsum([0] + [len(block) for block in self.blocks])
         rates = [0.0] * len(gates)
-        for site, (block, offset) in zip(self.sites, self.site_slots):
-            rates[starts[block] + offset] = site.rate
+        for rate, (block, offset) in zip(self.site_rates, self.site_slots):
+            rates[starts[block] + offset] = float(rate)
         ops = []
         for members in gate_partition(gates, FUSION_WIDTH // 2):
             qubits = sorted({q for p in members for q in gates[p].qubits})
@@ -148,78 +285,463 @@ class NoisyBodyPlan:
                 bra = [len(qubits) + index for index in ket]
                 channel = superoperator(gate.matrix(), rates[position])
                 matrix = _expand_to_block(channel, ket + bra, width) @ matrix
-            axes = tuple(qubits) + tuple(self.num_qubits + q for q in qubits)
+            axes = tuple(qubits) + tuple(self.num_wires + q for q in qubits)
             ops.append(FusedOp(matrix=matrix, qubits=axes))
         return tuple(ops)
 
 
-#: Per-process plan memo — the noisy analogue of ``batch._FUSION_CACHE``:
-#: chunks of the same subcircuit landing on the same warm worker reuse
-#: the compiled (fused) body instead of re-planning per payload.
-_PLAN_CACHE: "OrderedDict[Tuple, NoisyBodyPlan]" = OrderedDict()
-_PLAN_CACHE_LIMIT = 128
+def fold_matrices(matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """The 2x2 product of ``matrices`` applied in order."""
+    matrix = np.eye(2, dtype=complex)
+    for factor in matrices:
+        matrix = factor @ matrix
+    return matrix
 
 
-def noisy_body_plan(
-    circuit: Union[QuantumCircuit, Sequence[Gate]],
+def _prep_density(gates: Sequence[Gate], error_1q: float) -> np.ndarray:
+    """The 2x2 density a noisy 1q prep fragment leaves on its wire."""
+    rho = _ZERO_RHO.copy()
+    lam = error_1q * 4.0 / 3.0
+    for gate in gates:
+        matrix = gate.matrix()
+        rho = matrix @ rho @ matrix.conj().T
+        if error_1q > 0.0:
+            rho = (1.0 - lam) * rho + lam * np.trace(rho) * np.eye(2) / 2.0
+    return rho
+
+
+def compile_program(
+    gates: Sequence[Gate],
+    num_wires: int,
+    init_wires: Sequence[int],
+    meas_wires: Sequence[int],
     noise: NoiseModel,
-    num_qubits: int,
-) -> NoisyBodyPlan:
-    """Compile ``circuit`` into a :class:`NoisyBodyPlan` (memoized).
+    keep: Optional[Sequence[int]] = None,
+    lower: Callable[[Gate], Sequence[Gate]] = _as_is,
+) -> BodyProgram:
+    """Compile a body placed on ``num_wires`` simulated wires.
 
-    Depolarizing noise applies after *every* gate with a non-zero rate;
-    each such gate becomes a site, located by its fusion block and its
-    offset in it.  With a noiseless model the plan has no sites and
-    ``ops`` is the exact path's fused body.
+    ``init_wires`` / ``meas_wires`` are where each init / measurement
+    line starts / ends on that register; ``lower`` rewrites one 1q
+    fragment gate into the gates that run (a device's native
+    decomposition).  Depolarizing noise applies after *every* gate with a
+    non-zero rate; each such gate becomes a site, located by its fusion
+    block and its offset in it.  With a noiseless model the program has
+    no sites and ``ops`` is the exact path's fused body.
     """
-    gates = tuple(
-        circuit.gates if isinstance(circuit, QuantumCircuit) else circuit
-    )
-    key = (gates, noise.error_1q, noise.error_2q, num_qubits)
-    cached = _PLAN_CACHE.get(key)
-    if cached is not None:
-        try:
-            _PLAN_CACHE.move_to_end(key)
-        except KeyError:  # pragma: no cover - concurrent eviction
-            pass
-        return cached
-    sites: List[NoisySite] = []
-    site_gates: List[int] = []
-    for position, gate in enumerate(gates):
-        rate = noise.error_2q if gate.is_multiqubit else noise.error_1q
-        if rate > 0.0:
-            sites.append(NoisySite(qubits=tuple(gate.qubits), rate=float(rate)))
-            site_gates.append(position)
+    gates = tuple(gates)
+    rates = [noise.error_2q if g.is_multiqubit else noise.error_1q for g in gates]
+    site_gates = [position for position, rate in enumerate(rates) if rate > 0.0]
     members = gate_partition(gates)
     slot_of = {
         position: (block, offset)
         for block, group in enumerate(members)
         for offset, position in enumerate(group)
     }
-    plan = NoisyBodyPlan(
-        num_qubits=int(num_qubits),
-        sites=tuple(sites),
-        site_rates=np.array([site.rate for site in sites]),
-        site_choices=np.array(
-            [
-                len(PAULI_PAIRS_2Q) if site.is_2q else len(PAULI_NAMES_1Q)
-                for site in sites
-            ],
-            dtype=np.intp,
-        ),
-        log_clean=clean_log_weight(gates, noise),
+    return BodyProgram(
+        num_wires=int(num_wires),
+        noise=noise,
         blocks=tuple(tuple(gates[p] for p in group) for group in members),
         ops=tuple(fuse_gates(gates)),
+        site_rates=np.array([float(rates[p]) for p in site_gates]),
+        site_choices=np.array(
+            [len(PAULI_PAIRS_2Q if gates[p].is_multiqubit else PAULI_NAMES_1Q)
+             for p in site_gates],
+            dtype=np.intp,
+        ),
         site_slots=tuple(slot_of[position] for position in site_gates),
+        log_clean=clean_log_weight(gates, noise),
+        init_wires=tuple(init_wires),
+        meas_wires=tuple(meas_wires),
+        keep=None if keep is None else tuple(keep),
+        lower=lower,
     )
-    _PLAN_CACHE[key] = plan
-    while len(_PLAN_CACHE) > _PLAN_CACHE_LIMIT:
-        _PLAN_CACHE.popitem(last=False)
-    return plan
+
+
+#: Per-process program memo — the fused-body residency layer: chunks of
+#: the same subcircuit landing on the same warm worker reuse the routed,
+#: planned and fused body instead of re-transpiling/re-fusing per payload.
+_PROGRAM_CACHE: "OrderedDict[Hashable, BodyProgram]" = OrderedDict()
+_PROGRAM_CACHE_LIMIT = 128
+_PROGRAM_CACHE_LOCK = threading.Lock()
+_PROGRAM_STATS = {"hits": 0, "misses": 0}
+
+
+def cached_program(
+    key: Hashable, build: Callable[[], BodyProgram]
+) -> BodyProgram:
+    """The memoised program for ``key``; ``build()`` runs on a miss.
+
+    ``key`` must determine the program: the body, where its lines sit,
+    the routing target and the noise model.  Safe under threads: a
+    concurrent eviction between lookup and refresh is not an error, and
+    two threads missing on one key both build the same program.
+    """
+    program = _PROGRAM_CACHE.get(key)
+    if program is not None:
+        _PROGRAM_STATS["hits"] += 1
+        try:
+            _PROGRAM_CACHE.move_to_end(key)
+        except KeyError:  # pragma: no cover - concurrent eviction
+            pass
+        return program
+    _PROGRAM_STATS["misses"] += 1
+    program = build()
+    with _PROGRAM_CACHE_LOCK:
+        _PROGRAM_CACHE[key] = program
+        while len(_PROGRAM_CACHE) > _PROGRAM_CACHE_LIMIT:
+            _PROGRAM_CACHE.popitem(last=False)
+    return program
+
+
+def program_stats() -> dict:
+    """Per-process program memo counters plus live size.
+
+    Mirrors :func:`repro.sim.batch.fusion_stats`: counters are local to
+    the calling process, so pool workers report their own copies via
+    ``WorkerPool.cache_stats()`` and land as pid-labelled gauges in the
+    metrics registry.
+    """
+    return {
+        "hits": _PROGRAM_STATS["hits"],
+        "misses": _PROGRAM_STATS["misses"],
+        "size": len(_PROGRAM_CACHE),
+    }
 
 
 # ----------------------------------------------------------------------
-# Trajectory path: one shared injection pattern per batched pass
+# The shared basis-tree walk and epilogue
+# ----------------------------------------------------------------------
+
+def _walk(program, state, leaf, noisy=None, prune=False, density=False,
+          line=0, bases=(), code=0):
+    """Depth-first over measurement lines, sharing basis prefixes.
+
+    Calls ``leaf(bases, probabilities)`` once per basis combo reached, in
+    :func:`bases_code` order.  A pure ``state`` takes each fragment's
+    ``matrix`` on its wire; a ``density`` state takes the 4x4
+    superoperator of its gates and 1q sites on the wire's ket and bra
+    axes.  ``noisy`` maps a tree edge ``(line,
+    child code)`` to its injected fragment matrix; with ``prune`` only
+    subtrees holding such an edge are entered, and everything below one.
+    ``state`` is never written to.
+    """
+    if line == program.num_meas:
+        leaf(bases, density_probabilities(state) if density
+             else state.probabilities())
+        return
+    noisy = noisy or {}
+    for number, name in enumerate(MEAS_BASES):
+        child = code * len(MEAS_BASES) + number
+        if prune and not any(
+            at >= line and edge // len(MEAS_BASES) ** (at - line) == child
+            for at, edge in noisy
+        ):
+            continue
+        fragment = program.basis[(name, line)]
+        matrix = noisy.get((line, child))
+        branch = state
+        if fragment.gates and density:
+            # The fragment's gates, each with its 1q site: one 4x4
+            # superoperator on the wire's ket and bra axes.
+            channel = np.eye(4, dtype=complex)
+            for factor in fragment.matrices:
+                channel = superoperator(factor, program.noise.error_1q) @ channel
+            axes = [fragment.wire, program.num_wires + fragment.wire]
+            branch = state.applied(channel, axes)
+        elif fragment.gates:
+            rotation = fragment.matrix if matrix is None else matrix
+            branch = state.applied(rotation, [fragment.wire])
+        _walk(program, branch, leaf, noisy, prune and matrix is None,
+              density, line + 1, bases + (name,), child)
+
+
+def _distributions(program, leaves, codes, shots, seed, index):
+    """The epilogue: readout, shots and marginalisation of every leaf.
+
+    ``leaves`` maps a basis combo to its ``(len(codes), 2^num_wires)``
+    rows; row ``r`` is init combo ``codes[r]``.  Shots draw from
+    :func:`~repro.sim.noise.spawn_rng` at ``(3, index, row code, basis
+    code)``, before marginalising.  Returns the ``(len(codes), 3^O,
+    2^width)`` float64 distributions.
+    """
+    distributions = np.empty(
+        (len(codes), len(MEAS_BASES) ** program.num_meas, 1 << program.width)
+    )
+    for bases, rows in leaves.items():
+        rows = apply_readout_error_rows(rows, program.noise.readout)
+        code = bases_code(bases)
+        if shots:
+            rows = np.stack(
+                [
+                    sample_distribution(
+                        rows[row], shots, spawn_rng(seed, 3, index, codes[row], code)
+                    )
+                    for row in range(len(codes))
+                ]
+            )
+        if program.keep is not None:
+            rows = marginalize_rows(rows, program.keep, program.num_wires)
+        distributions[:, code] = rows
+    return distributions
+
+
+# ----------------------------------------------------------------------
+# Exact executor: one fused body pass over the 2^rho basis columns
+# ----------------------------------------------------------------------
+
+def basis_column_amplitudes(
+    program: BodyProgram,
+    columns: Optional[Tuple[int, int]] = None,
+    index: int = 0,
+) -> Tuple[np.ndarray, int]:
+    """Final amplitudes of the init wires' computational-basis columns.
+
+    Column ``c`` puts bit ``k`` of ``c`` (MSB first) on init line ``k`` and
+    ``|0>`` on every other wire: the initial batch is rows of an identity
+    scattered to the init wires.  ``columns = (start, stop)`` restricts
+    the sweep to a range — the init batch a
+    :class:`~repro.core.executor.VariantExecutor` payload carries; the
+    range is one fused pass (``(stop - start) * 2^width * 16`` bytes per
+    live tensor).  ``index`` labels the span.  Returns the ``(stop -
+    start, 2^width)`` complex128 slab and the number of passes, 1.
+    """
+    width = program.num_wires
+    wires = program.init_wires
+    start, stop = columns or (0, 1 << len(wires))
+    members = np.arange(start, stop)
+    basis_index = np.zeros_like(members)
+    for k, wire in enumerate(wires):
+        bit = (members >> (len(wires) - 1 - k)) & 1
+        basis_index |= bit << (width - 1 - wire)
+    count = stop - start
+    with trace.span(
+        "evaluate.variant_batch",
+        {"subcircuit": index, "width": width, "columns": count,
+         "rho": len(wires), "num_meas": program.num_meas},
+    ):
+        data = np.zeros((count, 1 << width), dtype=complex)
+        data[np.arange(count), basis_index] = 1.0
+        state = BatchedStatevector(width, count, data)
+        return state.apply_fused(program.ops).amplitudes(), 1
+
+
+def expand_inits(columns: np.ndarray, num_lines: int) -> np.ndarray:
+    """Fan-in by linearity: ``(2^k, m)`` basis-column amplitudes to the
+    ``(4^k, m)`` amplitudes of every :data:`INIT_LABELS` combination."""
+    tensor = columns
+    for axis in range(num_lines):
+        # (4, 2) @ (lead, 2, rest): the label axis lands where ``axis`` was.
+        tensor = np.matmul(INIT_MATRIX, tensor.reshape(4**axis, 2, -1))
+    return tensor.reshape(4**num_lines, -1)
+
+
+def materialise_distributions(
+    program: BodyProgram, amplitudes: np.ndarray
+) -> np.ndarray:
+    """The ``(4^rho, 3^O, 2^width)`` variant distributions of an exact result.
+
+    Expands the inits, walks the ``3^O`` basis rotations and squares.
+    Off the hot path: term tensors build from the amplitudes.
+    """
+    states = expand_inits(amplitudes, len(program.init_wires))
+    leaves: Dict[Tuple[str, ...], np.ndarray] = {}
+    _walk(
+        program, BatchedStatevector(program.num_wires, len(states), states),
+        leaves.__setitem__,
+    )
+    return _distributions(program, leaves, range(len(states)), None, None, 0)
+
+
+# ----------------------------------------------------------------------
+# Density and trajectory executors
+# ----------------------------------------------------------------------
+
+def noisy_distributions(
+    program: BodyProgram,
+    combos: Sequence[Tuple[str, ...]],
+    method: str,
+    trajectories: int,
+    shots: Optional[int],
+    seed: Optional[int],
+    index: int,
+) -> Tuple[np.ndarray, int]:
+    """Every noisy variant distribution of the init ``combos``.
+
+    ``method="density"`` evolves the exact channel in one batched pass;
+    ``"trajectory"`` mixes the clean distribution with the mean of
+    ``trajectories`` Pauli-injection samples by the analytic clean weight,
+    like the serial oracle ``tests/noisy_oracle.py``
+    (:func:`_trajectory_leaves`).  Injections and shots (0 or ``None``:
+    none) are keyed on ``seed``, ``index`` and content, so results are
+    bit-identical for any worker count or chunking.  Returns the
+    ``(len(combos), 3^O, 2^width)`` distributions, marginalised to
+    ``program.keep``, and the body passes run (trajectory: clean walk +
+    forked suffixes).
+    """
+    codes = [labels_code(labels) for labels in combos]
+    with trace.span(
+        "evaluate.noisy_variant_batch",
+        {"subcircuit": index, "method": method, "members": len(combos)},
+    ) as span:
+        if method == "density":
+            leaves, num_passes = _density_leaves(program, combos)
+        else:
+            leaves, num_passes = _trajectory_leaves(
+                program, combos, codes, trajectories, seed, index, span
+            )
+    return _distributions(program, leaves, codes, shots, seed, index), num_passes
+
+
+def _per_wire(program, members, fill):
+    """``members[b]`` maps a wire to its state; other wires hold ``fill``."""
+    rows = [[fill] * program.num_wires for _ in members]
+    for row, states in zip(rows, members):
+        for wire, state in states.items():
+            row[wire] = state
+    return rows
+
+
+def _prep_fragments(program, combos):
+    """Per init combo, the prep fragment of each init line."""
+    return [
+        [program.prep[(label, line)] for line, label in enumerate(labels)]
+        for labels in combos
+    ]
+
+
+def _density_leaves(program, combos):
+    """One exact-channel pass; returns ``bases -> (B, 2^n)`` rows."""
+    members = [
+        {fragment.wire: fragment.rho for fragment in row}
+        for row in _prep_fragments(program, combos)
+    ]
+    state = product_density(_per_wire(program, members, _ZERO_RHO))
+    leaves: Dict[Tuple[str, ...], np.ndarray] = {}
+    _walk(program, evolve_density(program, state), leaves.__setitem__,
+          density=True)
+    return leaves, 1
+
+
+def _trajectory_leaves(program, combos, codes, trajectories, seed, index, span):
+    """One fused clean walk, forked once per injecting trajectory.
+
+    A trajectory whose pattern first injects in block ``b`` shares
+    blocks ``0..b-1`` with the clean walk, so it forks off the walk
+    there and runs only ``b..end`` with its injected blocks rebuilt.
+    One that injects nothing in the body reads the walk's final state,
+    and only in the basis subtrees where one of its fragment draws
+    fired — every other leaf it would produce is the clean leaf, which
+    the estimator does not accumulate.  Rows whose prep fragment fired
+    do not start from the walk's state; they run the trajectory's whole
+    body as a batch of their own.  All draws come first
+    (:func:`draw_injections`, keyed on content), so none of this moves a
+    draw.
+
+    Live states are bounded by the walk, one fork and one trajectory's
+    prep-fired rows (plus one branch per tree level of a basis walk) —
+    never by ``trajectories``.
+    """
+    batch = len(combos)
+    prep = _prep_fragments(program, combos)
+    walk = BatchedStatevector.from_product_batch(_per_wire(
+        program, [{f.wire: f.vector for f in row} for row in prep], _KET_ZERO
+    ))
+    sums = {}
+    counts = {}
+    for bases in itertools.product(MEAS_BASES, repeat=program.num_meas):
+        sums[bases] = np.zeros((batch, 1 << program.num_wires))
+        counts[bases] = np.zeros(batch, dtype=np.int64)
+    forks = []  # blocks applied by each forked pass
+
+    def run(state, ops, first_block, noisy, prune, rows, pick):
+        if ops:  # a new batch; ``applied`` never writes to the shared one
+            with trace.span(
+                "sim.noisy.trajectory_body",
+                {"first_block": first_block, "blocks": len(ops)},
+            ):
+                for op in ops:
+                    state = state.applied(op.matrix, op.qubits)
+            forks.append(len(ops))
+
+        def accumulate(bases, probabilities):
+            sums[bases][rows] += probabilities[pick]
+            counts[bases][rows] += 1
+
+        _walk(program, state, accumulate, noisy, prune)
+
+    schedule = []
+    for pattern, prep_fired, noisy in draw_injections(
+        program, prep, codes, program.edges, program.noise.error_1q, seed,
+        index, trajectories,
+    ):
+        first_block, suffix = (
+            (len(program.ops), []) if pattern is None
+            else injected_suffix(program, pattern)
+        )
+        schedule.append((first_block, suffix, prep_fired, noisy))
+    cursor = skipped = 0
+    for first_block, suffix, prep_fired, noisy in sorted(
+        schedule, key=lambda draw: draw[0]
+    ):
+        for op in program.ops[cursor:first_block]:
+            walk.apply_matrix(op.matrix, op.qubits)
+        cursor = first_block
+        ran = len(forks)
+        fired_rows = np.array(sorted(prep_fired), dtype=np.intp)
+        rows = slice(None)
+        if prep_fired:
+            rows = np.setdiff1d(np.arange(batch), fired_rows)
+        if len(prep_fired) < batch and (suffix or noisy):
+            run(walk, suffix, first_block, noisy, not suffix, rows, rows)
+        if prep_fired:
+            fired = [prep_fired[row] for row in fired_rows]
+            run(
+                BatchedStatevector.from_product_batch(
+                    _per_wire(program, fired, _KET_ZERO)
+                ),
+                list(program.ops[:first_block]) + suffix, 0,
+                noisy, False, fired_rows, slice(None),
+            )
+        skipped += ran == len(forks)
+    for op in program.ops[cursor:]:
+        walk.apply_matrix(op.matrix, op.qubits)
+    clean_leaves: Dict[Tuple[str, ...], np.ndarray] = {}
+    _walk(program, walk, clean_leaves.__setitem__)
+    span.set(
+        trajectories=trajectories, forked=len(forks), skipped=skipped,
+        blocks_applied=len(program.ops) + sum(forks),
+    )
+
+    log_prep = np.array(
+        [sum(fragment.log_clean for fragment in row) for row in prep]
+    )
+    leaves: Dict[Tuple[str, ...], np.ndarray] = {}
+    for bases, clean_rows in clean_leaves.items():
+        log_weight = (
+            program.log_clean
+            + log_prep
+            + sum(
+                program.basis[(name, line)].log_clean
+                for line, name in enumerate(bases)
+            )
+        )
+        weight = np.exp(log_weight)[:, None]
+        count = counts[bases]
+        mixed = clean_rows.copy()
+        sampled = count > 0
+        if sampled.any():
+            mean = sums[bases][sampled] / count[sampled, None]
+            mixed[sampled] = (
+                weight[sampled] * clean_rows[sampled]
+                + (1.0 - weight[sampled]) * mean
+            )
+        leaves[bases] = mixed
+    return leaves, 1 + len(forks)
+
+
+# ----------------------------------------------------------------------
+# Trajectory draws: one shared injection pattern per batched pass
 # ----------------------------------------------------------------------
 
 #: Keyed-draw stages (the second key field); stage 3 is shot sampling,
@@ -229,14 +751,6 @@ _BODY, _PREP, _BASIS = 0, 1, 2
 #: picks its Pauli.
 _LANES = np.arange(2).reshape(2, 1, 1)
 _PAULI_MATRICES_1Q = tuple(gate_matrix(name) for name in PAULI_NAMES_1Q)
-
-
-def fold_matrices(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """The 2x2 product of ``matrices`` applied in order."""
-    matrix = np.eye(2, dtype=complex)
-    for factor in matrices:
-        matrix = factor @ matrix
-    return matrix
 
 
 def _fired(seed, key, trajectories, entries, rates, choices):
@@ -302,10 +816,10 @@ def _fragment_hits(seed, key, trajectories, streams, items, rate):
 
 
 def draw_injections(
-    plan: NoisyBodyPlan,
-    prep: Sequence[Sequence[Any]],
+    program: BodyProgram,
+    prep: Sequence[Sequence[Fragment]],
     codes: Sequence[int],
-    edges: Sequence[Tuple[Tuple[int, int], Any]],
+    edges: Sequence[Tuple[Tuple[int, int], Fragment]],
     error_1q: float,
     seed: Optional[int],
     index: int,
@@ -321,7 +835,7 @@ def draw_injections(
     per stage, keyed ``(seed, stage, index, trajectory, *item, position,
     lane)``:
 
-    * body: no item; ``position`` is the site in ``plan.sites``;
+    * body: no item; ``position`` is the site in ``program.site_slots``;
     * prep: item is ``codes[row]``, the row's global init-combo code;
       ``position`` counts the gates of ``prep[row]``'s fragments, in
       order;
@@ -329,10 +843,8 @@ def draw_injections(
       ``position`` is the gate in its fragment.
 
     Every key derives from content, never from the chunk, so a draw is
-    the same however the init space is split.  Fragments are compiled 1q
-    fragments (``matrices``; prep ones also ``wire`` and ``vector``).
-    Past listing the fragment gates, Python touches only the entries
-    that fired.
+    the same however the init space is split.  Past listing the fragment
+    gates, Python touches only the entries that fired.
 
     Returns one ``(pattern, prep-fired rows, fired basis edges)`` tuple
     per trajectory: the body pattern for :func:`injected_suffix`
@@ -344,18 +856,20 @@ def draw_injections(
     prep_fired: List[Dict] = [{} for _ in range(trajectories)]
     noisy: List[Dict] = [{} for _ in range(trajectories)]
     keys = fired = 0
+    num_sites = len(program.site_slots)
     with trace.span("sim.noisy.draw") as span:
-        sites = plan.sites
-        if sites:
+        if num_sites:
             *hits, keys = _fired(
                 seed, (_BODY, index), trajectories,
-                (np.arange(len(sites)),), plan.site_rates, plan.site_choices,
+                (np.arange(num_sites),), program.site_rates,
+                program.site_choices,
             )
             for trajectory, site, choice in zip(*hits):
                 if patterns[trajectory] is None:
-                    patterns[trajectory] = [None] * len(sites)
+                    patterns[trajectory] = [None] * num_sites
                 patterns[trajectory][site] = (
-                    PAULI_PAIRS_2Q[choice] if sites[site].is_2q
+                    PAULI_PAIRS_2Q[choice]
+                    if program.site_choices[site] == len(PAULI_PAIRS_2Q)
                     else (PAULI_NAMES_1Q[choice],)
                 )
             fired = len(hits[0])
@@ -389,51 +903,36 @@ def draw_injections(
 
 
 def injected_suffix(
-    plan: NoisyBodyPlan, pattern: Sequence[Optional[Tuple[str, ...]]]
+    program: BodyProgram, pattern: Sequence[Optional[Tuple[str, ...]]]
 ) -> Tuple[int, List[FusedOp]]:
     """The part of the fused body a fixed ``pattern`` changes.
 
     Returns ``(first_block, ops)``: the trajectory's body is
-    ``plan.ops[:first_block] + ops``, where ``ops`` runs from the first
+    ``program.ops[:first_block] + ops``, where ``ops`` runs from the first
     injected block to the end with every injected block's unitary
     rebuilt from its gates plus the drawn Paulis (memoized with the
     clean blocks).  A pattern that injects nothing returns
-    ``(len(plan.ops), [])``.
+    ``(len(program.ops), [])``.
     """
     spliced: Dict[int, List[Gate]] = {}
     # Last site first: an insertion leaves the earlier offsets valid.
     for site in range(len(pattern) - 1, -1, -1):
         choice = pattern[site]
         if choice is not None:
-            block, offset = plan.site_slots[site]
-            gates = spliced.setdefault(block, list(plan.blocks[block]))
+            block, offset = program.site_slots[site]
+            gates = spliced.setdefault(block, list(program.blocks[block]))
             gates[offset + 1 : offset + 1] = [
                 Gate(name, (qubit,))
                 for name, qubit in zip(choice, gates[offset].qubits)
                 if name != "i"
             ]
     if not spliced:
-        return len(plan.ops), []
+        return len(program.ops), []
     first_block = min(spliced)
-    ops = list(plan.ops[first_block:])
+    ops = list(program.ops[first_block:])
     for block, gates in spliced.items():
         ops[block - first_block] = fused_block(tuple(gates))
     return first_block, ops
-
-
-def fork_suffix(
-    state: BatchedStatevector, ops: Sequence[FusedOp], first_block: int
-) -> BatchedStatevector:
-    """A new batch: ``state`` advanced through ``ops``; ``state`` itself
-    is left untouched (``applied`` never writes to the shared tensor)."""
-    # One span per forked pass (the per-block loop is the hot path).
-    with trace.span(
-        "sim.noisy.trajectory_body",
-        {"first_block": first_block, "blocks": len(ops)},
-    ):
-        for op in ops:
-            state = state.applied(op.matrix, op.qubits)
-    return state
 
 
 # ----------------------------------------------------------------------
@@ -490,16 +989,16 @@ def product_density(
 
 
 def evolve_density(
-    plan: NoisyBodyPlan, state: BatchedStatevector
+    program: BodyProgram, state: BatchedStatevector
 ) -> BatchedStatevector:
     """Advance a :func:`product_density` batch through the noisy body.
 
     One ``apply_matrix`` per fused superoperator of
-    :attr:`NoisyBodyPlan.density_ops`, batch-wide — the serial
+    :attr:`BodyProgram.density_ops`, batch-wide — the serial
     ``DensityMatrixSimulator`` channel (``tests/density_oracle.py``) to
     round-off, paid once per batch instead of once per variant.
     """
-    ops = plan.density_ops
+    ops = program.density_ops
     with trace.span(
         "sim.noisy.density_body",
         {"ops": len(ops), "amplitudes": state.batch_size << state.num_qubits},

@@ -31,11 +31,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.circuits import Gate, QuantumCircuit
-from repro.cutting.variants import (
-    INIT_LABELS,
-    MEAS_BASES,
-    _compiled_noisy_geometry,
-)
+from repro.cutting.variants import INIT_LABELS, MEAS_BASES, body_program
 from repro.devices.transpiler import compact_circuit, transpile
 from repro.sim.batch import FusedOp, fuse_gates
 from repro.sim.noise import NoiseModel
@@ -361,7 +357,7 @@ def oracle_distributions(subcircuit, spec) -> np.ndarray:
     ``spec.method`` must be ``"density"``; shots are not sampled.  The
     prep densities and basis fragments are the engine's compiled ones.
     """
-    geometry = _compiled_noisy_geometry(subcircuit, spec)
+    program = body_program(subcircuit, spec)
     noise = spec.effective_noise
     num_meas = len(subcircuit.meas_lines)
     zero_rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -370,9 +366,9 @@ def oracle_distributions(subcircuit, spec) -> np.ndarray:
     )
     members = []
     for labels in combos:
-        per_wire = [zero_rho] * geometry.num_wires
+        per_wire = [zero_rho] * program.num_wires
         for line_index, label in enumerate(labels):
-            fragment = geometry.prep[(label, line_index)]
+            fragment = program.prep[(label, line_index)]
             per_wire[fragment.wire] = fragment.rho
         members.append(per_wire)
     state = run_density_body(
@@ -387,12 +383,12 @@ def oracle_distributions(subcircuit, spec) -> np.ndarray:
     ):
         branch = state
         for line_index, name in enumerate(bases):
-            fragment = geometry.basis[(name, line_index)]
+            fragment = program.basis[(name, line_index)]
             for matrix in fragment.matrices:
                 branch = branch.applied(matrix, [fragment.wire])
                 branch.apply_depolarizing([fragment.wire], noise.error_1q)
         rows = apply_readout_error_rows(branch.probabilities(), noise.readout)
-        if geometry.keep is not None:
-            rows = marginalize_rows(rows, geometry.keep, geometry.num_wires)
+        if program.keep is not None:
+            rows = marginalize_rows(rows, program.keep, program.num_wires)
         distributions[:, code] = rows
     return distributions

@@ -42,22 +42,23 @@ def fired_choice(
 
 
 def sample_injection_pattern(
-    plan, seed: Optional[int], index: int, trajectory: int
+    program, seed: Optional[int], index: int, trajectory: int
 ) -> Tuple[Tuple[Optional[Tuple[str, ...]], ...], bool]:
-    """One trajectory's Pauli pattern over ``plan.sites``, site by site.
+    """One trajectory's Pauli pattern over ``program``'s sites, one by one.
 
     Returns ``(pattern, injected)``: ``pattern[i]`` is site ``i``'s Pauli
     name tuple (or ``None``); ``injected`` says whether any site fired.
     """
     pattern = []
-    for position, site in enumerate(plan.sites):
-        choices = len(PAULI_PAIRS_2Q) if site.is_2q else len(PAULI_NAMES_1Q)
+    for position, (rate, choices) in enumerate(
+        zip(program.site_rates.tolist(), program.site_choices.tolist())
+    ):
         choice = fired_choice(
-            site.rate, choices, seed, BODY, index, trajectory, position
+            rate, choices, seed, BODY, index, trajectory, position
         )
         if choice is None:
             pattern.append(None)
-        elif site.is_2q:
+        elif choices == len(PAULI_PAIRS_2Q):
             pattern.append(PAULI_PAIRS_2Q[choice])
         else:
             pattern.append((PAULI_NAMES_1Q[choice],))

@@ -23,7 +23,7 @@ from repro.library import get_benchmark
 from repro.library.qaoa import qaoa_maxcut, ring_graph
 from repro.obs import trace
 from repro.obs.metrics import get_registry
-from repro.cutting.variants import _BASIS_MATRICES, SubcircuitResult
+from repro.cutting.variants import SubcircuitResult
 from repro.postprocess import (
     DOWNSTREAM_TERMS,
     UPSTREAM_TERMS,
@@ -34,6 +34,7 @@ from repro.postprocess.attribution import MEASURE_FORMS, MEASURE_TERMS
 from repro.postprocess.synthetic import RandomTensorProvider
 from repro.service.store import ArtifactStore
 from repro.sim import NoiseModel, simulate_probabilities
+from repro.sim.noisy_batch import BASIS_MATRICES
 from repro.sim.sampler import sample_counts
 from tests.attribution_oracle import (
     DOWNSTREAM_INVERSE,
@@ -77,7 +78,7 @@ class TestTransformMatrices:
         assert np.abs(forms - hand.transpose(0, 2, 1)).max() <= 1e-15
         # The Y sign is the Y circuit's: H Sdg sends the +i eigenstate to
         # outcome 0, so p_Y(0) - p_Y(1) = +<Y>.
-        assert np.allclose(_BASIS_MATRICES["Y"] @ [1, 1j], [np.sqrt(2), 0])
+        assert np.allclose(BASIS_MATRICES["Y"] @ [1, 1j], [np.sqrt(2), 0])
         plus_i = np.array([1, 1j]) / np.sqrt(2)
         outer = np.outer(plus_i, plus_i.conj()).reshape(4)
         assert np.allclose(MEASURE_FORMS @ outer, [0, 0, 0, 2])

@@ -25,9 +25,8 @@ from repro.core.executor import VariantExecutor
 from repro.cutting import num_physical_variants
 from repro.cutting.variants import (
     VariantCircuitFactory,
-    basis_column_amplitudes,
+    body_program,
     generate_variants,
-    materialise_distributions,
     variant_circuit,
 )
 from repro.devices import get_device
@@ -35,13 +34,22 @@ from repro.library import get_benchmark
 from repro.obs import trace
 from repro.postprocess import ShotBasedTensorProvider, WorkerPool
 from repro.sim import batch as batch_module
+from repro.sim.noisy_batch import (
+    basis_column_amplitudes,
+    materialise_distributions,
+)
 from repro.sim import (
     BatchedStatevector,
     Statevector,
     fuse_gates,
     simulate_probabilities,
 )
-from repro.sim.batch import FUSION_WIDTH, fused_block, fusion_stats
+from repro.sim.batch import (
+    FUSION_WIDTH,
+    fused_block,
+    fusion_stats,
+    gate_partition,
+)
 from repro.sim.statevector import INITIAL_STATES
 from tests.conftest import random_connected_circuit
 from tests.variant_oracle import evaluate_subcircuit
@@ -144,6 +152,21 @@ class TestFusion:
         assert block(fits + 63) in batch_module._BLOCK_CACHE
         assert block(0) not in batch_module._BLOCK_CACHE
 
+    def test_partition_memo_survives_concurrent_eviction(self, monkeypatch):
+        """Another thread may evict a partition between this thread's
+        lookup and its LRU refresh; that is a hit, not a ``KeyError``."""
+
+        class EvictOnGet(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                self.pop(key, None)
+                return value
+
+        monkeypatch.setattr(batch_module, "_PARTITION_CACHE", EvictOnGet())
+        gates = get_benchmark("bv", 6).gates
+        built = gate_partition(gates)
+        assert gate_partition(gates) == built
+
     def test_apply_fused_span_reports_ops_and_amplitudes(self):
         circuit = get_benchmark("bv", 6)
         ops = fuse_gates(circuit)
@@ -175,7 +198,9 @@ class TestConstantWidth:
         assert max(op.num_qubits for op in fuse_gates(piece.circuit)) == (
             FUSION_WIDTH
         )
-        slab, passes = basis_column_amplitudes(piece, columns=(0, columns))
+        slab, passes = basis_column_amplitudes(
+            body_program(piece), (0, columns)
+        )
         assert passes == 1 and slab.shape == (columns, 1 << piece.width)
         rho = len(piece.init_lines)
         for column in range(columns):
@@ -291,9 +316,10 @@ class TestBatchedVariantParity:
             return
         for subcircuit in cut.subcircuits:
             serial = evaluate_subcircuit(subcircuit)
-            amplitudes, passes = basis_column_amplitudes(subcircuit)
+            program = body_program(subcircuit)
+            amplitudes, passes = basis_column_amplitudes(program)
             assert passes == 1
-            batched = materialise_distributions(subcircuit, amplitudes)
+            batched = materialise_distributions(program, amplitudes)
             assert batched.shape == serial.distributions.shape
             assert np.abs(batched - serial.distributions).max() <= 1e-10
 
@@ -345,17 +371,18 @@ class TestBatchedVariantParity:
 
         cut = cut_circuit(fig4_circuit, [(2, 1)])
         downstream = cut.subcircuits[1]  # one init line: 2 basis columns
-        full, one_pass = basis_column_amplitudes(downstream)
+        program = body_program(downstream)
+        full, one_pass = basis_column_amplitudes(program)
         slabs = [
-            basis_column_amplitudes(downstream, columns=(column, column + 1))
+            basis_column_amplitudes(program, (column, column + 1))
             for column in range(2)
         ]
         assert one_pass == 1 and [passes for _, passes in slabs] == [1, 1]
         chunked = np.concatenate([slab for slab, _ in slabs])
         assert full.shape == chunked.shape == (2, 1 << downstream.width)
         assert np.allclose(
-            materialise_distributions(downstream, full),
-            materialise_distributions(downstream, chunked),
+            materialise_distributions(program, full),
+            materialise_distributions(program, chunked),
             atol=1e-12,
         )
 

@@ -16,7 +16,7 @@ from repro import make_device
 from repro.cutting.variants import (
     NoisyEvalSpec,
     batched_noisy_variant_probabilities,
-    _compiled_noisy_geometry,
+    body_program,
 )
 from repro.library import get_benchmark
 from repro.core import CutQC
@@ -115,13 +115,13 @@ class TestDrawInjections:
         spec = NoisyEvalSpec(
             noise=NoiseModel(error_1q=0.05, error_2q=0.2), shots=None, seed=4
         )
-        geometry = _compiled_noisy_geometry(subcircuit, spec)
+        program = body_program(subcircuit, spec)
         drawn = draw_injections(
-            geometry.plan, [], [], (), 0.0, spec.seed, subcircuit.index, 16
+            program, [], [], (), 0.0, spec.seed, subcircuit.index, 16
         )
         for trajectory, (pattern, prep_fired, noisy) in enumerate(drawn):
             expected, injected = sample_injection_pattern(
-                geometry.plan, spec.seed, subcircuit.index, trajectory
+                program, spec.seed, subcircuit.index, trajectory
             )
             assert (pattern is not None) == injected
             assert tuple(pattern or expected) == expected

@@ -16,6 +16,7 @@ Covers the tentpole's contract from three sides:
 """
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -41,9 +42,7 @@ from repro.cutting.variants import (
     batched_noisy_variant_probabilities,
     generate_variants,
     variant_circuit,
-    _BASIS_GATES,
-    _PREP_GATES,
-    _compiled_noisy_geometry,
+    body_program,
 )
 from repro.devices.transpiler import _native_1q, compact_circuit, transpile
 from repro.library import get_benchmark
@@ -52,15 +51,19 @@ from repro.postprocess import WorkerPool
 from repro.sim import (
     NoiseModel,
     clean_log_weight,
+    compile_program,
     fuse_gates,
     injected_suffix,
-    noisy_body_plan,
     spawn_rng,
 )
 from repro.sim.batch import FUSION_WIDTH
 from repro.sim.noisy_batch import (
+    BASIS_GATES,
     PAULI_NAMES_1Q,
+    PREP_GATES,
+    basis_column_amplitudes,
     evolve_density,
+    materialise_distributions,
     product_density,
 )
 from repro.sim.sampler import sample_distribution
@@ -93,8 +96,7 @@ def bv(n):
     return get_benchmark("bv", n)
 
 
-@pytest.fixture
-def fig4_cut():
+def _fig4_cut():
     circuit = QuantumCircuit(5)
     for qubit in range(5):
         circuit.h(qubit)
@@ -102,6 +104,11 @@ def fig4_cut():
     circuit.t(2)
     circuit.cz(2, 3).cz(3, 4)
     return cut_circuit(circuit, [(2, 1)])
+
+
+@pytest.fixture
+def fig4_cut():
+    return _fig4_cut()
 
 
 # ----------------------------------------------------------------------
@@ -192,9 +199,9 @@ class TestDensityOracle:
             reference = oracle_distributions(subcircuit, spec)
             assert np.abs(got - reference).max() <= 1e-12
             # The body alone, on random product mixed states.
-            geometry = _compiled_noisy_geometry(subcircuit, spec)
-            members = _random_densities(rng, 3, geometry.num_wires)
-            state = evolve_density(geometry.plan, product_density(members))
+            program = body_program(subcircuit, spec)
+            members = _random_densities(rng, 3, program.num_wires)
+            state = evolve_density(program, product_density(members))
             expected = run_density_body(
                 density_steps(body_gates(subcircuit, spec), noise),
                 BatchedDensityMatrix.from_product_batch(members),
@@ -208,9 +215,9 @@ class TestDensityOracle:
         spec = NoisyEvalSpec(device=device, method="density", shots=None)
         cut = CutQC(bv(16), 15).cut()
         wide = max(cut.subcircuits, key=lambda piece: piece.width)
-        # Compile (and memoize) the geometry first: the refusal is
+        # Compile (and memoize) the program first: the refusal is
         # measured, not the transpile.
-        assert _compiled_noisy_geometry(wide, spec).num_wires == 15
+        assert body_program(wide, spec).num_wires == 15
         tracemalloc.start()
         try:
             with pytest.raises(
@@ -231,21 +238,21 @@ class TestDensityOracle:
         spec = NoisyEvalSpec(device=device, method="density", shots=None)
         ops = steps = 0
         for subcircuit in CutQC(bv(10), 6).cut().subcircuits:
-            geometry = _compiled_noisy_geometry(subcircuit, spec)
-            schedule = geometry.plan.density_ops
+            program = body_program(subcircuit, spec)
+            schedule = program.density_ops
             assert all(len(op.qubits) <= FUSION_WIDTH for op in schedule)
             members = _random_densities(
-                np.random.default_rng(0), 2, geometry.num_wires
+                np.random.default_rng(0), 2, program.num_wires
             )
             state = product_density(members)
             counter = _CountedApply(monkeypatch)
             with trace.start("root") as root:
-                evolve_density(geometry.plan, state)
+                evolve_density(program, state)
             assert len(counter.batch_sizes) == len(schedule)
             (span,) = root.children
             assert span.name == "sim.noisy.density_body"
             assert span.attrs["ops"] == len(schedule)
-            assert span.attrs["amplitudes"] == 2 << (2 * geometry.num_wires)
+            assert span.attrs["amplitudes"] == 2 << (2 * program.num_wires)
             ops += len(schedule)
             steps += len(
                 density_steps(body_gates(subcircuit, spec), noise)
@@ -306,7 +313,7 @@ def _serial_trajectory_replay(subcircuit, spec, variant):
         def lower(name, position, layout):
             return _native_1q(Gate(name, (kept.index(layout[position]),)))
 
-    plan = noisy_body_plan(body, noise, width)
+    plan = compile_program(body, width, (), (), noise)
     clean_ops = fuse_gates(body)
     index = subcircuit.index
     seed = spec.seed
@@ -315,11 +322,11 @@ def _serial_trajectory_replay(subcircuit, spec, variant):
     labels_code, _ = _variant_codes(variant)
 
     prep_gates = [
-        [g for spec_ in _PREP_GATES[label] for g in lower(spec_[0], position, initial)]
+        [g for name in PREP_GATES[label] for g in lower(name, position, initial)]
         for label, position in zip(variant.inits, init_positions)
     ]
     basis_gates = [
-        [g for spec_ in _BASIS_GATES[name] for g in lower(spec_[0], position, final)]
+        [g for gate in BASIS_GATES[name] for g in lower(gate, position, final)]
         for name, position in zip(variant.bases, meas_positions)
     ]
     prep_wires = [
@@ -522,9 +529,7 @@ class TestTrajectoryParity:
         )
         passes = _assert_replay_parity(middle, spec)
 
-        plan = noisy_body_plan(
-            middle.circuit.gates, spec.noise, middle.width
-        )
+        plan = body_program(middle, spec)
         assert len(plan.ops) >= 3  # room for a fork past block 0
         first_blocks, shared, adjacent = [], False, False
         for trajectory in range(spec.trajectories):
@@ -554,7 +559,7 @@ class TestTrajectoryParity:
                         spec.noise.error_1q, 3, spec.seed, PREP, middle.index,
                         trajectory, code, position,
                     ) is not None
-                    for position in range(len(_PREP_GATES[label]))
+                    for position in range(len(PREP_GATES[label]))
                 )
             assert rows < len(INIT_LABELS)
             fired += rows > 0
@@ -569,14 +574,13 @@ class TestTrajectoryParity:
                 subcircuit,
                 NoisyEvalSpec(noise=NoiseModel(), shots=None, seed=5),
             )
+            spec = NoisyEvalSpec(noise=silent, shots=None, seed=5)
             counter = _CountedApply(monkeypatch)
             estimate, passes = batched_noisy_variant_probabilities(
-                subcircuit, NoisyEvalSpec(noise=silent, shots=None, seed=5)
+                subcircuit, spec
             )
             assert passes == 1  # the walk; zero suffix passes
-            plan = noisy_body_plan(
-                subcircuit.circuit.gates, silent, subcircuit.width
-            )
+            plan = body_program(subcircuit, spec)
             # the walk plus one clean fan-out (X and Y per measured line)
             assert len(counter.batch_sizes) == len(plan.ops) + 2 * len(
                 subcircuit.meas_lines
@@ -596,9 +600,7 @@ class TestTrajectoryParity:
             child for child in batch.children
             if child.name == "sim.noisy.trajectory_body"
         ]
-        blocks = len(noisy_body_plan(
-            middle.circuit.gates, spec.noise, middle.width
-        ).ops)
+        blocks = len(body_program(middle, spec).ops)
         assert batch.attrs["trajectories"] == spec.trajectories
         assert batch.attrs["forked"] == len(suffixes) == passes - 1
         assert 0 <= batch.attrs["skipped"] < spec.trajectories
@@ -626,7 +628,6 @@ class TestTrajectoryParity:
             for subcircuit in cut.subcircuits:
                 counter = _CountedApply(monkeypatch)
                 batched_noisy_variant_probabilities(subcircuit, spec)
-                geometry = _compiled_noisy_geometry(subcircuit, spec)
                 steps = density_steps(
                     body_gates(subcircuit, spec), spec.effective_noise
                 )
@@ -639,17 +640,34 @@ class TestTrajectoryParity:
                     subcircuit.init_lines
                 )
 
-    def test_noiseless_trajectory_is_exact(self, fig4_cut):
-        spec = NoisyEvalSpec(
-            noise=NoiseModel(), method="trajectory", shots=None
-        )
-        for subcircuit in fig4_cut.subcircuits:
-            batched, passes = batched_noisy_variant_probabilities(
-                subcircuit, spec
-            )
-            assert passes == 1  # no gate noise: the clean pass suffices
-            exact = evaluate_subcircuit(subcircuit)
-            assert np.abs(batched - exact.distributions).max() <= 1e-10
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=5),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_noiseless_trajectory_is_exact(self, n, seed):
+        """At zero noise both noisy executors are the exact path — one
+        basis walk, one epilogue — on the bare-noise and device paths."""
+        circuit = random_connected_circuit(n, 2 * n, seed)
+        device = make_device("zero", 5, "line", noise=NoiseModel(), seed=seed)
+        for cut in filter(None, [_fig4_cut(), random_small_cut(circuit, seed)]):
+            for subcircuit in cut.subcircuits:
+                program = body_program(subcircuit)
+                exact = materialise_distributions(
+                    program, basis_column_amplitudes(program)[0]
+                )
+                serial = evaluate_subcircuit(subcircuit).distributions
+                assert np.abs(exact - serial).max() <= 1e-10
+                for method, where in itertools.product(
+                    ("trajectory", "density"),
+                    (dict(noise=NoiseModel(0.0, 0.0, 0.0)), dict(device=device)),
+                ):
+                    spec = NoisyEvalSpec(method=method, shots=0, **where)
+                    batched, passes = batched_noisy_variant_probabilities(
+                        subcircuit, spec
+                    )
+                    assert passes == 1  # no gate noise: the clean pass
+                    assert np.abs(batched - exact).max() <= 1e-10
 
     def test_trajectory_converges_to_density(self, fig4_cut):
         downstream = fig4_cut.subcircuits[1]

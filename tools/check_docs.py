@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate for the documentation tree.
 
-Four checks, two over every tracked Markdown file:
+Five checks, two over every tracked Markdown file:
 
 1. **Links** — every intra-repo link (``[text](path)`` and
    ``[text](path#anchor)``) must resolve to an existing file, and when
@@ -18,14 +18,17 @@ Four checks, two over every tracked Markdown file:
    return (statevector, device trajectory, device density; the device
    name rendered ``<name>``) appears backticked in
    ``docs/architecture.md``, so a version bump cannot skip the docs.
+5. **Cache labels** — every literal ``cache="…"`` metric label value in
+   ``src/repro`` appears backticked in ``docs/metrics.md``, so a scrape
+   never shows a cache its reader cannot look up.
 
 Usage::
 
     python tools/check_docs.py            # check + run
-    python tools/check_docs.py --no-run   # links, span names and tags only
+    python tools/check_docs.py --no-run   # everything but the snippets
 
 Exit status is non-zero on any broken link, failing snippet,
-undocumented span name or undocumented backend tag.
+undocumented span name, backend tag or cache label.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
 _FENCE = re.compile(r"^(`{3,}|~{3,})\s*(.*)$")
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
 _SPAN = re.compile(r"""trace\.span\(\s*["']([^"']+)["']""")
+_CACHE_LABEL = re.compile(r"""\bcache=["']([^"']+)["']""")
 
 
 def markdown_files() -> List[pathlib.Path]:
@@ -147,6 +151,22 @@ def check_span_names() -> List[str]:
     ]
 
 
+def check_cache_labels() -> List[str]:
+    """Literal ``cache="…"`` label values in ``src/repro`` missing from
+    ``docs/metrics.md``."""
+    documented = (REPO_ROOT / "docs" / "metrics.md").read_text(encoding="utf-8")
+    missing = {
+        (str(path.relative_to(REPO_ROOT)), match.group(1))
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        for match in _CACHE_LABEL.finditer(path.read_text(encoding="utf-8"))
+        if f"`{match.group(1)}`" not in documented
+    }
+    return [
+        f"{source}: cache label '{name}' is not documented in docs/metrics.md"
+        for source, name in sorted(missing)
+    ]
+
+
 def check_backend_tags() -> List[str]:
     """Tags ``JobSpec.backend_tag()`` returns that ``docs/architecture.md``
     does not show backticked."""
@@ -234,14 +254,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--no-run", action="store_true",
-        help="check links, span names and backend tags; skip executing "
-        "runnable snippets",
+        help="check links, span names, cache labels and backend tags; "
+        "skip executing runnable snippets",
     )
     args = parser.parse_args(argv)
 
     files = markdown_files()
     print(f"checking {len(files)} markdown files")
-    errors = check_links(files) + check_span_names() + check_backend_tags()
+    errors = (
+        check_links(files) + check_span_names() + check_cache_labels()
+        + check_backend_tags()
+    )
     if not args.no_run:
         errors += run_snippets(files)
 
