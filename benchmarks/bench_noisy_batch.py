@@ -32,6 +32,7 @@ import time
 import numpy as np
 
 from repro import CutQC, make_device
+from repro.core import RunConfig
 from repro.core.executor import VariantExecutor
 from repro.cutting import num_physical_variants
 from repro.library import get_benchmark
@@ -96,12 +97,12 @@ def test_noisy_batch_speedup():
         legacy_seconds, _ = _measure(legacy_executor, subcircuits)
         assert legacy_executor.last_report.mode == "backend"
 
-        batched_executor = VariantExecutor(
+        batched_executor = VariantExecutor(RunConfig(
             device=device,
             device_shots=_SHOTS,
             trajectories=_TRAJECTORIES,
             seed=17,
-        )
+        ))
         batched_seconds, batched = _measure(batched_executor, subcircuits)
         batched_report = batched_executor.last_report
         assert batched_report.mode == "batched-noisy"

@@ -22,6 +22,7 @@ from .core import (
     CutQC,
     ExecutionReport,
     RebindStats,
+    RunConfig,
     VariantExecutor,
     VariationalSession,
     evaluate_with_cutqc,
@@ -72,6 +73,7 @@ __all__ = [
     "build_circuit_graph",
     "CutQC",
     "ExecutionReport",
+    "RunConfig",
     "VariantExecutor",
     "VariationalSession",
     "RebindStats",

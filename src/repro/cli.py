@@ -35,16 +35,65 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import CutQC
+from .core import CutQC, RunConfig
 from .cutting import CutSearchError
+from .cutting.searcher import METHODS
+from .cutting.variants import NOISY_METHODS
 from .devices import DEVICE_PRESETS, get_device
 from .library import BENCHMARKS, get_benchmark
 from .metrics import chi_square_loss
 from .obs import trace
-from .postprocess import DEFAULT_STRATEGY, STRATEGIES
+from .postprocess import STRATEGIES
 from .sim import simulate_probabilities
+from .utils import top_states
 
 __all__ = ["main", "build_parser"]
+
+
+#: How the CLI spells each RunConfig option it takes; the defaults are
+#: RunConfig's.
+_CONFIG_FLAGS = {
+    "max_subcircuit_qubits": ("--device-size", dict(
+        type=int, required=True, metavar="D",
+        help="max qubits per subcircuit (device size D)")),
+    "max_subcircuits": ("--max-subcircuits", dict(type=int)),
+    "max_cuts": ("--max-cuts", dict(type=int)),
+    "method": ("--method", dict(choices=METHODS, help="cut-search backend")),
+    "strategy": ("--strategy", dict(
+        choices=STRATEGIES, help="contraction strategy (default: %(default)s)")),
+    "pool": ("--pool", dict(
+        metavar="SPEC",
+        help="evaluate variants on a device pool; SPEC is a comma-separated "
+             "list of preset[:count], e.g. bogota:4,melbourne")),
+    "device": ("--device", dict(
+        choices=sorted(DEVICE_PRESETS),
+        help="evaluate subcircuit variants on this noisy virtual device "
+             "(batched noisy engine; default: exact statevector)")),
+    "device_shots": ("--shots", dict(
+        type=int, metavar="N",
+        help="shots per variant on --device or --pool (0 = noise-only "
+             "distributions; default: the device's setting)")),
+    "trajectories": ("--trajectories", dict(
+        type=int, metavar="T",
+        help="Monte-Carlo trajectories per variant for --device's batched "
+             "noisy estimator (default: %(default)s)")),
+    "noisy_method": ("--noisy-method", dict(
+        choices=NOISY_METHODS,
+        help="batched noisy estimator for --device: Pauli-injection "
+             "trajectories or the exact density-matrix channel")),
+}
+_CUT_OPTIONS = ("max_subcircuit_qubits", "max_subcircuits", "max_cuts", "method")
+_NOISY_OPTIONS = ("device", "device_shots", "trajectories", "noisy_method")
+
+
+def _add_config_options(sub: argparse.ArgumentParser, options) -> None:
+    """Declare these RunConfig options on ``sub``, defaulted by RunConfig."""
+    defaults = RunConfig()
+    for option in options:
+        flag, kwargs = _CONFIG_FLAGS[option]
+        sub.add_argument(
+            flag, dest=option, default=getattr(defaults, option), **kwargs
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,48 +103,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_circuit_options(sub: argparse.ArgumentParser) -> None:
+    def add_circuit_options(
+        sub: argparse.ArgumentParser, required: bool = True
+    ) -> None:
         sub.add_argument(
-            "--benchmark", required=True, choices=sorted(BENCHMARKS),
+            "--benchmark", required=required, choices=sorted(BENCHMARKS),
             help="benchmark circuit family (paper §5.3)",
         )
-        sub.add_argument("--qubits", type=int, required=True)
+        sub.add_argument("--qubits", type=int, required=required)
         sub.add_argument("--seed", type=int, default=0,
-                         help="generator seed (randomized benchmarks)")
-        sub.add_argument("--device-size", type=int, required=True,
-                         help="max qubits per subcircuit (device size D)")
-        sub.add_argument("--max-subcircuits", type=int, default=5)
-        sub.add_argument("--max-cuts", type=int, default=10)
-        sub.add_argument(
-            "--method", choices=("auto", "mip", "heuristic"), default="auto",
-            help="cut-search backend",
-        )
+                         help="generator seed (randomized benchmarks); "
+                              "also roots the noise streams")
 
-    def add_execution_options(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY,
-            help=f"contraction strategy (default: {DEFAULT_STRATEGY})",
-        )
-        sub.add_argument(
-            "--pool", metavar="SPEC",
-            help="evaluate variants on a device pool; SPEC is a comma-"
-                 "separated list of preset[:count], e.g. bogota:4,melbourne",
-        )
+    def add_execution_options(
+        sub: argparse.ArgumentParser, trace: bool = True
+    ) -> None:
         sub.add_argument(
             "--pool-workers", type=int, default=0, metavar="N",
-            help="run variant execution and every query on a persistent "
+            help="run variant execution and every query on one persistent "
                  "N-process worker pool (shared-memory tensor transport; "
                  "0 = no pool, everything inline)",
         )
         sub.add_argument(
-            "--trace", action="store_true",
-            help="record spans across the whole pipeline and print the "
-                 "span tree (wall time + per-stage percentages)",
-        )
-        sub.add_argument(
             "--max-retries", type=int, default=2, metavar="R",
-            help="retry the command body up to R times on transient "
-                 "faults (worker crashes, store IO; default: 2)",
+            help="retry budget for transient faults (worker crashes, "
+                 "store IO; default: 2)",
         )
         sub.add_argument(
             "--no-degrade", dest="degrade", action="store_false",
@@ -103,30 +135,26 @@ def build_parser() -> argparse.ArgumentParser:
             help="fail instead of falling back to serial in-process "
                  "evaluation when the worker pool is unrecoverable",
         )
+        if trace:
+            sub.add_argument(
+                "--trace", action="store_true",
+                help="record spans across the whole pipeline and print "
+                     "the span tree (wall time + per-stage percentages)",
+            )
 
     cut = commands.add_parser("cut", help="find cuts and print the plan")
     add_circuit_options(cut)
+    _add_config_options(cut, _CUT_OPTIONS)
     cut.add_argument("--json", action="store_true",
                      help="machine-readable JSON output (plan, objective, "
                           "cut positions)")
 
     run = commands.add_parser("run", help="cut + evaluate + FD query")
     add_circuit_options(run)
+    _add_config_options(run, _CUT_OPTIONS + ("strategy", "pool") + _NOISY_OPTIONS)
     add_execution_options(run)
     run.add_argument("--top", type=int, default=5,
                      help="print this many highest-probability states")
-    run.add_argument("--device", choices=sorted(DEVICE_PRESETS),
-                     help="evaluate subcircuits on this noisy virtual device"
-                          " (default: exact statevector)")
-    run.add_argument("--shots", type=int, default=8192)
-    run.add_argument("--trajectories", type=int, default=24, metavar="T",
-                     help="Monte-Carlo trajectories per variant on "
-                          "--device's batched noisy path (default: 24)")
-    run.add_argument("--noisy-method",
-                     choices=("trajectory", "density"), default="trajectory",
-                     help="batched noisy estimator for --device: "
-                          "Pauli-injection trajectories or the exact "
-                          "density-matrix channel")
     run.add_argument("--verify", action="store_true",
                      help="compare against statevector ground truth")
     run.add_argument("--stream-shards", type=int, default=None, metavar="S",
@@ -139,13 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     dd = commands.add_parser("dd", help="cut + evaluate + DD query")
     add_circuit_options(dd)
+    _add_config_options(dd, _CUT_OPTIONS + ("strategy", "pool", "device_shots"))
     add_execution_options(dd)
     dd.add_argument("--active", type=int, default=2,
                     help="active qubits per recursion (memory cap)")
     dd.add_argument("--recursions", type=int, default=8)
-    dd.add_argument("--shots", type=int, default=None,
-                    help="shots per pool job (0 = exact; default: device "
-                         "setting)")
     dd.add_argument("--zoom-width", type=int, default=1, metavar="K",
                     help="expand the top-K frontier bins per round, "
                          "contracted in parallel on the --pool-workers pool")
@@ -180,21 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "blocked:0)")
     serve.add_argument("--workers", type=int, default=2,
                        help="scheduler worker threads")
-    serve.add_argument("--pool-workers", type=int, default=0, metavar="N",
-                       help="share one persistent N-process worker pool "
-                            "across all jobs (0 = no pool)")
+    add_execution_options(serve, trace=False)
     serve.add_argument("--max-pending", type=int, default=None, metavar="N",
                        help="reject submissions with a typed 503 "
                             "(code 'overloaded') while N jobs are already "
                             "queued (default: unbounded)")
-    serve.add_argument("--max-retries", type=int, default=2, metavar="R",
-                       help="per-stage retry budget for transient faults "
-                            "(worker crashes, store IO; default: 2)")
-    serve.add_argument("--no-degrade", dest="degrade",
-                       action="store_false", default=True,
-                       help="fail jobs instead of degrading to serial "
-                            "in-process evaluation when the worker pool "
-                            "is unrecoverable")
     serve.add_argument("--json", action="store_true",
                        help="print the startup banner as JSON")
 
@@ -208,20 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a job to a running service"
     )
     add_client_options(submit)
-    submit.add_argument("--benchmark", choices=sorted(BENCHMARKS))
-    submit.add_argument("--qubits", type=int)
+    add_circuit_options(submit, required=False)
     submit.add_argument("--qasm-file", metavar="PATH",
                         help="submit this OpenQASM 2.0 file instead of a "
                              "library benchmark")
-    submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--tenant", default=None, metavar="NAME",
                         help="submit as this tenant (fair scheduling + "
                              "quotas; default: 'default')")
-    submit.add_argument("--device-size", type=int, required=True)
-    submit.add_argument("--max-subcircuits", type=int, default=5)
-    submit.add_argument("--max-cuts", type=int, default=10)
-    submit.add_argument("--method",
-                        choices=("auto", "mip", "heuristic"), default="auto")
+    _add_config_options(
+        submit, _CUT_OPTIONS + ("strategy",) + _NOISY_OPTIONS
+    )
     submit.add_argument("--query",
                         choices=("fd", "dd", "top_k", "variational"),
                         default="fd")
@@ -240,21 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--zoom-width", type=int, default=1)
     submit.add_argument("--shard-qubits", type=int, default=None,
                         help="top_k: stream the FD distribution as 2^S shards")
-    submit.add_argument("--strategy", choices=STRATEGIES,
-                        default=DEFAULT_STRATEGY)
-    submit.add_argument("--device", choices=sorted(DEVICE_PRESETS),
-                        help="evaluate subcircuit variants on this noisy "
-                             "virtual device (batched noisy engine)")
-    submit.add_argument("--shots", type=int, default=None,
-                        help="shots per variant on --device (0 = noise-only "
-                             "distributions; default: device setting)")
-    submit.add_argument("--trajectories", type=int, default=24, metavar="T",
-                        help="Monte-Carlo trajectories per variant for "
-                             "--device's batched noisy estimator")
-    submit.add_argument("--noisy-method",
-                        choices=("trajectory", "density"),
-                        default="trajectory",
-                        help="batched noisy estimator used with --device")
     submit.add_argument("--wait", action="store_true",
                         help="poll until the job finishes and print the result")
     submit.add_argument("--timeout", type=float, default=300.0,
@@ -286,57 +283,17 @@ def _build_circuit(args: argparse.Namespace):
     return get_benchmark(args.benchmark, args.qubits, **kwargs)
 
 
-def _parse_pool(spec: str, seed: int):
-    """Build a DevicePool from ``preset[:count],...`` (e.g. ``bogota:4``)."""
-    from .devices.pool import DevicePool
-
-    devices = []
-    for entry in spec.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        name, _, count = entry.partition(":")
-        copies = int(count) if count else 1
-        if copies < 1:
-            raise ValueError(f"pool entry {entry!r} has a non-positive count")
-        for copy in range(copies):
-            devices.append(get_device(name, seed=seed + copy))
-    if not devices:
-        raise ValueError(f"pool spec {spec!r} names no devices")
-    return DevicePool(devices)
-
-
-def _build_pipeline(args: argparse.Namespace, device=None) -> CutQC:
-    circuit = _build_circuit(args)
-    pool = None
-    pool_shots = None
-    if getattr(args, "pool", None):
-        pool = _parse_pool(args.pool, seed=args.seed)
-        pool_shots = getattr(args, "shots", None)
-    worker_pool = None
-    pool_workers = getattr(args, "pool_workers", 0) or 0
+def _build_pipeline(
+    args: argparse.Namespace, config: RunConfig, pool_workers: int
+) -> CutQC:
     if pool_workers < 0:
         raise ValueError("--pool-workers must be >= 0")
+    worker_pool = None
     if pool_workers:
         from .postprocess.parallel import WorkerPool
 
         worker_pool = WorkerPool(pool_workers)
-    return CutQC(
-        circuit,
-        max_subcircuit_qubits=args.device_size,
-        max_subcircuits=args.max_subcircuits,
-        max_cuts=args.max_cuts,
-        method=args.method,
-        device=device,
-        device_shots=getattr(args, "shots", None) if device is not None else None,
-        trajectories=getattr(args, "trajectories", 24),
-        noisy_method=getattr(args, "noisy_method", "trajectory"),
-        pool=pool,
-        pool_shots=pool_shots,
-        strategy=getattr(args, "strategy", DEFAULT_STRATEGY),
-        seed=args.seed,
-        worker_pool=worker_pool,
-    )
+    return CutQC(_build_circuit(args), config=config, worker_pool=worker_pool)
 
 
 def _close_worker_pool(pipeline: Optional[CutQC]) -> None:
@@ -361,10 +318,12 @@ def _run_traced_command(args: argparse.Namespace, name: str, body) -> int:
     return code
 
 
-def _run_resilient(
-    args: argparse.Namespace, name: str, pipeline: CutQC, rebuild, body
-) -> int:
-    """Run a pipeline command under the CLI retry/degrade policy.
+def _run_pipeline_command(args: argparse.Namespace, name: str, body) -> int:
+    """Build the pipeline and run a command body on it under the CLI
+    retry/degrade policy.
+
+    A bad option, or a ``--device`` preset smaller than ``--device-size``
+    (a CLI-only rule), exits 2 before anything runs.
 
     Transient faults (see :func:`repro.faults.is_transient`) retry the
     command up to ``--max-retries`` times; an unrecoverable worker pool
@@ -375,7 +334,21 @@ def _run_resilient(
     """
     from .faults import PoolUnrecoverableError, is_transient
 
-    max_retries = max(0, getattr(args, "max_retries", 2))
+    try:
+        config = RunConfig.of(args)
+        device = config.virtual_device
+        if device is not None and (
+            device.num_qubits < config.max_subcircuit_qubits
+        ):
+            raise ValueError(
+                f"preset {args.device} has {device.num_qubits} qubits "
+                f"but --device-size is {config.max_subcircuit_qubits}"
+            )
+        pipeline = _build_pipeline(args, config, args.pool_workers)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    max_retries = max(0, args.max_retries)
     degraded = False
     attempt = 0
     try:
@@ -383,10 +356,10 @@ def _run_resilient(
             attempt += 1
             try:
                 return _run_traced_command(
-                    args, name, lambda: body(pipeline)
+                    args, name, lambda: body(args, pipeline)
                 )
             except PoolUnrecoverableError as error:
-                if degraded or not getattr(args, "degrade", True):
+                if degraded or not args.degrade:
                     raise
                 degraded = True
                 print(
@@ -395,7 +368,7 @@ def _run_resilient(
                     file=sys.stderr,
                 )
                 _close_worker_pool(pipeline)
-                pipeline = rebuild()
+                pipeline = _build_pipeline(args, config, 0)
             except Exception as error:  # noqa: BLE001 - taxonomy below
                 if attempt > max_retries or not is_transient(error):
                     raise
@@ -411,14 +384,18 @@ def _run_resilient(
 def _command_cut(args: argparse.Namespace) -> int:
     from .viz import cut_diagram
 
-    pipeline = _build_pipeline(args)
+    try:
+        pipeline = _build_pipeline(args, RunConfig.of(args), 0)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     cut = pipeline.cut()
     if args.json:
         document = {
             "command": "cut",
             "benchmark": args.benchmark,
             "qubits": pipeline.circuit.num_qubits,
-            "device_size": args.device_size,
+            "device_size": args.max_subcircuit_qubits,
             "num_cuts": cut.num_cuts,
             "num_subcircuits": cut.num_subcircuits,
             "cut_positions": [[c.wire, c.wire_index] for c in cut.cuts],
@@ -481,41 +458,8 @@ def _print_execution_report(report) -> None:
     print(line)
 
 
-def _top_states(probabilities: np.ndarray, top: int, num_qubits: int):
-    from .utils import top_states
-
-    return top_states(probabilities, top, num_qubits)
-
-
 def _command_run(args: argparse.Namespace) -> int:
-    device = None
-    if args.device and args.pool:
-        print("error: pass either --device or --pool, not both", file=sys.stderr)
-        return 2
-    if args.device:
-        device = get_device(args.device, seed=args.seed)
-        if device.num_qubits < args.device_size:
-            print(
-                f"error: preset {args.device} has {device.num_qubits} qubits "
-                f"but --device-size is {args.device_size}",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        pipeline = _build_pipeline(args, device=device)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    def rebuild() -> CutQC:
-        poolless = argparse.Namespace(**vars(args))
-        poolless.pool_workers = 0
-        return _build_pipeline(poolless, device=device)
-
-    return _run_resilient(
-        args, "cli.run", pipeline, rebuild,
-        lambda p: _command_run_body(args, p),
-    )
+    return _run_pipeline_command(args, "cli.run", _command_run_body)
 
 
 def _command_run_body(args: argparse.Namespace, pipeline: CutQC) -> int:
@@ -529,7 +473,7 @@ def _command_run_body(args: argparse.Namespace, pipeline: CutQC) -> int:
         "command": "run",
         "benchmark": args.benchmark,
         "qubits": n,
-        "device_size": args.device_size,
+        "device_size": args.max_subcircuit_qubits,
         "num_cuts": cut.num_cuts,
         "num_subcircuits": cut.num_subcircuits,
     }
@@ -601,7 +545,7 @@ def _command_run_body(args: argparse.Namespace, pipeline: CutQC) -> int:
     }
     document["top_states"] = [
         {"state": bits, "probability": probability}
-        for bits, probability in _top_states(probabilities, args.top, n)
+        for bits, probability in top_states(probabilities, args.top, n)
     ]
     verify_loss = None
     if args.verify:
@@ -633,21 +577,7 @@ def _command_dd(args: argparse.Namespace) -> int:
         if value < least:
             print(f"error: {flag} must be >= {least}", file=sys.stderr)
             return 2
-    try:
-        pipeline = _build_pipeline(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    def rebuild() -> CutQC:
-        poolless = argparse.Namespace(**vars(args))
-        poolless.pool_workers = 0
-        return _build_pipeline(poolless)
-
-    return _run_resilient(
-        args, "cli.dd", pipeline, rebuild,
-        lambda p: _command_dd_body(args, p),
-    )
+    return _run_pipeline_command(args, "cli.dd", _command_dd_body)
 
 
 def _command_dd_body(args: argparse.Namespace, pipeline: CutQC) -> int:
@@ -668,7 +598,7 @@ def _command_dd_body(args: argparse.Namespace, pipeline: CutQC) -> int:
             "command": "dd",
             "benchmark": args.benchmark,
             "qubits": n,
-            "device_size": args.device_size,
+            "device_size": args.max_subcircuit_qubits,
             "num_cuts": cut.num_cuts,
             "num_subcircuits": cut.num_subcircuits,
             "execution": _execution_report_dict(pipeline.execution_report),
@@ -857,7 +787,7 @@ def _submit_payload(args: argparse.Namespace) -> dict:
         )
     payload = {
         "circuit": circuit,
-        "device_size": args.device_size,
+        "device_size": args.max_subcircuit_qubits,
         "max_subcircuits": args.max_subcircuits,
         "max_cuts": args.max_cuts,
         "method": args.method,
@@ -869,7 +799,7 @@ def _submit_payload(args: argparse.Namespace) -> dict:
     if args.device:
         payload.update(
             device=args.device,
-            shots=args.shots,
+            shots=args.device_shots,
             trajectories=args.trajectories,
             noisy_method=args.noisy_method,
         )

@@ -1,5 +1,6 @@
 """The paper's primary contribution: the end-to-end CutQC pipeline."""
 
+from .config import RunConfig
 from .executor import ExecutionReport, VariantExecutor
 from .pipeline import CutQC, evaluate_with_cutqc
 from .variational import RebindStats, VariationalSession, spsa_gains
@@ -7,6 +8,7 @@ from .variational import RebindStats, VariationalSession, spsa_gains
 __all__ = [
     "CutQC",
     "evaluate_with_cutqc",
+    "RunConfig",
     "ExecutionReport",
     "VariantExecutor",
     "RebindStats",

@@ -38,11 +38,10 @@ from ..cutting.variants import (
     num_physical_variants,
     stack_variant_rows,
 )
-from ..devices.device import VirtualDevice
-from ..devices.pool import DevicePool
 from ..obs import trace
 from ..obs.metrics import get_registry
 from ..sim.noisy_batch import basis_column_amplitudes
+from .config import RunConfig
 
 __all__ = ["ExecutionReport", "VariantExecutor"]
 
@@ -155,98 +154,63 @@ class VariantExecutor:
     once and lets its members share the result.  The group's evaluator
     is the exact batched engine by default (fused body passes over the
     ``2^rho`` basis columns of the init wires; the result holds their
-    amplitudes), the batched noisy engine with a ``device`` or ``pool``
-    (fused passes over the ``4^rho`` init states, all ``3^O`` bases
-    derived from the retained states), or a custom ``backend``.
-    Payloads hold at most 256 init members and are whole batches, never
-    individual circuits.
+    amplitudes), the batched noisy engine when the config names a
+    ``device`` or ``pool`` (fused passes over the ``4^rho`` init states,
+    all ``3^O`` bases derived from the retained states), or a custom
+    ``backend``.  Payloads hold at most 256 init members and are whole
+    batches, never individual circuits.
 
     Parameters
     ----------
+    config:
+        The run's :class:`~repro.core.config.RunConfig` (default: exact).
+        Its evaluation options apply: ``device`` runs every group through
+        the batched noisy engine
+        (:func:`~repro.cutting.variants.batched_noisy_variant_probabilities`)
+        with fused bodies memoized per worker process; ``pool`` pins each
+        *body-key group* to the least-loaded fitting device of a
+        :class:`~repro.devices.pool.DevicePool` (the pool's LPT over the
+        groups' modelled variant seconds; mode ``"batched-devicepool"``)
+        and records the modelled quantum makespan in the report;
+        ``device_shots``, ``trajectories``, ``noisy_method`` and ``seed``
+        shape the noisy evaluation.  Set :attr:`pool_affinity`
+        (subcircuit index -> device index, e.g. from a previous run's
+        :attr:`last_pool_placement`) to pin groups to devices across
+        partial re-evaluations — a variational rebind that re-runs only
+        dirty subcircuits then reproduces the full batch's placement
+        bit-for-bit.
     backend:
         ``circuit -> probability vector`` callable, run inline once per
         variant of every group (mode ``"backend"``): a seeded stochastic
         backend sees the same circuits in the same order on every run.
-        Mutually exclusive with ``pool`` and ``device``.
-    pool:
-        A :class:`~repro.devices.pool.DevicePool`.  Each *body-key group*
-        is pinned to the least-loaded fitting device (the pool's LPT over
-        the groups' modelled variant seconds) and evaluated there through
-        the batched noisy engine — one device geometry per group, fused
-        bodies memoized per process (mode ``"batched-devicepool"``).  The
-        modelled quantum makespan is recorded in the report.  Set
-        :attr:`pool_affinity` (subcircuit index -> device index, e.g.
-        from a previous run's :attr:`last_pool_placement`) to pin groups
-        to devices across partial re-evaluations — a variational rebind
-        that re-runs only dirty subcircuits then reproduces the full
-        batch's placement bit-for-bit.
-    pool_shots:
-        Shots per job when executing on a pool (``None`` = device default,
-        ``0`` = exact, noise-model-only execution).
-    seed:
-        Seed for the device and pool noise streams.
+        Refused beside a config ``device`` or ``pool``.
     worker_pool:
         A persistent :class:`~repro.postprocess.parallel.WorkerPool` —
         the only way variant execution leaves this process.  When set,
         the payloads fan out over the warm workers (a ``"-pool"`` suffix
         on the mode) with bit-identical results; without it everything
         runs inline.  A custom ``backend`` always runs inline.
-    device:
-        A :class:`~repro.devices.device.VirtualDevice`: variants evaluate
-        through the batched noisy engine
-        (:func:`~repro.cutting.variants.batched_noisy_variant_probabilities`)
-        with fused bodies memoized per worker process.  Mutually
-        exclusive with ``backend`` and ``pool``.
-    device_shots:
-        Shots per variant on the device path (``None`` = the device's
-        own default; ``0`` = noise-only distributions without shot
-        noise).
-    trajectories:
-        Monte-Carlo trajectories for the noisy estimator.
-    noisy_method:
-        ``"trajectory"`` (default) or ``"density"`` — the batched noisy
-        estimator; ignored without a ``device`` or ``pool``.
     """
 
     def __init__(
         self,
+        config: Optional[RunConfig] = None,
         backend: Optional[Backend] = None,
-        pool: Optional[DevicePool] = None,
-        pool_shots: Optional[int] = None,
-        seed: Optional[int] = None,
         worker_pool=None,
-        device: Optional[VirtualDevice] = None,
-        device_shots: Optional[int] = None,
-        trajectories: int = 24,
-        noisy_method: str = "trajectory",
     ):
-        if backend is not None and pool is not None:
-            raise ValueError("pass either a backend or a pool, not both")
-        if device is not None and backend is not None:
-            raise ValueError("pass either a device or a backend, not both")
-        if device is not None and pool is not None:
-            raise ValueError("pass either a device or a pool, not both")
+        self.config = config = config if config is not None else RunConfig()
+        if backend is not None and config.devices():
+            raise ValueError("pass either a backend or a device/pool, not both")
         self.backend = backend
-        self.pool = pool
-        self.pool_shots = pool_shots
-        self.seed = seed
         self.worker_pool = worker_pool
-        self.trajectories = int(trajectories)
-        self.noisy_method = noisy_method
+        self.pool = config.device_pool
+        device = config.virtual_device
+        self.noisy_spec = None if device is None else config.noisy_spec(device)
         #: Optional subcircuit-index -> pool-device-index pinning for the
         #: pool path; ``last_pool_placement`` records what the most
         #: recent run chose (for every group member).
         self.pool_affinity: Optional[Dict[int, int]] = None
         self.last_pool_placement: Optional[Dict[int, int]] = None
-        self.noisy_spec: Optional[NoisyEvalSpec] = None
-        if device is not None:
-            self.noisy_spec = NoisyEvalSpec(
-                device=device,
-                method=noisy_method,
-                trajectories=trajectories,
-                shots=device.shots if device_shots is None else device_shots,
-                seed=seed,
-            )
         self.last_report: Optional[ExecutionReport] = None
 
     # ------------------------------------------------------------------
@@ -382,7 +346,7 @@ class VariantExecutor:
         subcircuit)``, independent of which other groups share the batch.
         """
         devices = self.pool.devices
-        shots = self.pool_shots if self.pool_shots is not None else devices[0].shots
+        shots = self.config.noisy_spec(devices[0]).shots
         jobs = [
             (
                 head.width,
@@ -402,20 +366,7 @@ class VariantExecutor:
             subcircuit.index: chosen[group]
             for subcircuit, group in zip(subcircuits, member_group)
         }
-        specs = [
-            NoisyEvalSpec(
-                device=devices[device],
-                method=self.noisy_method,
-                trajectories=self.trajectories,
-                shots=(
-                    devices[device].shots
-                    if self.pool_shots is None
-                    else self.pool_shots
-                ),
-                seed=self.seed,
-            )
-            for device in chosen
-        ]
+        specs = [self.config.noisy_spec(devices[device]) for device in chosen]
         return specs, max(loads), float(sum(loads))
 
     def _usable_pool(self):

@@ -29,11 +29,7 @@ from ..cutting import (
     cut_circuit,
     find_cuts,
 )
-from ..cutting.searcher import DEFAULT_MAX_CUTS, DEFAULT_MAX_SUBCIRCUITS
-from ..devices import VirtualDevice
-from ..devices.pool import DevicePool
 from ..postprocess import (
-    DEFAULT_STRATEGY,
     ContractionEngine,
     DynamicDefinitionQuery,
     ReconstructionResult,
@@ -41,6 +37,7 @@ from ..postprocess import (
     ShotBasedTensorProvider,
     StreamStats,
 )
+from .config import RunConfig
 from .executor import ExecutionReport, VariantExecutor
 
 __all__ = ["CutQC", "evaluate_with_cutqc"]
@@ -59,12 +56,18 @@ _QUERY_SECONDS = get_registry().histogram(
 class CutQC:
     """Cut a circuit, evaluate the pieces, reconstruct or sample the output.
 
-    Parameters
-    ----------
-    circuit:
-        The (fully connected) circuit to evaluate.
-    max_subcircuit_qubits:
-        Device size ``D`` — the qubit budget per subcircuit.
+    ``CutQC(circuit, max_subcircuit_qubits, **options)``: the positional
+    device size ``D`` and the keyword options are the fields of one
+    :class:`~repro.core.config.RunConfig` (``max_subcircuits``,
+    ``max_cuts``, ``method``, ``cuts``, ``device``, ``device_shots``,
+    ``pool``, ``trajectories``, ``noisy_method``, ``seed``,
+    ``strategy``), which declares their defaults and refuses a bad value
+    here, at construction.  A caller that already holds one passes
+    ``config=`` instead; either way the pipeline keeps it as
+    :attr:`config`.
+
+    Two runtime handles stay outside the config:
+
     backend:
         A ``circuit -> probability vector`` callable that evaluates every
         subcircuit variant, inline (mode ``"backend"``).  Defaults to the
@@ -72,23 +75,8 @@ class CutQC:
         :class:`~repro.devices.mitigation.MitigatedBackend` run the
         batched noisy engine one variant circuit at a time (the
         mitigated backend then inverts each width's readout confusion);
-        ``device=`` runs it once per subcircuit, every variant batched.
-    cuts:
-        Explicit ``(wire, wire_index)`` cut points; when given, the MIP
-        search is skipped.
-    pool:
-        Evaluate variants on a :class:`~repro.devices.pool.DevicePool`
-        instead of a single backend (the paper's many-small-QPUs model).
-        Mutually exclusive with ``backend``/``device``.
-    pool_shots:
-        Shots per pool job (``None`` = device default, ``0`` = exact).
-    strategy:
-        Default contraction strategy for queries: ``"kron"``,
-        ``"tensor_network"``, or ``"auto"`` (the default: a cost-model
-        pick per contraction).
-    seed:
-        Seed for the pool's per-job trajectory sampling, making pooled
-        evaluation reproducible.
+        a config ``device`` runs it once per subcircuit, every variant
+        batched.  Refused beside a config ``device`` or ``pool``.
     worker_pool:
         A persistent :class:`~repro.postprocess.parallel.WorkerPool`
         shared by every stage — the pipeline's only process
@@ -98,63 +86,28 @@ class CutQC:
         dispatch through the same pool.  Without one, every stage runs
         inline.  The pipeline does not own the pool — the caller closes
         it.
-    device_shots:
-        Shots per variant on the device path (``None`` = the device's
-        configured default, ``0`` = noise-only distributions).
-    trajectories:
-        Monte-Carlo trajectories per variant for batched noisy
-        evaluation on a ``device``.
-    noisy_method:
-        ``"trajectory"`` (default) or ``"density"`` — the batched noisy
-        estimator used with a ``device``.
     """
 
     def __init__(
         self,
         circuit: QuantumCircuit,
-        max_subcircuit_qubits: int,
-        max_subcircuits: int = DEFAULT_MAX_SUBCIRCUITS,
-        max_cuts: int = DEFAULT_MAX_CUTS,
-        method: str = "auto",
+        *args,
         backend: Optional[Backend] = None,
-        device: Optional[VirtualDevice] = None,
-        cuts: Optional[Sequence[Tuple[int, int]]] = None,
-        pool: Optional[DevicePool] = None,
-        pool_shots: Optional[int] = None,
-        strategy: str = DEFAULT_STRATEGY,
-        seed: Optional[int] = None,
         worker_pool=None,
-        device_shots: Optional[int] = None,
-        trajectories: int = 24,
-        noisy_method: str = "trajectory",
+        config: Optional[RunConfig] = None,
+        **options,
     ):
-        if device is not None and backend is not None:
-            raise ValueError("pass either a backend or a device, not both")
-        if pool is not None and (backend is not None or device is not None):
-            raise ValueError("pass either a pool or a backend/device, not both")
-        if noisy_method not in ("trajectory", "density"):
-            raise ValueError(
-                f"noisy_method must be 'trajectory' or 'density', "
-                f"got {noisy_method!r}"
-            )
-        if trajectories < 1:
-            raise ValueError("trajectories must be positive")
+        if config is None:
+            config = RunConfig(*args, **options)
+        elif args or options:
+            raise TypeError("pass either a config or its options, not both")
+        if config.max_subcircuit_qubits is None:
+            raise TypeError("CutQC needs max_subcircuit_qubits (device size D)")
+        self.config = config
         self.circuit = circuit
-        self.max_subcircuit_qubits = max_subcircuit_qubits
-        self.max_subcircuits = max_subcircuits
-        self.max_cuts = max_cuts
-        self.method = method
-        self.backend = backend
-        self.device = device
-        self.device_shots = device_shots
-        self.trajectories = int(trajectories)
-        self.noisy_method = noisy_method
-        self.pool = pool
-        self.pool_shots = pool_shots
-        self.seed = seed
         self.worker_pool = worker_pool
-        self.engine = ContractionEngine(strategy=strategy, pool=worker_pool)
-        self._explicit_cuts = list(cuts) if cuts is not None else None
+        self.executor = VariantExecutor(config, backend, worker_pool)
+        self.engine = ContractionEngine(strategy=config.strategy, pool=worker_pool)
         self._solution: Optional[CutSolution] = None
         self._cut: Optional[CutCircuit] = None
         self._results: Optional[List[SubcircuitResult]] = None
@@ -171,55 +124,33 @@ class CutQC:
         return self.engine.strategy
 
     # -- resumable-stage hooks (service checkpointing) ------------------
-    def cut_options(self) -> dict:
-        """The canonical cut-search option dict this pipeline would use.
-
-        This is the identity of the :meth:`cut` stage: two pipelines with
-        equal circuits and equal ``cut_options()`` produce the same cut,
-        so the pair is the artifact-store key for cut checkpoints.
-        """
-        return {
-            "max_subcircuit_qubits": self.max_subcircuit_qubits,
-            "max_subcircuits": self.max_subcircuits,
-            "max_cuts": self.max_cuts,
-            "method": self.method,
-            "cuts": self._explicit_cuts,
-        }
-
     def cut_fingerprint(self) -> str:
-        """Content fingerprint of the cut stage — ``(circuit, options)``."""
+        """Content fingerprint of the cut stage — ``(circuit,
+        config.cut_options())``."""
         from ..service.store import cut_fingerprint
 
-        return cut_fingerprint(self.circuit, self.cut_options())
+        return cut_fingerprint(self.circuit, self.config.cut_options())
 
     def evaluation_fingerprint(
-        self,
-        backend: str = "statevector",
-        shots: Optional[int] = None,
-        seed: Optional[int] = None,
-        config: Optional[dict] = None,
-        cut_key: Optional[str] = None,
+        self, cut_key: Optional[str] = None, **identity
     ) -> str:
         """Content fingerprint of the evaluate stage.
 
-        ``backend`` is a config *tag* describing how variants are
-        executed (e.g. ``"statevector:batched:v3"``,
-        ``"device:bogota:trajectory:batched:v3"``) — the callable itself
-        cannot be hashed.  ``config`` carries extra result-shaping knobs
-        (e.g. trajectory counts) into the digest.  The circuit's bound
-        parameter values always enter the digest: the cut fingerprint is
-        parameter-invariant, so the angles disambiguate rebinds.  A caller
-        that already holds :meth:`cut_fingerprint` passes it as ``cut_key``.
+        The config's :meth:`~repro.core.config.RunConfig.evaluation_identity`
+        (a versioned backend tag, plus shots, seed and trajectories on a
+        noisy run) keys it; ``identity`` overrides any of those
+        ``backend`` / ``shots`` / ``seed`` / ``config`` arguments.  The
+        circuit's bound parameter values always enter the digest: the cut
+        fingerprint is parameter-invariant, so the angles disambiguate
+        rebinds.  A caller that already holds :meth:`cut_fingerprint`
+        passes it as ``cut_key``.
         """
         from ..service.store import evaluation_fingerprint
 
         return evaluation_fingerprint(
             cut_key or self.cut_fingerprint(),
-            backend=backend,
-            shots=shots,
-            seed=seed,
-            config=config,
             params=self.circuit.parameters(),
+            **{**self.config.evaluation_identity(), **identity},
         )
 
     def load_cut(
@@ -233,12 +164,7 @@ class CutQC:
         this pipeline's circuit; loading resets any downstream state
         (evaluation results, the reconstructor).
         """
-        width = cut.max_subcircuit_width()
-        if width > self.max_subcircuit_qubits:
-            raise ValueError(
-                f"loaded cut has a {width}-qubit subcircuit, exceeding the "
-                f"{self.max_subcircuit_qubits}-qubit budget"
-            )
+        self._check_budget(cut, "loaded cut has")
         if cut.circuit.num_qubits != self.circuit.num_qubits:
             raise ValueError(
                 f"loaded cut is for a {cut.circuit.num_qubits}-qubit "
@@ -269,52 +195,42 @@ class CutQC:
     def cut(self) -> CutCircuit:
         """Locate cuts (unless given explicitly) and split the circuit."""
         if self._cut is None:
-            if self._explicit_cuts is not None:
-                self._cut = cut_circuit(self.circuit, self._explicit_cuts)
+            config = self.config
+            if config.cuts is not None:
+                self._cut = cut_circuit(self.circuit, config.cuts)
             else:
                 # find_cuts opens the ``cut.search`` span and hands the
                 # gate graph it keyed its memo on to ``apply``.
                 self._solution = find_cuts(
                     self.circuit,
-                    self.max_subcircuit_qubits,
-                    max_subcircuits=self.max_subcircuits,
-                    max_cuts=self.max_cuts,
-                    method=self.method,
+                    config.max_subcircuit_qubits,
+                    max_subcircuits=config.max_subcircuits,
+                    max_cuts=config.max_cuts,
+                    method=config.method,
                 )
                 self._cut = self._solution.apply(self.circuit)
-            width = self._cut.max_subcircuit_width()
-            if width > self.max_subcircuit_qubits:
-                raise ValueError(
-                    f"cut produced a {width}-qubit subcircuit, exceeding the "
-                    f"{self.max_subcircuit_qubits}-qubit budget"
-                )
+            self._check_budget(self._cut, "cut produced")
         return self._cut
 
-    def make_executor(self) -> VariantExecutor:
-        """A :class:`VariantExecutor` configured like this pipeline."""
-        return VariantExecutor(
-            backend=self.backend,
-            pool=self.pool,
-            pool_shots=self.pool_shots,
-            seed=self.seed,
-            worker_pool=self.worker_pool,
-            device=self.device,
-            device_shots=self.device_shots,
-            trajectories=self.trajectories,
-            noisy_method=self.noisy_method,
-        )
+    def _check_budget(self, cut: CutCircuit, source: str) -> None:
+        width = cut.max_subcircuit_width()
+        budget = self.config.max_subcircuit_qubits
+        if width > budget:
+            raise ValueError(
+                f"{source} a {width}-qubit subcircuit, exceeding the "
+                f"{budget}-qubit budget"
+            )
 
     def evaluate(self) -> List[SubcircuitResult]:
         """Run every physical variant of every subcircuit, batched and
         deduplicated, via the :class:`VariantExecutor`."""
         if self._results is None:
             cut = self.cut()
-            executor = self.make_executor()
             with trace.span(
                 "evaluate", {"subcircuits": cut.num_subcircuits}
             ):
-                self._results = executor.run(cut.subcircuits)
-            self.execution_report = executor.last_report
+                self._results = self.executor.run(cut.subcircuits)
+            self.execution_report = self.executor.last_report
         return self._results
 
     # ------------------------------------------------------------------

@@ -135,10 +135,9 @@ class RebindStats:
 class VariationalSession:
     """Cut once → rebind parameters → query, with per-iteration stats.
 
-    Construction takes the same configuration as :class:`CutQC` (the
-    session owns an internal pipeline for the first cut/evaluation); the
-    circuit passed in defines the *structure* and the initial parameter
-    values.  ``store`` optionally checkpoints the cut through an
+    Construction takes :class:`CutQC`'s arguments (the session owns an
+    internal pipeline for the first cut/evaluation); the circuit passed
+    in defines the *structure* and the initial parameter values.  ``store`` optionally checkpoints the cut through an
     :class:`~repro.service.store.ArtifactStore` — because cut
     fingerprints are parameter-invariant, a session for a known structure
     restores the cut without ever running the search.
@@ -155,19 +154,10 @@ class VariationalSession:
     gate order).
     """
 
-    def __init__(
-        self,
-        circuit: QuantumCircuit,
-        max_subcircuit_qubits: int,
-        store=None,
-        **pipeline_options,
-    ):
-        self._pipeline = CutQC(
-            circuit, max_subcircuit_qubits, **pipeline_options
-        )
+    def __init__(self, circuit: QuantumCircuit, *args, store=None, **options):
+        self._pipeline = CutQC(circuit, *args, **options)
         self.circuit = circuit
         self.store = store
-        self._executor = None
         self._cut: Optional[CutCircuit] = None
         self._solution = None
         self._results: List[Optional[SubcircuitResult]] = []
@@ -258,9 +248,7 @@ class VariationalSession:
         self.circuit = bound
         self._pipeline.circuit = bound
 
-        if self._executor is None:
-            self._executor = self._pipeline.make_executor()
-        executor = self._executor
+        executor = self._pipeline.executor
 
         fusion_before = fusion_stats()
         evaluate_began = time.perf_counter()

@@ -29,11 +29,14 @@ __all__ = [
     "cut_memo_stats",
     "DEFAULT_MAX_SUBCIRCUITS",
     "DEFAULT_MAX_CUTS",
+    "METHODS",
 ]
 
 #: The experiment limits the paper uses throughout §5/§6.
 DEFAULT_MAX_SUBCIRCUITS = 5
 DEFAULT_MAX_CUTS = 10
+#: The cut-search solvers ``find_cuts(method=...)`` accepts.
+METHODS = ("auto", "mip", "heuristic")
 
 #: Above this vertex count the exact search is usually intractable.
 _EXACT_VERTEX_LIMIT = 22
@@ -163,7 +166,7 @@ def find_cuts(
         If no feasible cut was found within the budgets; ``error.proved``
         says whether the exact search exhausted them or a search gave up.
     """
-    if method not in ("auto", "mip", "heuristic"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     with trace.span(
         "cut.search", {"qubits": circuit.num_qubits, "method": method}

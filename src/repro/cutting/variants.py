@@ -42,6 +42,7 @@ from ..sim.noisy_batch import (
     materialise_distributions,
     noisy_distributions,
 )
+from ..utils import check_count
 from .cutter import Subcircuit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,6 +56,7 @@ __all__ = [
     "generate_variants",
     "variant_circuit",
     "VariantCircuitFactory",
+    "NOISY_METHODS",
     "NoisyEvalSpec",
     "body_program",
     "batched_noisy_variant_probabilities",
@@ -172,6 +174,10 @@ def variant_circuit(
 # residency), run by the executors of repro.sim.noisy_batch
 # ----------------------------------------------------------------------
 
+#: The batched noisy estimators (``NoisyEvalSpec.method``).
+NOISY_METHODS = ("trajectory", "density")
+
+
 @dataclass(frozen=True)
 class NoisyEvalSpec:
     """Configuration of one batched noisy evaluation.
@@ -209,9 +215,9 @@ class NoisyEvalSpec:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("trajectory", "density"):
+        if self.method not in NOISY_METHODS:
             raise ValueError(
-                f"method must be 'trajectory' or 'density', got {self.method!r}"
+                f"noisy_method must be one of {NOISY_METHODS}, got {self.method!r}"
             )
         if (self.noise is None) == (self.device is None):
             raise ValueError("pass exactly one of noise or device")
@@ -223,8 +229,9 @@ class NoisyEvalSpec:
                 "noisy evaluation has no per-qubit rates or noise-adaptive "
                 "layout; use its per-circuit backend() instead"
             )
-        if self.trajectories <= 0:
-            raise ValueError("trajectories must be positive")
+        check_count("trajectories", self.trajectories, 1)
+        if self.shots is not None:
+            check_count("shots", self.shots)
         check_seed(self.seed)
 
     @property

@@ -27,9 +27,11 @@ module is the only one in the package that imports ``multiprocessing``.
 
 Spawn-safety: every task function is module-level (importable by a
 ``spawn`` child), so the pool works under the default start method of
-macOS and Windows as well as ``fork`` on Linux.  Workers unregister
-attached segments from the ``resource_tracker`` so ownership (and the
-single ``unlink``) stays with the publishing parent.
+macOS and Windows as well as ``fork`` on Linux.  The parent starts the
+``resource_tracker`` before it starts any worker, so the whole tree
+shares that one tracker: a worker's attach registers a segment the
+tracker already holds, and ownership (and the single ``unlink``) stays
+with the publishing parent — workers do no tracker bookkeeping at all.
 """
 
 from __future__ import annotations
@@ -703,6 +705,15 @@ class WorkerPool:
                 raise PoolUnrecoverableError(self._broken_reason)
             if self._stats.started:
                 return
+            if os.name == "posix":
+                # A worker forked before the tracker runs starts its own,
+                # which at exit reports every segment it saw attached as
+                # leaked and then fails to unlink what the parent already
+                # did.  One tracker for the tree, started here, sees each
+                # segment registered once and unlinked once.
+                from multiprocessing import resource_tracker
+
+                resource_tracker.ensure_running()
             self._task_queue = self._ctx.Queue()
             self._slots = [self._spawn_slot() for _ in range(self.workers)]
             self._started_at = time.perf_counter()

@@ -54,15 +54,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..circuits import QuantumCircuit
 from ..circuits.qasm import from_qasm
-from ..core import CutQC
-from ..cutting.searcher import DEFAULT_MAX_CUTS, DEFAULT_MAX_SUBCIRCUITS
+from ..core import CutQC, RunConfig
 from ..faults import PoolUnrecoverableError, is_transient
 from ..library import BENCHMARKS, get_benchmark
 from ..obs import trace
 from ..obs.metrics import get_registry
-from ..postprocess.engine import DEFAULT_STRATEGY
 from ..postprocess.parallel import WorkerPool
-from ..sim.noise import check_seed
 from ..utils import check_count
 from .journal import JobJournal
 from .store import ArtifactStore
@@ -150,12 +147,13 @@ class JobSpec:
     benchmark: Optional[str] = None
     qubits: Optional[int] = None
     qasm: Optional[str] = None
+    #: The library generator's seed; it also roots the noise streams.
     seed: int = 0
     #: Submitting tenant — the unit of fair scheduling and quotas.
     tenant: str = DEFAULT_TENANT
-    max_subcircuits: int = DEFAULT_MAX_SUBCIRCUITS
-    max_cuts: int = DEFAULT_MAX_CUTS
-    method: str = "auto"
+    max_subcircuits: int = RunConfig.max_subcircuits
+    max_cuts: int = RunConfig.max_cuts
+    method: str = RunConfig.method
     # query --------------------------------------------------------------
     query: str = "fd"
     top: int = 5
@@ -170,12 +168,12 @@ class JobSpec:
     #: MaxCut instance: ``degree``-regular random graph on ``qubits``
     #: nodes (``0`` = the default ring graph).
     degree: int = 3
-    # execution ----------------------------------------------------------
-    device: Optional[str] = None
-    shots: Optional[int] = None
-    strategy: str = DEFAULT_STRATEGY
-    trajectories: int = 24
-    noisy_method: str = "trajectory"
+    # execution (see RunConfig; ``shots`` is its ``device_shots``) --------
+    device: Optional[str] = RunConfig.device
+    shots: Optional[int] = RunConfig.device_shots
+    strategy: str = RunConfig.strategy
+    trajectories: int = RunConfig.trajectories
+    noisy_method: str = RunConfig.noisy_method
 
     def validate(self) -> None:
         if (self.benchmark is None) == (self.qasm is None):
@@ -190,8 +188,6 @@ class JobSpec:
                     f"expected one of {BENCHMARKS}"
                 )
             check_count("qubits", self.qubits, 2)
-        check_count("device_size", self.device_size, 2)
-        check_seed(self.seed)
         if (
             not isinstance(self.tenant, str)
             or not 0 < len(self.tenant) <= 64
@@ -232,11 +228,20 @@ class JobSpec:
                 f"shard_qubits must be in [0, qubits], got {self.shard_qubits}"
             )
         check_count("top", self.top, 1)
-        check_count("trajectories", self.trajectories, 1)
-        if self.noisy_method not in ("trajectory", "density"):
+        threshold = self.threshold
+        if isinstance(threshold, bool) or not isinstance(
+            threshold, (int, float)
+        ) or not 0 <= threshold <= 1:
             raise ValueError(
-                "noisy_method must be 'trajectory' or 'density'"
+                f"threshold must be a number in [0, 1], got {threshold!r}"
             )
+        try:
+            self.run_config()
+        except ValueError as error:
+            # The wire calls the cut budget device_size.
+            raise ValueError(
+                str(error).replace("max_subcircuit_qubits", "device_size")
+            ) from None
 
     # ------------------------------------------------------------------
     def build_circuit(self) -> QuantumCircuit:
@@ -261,40 +266,13 @@ class JobSpec:
             )
         return ring_graph(self.qubits)
 
-    def backend_tag(self) -> str:
-        """The evaluation-fingerprint backend config tag.
-
-        Every tag is *versioned*, so artifacts cached under an older
-        engine, layout or noise stream recompute instead of silently
-        colliding: ``:v3`` for exact amplitudes, and ``:v3`` for both
-        noisy methods' ``(4^rho, 3^O, 2^w)`` distributions array (the
-        trajectory path's since its keyed-uniform injection draws, the
-        density path's since its fused-superoperator engine).
-        """
-        if self.device is None:
-            return "statevector:batched:v3"
-        return f"device:{self.device}:{self.noisy_method}:batched:v3"
-
-    def pipeline_options(self, worker_pool=None) -> Dict:
-        """The keyword arguments of every pipeline this job drives (a
-        :class:`~repro.core.CutQC` or a ``VariationalSession``)."""
-        device = None
-        if self.device is not None:
-            from ..devices import get_device
-
-            device = get_device(self.device, seed=self.seed)
-        return dict(
-            max_subcircuit_qubits=self.device_size,
-            max_subcircuits=self.max_subcircuits,
-            max_cuts=self.max_cuts,
-            method=self.method,
-            device=device,
-            device_shots=self.shots,
-            trajectories=self.trajectories,
-            noisy_method=self.noisy_method,
-            strategy=self.strategy,
-            seed=self.seed,
-            worker_pool=worker_pool,
+    def run_config(self) -> RunConfig:
+        """The :class:`~repro.core.config.RunConfig` of every pipeline
+        this job drives (a :class:`~repro.core.CutQC` or a
+        ``VariationalSession``): the same-named fields, plus the cut
+        budget ``device_size`` and the ``shots`` per variant."""
+        return RunConfig.of(
+            self, max_subcircuit_qubits=self.device_size, device_shots=self.shots
         )
 
     def to_dict(self) -> Dict:
@@ -1138,7 +1116,8 @@ class JobScheduler:
         circuit = spec.build_circuit()
         pipeline = CutQC(
             circuit,
-            **spec.pipeline_options(self.worker_pool if use_pool else None),
+            config=spec.run_config(),
+            worker_pool=self.worker_pool if use_pool else None,
         )
 
         # -- stage 1: cut (checkpointed) --------------------------------
@@ -1167,23 +1146,7 @@ class JobScheduler:
         began = time.perf_counter()
 
         def evaluate_stage() -> None:
-            # shots/seed only shape the tensors when a sampling backend is
-            # configured; for the deterministic statevector backend they
-            # are inert and would only fragment the warm cache.
-            sampling = spec.device is not None
-            config = None
-            if sampling:
-                # Trajectory count shapes the estimated distributions on
-                # the batched noisy path; fold it into the artifact
-                # identity.
-                config = {"trajectories": spec.trajectories}
-            evaluation_key = pipeline.evaluation_fingerprint(
-                backend=spec.backend_tag(),
-                shots=spec.shots if sampling else None,
-                seed=spec.seed if sampling else None,
-                config=config,
-                cut_key=cut_key,
-            )
+            evaluation_key = pipeline.evaluation_fingerprint(cut_key=cut_key)
             record.set_fingerprint("evaluate", evaluation_key)
             self._pin(record, "evaluation", evaluation_key)
             results = self.store.get_evaluation(
@@ -1256,7 +1219,8 @@ class JobScheduler:
         session = VariationalSession(
             spec.build_circuit(),
             store=self.store,
-            **spec.pipeline_options(self.worker_pool if use_pool else None),
+            config=spec.run_config(),
+            worker_pool=self.worker_pool if use_pool else None,
         )
         cut_key = session.cut_fingerprint()
         record.set_fingerprint("cut", cut_key)

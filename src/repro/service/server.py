@@ -157,6 +157,10 @@ class JobServer:
     processes pointed at one ``store_dir``) coordinate through the job
     journal — any replica accepts submissions, exactly one claims and
     executes each job, and every replica can serve its status/result.
+
+    Without a ``scheduler``, the server builds one over its store from
+    ``scheduler_options`` — :class:`JobScheduler`'s keyword arguments
+    (``workers``, ``pool_workers``, ``tenants``, ``max_retries``, ...).
     """
 
     def __init__(
@@ -164,17 +168,11 @@ class JobServer:
         store_dir=None,
         host: str = "127.0.0.1",
         port: int = 8000,
-        workers: int = 2,
         scheduler: Optional[JobScheduler] = None,
-        pool_workers: int = 0,
         store: Optional[ArtifactStore] = None,
         max_store_bytes: Optional[int] = None,
-        tenants=None,
-        journal: bool = True,
-        journal_poll: float = 0.25,
         max_pending: Optional[int] = None,
-        max_retries: int = 2,
-        degrade: bool = True,
+        **scheduler_options,
     ):
         if scheduler is not None:
             self.store = scheduler.store
@@ -187,16 +185,7 @@ class JobServer:
                     )
                 store = ArtifactStore(store_dir, max_bytes=max_store_bytes)
             self.store = store
-            self.scheduler = JobScheduler(
-                self.store,
-                workers=workers,
-                pool_workers=pool_workers,
-                tenants=tenants,
-                journal=journal,
-                journal_poll=journal_poll,
-                max_retries=max_retries,
-                degrade=degrade,
-            )
+            self.scheduler = JobScheduler(self.store, **scheduler_options)
         self.api = JobServiceAPI(self.scheduler, max_pending=max_pending)
 
         api = self.api

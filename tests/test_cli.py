@@ -241,6 +241,21 @@ class TestStreamingRun:
         assert code == 2
         assert "--zoom-width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, says",
+        [(["--benchmark", "bv", "--qubits", "6", "--device-size", "1"],
+          "max_subcircuit_qubits"),
+         (["--benchmark", "supremacy", "--qubits", "10",
+           "--device-size", "5"], "grid")],
+    )
+    @pytest.mark.parametrize("command", ["cut", "run", "dd"])
+    def test_bad_input_exits_2_not_a_traceback(
+        self, command, argv, says, capsys
+    ):
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and says in err
+
 
 class TestJsonOutput:
     def test_run_json(self, capsys):

@@ -21,6 +21,7 @@ import pytest
 import repro
 import repro.sim
 from repro import CutQC, QuantumCircuit, johannesburg, make_device
+from repro.core import RunConfig
 from repro.core.executor import VariantExecutor
 from repro.cutting.cutter import Subcircuit
 from repro.cutting.variants import (
@@ -161,18 +162,16 @@ class TestCalibratedDeviceRefused:
             NoisyEvalSpec(device=self._calibrated())
 
     def test_pipeline_device(self):
-        pipeline = CutQC(get_benchmark("bv", 6), 5, device=self._calibrated())
+        # Refused where the run is configured, before any work.
         with pytest.raises(ValueError, match="CalibratedDevice"):
-            pipeline.fd_query()
+            CutQC(get_benchmark("bv", 6), 5, device=self._calibrated())
 
     def test_executor_and_pool(self):
         device = self._calibrated()
         with pytest.raises(ValueError, match="CalibratedDevice"):
-            VariantExecutor(device=device)
-        cut = CutQC(get_benchmark("bv", 6), 5).cut()
-        executor = VariantExecutor(pool=DevicePool([device]))
+            VariantExecutor(RunConfig(device=device))
         with pytest.raises(ValueError, match="CalibratedDevice"):
-            executor.run(cut.subcircuits)
+            VariantExecutor(RunConfig(pool=DevicePool([device])))
 
     def test_its_own_per_circuit_run_still_works(self):
         out = self._calibrated().run(

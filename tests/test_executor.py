@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import CutQC, build_circuit_graph, make_device, simulate_probabilities
-from repro.core import VariantExecutor
+from repro.core import RunConfig, VariantExecutor
 from repro.core import executor as executor_module
 from repro.cutting import cut_circuit_from_assignment, num_physical_variants
 from repro.devices.pool import DevicePool
@@ -58,10 +58,10 @@ class TestVariantExecutor:
     def test_pool_mode_exact_and_reported(self, bv_cut):
         # Batching is the default on the pool path too: each body-key
         # group is pinned to one device and evaluated batched.
-        executor = VariantExecutor(
+        executor = VariantExecutor(RunConfig(
             pool=DevicePool([_ideal("a", 5, seed=1), _ideal("b", 5, seed=2)]),
-            pool_shots=0,
-        )
+            device_shots=0,
+        ))
         pooled = executor.run(bv_cut.subcircuits)
         report = executor.last_report
         assert report.mode == "batched-devicepool"
@@ -77,7 +77,7 @@ class TestVariantExecutor:
 
     def test_pool_affinity_pins_placement(self, bv_cut):
         pool = DevicePool([_ideal("a", 5, seed=1), _ideal("b", 5, seed=2)])
-        executor = VariantExecutor(pool=pool, pool_shots=0)
+        executor = VariantExecutor(RunConfig(pool=pool, device_shots=0))
         executor.run(bv_cut.subcircuits)
         placement = executor.last_pool_placement
         # Re-running a subset with the recorded affinity reproduces the
@@ -181,8 +181,8 @@ class TestVariantExecutor:
     def test_backend_pool_mutually_exclusive(self):
         with pytest.raises(ValueError, match="not both"):
             VariantExecutor(
+                RunConfig(pool=DevicePool([_ideal("a", 3)])),
                 backend=simulate_probabilities,
-                pool=DevicePool([_ideal("a", 3)]),
             )
 
     def test_run_accepts_one_shot_iterable(self, bv_cut):
@@ -208,7 +208,7 @@ class TestPipelineWiring:
         circuit = bv(6)
         pool = DevicePool([_ideal("a", 5, seed=1), _ideal("b", 5, seed=2)])
         pipeline = CutQC(
-            circuit, max_subcircuit_qubits=5, pool=pool, pool_shots=0
+            circuit, max_subcircuit_qubits=5, pool=pool, device_shots=0
         )
         result = pipeline.fd_query()
         assert pipeline.execution_report.mode == "batched-devicepool"
@@ -219,7 +219,7 @@ class TestPipelineWiring:
     def test_cutqc_pool_honored_in_shot_based_dd(self):
         pool = DevicePool([_ideal("a", 5, seed=1)])
         pipeline = CutQC(
-            bv(6), max_subcircuit_qubits=5, pool=pool, pool_shots=0
+            bv(6), max_subcircuit_qubits=5, pool=pool, device_shots=0
         )
         query = pipeline.dd_query(
             max_active_qubits=2,
@@ -238,7 +238,8 @@ class TestPipelineWiring:
             for name, seed in (("a", 1), ("b", 2))
         ])
         pipeline = CutQC(
-            bv(6), max_subcircuit_qubits=5, pool=pool, pool_shots=1024, seed=4
+            bv(6), max_subcircuit_qubits=5, pool=pool, device_shots=1024,
+            seed=4,
         )
         error, chi2, bound = first_recursion_error(pipeline, 3, 1 << 16, seed=7)
         assert pipeline.execution_report.mode == "batched-devicepool"

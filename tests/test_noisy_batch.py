@@ -34,6 +34,7 @@ from repro import (
 from repro.circuits import Gate
 from repro.circuits.gates import gate_matrix
 from repro.core import executor as executor_module
+from repro.core import RunConfig
 from repro.core.executor import VariantExecutor
 from repro.cutting.variants import (
     INIT_LABELS,
@@ -712,12 +713,12 @@ class TestWorkerCountInvariance:
 
     def test_worker_pool_transport_bit_identical(self, fig4_cut, monkeypatch):
         monkeypatch.setattr(executor_module, "_INIT_BATCH", 1)
-        serial_exec = VariantExecutor(device=self._device(), seed=5)
+        serial_exec = VariantExecutor(RunConfig(device=self._device(), seed=5))
         serial = serial_exec.run(fig4_cut.subcircuits)
         assert serial_exec.last_report.mode == "batched-noisy"
         with WorkerPool(workers=2) as pool:
             pooled_exec = VariantExecutor(
-                device=self._device(), worker_pool=pool, seed=5
+                RunConfig(device=self._device(), seed=5), worker_pool=pool
             )
             pooled = pooled_exec.run(fig4_cut.subcircuits)
             assert pooled_exec.last_report.mode == "batched-noisy-pool"
@@ -795,38 +796,40 @@ class TestBatchingDefault:
 
     def test_bad_seed_is_refused_before_numpy_sees_it(self):
         device = make_device("seedless", 5, "line", noise=NOISE, seed=3)
-        pipeline = CutQC(bv(6), max_subcircuit_qubits=5, device=device, seed=-1)
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*63\)"):
-            pipeline.evaluate()
+            CutQC(bv(6), max_subcircuit_qubits=5, device=device, seed=-1)
 
 
 # ----------------------------------------------------------------------
 # Store migration: versioned fingerprints force recomputation
 # ----------------------------------------------------------------------
 
+def _tag(spec):
+    """The store backend tag a job's evaluate stage keys on."""
+    return spec.run_config().evaluation_identity()["backend"]
+
+
 class TestStoreMigration:
     def test_backend_tags_are_versioned(self):
         from repro.service.scheduler import JobSpec
 
         base = dict(device_size=5, benchmark="bv", qubits=6)
-        assert JobSpec(**base).backend_tag() == "statevector:batched:v3"
+        assert _tag(JobSpec(**base)) == "statevector:batched:v3"
         # A journaled legacy spec keyed per-variant artifacts; it now
         # addresses the batched ones, which a parent store already holds.
         legacy = JobSpec.from_dict({**base, "sim_batch": 0})
-        assert legacy.backend_tag() == "statevector:batched:v3"
+        assert _tag(legacy) == "statevector:batched:v3"
         # Every tag whose artifacts hold a distributions array moved to v2
         # with that layout.
         # The trajectory path moved to v3 with the keyed injection draws,
         # the density path to v3 with the fused-superoperator engine
         # (its answers moved by round-off).
         assert (
-            JobSpec(**base, device="bogota").backend_tag()
+            _tag(JobSpec(**base, device="bogota"))
             == "device:bogota:trajectory:batched:v3"
         )
         assert (
-            JobSpec(
-                **base, device="bogota", noisy_method="density"
-            ).backend_tag()
+            _tag(JobSpec(**base, device="bogota", noisy_method="density"))
             == "device:bogota:density:batched:v3"
         )
 
@@ -876,7 +879,7 @@ class TestStoreMigration:
             device_size=5, benchmark="bv", qubits=6, device="bogota",
             shots=1024, trajectories=8,
         )
-        pipeline = CutQC(spec.build_circuit(), **spec.pipeline_options())
+        pipeline = CutQC(spec.build_circuit(), config=spec.run_config())
         store = ArtifactStore(tmp_path)
 
         def key(backend):
@@ -895,7 +898,7 @@ class TestStoreMigration:
         finally:
             scheduler.shutdown()
         assert record.state == "done", record.error
-        assert record.fingerprints["evaluate"] == key(spec.backend_tag())
+        assert record.fingerprints["evaluate"] == key(_tag(spec))
         assert record.fingerprints["evaluate"] != old_key
         assert record.cache_hits["evaluate"] is False
 

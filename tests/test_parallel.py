@@ -11,6 +11,9 @@ must surface its utilization statistics.
 
 import ast
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -400,3 +403,33 @@ class TestOneProcessMechanism:
                 if any(m.split(".")[0] == "multiprocessing" for m in modules):
                     importers.add(path.relative_to(package).as_posix())
         assert importers == {"postprocess/parallel.py"}
+
+
+class TestSharedMemoryOwnership:
+    """Workers attach published segments; only the parent unlinks them."""
+
+    _RUN = """
+from repro import CutQC
+from repro.library import bv
+from repro.postprocess.parallel import WorkerPool
+
+with WorkerPool(2) as pool:
+    for n, size in ((20, 11), (22, 12)):
+        pipeline = CutQC(bv(n), size, worker_pool=pool)
+        pipeline.fd_top_k(4, 3)
+        pipeline.dd_query(6, max_recursions=3, zoom_width=2)
+"""
+
+    def test_pooled_run_leaves_a_clean_stderr(self):
+        # A worker forked before any resource tracker runs starts its
+        # own, which at exit calls every attached segment leaked and
+        # then fails to unlink what the parent already unlinked.
+        src = str(Path(repro.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1",
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", self._RUN], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""

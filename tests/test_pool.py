@@ -114,15 +114,15 @@ class TestPoolBackend:
 
     def test_cutqc_through_pool_exact(self, fig4_circuit):
         pool = DevicePool([_ideal("a", 3, seed=1), _ideal("b", 3, seed=2)])
-        pipeline = CutQC(fig4_circuit, 3, pool=pool, pool_shots=0)
+        pipeline = CutQC(fig4_circuit, 3, pool=pool, device_shots=0)
         result = pipeline.fd_query()
         truth = simulate_probabilities(fig4_circuit)
         assert np.allclose(result.probabilities, truth, atol=1e-9)
 
     def test_backend_records_schedule(self, fig4_circuit):
         pool = DevicePool([_ideal("a", 3), _ideal("b", 3)])
-        pipeline = CutQC(fig4_circuit, 3, pool=pool, pool_shots=128)
-        executor = pipeline.make_executor()
+        pipeline = CutQC(fig4_circuit, 3, pool=pool, device_shots=128)
+        executor = pipeline.executor
         executor.run(pipeline.cut().subcircuits)
         report = executor.last_report
         assert report.mode == "batched-devicepool"
@@ -135,7 +135,7 @@ class TestPoolBackend:
     def test_heterogeneous_pool(self):
         circuit = bv(6)
         pool = DevicePool([_ideal("tiny", 3, seed=3), _ideal("mid", 5, seed=4)])
-        pipeline = CutQC(circuit, 5, pool=pool, pool_shots=0)
+        pipeline = CutQC(circuit, 5, pool=pool, device_shots=0)
         result = pipeline.fd_query()
         truth = simulate_probabilities(circuit)
         assert np.allclose(result.probabilities, truth, atol=1e-9)

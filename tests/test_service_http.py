@@ -167,6 +167,38 @@ class TestHttpApi:
         after = len(request_json("GET", f"{server.url}/jobs")["jobs"])
         assert after == before
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("strategy", "bogus"), ("method", "bogus"), ("device", "nope"),
+         ("shots", -5), ("max_subcircuits", 0)],
+    )
+    def test_bad_run_option_is_400_at_admission(self, server, field, value):
+        # Each of these used to be accepted and then fail the job deep in
+        # the pipeline; the job's RunConfig now refuses it at submission.
+        before = len(request_json("GET", f"{server.url}/jobs")["jobs"])
+        payload = {"benchmark": "bv", "qubits": 6, "device_size": 5,
+                   field: value}
+        if field == "shots":
+            payload["device"] = "bogota"
+        with pytest.raises(ServiceClientError) as excinfo:
+            request_json("POST", f"{server.url}/jobs", payload=payload)
+        assert excinfo.value.status == 400
+        assert field in excinfo.value.document["error"]
+        after = len(request_json("GET", f"{server.url}/jobs")["jobs"])
+        assert after == before
+
+    @pytest.mark.parametrize(
+        "threshold", [-0.1, 1.5, float("nan"), float("inf"), "0.5", True]
+    )
+    def test_bad_threshold_is_400_at_admission(self, server, threshold):
+        with pytest.raises(ServiceClientError) as excinfo:
+            request_json("POST", f"{server.url}/jobs", payload={
+                "benchmark": "bv", "qubits": 6, "device_size": 5,
+                "query": "dd", "threshold": threshold,
+            })
+        assert excinfo.value.status == 400
+        assert "threshold" in excinfo.value.document["error"]
+
     @pytest.mark.parametrize("shard_qubits", [99, -1])
     def test_out_of_range_shard_qubits_is_400_at_admission(
         self, server, shard_qubits

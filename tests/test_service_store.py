@@ -276,7 +276,8 @@ class TestExactEvaluationArtifacts:
     def test_v2_artifact_is_a_miss_under_the_v3_key(self, store, exact):
         cut, results, _ = exact
         base = dict(device_size=5, benchmark="bv", qubits=6)
-        assert JobSpec(**base).backend_tag() == "statevector:batched:v3"
+        tag = JobSpec(**base).run_config().evaluation_identity()["backend"]
+        assert tag == "statevector:batched:v3"
         # What a v2 engine stored: every raw vector, under the v2 tag.
         v2_results = [
             SubcircuitResult(
@@ -288,7 +289,7 @@ class TestExactEvaluationArtifacts:
         ]
         v2_key = evaluation_fingerprint("cut", backend="statevector:batched:v2")
         store.put_evaluation(v2_key, v2_results)
-        v3_key = evaluation_fingerprint("cut", backend=JobSpec(**base).backend_tag())
+        v3_key = evaluation_fingerprint("cut", backend=tag)
         assert store.get_evaluation(v3_key, cut) is None  # recomputed ...
         assert (store.stats.misses, store.stats.corrupt) == (1, 0)
         old = store.get_evaluation(v2_key, cut)  # ... never misread

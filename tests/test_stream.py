@@ -244,7 +244,7 @@ class TestEveryQueryReadsOneReconstructor:
         pooled.close()
 
         after = pipeline.dd_query(max_active_qubits=2, max_recursions=4)
-        fresh = CutQC(pipeline.circuit, pipeline.max_subcircuit_qubits)
+        fresh = CutQC(pipeline.circuit, config=pipeline.config)
         fresh.load_cut(pipeline.cut())
         alone = fresh.dd_query(max_active_qubits=2, max_recursions=4)
         assert len(after.recursions) == len(alone.recursions)

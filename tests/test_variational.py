@@ -354,7 +354,7 @@ class TestVariationalSession:
             [_ideal_device("a", 5, seed=1), _ideal_device("b", 5, seed=2)]
         )
         session = VariationalSession(
-            circuit, max_subcircuit_qubits=5, pool=pool, pool_shots=0
+            circuit, max_subcircuit_qubits=5, pool=pool, device_shots=0
         )
         session.rebind(circuit.parameters())
         assert session.history[0].execution_mode == "batched-devicepool"
@@ -370,7 +370,7 @@ class TestVariationalSession:
             pool=DevicePool(
                 [_ideal_device("a", 5, seed=1), _ideal_device("b", 5, seed=2)]
             ),
-            pool_shots=0,
+            device_shots=0,
         ).fd_query()
         assert np.allclose(
             session.probabilities(), scratch.probabilities, atol=1e-10
@@ -448,7 +448,7 @@ class TestVariationalJobs:
             assert entry["reuse"]["cut_cache_hits"] == 2
             # SPSA moves every angle, so each probe re-fuses every piece
             # and reuses exactly the blocks that hold no parametric gate.
-            cut = CutQC(spec.build_circuit(), **spec.pipeline_options()).cut()
+            cut = CutQC(spec.build_circuit(), config=spec.run_config()).cut()
             fixed = sum(
                 1
                 for piece in cut.subcircuits

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate for the documentation tree.
 
-Five checks, two over every tracked Markdown file:
+Six checks, two over every tracked Markdown file:
 
 1. **Links** — every intra-repo link (``[text](path)`` and
    ``[text](path#anchor)``) must resolve to an existing file, and when
@@ -14,13 +14,16 @@ Five checks, two over every tracked Markdown file:
 3. **Span names** — every literal ``trace.span("…")`` name in
    ``src/repro`` appears backticked in ``docs/metrics.md``, so a trace
    never shows a span its reader cannot look up.
-4. **Backend tags** — every store tag ``JobSpec.backend_tag()`` can
-   return (statevector, device trajectory, device density; the device
+4. **Backend tags** — every store tag a job's
+   ``RunConfig.evaluation_identity()`` can return (statevector, device trajectory, device density; the device
    name rendered ``<name>``) appears backticked in
    ``docs/architecture.md``, so a version bump cannot skip the docs.
 5. **Cache labels** — every literal ``cache="…"`` metric label value in
    ``src/repro`` appears backticked in ``docs/metrics.md``, so a scrape
    never shows a cache its reader cannot look up.
+6. **Job fields** — every ``JobSpec`` field is named in code in
+   ``docs/http_api.md``, so the service never accepts a field its
+   reader cannot look up.
 
 Usage::
 
@@ -28,7 +31,7 @@ Usage::
     python tools/check_docs.py --no-run   # everything but the snippets
 
 Exit status is non-zero on any broken link, failing snippet,
-undocumented span name, backend tag or cache label.
+undocumented span name, backend tag, cache label or job field.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ _FENCE = re.compile(r"^(`{3,}|~{3,})\s*(.*)$")
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
 _SPAN = re.compile(r"""trace\.span\(\s*["']([^"']+)["']""")
 _CACHE_LABEL = re.compile(r"""\bcache=["']([^"']+)["']""")
+_CODE = re.compile(r"`([^`]+)`")
 
 
 def markdown_files() -> List[pathlib.Path]:
@@ -168,8 +172,8 @@ def check_cache_labels() -> List[str]:
 
 
 def check_backend_tags() -> List[str]:
-    """Tags ``JobSpec.backend_tag()`` returns that ``docs/architecture.md``
-    does not show backticked."""
+    """Store tags of a job's ``RunConfig.evaluation_identity()`` that
+    ``docs/architecture.md`` does not show backticked."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.service.scheduler import JobSpec
 
@@ -181,11 +185,41 @@ def check_backend_tags() -> List[str]:
     documented = (REPO_ROOT / "docs" / "architecture.md").read_text(
         encoding="utf-8"
     )
-    tags = {spec.backend_tag().replace(":bogota:", ":<name>:") for spec in specs}
+    tags = {
+        spec.run_config().evaluation_identity()["backend"].replace(
+            ":bogota:", ":<name>:"
+        )
+        for spec in specs
+    }
     return [
         f"docs/architecture.md: backend tag '{tag}' is not documented"
         for tag in sorted(tags)
         if f"`{tag}`" not in documented
+    ]
+
+
+def check_job_fields() -> List[str]:
+    """``JobSpec`` fields no code span of ``docs/http_api.md`` names."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.service.scheduler import JobSpec
+
+    code, fence = [], None
+    for line in (REPO_ROOT / "docs" / "http_api.md").read_text(
+        encoding="utf-8"
+    ).splitlines():
+        match = _FENCE.match(line)
+        if fence is not None:
+            fence = None if line.startswith(fence) else fence
+            code.append(line)
+        elif match:
+            fence = match.group(1)
+        else:
+            code.extend(_CODE.findall(line))
+    named = set(re.findall(r"\w+", "\n".join(code)))
+    return [
+        f"docs/http_api.md: JobSpec field '{name}' is not documented"
+        for name in JobSpec.__dataclass_fields__
+        if name not in named
     ]
 
 
@@ -254,7 +288,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--no-run", action="store_true",
-        help="check links, span names, cache labels and backend tags; "
+        help="check links, span names, cache labels, backend tags and "
+        "job fields; "
         "skip executing runnable snippets",
     )
     args = parser.parse_args(argv)
@@ -263,7 +298,7 @@ def main(argv=None) -> int:
     print(f"checking {len(files)} markdown files")
     errors = (
         check_links(files) + check_span_names() + check_cache_labels()
-        + check_backend_tags()
+        + check_backend_tags() + check_job_fields()
     )
     if not args.no_run:
         errors += run_snippets(files)
