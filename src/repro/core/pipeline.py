@@ -82,10 +82,10 @@ class CutQC:
         shared by every stage — the pipeline's only process
         parallelism: variant execution fans out over the warm workers,
         streaming-FD shards evaluate concurrently (tensors published to
-        shared memory once), and DD zoom rounds / large ``kron`` sweeps
-        dispatch through the same pool.  Without one, every stage runs
-        inline.  The pipeline does not own the pool — the caller closes
-        it.
+        shared memory once), and multi-bin DD zoom rounds dispatch
+        through the same pool.  A whole ``fd_query`` is one contraction
+        and runs inline.  Without a pool, every stage runs inline.  The
+        pipeline does not own the pool — the caller closes it.
     """
 
     def __init__(

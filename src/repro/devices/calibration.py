@@ -26,6 +26,7 @@ import networkx as nx
 import numpy as np
 
 from ..circuits import Gate, QuantumCircuit
+from ..cutting.variants import NoisyEvalSpec
 from ..sim.sampler import sample_distribution
 from ..sim.statevector import Statevector
 from .device import VirtualDevice
@@ -180,7 +181,7 @@ class CalibratedDevice(VirtualDevice):
         self,
         circuit: QuantumCircuit,
         shots: Optional[int] = None,
-        trajectories: int = 24,
+        trajectories: int = NoisyEvalSpec.trajectories,
         seed: Optional[int] = None,
     ) -> np.ndarray:
         """Transpile with the noise-adaptive layout, simulate with

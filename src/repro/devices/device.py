@@ -18,6 +18,8 @@ import networkx as nx
 import numpy as np
 
 from ..circuits import QuantumCircuit
+from ..cutting.cutter import Subcircuit
+from ..cutting.variants import NoisyEvalSpec, batched_noisy_variant_probabilities
 from ..sim.noise import NoiseModel
 
 __all__ = ["VirtualDevice"]
@@ -60,7 +62,7 @@ class VirtualDevice:
         self,
         circuit: QuantumCircuit,
         shots: Optional[int] = None,
-        trajectories: int = 24,
+        trajectories: int = NoisyEvalSpec.trajectories,
         seed: Optional[int] = None,
     ) -> np.ndarray:
         """Transpile + noisy shots; distribution over the logical qubits.
@@ -78,12 +80,6 @@ class VirtualDevice:
         fresh entropy).  A seed that is not an int in ``[0, 2**63)``
         raises :func:`~repro.sim.noise.check_seed`'s ``ValueError``.
         """
-        from ..cutting.cutter import Subcircuit
-        from ..cutting.variants import (
-            NoisyEvalSpec,
-            batched_noisy_variant_probabilities,
-        )
-
         if circuit.num_qubits > self.num_qubits:
             raise ValueError(
                 f"circuit of {circuit.num_qubits} qubits does not fit device "
@@ -103,7 +99,7 @@ class VirtualDevice:
     def backend(
         self,
         shots: Optional[int] = None,
-        trajectories: int = 24,
+        trajectories: int = NoisyEvalSpec.trajectories,
         seed: Optional[int] = None,
     ) -> Callable[[QuantumCircuit], np.ndarray]:
         """A ``circuit -> distribution`` callable for the CutQC pipeline."""

@@ -19,6 +19,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..circuits import QuantumCircuit
+from ..cutting.variants import NoisyEvalSpec
 from .device import VirtualDevice
 
 __all__ = [
@@ -27,12 +28,18 @@ __all__ = [
     "MitigatedBackend",
 ]
 
+#: Trajectories per calibration circuit.  A calibration circuit is one
+#: layer of X/identity gates, and the readout error it measures is applied
+#: exactly to every trajectory, so few trajectories suffice and shot noise
+#: dominates the estimate.
+_CALIBRATION_TRAJECTORIES = 8
+
 
 def calibrate_confusion_matrix(
     device: VirtualDevice,
     num_qubits: int,
     shots: int = 4096,
-    trajectories: int = 8,
+    trajectories: int = _CALIBRATION_TRAJECTORIES,
     seed: Optional[int] = None,
 ) -> np.ndarray:
     """Measure ``C[i, j] = P(read i | prepared j)`` on ``device``.
@@ -111,7 +118,7 @@ class MitigatedBackend:
         self,
         device: VirtualDevice,
         shots: Optional[int] = None,
-        trajectories: int = 24,
+        trajectories: int = NoisyEvalSpec.trajectories,
         calibration_shots: int = 4096,
         seed: Optional[int] = None,
     ):

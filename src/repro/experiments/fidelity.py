@@ -15,6 +15,7 @@ import numpy as np
 
 from ..core import CutQC
 from ..cutting import CutSearchError
+from ..cutting.variants import NoisyEvalSpec
 from ..devices import VirtualDevice, bogota, johannesburg
 from ..devices.mitigation import MitigatedBackend
 from ..library import get_benchmark
@@ -41,7 +42,7 @@ class FidelityExperimentConfig:
 
     cases: Sequence[Tuple[str, int]] = _DEFAULT_CASES
     shots: int = 8192
-    trajectories: int = 24
+    trajectories: int = NoisyEvalSpec.trajectories
     seed: int = 7
     mitigate: bool = False
     large_device: Optional[VirtualDevice] = None

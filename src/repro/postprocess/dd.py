@@ -176,8 +176,8 @@ class DynamicDefinitionQuery:
     active_order:
         Wire activation order (default: ascending wire index).
     engine:
-        Shared contraction engine; its worker pool (if any) also runs
-        the parallel zoom when ``zoom_width > 1``.
+        Shared contraction engine; its worker pool (if any) runs the
+        parallel zoom when ``zoom_width > 1``.
     zoom_width:
         Bins expanded per round by :meth:`run`.  ``1`` reproduces the
         paper's strictly sequential Algorithm 1; ``k > 1`` zooms into the
@@ -301,17 +301,13 @@ class DynamicDefinitionQuery:
             prepared.append((parent, fixed, tuple(active), prep))
 
         contract_began = time.perf_counter()
-        if len(prepared) == 1:
-            # Single bin: let the engine parallelize *inside* the sweep.
-            executions = [prepared[0][3].contract(self.engine)]
-        else:
-            contractions = self.engine.contract_batch(
-                [prep.payload for *_, prep in prepared]
-            )
-            executions = [
-                prep.finish(contraction)
-                for (*_, prep), contraction in zip(prepared, contractions)
-            ]
+        contractions = self.engine.contract_batch(
+            [prep.payload for *_, prep in prepared]
+        )
+        executions = [
+            prep.finish(contraction)
+            for (*_, prep), contraction in zip(prepared, contractions)
+        ]
         contract_elapsed = time.perf_counter() - contract_began
         self._collapse_seconds += sum(collapse_seconds)
         self._contract_seconds += contract_elapsed

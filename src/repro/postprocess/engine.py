@@ -16,9 +16,11 @@ Three strategies are provided:
     broadcasted outer product plus a single BLAS matmul per block —
     ``accumulator += prefix.T @ last`` — instead of a per-assignment
     Python ``reduce(np.kron, ...)`` loop.  Implements the paper's greedy
-    order and early termination; the parallel range split (§4.2's third
-    optimization) runs on an injected
-    :class:`~repro.postprocess.parallel.WorkerPool`.
+    order and early termination.  §4.2's third optimization, parallel
+    processing, runs whole contractions (DD bins, FD shards) on an
+    injected :class:`~repro.postprocess.parallel.WorkerPool`; one sweep
+    always runs in one process, so its summation order, and with it the
+    answer, does not depend on whether a pool is attached.
 
 ``tensor_network``
     Greedy pairwise contraction of the term tensors as a tensor network.
@@ -64,8 +66,6 @@ DEFAULT_STRATEGY = "auto"
 _CHUNK = 1 << 14
 #: Soft cap on elements held by one batched-Kronecker prefix block.
 _BLOCK_ELEMENTS = 1 << 22
-#: Below this many assignments, a worker-pool range split cannot pay off.
-_MIN_PARALLEL_TERMS = 256
 
 
 @dataclass
@@ -379,10 +379,10 @@ class ContractionEngine:
     The pipeline creates one engine and hands it to both the FD
     reconstructor and the DD query so a single set of knobs governs every
     contraction in a run.  Parallelism is an injected
-    :class:`~repro.postprocess.parallel.WorkerPool` (``pool``): a large
-    ``kron`` sweep is range-split across its warm workers and a batch of
-    DD-bin contractions fans out over them.  Without a pool every
-    contraction runs inline.
+    :class:`~repro.postprocess.parallel.WorkerPool` (``pool``): a batch
+    of independent contractions (DD bins) fans out over its warm
+    workers, each item whole.  One contraction, and every contraction
+    without a pool, runs inline.
 
     The engine memoises what DD rounds repeat and depends on structure
     alone (``auto``'s network price, the kron sweep's row indices), so
@@ -409,32 +409,11 @@ class ContractionEngine:
         strategy: Optional[str] = None,
         early_termination: Optional[bool] = None,
     ) -> ContractionResult:
-        """:func:`contract_terms` with this engine's defaults.
-
-        When a worker pool is injected and the ``kron`` strategy wins, a
-        large enough sweep is range-split across the warm workers with a
-        shared-memory reduction tree.
-        """
-        resolved_strategy = self.strategy if strategy is None else strategy
-        early = (
-            self.early_termination
-            if early_termination is None
-            else early_termination
+        """:func:`contract_terms` with this engine's defaults, inline."""
+        [result] = self.contract_batch(
+            [(tensors, order, num_cuts)], strategy, early_termination
         )
-        resolved = _resolve(resolved_strategy, tensors, order, num_cuts, self._tn_costs)
-        if (
-            self.pool is not None
-            and resolved == "kron"
-            and self.pool.workers > 1
-            and 4**num_cuts >= _MIN_PARALLEL_TERMS
-        ):
-            vector, skipped = self.pool.contract_kron(
-                tensors, order, num_cuts, early_termination=early
-            )
-            return ContractionResult(
-                vector=vector, num_skipped=skipped, strategy="kron"
-            )
-        return _contract(tensors, order, num_cuts, resolved, early, self._rows)
+        return result
 
     def contract_batch(
         self,
@@ -445,11 +424,11 @@ class ContractionEngine:
         """Contract many independent term sets, fanned over the worker pool.
 
         ``batch`` holds ``(tensors, order, num_cuts)`` triples — one per
-        DD zoom bin or FD shard.  With an injected worker pool the batch
-        fans out over the persistent workers (shared-memory transport);
-        otherwise the items contract inline, in order.  The per-item
-        parallelism of :meth:`contract` is the right tool for *one* large
-        contraction, this one for *many* small ones.
+        DD zoom bin.  With an injected worker pool a batch of two or more
+        fans out over the persistent workers (shared-memory transport),
+        one whole item per task; otherwise the items contract inline, in
+        order.  Both run the same sweep per item, so the answers are
+        identical.
         """
         strategy = self.strategy if strategy is None else strategy
         early = (

@@ -2,10 +2,13 @@
 
 :class:`WorkerPool` is a single persistent, spawn-safe, supervised
 process pool shared by the whole pipeline — variant execution
-(:class:`~repro.core.executor.VariantExecutor`), large ``kron`` sweeps
-and DD zoom batches (:class:`~repro.postprocess.engine.ContractionEngine`)
-and streaming-FD shards.  Every caller without a pool runs inline; this
-module is the only one in the package that imports ``multiprocessing``.
+(:class:`~repro.core.executor.VariantExecutor`), DD zoom batches
+(:class:`~repro.postprocess.engine.ContractionEngine`) and streaming-FD
+shards.  It runs only whole, independent tasks, and every pooled call
+goes through one ordered map (:meth:`WorkerPool._map`), so a pooled
+answer is the inline answer.  Every caller without a pool runs inline;
+this module is the only one in the package that imports
+``multiprocessing``.
 
 * **Supervision** — a dead or hung worker (heartbeat deadline) is
   respawned and its task re-dispatched; a task that keeps killing workers
@@ -17,10 +20,6 @@ module is the only one in the package that imports ``multiprocessing``.
   bytes), never the tensors.  Workers attach lazily and keep their own
   collapse caches, so all ``2^s`` shards of a streaming query cost one
   generalized collapse per worker.
-* **Tree reduction** — a single large ``kron`` contraction is split into
-  assignment ranges whose partial sums live in shared memory and are
-  merged pairwise *in the workers* (:meth:`WorkerPool.contract_kron`),
-  log2(w) rounds instead of ``w`` serial adds in the parent.
 * **Observability** — :class:`ParallelStats` reports per-kind task
   counts, busy seconds, utilization and bytes published; the job
   service surfaces it under ``GET /stats``.
@@ -36,6 +35,7 @@ with the publishing parent — workers do no tracker bookkeeping at all.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import pickle
@@ -44,7 +44,7 @@ import time
 import uuid
 from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,12 +53,7 @@ from ..faults import PoisonedTaskError, PoolUnrecoverableError
 from ..obs import trace
 from ..obs.metrics import get_registry
 from .attribution import TermTensor
-from .engine import (
-    ContractionEngine,
-    ContractionResult,
-    _accumulate_range,
-    contract_terms,
-)
+from .engine import ContractionEngine, ContractionResult, contract_terms
 from .plan import PrecomputedTensorProvider, QueryPlan
 
 __all__ = [
@@ -103,27 +98,15 @@ def _attach_segment(name: str):
     return segment
 
 
-def _create_unowned_segment(size: int):
-    """Create a segment whose lifetime the *parent* will manage.
-
-    The parent adopts the name from the task result and performs the
-    one-and-only ``unlink`` (see :func:`_attach_segment` on why no
-    manual tracker bookkeeping happens here).
-    """
-    from multiprocessing import shared_memory
-
-    return shared_memory.SharedMemory(create=True, size=size)
-
-
 def _tensor_from_ref(ref) -> TermTensor:
     """Materialize a :class:`TermTensor` from a transport reference.
 
     Published tensors (``cached=True``) stay zero-copy views over the
     worker's cached attachment — they live as long as the publication.
-    Per-call transient tensors (a ``contract_batch``/``contract_kron``
-    shipment the parent frees right after the call) are *copied* out
-    and the segment detached immediately, so worker memory does not
-    grow with every batch the pool ever served.
+    Per-call transient tensors (a ``contract_batch`` shipment the parent
+    frees right after the call) are *copied* out and the segment
+    detached immediately, so worker memory does not grow with every
+    batch the pool ever served.
     """
     if ref[0] == "inline":
         return ref[1]
@@ -148,11 +131,18 @@ def _tensor_from_ref(ref) -> TermTensor:
     )
 
 
-def _ship_vector(vector: np.ndarray, via_shm: bool):
-    """Worker-side: return a vector inline or through a fresh segment."""
-    if not via_shm or vector.nbytes < _MIN_SHM_RESULT_BYTES:
+def _ship_vector(vector: np.ndarray):
+    """Worker-side: return a vector inline or through a fresh segment.
+
+    The parent adopts the segment's name from the task result and
+    performs the one-and-only ``unlink`` (see :func:`_attach_segment`
+    on why no manual tracker bookkeeping happens here).
+    """
+    from multiprocessing import shared_memory
+
+    if vector.nbytes < _MIN_SHM_RESULT_BYTES:
         return ("inline", vector)
-    segment = _create_unowned_segment(vector.nbytes)
+    segment = shared_memory.SharedMemory(create=True, size=vector.nbytes)
     out = np.ndarray(vector.shape, dtype=vector.dtype, buffer=segment.buf)
     out[:] = vector
     name = segment.name
@@ -175,7 +165,7 @@ def _provider_for(handle_id: str, cut_blob: bytes, refs) -> object:
 
 @dataclass
 class _TaskMeta:
-    """Per-task accounting shipped back with every result."""
+    """Per-task accounting: every task function returns ``(value, meta)``."""
 
     pid: int
     elapsed_seconds: float
@@ -200,8 +190,8 @@ def _run_contract(payload) -> Tuple[ContractionResult, _TaskMeta]:
 def _run_plan(payload):
     """Execute one :class:`QueryPlan` against published tensors.
 
-    Returns ``(vector_ref_or_candidates, cache_hits, cache_misses,
-    shard_nbytes, meta)``.  With ``top_k`` set, only the shard's top-k
+    Its value is ``(vector_ref_or_candidates, cache_hits, cache_misses,
+    shard_nbytes)``.  With ``top_k`` set, only the shard's top-k
     ``(probability, offset)`` candidates come back (in the exact
     ``argpartition`` order the serial fold uses) instead of the vector.
     """
@@ -220,52 +210,9 @@ def _run_plan(payload):
 
         result = ("topk", _shard_top_candidates(probabilities, top_k))
     else:
-        result = _ship_vector(probabilities, via_shm=True)
+        result = _ship_vector(probabilities)
     meta = _TaskMeta(pid=os.getpid(), elapsed_seconds=time.perf_counter() - began)
-    return result, delta.hits, delta.misses, nbytes, meta
-
-
-def _run_kron_range(payload):
-    """Partial blocked-Kronecker sum over one assignment range."""
-    refs, order, num_cuts, start, stop, early = payload
-    began = time.perf_counter()
-    tensors = [_tensor_from_ref(ref) for ref in refs]
-    vector, skipped = _accumulate_range(
-        tensors, order, num_cuts, start, stop, early
-    )
-    shipped = _ship_vector(vector, via_shm=True)
-    meta = _TaskMeta(pid=os.getpid(), elapsed_seconds=time.perf_counter() - began)
-    return shipped, skipped, meta
-
-
-def _run_reduce(payload):
-    """One tree-reduction step: a fresh ``out = left + right`` segment.
-
-    Out-of-place so the step is *idempotent*: a retried reduce (its
-    worker killed mid-add) recomputes the same sum instead of
-    double-adding into a half-mutated accumulator.  The parent adopts
-    the result segment and frees both inputs as the tree collapses.
-    """
-    from multiprocessing import shared_memory
-
-    left_ref, right_ref = payload
-    began = time.perf_counter()
-    _, left_name, shape, dtype = left_ref
-    _, right_name, _, _ = right_ref
-    left_segment = shared_memory.SharedMemory(name=left_name)
-    right_segment = shared_memory.SharedMemory(name=right_name)
-    left = np.ndarray(shape, dtype=np.dtype(dtype), buffer=left_segment.buf)
-    right = np.ndarray(shape, dtype=np.dtype(dtype), buffer=right_segment.buf)
-    out_segment = _create_unowned_segment(max(1, left.nbytes))
-    out = np.ndarray(shape, dtype=np.dtype(dtype), buffer=out_segment.buf)
-    np.add(left, right, out=out)
-    name = out_segment.name
-    del out, left, right
-    out_segment.close()
-    left_segment.close()
-    right_segment.close()
-    meta = _TaskMeta(pid=os.getpid(), elapsed_seconds=time.perf_counter() - began)
-    return ("shm", name, shape, dtype), meta
+    return (result, delta.hits, delta.misses, nbytes), meta
 
 
 def _run_variant_batch(payload):
@@ -285,9 +232,9 @@ def _run_variant_batch(payload):
     from ..core.executor import _run_init_batch
 
     began = time.perf_counter()
-    data, passes = _run_init_batch(payload)
+    value = _run_init_batch(payload)
     meta = _TaskMeta(pid=os.getpid(), elapsed_seconds=time.perf_counter() - began)
-    return data, passes, meta
+    return value, meta
 
 
 #: Task kind -> module-level function; the traced wrapper dispatches by
@@ -295,8 +242,6 @@ def _run_variant_batch(payload):
 _TASK_FNS = {
     "contract": _run_contract,
     "plan": _run_plan,
-    "kron-range": _run_kron_range,
-    "reduce": _run_reduce,
     "variant-batch": _run_variant_batch,
     "noisy-variant-batch": _run_variant_batch,
 }
@@ -348,17 +293,16 @@ def _shippable_error(error: BaseException) -> BaseException:
         return RuntimeError(f"{type(error).__name__}: {error}")
 
 
-def _result_segment_names(kind, result) -> List[str]:
+def _result_segment_names(result) -> List[str]:
     """Worker-created shm segment names inside a task result.
 
     Used to reclaim segments of results nobody will consume (abandoned
     streams, stale duplicate attempts).  Tolerant of every task kind:
-    only ``plan``/``kron-range``/``reduce`` results lead with a 4-tuple
-    ``("shm", name, shape, dtype)`` shipment.
+    only a ``plan`` value leads with a 4-tuple ``("shm", name, shape,
+    dtype)`` shipment.
     """
-    if not isinstance(result, tuple) or not result:
-        return []
-    shipped = result[0]
+    value = result[0] if isinstance(result, tuple) and result else None
+    shipped = value[0] if isinstance(value, tuple) and value else None
     if (isinstance(shipped, tuple) and len(shipped) == 4
             and shipped[0] == "shm"):
         return [shipped[1]]
@@ -589,9 +533,8 @@ class WorkerPool:
     Supervision: a daemon thread watches one result pipe per worker.
     Workers send a synchronous ``start`` heartbeat before each task, so
     a death (pipe EOF) immediately identifies the in-flight task, which
-    is transparently re-dispatched — tasks are pure/idempotent (the
-    reduce step is out-of-place for exactly this reason), so retried
-    results are bit-identical.  Deterministic in-task exceptions are
+    is transparently re-dispatched — tasks are pure/idempotent, so
+    retried results are bit-identical.  Deterministic in-task exceptions are
     *not* retried; they surface to the caller on first occurrence.
 
     The pool starts lazily on first use; :meth:`close` (or the context
@@ -922,7 +865,7 @@ class WorkerPool:
                 return
             self._tasks.pop(task.task_id, None)
             if task.ok:
-                cleanup = _result_segment_names(task.kind, task.result)
+                cleanup = _result_segment_names(task.result)
         for name in cleanup:
             self._reclaim_segment(name)
 
@@ -995,7 +938,7 @@ class WorkerPool:
                 # Stale duplicate (a re-dispatched task raced its
                 # original): reclaim any segments it shipped.
                 if ok:
-                    cleanup = _result_segment_names(None, result)
+                    cleanup = _result_segment_names(result)
             else:
                 task.done = True
                 task.ok = ok
@@ -1009,7 +952,7 @@ class WorkerPool:
                 if task.discarded:
                     self._tasks.pop(task_id, None)
                     if ok:
-                        cleanup = _result_segment_names(task.kind, result)
+                        cleanup = _result_segment_names(result)
         for name in cleanup:
             self._reclaim_segment(name)
 
@@ -1255,6 +1198,42 @@ class WorkerPool:
         for name in handle.segment_names:
             self._free_segment(name)
 
+    # -- the ordered map every pooled call goes through ----------------
+    def _map(
+        self, tasks: Iterable[Tuple[str, object]], window: Optional[int] = None
+    ) -> Iterator:
+        """Run ``(kind, payload)`` tasks; yield their values in order.
+
+        Every task function returns ``(value, _TaskMeta)``; the meta is
+        recorded here and the value yielded in submission order.  At most
+        ``window`` tasks run ahead of the consumer (``None``: all of them
+        are dispatched at once).  A failed task raises in the consumer,
+        and on any exit the unreaped remainder is discarded, so the
+        supervisor reclaims the segments those tasks ship back.
+        """
+        self._ensure_started()
+        tasks = iter(tasks)
+        pending: "deque[_PoolTask]" = deque()
+        try:
+            while True:
+                for kind, payload in itertools.islice(
+                    tasks, None if window is None else window - len(pending)
+                ):
+                    pending.append(self._dispatch(kind, payload))
+                if not pending:
+                    return
+                task = pending.popleft()
+                try:
+                    value, meta = self._reap(task)
+                except Exception:
+                    self._record(task.kind, None, ok=False)
+                    raise
+                self._record(task.kind, meta, ok=True)
+                yield value
+        finally:
+            while pending:
+                self._discard(pending.popleft())
+
     # -- query-path entry points ---------------------------------------
     def contract_batch(
         self,
@@ -1268,31 +1247,20 @@ class WorkerPool:
         :meth:`~repro.postprocess.engine.ContractionEngine.contract_batch`
         — same argument triple, same result order as inline.
         """
-        self._ensure_started()
-        pending = []
         fresh: List[str] = []
-        results: List[ContractionResult] = []
-        try:
+
+        def tasks():
             for tensors, order, num_cuts in batch:
                 refs, names = self._tensor_refs(tensors)
                 fresh.extend(names)
-                payload = (refs, list(order), num_cuts, strategy,
-                           early_termination)
-                pending.append(self._dispatch("contract", payload))
-            for task in pending:
-                try:
-                    result, meta = self._reap(task)
-                except Exception:
-                    self._record("contract", None, ok=False)
-                    raise
-                self._record("contract", meta, ok=True)
-                results.append(result)
+                yield "contract", (refs, list(order), num_cuts, strategy,
+                                   early_termination)
+
+        try:
+            return list(self._map(tasks()))
         finally:
-            for task in pending:
-                self._discard(task)
             for name in fresh:
                 self._free_segment(name)
-        return results
 
     def run_plans(
         self,
@@ -1315,148 +1283,24 @@ class WorkerPool:
         generator close the in-flight remainder is drained and its
         worker-created segments freed.
         """
-        self._ensure_started()
-        plans = list(plans)
-        window = max(2, 2 * self.workers)
-        pending: "deque" = deque()
-        submitted = 0
-        try:
-            for index in range(len(plans)):
-                while submitted < len(plans) and len(pending) < window:
-                    payload = (
-                        handle.handle_id,
-                        handle.cut_blob,
-                        handle.refs,
-                        plans[submitted],
-                        strategy,
-                        early_termination,
-                        top_k,
-                    )
-                    pending.append(self._dispatch("plan", payload))
-                    submitted += 1
-                task = pending.popleft()
-                try:
-                    shipped, hits, misses, nbytes, meta = self._reap(task)
-                except Exception:
-                    self._record("plan", None, ok=False)
-                    raise
-                self._record("plan", meta, ok=True)
-                if shipped[0] in ("topk", "inline"):
-                    yield index, shipped[1], hits, misses, nbytes
-                else:
+        tasks = (
+            ("plan", (handle.handle_id, handle.cut_blob, handle.refs, plan,
+                      strategy, early_termination, top_k))
+            for plan in plans
+        )
+        values = self._map(tasks, window=max(2, 2 * self.workers))
+        with contextlib.closing(values):
+            for index, (shipped, hits, misses, nbytes) in enumerate(values):
+                if shipped[0] == "shm":
                     _, name, shape, dtype = shipped
                     segment = self._adopt_segment(name)
-                    vector = np.array(
-                        np.ndarray(
-                            shape, dtype=np.dtype(dtype), buffer=segment.buf
-                        )
-                    )
+                    vector = np.array(np.ndarray(
+                        shape, dtype=np.dtype(dtype), buffer=segment.buf
+                    ))
                     self._free_segment(name)
                     yield index, vector, hits, misses, nbytes
-        finally:
-            # Abandoned stream (or a failed task): hand the in-flight
-            # remainder to the supervisor so worker-created result
-            # segments are reclaimed whenever those tasks complete.
-            while pending:
-                self._discard(pending.popleft())
-
-    def contract_kron(
-        self,
-        tensors: Sequence[TermTensor],
-        order: Sequence[int],
-        num_cuts: int,
-        early_termination: bool = True,
-    ) -> Tuple[np.ndarray, int]:
-        """One large ``kron`` sweep: range-split + shared-memory tree sum.
-
-        The ``4^K`` assignment space is split across the workers; each
-        partial accumulator lands in shared memory and partials are
-        merged pairwise *in the workers* (a reduction tree), so the
-        parent never performs more than one final copy.
-        """
-        self._ensure_started()
-        total = 4**num_cuts
-        step = (total + self.workers - 1) // self.workers
-        bounds = [
-            (start, min(start + step, total))
-            for start in range(0, total, step)
-        ]
-        refs, fresh = self._tensor_refs(tensors)
-        order = list(order)
-        skipped = 0
-        partials: List[Tuple] = []  # vector refs, in submission order
-        outstanding: List[_PoolTask] = []
-        try:
-            pending = [
-                self._dispatch(
-                    "kron-range",
-                    (refs, order, num_cuts, start, stop, early_termination),
-                )
-                for start, stop in bounds
-            ]
-            outstanding.extend(pending)
-            for task in pending:
-                try:
-                    shipped, part_skipped, meta = self._reap(task)
-                except Exception:
-                    self._record("kron-range", None, ok=False)
-                    raise
-                self._record("kron-range", meta, ok=True)
-                skipped += part_skipped
-                if shipped[0] == "shm":
-                    self._adopt_segment(shipped[1])
-                partials.append(shipped)
-
-            # Tree-reduce the shared-memory partials in the workers;
-            # inline (small) partials are summed directly in the parent.
-            # Each reduce is out-of-place (fresh output segment, inputs
-            # untouched) so a retried reduce after a worker kill cannot
-            # double-add into an accumulator.
-            inline = [p[1] for p in partials if p[0] == "inline"]
-            shm_refs = [p for p in partials if p[0] == "shm"]
-            while len(shm_refs) > 1:
-                next_round = []
-                reductions = []
-                for left, right in zip(shm_refs[::2], shm_refs[1::2]):
-                    task = self._dispatch("reduce", (left, right))
-                    outstanding.append(task)
-                    reductions.append((task, left, right))
-                for task, left, right in reductions:
-                    try:
-                        shipped, meta = self._reap(task)
-                    except Exception:
-                        self._record("reduce", None, ok=False)
-                        raise
-                    self._record("reduce", meta, ok=True)
-                    self._adopt_segment(shipped[1])
-                    self._free_segment(left[1])
-                    self._free_segment(right[1])
-                    next_round.append(shipped)
-                if len(shm_refs) % 2:
-                    next_round.append(shm_refs[-1])
-                shm_refs = next_round
-
-            if shm_refs:
-                _, name, shape, dtype = shm_refs[0]
-                segment = self._segments[name]
-                vector = np.array(
-                    np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
-                )
-                self._free_segment(name)
-            elif inline:
-                vector = inline.pop(0)
-            else:
-                vector = None
-            for extra in inline:
-                vector += extra
-        finally:
-            for task in outstanding:
-                self._discard(task)
-            for name in fresh:
-                self._free_segment(name)
-        if vector is None:  # pragma: no cover - bounds is never empty
-            raise RuntimeError("kron contraction produced no partials")
-        return vector, skipped
+                else:
+                    yield index, shipped[1], hits, misses, nbytes
 
     def map_variant_batches(
         self, payloads: Sequence[Tuple]
@@ -1471,22 +1315,4 @@ class WorkerPool:
         per payload, in order: the ``(columns, 2^width)`` amplitude slab,
         or the ``(len(init_combos), 3^O, 2^width)`` distributions slab.
         """
-        self._ensure_started()
-        pending = []
-        outputs: List[Tuple[object, int]] = []
-        try:
-            for payload in payloads:
-                kind = payload[0]
-                pending.append((kind, self._dispatch(kind, payload)))
-            for kind, task in pending:
-                try:
-                    data, passes, meta = self._reap(task)
-                except Exception:
-                    self._record(kind, None, ok=False)
-                    raise
-                self._record(kind, meta, ok=True)
-                outputs.append((data, passes))
-        finally:
-            for _, task in pending:
-                self._discard(task)
-        return outputs
+        return list(self._map((payload[0], payload) for payload in payloads))

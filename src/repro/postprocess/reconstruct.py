@@ -6,10 +6,10 @@ the Kronecker product of the subcircuits' term vectors, scaled by
 :mod:`~repro.postprocess.engine`, which implements the paper's three
 optimizations: **greedy subcircuit order** (smallest subcircuits first),
 **early termination** (all-zero term components are skipped) and
-**parallel processing** (the ``4^K`` term space range-split across a
-:class:`~repro.postprocess.parallel.WorkerPool`).  Its ``tensor_network``
-strategy computes the identical output without the 4^K enumeration, and
-``auto`` picks between the two from a cost model.
+**parallel processing** (output shards run concurrently on a
+:class:`~repro.postprocess.parallel.WorkerPool`, below).  Its
+``tensor_network`` strategy computes the identical output without the
+4^K enumeration, and ``auto`` picks between the two from a cost model.
 
 :meth:`Reconstructor.reconstruct` materializes the full ``2**n`` vector —
 the memory wall circuit cutting exists to avoid.
@@ -65,7 +65,9 @@ class ReconstructionStats:
     num_terms: int
     num_skipped: int
     elapsed_seconds: float
-    #: Size of the engine's worker pool (1 when the query ran inline).
+    #: Processes that contracted the query: a whole-distribution query
+    #: always runs inline, so 1 (a shard stream reports its pool's size
+    #: in :class:`StreamStats`).
     workers: int
     strategy: str
     subcircuit_order: Tuple[int, ...]
@@ -196,7 +198,7 @@ class Reconstructor:
             num_terms=4**num_cuts,
             num_skipped=execution.contraction.num_skipped,
             elapsed_seconds=time.perf_counter() - began,
-            workers=self.engine.pool.workers if self.engine.pool else 1,
+            workers=1,
             strategy=execution.contraction.strategy,
             subcircuit_order=execution.order,
         )

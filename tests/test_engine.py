@@ -262,18 +262,19 @@ class TestEngineMemos:
 
         monkeypatch.setattr(module, "_tn_cost", counting)
         engine = ContractionEngine(strategy="auto")
-        real_contract = engine.contract
+        real_contract_batch = engine.contract_batch
 
-        def recording(tensors, order, num_cuts, **kwargs):
+        def recording(batch, **kwargs):
             before = len(priced)
-            result = real_contract(tensors, order, num_cuts, **kwargs)
+            [result] = real_contract_batch(batch, **kwargs)
             per_call.append(len(priced) - before)
+            [(tensors, order, num_cuts)] = batch
             fresh = contract_terms(tensors, order, num_cuts, strategy="auto")
             picks.append((result.strategy, fresh.strategy))
             assert np.array_equal(result.vector, fresh.vector)
-            return result
+            return [result]
 
-        monkeypatch.setattr(engine, "contract", recording)
+        monkeypatch.setattr(engine, "contract_batch", recording)
         query = self._query(engine)
         query.run(10)
         query.run(10)

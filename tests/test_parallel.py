@@ -26,7 +26,7 @@ import repro
 from repro import CutQC, cut_circuit_from_assignment
 from repro.circuits import build_circuit_graph
 from repro.core import VariantExecutor
-from repro.library import bv
+from repro.library import bv, get_benchmark
 from repro.postprocess import (
     ContractionEngine,
     PrecomputedTensorProvider,
@@ -49,7 +49,7 @@ def pool():
 
 @pytest.fixture(scope="module")
 def single_pool():
-    """A one-worker pool: dispatches batches, never range-splits one sweep."""
+    """A one-worker pool: still dispatches every multi-item batch."""
     with WorkerPool(workers=1) as shared:
         yield shared
 
@@ -95,17 +95,6 @@ class TestWorkerPool:
         for a, b in zip(serial, pooled):
             assert np.array_equal(a.vector, b.vector)
             assert a.num_skipped == b.num_skipped
-
-    def test_contract_kron_matches_serial(self, pool, bv8_pieces):
-        cut, results = bv8_pieces
-        tensors = [build_term_tensor(r) for r in results]
-        order = list(range(len(tensors)))
-        serial = ContractionEngine(strategy="kron").contract(
-            tensors, order, cut.num_cuts
-        )
-        vector, skipped = pool.contract_kron(tensors, order, cut.num_cuts)
-        assert skipped == serial.num_skipped
-        np.testing.assert_allclose(vector, serial.vector, atol=1e-12)
 
     def test_shared_memory_transport_roundtrip(self, bv8_pieces, monkeypatch):
         """Force every tensor and result vector through shared memory."""
@@ -288,11 +277,9 @@ class TestQueryPathParity:
         assert pooled.engine.pool is single_pool
         assert len(serial.recursions) == len(pooled.recursions)
         # Batched zoom rounds run the serial contraction code in a worker,
-        # and a one-worker pool never range-splits a single-bin round, so
-        # both queries share every rounding: bins that tie in exact
-        # arithmetic (symmetric circuits have many) are zoomed in the same
-        # order on both sides.  A range-split sweep sums in another order
-        # and may flip such a tie; it has its own 1e-12 parity tests.
+        # one whole bin per task, so both queries share every rounding:
+        # bins that tie in exact arithmetic (symmetric circuits have many)
+        # are zoomed in the same order on both sides.
         for a, b in zip(serial.recursions, pooled.recursions):
             assert a.fixed == b.fixed and a.active == b.active
             assert np.array_equal(a.probabilities, b.probabilities)
@@ -339,6 +326,52 @@ class TestQueryPathParity:
         assert pooled.parallel_stats is not None
         assert pooled.parallel_stats.tasks_completed > 0
         assert serial.parallel_stats is None
+
+
+def _catalog_pipelines(pool, family, qubits, device_size, **kwargs):
+    """An inline and a pooled pipeline over one cut and one evaluation."""
+    circuit = get_benchmark(family, qubits, **kwargs)
+    inline = CutQC(circuit, device_size, strategy="auto")
+    pooled = CutQC(circuit, device_size, strategy="auto", worker_pool=pool)
+    pooled.load_cut(inline.cut()).load_results(inline.evaluate())
+    return inline, pooled
+
+
+class TestPoolParity:
+    """Attaching a pool never moves an answer: it runs whole tasks only."""
+
+    @pytest.mark.parametrize(
+        "family,qubits,device_size,kwargs",
+        [("supremacy", 12, 9, {"seed": 0}), ("adder", 12, 8, {"seed": 3})],
+    )
+    def test_fd_query_equals_inline(
+        self, pool, family, qubits, device_size, kwargs
+    ):
+        inline, pooled = _catalog_pipelines(
+            pool, family, qubits, device_size, **kwargs
+        )
+        expected = inline.fd_query()
+        result = pooled.fd_query()
+        assert np.array_equal(result.probabilities, expected.probabilities)
+        assert result.stats.workers == expected.stats.workers == 1
+        assert not {"kron-range", "reduce"} & set(pool.stats().tasks_by_kind)
+
+    def test_dd_query_equals_inline(self, pool):
+        inline, pooled = _catalog_pipelines(pool, "adder", 20, 12, seed=3)
+        expected = inline.dd_query(10, max_recursions=48)
+        query = pooled.dd_query(10, max_recursions=48)
+        assert len(query.recursions) == len(expected.recursions) == 48
+        for a, b in zip(expected.recursions, query.recursions):
+            assert a.fixed == b.fixed and a.active == b.active
+            assert np.array_equal(a.probabilities, b.probabilities)
+        assert [
+            (b.recursion, b.index, b.probability)
+            for b in query.current_partition
+        ] == [
+            (b.recursion, b.index, b.probability)
+            for b in expected.current_partition
+        ]
+        assert not {"kron-range", "reduce"} & set(pool.stats().tasks_by_kind)
 
 
 class TestSegmentLifecycle:
@@ -403,6 +436,34 @@ class TestOneProcessMechanism:
                 if any(m.split(".")[0] == "multiprocessing" for m in modules):
                     importers.add(path.relative_to(package).as_posix())
         assert importers == {"postprocess/parallel.py"}
+
+    def test_every_pooled_call_goes_through_the_ordered_map(self):
+        tree = ast.parse(Path(parallel_module.__file__).read_text())
+        (pool_class,) = [
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "WorkerPool"
+        ]
+        callers = {}
+        for method in pool_class.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            for node in ast.walk(method):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("_dispatch", "_reap", "_record")
+                ):
+                    callers.setdefault(node.func.attr, set()).add(method.name)
+        assert callers == {
+            "_dispatch": {"_map", "cache_stats"},
+            "_reap": {"_map", "cache_stats"},
+            "_record": {"_map"},
+        }
+
+    def test_the_pool_runs_whole_tasks_only(self):
+        assert set(parallel_module._TASK_FNS) - {"cache-stats"} == {
+            "contract", "plan", "variant-batch", "noisy-variant-batch",
+        }
 
 
 class TestSharedMemoryOwnership:

@@ -174,6 +174,12 @@ class TestConsumers:
 _CONSUMERS = (
     "core/pipeline.py", "core/executor.py", "service/scheduler.py", "cli.py"
 )
+#: Per-circuit device paths take no RunConfig, but read the trajectory
+#: default from the same place (``NoisyEvalSpec``).
+_TRAJECTORY_READERS = (
+    "devices/device.py", "devices/mitigation.py", "devices/calibration.py",
+    "experiments/fidelity.py",
+)
 #: Wire and CLI spellings of RunConfig fields.
 _ALIASES = {"device_size", "shots"}
 #: Same-named values that are not the run's option: a job's (and the
@@ -247,6 +253,17 @@ class TestOneDeclaration:
             for owner, name, line in _literal_defaults(
                 (PACKAGE / where).read_text(), where
             )
+        ]
+        assert found == []
+
+    def test_device_paths_read_the_trajectory_default(self):
+        found = [
+            f"{where}:{line} {owner}"
+            for where in _TRAJECTORY_READERS
+            for owner, name, line in _literal_defaults(
+                (PACKAGE / where).read_text(), where
+            )
+            if name == "trajectories"
         ]
         assert found == []
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate for the documentation tree.
 
-Six checks, two over every tracked Markdown file:
+Seven checks, two over every tracked Markdown file:
 
 1. **Links** — every intra-repo link (``[text](path)`` and
    ``[text](path#anchor)``) must resolve to an existing file, and when
@@ -24,6 +24,9 @@ Six checks, two over every tracked Markdown file:
 6. **Job fields** — every ``JobSpec`` field is named in code in
    ``docs/http_api.md``, so the service never accepts a field its
    reader cannot look up.
+7. **Pool task kinds** — the ``kind`` list of ``repro_pool_tasks_total``
+   in ``docs/metrics.md`` is exactly the set of task kinds the
+   ``WorkerPool`` records (every kind but the ``cache-stats`` probe).
 
 Usage::
 
@@ -31,7 +34,8 @@ Usage::
     python tools/check_docs.py --no-run   # everything but the snippets
 
 Exit status is non-zero on any broken link, failing snippet,
-undocumented span name, backend tag, cache label or job field.
+undocumented span name, backend tag, cache label, job field or pool
+task kind.
 """
 
 from __future__ import annotations
@@ -223,6 +227,28 @@ def check_job_fields() -> List[str]:
     ]
 
 
+def check_pool_kinds() -> List[str]:
+    """``repro_pool_tasks_total`` kinds in ``docs/metrics.md`` that differ
+    from the kinds the pool records."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.postprocess.parallel import _TASK_FNS
+
+    recorded = set(_TASK_FNS) - {"cache-stats"}
+    documented: set = set()
+    for line in (REPO_ROOT / "docs" / "metrics.md").read_text(
+        encoding="utf-8"
+    ).splitlines():
+        match = re.match(r"\| `repro_pool_tasks_total` .*?`kind` \(([^)]*)\)", line)
+        if match:
+            documented = set(_CODE.findall(match.group(1)))
+    if documented == recorded:
+        return []
+    return [
+        f"docs/metrics.md: repro_pool_tasks_total kinds {sorted(documented)} "
+        f"differ from the pool's {sorted(recorded)}"
+    ]
+
+
 def iter_runnable_snippets(
     path: pathlib.Path,
 ) -> Iterator[Tuple[int, str]]:
@@ -288,9 +314,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--no-run", action="store_true",
-        help="check links, span names, cache labels, backend tags and "
-        "job fields; "
-        "skip executing runnable snippets",
+        help="check links, span names, cache labels, backend tags, job "
+        "fields and pool task kinds; skip executing runnable snippets",
     )
     args = parser.parse_args(argv)
 
@@ -298,7 +323,7 @@ def main(argv=None) -> int:
     print(f"checking {len(files)} markdown files")
     errors = (
         check_links(files) + check_span_names() + check_cache_labels()
-        + check_backend_tags() + check_job_fields()
+        + check_backend_tags() + check_job_fields() + check_pool_kinds()
     )
     if not args.no_run:
         errors += run_snippets(files)
