@@ -540,7 +540,6 @@ def _command_run_body(args: argparse.Namespace, pipeline: CutQC) -> int:
         "num_terms": stats.num_terms,
         "num_skipped": stats.num_skipped,
         "elapsed_seconds": stats.elapsed_seconds,
-        "workers": stats.workers,
         "subcircuit_order": list(stats.subcircuit_order),
     }
     document["top_states"] = [
@@ -558,8 +557,7 @@ def _command_run_body(args: argparse.Namespace, pipeline: CutQC) -> int:
     _print_execution_report(report)
     print(
         f"FD query [{stats.strategy}]: {stats.num_terms} Kronecker terms "
-        f"({stats.num_skipped} skipped), {stats.elapsed_seconds:.3f}s, "
-        f"{stats.workers} worker(s)"
+        f"({stats.num_skipped} skipped), {stats.elapsed_seconds:.3f}s"
     )
     from .viz import histogram
 

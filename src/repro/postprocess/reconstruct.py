@@ -65,10 +65,6 @@ class ReconstructionStats:
     num_terms: int
     num_skipped: int
     elapsed_seconds: float
-    #: Processes that contracted the query: a whole-distribution query
-    #: always runs inline, so 1 (a shard stream reports its pool's size
-    #: in :class:`StreamStats`).
-    workers: int
     strategy: str
     subcircuit_order: Tuple[int, ...]
 
@@ -198,7 +194,6 @@ class Reconstructor:
             num_terms=4**num_cuts,
             num_skipped=execution.contraction.num_skipped,
             elapsed_seconds=time.perf_counter() - began,
-            workers=1,
             strategy=execution.contraction.strategy,
             subcircuit_order=execution.order,
         )

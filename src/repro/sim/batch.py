@@ -25,10 +25,11 @@ executors live in :mod:`repro.sim.noisy_batch` and build directly on
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,9 +43,11 @@ __all__ = [
     "MAX_FUSION_WIDTH",
     "fuse_gates",
     "fused_block",
+    "block_unitary",
     "gate_partition",
     "fusion_stats",
     "BatchedStatevector",
+    "apply_on_axes",
 ]
 
 #: Hard cap on fused-block width: a block's unitary is a dense
@@ -78,47 +81,47 @@ class FusedOp:
         return len(self.qubits)
 
 
+@functools.lru_cache(maxsize=512)
+def _embedding(
+    positions: Tuple[int, ...], block_width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat ``(dest, src)`` indices embedding a gate into a block: entry
+    ``(r, c)`` is gate entry ``(local(r), local(c))`` where ``r`` and ``c``
+    agree off ``positions``, and 0 elsewhere."""
+    k = len(positions)
+    index = np.arange(1 << block_width)
+    shifts = [block_width - 1 - position for position in positions]
+    local = sum(((index >> s) & 1) << (k - 1 - j) for j, s in enumerate(shifts))
+    off = index & ~sum(1 << s for s in shifts)
+    rows, cols = np.nonzero(off[:, None] == off[None, :])
+    return (rows << block_width) + cols, (local[rows] << k) + local[cols]
+
+
 def _expand_to_block(
     matrix: np.ndarray, positions: Sequence[int], block_width: int
 ) -> np.ndarray:
     """Embed a ``k``-qubit gate matrix into a ``2^m x 2^m`` block unitary.
 
     ``positions`` are the gate's qubit positions inside the block, in the
-    gate's own (MSB-first) qubit order.
+    gate's own (MSB-first) qubit order.  One scatter through the cached
+    :func:`_embedding` indices: every entry is copied, none computed.
     """
-    k = len(positions)
-    dim = 1 << block_width
-    operator = matrix.reshape((2,) * (2 * k))
-    identity = np.eye(dim, dtype=complex).reshape((2,) * block_width + (dim,))
-    contracted = np.tensordot(
-        operator, identity, axes=(range(k, 2 * k), list(positions))
-    )
-    embedded = np.moveaxis(contracted, range(k), positions)
-    return embedded.reshape(dim, dim)
+    dest, src = _embedding(tuple(positions), block_width)
+    out = np.zeros(1 << (2 * block_width), dtype=complex)
+    out[dest] = matrix.ravel()[src]
+    return out.reshape(1 << block_width, 1 << block_width)
 
 
-class _Block:
-    """A mutable fusion block: a gate run on a bounded qubit set."""
-
-    __slots__ = ("qubits", "gates")
-
-    def __init__(self, gate: Gate):
-        self.qubits = set(gate.qubits)
-        self.gates = [gate]
-
-    def absorb(self, gate: Gate) -> None:
-        self.qubits.update(gate.qubits)
-        self.gates.append(gate)
-
-    def to_op(self) -> FusedOp:
-        ordered = tuple(sorted(self.qubits))
-        position_of = {qubit: index for index, qubit in enumerate(ordered)}
-        width = len(ordered)
-        unitary = np.eye(1 << width, dtype=complex)
-        for gate in self.gates:
-            positions = [position_of[q] for q in gate.qubits]
-            unitary = _expand_to_block(gate.matrix(), positions, width) @ unitary
-        return FusedOp(matrix=unitary, qubits=ordered)
+def block_unitary(gates: Sequence[Gate]) -> FusedOp:
+    """The unitary of a gate run on the sorted union of its qubits (no memo)."""
+    ordered = tuple(sorted({qubit for gate in gates for qubit in gate.qubits}))
+    position_of = {qubit: index for index, qubit in enumerate(ordered)}
+    width = len(ordered)
+    unitary = np.eye(1 << width, dtype=complex)
+    for gate in gates:
+        positions = [position_of[q] for q in gate.qubits]
+        unitary = _expand_to_block(gate.matrix(), positions, width) @ unitary
+    return FusedOp(matrix=unitary, qubits=ordered)
 
 
 #: Fused-op memo: circuit bodies are fixed physics and re-fused on every
@@ -175,7 +178,10 @@ def fusion_stats() -> dict:
     Besides the counters, the snapshot reports the live size of each
     memo layer (``fusion_cache_size`` / ``partition_cache_size`` /
     ``block_cache_size``) and the matrix bytes the block memo holds
-    (``block_cache_bytes``, at most its fixed budget).
+    (``block_cache_bytes``, at most its fixed budget).  The block memo
+    holds clean blocks only: a trajectory's injected blocks are memoised
+    with their program (``BodyProgram.injected``) under integer keys
+    and count in neither ``blocks_total`` nor ``blocks_built``.
     """
     stats = dict(_STATS)
     stats["fusion_cache_size"] = len(_FUSION_CACHE)
@@ -254,10 +260,7 @@ def fused_block(block_gates: Tuple[Gate, ...]) -> FusedOp:
         except KeyError:  # pragma: no cover - concurrent eviction
             pass
         return op
-    block = _Block(block_gates[0])
-    for gate in block_gates[1:]:
-        block.absorb(gate)
-    op = block.to_op()
+    op = block_unitary(block_gates)
     _STATS["blocks_built"] += 1
     with _BLOCK_CACHE_LOCK:
         previous = _BLOCK_CACHE.pop(block_gates, None)
@@ -318,6 +321,34 @@ def fuse_gates(
         while len(_FUSION_CACHE) > _FUSION_CACHE_LIMIT:
             _FUSION_CACHE.popitem(last=False)
     return ops
+
+
+#: ``(ndim, qubits) -> (perm, inverse)``: the transpose moving the axes
+#: of ``qubits`` (axis ``q + 1``, after the batch axis) to the end, and
+#: back.  Bodies reuse a few dozen tuples; past the bound it is cleared.
+_PERMUTATIONS: Dict[Tuple[int, Tuple[int, ...]], Tuple[Tuple[int, ...], ...]] = {}
+_PERMUTATIONS_LIMIT = 4096
+
+
+def apply_on_axes(
+    tensor: np.ndarray, matrix: np.ndarray, qubits: Tuple[int, ...]
+) -> np.ndarray:
+    """``matrix`` on the axes of ``qubits`` of a ``(B, 2, ..., 2)`` tensor,
+    ``qubits[0]`` the MSB of its local index (``Statevector.apply_matrix``'s
+    tensordot convention): one transpose, one contiguous copy, one matmul.
+    """
+    permutation = _PERMUTATIONS.get((tensor.ndim, qubits))
+    if permutation is None:
+        targets = tuple(q + 1 for q in qubits)
+        perm = tuple(a for a in range(tensor.ndim) if a not in targets) + targets
+        permutation = (perm, tuple(perm.index(a) for a in range(len(perm))))
+        if len(_PERMUTATIONS) >= _PERMUTATIONS_LIMIT:
+            _PERMUTATIONS.clear()
+        _PERMUTATIONS[tensor.ndim, qubits] = permutation
+    perm, inverse = permutation
+    moved = tensor.transpose(perm)
+    flat = np.ascontiguousarray(moved).reshape(-1, matrix.shape[1])
+    return (flat @ matrix.T).reshape(moved.shape).transpose(inverse)
 
 
 class BatchedStatevector:
@@ -397,30 +428,16 @@ class BatchedStatevector:
         (:func:`~repro.sim.noisy_batch.product_density`).  One transpose
         + one matmul sweeps the whole batch: the target axes move to the
         end, the rest (batch included) flatten into the row dimension of
-        a single BLAS call.
+        a single BLAS call (:func:`apply_on_axes`).  Both transposes come
+        from a table keyed ``(ndim, qubits)``, so after a tuple's first
+        use a call does no axis arithmetic in Python.
         """
-        qubits = list(qubits)
-        k = len(qubits)
-        if matrix.shape != (1 << k, 1 << k):
+        qubits = tuple(qubits)
+        if matrix.shape != (1 << len(qubits),) * 2:
             raise ValueError(
-                f"matrix shape {matrix.shape} does not act on {k} qubit(s)"
+                f"matrix shape {matrix.shape} does not act on {len(qubits)} qubit(s)"
             )
-        target_axes = [q + 1 for q in qubits]
-        rest = [
-            axis
-            for axis in range(self._tensor.ndim)
-            if axis not in target_axes
-        ]
-        perm = rest + target_axes
-        moved = np.transpose(self._tensor, perm)
-        moved_shape = moved.shape
-        flat = np.ascontiguousarray(moved).reshape(-1, 1 << k)
-        # Row b of ``matrix`` produces output index b with qubits[0] as
-        # MSB, matching Statevector.apply_matrix's tensordot convention.
-        out = flat @ matrix.T
-        self._tensor = np.transpose(
-            out.reshape(moved_shape), np.argsort(perm)
-        )
+        self._tensor = apply_on_axes(self._tensor, matrix, qubits)
         return self
 
     def applied(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -46,8 +46,9 @@ from .batch import (
     BatchedStatevector,
     FusedOp,
     _expand_to_block,
+    apply_on_axes,
+    block_unitary,
     fuse_gates,
-    fused_block,
     gate_partition,
 )
 from .noise import NoiseModel, clean_log_weight, keyed_uniforms, spawn_rng
@@ -172,6 +173,12 @@ def _as_is(gate: Gate) -> Tuple[Gate, ...]:
     return (gate,)
 
 
+#: Injected blocks one program keeps (<= 4 KiB each): an ``fd_noisy`` pass
+#: reuses at most ~50 per program, and a fixed seed repeats them.
+_INJECTED_LIMIT = 128
+_INJECTED_LOCK = threading.Lock()
+
+
 @dataclass(frozen=True, eq=False)
 class BodyProgram:
     """One subcircuit body, compiled once for every variant and executor.
@@ -190,6 +197,9 @@ class BodyProgram:
     and ``lower`` the rewrite of a 1q fragment gate into the gates that
     run.  The fragments (:attr:`prep`, :attr:`basis`, :attr:`edges`)
     compile on first use, so the exact path never builds a prep one.
+
+    ``injected`` memoises :func:`injected_suffix`'s blocks by ``(block,
+    ((offset, choice), ...))``, oldest out past :data:`_INJECTED_LIMIT`.
     """
 
     num_wires: int
@@ -204,6 +214,9 @@ class BodyProgram:
     meas_wires: Tuple[int, ...]
     keep: Optional[Tuple[int, ...]] = None
     lower: Callable[[Gate], Sequence[Gate]] = _as_is
+    injected: "OrderedDict[Tuple, FusedOp]" = field(
+        default_factory=OrderedDict, init=False, repr=False
+    )
 
     @property
     def num_meas(self) -> int:
@@ -691,7 +704,7 @@ def _trajectory_leaves(program, combos, codes, trajectories, seed, index, span):
         fired_rows = np.array(sorted(prep_fired), dtype=np.intp)
         rows = slice(None)
         if prep_fired:
-            rows = np.setdiff1d(np.arange(batch), fired_rows)
+            rows = np.flatnonzero(np.bincount(fired_rows, minlength=batch) == 0)
         if len(prep_fired) < batch and (suffix or noisy):
             run(walk, suffix, first_block, noisy, not suffix, rows, rows)
         if prep_fired:
@@ -847,8 +860,9 @@ def draw_injections(
     gates, Python touches only the entries that fired.
 
     Returns one ``(pattern, prep-fired rows, fired basis edges)`` tuple
-    per trajectory: the body pattern for :func:`injected_suffix`
-    (``None`` when no site fired); ``{row: {wire: 2-vector}}`` for every
+    per trajectory: the body pattern for :func:`injected_suffix`, its
+    fired ``(site, choice)`` pairs in site order (``None`` when no site
+    fired); ``{row: {wire: 2-vector}}`` for every
     row whose prep drew a Pauli; ``{(line, child): fragment matrix}``
     for every edge that did.
     """
@@ -866,12 +880,8 @@ def draw_injections(
             )
             for trajectory, site, choice in zip(*hits):
                 if patterns[trajectory] is None:
-                    patterns[trajectory] = [None] * num_sites
-                patterns[trajectory][site] = (
-                    PAULI_PAIRS_2Q[choice]
-                    if program.site_choices[site] == len(PAULI_PAIRS_2Q)
-                    else (PAULI_NAMES_1Q[choice],)
-                )
+                    patterns[trajectory] = []
+                patterns[trajectory].append((site, choice))
             fired = len(hits[0])
         if error_1q > 0.0:
             prep_hits, prep_keys, prep_count = _fragment_hits(
@@ -903,35 +913,47 @@ def draw_injections(
 
 
 def injected_suffix(
-    program: BodyProgram, pattern: Sequence[Optional[Tuple[str, ...]]]
+    program: BodyProgram, pattern: Sequence[Tuple[int, int]]
 ) -> Tuple[int, List[FusedOp]]:
     """The part of the fused body a fixed ``pattern`` changes.
 
-    Returns ``(first_block, ops)``: the trajectory's body is
-    ``program.ops[:first_block] + ops``, where ``ops`` runs from the first
-    injected block to the end with every injected block's unitary
-    rebuilt from its gates plus the drawn Paulis (memoized with the
-    clean blocks).  A pattern that injects nothing returns
-    ``(len(program.ops), [])``.
+    ``pattern`` lists the fired ``(site, choice)`` pairs in site order:
+    ``choice`` indexes :data:`PAULI_PAIRS_2Q` at a two-qubit site and
+    :data:`PAULI_NAMES_1Q` otherwise.  Returns ``(first_block, ops)``:
+    the trajectory's body is ``program.ops[:first_block] + ops``, where
+    ``ops`` runs from the first injected block to the end with every
+    injected block's unitary built from its gates plus the drawn Paulis,
+    memoised (thread-safe) in :attr:`BodyProgram.injected`.  A pattern
+    that injects nothing returns ``(len(program.ops), [])``.
     """
-    spliced: Dict[int, List[Gate]] = {}
-    # Last site first: an insertion leaves the earlier offsets valid.
-    for site in range(len(pattern) - 1, -1, -1):
-        choice = pattern[site]
-        if choice is not None:
-            block, offset = program.site_slots[site]
-            gates = spliced.setdefault(block, list(program.blocks[block]))
-            gates[offset + 1 : offset + 1] = [
-                Gate(name, (qubit,))
-                for name, qubit in zip(choice, gates[offset].qubits)
-                if name != "i"
-            ]
-    if not spliced:
+    picks: Dict[int, List[Tuple[int, int]]] = {}
+    for site, choice in pattern:
+        block, offset = program.site_slots[site]
+        picks.setdefault(block, []).append((offset, choice))
+    if not picks:
         return len(program.ops), []
-    first_block = min(spliced)
+    first_block = min(picks)
     ops = list(program.ops[first_block:])
-    for block, gates in spliced.items():
-        ops[block - first_block] = fused_block(tuple(gates))
+    for block, chosen in picks.items():
+        key = (block, tuple(chosen))
+        op = program.injected.get(key)
+        if op is None:
+            gates = list(program.blocks[block])
+            # Last pick first: an insertion leaves the earlier offsets valid.
+            for offset, choice in reversed(chosen):
+                site_gate = gates[offset]
+                names = (PAULI_PAIRS_2Q[choice] if site_gate.is_multiqubit
+                         else (PAULI_NAMES_1Q[choice],))
+                gates[offset + 1 : offset + 1] = [
+                    Gate(name, (qubit,))
+                    for name, qubit in zip(names, site_gate.qubits) if name != "i"
+                ]
+            op = block_unitary(gates)
+            with _INJECTED_LOCK:
+                program.injected[key] = op
+                while len(program.injected) > _INJECTED_LIMIT:
+                    program.injected.popitem(last=False)
+        ops[block - first_block] = op
     return first_block, ops
 
 
@@ -1029,11 +1051,8 @@ def apply_readout_error_rows(rows: np.ndarray, flip: float) -> np.ndarray:
         raise ValueError("row length is not a power of two")
     confusion = np.array([[1.0 - flip, flip], [flip, 1.0 - flip]])
     tensor = rows.reshape((rows.shape[0],) + (2,) * num_qubits)
-    for axis in range(1, num_qubits + 1):
-        moved = np.moveaxis(tensor, axis, -1)
-        shape = moved.shape
-        moved = np.ascontiguousarray(moved).reshape(-1, 2) @ confusion.T
-        tensor = np.moveaxis(moved.reshape(shape), -1, axis)
+    for qubit in range(num_qubits):
+        tensor = apply_on_axes(tensor, confusion, (qubit,))
     return tensor.reshape(rows.shape[0], -1)
 
 

@@ -7,7 +7,9 @@ SplitMix64 chain, one field at a time, masked to 64 bits by hand.
 :func:`repro.sim.noisy_batch.draw_injections` (lane 0 decides, lane 1
 picks the Pauli), and :func:`sample_injection_pattern` one trajectory's
 body pattern drawn site by site — the serial replay in
-``tests/test_noisy_batch.py`` steps gate by gate through these.
+``tests/test_noisy_batch.py`` steps gate by gate through these;
+:func:`fired_sites` turns that pattern into the drawn ``(site, choice)``
+form.
 """
 
 from __future__ import annotations
@@ -63,3 +65,18 @@ def sample_injection_pattern(
         else:
             pattern.append((PAULI_NAMES_1Q[choice],))
     return tuple(pattern), any(choice is not None for choice in pattern)
+
+
+def fired_sites(program, pattern) -> Tuple[Tuple[int, int], ...]:
+    """A per-site name ``pattern`` as the ``((site, choice), ...)`` pairs
+    that :func:`~repro.sim.noisy_batch.draw_injections` returns."""
+    fired = []
+    for site, names in enumerate(pattern):
+        if names is not None:
+            choices = (
+                PAULI_PAIRS_2Q
+                if program.site_choices[site] == len(PAULI_PAIRS_2Q)
+                else tuple((name,) for name in PAULI_NAMES_1Q)
+            )
+            fired.append((site, choices.index(names)))
+    return tuple(fired)

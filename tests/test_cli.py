@@ -267,6 +267,7 @@ class TestJsonOutput:
         document = json.loads(capsys.readouterr().out)
         assert document["command"] == "run"
         assert document["query"]["mode"] == "fd"
+        assert "workers" not in document["query"]
         assert document["execution"]["num_variants"] > 0
         assert document["top_states"][0]["state"] == "111111"
         assert document["verify_chi2"] == pytest.approx(0.0, abs=1e-9)

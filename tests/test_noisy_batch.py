@@ -83,6 +83,7 @@ from tests.keyed_draw_oracle import (
     BASIS,
     PREP,
     fired_choice,
+    fired_sites,
     sample_injection_pattern,
 )
 from tests.noisy_oracle import apply_readout_error
@@ -542,7 +543,9 @@ class TestTrajectoryParity:
                 for (block, _), choice in zip(plan.site_slots, pattern)
                 if choice is not None
             ]
-            first_block, suffix = injected_suffix(plan, pattern)
+            first_block, suffix = injected_suffix(
+                plan, fired_sites(plan, pattern)
+            )
             assert len(suffix) == len(plan.ops) - first_block
             first_blocks.append(first_block)
             shared = shared or len(hit) > len(set(hit))

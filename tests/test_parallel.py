@@ -353,7 +353,7 @@ class TestPoolParity:
         expected = inline.fd_query()
         result = pooled.fd_query()
         assert np.array_equal(result.probabilities, expected.probabilities)
-        assert result.stats.workers == expected.stats.workers == 1
+        assert not hasattr(result.stats, "workers")
         assert not {"kron-range", "reduce"} & set(pool.stats().tasks_by_kind)
 
     def test_dd_query_equals_inline(self, pool):
