@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuits import QuantumCircuit
-from ..cutting.cutter import Subcircuit
+from ..cutting.cutter import BodyKey, Subcircuit
 from ..cutting.variants import (
     INIT_LABELS,
     NoisyEvalSpec,
@@ -226,15 +226,14 @@ class VariantExecutor:
         """
         began = time.perf_counter()
         subcircuits = list(subcircuits)
-        group_of: Dict[Tuple, int] = {}
+        group_of: Dict[BodyKey, int] = {}
         group_heads: List[Subcircuit] = []
         member_group: List[int] = []
         for subcircuit in subcircuits:
-            body_key = VariantCircuitFactory(subcircuit).body_key
-            if body_key not in group_of:
-                group_of[body_key] = len(group_heads)
+            if subcircuit.body_key not in group_of:
+                group_of[subcircuit.body_key] = len(group_heads)
                 group_heads.append(subcircuit)
-            member_group.append(group_of[body_key])
+            member_group.append(group_of[subcircuit.body_key])
 
         group_specs: List[Optional[NoisyEvalSpec]]
         makespan = serial_seconds = None

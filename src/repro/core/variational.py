@@ -46,7 +46,7 @@ from ..obs import trace
 from ..obs.metrics import get_registry
 from ..postprocess.attribution import TermTensor, build_term_tensor
 from ..postprocess.reconstruct import ReconstructionResult, Reconstructor
-from ..sim.batch import fusion_stats
+from ..utils import memo_stats
 from .pipeline import CutQC
 
 __all__ = ["RebindStats", "VariationalSession", "spsa_gains"]
@@ -250,7 +250,7 @@ class VariationalSession:
 
         executor = self._pipeline.executor
 
-        fusion_before = fusion_stats()
+        blocks_before = memo_stats()["fusion_block"]
         evaluate_began = time.perf_counter()
         execution_mode = None
         if to_evaluate:
@@ -267,7 +267,7 @@ class VariationalSession:
                 # to a from-scratch evaluation of the whole batch.
                 executor.pool_affinity = executor.last_pool_placement
         evaluate_seconds = time.perf_counter() - evaluate_began
-        fusion_after = fusion_stats()
+        blocks_after = memo_stats()["fusion_block"]
 
         tensor_began = time.perf_counter()
         for index in dirty:
@@ -283,11 +283,10 @@ class VariationalSession:
             reused_subcircuits=cut.num_subcircuits - len(dirty),
             tensors_reused=cut.num_subcircuits - len(dirty),
             fusion_blocks_total=(
-                fusion_after["blocks_total"] - fusion_before["blocks_total"]
+                blocks_after["hits"] + blocks_after["misses"]
+                - blocks_before["hits"] - blocks_before["misses"]
             ),
-            fusion_blocks_built=(
-                fusion_after["blocks_built"] - fusion_before["blocks_built"]
-            ),
+            fusion_blocks_built=blocks_after["misses"] - blocks_before["misses"],
             execution_mode=execution_mode,
             bind_seconds=bind_seconds,
             cut_seconds=cut_seconds,

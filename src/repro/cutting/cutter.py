@@ -27,8 +27,8 @@ import networkx as nx
 from ..circuits import CircuitGraph, Gate, QuantumCircuit, build_circuit_graph
 from ..obs import trace
 
-__all__ = ["WireCut", "SubcircuitLine", "Subcircuit", "CutCircuit", "cut_circuit",
-           "cut_circuit_from_assignment"]
+__all__ = ["WireCut", "SubcircuitLine", "BodyKey", "Subcircuit", "CutCircuit",
+           "cut_circuit", "cut_circuit_from_assignment"]
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,56 @@ class SubcircuitLine:
         return self.meas_cut is None
 
 
+class BodyKey:
+    """A subcircuit body's identity, ``(width, body gates, init line
+    positions, measure line positions)``, hashed once.
+
+    Equal keys mean every variant of the two subcircuits coincides
+    pairwise.  Equality is identity first, then content, so two bodies
+    sharing a hash never collide; a pickled key rehashes where it is
+    loaded, because string hashes differ between processes.
+    """
+
+    __slots__ = ("content", "_hash")
+
+    def __init__(self, width: int, gates: Tuple[Gate, ...],
+                 init_positions: Tuple[int, ...], meas_positions: Tuple[int, ...]):
+        self.content = (width, gates, init_positions, meas_positions)
+        self._hash = hash(self.content)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, BodyKey) and self._hash == other._hash
+            and self.content == other.content
+        )
+
+    def __reduce__(self):
+        return BodyKey, self.content
+
+
 @dataclass
 class Subcircuit:
-    """A standalone piece of the cut circuit, plus its cut-role metadata."""
+    """A standalone piece of the cut circuit, plus its cut-role metadata.
+
+    ``body_key`` is computed once, at construction: a subcircuit's
+    circuit and lines are not changed after it is built.
+    """
 
     index: int
     circuit: QuantumCircuit
     lines: List[SubcircuitLine] = field(default_factory=list)
+    body_key: BodyKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.body_key = BodyKey(
+            self.width,
+            self.circuit.gates,
+            tuple(line.line for line in self.init_lines),
+            tuple(line.line for line in self.meas_lines),
+        )
 
     @property
     def width(self) -> int:

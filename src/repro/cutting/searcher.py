@@ -10,13 +10,12 @@ back to the scan + local-search heuristics.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..circuits import CircuitGraph, QuantumCircuit, build_circuit_graph
 from ..obs import trace
+from ..utils import BoundedMemo
 from .cutter import CutCircuit, cut_circuit_from_assignment
 from .heuristics import heuristic_search
 from .mip import branch_and_bound_search
@@ -46,23 +45,17 @@ _EXACT_VERTEX_LIMIT = 22
 #: single-qubit gates or the backend — so that tuple *is* the key and a hit
 #: cannot be stale.  Values are private copies: ``(assignment, cost,
 #: method)``, or the ``(type, message, proved)`` of a refusal.
-_CUT_MEMO: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-_CUT_MEMO_LIMIT = 64
-_CUT_MEMO_LOCK = threading.Lock()
-_CUT_MEMO_STATS = {"hits": 0, "misses": 0}
+_CUT_MEMO = BoundedMemo("cut", 64)
 
 
 def cut_memo_stats() -> Dict[str, int]:
     """Per-process ``{hits, misses, size}`` of :func:`find_cuts`' memo."""
-    with _CUT_MEMO_LOCK:
-        return dict(_CUT_MEMO_STATS, size=len(_CUT_MEMO))
+    return _CUT_MEMO.stats()
 
 
 def clear_cut_memo() -> None:
     """Forget every memoised search and zero the counters."""
-    with _CUT_MEMO_LOCK:
-        _CUT_MEMO.clear()
-        _CUT_MEMO_STATS.update(hits=0, misses=0)
+    _CUT_MEMO.clear()
 
 
 @dataclass
@@ -115,13 +108,6 @@ def _copy_cost(cost: PartitionCost) -> PartitionCost:
     return replace(
         cost, alpha=list(cost.alpha), rho=list(cost.rho), O=list(cost.O)
     )
-
-
-def _remember(key: Tuple, outcome: Tuple) -> None:
-    with _CUT_MEMO_LOCK:
-        _CUT_MEMO[key] = outcome
-        while len(_CUT_MEMO) > _CUT_MEMO_LIMIT:
-            _CUT_MEMO.popitem(last=False)
 
 
 def _search(
@@ -179,11 +165,7 @@ def find_cuts(
             budgets,
             method,
         )
-        with _CUT_MEMO_LOCK:
-            outcome = _CUT_MEMO.get(key)
-            if outcome is not None:
-                _CUT_MEMO.move_to_end(key)
-            _CUT_MEMO_STATS["misses" if outcome is None else "hits"] += 1
+        outcome = _CUT_MEMO.get(key)
         span.set(
             memo="miss" if outcome is None else "hit",
             vertices=graph.num_vertices,
@@ -192,9 +174,9 @@ def find_cuts(
             try:
                 assignment, cost, solver = _search(graph, budgets, method)
             except CutSearchError as error:
-                _remember(key, (type(error), str(error), error.proved))
+                _CUT_MEMO.put(key, (type(error), str(error), error.proved))
                 raise
-            _remember(key, (tuple(assignment), _copy_cost(cost), solver))
+            _CUT_MEMO.put(key, (tuple(assignment), _copy_cost(cost), solver))
         elif isinstance(outcome[0], type):
             refusal, message, proved = outcome
             raise refusal(message, proved=proved)

@@ -111,22 +111,12 @@ class VariantCircuitFactory:
 
     def __init__(self, subcircuit: Subcircuit):
         self.subcircuit = subcircuit
-        self._width = subcircuit.width
-        self._body = subcircuit.circuit.gates
-        self._init_positions = tuple(
-            line.line for line in subcircuit.init_lines
-        )
-        self._meas_positions = tuple(
-            line.line for line in subcircuit.meas_lines
-        )
-        #: Shared-body identity; equal body keys mean *every* variant of
-        #: the two subcircuits coincides pairwise.
-        self.body_key: Tuple = (
-            self._width,
-            self._body,
-            self._init_positions,
-            self._meas_positions,
-        )
+        #: Shared-body identity (:attr:`Subcircuit.body_key`); equal body
+        #: keys mean *every* variant of the two subcircuits coincides
+        #: pairwise.
+        self.body_key = subcircuit.body_key
+        (self._width, self._body, self._init_positions,
+         self._meas_positions) = self.body_key.content
 
     def _check_shape(self, variant: SubcircuitVariant) -> None:
         if len(variant.inits) != len(self._init_positions):
@@ -254,23 +244,18 @@ def body_program(
     """
     noise = NoiseModel() if spec is None else spec.effective_noise
     device = None if spec is None else spec.device
-    init_positions = tuple(line.line for line in subcircuit.init_lines)
-    meas_positions = tuple(line.line for line in subcircuit.meas_lines)
+    width, gates, init_positions, meas_positions = subcircuit.body_key.content
     device_key = None
     if device is not None:
         device_key = (
             device.name, device.num_qubits, device.coupling_map, device.noise,
         )
-    key = (
-        subcircuit.circuit.gates, subcircuit.width, init_positions,
-        meas_positions, device_key, noise,
-    )
+    key = (subcircuit.body_key, device_key, noise)
 
     def build() -> BodyProgram:
         if device is None:
             return compile_program(
-                subcircuit.circuit.gates, subcircuit.width, init_positions,
-                meas_positions, noise,
+                gates, width, init_positions, meas_positions, noise
             )
         # Looked up at call time: the e2e tracer patches ``transpile``.
         from ..devices import transpiler

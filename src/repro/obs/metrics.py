@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
 
 Every layer of the pipeline used to report health through its own ad-hoc
-dataclass (``ParallelStats``, ``DDStats``, ``RebindStats``, ``fusion_stats()``,
+dataclass (``ParallelStats``, ``DDStats``, ``RebindStats``, per-memo counters,
 scheduler stage timings, store cache hits) with no correlation between them.
 This module gives them one thread-safe sink:
 

@@ -16,7 +16,6 @@ from .engine import (
     resolve_strategy,
 )
 from .plan import (
-    CacheStats,
     CachingTensorProvider,
     PlanExecution,
     PrecomputedTensorProvider,
@@ -59,7 +58,6 @@ __all__ = [
     "ReconstructionStats",
     "Reconstructor",
     "binned_tensor",
-    "CacheStats",
     "CachingTensorProvider",
     "PlanExecution",
     "PreparedPlan",

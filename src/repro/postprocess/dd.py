@@ -47,7 +47,7 @@ from ..obs import trace
 from ..obs.metrics import get_registry
 from ..utils import check_count
 from .engine import ContractionEngine
-from .plan import CacheStats, QueryPlan, TensorProvider
+from .plan import QueryPlan, TensorProvider, collapse_lookups
 
 __all__ = [
     "Bin",
@@ -218,13 +218,7 @@ class DynamicDefinitionQuery:
         self._contract_seconds = 0.0
         # Snapshot the provider's cache counters so stats() reports this
         # query's hits/misses even when the provider is reused.
-        self._cache_base = self._cache_counts()
-
-    def _cache_counts(self) -> CacheStats:
-        """A snapshot of the provider's lifetime collapse-cache counters
-        (zeros for a provider without a cache)."""
-        cache = getattr(self.provider, "cache_stats", None)
-        return CacheStats() if cache is None else cache.snapshot()
+        self._cache_base = collapse_lookups(self.provider)
 
     # ------------------------------------------------------------------
     def run(self, max_recursions: int) -> List[DDRecursion]:
@@ -249,15 +243,15 @@ class DynamicDefinitionQuery:
 
     def _expand_round(self, width: int) -> List[DDRecursion]:
         """Expand up to ``width`` frontier bins as one batched round."""
-        before = self._cache_counts()
+        before = collapse_lookups(self.provider)
         with trace.span("query.dd.round", {"width": width}):
             recursions = self._expand_round_impl(width)
         _DD_ROUNDS.inc()
-        delta = self._cache_counts().since(before)
-        if delta.hits:
-            _DD_CACHE.inc(delta.hits, outcome="hit")
-        if delta.misses:
-            _DD_CACHE.inc(delta.misses, outcome="miss")
+        hits, misses = collapse_lookups(self.provider, before)
+        if hits:
+            _DD_CACHE.inc(hits, outcome="hit")
+        if misses:
+            _DD_CACHE.inc(misses, outcome="miss")
         return recursions
 
     def _expand_round_impl(self, width: int) -> List[DDRecursion]:
@@ -286,7 +280,7 @@ class DynamicDefinitionQuery:
                 fixed,
                 active,
             )
-            before = self._cache_counts()
+            before = collapse_lookups(self.provider)
             with trace.span(
                 "query.dd.prepare",
                 {"fixed": len(fixed), "active": len(active)},
@@ -294,10 +288,8 @@ class DynamicDefinitionQuery:
                 collapse_began = time.perf_counter()
                 prep = plan.prepared(self.provider)
                 collapse_seconds.append(time.perf_counter() - collapse_began)
-                delta = self._cache_counts().since(before)
-                prepare_span.set(
-                    cache_hits=delta.hits, cache_misses=delta.misses
-                )
+                hits, misses = collapse_lookups(self.provider, before)
+                prepare_span.set(cache_hits=hits, cache_misses=misses)
             prepared.append((parent, fixed, tuple(active), prep))
 
         contract_began = time.perf_counter()
@@ -423,7 +415,7 @@ class DynamicDefinitionQuery:
         """Latency, cache and frontier statistics for the query so far."""
         # Deltas against the construction-time snapshot: the counters
         # must describe *this query*, not the provider's lifetime.
-        cache = self._cache_counts().since(self._cache_base)
+        hits, misses = collapse_lookups(self.provider, self._cache_base)
         return DDStats(
             num_recursions=len(self.recursions),
             num_rounds=self._num_rounds,
@@ -439,7 +431,7 @@ class DynamicDefinitionQuery:
             ),
             collapse_seconds=self._collapse_seconds,
             contract_seconds=self._contract_seconds,
-            cache_hits=cache.hits,
-            cache_misses=cache.misses,
-            cache_hit_rate=cache.hit_rate,
+            cache_hits=hits,
+            cache_misses=misses,
+            cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
         )

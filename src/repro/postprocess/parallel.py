@@ -52,9 +52,10 @@ from .. import chaos
 from ..faults import PoisonedTaskError, PoolUnrecoverableError
 from ..obs import trace
 from ..obs.metrics import get_registry
+from ..utils import memo_stats
 from .attribution import TermTensor
 from .engine import ContractionEngine, ContractionResult, contract_terms
-from .plan import PrecomputedTensorProvider, QueryPlan
+from .plan import PrecomputedTensorProvider, QueryPlan, collapse_lookups
 
 __all__ = [
     "ParallelStats",
@@ -198,10 +199,10 @@ def _run_plan(payload):
     handle_id, cut_blob, refs, plan, strategy, early, top_k = payload
     began = time.perf_counter()
     provider = _provider_for(handle_id, cut_blob, refs)
-    before = provider.cache_stats.snapshot()
+    before = collapse_lookups(provider)
     engine = ContractionEngine(strategy=strategy, early_termination=early)
     probabilities = plan.execute(provider, engine).probabilities
-    delta = provider.cache_stats.since(before)
+    hits, misses = collapse_lookups(provider, before)
     nbytes = int(probabilities.nbytes)
     if top_k is not None:
         # The same candidate selection the inline fold applies, so the
@@ -212,7 +213,7 @@ def _run_plan(payload):
     else:
         result = _ship_vector(probabilities)
     meta = _TaskMeta(pid=os.getpid(), elapsed_seconds=time.perf_counter() - began)
-    return (result, delta.hits, delta.misses, nbytes), meta
+    return (result, hits, misses, nbytes), meta
 
 
 def _run_variant_batch(payload):
@@ -264,21 +265,9 @@ def _run_traced(payload):
 
 
 def _run_cache_stats(_payload):
-    """Report this worker's hidden per-process cache counters.
-
-    Covers the fused-body memo (:func:`repro.sim.batch.fusion_stats`)
-    and the body-program memo
-    (:func:`repro.sim.noisy_batch.program_stats`); the parent folds
-    the reports into pid-labelled registry gauges.
-    """
-    from ..sim.batch import fusion_stats
-    from ..sim.noisy_batch import program_stats
-
-    return {
-        "pid": os.getpid(),
-        "fusion": fusion_stats(),
-        "program": program_stats(),
-    }
+    """Report this process's memo counters (:func:`repro.utils.memo_stats`);
+    the parent folds the reports into pid-labelled registry gauges."""
+    return {"pid": os.getpid(), "memos": memo_stats()}
 
 
 _TASK_FNS["cache-stats"] = _run_cache_stats
@@ -360,48 +349,30 @@ def _pool_worker_main(task_queue, conn) -> None:
 
 
 def _publish_cache_report(report: Dict) -> None:
-    """Fold one process's cache report into pid-labelled gauges."""
+    """Fold one process's memo report into pid-labelled gauges."""
     registry = get_registry()
-    pid = str(report.get("pid", os.getpid()))
-    fusion = report.get("fusion", {})
-    program = report.get("program", {})
+    pid = str(report["pid"])
     size_gauge = registry.gauge(
         "repro_cache_size",
-        "Live entries in per-process caches (fusion memo layers, body "
-        "programs).",
+        "Live entries in per-process memos, by memo label.",
         ("cache", "pid"),
     )
     hit_gauge = registry.gauge(
         "repro_cache_hit_rate",
-        "Lifetime hit rate of per-process caches.",
+        "Lifetime hit rate of per-process memos, by memo label.",
         ("cache", "pid"),
     )
-    size_gauge.set(fusion.get("fusion_cache_size", 0), cache="fusion", pid=pid)
-    size_gauge.set(
-        fusion.get("partition_cache_size", 0), cache="fusion_partition",
-        pid=pid,
-    )
-    size_gauge.set(
-        fusion.get("block_cache_size", 0), cache="fusion_block", pid=pid
-    )
-    size_gauge.set(program.get("size", 0), cache="program", pid=pid)
-    calls = fusion.get("calls", 0)
-    if calls:
-        hit_gauge.set(
-            fusion.get("full_hits", 0) / calls, cache="fusion", pid=pid
-        )
-    program_total = program.get("hits", 0) + program.get("misses", 0)
-    if program_total:
-        hit_gauge.set(
-            program.get("hits", 0) / program_total, cache="program", pid=pid
-        )
+    for label, stats in report["memos"].items():
+        size_gauge.set(stats["size"], cache=label, pid=pid)
+        lookups = stats["hits"] + stats["misses"]
+        if lookups:
+            hit_gauge.set(stats["hits"] / lookups, cache=label, pid=pid)
 
 
 def publish_cache_gauges(pool: Optional["WorkerPool"] = None) -> None:
     """Refresh the pid-labelled cache gauges.
 
-    Always publishes the calling (parent) process's fusion/program
-    cache stats; with ``pool`` given, additionally pulls every
+    Always publishes the calling (parent) process's memo stats; with ``pool`` given, additionally pulls every
     responding pool worker's report (:meth:`WorkerPool.cache_stats`).
     The executor calls this at the end of pooled evaluations so scrapes
     never have to dispatch pool tasks themselves.

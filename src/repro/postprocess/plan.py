@@ -32,7 +32,6 @@ This module owns that shared machinery:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
@@ -41,7 +40,7 @@ import numpy as np
 from ..cutting.cutter import CutCircuit, Subcircuit
 from ..cutting.variants import SubcircuitResult
 from ..obs import trace
-from ..utils import permute_qubits
+from ..utils import BoundedMemo, permute_qubits
 from .attribution import TermTensor, build_term_tensor
 from .engine import ContractionEngine, ContractionResult
 
@@ -52,7 +51,7 @@ __all__ = [
     "binned_tensor",
     "restricted_signature",
     "generalized_signature",
-    "CacheStats",
+    "collapse_lookups",
     "TensorProvider",
     "CachingTensorProvider",
     "PrecomputedTensorProvider",
@@ -176,31 +175,18 @@ def generalized_signature(signature: Signature) -> Signature:
     )
 
 
-@dataclass
-class CacheStats:
-    """Collapse-cache counters (reported by DD/stream query stats)."""
+#: Collapsed ``(subcircuit, generalized signature)`` entries one provider keeps.
+_COLLAPSE_LIMIT = 512
 
-    hits: int = 0
-    misses: int = 0
-    entries: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def snapshot(self) -> "CacheStats":
-        """A copy of the counters now, for a later :meth:`since`."""
-        return CacheStats(self.hits, self.misses, self.entries)
-
-    def since(self, before: "CacheStats") -> "CacheStats":
-        """The lookups counted after the snapshot ``before`` (floored at
-        zero, should the cache have been cleared in between)."""
-        return CacheStats(
-            hits=max(0, self.hits - before.hits),
-            misses=max(0, self.misses - before.misses),
-            entries=self.entries,
-        )
+def collapse_lookups(provider, since: Tuple[int, int] = (0, 0)) -> Tuple[int, int]:
+    """``(hits, misses)`` of ``provider``'s collapse memo after the snapshot
+    ``since`` (floored at zero, should the memo have been cleared in
+    between); zeros for a provider without a memo."""
+    stats = getattr(provider, "cache_stats", None)
+    if stats is None:
+        return 0, 0
+    return max(0, stats["hits"] - since[0]), max(0, stats["misses"] - since[1])
 
 
 class CachingTensorProvider:
@@ -215,19 +201,15 @@ class CachingTensorProvider:
     cache hits.
     """
 
-    def __init__(
-        self,
-        cut_circuit: CutCircuit,
-        cache: bool = True,
-        cache_limit: int = 512,
-    ):
+    def __init__(self, cut_circuit: CutCircuit, cache: bool = True):
         self.cut_circuit = cut_circuit
         self.cache_enabled = bool(cache)
-        self.cache_limit = int(cache_limit)
-        self._cache: "OrderedDict[Tuple[int, Signature], Tuple[TermTensor, List[int]]]" = (
-            OrderedDict()
-        )
-        self.cache_stats = CacheStats()
+        self._cache = BoundedMemo("collapse", _COLLAPSE_LIMIT)
+
+    @property
+    def cache_stats(self) -> Dict[str, int]:
+        """``{hits, misses, size}`` of the collapse memo."""
+        return self._cache.stats()
 
     @property
     def num_qubits(self) -> int:
@@ -252,7 +234,6 @@ class CachingTensorProvider:
 
     def clear_cache(self) -> None:
         self._cache.clear()
-        self.cache_stats = CacheStats()
 
     # -- cache machinery ------------------------------------------------
     def _collapsed_one(
@@ -262,19 +243,13 @@ class CachingTensorProvider:
             return self._collapse_subcircuit(subcircuit, roles)
         signature = restricted_signature(subcircuit, roles)
         generalized = generalized_signature(signature)
-        key = (subcircuit.index, generalized)
-        entry = self._cache.get(key)
-        if entry is None:
-            self.cache_stats.misses += 1
-            promoted = {**roles, **dict(generalized)}  # fixed kept active
-            entry = self._collapse_subcircuit(subcircuit, promoted)
-            self._cache[key] = entry
-            if len(self._cache) > self.cache_limit:
-                self._cache.popitem(last=False)
-            self.cache_stats.entries = len(self._cache)
-        else:
-            self.cache_stats.hits += 1
-            self._cache.move_to_end(key)
+        entry = self._cache.get_or_build(
+            (subcircuit.index, generalized),
+            # A miss collapses with the fixed wires kept active.
+            lambda: self._collapse_subcircuit(
+                subcircuit, {**roles, **dict(generalized)}
+            ),
+        )
         if generalized == signature:
             return entry
         return _derive_fixed(entry[0], entry[1], signature)
@@ -294,9 +269,8 @@ class PrecomputedTensorProvider(CachingTensorProvider):
         results: Optional[Sequence[SubcircuitResult]] = None,
         tensors: Optional[Sequence[TermTensor]] = None,
         cache: bool = True,
-        cache_limit: int = 512,
     ):
-        super().__init__(cut_circuit, cache=cache, cache_limit=cache_limit)
+        super().__init__(cut_circuit, cache=cache)
         if tensors is None:
             if results is None:
                 raise ValueError("provide subcircuit results or term tensors")

@@ -46,7 +46,7 @@ from ..obs import trace
 from ..utils import index_to_bitstring
 from .attribution import TermTensor, build_term_tensor
 from .engine import STRATEGIES, ContractionEngine
-from .plan import CacheStats, PrecomputedTensorProvider, QueryPlan
+from .plan import PrecomputedTensorProvider, QueryPlan, collapse_lookups
 
 __all__ = [
     "ReconstructionStats",
@@ -313,30 +313,27 @@ class Reconstructor:
     def _accumulate(
         stats: StreamStats, planned: List[_PlannedShard], produced
     ) -> Iterator[Tuple[int, Dict[int, int], object]]:
-        cache = CacheStats()
         for position, result, hits, misses, nbytes, elapsed in produced:
             stats.elapsed_seconds = elapsed
             stats.num_shards_emitted += 1
             stats.peak_shard_bytes = max(stats.peak_shard_bytes, nbytes)
-            cache.hits += hits
-            cache.misses += misses
-            stats.cache_hits = cache.hits
-            stats.cache_misses = cache.misses
-            stats.cache_hit_rate = cache.hit_rate
+            stats.cache_hits += hits
+            stats.cache_misses += misses
+            lookups = stats.cache_hits + stats.cache_misses
+            stats.cache_hit_rate = stats.cache_hits / lookups if lookups else 0.0
             index, fixed, _ = planned[position]
             yield index, fixed, result
 
     def _inline(self, planned: List[_PlannedShard], top_k: Optional[int]):
-        cache = self.provider.cache_stats
         elapsed = 0.0
         for position, (index, _, plan) in enumerate(planned):
             began = time.perf_counter()
-            before = cache.snapshot()
+            before = collapse_lookups(self.provider)
             with trace.span("query.stream.shard", {"shard": index}):
                 probabilities = plan.execute(
                     self.provider, self.engine
                 ).probabilities
-            delta = cache.since(before)
+            hits, misses = collapse_lookups(self.provider, before)
             elapsed += time.perf_counter() - began
             result = (
                 probabilities
@@ -344,8 +341,7 @@ class Reconstructor:
                 else _shard_top_candidates(probabilities, top_k)
             )
             yield (
-                position, result, delta.hits, delta.misses,
-                probabilities.nbytes, elapsed,
+                position, result, hits, misses, probabilities.nbytes, elapsed,
             )
 
     def _pooled(self, planned: List[_PlannedShard], top_k: Optional[int]):

@@ -67,11 +67,10 @@ class ShotBasedTensorProvider(CachingTensorProvider):
         shots: int = 8192,
         seed: Optional[int] = None,
         cache: bool = True,
-        cache_limit: int = 512,
     ):
         if shots <= 0:
             raise ValueError("shots must be positive")
-        super().__init__(cut_circuit, cache=cache, cache_limit=cache_limit)
+        super().__init__(cut_circuit, cache=cache)
         self.results = sorted(results, key=lambda r: r.subcircuit.index)
         self.shots = int(shots)
         self._rng = np.random.default_rng(seed)

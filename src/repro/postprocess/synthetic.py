@@ -54,11 +54,10 @@ class RandomTensorProvider(CachingTensorProvider):
         seed: int = 0,
         distribution: str = "random",
         cache: bool = False,
-        cache_limit: int = 512,
     ):
         if distribution not in ("random", "uniform"):
             raise ValueError(f"unknown distribution {distribution!r}")
-        super().__init__(cut_circuit, cache=cache, cache_limit=cache_limit)
+        super().__init__(cut_circuit, cache=cache)
         self.distribution = distribution
         self._rng = np.random.default_rng(seed)
 

@@ -11,7 +11,6 @@ from .batch import (
     BatchedStatevector,
     FusedOp,
     fuse_gates,
-    fusion_stats,
 )
 from .sampler import (
     ShotSampler,
@@ -43,7 +42,6 @@ __all__ = [
     "BatchedStatevector",
     "FusedOp",
     "fuse_gates",
-    "fusion_stats",
     "ShotSampler",
     "counts_to_probabilities",
     "probabilities_to_counts_dict",

@@ -25,9 +25,6 @@ executors live in :mod:`repro.sim.noisy_batch` and build directly on
 
 from __future__ import annotations
 
-import functools
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -35,6 +32,7 @@ import numpy as np
 
 from ..circuits import Gate, QuantumCircuit
 from ..obs import trace
+from ..utils import BoundedMemo
 from .statevector import Statevector
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "fused_block",
     "block_unitary",
     "gate_partition",
-    "fusion_stats",
     "BatchedStatevector",
     "apply_on_axes",
 ]
@@ -81,8 +78,7 @@ class FusedOp:
         return len(self.qubits)
 
 
-@functools.lru_cache(maxsize=512)
-def _embedding(
+def _embedding_indices(
     positions: Tuple[int, ...], block_width: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Flat ``(dest, src)`` indices embedding a gate into a block: entry
@@ -97,6 +93,10 @@ def _embedding(
     return (rows << block_width) + cols, (local[rows] << k) + local[cols]
 
 
+#: ``(positions, block_width) -> (dest, src)`` of :func:`_embedding_indices`.
+_EMBEDDINGS = BoundedMemo("fusion_embedding", 512)
+
+
 def _expand_to_block(
     matrix: np.ndarray, positions: Sequence[int], block_width: int
 ) -> np.ndarray:
@@ -104,9 +104,12 @@ def _expand_to_block(
 
     ``positions`` are the gate's qubit positions inside the block, in the
     gate's own (MSB-first) qubit order.  One scatter through the cached
-    :func:`_embedding` indices: every entry is copied, none computed.
+    :data:`_EMBEDDINGS` indices: every entry is copied, none computed.
     """
-    dest, src = _embedding(tuple(positions), block_width)
+    key = (tuple(positions), block_width)
+    dest, src = _EMBEDDINGS.get_or_build(
+        key, lambda: _embedding_indices(*key)
+    )
     out = np.zeros(1 << (2 * block_width), dtype=complex)
     out[dest] = matrix.ravel()[src]
     return out.reshape(1 << block_width, 1 << block_width)
@@ -124,71 +127,21 @@ def block_unitary(gates: Sequence[Gate]) -> FusedOp:
     return FusedOp(matrix=unitary, qubits=ordered)
 
 
-#: Fused-op memo: circuit bodies are fixed physics and re-fused on every
-#: variant batch, executor chunk and DD recursion — cache by gate tuple.
-_FUSION_CACHE: "OrderedDict[Tuple, List[FusedOp]]" = OrderedDict()
-_FUSION_CACHE_LIMIT = 128
-
 #: Structural partition memo: *which gates fold into which block* depends
 #: only on the gates' qubit tuples and the fusion width — never on the
 #: rotation angles.  A parameter rebind therefore reuses the partition
 #: verbatim and only rebuilds the unitaries of blocks whose gates moved.
-_PARTITION_CACHE: "OrderedDict[Tuple, Tuple[Tuple[int, ...], ...]]" = (
-    OrderedDict()
-)
-_PARTITION_CACHE_LIMIT = 128
+_PARTITIONS = BoundedMemo("fusion_partition", 128)
 
 #: Per-block unitary memo keyed on the block's exact gate tuple.  Blocks
 #: untouched by a rebind hit here; only blocks containing a changed gate
-#: pay the ``2^k x 2^k`` rebuild.  Bounded by matrix bytes, not entries:
-#: a 4-qubit block is 4 KiB, 16 times a 2-qubit one.  The budget holds
-#: the ~220 blocks a noisy catalog sweep cycles through with room to
-#: spare.
-_BLOCK_CACHE: "OrderedDict[Tuple[Gate, ...], FusedOp]" = OrderedDict()
-_BLOCK_CACHE_BYTES = 4 << 20
-_BLOCK_CACHE_LOCK = threading.Lock()
-_block_cache_held = 0
-
-#: Per-process fusion counters (see :func:`fusion_stats`).
-_STATS = {
-    "calls": 0,
-    "full_hits": 0,
-    "partitions_built": 0,
-    "blocks_total": 0,
-    "blocks_built": 0,
-}
-
-
-def fusion_stats() -> dict:
-    """Snapshot of the per-process fusion counters.
-
-    * ``calls`` / ``full_hits`` — :func:`fuse_gates` invocations and how
-      many were answered by the exact ``(gates, width)`` memo;
-    * ``partitions_built`` — structural block partitions computed (a
-      rebind never increments this);
-    * ``blocks_total`` / ``blocks_built`` — blocks assembled on the slow
-      path vs. block unitaries actually (re)constructed.  The gap is the
-      per-block reuse a rebind gets for free.
-
-    Counters are process-local: pooled/process execution modes only
-    reflect the parent's share.  Diff two snapshots to measure one
-    evaluation.  ``WorkerPool.cache_stats()`` pulls the workers' copies
-    back for the metrics registry's pid-labelled gauges.
-
-    Besides the counters, the snapshot reports the live size of each
-    memo layer (``fusion_cache_size`` / ``partition_cache_size`` /
-    ``block_cache_size``) and the matrix bytes the block memo holds
-    (``block_cache_bytes``, at most its fixed budget).  The block memo
-    holds clean blocks only: a trajectory's injected blocks are memoised
-    with their program (``BodyProgram.injected``) under integer keys
-    and count in neither ``blocks_total`` nor ``blocks_built``.
-    """
-    stats = dict(_STATS)
-    stats["fusion_cache_size"] = len(_FUSION_CACHE)
-    stats["partition_cache_size"] = len(_PARTITION_CACHE)
-    stats["block_cache_size"] = len(_BLOCK_CACHE)
-    stats["block_cache_bytes"] = _block_cache_held
-    return stats
+#: pay the ``2^k x 2^k`` rebuild, so its hits and misses are a rebind's
+#: reused and rebuilt blocks.  Bounded by matrix bytes, not entries: a
+#: 4-qubit block is 4 KiB, 16 times a 2-qubit one.  The budget holds the
+#: ~220 blocks a noisy catalog sweep cycles through with room to spare.
+#: A trajectory's injected blocks are memoised with their program
+#: (``BodyProgram.injected``) and never land here.
+_BLOCKS = BoundedMemo("fusion_block", 4 << 20, size=lambda op: op.matrix.nbytes)
 
 
 def _partition_gates(
@@ -229,19 +182,9 @@ def gate_partition(
 ) -> Tuple[Tuple[int, ...], ...]:
     """The (memoized) structural partition: gate indices per fused block."""
     structure = (tuple(gate.qubits for gate in gates), width)
-    partition = _PARTITION_CACHE.get(structure)
-    if partition is None:
-        partition = _partition_gates(structure[0], width)
-        _PARTITION_CACHE[structure] = partition
-        _STATS["partitions_built"] += 1
-        while len(_PARTITION_CACHE) > _PARTITION_CACHE_LIMIT:
-            _PARTITION_CACHE.popitem(last=False)
-    else:
-        try:
-            _PARTITION_CACHE.move_to_end(structure)
-        except KeyError:  # pragma: no cover - concurrent eviction
-            pass
-    return partition
+    return _PARTITIONS.get_or_build(
+        structure, lambda: _partition_gates(*structure)
+    )
 
 
 def fused_block(block_gates: Tuple[Gate, ...]) -> FusedOp:
@@ -251,27 +194,7 @@ def fused_block(block_gates: Tuple[Gate, ...]) -> FusedOp:
     Pauli injected after one of its gates changes this block's unitary
     and nothing else about the partition.
     """
-    global _block_cache_held
-    _STATS["blocks_total"] += 1
-    op = _BLOCK_CACHE.get(block_gates)
-    if op is not None:
-        try:
-            _BLOCK_CACHE.move_to_end(block_gates)
-        except KeyError:  # pragma: no cover - concurrent eviction
-            pass
-        return op
-    op = block_unitary(block_gates)
-    _STATS["blocks_built"] += 1
-    with _BLOCK_CACHE_LOCK:
-        previous = _BLOCK_CACHE.pop(block_gates, None)
-        if previous is not None:  # another thread built it first
-            _block_cache_held -= previous.matrix.nbytes
-        _BLOCK_CACHE[block_gates] = op
-        _block_cache_held += op.matrix.nbytes
-        while _block_cache_held > _BLOCK_CACHE_BYTES:
-            _, evicted = _BLOCK_CACHE.popitem(last=False)
-            _block_cache_held -= evicted.matrix.nbytes
-    return op
+    return _BLOCKS.get_or_build(block_gates, lambda: block_unitary(block_gates))
 
 
 def fuse_gates(
@@ -288,39 +211,24 @@ def fuse_gates(
     unfused).  Every caller fuses at :data:`FUSION_WIDTH`; the argument
     exists so the partitioner can be tested at other widths.
 
-    Memoization is layered for the variational warm path.  Exact repeats
-    hit the ``(gates, width)`` memo.  A parameter rebind misses it but
-    reuses (a) the structural partition, keyed only on the gates' qubit
-    tuples (:func:`gate_partition`), and (b) every per-block unitary
-    whose gates are bit-identical (:func:`fused_block`) — so a rebind
-    re-fuses *only the blocks whose parameters moved*.
-    :func:`fusion_stats` exposes the counters.
+    A body is fused once per compiled program
+    (:func:`~repro.sim.noisy_batch.cached_program`), so this pass keeps
+    no memo of its own.  A parameter rebind reuses (a) the structural
+    partition, keyed only on the gates' qubit tuples
+    (:func:`gate_partition`), and (b) every per-block unitary whose gates
+    are bit-identical (:func:`fused_block`) — so a rebind re-fuses *only
+    the blocks whose parameters moved*.
     """
     if not 1 <= width <= MAX_FUSION_WIDTH:
         raise ValueError(
             f"fusion width must be in [1, {MAX_FUSION_WIDTH}], got {width}"
         )
-    gates = circuit.gates if isinstance(circuit, QuantumCircuit) else circuit
-    _STATS["calls"] += 1
-    key = (tuple(gates), width)
-    cached = _FUSION_CACHE.get(key)
-    if cached is not None:
-        _STATS["full_hits"] += 1
-        try:
-            _FUSION_CACHE.move_to_end(key)
-        except KeyError:  # pragma: no cover - concurrent eviction
-            pass
-        return cached
-    gates = key[0]
+    gates = tuple(circuit.gates if isinstance(circuit, QuantumCircuit) else circuit)
     with trace.span("sim.fuse_body", {"gates": len(gates)}):
-        ops = [
+        return [
             fused_block(tuple(gates[index] for index in members))
             for members in gate_partition(gates, width)
         ]
-        _FUSION_CACHE[key] = ops
-        while len(_FUSION_CACHE) > _FUSION_CACHE_LIMIT:
-            _FUSION_CACHE.popitem(last=False)
-    return ops
 
 
 #: ``(ndim, qubits) -> (perm, inverse)``: the transpose moving the axes
@@ -336,9 +244,17 @@ def apply_on_axes(
     """``matrix`` on the axes of ``qubits`` of a ``(B, 2, ..., 2)`` tensor,
     ``qubits[0]`` the MSB of its local index (``Statevector.apply_matrix``'s
     tensordot convention): one transpose, one contiguous copy, one matmul.
+    A negative, repeated or out-of-range qubit is a ``ValueError``; only
+    valid tuples enter the table, so a warm call checks nothing.
     """
     permutation = _PERMUTATIONS.get((tensor.ndim, qubits))
     if permutation is None:
+        for qubit in qubits:
+            if not 0 <= qubit < tensor.ndim - 1 or qubits.count(qubit) > 1:
+                raise ValueError(
+                    f"qubit {qubit} is out of range or repeated in {qubits} "
+                    f"on {tensor.ndim - 1} axes"
+                )
         targets = tuple(q + 1 for q in qubits)
         perm = tuple(a for a in range(tensor.ndim) if a not in targets) + targets
         permutation = (perm, tuple(perm.index(a) for a in range(len(perm))))

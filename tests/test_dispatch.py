@@ -19,13 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.sim.noisy_batch as noisy_batch
 from repro import CutQC, get_benchmark, make_device
 from repro.circuits import Gate
 from repro.circuits.gates import gate_matrix
 from repro.cutting.variants import NoisyEvalSpec, body_program
 from repro.sim import NoiseModel
-from repro.sim.batch import BatchedStatevector, _expand_to_block
+from repro.sim.batch import BatchedStatevector, _expand_to_block, apply_on_axes
 from repro.sim.noisy_batch import (
     apply_readout_error_rows,
     injected_suffix,
@@ -124,6 +123,21 @@ class TestApplyMatrix:
         with pytest.raises(ValueError, match="does not act on 2 qubit"):
             state.apply_matrix(np.eye(2), (0, 1))
 
+    @pytest.mark.parametrize(
+        "qubits,named",
+        [((-1,), "-1"), ((2,), "2"), ((0, 0), "0"), ((1, -2), "-2")],
+    )
+    def test_bad_qubits_are_refused(self, qubits, named):
+        """A negative qubit would act on the batch axis and mix members."""
+        state = BatchedStatevector(2, 2)
+        before = state.amplitudes()
+        matrix = np.eye(1 << len(qubits))[::-1].copy()
+        with pytest.raises(ValueError, match=f"qubit {named} "):
+            state.apply_matrix(matrix, qubits)
+        with pytest.raises(ValueError, match=f"qubit {named} "):
+            apply_on_axes(state._tensor, matrix, qubits)
+        assert np.array_equal(state.amplitudes(), before)
+
 
 class TestReadout:
     @pytest.mark.parametrize("num_qubits", range(1, 11))
@@ -191,8 +205,8 @@ class TestInjectedMemo:
                 for choice in range(3)][:count]
 
     def test_memo_stays_within_its_bound(self, monkeypatch):
-        monkeypatch.setattr(noisy_batch, "_INJECTED_LIMIT", 5)
         program = _catalog_programs("bv")[0]
+        monkeypatch.setattr(program.injected, "limit", 5)
         program.injected.clear()
         keys = []
         for pattern in self._patterns(40):
@@ -200,12 +214,12 @@ class TestInjectedMemo:
             (site, choice), = pattern
             block, offset = program.site_slots[site]
             keys.append((block, ((offset, choice),)))
-            assert len(program.injected) <= 5
-        assert list(program.injected) == keys[-5:]
+            assert program.injected.stats()["size"] <= 5
+        assert program.injected.keys() == keys[-5:]
 
     def test_threads_share_one_bounded_memo(self, monkeypatch):
-        monkeypatch.setattr(noisy_batch, "_INJECTED_LIMIT", 8)
         program = _catalog_programs("bv")[0]
+        monkeypatch.setattr(program.injected, "limit", 8)
         program.injected.clear()
         patterns = self._patterns(24)
         want = [
@@ -221,7 +235,7 @@ class TestInjectedMemo:
                     first, ops = injected_suffix(program, patterns[index])
                     assert first == want[index][0]
                     assert np.array_equal(ops[0].matrix, want[index][1][0].matrix)
-                    assert len(program.injected) <= 8
+                    assert program.injected.stats()["size"] <= 8
             except AssertionError as error:  # pragma: no cover - reported
                 errors.append(error)
 
@@ -240,7 +254,7 @@ class TestInjectedMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(program.injected) <= 8
+        assert program.injected.stats()["size"] <= 8
 
 
 def _noisy_pipeline(family, qubits, size, seed, method="trajectory"):
@@ -282,6 +296,25 @@ class TestWarmDispatch:
         assert pipeline.execution_report.num_body_passes > 1
         assert calls == []
         assert built == []
+
+    def test_warm_evaluate_hashes_no_gate(self, monkeypatch):
+        """Body keys are hashed once, when a subcircuit is built: a warm
+        evaluate groups bodies and finds their programs without hashing
+        one gate."""
+        _noisy_pipeline("bv", 14, 8, 3).evaluate()
+        pipeline = _noisy_pipeline("bv", 14, 8, 3)
+        pipeline.cut()
+        hashed = []
+        original = Gate.__hash__
+
+        def counted(gate):
+            hashed.append(gate)
+            return original(gate)
+
+        monkeypatch.setattr(Gate, "__hash__", counted)
+        pipeline.evaluate()
+        assert pipeline.execution_report.num_body_passes > 1
+        assert len(hashed) == 0
 
     def test_trajectories_import_no_masked_arrays(self):
         # Seed 1 fires a prep fragment on bv-10/D=6, the path that took a

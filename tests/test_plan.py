@@ -30,6 +30,7 @@ from repro.postprocess import (
 from repro.postprocess.attribution import TermTensor
 from repro.postprocess.engine import ContractionEngine
 from repro.obs import trace
+from repro.postprocess import plan as plan_module
 from repro.postprocess.plan import _derive_fixed
 from repro.utils import marginalize
 from tests import collapse_oracle
@@ -82,10 +83,10 @@ class TestCollapseCache:
         roles = {w: ("merged",) for w in range(5)}
         roles[0] = ("active",)
         provider.collapsed(roles)
-        assert provider.cache_stats.misses == cut.num_subcircuits
-        assert provider.cache_stats.hits == 0
+        assert provider.cache_stats["misses"] == cut.num_subcircuits
+        assert provider.cache_stats["hits"] == 0
         provider.collapsed(roles)
-        assert provider.cache_stats.hits == cut.num_subcircuits
+        assert provider.cache_stats["hits"] == cut.num_subcircuits
 
     def test_fixed_variants_share_generalized_entry(self, fig4_circuit):
         cut, provider = _cut_and_provider(fig4_circuit, [(2, 1)])
@@ -96,8 +97,8 @@ class TestCollapseCache:
             provider.collapsed(roles)
         # The two fixed-bit variants differ only in a derived index, so
         # the second pass is all hits.
-        assert provider.cache_stats.misses == cut.num_subcircuits
-        assert provider.cache_stats.hits == cut.num_subcircuits
+        assert provider.cache_stats["misses"] == cut.num_subcircuits
+        assert provider.cache_stats["hits"] == cut.num_subcircuits
 
     def test_derived_bitmatches_naive(self, fig4_circuit):
         _, cached = _cut_and_provider(fig4_circuit, [(2, 1)])
@@ -153,34 +154,36 @@ class TestCollapseCache:
         assert np.array_equal(got.nonzero, want.nonzero)
         assert got.data.flags.c_contiguous
 
-    def test_cache_limit_evicts(self, fig4_circuit):
+    def test_cache_limit_evicts(self, fig4_circuit, monkeypatch):
+        # Room for one role map: the fig-4 cut has two subcircuits.
+        monkeypatch.setattr(plan_module, "_COLLAPSE_LIMIT", 2)
         cut, provider = _cut_and_provider(fig4_circuit, [(2, 1)])
-        provider.cache_limit = cut.num_subcircuits  # room for one role map
+        assert cut.num_subcircuits == 2
         roles_a = {w: ("merged",) for w in range(5)}
         roles_a[0] = ("active",)
         roles_b = {w: ("active",) for w in range(5)}
         provider.collapsed(roles_a)
         provider.collapsed(roles_b)  # evicts roles_a's entries
         provider.collapsed(roles_a)
-        assert provider.cache_stats.misses == 3 * cut.num_subcircuits
+        assert provider.cache_stats["misses"] == 3 * cut.num_subcircuits
 
     def test_clear_cache_resets(self, fig4_circuit):
         cut, provider = _cut_and_provider(fig4_circuit, [(2, 1)])
         roles = {w: ("active",) for w in range(5)}
         provider.collapsed(roles)
         provider.clear_cache()
-        assert provider.cache_stats.hits == 0
-        assert provider.cache_stats.misses == 0
+        assert provider.cache_stats["hits"] == 0
+        assert provider.cache_stats["misses"] == 0
         provider.collapsed(roles)
-        assert provider.cache_stats.misses == cut.num_subcircuits
+        assert provider.cache_stats["misses"] == cut.num_subcircuits
 
     def test_cache_disabled_never_counts(self, fig4_circuit):
         _, provider = _cut_and_provider(fig4_circuit, [(2, 1)], cache=False)
         roles = {w: ("active",) for w in range(5)}
         provider.collapsed(roles)
         provider.collapsed(roles)
-        assert provider.cache_stats.hits == 0
-        assert provider.cache_stats.misses == 0
+        assert provider.cache_stats["hits"] == 0
+        assert provider.cache_stats["misses"] == 0
 
 
 #: A role kind per output line; ``fixedB`` is ``("fixed", B)``.
@@ -354,7 +357,7 @@ class TestCachedDDBitMatchesNaive:
         # The cached path must never collapse more than the naive one
         # (misses + hits together cover the same requests).
         stats = cached.provider.cache_stats
-        assert stats.hits + stats.misses == len(cached.recursions) * len(
+        assert stats["hits"] + stats["misses"] == len(cached.recursions) * len(
             cut.subcircuits
         )
 

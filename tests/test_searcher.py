@@ -249,7 +249,7 @@ class TestCutMemo:
         assert cut_memo_stats()["hits"] == 1
 
     def test_lru_stays_at_its_bound(self, monkeypatch):
-        monkeypatch.setattr(searcher, "_CUT_MEMO_LIMIT", 3)
+        monkeypatch.setattr(searcher._CUT_MEMO, "limit", 3)
         circuits = [bv(n) for n in (6, 7, 8, 9)]
         for circuit in circuits[:3]:
             find_cuts(circuit, 5)
@@ -263,7 +263,7 @@ class TestCutMemo:
         assert cut_memo_stats() == {"hits": 3, "misses": 5, "size": 3}
 
     def test_default_bound_holds_after_one_graph_too_many(self):
-        bound = searcher._CUT_MEMO_LIMIT
+        bound = searcher._CUT_MEMO.limit
         for depth in range(1, bound + 2):
             circuit = QuantumCircuit(2)
             for _ in range(depth):
@@ -295,7 +295,7 @@ class TestCutMemo:
     def test_threads_churning_a_small_memo_lose_no_update(self, monkeypatch):
         """More threads than cores over more keys than the bound: every
         lookup is counted once, the bound holds, every answer is right."""
-        monkeypatch.setattr(searcher, "_CUT_MEMO_LIMIT", 2)
+        monkeypatch.setattr(searcher._CUT_MEMO, "limit", 2)
         circuits = [bv(n) for n in (6, 7, 8)]
         expected = [_cold(circuit, 5) for circuit in circuits]
         clear_cut_memo()

@@ -161,10 +161,10 @@ class TestValidation:
         provider = streamer.provider
         for _ in streamer.shards(1):
             pass
-        first_misses = provider.cache_stats.misses
+        first_misses = provider.cache_stats["misses"]
         for _ in streamer.shards(1):
             pass
-        assert provider.cache_stats.misses == first_misses  # all hits
+        assert provider.cache_stats["misses"] == first_misses  # all hits
         assert streamer.last_stats.cache_misses == 0
 
 

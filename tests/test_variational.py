@@ -40,8 +40,9 @@ from repro.service.store import (
     evaluation_fingerprint,
     structural_digest,
 )
-from repro.sim import NoiseModel, fusion_stats
+from repro.sim import NoiseModel
 from repro.sim.batch import gate_partition
+from repro.utils import memo_stats
 
 
 def _qaoa(n=6, layers=1, theta=(0.3, 0.7)):
@@ -234,16 +235,18 @@ class TestBlockReuse:
         rebound = CutQC(bound, max_subcircuit_qubits=5)
         blocks, touched = _moved_blocks(pipeline.cut(), rebound.cut())
         assert blocks >= 2 and 1 <= touched < blocks
-        before = fusion_stats()
+        before = memo_stats()
         rebound.fd_query()
-        after = fusion_stats()
-        built = after["blocks_built"] - before["blocks_built"]
-        total = after["blocks_total"] - before["blocks_total"]
+        after = memo_stats()
+        blocks, blocks_before = after["fusion_block"], before["fusion_block"]
+        built = blocks["misses"] - blocks_before["misses"]
+        total = blocks["hits"] + built - blocks_before["hits"]
         assert total > 1
         # Only blocks containing the moved gate were re-fused; everything
         # else came out of the per-block memo.
         assert 1 <= built < total
-        assert after["partitions_built"] == before["partitions_built"]
+        assert (after["fusion_partition"]["misses"]
+                == before["fusion_partition"]["misses"])
 
 
 # ----------------------------------------------------------------------

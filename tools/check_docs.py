@@ -18,9 +18,10 @@ Seven checks, two over every tracked Markdown file:
    ``RunConfig.evaluation_identity()`` can return (statevector, device trajectory, device density; the device
    name rendered ``<name>``) appears backticked in
    ``docs/architecture.md``, so a version bump cannot skip the docs.
-5. **Cache labels** — every literal ``cache="…"`` metric label value in
-   ``src/repro`` appears backticked in ``docs/metrics.md``, so a scrape
-   never shows a cache its reader cannot look up.
+5. **Cache labels** — every literal ``cache="…"`` metric label value and
+   every literal ``BoundedMemo("…")`` label in ``src/repro`` (each memo
+   reports under its label) appears backticked in ``docs/metrics.md``,
+   so a scrape never shows a cache its reader cannot look up.
 6. **Job fields** — every ``JobSpec`` field is named in code in
    ``docs/http_api.md``, so the service never accepts a field its
    reader cannot look up.
@@ -60,7 +61,7 @@ _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
 _FENCE = re.compile(r"^(`{3,}|~{3,})\s*(.*)$")
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
 _SPAN = re.compile(r"""trace\.span\(\s*["']([^"']+)["']""")
-_CACHE_LABEL = re.compile(r"""\bcache=["']([^"']+)["']""")
+_CACHE_LABEL = re.compile(r"""\b(?:cache=|BoundedMemo\(\s*)["']([^"']+)["']""")
 _CODE = re.compile(r"`([^`]+)`")
 
 
@@ -160,8 +161,8 @@ def check_span_names() -> List[str]:
 
 
 def check_cache_labels() -> List[str]:
-    """Literal ``cache="…"`` label values in ``src/repro`` missing from
-    ``docs/metrics.md``."""
+    """Literal ``cache="…"`` and ``BoundedMemo("…")`` labels in
+    ``src/repro`` missing from ``docs/metrics.md``."""
     documented = (REPO_ROOT / "docs" / "metrics.md").read_text(encoding="utf-8")
     missing = {
         (str(path.relative_to(REPO_ROOT)), match.group(1))
