@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from .circuit import QuantumCircuit
 from .dag import build_circuit_graph
 
@@ -28,8 +26,10 @@ __all__ = [
 ]
 
 
-def interaction_graph(circuit: QuantumCircuit) -> nx.Graph:
-    """Qubit-interaction graph: edge weight = number of 2q gates."""
+def interaction_graph(circuit: QuantumCircuit):
+    """Qubit-interaction ``networkx.Graph``: edge weight = number of 2q gates."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(circuit.num_qubits))
     for gate in circuit:
@@ -49,6 +49,8 @@ def min_bipartition_cuts(circuit: QuantumCircuit) -> int:
     a lower bound on ``K`` for any feasible 2-subcircuit solution, and
     therefore on the searcher's 2-cluster objective exponent.
     """
+    import networkx as nx
+
     graph = build_circuit_graph(circuit)
     if graph.num_vertices < 2:
         return 0

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import networkx as nx
-
+from ..flatgraph import adjacency, is_connected
 from .circuit import QuantumCircuit
 
 __all__ = ["WireEdge", "CircuitGraph", "build_circuit_graph"]
@@ -81,19 +80,11 @@ class CircuitGraph:
                 return edge
         raise KeyError(f"no cuttable edge on wire {wire} at index {wire_index}")
 
-    def to_networkx(self) -> nx.DiGraph:
-        """The directed multiqubit-gate graph, for generic graph algorithms."""
-        graph = nx.DiGraph()
-        for vertex_id in range(self.num_vertices):
-            graph.add_node(vertex_id, weight=self.vertex_weights[vertex_id])
-        for edge in self.edges:
-            graph.add_edge(edge.source, edge.target, wire=edge.wire)
-        return graph
-
     def is_connected(self) -> bool:
-        if self.num_vertices <= 1:
-            return True
-        return nx.is_weakly_connected(self.to_networkx())
+        """Whether the gate graph is weakly connected."""
+        return is_connected(
+            adjacency(self.num_vertices, ((e.source, e.target) for e in self.edges))
+        )
 
 
 def build_circuit_graph(circuit: QuantumCircuit) -> CircuitGraph:

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..circuits import CircuitGraph, Gate, QuantumCircuit, build_circuit_graph
+from ..flatgraph import adjacency, connected_components
 from ..obs import trace
 
 __all__ = ["WireCut", "SubcircuitLine", "BodyKey", "Subcircuit", "CutCircuit",
@@ -285,18 +284,14 @@ def cut_circuit(
     graph = build_circuit_graph(circuit)
     cut_edges = {graph.edge_for_cut(wire, index) for wire, index in cuts}
 
-    undirected = nx.Graph()
-    undirected.add_nodes_from(range(graph.num_vertices))
-    for edge in graph.edges:
-        if edge not in cut_edges:
-            undirected.add_edge(edge.source, edge.target)
-
-    component_of: Dict[int, int] = {}
-    components = sorted(nx.connected_components(undirected), key=min)
-    for label, members in enumerate(components):
+    kept = adjacency(
+        graph.num_vertices,
+        ((e.source, e.target) for e in graph.edges if e not in cut_edges),
+    )
+    assignment = [0] * graph.num_vertices
+    for label, members in enumerate(connected_components(kept)):
         for vertex in members:
-            component_of[vertex] = label
-    assignment = [component_of[v] for v in range(graph.num_vertices)]
+            assignment[vertex] = label
 
     implied = {
         edge

@@ -23,6 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..circuits import CircuitGraph
+from ..flatgraph import kernighan_lin_bisection, weighted_adjacency
 from .model import CutSearchError, PartitionCost, evaluate_partition
 
 __all__ = ["scan_partition", "local_search", "heuristic_search"]
@@ -98,15 +99,9 @@ def kl_partition(
     minimizes crossing edges directly.  Oversized parts are bisected again
     until everything fits or the subcircuit budget runs out.
     """
-    import networkx as nx
-
-    undirected = nx.Graph()
-    undirected.add_nodes_from(range(graph.num_vertices))
-    for edge in graph.edges:
-        if undirected.has_edge(edge.source, edge.target):
-            undirected[edge.source][edge.target]["weight"] += 1
-        else:
-            undirected.add_edge(edge.source, edge.target, weight=1)
+    undirected = weighted_adjacency(
+        graph.num_vertices, ((edge.source, edge.target) for edge in graph.edges)
+    )
 
     best_assignment: Optional[List[int]] = None
     best_cost: Optional[PartitionCost] = None
@@ -118,13 +113,7 @@ def kl_partition(
             target = parts[0]
             if len(target) < 2:
                 break
-            sub = undirected.subgraph(target)
-            try:
-                half_a, half_b = nx.algorithms.community.kernighan_lin_bisection(
-                    sub, weight="weight", seed=kl_seed
-                )
-            except Exception:  # pragma: no cover - KL rarely fails
-                break
+            half_a, half_b = kernighan_lin_bisection(undirected, target, kl_seed)
             if not half_a or not half_b:
                 break
             parts = parts[1:] + [set(half_a), set(half_b)]

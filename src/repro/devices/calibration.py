@@ -20,9 +20,8 @@ module adds that substrate:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..circuits import Gate, QuantumCircuit
@@ -92,11 +91,9 @@ class Calibration:
     def edge_error(self, a: int, b: int) -> float:
         return self.error_2q[(min(a, b), max(a, b))]
 
-    def qubit_quality(self, qubit: int, graph: nx.Graph) -> float:
+    def qubit_quality(self, qubit: int, neighbors: Sequence[int]) -> float:
         """Error mass of a qubit: own rates plus its best couplers."""
-        link_errors = sorted(
-            self.edge_error(qubit, n) for n in graph.neighbors(qubit)
-        )
+        link_errors = sorted(self.edge_error(qubit, n) for n in neighbors)
         best_links = sum(link_errors[:2]) / max(1, min(2, len(link_errors)))
         return self.error_1q[qubit] + self.readout[qubit] + best_links
 
@@ -125,16 +122,17 @@ def noise_adaptive_layout(
         raise ValueError(
             f"{num_logical} logical qubits exceed device size {device.num_qubits}"
         )
-    graph = device.coupling_graph()
+    neighbors = device.neighbors
     start = min(
-        graph.nodes, key=lambda q: calibration.qubit_quality(q, graph)
+        range(device.num_qubits),
+        key=lambda q: calibration.qubit_quality(q, neighbors[q]),
     )
     chosen = [start]
     chosen_set = {start}
     while len(chosen) < num_logical:
         frontier: List[Tuple[float, int]] = []
         for member in chosen:
-            for neighbor in graph.neighbors(member):
+            for neighbor in neighbors[member]:
                 if neighbor in chosen_set:
                     continue
                 cost = (

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..circuits import QuantumCircuit
+from ..flatgraph import adjacency, is_connected
 from ..cutting.cutter import Subcircuit
 from ..cutting.variants import NoisyEvalSpec, batched_noisy_variant_probabilities
 from ..sim.noise import NoiseModel
@@ -35,6 +35,10 @@ class VirtualDevice:
     noise: NoiseModel = field(default_factory=NoiseModel)
     shots: int = 8192
     seed: Optional[int] = None
+    #: Each qubit's coupled qubits, in coupling-map order.
+    neighbors: Tuple[Tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         pairs = []
@@ -43,17 +47,12 @@ class VirtualDevice:
                 raise ValueError(f"invalid coupling pair ({a}, {b})")
             pairs.append((min(a, b), max(a, b)))
         object.__setattr__(self, "coupling_map", tuple(sorted(set(pairs))))
-        graph = self.coupling_graph()
-        if self.num_qubits > 1 and not nx.is_connected(graph):
+        neighbors = adjacency(self.num_qubits, self.coupling_map)
+        if not is_connected(neighbors):
             raise ValueError(f"device {self.name!r} coupling map is disconnected")
+        self.neighbors = tuple(map(tuple, neighbors))
 
     # ------------------------------------------------------------------
-    def coupling_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_qubits))
-        graph.add_edges_from(self.coupling_map)
-        return graph
-
     def are_coupled(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.coupling_map
 

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import networkx as nx
-
 from ..circuits import Gate, QuantumCircuit
+from ..flatgraph import shortest_path
 from .device import VirtualDevice
 
 __all__ = ["TranspiledCircuit", "transpile", "decompose_to_native", "select_layout",
@@ -151,18 +150,18 @@ def select_layout(device: VirtualDevice, num_logical: int) -> List[int]:
         raise ValueError(
             f"{num_logical} logical qubits exceed device size {device.num_qubits}"
         )
-    graph = device.coupling_graph()
+    neighbors = device.neighbors
     if device.num_qubits == 1:
         return [0]
-    start = max(graph.nodes, key=lambda n: graph.degree(n))
+    start = max(range(device.num_qubits), key=lambda n: len(neighbors[n]))
     order = [start]
     seen = {start}
     frontier = [start]
     while frontier and len(order) < num_logical:
         # Expand the neighbor with the most already-selected neighbors.
         candidates = sorted(
-            {n for f in frontier for n in graph.neighbors(f)} - seen,
-            key=lambda n: (-sum(1 for m in graph.neighbors(n) if m in seen), n),
+            {n for f in frontier for n in neighbors[f]} - seen,
+            key=lambda n: (-sum(1 for m in neighbors[n] if m in seen), n),
         )
         if not candidates:
             break
@@ -171,7 +170,7 @@ def select_layout(device: VirtualDevice, num_logical: int) -> List[int]:
         seen.add(chosen)
         frontier.append(chosen)
     if len(order) < num_logical:  # pragma: no cover - connected devices
-        order.extend(n for n in graph.nodes if n not in seen)
+        order.extend(n for n in range(device.num_qubits) if n not in seen)
         order = order[:num_logical]
     return order[:num_logical]
 
@@ -197,8 +196,6 @@ def transpile(
         raise ValueError(
             f"layout of {len(layout)} qubits for a {circuit.num_qubits}-qubit circuit"
         )
-    graph = device.coupling_graph()
-    distances = dict(nx.all_pairs_shortest_path_length(graph))
 
     logical_to_physical: Dict[int, int] = dict(enumerate(layout))
     physical_to_logical: Dict[int, int] = {p: l for l, p in logical_to_physical.items()}
@@ -228,7 +225,7 @@ def transpile(
         a, b = gate.qubits
         pa, pb = logical_to_physical[a], logical_to_physical[b]
         if not device.are_coupled(pa, pb):
-            path = nx.shortest_path(graph, pa, pb)
+            path = shortest_path(device.neighbors, pa, pb)
             # Walk qubit ``a`` toward ``b``, stopping one hop short.
             for hop in path[1:-1]:
                 swap_physical(logical_to_physical[a], hop)

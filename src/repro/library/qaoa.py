@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..circuits import QuantumCircuit
@@ -34,6 +33,8 @@ def random_regular_graph(
         raise ValueError("degree must be smaller than the node count")
     if (degree * num_qubits) % 2:
         raise ValueError("degree * num_qubits must be even")
+    import networkx as nx  # here, so that no other job path loads it
+
     graph = nx.random_regular_graph(degree, num_qubits, seed=seed)
     return [(min(a, b), max(a, b)) for a, b in graph.edges()]
 

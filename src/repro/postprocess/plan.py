@@ -101,10 +101,12 @@ def binned_tensor(
     only the active lines, and the second return value lists their wires
     in axis order.
 
-    Fixed wires are one view; each merged wire, highest position first,
-    adds its two halves (the one add per element a length-2 ``sum`` makes,
-    bit-identically, minus numpy's slow inner-axis reduce).  Never fuse
-    the adds into one ``sum(axis=tuple)``: it rounds differently.
+    With every line active the result shares the source's memory and its
+    ``nonzero`` flags.  Fixed wires are one view; each merged wire,
+    highest position first, adds its two halves (the one add per element
+    a length-2 ``sum`` makes, bit-identically, minus numpy's slow
+    inner-axis reduce).  Never fuse the adds into one
+    ``sum(axis=tuple)``: it rounds differently.
     """
     wires = [line.wire for line in subcircuit.output_lines]
     for wire in wires:
@@ -129,6 +131,8 @@ def binned_tensor(
         cut_order=list(tensor.cut_order),
         num_effective=len(active_wires),
         data=data,
+        # An all-active collapse is its source: no rescan for zero rows.
+        nonzero=None if fixed or merged else tensor.nonzero,
     )
     return collapsed, active_wires
 

@@ -140,7 +140,18 @@ def is_distribution(vector: np.ndarray, atol: float = 1e-8) -> bool:
 
 _MISSING = object()
 _MEMOS: "weakref.WeakSet[BoundedMemo]" = weakref.WeakSet()
-_MEMOS_LOCK = threading.Lock()
+#: Reentrant: a collection inside a locked region runs :func:`_retire`.
+_MEMOS_LOCK = threading.RLock()
+#: label -> [hits, misses] of the collected memos of that label.
+_RETIRED: Dict[str, List[int]] = {}
+
+
+def _retire(label: str, counts: List[int]) -> None:
+    """Fold a collected memo's lookup counters into its label's total."""
+    with _MEMOS_LOCK:
+        total = _RETIRED.setdefault(label, [0, 0])
+        total[0] += counts[0]
+        total[1] += counts[1]
 
 
 class BoundedMemo:
@@ -152,7 +163,8 @@ class BoundedMemo:
     never an error and ``hits + misses`` is exactly the number of
     lookups.  A miss builds outside the lock: two threads missing on one
     key both build, and the last insert wins.  Every memo registers
-    under its ``label`` for :func:`memo_stats`.
+    under its ``label`` for :func:`memo_stats`, and its counters outlive it
+    there.
     """
 
     def __init__(
@@ -163,11 +175,11 @@ class BoundedMemo:
         self._size = size
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._held = 0
-        self._hits = 0
-        self._misses = 0
+        self._counts = [0, 0]  # hits, misses
         self._lock = threading.Lock()
         with _MEMOS_LOCK:
             _MEMOS.add(self)
+        weakref.finalize(self, _retire, label, self._counts).atexit = False
 
     def _cost(self, value: Any) -> int:
         return 1 if self._size is None else self._size(value)
@@ -177,9 +189,9 @@ class BoundedMemo:
         with self._lock:
             value = self._entries.get(key, _MISSING)
             if value is _MISSING:
-                self._misses += 1
+                self._counts[1] += 1
                 return default
-            self._hits += 1
+            self._counts[0] += 1
             self._entries.move_to_end(key)
             return value
 
@@ -207,12 +219,13 @@ class BoundedMemo:
         """Forget every entry and zero the counters."""
         with self._lock:
             self._entries.clear()
-            self._held = self._hits = self._misses = 0
+            self._held = 0
+            self._counts[:] = [0, 0]
 
     def stats(self) -> Dict[str, int]:
         """``{hits, misses, size}``, plus ``bytes`` when size-bounded."""
         with self._lock:
-            stats = {"hits": self._hits, "misses": self._misses,
+            stats = {"hits": self._counts[0], "misses": self._counts[1],
                      "size": len(self._entries)}
             if self._size is not None:
                 stats["bytes"] = self._held
@@ -228,7 +241,7 @@ def _after_fork_in_child() -> None:
     """Give a forked child fresh locks: a lock another parent thread held
     at the fork would otherwise never be released in the child."""
     global _MEMOS_LOCK
-    _MEMOS_LOCK = threading.Lock()
+    _MEMOS_LOCK = threading.RLock()
     for memo in list(_MEMOS):
         memo._lock = threading.Lock()
         memo._held = sum(memo._cost(value) for value in memo._entries.values())
@@ -238,10 +251,15 @@ os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def memo_stats() -> Dict[str, Dict[str, int]]:
-    """Every live :class:`BoundedMemo`'s stats, summed per label."""
+    """:class:`BoundedMemo` stats summed per label: ``hits`` and
+    ``misses`` over every memo the process made, ``size`` (and ``bytes``)
+    over the live ones."""
     with _MEMOS_LOCK:
         memos = list(_MEMOS)
-    report: Dict[str, Dict[str, int]] = {}
+        report = {
+            label: {"hits": hits, "misses": misses, "size": 0}
+            for label, (hits, misses) in _RETIRED.items()
+        }
     for memo in memos:
         total = report.setdefault(memo.label, {})
         for name, value in memo.stats().items():

@@ -62,8 +62,8 @@ class TestNoiseAdaptiveLayout:
         calibration = Calibration.synthetic(device, seed=4)
         layout = noise_adaptive_layout(device, calibration, 5)
         assert len(layout) == 5 and len(set(layout)) == 5
-        sub = device.coupling_graph().subgraph(layout)
-        assert nx.is_connected(sub)
+        graph = nx.Graph(device.coupling_map)
+        assert nx.is_connected(graph.subgraph(layout))
 
     def test_avoids_bad_region(self):
         # Make qubits 0-2 terrible and 3-5 pristine on a 6-line.

@@ -61,12 +61,6 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             build_circuit_graph(circuit)
 
-    def test_to_networkx(self, fig4_circuit):
-        graph = build_circuit_graph(fig4_circuit)
-        nx_graph = graph.to_networkx()
-        assert nx_graph.number_of_nodes() == 4
-        assert nx_graph.number_of_edges() == 3
-
     def test_is_connected(self, fig4_circuit):
         assert build_circuit_graph(fig4_circuit).is_connected()
 

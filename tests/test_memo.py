@@ -1,7 +1,8 @@
 """One bounded memo for every process-wide memo.
 
 * :class:`repro.utils.BoundedMemo`: the entry bound, the byte bound, the
-  LRU order, exact counters, and a raced key's last insert winning;
+  LRU order, exact counters that outlive the memo in
+  :func:`repro.utils.memo_stats`, and a raced key's last insert winning;
 * a 6-thread stress test at a 1 us switch interval: bounds hold, every
   lookup is counted once and every value is the one built for its key
   (a concurrent eviction is never an error);
@@ -11,6 +12,7 @@
 """
 
 import ast
+import gc
 import os
 import pathlib
 import pickle
@@ -23,6 +25,9 @@ import numpy as np
 import repro
 from repro import QuantumCircuit, cut_circuit
 from repro.circuits import Gate
+from repro.library import bv
+from repro.postprocess import PrecomputedTensorProvider
+from repro.postprocess.attribution import TermTensor
 from repro.utils import BoundedMemo, memo_stats
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
@@ -101,7 +106,31 @@ class TestBoundedMemo:
         second.get(2)
         assert memo_stats()["test-summed"] == {"hits": 1, "misses": 0, "size": 2}
         del first, second
-        assert "test-summed" not in memo_stats()
+        # Collected memos keep their lookups in the label's total.
+        assert memo_stats()["test-summed"] == {"hits": 1, "misses": 0, "size": 0}
+
+    def test_counters_never_decrease_when_a_provider_is_collected(self):
+        cut = cut_circuit(bv(6), [(5, 1)])
+        tensors = [
+            TermTensor(s.index, [0], s.num_effective,
+                       np.ones((4, 1 << s.num_effective)))
+            for s in cut.subcircuits
+        ]
+        provider = PrecomputedTensorProvider(cut, tensors=tensors)
+        roles = {wire: ("active",) for wire in range(6)}
+
+        def lookups():
+            stats = memo_stats().get("collapse", {})
+            return stats.get("hits", 0), stats.get("misses", 0)
+
+        before = lookups()
+        provider.collapsed(roles)
+        provider.collapsed(roles)
+        during = lookups()
+        assert during == (before[0] + 2, before[1] + 2)
+        del provider
+        gc.collect()
+        assert lookups() == during
 
 
 def _hammer(memo, keys, rounds, threads=6):
@@ -163,6 +192,31 @@ class TestThreads:
         stats = memo.stats()
         assert stats["hits"] + stats["misses"] == 6 * 400
         assert stats["bytes"] == sum(memo.keys()) <= 60
+
+    def test_six_threads_retiring_memos_lose_no_lookup(self):
+        """Memos made, used and dropped on six threads at a 1 us switch
+        interval: every lookup lands in the label's lifetime total."""
+
+        def churn():
+            for _ in range(200):
+                memo = BoundedMemo("test-churn", 4)
+                memo.get_or_build("k", lambda: 1)
+                memo.get("k")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=churn) for _ in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        gc.collect()
+        stats = memo_stats()["test-churn"]
+        assert (stats["hits"], stats["misses"]) == (6 * 200, 6 * 200)
 
 
 # ----------------------------------------------------------------------

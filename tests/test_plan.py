@@ -288,6 +288,15 @@ class TestCollapseMatchesOracle:
             "bytes_in": tensor.data.nbytes, "bytes_out": collapsed.data.nbytes,
         }
 
+    def test_all_active_collapse_shares_its_source(self):
+        tensor, subcircuit, roles = _collapse_case(["active"] * 5, 64, seed=9)
+        collapsed, _ = binned_tensor(tensor, subcircuit, roles)
+        assert np.shares_memory(collapsed.data, tensor.data)
+        assert collapsed.nonzero is tensor.nonzero
+        assert np.array_equal(
+            collapsed.nonzero, np.any(collapsed.data != 0.0, axis=1)
+        )
+
 
 class TestQueryPlan:
     def test_full_plan_matches_reconstruct(self, fig4_circuit):
