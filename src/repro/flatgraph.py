@@ -187,7 +187,7 @@ def _kernighan_lin_sweep(
 
 
 def kernighan_lin_bisection(
-    adj: Sequence[Dict[int, int]], part: Set[int], seed: int, max_iter: int = 10
+    adj: Sequence[Dict[int, int]], part: Set[int], seed: int
 ) -> Tuple[Set[int], Set[int]]:
     """``networkx.community.kernighan_lin_bisection(G.subgraph(part),
     weight="weight", seed=seed)`` for ``G`` the weighted graph ``adj``.
@@ -211,7 +211,7 @@ def kernighan_lin_bisection(
     edge_info = {
         u: {v: wt for v, wt in adj[u].items() if v in members} for u in nodes
     }
-    for _ in range(max_iter):
+    for _ in range(10):  # networkx's default max_iter
         costs = list(_kernighan_lin_sweep(edge_info, side))
         min_cost, min_i, _ = min(costs)
         if min_cost >= 0:

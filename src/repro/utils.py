@@ -10,11 +10,14 @@ bitstring ``format(i, f"0{n}b")`` read left-to-right as qubits 0..n-1.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import weakref
-from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence
+from collections import OrderedDict, deque
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -140,15 +143,25 @@ def is_distribution(vector: np.ndarray, atol: float = 1e-8) -> bool:
 
 _MISSING = object()
 _MEMOS: "weakref.WeakSet[BoundedMemo]" = weakref.WeakSet()
-#: Reentrant: a collection inside a locked region runs :func:`_retire`.
-_MEMOS_LOCK = threading.RLock()
+_MEMOS_LOCK = threading.Lock()
+#: token -> (label, [hits, misses]) of every memo not yet folded into
+#: ``_RETIRED``.  It holds the counter lists strongly, so a memo's lookups
+#: stay counted here until :func:`_fold_retired` moves them, under the lock.
+_LIVE_COUNTS: Dict[int, Tuple[str, List[int]]] = {}
 #: label -> [hits, misses] of the collected memos of that label.
 _RETIRED: Dict[str, List[int]] = {}
+#: Tokens of collected memos.  A memo's finalizer only appends here
+#: (atomic, lock-free), so a collection inside a locked region, on any
+#: thread, never waits on the lock or changes a dict being iterated.
+_DYING: "deque[int]" = deque()
+_TOKENS = itertools.count()
 
 
-def _retire(label: str, counts: List[int]) -> None:
-    """Fold a collected memo's lookup counters into its label's total."""
-    with _MEMOS_LOCK:
+def _fold_retired() -> None:
+    """Move the counters of collected memos into their labels' totals.
+    Call with ``_MEMOS_LOCK`` held."""
+    while _DYING:
+        label, counts = _LIVE_COUNTS.pop(_DYING.popleft())
         total = _RETIRED.setdefault(label, [0, 0])
         total[0] += counts[0]
         total[1] += counts[1]
@@ -177,9 +190,12 @@ class BoundedMemo:
         self._held = 0
         self._counts = [0, 0]  # hits, misses
         self._lock = threading.Lock()
+        token = next(_TOKENS)
         with _MEMOS_LOCK:
+            _fold_retired()
             _MEMOS.add(self)
-        weakref.finalize(self, _retire, label, self._counts).atexit = False
+            _LIVE_COUNTS[token] = (label, self._counts)
+        weakref.finalize(self, _DYING.append, token).atexit = False
 
     def _cost(self, value: Any) -> int:
         return 1 if self._size is None else self._size(value)
@@ -241,7 +257,7 @@ def _after_fork_in_child() -> None:
     """Give a forked child fresh locks: a lock another parent thread held
     at the fork would otherwise never be released in the child."""
     global _MEMOS_LOCK
-    _MEMOS_LOCK = threading.RLock()
+    _MEMOS_LOCK = threading.Lock()
     for memo in list(_MEMOS):
         memo._lock = threading.Lock()
         memo._held = sum(memo._cost(value) for value in memo._entries.values())
@@ -255,13 +271,18 @@ def memo_stats() -> Dict[str, Dict[str, int]]:
     ``misses`` over every memo the process made, ``size`` (and ``bytes``)
     over the live ones."""
     with _MEMOS_LOCK:
+        _fold_retired()
+        report: Dict[str, Dict[str, int]] = {}
+        for label, counts in list(_RETIRED.items()) + list(_LIVE_COUNTS.values()):
+            hits, misses = counts
+            total = report.setdefault(label, {"hits": 0, "misses": 0, "size": 0})
+            total["hits"] += hits
+            total["misses"] += misses
         memos = list(_MEMOS)
-        report = {
-            label: {"hits": hits, "misses": misses, "size": 0}
-            for label, (hits, misses) in _RETIRED.items()
-        }
     for memo in memos:
-        total = report.setdefault(memo.label, {})
-        for name, value in memo.stats().items():
-            total[name] = total.get(name, 0) + value
+        total = report.setdefault(memo.label, {"hits": 0, "misses": 0, "size": 0})
+        stats = memo.stats()
+        total["size"] += stats["size"]
+        if "bytes" in stats:
+            total["bytes"] = total.get("bytes", 0) + stats["bytes"]
     return report

@@ -28,6 +28,7 @@ from repro.circuits import Gate
 from repro.library import bv
 from repro.postprocess import PrecomputedTensorProvider
 from repro.postprocess.attribution import TermTensor
+from repro import utils
 from repro.utils import BoundedMemo, memo_stats
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
@@ -195,28 +196,72 @@ class TestThreads:
 
     def test_six_threads_retiring_memos_lose_no_lookup(self):
         """Memos made, used and dropped on six threads at a 1 us switch
-        interval: every lookup lands in the label's lifetime total."""
+        interval, half of them in reference cycles that a frequent cyclic
+        collection frees at arbitrary points (inside :func:`memo_stats`
+        too), while a seventh thread reads the stats: the label's totals
+        never decrease, and every lookup lands in them."""
 
         def churn():
-            for _ in range(200):
+            for round_ in range(200):
                 memo = BoundedMemo("test-churn", 4)
                 memo.get_or_build("k", lambda: 1)
                 memo.get("k")
+                if round_ % 2:
+                    memo.put("self", memo)
+
+        def totals():
+            stats = memo_stats().get("test-churn", {})
+            return stats.get("hits", 0), stats.get("misses", 0)
+
+        seen = []
+
+        def read():
+            while any(worker.is_alive() for worker in workers):
+                seen.append(totals())
 
         interval = sys.getswitchinterval()
+        threshold = gc.get_threshold()
         sys.setswitchinterval(1e-6)
+        gc.set_threshold(20)
         try:
             workers = [threading.Thread(target=churn) for _ in range(6)]
+            reader = threading.Thread(target=read)
             for worker in workers:
                 worker.start()
+            reader.start()
             for worker in workers:
                 worker.join(timeout=120)
+            reader.join(timeout=120)
         finally:
+            gc.set_threshold(*threshold)
             sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
+        assert not any(thread.is_alive() for thread in workers + [reader])
         gc.collect()
-        stats = memo_stats()["test-churn"]
-        assert (stats["hits"], stats["misses"]) == (6 * 200, 6 * 200)
+        seen.append(totals())
+        assert all(
+            later[0] >= earlier[0] and later[1] >= earlier[1]
+            for earlier, later in zip(seen, seen[1:])
+        )
+        assert seen[-1] == (6 * 200, 6 * 200)
+
+    def test_a_memo_collected_under_the_registry_lock_does_not_wait_on_it(self):
+        """A collection can run a memo's finalizer while any thread holds
+        the registry lock; the finalizer must not take it."""
+        memo = BoundedMemo("test-locked-retire", 4)
+        memo.get("k")
+
+        def drop():
+            nonlocal memo
+            memo = None
+
+        with utils._MEMOS_LOCK:
+            dropper = threading.Thread(target=drop)
+            dropper.start()
+            dropper.join(timeout=10)
+            assert not dropper.is_alive()
+        assert memo_stats()["test-locked-retire"] == {
+            "hits": 0, "misses": 1, "size": 0,
+        }
 
 
 # ----------------------------------------------------------------------
