@@ -8,8 +8,9 @@ optimizations: **greedy subcircuit order** (smallest subcircuits first),
 **early termination** (all-zero term components are skipped) and
 **parallel processing** (output shards run concurrently on a
 :class:`~repro.postprocess.parallel.WorkerPool`, below).  Its
-``tensor_network`` strategy computes the identical output without the
-4^K enumeration, and ``auto`` picks between the two from a cost model.
+``tensor_network`` strategy computes the same sum without the 4^K
+enumeration (equal up to round-off, not bit for bit, since it adds in
+another order), and ``auto`` picks between the two from a cost model.
 
 :meth:`Reconstructor.reconstruct` materializes the full ``2**n`` vector —
 the memory wall circuit cutting exists to avoid.

@@ -28,7 +28,9 @@ from repro.postprocess import (
     resolve_strategy,
 )
 from repro.postprocess.attribution import TermTensor
-from repro.postprocess.engine import _accumulate_range
+from repro.postprocess.engine import _accumulate_range, _kron_cost
+from repro.utils import BoundedMemo
+from tests.contraction_oracle import tn_cost
 from tests.variant_oracle import evaluate_subcircuit
 
 
@@ -239,9 +241,9 @@ class TestEngineInternals:
 
 
 class TestEngineMemos:
-    """A DD query's rounds repeat a few structures: the engine prices each
-    network structure once and maps each cut order's rows once, and
-    answers and ``auto``'s picks are those of the memo-free functions."""
+    """A DD query's rounds repeat a few structures: each network structure
+    is compiled (and so priced) once per process, the engine maps each cut
+    order's rows once, and ``auto``'s picks are the oracle price's."""
 
     def _query(self, engine):
         pipeline = CutQC(bv(12), max_subcircuit_qubits=5)
@@ -253,24 +255,21 @@ class TestEngineMemos:
     def test_structures_priced_once(self, monkeypatch):
         from repro.postprocess import engine as module
 
-        priced, per_call, picks = [], [], []
-        real_tn_cost = module._tn_cost
-
-        def counting(tensors, order):
-            priced.append(1)
-            return real_tn_cost(tensors, order)
-
-        monkeypatch.setattr(module, "_tn_cost", counting)
+        plans = BoundedMemo("contraction_plan", 256)
+        monkeypatch.setattr(module, "_PLANS", plans)
+        per_call, picks = [], []
         engine = ContractionEngine(strategy="auto")
         real_contract_batch = engine.contract_batch
 
         def recording(batch, **kwargs):
-            before = len(priced)
+            before = plans.stats()["misses"]
             [result] = real_contract_batch(batch, **kwargs)
-            per_call.append(len(priced) - before)
+            per_call.append(plans.stats()["misses"] - before)
             [(tensors, order, num_cuts)] = batch
-            fresh = contract_terms(tensors, order, num_cuts, strategy="auto")
-            picks.append((result.strategy, fresh.strategy))
+            cheaper = tn_cost(tensors, order) < _kron_cost(tensors, order, num_cuts)
+            want = "tensor_network" if cheaper else "kron"
+            fresh = contract_terms(tensors, order, num_cuts, strategy=want)
+            picks.append((result.strategy, want))
             assert np.array_equal(result.vector, fresh.vector)
             return [result]
 
@@ -279,7 +278,7 @@ class TestEngineMemos:
         query.run(10)
         query.run(10)
         assert len(per_call) == 20
-        assert 0 < sum(per_call) == len(engine._tn_costs) < 10
+        assert 0 < sum(per_call) == plans.stats()["size"] < 10
         assert sum(per_call[10:]) == 0  # repeated structures: never re-priced
         assert all(got == want for got, want in picks)
 
@@ -288,7 +287,7 @@ class TestEngineMemos:
         second = ContractionEngine(strategy="kron")
         self._query(first).run(3)
         assert first._rows
-        assert not second._tn_costs and not second._rows
+        assert not second._rows
 
     def test_memoised_rows_match_a_fresh_map(self):
         rng = np.random.default_rng(4)
