@@ -28,10 +28,10 @@ Three strategies are provided:
     the contraction has no symbol pool at all — unlike subscript-based
     ``einsum`` (both the string *and* the integer-sublist forms exhaust
     NumPy's 52-letter alphabet once ``num_cuts + num_subcircuits >= 52``).
-    The path, each step's operand layouts and a set of sliced cut labels
-    are compiled once per network structure into a
-    :class:`ContractionPlan`; each step is one BLAS ``np.matmul`` on
-    strided views, and slicing keeps a call's buffers within 1 MiB.
+    The path and a set of sliced cut labels are compiled once per network
+    structure into a :class:`ContractionPlan`; each step is one
+    ``np.tensordot``, and slicing keeps one slice's operand copies and
+    intermediates within 1 MiB.
 
 ``auto``
     Estimates the floating-point work of both strategies from tensor
@@ -172,8 +172,8 @@ def _accumulate_range(
 # tensor_network strategy: a contraction plan compiled once per structure
 # ----------------------------------------------------------------------
 
-#: Bytes of per-call buffers (step results and operand gathers) one plan
-#: execution may hold; the plan slices cut labels until they fit.
+#: Bytes one slice's operand copies and intermediates may hold; the plan
+#: slices cut labels until they fit.
 _SLICE_BYTES = _GATHER_BYTES
 #: Compiled plans by network structure, shared by every engine and thread.
 _PLANS = BoundedMemo("contraction_plan", 256)
@@ -209,72 +209,6 @@ def _select_pair(shapes) -> Optional[Tuple[int, int, set, int]]:
 
 
 @dataclass(frozen=True)
-class _Read:
-    """How one step reads an operand as a matrix.
-
-    ``source`` is a node: a piece (its Kronecker position) or, past the
-    pieces, an earlier step's result.  Its axes are transposed by
-    ``axes``: a piece's sliced axes first (indexed away by the slice
-    digits at ``lead``), then the matrix's row and column axes, which
-    reshape to ``shape`` as a strided view, or, with ``gather`` (the
-    axes do not merge in memory), through a copy into a per-call buffer.
-    """
-
-    source: int
-    axes: Tuple[int, ...]
-    lead: Tuple[int, ...]
-    shape: Tuple[int, int]
-    gather: bool
-
-
-@dataclass(frozen=True)
-class _Step:
-    """One ``np.matmul``: ``left @ right``, stored with axes ``dims``."""
-
-    left: _Read
-    right: _Read
-    dims: Tuple[int, ...]
-
-
-class _Operand:
-    """A :class:`_Read` bound to one call's arrays.  :meth:`fetch` gives
-    the matrix for a slice, re-indexing or re-gathering a piece only when
-    its own slice digits change; a piece without sliced axes is read (or
-    gathered) once per call."""
-
-    __slots__ = ("read", "base", "buffer", "matrix", "key", "refresh")
-
-    def __init__(self, read: _Read, nodes: List[np.ndarray], num_pieces: int):
-        self.read = read
-        self.base = nodes[read.source].transpose(read.axes)
-        self.key = None
-        self.buffer = None
-        self.matrix = None
-        # A step's result changes every slice, so a gather of it repeats.
-        self.refresh = read.gather and read.source >= num_pieces
-        if read.gather:
-            self.buffer = np.empty(self.base.shape[len(read.lead):])
-            self.matrix = self.buffer.reshape(read.shape)
-            if not read.lead and not self.refresh:
-                np.copyto(self.buffer, self.base)
-        elif not read.lead:
-            self.matrix = self.base.reshape(read.shape)
-
-    def fetch(self, digits: Tuple[int, ...]) -> np.ndarray:
-        if self.read.lead:
-            key = tuple(digits[i] for i in self.read.lead)
-            if key != self.key:
-                self.key = key
-                if self.buffer is None:
-                    self.matrix = self.base[key].reshape(self.read.shape)
-                else:
-                    np.copyto(self.buffer, self.base[key])
-        elif self.refresh:
-            np.copyto(self.buffer, self.base)
-        return self.matrix
-
-
-@dataclass(frozen=True)
 class ContractionPlan:
     """The ``tensor_network`` contraction of one network structure.
 
@@ -282,69 +216,45 @@ class ContractionPlan:
     Kronecker order) by :func:`contraction_plan`.  The path is the greedy
     pairwise one, and ``cost`` is its price for ``auto``: the sum over
     steps of result size times contracted dimension.  Each step is one
-    ``np.matmul`` that reads its operands as strided views where their
-    axes merge and through a gather otherwise; each result is stored in
-    the order its consumer reads, and the last step writes the output in
-    Kronecker order (through ``permutation`` when its axes interleave).
-    The cut labels in ``sliced`` are fixed in turn, so that the per-call
-    buffers stay within ``_SLICE_BYTES``; every step's inputs carry every
-    sliced label, so the slices partition each step's work and the
-    output sums over them (in row blocks of ``block``).  The plan holds
-    no arrays: every buffer belongs to one :meth:`execute` call, so
-    threads share a plan freely.
+    ``np.tensordot``.  The cut labels in ``sliced`` are fixed in turn, so
+    that one slice's operand copies and intermediates stay within
+    ``_SLICE_BYTES``; every step's inputs carry every sliced label, so the
+    slices partition each step's work and the output sums over them.  The
+    plan holds no arrays, so threads share a plan freely.
     """
 
     cost: float
     sliced: Tuple[int, ...]
-    pieces: Tuple[Tuple[int, ...], ...]
+    pieces: Tuple[Tuple[int, ...], ...]  # each piece's dims
+    axes: Tuple[Tuple[int, ...], ...]  # each piece's transpose: sliced axes first
+    leads: Tuple[Tuple[int, ...], ...]  # the digits of those sliced axes
+    path: Tuple[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]], ...]
     outputs: Tuple[int, ...]
-    steps: Tuple[_Step, ...]
-    permutation: Optional[Tuple[int, ...]]
-    block: int
+    permutation: Tuple[int, ...]  # the last node's axes in Kronecker order
 
     def execute(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
         """Contract the pieces' term data (Kronecker order) to the output."""
-        nodes = [np.reshape(array, dims) for array, dims in zip(arrays, self.pieces)]
-        if not self.steps:
-            return nodes[0].reshape(-1)
-        nodes += [np.empty(step.dims) for step in self.steps[:-1]]
-        num_pieces = len(self.pieces)
-        operands = [
-            (_Operand(step.left, nodes, num_pieces),
-             _Operand(step.right, nodes, num_pieces))
-            for step in self.steps
+        nodes = [
+            np.reshape(array, dims).transpose(axes)
+            for array, dims, axes in zip(arrays, self.pieces, self.axes)
         ]
-        targets = [
-            nodes[num_pieces + index].reshape(step.left.shape[0], step.right.shape[1])
-            for index, step in enumerate(self.steps[:-1])
-        ]
-        rows, cols = self.steps[-1].left.shape[0], self.steps[-1].right.shape[1]
-        output = np.empty(rows * cols)
-        direct = not self.sliced and self.permutation is None
-        if not direct:
-            output[:] = 0.0
-            block = np.empty((self.block, cols))
-            if self.permutation is None:
-                final = output.reshape(rows, cols)
-            else:
-                final = output.reshape(self.outputs).transpose(self.permutation)
-        *inner, (last_left, last_right) = operands
+        if not self.sliced:
+            final = self._walk(nodes).transpose(self.permutation)
+            return final.reshape(-1)
+        output = np.zeros(self.outputs)
+        final = output.transpose(np.argsort(self.permutation))
         for digits in itertools.product(range(4), repeat=len(self.sliced)):
-            for (left, right), target in zip(inner, targets):
-                np.matmul(left.fetch(digits), right.fetch(digits), out=target)
-            left, right = last_left.fetch(digits), last_right.fetch(digits)
-            if direct:
-                np.matmul(left, right, out=output.reshape(rows, cols))
-            elif self.permutation is not None:
-                np.matmul(left, right, out=block)
-                final += block.reshape(self.steps[-1].dims)
-            else:
-                for start in range(0, rows, self.block):
-                    stop = min(rows, start + self.block)
-                    part = block[: stop - start]
-                    np.matmul(left[start:stop], right, out=part)
-                    final[start:stop] += part
-        return output
+            final += self._walk([
+                node[tuple(digits[i] for i in lead)]
+                for node, lead in zip(nodes, self.leads)
+            ])
+        return output.reshape(-1)
+
+    def _walk(self, nodes: List[np.ndarray]) -> np.ndarray:
+        for x, y, axes_x, axes_y in self.path:
+            nodes.append(np.tensordot(nodes[x], nodes[y], (axes_x, axes_y)))
+            nodes[x] = nodes[y] = None  # free each input once it is read
+        return nodes[-1]
 
 
 def contraction_plan(
@@ -357,111 +267,43 @@ def contraction_plan(
     return _PLANS.get_or_build(key, lambda: _compile(key))
 
 
-def _strides(labels: Sequence, dims: Dict) -> Dict:
-    """Element strides of a C-ordered array with axes ``labels``."""
-    strides, stride = {}, 1
-    for label in reversed(labels):
-        strides[label] = stride
-        stride *= dims[label]
-    return strides
-
-
-def _one_axis(group: Sequence, strides: Dict, dims: Dict) -> Optional[int]:
-    """The stride at which ``group``'s axes read as one axis (0 if they
-    are all unit), or None when they do not merge in memory."""
-    axes = [label for label in group if dims[label] > 1]
-    for outer, inner in zip(axes, axes[1:]):
-        if strides[outer] != strides[inner] * dims[inner]:
-            return None
-    return strides[axes[-1]] if axes else 0
-
-
-def _read(node, rows, cols, storage, strides, dims, sliced) -> _Read:
-    """Read ``node`` as a ``(rows, cols)`` matrix: a view when both groups
-    merge and one of them is unit-stride (what BLAS takes), else a gather."""
-    labels = storage[node]
-    lead = [label for label in labels if label in sliced]
-    row, col = (_one_axis(group, strides[node], dims) for group in (rows, cols))
-    return _Read(
-        source=node,
-        axes=tuple(labels.index(label) for label in lead + rows + cols),
-        lead=tuple(sliced.index(label) for label in lead),
-        shape=(_size(rows, dims), _size(cols, dims)),
-        gather=row is None or col is None or min(row, col) > 1,
-    )
-
-
-def _size(labels, dims) -> int:
-    return math.prod(dims[label] for label in labels)
-
-
-def _layout(pieces, dims, path, labels_of, sliced):
-    """Each step's reads and result order with ``sliced`` fixed, the
-    elements of buffer one call holds (non-final results and gathers) and
-    the last result's axis order."""
-    fixed = set(sliced)
-    storage = {node: labels for node, labels in enumerate(pieces)}
-    strides = {node: _strides(labels, dims) for node, labels in storage.items()}
-    partner = {}
-    for x, y in path:
-        partner[x], partner[y] = y, x
-    steps, held = [], 0
+def _walk_labels(pieces, path, sliced):
+    """Each node's axis labels with ``sliced`` indexed away, and the
+    elements one slice holds: every step's operands (``tensordot`` may
+    copy each) and every result but the last."""
+    labels = [[label for label in piece if label not in sliced] for piece in pieces]
+    held = 0
     for index, (x, y) in enumerate(path):
-        node = len(pieces) + index
-        shared = labels_of[x] & labels_of[y]
-        contracted = sorted(shared - fixed)
-        keep = {x: labels_of[x] - shared - fixed, y: labels_of[y] - shared - fixed}
-        result = keep[x] | keep[y]
-        if index == len(path) - 1:
-            orders = [sorted(result)]  # the output slots, in Kronecker order
-        else:
-            other = labels_of[partner[node]]
-            outer, inner = sorted(result - other), sorted(result & other)
-            orders = [outer + inner, inner + outer]
-        candidates = [
-            (order, a, b) for order in orders for a, b in ((x, y), (y, x))
-            if set(order[: len(keep[a])]) == keep[a]
-        ] or [(sorted(keep[x]) + sorted(keep[y]), x, y)]  # axes interleave
-        best = None
-        for order, a, b in candidates:
-            split = len(keep[a])
-            reads = (
-                _read(a, order[:split], contracted, storage, strides, dims, sliced),
-                _read(b, contracted, order[split:], storage, strides, dims, sliced),
-            )
-            copied = sum(math.prod(r.shape) for r in reads if r.gather)
-            if best is None or copied < best[0]:
-                best = (copied, reads, order)
-        _, (left, right), order = best
-        storage[node] = order
-        strides[node] = _strides(order, dims)
-        held += sum(math.prod(r.shape) for r in (left, right) if r.gather)
+        shared = set(labels[x]) & set(labels[y])
+        held += sum(_size(labels[node]) for node in (x, y))
+        labels.append([
+            label for label in labels[x] + labels[y] if label not in shared
+        ])
         if index < len(path) - 1:
-            held += _size(order, dims)
-        steps.append(_Step(left, right, tuple(dims[label] for label in order)))
-    return steps, held, storage[len(pieces) + len(path) - 1] if path else []
+            held += _size(labels[-1])
+    return labels, held
+
+
+def _size(labels) -> int:
+    return math.prod(4 if label[0] == "cut" else label[2] for label in labels)
 
 
 def _compile(structure) -> ContractionPlan:
     """Compile the plan of ``structure``: ``(cut_order, num_effective)``
     per piece, in Kronecker order."""
     pieces = [
-        [("cut", cut_id) for cut_id in cuts] + [("out", position)]
-        for position, (cuts, _) in enumerate(structure)
+        [("cut", cut_id) for cut_id in cuts] + [("out", position, 1 << width)]
+        for position, (cuts, width) in enumerate(structure)
     ]
-    dims: Dict = {}
-    for position, (cuts, width) in enumerate(structure):
-        dims.update({("cut", cut_id): 4 for cut_id in cuts})
-        dims[("out", position)] = 1 << width
-    joins = Counter(label for labels in pieces for label in labels)
     for cuts, _ in structure:
         if len(set(cuts)) != len(cuts):
             raise ValueError(f"a piece repeats a cut: {cuts}")
-    for label, count in joins.items():
-        if label[0] == "cut" and count != 2:
-            raise ValueError(f"cut {label[1]} joins {count} piece(s), not 2")
+    joins = Counter(cut_id for cuts, _ in structure for cut_id in cuts)
+    for cut_id, count in joins.items():
+        if count != 2:
+            raise ValueError(f"cut {cut_id} joins {count} piece(s), not 2")
     # The greedy path and its price, in the cost model's arithmetic.
-    shapes = [{label: dims[label] for label in labels} for labels in pieces]
+    shapes = [{label: _size([label]) for label in labels} for labels in pieces]
     ids = list(range(len(pieces)))
     labels_of = [set(labels) for labels in pieces]
     path: List[Tuple[int, int]] = []
@@ -485,38 +327,44 @@ def _compile(structure) -> ContractionPlan:
         shapes.append(merged)
         ids.append(len(labels_of) - 1)
     # Slice greedily: each round fixes the eligible cut label that leaves
-    # the fewest buffered elements, until the buffers fit.
+    # the fewest held elements, until a slice fits.
     eligible = sorted(
-        label for label in dims
-        if label[0] == "cut"
-        and all(label in labels_of[x] or label in labels_of[y] for x, y in path)
+        ("cut", cut_id) for cut_id in joins
+        if all(("cut", cut_id) in labels_of[x] | labels_of[y] for x, y in path)
     )
     sliced: List = []
-    steps, held, order = _layout(pieces, dims, path, labels_of, sliced)
+    labels, held = _walk_labels(pieces, path, sliced)
     while held * 8 > _SLICE_BYTES and len(sliced) < len(eligible):
-        (steps, held, order), label = min(
-            ((_layout(pieces, dims, path, labels_of, sliced + [label]), label)
+        (labels, held), label = min(
+            ((_walk_labels(pieces, path, sliced + [label]), label)
              for label in eligible if label not in sliced),
             key=lambda trial: (trial[0][1], trial[1]),
         )
         sliced.append(label)
-    permutation = tuple(position for _, position in order)
-    if permutation == tuple(sorted(permutation)):
-        permutation = None
-    block = 1
-    if steps:
-        rows, cols = steps[-1].left.shape[0], steps[-1].right.shape[1]
-        block = rows
-        if permutation is None and rows * cols * 8 > _SLICE_BYTES:
-            block = max(1, _SLICE_BYTES // (8 * cols))
+    steps = []
+    for x, y in path:
+        shared = [label for label in labels[x] if label in labels[y]]
+        steps.append((
+            x, y,
+            tuple(labels[x].index(label) for label in shared),
+            tuple(labels[y].index(label) for label in shared),
+        ))
+    # Each piece is read with its sliced axes first, to index them away.
+    leads = [[label for label in piece if label in sliced] for piece in pieces]
     return ContractionPlan(
         cost=cost,
         sliced=tuple(cut_id for _, cut_id in sliced),
-        pieces=tuple(tuple(dims[label] for label in labels) for labels in pieces),
-        outputs=tuple(dims[("out", position)] for position in range(len(pieces))),
-        steps=tuple(steps),
-        permutation=permutation,
-        block=block,
+        pieces=tuple(tuple(_size([label]) for label in piece) for piece in pieces),
+        axes=tuple(
+            tuple(piece.index(label) for label in lead + labels[position])
+            for position, (piece, lead) in enumerate(zip(pieces, leads))
+        ),
+        leads=tuple(tuple(sliced.index(label) for label in lead) for lead in leads),
+        path=tuple(steps),
+        outputs=tuple(1 << width for _, width in structure),
+        permutation=tuple(
+            sorted(range(len(labels[-1])), key=lambda axis: labels[-1][axis][1])
+        ),
     )
 
 
