@@ -36,16 +36,16 @@ from typing import List, Optional
 import numpy as np
 
 from .core import CutQC, RunConfig
+from .core.job import JobSpec, run_query
 from .cutting import CutSearchError
 from .cutting.searcher import METHODS
 from .cutting.variants import NOISY_METHODS
 from .devices import DEVICE_PRESETS, get_device
-from .library import BENCHMARKS, get_benchmark
+from .library import BENCHMARKS
 from .metrics import chi_square_loss
 from .obs import trace
 from .postprocess import STRATEGIES
 from .sim import simulate_probabilities
-from .utils import top_states
 
 __all__ = ["main", "build_parser"]
 
@@ -276,15 +276,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_circuit(args: argparse.Namespace):
-    kwargs = {}
-    if args.benchmark in ("supremacy", "adder"):
-        kwargs["seed"] = args.seed
-    return get_benchmark(args.benchmark, args.qubits, **kwargs)
+#: JobSpec fields whose CLI dest is the RunConfig option's name.
+_SPEC_DESTS = {"device_size": "max_subcircuit_qubits", "shots": "device_shots"}
+
+
+def _job_spec(args: argparse.Namespace, **fields) -> JobSpec:
+    """The job the parsed flags describe: ``fields``, then every
+    :class:`JobSpec` field the command has a flag for.  ``run``, ``dd``
+    and ``cut`` take no ``--degree``: their QAOA instance is the ring."""
+    fields.setdefault("degree", getattr(args, "degree", 0))
+    for name in JobSpec.__dataclass_fields__:
+        value = getattr(args, _SPEC_DESTS.get(name, name), None)
+        if value is not None:
+            fields.setdefault(name, value)
+    return JobSpec(**fields)
 
 
 def _build_pipeline(
-    args: argparse.Namespace, config: RunConfig, pool_workers: int
+    spec: JobSpec, config: RunConfig, pool_workers: int
 ) -> CutQC:
     if pool_workers < 0:
         raise ValueError("--pool-workers must be >= 0")
@@ -293,7 +302,7 @@ def _build_pipeline(
         from .postprocess.parallel import WorkerPool
 
         worker_pool = WorkerPool(pool_workers)
-    return CutQC(_build_circuit(args), config=config, worker_pool=worker_pool)
+    return CutQC(spec.build_circuit(), config=config, worker_pool=worker_pool)
 
 
 def _close_worker_pool(pipeline: Optional[CutQC]) -> None:
@@ -308,33 +317,31 @@ def _print_trace_tree(document: dict, as_json: bool) -> None:
     print(trace.format_tree(document), file=stream)
 
 
-def _run_traced_command(args: argparse.Namespace, name: str, body) -> int:
-    """Run a CLI command body, optionally under a root span."""
-    if not getattr(args, "trace", False):
-        return body()
-    with trace.start(name) as root:
-        code = body()
-    _print_trace_tree(root.to_dict(), args.json)
-    return code
+def _run_local_job(args: argparse.Namespace, spec: JobSpec, bounds) -> int:
+    """Run ``spec`` in this process, under the CLI retry/degrade policy,
+    and print its document (``--trace``: under a root span, whose tree
+    follows it).
 
-
-def _run_pipeline_command(args: argparse.Namespace, name: str, body) -> int:
-    """Build the pipeline and run a command body on it under the CLI
-    retry/degrade policy.
-
-    A bad option, or a ``--device`` preset smaller than ``--device-size``
-    (a CLI-only rule), exits 2 before anything runs.
+    A flag outside its ``(flag, value, least, most)`` bounds (``most``
+    ``None``: no cap), a bad option, or a ``--device`` preset smaller
+    than ``--device-size`` (a CLI-only rule) exits 2 before anything
+    runs.
 
     Transient faults (see :func:`repro.faults.is_transient`) retry the
-    command up to ``--max-retries`` times; an unrecoverable worker pool
+    job up to ``--max-retries`` times; an unrecoverable worker pool
     rebuilds the pipeline without one and re-runs serially — degraded,
-    not failed — unless ``--no-degrade``.  The whole command body is
-    idempotent (the pipeline recomputes from its inputs), so a retry is
-    waste, never corruption.
+    not failed — unless ``--no-degrade``.  The whole job is idempotent
+    (the pipeline recomputes from its inputs), so a retry is waste,
+    never corruption.
     """
     from .faults import PoolUnrecoverableError, is_transient
 
     try:
+        for flag, value, least, most in bounds:
+            if value is not None and value < least:
+                raise ValueError(f"{flag} must be >= {least}")
+            if value is not None and most is not None and value > most:
+                raise ValueError(f"{flag} must be in [{least}, {most}]")
         config = RunConfig.of(args)
         device = config.virtual_device
         if device is not None and (
@@ -344,7 +351,7 @@ def _run_pipeline_command(args: argparse.Namespace, name: str, body) -> int:
                 f"preset {args.device} has {device.num_qubits} qubits "
                 f"but --device-size is {config.max_subcircuit_qubits}"
             )
-        pipeline = _build_pipeline(args, config, args.pool_workers)
+        pipeline = _build_pipeline(spec, config, args.pool_workers)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -355,9 +362,12 @@ def _run_pipeline_command(args: argparse.Namespace, name: str, body) -> int:
         while True:
             attempt += 1
             try:
-                return _run_traced_command(
-                    args, name, lambda: body(args, pipeline)
-                )
+                if not args.trace:
+                    return _local_job(args, pipeline, spec)
+                with trace.start(f"cli.{args.command}") as root:
+                    _local_job(args, pipeline, spec)
+                _print_trace_tree(root.to_dict(), args.json)
+                return 0
             except PoolUnrecoverableError as error:
                 if degraded or not args.degrade:
                     raise
@@ -368,7 +378,7 @@ def _run_pipeline_command(args: argparse.Namespace, name: str, body) -> int:
                     file=sys.stderr,
                 )
                 _close_worker_pool(pipeline)
-                pipeline = _build_pipeline(args, config, 0)
+                pipeline = _build_pipeline(spec, config, 0)
             except Exception as error:  # noqa: BLE001 - taxonomy below
                 if attempt > max_retries or not is_transient(error):
                     raise
@@ -385,7 +395,7 @@ def _command_cut(args: argparse.Namespace) -> int:
     from .viz import cut_diagram
 
     try:
-        pipeline = _build_pipeline(args, RunConfig.of(args), 0)
+        pipeline = _build_pipeline(_job_spec(args), RunConfig.of(args), 0)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -426,229 +436,123 @@ def _command_cut(args: argparse.Namespace) -> int:
     return 0
 
 
-def _execution_report_dict(report) -> Optional[dict]:
-    if report is None:
-        return None
-    return {
-        "num_variants": report.num_variants,
-        "num_unique_circuits": report.num_unique_circuits,
-        "dedup_ratio": report.dedup_ratio,
-        "mode": report.mode,
-        "pool_makespan_seconds": report.pool_makespan_seconds,
-        "pool_serial_seconds": report.pool_serial_seconds,
-        "num_body_passes": report.num_body_passes,
+def _local_job(args: argparse.Namespace, pipeline: CutQC, spec: JobSpec) -> int:
+    """One local job: the service's ``result`` for ``spec``, with the
+    run's ``execution`` (and ``parallel``) report and any verification."""
+    if not args.json:
+        print(pipeline.cut().summary())
+    result = run_query(pipeline, spec)  # evaluates, so it comes first
+    document = {
+        "command": args.command,
+        "execution": pipeline.execution_report.as_dict(),
+        "result": result,
     }
+    if pipeline.parallel_stats is not None:
+        document["parallel"] = pipeline.parallel_stats.as_dict()
+    if getattr(args, "verify", False):
+        document.update(_verify(pipeline, result))
+    if args.json:
+        print(json.dumps(document, indent=2))
+    else:
+        _print_local_job(document, spec)
+    return 0
 
 
-def _print_execution_report(report) -> None:
-    if report is None:
-        return
+def _verify(pipeline: CutQC, result: dict) -> dict:
+    """Check a job against the uncut circuit's statevector: the FD
+    distribution's chi^2, or the worst entry over every streamed shard."""
+    truth = simulate_probabilities(pipeline.circuit)
+    if result["mode"] == "fd":
+        probabilities = np.clip(pipeline.fd_query().probabilities, 0, None)
+        return {"verify_chi2": float(chi_square_loss(probabilities, truth))}
+    shard_qubits = result["shard_qubits"]
+    truth = truth.reshape(1 << shard_qubits, -1)
+    return {"verify_max_abs_error": max(
+        float(np.abs(shard.probabilities - truth[shard.index]).max())
+        for shard in pipeline.fd_stream(shard_qubits)
+    )}
+
+
+def _print_states(states, indent: str = "  ") -> None:
+    for entry in states:
+        print(f"{indent}|{entry['state']}>  p = {entry['probability']:.6f}")
+
+
+def _print_local_job(document: dict, spec: JobSpec) -> None:
+    execution, result = document["execution"], document["result"]
     line = (
-        f"evaluation: {report.num_variants} variants -> "
-        f"{report.num_unique_circuits} unique circuits "
-        f"(dedup {report.dedup_ratio:.2f}x, {report.mode})"
+        f"evaluation: {execution['num_variants']} variants -> "
+        f"{execution['num_unique_circuits']} unique circuits "
+        f"(dedup {execution['dedup_ratio']:.2f}x, {execution['mode']})"
     )
-    if report.num_body_passes:
-        line += f", {report.num_body_passes} fused body pass(es)"
-    if report.pool_makespan_seconds is not None:
+    if execution["num_body_passes"]:
+        line += f", {execution['num_body_passes']} fused body pass(es)"
+    if execution["pool_makespan_seconds"] is not None:
         line += (
-            f", quantum makespan {report.pool_makespan_seconds:.3f}s "
-            f"vs {report.pool_serial_seconds:.3f}s serial"
+            f", quantum makespan {execution['pool_makespan_seconds']:.3f}s "
+            f"vs {execution['pool_serial_seconds']:.3f}s serial"
         )
     print(line)
+    n = result["num_qubits"]
+    if result["mode"] == "fd":
+        print(
+            f"FD query [{result['strategy']}]: {result['num_terms']} "
+            f"Kronecker terms ({result['num_skipped']} skipped), "
+            f"{result['elapsed_seconds']:.3f}s"
+        )
+    elif result["mode"] == "top_k":
+        stream, shard_qubits = result["stream"], result["shard_qubits"]
+        print(
+            f"FD stream: 2^{shard_qubits} shards of 2^{n - shard_qubits} "
+            f"entries ({stream['peak_shard_bytes']} B peak/shard), "
+            f"{stream['elapsed_seconds']:.3f}s, collapse-cache hit rate "
+            f"{stream['cache_hit_rate']:.2f}"
+        )
+    if result["mode"] != "dd":
+        print(f"top {spec.top} states:")
+        _print_states(result["top_states"])
+    else:
+        for recursion in result["recursions"]:
+            fixed = recursion["fixed"]
+            zoomed = "".join(str(fixed.get(str(w), "?")) for w in range(n))
+            print(
+                f"recursion {recursion['index'] + 1}: zoomed={zoomed} "
+                f"active={tuple(recursion['active'])} "
+                f"max-bin p={recursion['max_bin_probability']:.4f}"
+            )
+        stats = result["stats"]
+        print(
+            f"DD stats: {stats['num_recursions']} recursions in "
+            f"{stats['num_rounds']} round(s) (zoom width "
+            f"{stats['zoom_width']}), collapse-cache hit rate "
+            f"{stats['cache_hit_rate']:.2f} ({stats['cache_hits']} hits / "
+            f"{stats['cache_misses']} misses)"
+        )
+        if result["solution_states"]:
+            print(f"solution states (p >= {spec.threshold}):")
+            _print_states(result["solution_states"])
+        else:
+            print("no dominant solution state resolved "
+                  "(dense output or too few recursions)")
+    if "verify_chi2" in document:
+        print(f"chi^2 vs statevector ground truth: {document['verify_chi2']:.6f}")
+    if "verify_max_abs_error" in document:
+        print(f"max |shard - truth| error: {document['verify_max_abs_error']:.3e}")
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    return _run_pipeline_command(args, "cli.run", _command_run_body)
-
-
-def _command_run_body(args: argparse.Namespace, pipeline: CutQC) -> int:
-    quiet = args.json
-    cut = pipeline.cut()
-    n = pipeline.circuit.num_qubits
-    if not quiet:
-        print(cut.summary())
-
-    document = {
-        "command": "run",
-        "benchmark": args.benchmark,
-        "qubits": n,
-        "device_size": args.max_subcircuit_qubits,
-        "num_cuts": cut.num_cuts,
-        "num_subcircuits": cut.num_subcircuits,
-    }
-
-    if args.stream_shards is not None:
-        shard_qubits = args.stream_shards
-        if not 0 <= shard_qubits <= n:
-            print(
-                f"error: --stream-shards must be in [0, {n}]",
-                file=sys.stderr,
-            )
-            return 2
-        max_abs_error = None
-        if args.verify:
-            # A check pass over the shards; the top-k query then finds
-            # every collapse it needs in the pipeline's reconstructor.
-            truth = simulate_probabilities(pipeline.circuit).reshape(
-                1 << shard_qubits, -1
-            )
-            max_abs_error = max(
-                float(np.abs(shard.probabilities - truth[shard.index]).max())
-                for shard in pipeline.fd_stream(shard_qubits)
-            )
-        states = pipeline.fd_top_k(shard_qubits, max(1, args.top))
-        stream_stats = pipeline.stream_stats
-        report = pipeline.execution_report
-        document["execution"] = _execution_report_dict(report)
-        if pipeline.parallel_stats is not None:
-            document["parallel"] = pipeline.parallel_stats.as_dict()
-        document["query"] = {"mode": "fd_stream", **stream_stats.as_dict()}
-        document["top_states"] = [
-            {"state": bits, "probability": probability}
-            for bits, probability in states
-        ]
-        if max_abs_error is not None:
-            document["verify_max_abs_error"] = max_abs_error
-        if quiet:
-            print(json.dumps(document, indent=2))
-            return 0
-        _print_execution_report(report)
-        print(
-            f"FD stream: 2^{shard_qubits} shards of 2^{n - shard_qubits} "
-            f"entries ({stream_stats.peak_shard_bytes} B peak/shard), "
-            f"{stream_stats.elapsed_seconds:.3f}s, collapse-cache hit rate "
-            f"{stream_stats.cache_hit_rate:.2f}"
-        )
-        print(f"top {args.top} states:")
-        for bits, probability in states:
-            print(f"  |{bits}>  p = {probability:.6f}")
-        if max_abs_error is not None:
-            print(f"max |shard - truth| error: {max_abs_error:.3e}")
-        return 0
-
-    result = pipeline.fd_query()
-    report = pipeline.execution_report
-    stats = result.stats
-    probabilities = result.probabilities
-    document["execution"] = _execution_report_dict(report)
-    if pipeline.parallel_stats is not None:
-        document["parallel"] = pipeline.parallel_stats.as_dict()
-    document["query"] = {
-        "mode": "fd",
-        "strategy": stats.strategy,
-        "num_terms": stats.num_terms,
-        "num_skipped": stats.num_skipped,
-        "elapsed_seconds": stats.elapsed_seconds,
-        "subcircuit_order": list(stats.subcircuit_order),
-    }
-    document["top_states"] = [
-        {"state": bits, "probability": probability}
-        for bits, probability in top_states(probabilities, args.top, n)
-    ]
-    verify_loss = None
-    if args.verify:
-        truth = simulate_probabilities(pipeline.circuit)
-        verify_loss = chi_square_loss(np.clip(probabilities, 0, None), truth)
-        document["verify_chi2"] = float(verify_loss)
-    if quiet:
-        print(json.dumps(document, indent=2))
-        return 0
-    _print_execution_report(report)
-    print(
-        f"FD query [{stats.strategy}]: {stats.num_terms} Kronecker terms "
-        f"({stats.num_skipped} skipped), {stats.elapsed_seconds:.3f}s"
-    )
-    from .viz import histogram
-
-    print(f"top {args.top} states:")
-    print(histogram(probabilities, top=args.top))
-    if verify_loss is not None:
-        print(f"chi^2 vs statevector ground truth: {verify_loss:.6f}")
-    return 0
+    query = "fd" if args.stream_shards is None else "top_k"
+    spec = _job_spec(args, query=query, shard_qubits=args.stream_shards)
+    bounds = (("--top", args.top, 1, None),
+              ("--stream-shards", args.stream_shards, 0, args.qubits))
+    return _run_local_job(args, spec, bounds)
 
 
 def _command_dd(args: argparse.Namespace) -> int:
-    for flag, value, least in (("--active", args.active, 1),
-                               ("--recursions", args.recursions, 0),
-                               ("--zoom-width", args.zoom_width, 1)):
-        if value < least:
-            print(f"error: {flag} must be >= {least}", file=sys.stderr)
-            return 2
-    return _run_pipeline_command(args, "cli.dd", _command_dd_body)
-
-
-def _command_dd_body(args: argparse.Namespace, pipeline: CutQC) -> int:
-    quiet = args.json
-    cut = pipeline.cut()
-    if not quiet:
-        print(cut.summary())
-    query = pipeline.dd_query(
-        max_active_qubits=args.active,
-        max_recursions=args.recursions,
-        zoom_width=args.zoom_width,
-    )
-    n = pipeline.circuit.num_qubits
-    states = query.solution_states(threshold=0.25)
-    stats = query.stats()
-    if quiet:
-        document = {
-            "command": "dd",
-            "benchmark": args.benchmark,
-            "qubits": n,
-            "device_size": args.max_subcircuit_qubits,
-            "num_cuts": cut.num_cuts,
-            "num_subcircuits": cut.num_subcircuits,
-            "execution": _execution_report_dict(pipeline.execution_report),
-            "parallel": (
-                pipeline.parallel_stats.as_dict()
-                if pipeline.parallel_stats is not None
-                else None
-            ),
-            "recursions": [
-                {
-                    "index": recursion.index,
-                    "fixed": {str(w): b for w, b in recursion.fixed.items()},
-                    "active": list(recursion.active),
-                    "max_bin_probability": float(
-                        recursion.probabilities.max()
-                    ),
-                    "elapsed_seconds": recursion.elapsed_seconds,
-                }
-                for recursion in query.recursions
-            ],
-            "solution_states": [
-                {"state": bits, "probability": probability}
-                for bits, probability in states
-            ],
-            "stats": stats.as_dict(),
-        }
-        print(json.dumps(document, indent=2))
-        return 0
-    for recursion in query.recursions:
-        zoomed = "".join(
-            str(recursion.fixed[w]) if w in recursion.fixed else "?"
-            for w in range(n)
-        )
-        print(
-            f"recursion {recursion.index + 1}: zoomed={zoomed} "
-            f"active={recursion.active} "
-            f"max-bin p={recursion.probabilities.max():.4f}"
-        )
-    print(
-        f"DD stats: {stats.num_recursions} recursions in "
-        f"{stats.num_rounds} round(s) (zoom width {stats.zoom_width}), "
-        f"collapse-cache hit rate {stats.cache_hit_rate:.2f} "
-        f"({stats.cache_hits} hits / {stats.cache_misses} misses)"
-    )
-    if states:
-        print("solution states (p >= 0.25):")
-        for bits, probability in states[:5]:
-            print(f"  |{bits}>  p = {probability:.6f}")
-    else:
-        print("no dominant solution state resolved "
-              "(dense output or too few recursions)")
-    return 0
+    bounds = (("--active", args.active, 1, None),
+              ("--recursions", args.recursions, 0, None),
+              ("--zoom-width", args.zoom_width, 1, None))
+    return _run_local_job(args, _job_spec(args, query="dd"), bounds)
 
 
 def _command_devices(args: argparse.Namespace) -> int:
@@ -757,53 +661,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_payload(args: argparse.Namespace) -> dict:
-    circuit: dict = {}
-    if args.qasm_file:
-        with open(args.qasm_file) as stream:
-            circuit["qasm"] = stream.read()
-    else:
-        circuit = {
-            "benchmark": args.benchmark,
-            "qubits": args.qubits,
-            "seed": args.seed,
-        }
-    query: dict = {"type": args.query, "top": args.top}
-    if args.query == "dd":
-        query.update(
-            active=args.active,
-            recursions=args.recursions,
-            zoom_width=args.zoom_width,
-        )
-    if args.query == "top_k" and args.shard_qubits is not None:
-        query["shard_qubits"] = args.shard_qubits
-    if args.query == "variational":
-        query.update(
-            iterations=args.iterations,
-            layers=args.layers,
-            degree=args.degree,
-        )
-    payload = {
-        "circuit": circuit,
-        "device_size": args.max_subcircuit_qubits,
-        "max_subcircuits": args.max_subcircuits,
-        "max_cuts": args.max_cuts,
-        "method": args.method,
-        "strategy": args.strategy,
-        "query": query,
-    }
-    if args.tenant:
-        payload["tenant"] = args.tenant
-    if args.device:
-        payload.update(
-            device=args.device,
-            shots=args.device_shots,
-            trajectories=args.trajectories,
-            noisy_method=args.noisy_method,
-        )
-    return payload
-
-
 def _print_job_document(document: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(document, indent=2))
@@ -850,8 +707,7 @@ def _print_job_document(document: dict, as_json: bool) -> None:
         states = result.get("top_states") or result.get("solution_states") or []
         if states:
             print(f"  top states ({result.get('mode')}):")
-            for entry in states:
-                print(f"    |{entry['state']}>  p = {entry['probability']:.6f}")
+            _print_states(states, indent="    ")
 
 
 def _command_submit(args: argparse.Namespace) -> int:
@@ -864,9 +720,14 @@ def _command_submit(args: argparse.Namespace) -> int:
     if args.benchmark and args.qubits is None:
         print("error: --benchmark needs --qubits", file=sys.stderr)
         return 2
+    qasm = None
+    if args.qasm_file:
+        with open(args.qasm_file) as stream:
+            qasm = stream.read()
     try:
         created = request_json(
-            "POST", f"{args.url}/jobs", payload=_submit_payload(args)
+            "POST", f"{args.url}/jobs",
+            payload=_job_spec(args, qasm=qasm).to_dict(),
         )
     except ServiceClientError as error:
         print(f"error: {error}", file=sys.stderr)

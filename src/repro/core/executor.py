@@ -106,6 +106,18 @@ class ExecutionReport:
             return 1.0
         return self.num_variants / self.num_unique_circuits
 
+    def as_dict(self) -> Dict:
+        """The job document's ``execution`` block."""
+        return {
+            "mode": self.mode,
+            "num_variants": self.num_variants,
+            "num_unique_circuits": self.num_unique_circuits,
+            "dedup_ratio": self.dedup_ratio,
+            "num_body_passes": self.num_body_passes,
+            "pool_makespan_seconds": self.pool_makespan_seconds,
+            "pool_serial_seconds": self.pool_serial_seconds,
+        }
+
 
 def _run_init_batch(payload):
     """One work unit: an init batch of one body-key group.

@@ -1,6 +1,6 @@
 """Multi-tenant admission control and weighted-fair scheduling.
 
-Every :class:`~repro.service.scheduler.JobSpec` names a *tenant* (the
+Every :class:`~repro.core.job.JobSpec` names a *tenant* (the
 default tenant is ``"default"``).  The scheduler consults a
 :class:`TenantConfig` at two points:
 
@@ -33,6 +33,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, Optional, Tuple
 
+from ..core.job import DEFAULT_TENANT
+
 __all__ = [
     "DEFAULT_TENANT",
     "FairQueue",
@@ -40,8 +42,6 @@ __all__ = [
     "TenantConfig",
     "TenantPolicy",
 ]
-
-DEFAULT_TENANT = "default"
 
 
 class QuotaExceededError(RuntimeError):

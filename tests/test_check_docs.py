@@ -1,4 +1,5 @@
-"""tools/check_docs.py: the cache-label check reads the documented row."""
+"""tools/check_docs.py: the cache-label and result-key checks read the
+documents they guard."""
 
 import importlib.util
 import pathlib
@@ -35,3 +36,21 @@ def test_a_label_missing_from_the_row_is_flagged(tmp_path):
     copy.write_text(doc, encoding="utf-8")
     errors = check_docs.check_cache_labels(copy)
     assert errors and all("'collapse'" in error for error in errors)
+
+
+def test_the_api_doc_names_every_result_key():
+    assert check_docs.check_result_keys() == []
+
+
+def test_a_result_key_missing_from_the_api_doc_is_flagged(tmp_path):
+    doc = (ROOT / "docs" / "http_api.md").read_text(encoding="utf-8")
+    assert "`max_bin_probability`" in doc
+    copy = tmp_path / "http_api.md"
+    copy.write_text(
+        doc.replace("`max_bin_probability`", "the largest bin"),
+        encoding="utf-8",
+    )
+    errors = check_docs.check_result_keys(copy)
+    assert errors == [
+        "docs/http_api.md: result key 'max_bin_probability' is not documented"
+    ]

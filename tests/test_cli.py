@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -266,10 +269,10 @@ class TestJsonOutput:
         assert code == 0
         document = json.loads(capsys.readouterr().out)
         assert document["command"] == "run"
-        assert document["query"]["mode"] == "fd"
-        assert "workers" not in document["query"]
+        assert document["result"]["mode"] == "fd"
+        assert "workers" not in document["result"]
         assert document["execution"]["num_variants"] > 0
-        assert document["top_states"][0]["state"] == "111111"
+        assert document["result"]["top_states"][0]["state"] == "111111"
         assert document["verify_chi2"] == pytest.approx(0.0, abs=1e-9)
 
     def test_run_stream_json(self, capsys):
@@ -280,10 +283,10 @@ class TestJsonOutput:
         )
         assert code == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["query"]["mode"] == "fd_stream"
-        assert document["query"]["num_shards_emitted"] == 4
-        assert document["query"]["peak_shard_bytes"] == (1 << 4) * 8
-        assert document["top_states"][0]["state"] == "111111"
+        assert document["result"]["mode"] == "top_k"
+        assert document["result"]["stream"]["num_shards_emitted"] == 4
+        assert document["result"]["stream"]["peak_shard_bytes"] == (1 << 4) * 8
+        assert document["result"]["top_states"][0]["state"] == "111111"
 
     def test_run_json_parallel_keys(self, capsys):
         code = main(
@@ -309,12 +312,13 @@ class TestJsonOutput:
         assert code == 0
         document = json.loads(capsys.readouterr().out)
         assert document["command"] == "dd"
-        assert document["stats"]["zoom_width"] == 2
-        assert document["stats"]["cache_hits"] + document["stats"][
+        result = document["result"]
+        assert result["stats"]["zoom_width"] == 2
+        assert result["stats"]["cache_hits"] + result["stats"][
             "cache_misses"
         ] > 0
-        assert document["solution_states"][0]["state"] == "111111"
-        assert len(document["recursions"]) >= 1
+        assert result["solution_states"][0]["state"] == "111111"
+        assert len(result["recursions"]) >= 1
 
     def test_dd_human_output_reports_cache(self, capsys):
         code = main(
@@ -349,3 +353,79 @@ class TestJsonOutput:
         assert "bogota" in presets
         assert presets["bogota"]["num_qubits"] == 5
         assert presets["bogota"]["coupling_map"]
+
+
+_BV6 = ["--benchmark", "bv", "--qubits", "6", "--device-size", "5"]
+
+
+class TestLocalJob:
+    """``run`` and ``dd`` are local jobs: one document, the service's result."""
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [(["run", "--top", "3"], dict(query="fd", top=3)),
+         (["run", "--top", "3", "--stream-shards", "2"],
+          dict(query="top_k", top=3, shard_qubits=2)),
+         (["dd", "--active", "2", "--recursions", "4", "--zoom-width", "2"],
+          dict(query="dd", active=2, recursions=4, zoom_width=2))],
+        ids=["fd", "top_k", "dd"],
+    )
+    def test_result_is_the_services(self, argv, fields, tmp_path, capsys):
+        from repro.service import ArtifactStore, JobScheduler, JobSpec
+
+        assert main([*argv, *_BV6, "--json"]) == 0
+        local = json.loads(capsys.readouterr().out)["result"]
+        scheduler = JobScheduler(
+            ArtifactStore(tmp_path / "store"), workers=1, journal=False
+        )
+        try:
+            spec = JobSpec(device_size=5, benchmark="bv", qubits=6, **fields)
+            record = scheduler.wait(scheduler.submit(spec), timeout=60)
+        finally:
+            scheduler.shutdown()
+        assert record.state == "done", record.error
+        timings = ("elapsed_seconds", "stats", "stream")
+
+        def untimed(result):
+            return {k: v for k, v in result.items() if k not in timings}
+
+        assert untimed(local) == untimed(record.result)
+        assert set(local) == set(record.result)
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [(["run"], set()),
+         (["run", "--verify"], {"verify_chi2"}),
+         (["run", "--stream-shards", "2", "--verify"],
+          {"verify_max_abs_error"}),
+         (["run", "--pool-workers", "1"], {"parallel"}),
+         (["dd", "--recursions", "4"], set())],
+    )
+    def test_document_keys(self, argv, extra, capsys):
+        assert main([*argv, *_BV6, "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert set(document) == {"command", "execution", "result"} | extra
+
+    @pytest.mark.parametrize("extra", [[], ["--stream-shards", "2"]])
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_exits_2(self, top, extra, capsys):
+        assert main(["run", *_BV6, "--top", top, *extra]) == 2
+        captured = capsys.readouterr()
+        assert "--top" in captured.err and captured.out == ""
+
+    def test_run_and_dd_leave_the_service_unimported(self):
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"assert main(['run', *{_BV6!r}, '--stream-shards', '2']) == 0\n"
+            f"assert main(['dd', *{_BV6!r}, '--recursions', '2']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "'repro.service')))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"

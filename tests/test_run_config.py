@@ -172,7 +172,8 @@ class TestConsumers:
 
 #: The modules that consume a RunConfig.
 _CONSUMERS = (
-    "core/pipeline.py", "core/executor.py", "service/scheduler.py", "cli.py"
+    "core/pipeline.py", "core/executor.py", "core/job.py",
+    "service/scheduler.py", "cli.py",
 )
 #: Per-circuit device paths take no RunConfig, but read the trajectory
 #: default from the same place (``NoisyEvalSpec``).
@@ -187,7 +188,7 @@ _ALIASES = {"device_size", "shots"}
 #: the circuit side; ``dd_query``'s ``seed`` seeds one query's shot
 #: draws, and ``fd_query``'s ``strategy=None`` means the config's.
 _NOT_OPTIONS = {
-    ("service/scheduler.py", "JobSpec", "seed"),
+    ("core/job.py", "JobSpec", "seed"),
     ("cli.py", "add_circuit_options", "seed"),
     ("core/pipeline.py", "dd_query", "seed"),
     ("core/pipeline.py", "fd_query", "strategy"),

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate for the documentation tree.
 
-Seven checks, two over every tracked Markdown file:
+Eight checks, two over every tracked Markdown file:
 
 1. **Links** — every intra-repo link (``[text](path)`` and
    ``[text](path#anchor)``) must resolve to an existing file, and when
@@ -26,7 +26,11 @@ Seven checks, two over every tracked Markdown file:
 6. **Job fields** — every ``JobSpec`` field is named in code in
    ``docs/http_api.md``, so the service never accepts a field its
    reader cannot look up.
-7. **Pool task kinds** — the ``kind`` list of ``repro_pool_tasks_total``
+7. **Result keys** — every key of a job's ``result`` (``run_query``'s
+   fd, top_k and dd answers on bv-6, nested keys included) is named in
+   code in ``docs/http_api.md``, so a result never carries a key its
+   reader cannot look up.
+8. **Pool task kinds** — the ``kind`` list of ``repro_pool_tasks_total``
    in ``docs/metrics.md`` is exactly the set of task kinds the
    ``WorkerPool`` records (every kind but the ``cache-stats`` probe).
 
@@ -36,8 +40,8 @@ Usage::
     python tools/check_docs.py --no-run   # everything but the snippets
 
 Exit status is non-zero on any broken link, failing snippet,
-undocumented span name, backend tag, cache label, job field or pool
-task kind.
+undocumented span name, backend tag, cache label, job field, result
+key or pool task kind.
 """
 
 from __future__ import annotations
@@ -189,7 +193,7 @@ def check_backend_tags() -> List[str]:
     """Store tags of a job's ``RunConfig.evaluation_identity()`` that
     ``docs/architecture.md`` does not show backticked."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.service.scheduler import JobSpec
+    from repro.core.job import JobSpec
 
     base = dict(device_size=5, benchmark="bv", qubits=6)
     specs = [JobSpec(**base)] + [
@@ -212,15 +216,10 @@ def check_backend_tags() -> List[str]:
     ]
 
 
-def check_job_fields() -> List[str]:
-    """``JobSpec`` fields no code span of ``docs/http_api.md`` names."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.service.scheduler import JobSpec
-
+def _code_words(path: pathlib.Path) -> set:
+    """Every word inside a code span or a fenced block of ``path``."""
     code, fence = [], None
-    for line in (REPO_ROOT / "docs" / "http_api.md").read_text(
-        encoding="utf-8"
-    ).splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         match = _FENCE.match(line)
         if fence is not None:
             fence = None if line.startswith(fence) else fence
@@ -229,11 +228,50 @@ def check_job_fields() -> List[str]:
             fence = match.group(1)
         else:
             code.extend(_CODE.findall(line))
-    named = set(re.findall(r"\w+", "\n".join(code)))
+    return set(re.findall(r"\w+", "\n".join(code)))
+
+
+def check_job_fields() -> List[str]:
+    """``JobSpec`` fields no code span of ``docs/http_api.md`` names."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.core.job import JobSpec
+
+    named = _code_words(REPO_ROOT / "docs" / "http_api.md")
     return [
         f"docs/http_api.md: JobSpec field '{name}' is not documented"
         for name in JobSpec.__dataclass_fields__
         if name not in named
+    ]
+
+
+def check_result_keys(
+    api_doc: pathlib.Path = REPO_ROOT / "docs" / "http_api.md",
+) -> List[str]:
+    """Keys of ``run_query``'s fd, top_k and dd results on bv-6 (nested
+    ones too; a recursion's ``fixed`` is keyed by wire) that no code span
+    of ``api_doc`` names."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.core import CutQC
+    from repro.core.job import JobSpec, run_query
+
+    keys: set = set()
+    pipeline = None
+    for query in ("fd", "top_k", "dd"):
+        spec = JobSpec(device_size=5, benchmark="bv", qubits=6, query=query)
+        if pipeline is None:
+            pipeline = CutQC(spec.build_circuit(), config=spec.run_config())
+        pending = [run_query(pipeline, spec)]
+        while pending:
+            value = pending.pop()
+            if isinstance(value, list):
+                pending.extend(value)
+            elif isinstance(value, dict):
+                keys.update(value)
+                pending.extend(v for k, v in value.items() if k != "fixed")
+    named = _code_words(api_doc)
+    return [
+        f"docs/http_api.md: result key '{key}' is not documented"
+        for key in sorted(keys - named)
     ]
 
 
@@ -325,7 +363,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-run", action="store_true",
         help="check links, span names, cache labels, backend tags, job "
-        "fields and pool task kinds; skip executing runnable snippets",
+        "fields, result keys and pool task kinds; skip executing runnable "
+        "snippets",
     )
     args = parser.parse_args(argv)
 
@@ -333,7 +372,8 @@ def main(argv=None) -> int:
     print(f"checking {len(files)} markdown files")
     errors = (
         check_links(files) + check_span_names() + check_cache_labels()
-        + check_backend_tags() + check_job_fields() + check_pool_kinds()
+        + check_backend_tags() + check_job_fields() + check_result_keys()
+        + check_pool_kinds()
     )
     if not args.no_run:
         errors += run_snippets(files)
