@@ -29,7 +29,9 @@ Run the job service and submit work to it::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -380,7 +382,9 @@ def _run_local_job(args: argparse.Namespace, spec: JobSpec, bounds) -> int:
                 _close_worker_pool(pipeline)
                 pipeline = _build_pipeline(spec, config, 0)
             except Exception as error:  # noqa: BLE001 - taxonomy below
-                if attempt > max_retries or not is_transient(error):
+                # A closed stdout ends the command (see main), not the job.
+                retry = is_transient(error) and not isinstance(error, BrokenPipeError)
+                if attempt > max_retries or not retry:
                     raise
                 print(
                     f"warning: transient fault "
@@ -834,7 +838,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "jobs": _command_jobs,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro dd ... --json | head``): nothing
+        # more can be written, so stop quietly, and stop the exit flush
+        # from failing again.
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CutSearchError as error:
         verdict = "proved infeasible" if error.proved else "not proved infeasible"
         print(f"cut search failed ({verdict}): {error}", file=sys.stderr)

@@ -102,6 +102,7 @@ class JobSpec:
                 )
             check_count("iterations", self.iterations, 1)
             check_count("layers", self.layers, 1)
+        if self.benchmark == "qaoa":  # every qaoa circuit reads its graph
             check_count("degree", self.degree)  # 0 = the ring graph
             if self.degree:
                 if self.degree >= self.qubits:

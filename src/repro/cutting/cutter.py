@@ -89,26 +89,50 @@ class BodyKey:
         return BodyKey, self.content
 
 
-@dataclass
+@dataclass(frozen=True)
 class Subcircuit:
     """A standalone piece of the cut circuit, plus its cut-role metadata.
 
-    ``body_key`` is computed once, at construction: a subcircuit's
-    circuit and lines are not changed after it is built.
+    Frozen, with ``lines`` a tuple: the line views, the cut ids and
+    ``body_key`` are computed once, at construction, so they cannot go
+    stale.  A rebind builds new subcircuits instead of editing these.
     """
 
     index: int
     circuit: QuantumCircuit
-    lines: List[SubcircuitLine] = field(default_factory=list)
+    lines: Tuple[SubcircuitLine, ...] = ()
+    #: Lines initialized by a cut (rho_c of Eq. 5), in line order.
+    init_lines: Tuple[SubcircuitLine, ...] = field(init=False, repr=False, compare=False)
+    #: Lines measured into a cut (O_c of Eq. 6), in line order.
+    meas_lines: Tuple[SubcircuitLine, ...] = field(init=False, repr=False, compare=False)
+    #: Lines contributing to the uncut output (f_c of Eq. 7), in order.
+    output_lines: Tuple[SubcircuitLine, ...] = field(init=False, repr=False, compare=False)
+    #: All cut ids attached to this subcircuit, sorted.
+    cut_ids: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     body_key: BodyKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.body_key = BodyKey(
-            self.width,
-            self.circuit.gates,
-            tuple(line.line for line in self.init_lines),
-            tuple(line.line for line in self.meas_lines),
-        )
+        lines = tuple(self.lines)
+        init_lines = tuple(line for line in lines if line.init_cut is not None)
+        meas_lines = tuple(line for line in lines if line.meas_cut is not None)
+        derived = {
+            "lines": lines,
+            "init_lines": init_lines,
+            "meas_lines": meas_lines,
+            "output_lines": tuple(line for line in lines if line.is_output),
+            "cut_ids": tuple(sorted(
+                [line.init_cut for line in init_lines]
+                + [line.meas_cut for line in meas_lines]
+            )),
+            "body_key": BodyKey(
+                self.circuit.num_qubits,
+                self.circuit.gates,
+                tuple(line.line for line in init_lines),
+                tuple(line.line for line in meas_lines),
+            ),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def width(self) -> int:
@@ -116,30 +140,8 @@ class Subcircuit:
         return self.circuit.num_qubits
 
     @property
-    def init_lines(self) -> List[SubcircuitLine]:
-        """Lines initialized by a cut (rho_c of Eq. 5), in line order."""
-        return [line for line in self.lines if line.init_cut is not None]
-
-    @property
-    def meas_lines(self) -> List[SubcircuitLine]:
-        """Lines measured into a cut (O_c of Eq. 6), in line order."""
-        return [line for line in self.lines if line.meas_cut is not None]
-
-    @property
-    def output_lines(self) -> List[SubcircuitLine]:
-        """Lines contributing to the uncut output (f_c of Eq. 7), in order."""
-        return [line for line in self.lines if line.is_output]
-
-    @property
     def num_effective(self) -> int:
         return len(self.output_lines)
-
-    @property
-    def cut_ids(self) -> List[int]:
-        """All cut ids attached to this subcircuit, sorted."""
-        ids = [line.init_cut for line in self.lines if line.init_cut is not None]
-        ids += [line.meas_cut for line in self.lines if line.meas_cut is not None]
-        return sorted(ids)
 
 
 class CutCircuit:

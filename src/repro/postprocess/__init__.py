@@ -22,8 +22,6 @@ from .plan import (
     PreparedPlan,
     QueryPlan,
     binned_tensor,
-    restricted_signature,
-    generalized_signature,
 )
 from .reconstruct import (
     ReconstructionResult,
@@ -62,8 +60,6 @@ __all__ = [
     "PlanExecution",
     "PreparedPlan",
     "QueryPlan",
-    "restricted_signature",
-    "generalized_signature",
     "ParallelStats",
     "WorkerPool",
     "Shard",

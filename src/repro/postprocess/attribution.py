@@ -148,7 +148,7 @@ class TermTensor:
 
     def __post_init__(self) -> None:
         if self.nonzero is None:
-            self.nonzero = np.any(self.data != 0.0, axis=1)
+            self.nonzero = np.logical_or.reduce(self.data != 0.0, axis=1)
 
     @property
     def num_cuts(self) -> int:

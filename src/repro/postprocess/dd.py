@@ -12,7 +12,9 @@ This implementation is built for scale:
 
 * every recursion is a :class:`~repro.postprocess.plan.QueryPlan` — the
   same abstraction the FD and streaming-FD paths dispatch through, and on
-  a pipeline the same provider (one collapse cache per result set);
+  a pipeline the same provider (one collapse cache per result set).  The
+  recursions at one depth fix the same wires and activate the same ones,
+  so their roles and collapse-cache keys are derived once per depth;
 * collapsed subcircuit tensors are cached by their restricted role
   signature (:class:`~repro.postprocess.plan.CachingTensorProvider`), so
   sibling bins and successive recursions reuse collapses instead of
@@ -21,7 +23,8 @@ This implementation is built for scale:
   plus a boolean ``zoomed`` mask (9 B per bin), and :class:`Bin` values
   are materialised only for what a caller reads;
 * the bin frontier is a k-way merge — each expandable recursion keeps
-  one stable descending order of its probabilities and the heap holds
+  a prefix of the stable descending order of its probabilities, sorted
+  lazily and extended when its cursor reaches the end, and the heap holds
   one cursor per recursion, so its size is <= the number of recursions
   and bins are chosen highest probability first, ties by recursion then
   bin index;
@@ -47,7 +50,7 @@ from ..obs import trace
 from ..obs.metrics import get_registry
 from ..utils import check_count
 from .engine import ContractionEngine
-from .plan import QueryPlan, TensorProvider, collapse_lookups
+from .plan import Piece, PreparedPlan, QueryPlan, TensorProvider
 
 __all__ = [
     "Bin",
@@ -64,6 +67,27 @@ _DD_CACHE = get_registry().counter(
     "DD collapse-cache lookups by outcome (hit/miss).",
     ("outcome",),
 )
+
+
+#: Ranks a new recursion sorts up front; a query pops few of them.
+_FIRST_RANKS = 16
+
+
+def _descending_prefix(probabilities: np.ndarray, count: int) -> np.ndarray:
+    """At least the first ``count`` entries of
+    ``np.argsort(-probabilities, kind="stable")``, exactly.
+
+    The bins at or above the ``count``-th largest value, ties included,
+    are that sort's first ranks; only they are sorted (stably, in index
+    order, so ties keep their order).
+    """
+    negated = -probabilities
+    if 16 * count < negated.size:  # below that, one full sort is cheaper
+        threshold = np.partition(negated, count - 1)[count - 1]
+        if not np.isnan(threshold):  # NaNs sort last: beyond any prefix
+            head = np.flatnonzero(negated <= threshold)
+            return head[np.argsort(negated[head], kind="stable")]
+    return np.argsort(negated, kind="stable")
 
 
 @dataclass
@@ -106,9 +130,10 @@ class DDRecursion:
 
     The recursion owns its ``2**len(active)`` bins as arrays: bin ``i``
     has mass ``probabilities[i]`` and ``zoomed[i]`` is set once a later
-    recursion refined it.  ``order`` is the stable descending sort of the
-    probabilities the query's frontier walks; it exists only while the
-    recursion still has bins to expand.
+    recursion refined it.  ``order`` is the prefix of the stable
+    descending sort of the probabilities that the query's frontier has
+    needed so far; it exists only while the recursion still has bins to
+    expand.
     """
 
     index: int
@@ -216,9 +241,10 @@ class DynamicDefinitionQuery:
         self._num_rounds = 0
         self._collapse_seconds = 0.0
         self._contract_seconds = 0.0
-        # Snapshot the provider's cache counters so stats() reports this
-        # query's hits/misses even when the provider is reused.
-        self._cache_base = collapse_lookups(self.provider)
+        self._cache_lookups = [0, 0]  # this query's collapse hits, misses
+        # Recursions with the same number of fixed wires fix the same
+        # prefix of ``active_order`` and activate the next wires of it.
+        self._depths: Dict[int, Tuple] = {}
 
     # ------------------------------------------------------------------
     def run(self, max_recursions: int) -> List[DDRecursion]:
@@ -230,136 +256,150 @@ class DynamicDefinitionQuery:
         """
         max_recursions = check_count("max_recursions", max_recursions)
         target = len(self.recursions) + max_recursions
-        while len(self.recursions) < target:
-            if self.recursions and not self._frontier:
-                break  # nothing left to zoom into
-            width = min(self.zoom_width, target - len(self.recursions))
-            self._expand_round(width)
+        rounds, (hits, misses) = self._num_rounds, self._cache_lookups
+        try:
+            while len(self.recursions) < target:
+                if self.recursions and not self._frontier:
+                    break  # nothing left to zoom into
+                width = min(self.zoom_width, target - len(self.recursions))
+                self._expand_round(width)
+        finally:  # the process metrics, once per call
+            _DD_ROUNDS.inc(self._num_rounds - rounds)
+            for outcome, now, then in zip(
+                ("hit", "miss"), self._cache_lookups, (hits, misses)
+            ):
+                if now > then:
+                    _DD_CACHE.inc(now - then, outcome=outcome)
         return self.recursions
 
     def step(self) -> DDRecursion:
         """One DD recursion: choose a bin, zoom, reconstruct, re-bin."""
-        return self._expand_round(1)[0]
+        if self.recursions and not self._frontier:
+            raise RuntimeError("no expandable bin remains")
+        return self.run(1)[-1]
 
     def _expand_round(self, width: int) -> List[DDRecursion]:
         """Expand up to ``width`` frontier bins as one batched round."""
-        before = collapse_lookups(self.provider)
         with trace.span("query.dd.round", {"width": width}):
-            recursions = self._expand_round_impl(width)
-        _DD_ROUNDS.inc()
-        hits, misses = collapse_lookups(self.provider, before)
-        if hits:
-            _DD_CACHE.inc(hits, outcome="hit")
-        if misses:
-            _DD_CACHE.inc(misses, outcome="miss")
+            parents: List[Optional[Bin]] = []
+            if not self.recursions:
+                parents.append(None)  # the root recursion has no parent bin
+            else:
+                for _ in range(width):  # run() leaves at least one
+                    parent = self._pop_bin()
+                    if parent is None:
+                        break
+                    parents.append(parent)
+
+            prepared = []
+            collapse_seconds: List[float] = []
+            for parent in parents:
+                fixed = {} if parent is None else parent.assignment
+                plan, pieces, layout = self._depth(len(fixed))
+                with trace.span(
+                    "query.dd.prepare",
+                    {"fixed": len(fixed), "active": len(plan.active)},
+                ) as prepare_span:
+                    collapse_began = time.perf_counter()
+                    collapsed, hits, misses = self.provider.collapse_pieces(
+                        pieces, fixed
+                    )
+                    if layout:  # every bin of a depth contracts alike
+                        tensors = [item[0] for item in collapsed]
+                        prep = PreparedPlan(plan, tensors, *layout)
+                    else:
+                        prep = plan.assemble(collapsed)
+                        layout.extend((prep.order, prep.permutation))
+                    collapse_seconds.append(time.perf_counter() - collapse_began)
+                    prepare_span.set(cache_hits=hits, cache_misses=misses)
+                self._cache_lookups[0] += hits
+                self._cache_lookups[1] += misses
+                prepared.append((parent, fixed, prep))
+
+            contract_began = time.perf_counter()
+            if len(prepared) == 1:
+                executions = [prepared[0][2].contract(self.engine)]
+            else:
+                contractions = self.engine.contract_batch(
+                    [prep.payload for *_, prep in prepared]
+                )
+                executions = [
+                    prep.finish(contraction)
+                    for (*_, prep), contraction in zip(prepared, contractions)
+                ]
+            contract_elapsed = time.perf_counter() - contract_began
+            self._collapse_seconds += sum(collapse_seconds)
+            self._contract_seconds += contract_elapsed
+            self._num_rounds += 1
+
+            recursions: List[DDRecursion] = []
+            share = contract_elapsed / len(prepared)
+            for (parent, fixed, prep), execution, collapsed_s in zip(
+                prepared, executions, collapse_seconds
+            ):
+                recursion = DDRecursion(
+                    index=len(self.recursions),
+                    fixed=fixed,
+                    active=prep.plan.active,
+                    probabilities=execution.probabilities,
+                    elapsed_seconds=collapsed_s + share,
+                    parent_bin=parent,
+                )
+                self.recursions.append(recursion)
+                recursions.append(recursion)
+                if recursion.num_resolved < self.provider.num_qubits:
+                    # Expandable: its bins enter the frontier, heaviest first.
+                    recursion.order = _descending_prefix(
+                        recursion.probabilities, _FIRST_RANKS
+                    )
+                    self._push(recursion, 0)
         return recursions
 
-    def _expand_round_impl(self, width: int) -> List[DDRecursion]:
-        parents: List[Optional[Bin]] = []
-        if not self.recursions:
-            parents.append(None)  # the root recursion has no parent bin
-        else:
-            for _ in range(width):
-                parent = self._pop_bin()
-                if parent is None:
-                    if not parents:
-                        raise RuntimeError("no expandable bin remains")
-                    break
-                parents.append(parent)
-
-        prepared = []
-        collapse_seconds: List[float] = []
-        for parent in parents:
-            fixed = {} if parent is None else parent.assignment
-            active = self._next_active(fixed)
+    def _depth(self, num_fixed: int) -> Tuple[QueryPlan, List[Piece], List]:
+        """What every recursion that fixes ``num_fixed`` wires shares: the
+        plan of its all-zeros bin, the provider's pieces of its roles, and
+        (once known) the contraction order and output permutation."""
+        depth = self._depths.get(num_fixed)
+        if depth is None:
+            order = self.active_order
+            active = order[num_fixed : num_fixed + self.max_active_qubits]
             if not active:
                 raise RuntimeError("no merged qubit remains to activate")
             plan = QueryPlan.binned(
-                self.provider.num_qubits,
-                self.provider.num_cuts,
-                fixed,
-                active,
+                self.provider.num_qubits, self.provider.num_cuts,
+                dict.fromkeys(order[:num_fixed], 0), active,
             )
-            before = collapse_lookups(self.provider)
-            with trace.span(
-                "query.dd.prepare",
-                {"fixed": len(fixed), "active": len(active)},
-            ) as prepare_span:
-                collapse_began = time.perf_counter()
-                prep = plan.prepared(self.provider)
-                collapse_seconds.append(time.perf_counter() - collapse_began)
-                hits, misses = collapse_lookups(self.provider, before)
-                prepare_span.set(cache_hits=hits, cache_misses=misses)
-            prepared.append((parent, fixed, tuple(active), prep))
-
-        contract_began = time.perf_counter()
-        contractions = self.engine.contract_batch(
-            [prep.payload for *_, prep in prepared]
-        )
-        executions = [
-            prep.finish(contraction)
-            for (*_, prep), contraction in zip(prepared, contractions)
-        ]
-        contract_elapsed = time.perf_counter() - contract_began
-        self._collapse_seconds += sum(collapse_seconds)
-        self._contract_seconds += contract_elapsed
-        self._num_rounds += 1
-
-        recursions: List[DDRecursion] = []
-        share = contract_elapsed / len(prepared)
-        for (parent, fixed, active, _), execution, collapsed_s in zip(
-            prepared, executions, collapse_seconds
-        ):
-            recursion = DDRecursion(
-                index=len(self.recursions),
-                fixed=fixed,
-                active=active,
-                probabilities=execution.probabilities,
-                elapsed_seconds=collapsed_s + share,
-                parent_bin=parent,
-            )
-            self.recursions.append(recursion)
-            recursions.append(recursion)
-            if recursion.num_resolved < self.provider.num_qubits:
-                # Expandable: its bins enter the frontier, heaviest first.
-                recursion.order = np.argsort(
-                    -recursion.probabilities, kind="stable"
-                )
-                self._push(recursion, 0)
-        return recursions
+            pieces = self.provider.pieces(plan.roles)
+            depth = self._depths[num_fixed] = (plan, pieces, [])
+        return depth
 
     def _push(self, recursion: DDRecursion, rank: int) -> None:
-        """Put the recursion's cursor for ``order[rank]`` on the heap."""
+        """Put the recursion's cursor for rank ``rank`` on the heap,
+        extending its sorted prefix if the rank lies past it."""
+        if rank == recursion.order.size:
+            recursion.order = _descending_prefix(
+                recursion.probabilities, 2 * rank
+            )
         probability = float(recursion.probabilities[recursion.order[rank]])
         heapq.heappush(self._frontier, (-probability, recursion.index, rank))
-
-    # ------------------------------------------------------------------
-    def _peek_bin(self) -> Optional[Bin]:
-        """The bin :meth:`_pop_bin` would return, without removing it."""
-        if not self._frontier:
-            return None
-        _, which, rank = self._frontier[0]
-        recursion = self.recursions[which]
-        return recursion.bins(recursion.order[rank : rank + 1])[0]
 
     def _pop_bin(self) -> Optional[Bin]:
         """Remove, mark zoomed and return the highest-probability
         expandable bin; its recursion's cursor moves to the next rank."""
-        chosen = self._peek_bin()
-        if chosen is None:
+        if not self._frontier:
             return None
         _, which, rank = heapq.heappop(self._frontier)
         recursion = self.recursions[which]
-        recursion.zoomed[chosen.index] = chosen.zoomed = True
-        if rank + 1 < recursion.order.size:
+        index = int(recursion.order[rank])
+        recursion.zoomed[index] = True
+        if rank + 1 < recursion.probabilities.size:
             self._push(recursion, rank + 1)
         else:
             recursion.order = None  # exhausted: release the sort order
-        return chosen
-
-    def _next_active(self, fixed: Dict[int, int]) -> List[int]:
-        remaining = [w for w in self.active_order if w not in fixed]
-        return remaining[: self.max_active_qubits]
+        return Bin(
+            recursion.fixed, recursion.active, index,
+            float(recursion.probabilities[index]), which, zoomed=True,
+        )
 
     # ------------------------------------------------------------------
     # Query products
@@ -413,9 +453,7 @@ class DynamicDefinitionQuery:
 
     def stats(self) -> DDStats:
         """Latency, cache and frontier statistics for the query so far."""
-        # Deltas against the construction-time snapshot: the counters
-        # must describe *this query*, not the provider's lifetime.
-        hits, misses = collapse_lookups(self.provider, self._cache_base)
+        hits, misses = self._cache_lookups
         return DDStats(
             num_recursions=len(self.recursions),
             num_rounds=self._num_rounds,
@@ -423,7 +461,7 @@ class DynamicDefinitionQuery:
             num_bins=sum(r.probabilities.size for r in self.recursions),
             # Each cursor stands for the bins at and after its rank.
             frontier_size=sum(
-                self.recursions[which].order.size - rank
+                self.recursions[which].probabilities.size - rank
                 for _, which, rank in self._frontier
             ),
             total_elapsed_seconds=sum(

@@ -90,16 +90,28 @@ class ContractionResult:
 # kron strategy: blocked/batched Kronecker accumulation
 # ----------------------------------------------------------------------
 
+#: The rows of a tensor that carries every cut, in order, over all 4^K
+#: assignments: each assignment is its own row.
+_EVERY_ROW = slice(None)
+
+
 def _row_indices(
-    tensor: TermTensor, assignments: np.ndarray, num_cuts: int, memo=None
-) -> np.ndarray:
-    """Vectorized map from global assignment indices to tensor rows; with
-    a ``memo``, a whole-``4^K`` chunk is mapped once per cut order."""
-    if memo is not None and assignments.size == 4**num_cuts:
+    tensor: TermTensor, start: int, stop: int, num_cuts: int, memo=None
+):
+    """Vectorized map from the global assignments ``[start, stop)`` to
+    tensor rows; with a ``memo``, the whole ``4^K`` range is mapped once
+    per cut order (and to :data:`_EVERY_ROW` when it is the identity)."""
+    if memo is not None and stop - start == 4**num_cuts:
         key = (tuple(tensor.cut_order), num_cuts)
-        if key not in memo:
-            memo[key] = _row_indices(tensor, assignments, num_cuts)
-        return memo[key]
+        rows = memo.get(key)
+        if rows is None:
+            identity = list(key[0]) == list(range(num_cuts))
+            rows = memo[key] = (
+                _EVERY_ROW if identity
+                else _row_indices(tensor, start, stop, num_cuts)
+            )
+        return rows
+    assignments = np.arange(start, stop, dtype=np.int64)
     rows = np.zeros(assignments.shape, dtype=np.int64)
     for cut_id in tensor.cut_order:
         digit = (assignments >> (2 * (num_cuts - 1 - cut_id))) & 3
@@ -111,13 +123,11 @@ def _accumulate_range(
     tensors: Sequence[TermTensor],
     order: Sequence[int],
     num_cuts: int,
-    start: int,
-    stop: int,
     early_termination: bool,
     block_elements: int = _BLOCK_ELEMENTS,
     rows_memo: Optional[Dict] = None,
 ) -> Tuple[np.ndarray, int]:
-    """Sum the Kronecker terms for assignments in ``[start, stop)``.
+    """Sum the Kronecker terms of all ``4^K`` assignments.
 
     Surviving assignments are contracted per *block*: all-but-the-last
     vectors are combined with one broadcasted outer product into a
@@ -127,33 +137,33 @@ def _accumulate_range(
     under ``block_elements`` elements.
     """
     ordered = [tensors[i] for i in order]
-    total_qubits = sum(t.num_effective for t in ordered)
-    accumulator = np.zeros(1 << total_qubits)
-    skipped = 0
     lengths = [1 << t.num_effective for t in ordered]
-    prefix_len = 1
-    for length in lengths[:-1]:
-        prefix_len *= length
+    prefix_len = math.prod(lengths[:-1])
+    accumulator = np.zeros(prefix_len * lengths[-1])
+    skipped = 0
     # Both the prefix block and the gathered last-tensor rows must stay
     # within the element budget.
-    widest = max(prefix_len, max(lengths))
-    rows_per_block = max(1, block_elements // max(1, widest))
-    for chunk_start in range(start, stop, _CHUNK):
-        chunk_stop = min(chunk_start + _CHUNK, stop)
-        assignments = np.arange(chunk_start, chunk_stop, dtype=np.int64)
-        rows = [_row_indices(t, assignments, num_cuts, rows_memo) for t in ordered]
+    rows_per_block = max(1, block_elements // max(prefix_len, *lengths))
+    for chunk_start in range(0, 4**num_cuts, _CHUNK):
+        chunk_stop = min(chunk_start + _CHUNK, 4**num_cuts)
+        rows = [
+            _row_indices(t, chunk_start, chunk_stop, num_cuts, rows_memo)
+            for t in ordered
+        ]
         if early_termination:
-            alive = np.ones(assignments.shape, dtype=bool)
-            for tensor, tensor_rows in zip(ordered, rows):
-                alive &= tensor.nonzero[tensor_rows]
-            skipped += int((~alive).sum())
-            survivors = np.nonzero(alive)[0]
+            alive = ordered[0].nonzero[rows[0]]  # a view for _EVERY_ROW
+            for tensor, tensor_rows in zip(ordered[1:], rows[1:]):
+                alive = alive & tensor.nonzero[tensor_rows]
+            survivors = alive.nonzero()[0]
+            skipped += alive.size - survivors.size
         else:
-            survivors = np.arange(assignments.size)
+            survivors = np.arange(chunk_stop - chunk_start)
         for block_start in range(0, survivors.size, rows_per_block):
             block = survivors[block_start : block_start + rows_per_block]
             matrices = [
-                tensor.data[tensor_rows[block]]
+                tensor.data[
+                    block if tensor_rows is _EVERY_ROW else tensor_rows[block]
+                ]
                 for tensor, tensor_rows in zip(ordered, rows)
             ]
             if len(matrices) == 1:
@@ -436,31 +446,8 @@ def contract_terms(
 
     Returns the raw sum; callers apply the ``1/2^K`` scale.
     """
-    resolved = resolve_strategy(strategy, tensors, order, num_cuts)
-    return _contract(tensors, order, num_cuts, resolved, early_termination)
-
-
-def _contract(
-    tensors: Sequence[TermTensor], order: Sequence[int], num_cuts: int,
-    resolved: str, early_termination: bool, rows_memo: Optional[Dict] = None,
-) -> ContractionResult:
-    """Run the resolved strategy inline, under one ``contract`` span."""
-    with trace.span(
-        "contract", {"strategy": resolved, "num_cuts": num_cuts}
-    ):
-        if resolved == "tensor_network":
-            plan = contraction_plan(tensors, order)
-            vector = plan.execute([tensors[i].data for i in order])
-            return ContractionResult(
-                vector=vector, num_skipped=0, strategy=resolved
-            )
-        vector, skipped = _accumulate_range(
-            tensors, order, num_cuts, 0, 4**num_cuts, early_termination,
-            rows_memo=rows_memo,
-        )
-        return ContractionResult(
-            vector=vector, num_skipped=skipped, strategy=resolved
-        )
+    engine = ContractionEngine(strategy, early_termination)
+    return engine.contract(tensors, order, num_cuts)
 
 
 @dataclass
@@ -502,10 +489,24 @@ class ContractionEngine:
         early_termination: Optional[bool] = None,
     ) -> ContractionResult:
         """:func:`contract_terms` with this engine's defaults, inline."""
-        [result] = self.contract_batch(
-            [(tensors, order, num_cuts)], strategy, early_termination
+        strategy = self.strategy if strategy is None else strategy
+        early = (
+            self.early_termination
+            if early_termination is None
+            else early_termination
         )
-        return result
+        resolved = resolve_strategy(strategy, tensors, order, num_cuts)
+        with trace.span(
+            "contract", {"strategy": resolved, "num_cuts": num_cuts}
+        ):
+            if resolved == "tensor_network":
+                plan = contraction_plan(tensors, order)
+                vector = plan.execute([tensors[i].data for i in order])
+                return ContractionResult(vector, 0, resolved)
+            vector, skipped = _accumulate_range(
+                tensors, order, num_cuts, early, rows_memo=self._rows
+            )
+            return ContractionResult(vector, skipped, resolved)
 
     def contract_batch(
         self,
@@ -518,25 +519,21 @@ class ContractionEngine:
         ``batch`` holds ``(tensors, order, num_cuts)`` triples — one per
         DD zoom bin.  With an injected worker pool a batch of two or more
         fans out over the persistent workers (shared-memory transport),
-        one whole item per task; otherwise the items contract inline, in
-        order.  Both run the same sweep per item, so the answers are
-        identical.
+        one whole item per task; otherwise each item is one
+        :meth:`contract`, in order.  Both run the same sweep per item, so
+        the answers are identical.
         """
-        strategy = self.strategy if strategy is None else strategy
-        early = (
-            self.early_termination
-            if early_termination is None
-            else early_termination
-        )
         if self.pool is not None and len(batch) > 1:
             return self.pool.contract_batch(
-                batch, strategy=strategy, early_termination=early
+                batch,
+                strategy=self.strategy if strategy is None else strategy,
+                early_termination=(
+                    self.early_termination
+                    if early_termination is None
+                    else early_termination
+                ),
             )
         return [
-            _contract(
-                tensors, order, num_cuts,
-                resolve_strategy(strategy, tensors, order, num_cuts),
-                early, self._rows,
-            )
+            self.contract(tensors, order, num_cuts, strategy, early_termination)
             for tensors, order, num_cuts in batch
         ]

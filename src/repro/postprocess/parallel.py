@@ -55,7 +55,7 @@ from ..obs.metrics import get_registry
 from ..utils import memo_stats
 from .attribution import TermTensor
 from .engine import ContractionEngine, ContractionResult, contract_terms
-from .plan import PrecomputedTensorProvider, QueryPlan, collapse_lookups
+from .plan import PrecomputedTensorProvider, QueryPlan
 
 __all__ = [
     "ParallelStats",
@@ -199,10 +199,10 @@ def _run_plan(payload):
     handle_id, cut_blob, refs, plan, strategy, early, top_k = payload
     began = time.perf_counter()
     provider = _provider_for(handle_id, cut_blob, refs)
-    before = collapse_lookups(provider)
     engine = ContractionEngine(strategy=strategy, early_termination=early)
-    probabilities = plan.execute(provider, engine).probabilities
-    hits, misses = collapse_lookups(provider, before)
+    prepared = plan.prepared(provider)
+    probabilities = prepared.contract(engine).probabilities
+    hits, misses = prepared.cache_hits, prepared.cache_misses
     nbytes = int(probabilities.nbytes)
     if top_k is not None:
         # The same candidate selection the inline fold applies, so the

@@ -48,10 +48,8 @@ __all__ = [
     "Role",
     "RoleMap",
     "Signature",
+    "Piece",
     "binned_tensor",
-    "restricted_signature",
-    "generalized_signature",
-    "collapse_lookups",
     "TensorProvider",
     "CachingTensorProvider",
     "PrecomputedTensorProvider",
@@ -69,9 +67,23 @@ RoleMap = Dict[int, Role]
 #: A subcircuit's restricted role signature (its output wires only).
 Signature = Tuple[Tuple[int, Role], ...]
 
+#: A subcircuit, its collapse-memo key and its fixed-wire selection.
+Piece = Tuple[Subcircuit, Signature, Optional["_FixedSelection"]]
+
+
+def _fixed_bits(roles: RoleMap) -> Dict[int, int]:
+    return {w: int(role[1]) for w, role in roles.items() if role[0] == "fixed"}
+
 
 class TensorProvider(Protocol):
-    """Supplies collapsed term tensors for a qubit-role spec."""
+    """Supplies collapsed term tensors for qubit-role layouts.
+
+    :meth:`pieces` is what every role map laid out like ``roles`` (the
+    same fixed, active and merged wires) shares, worked out once;
+    :meth:`collapse_pieces` collapses each subcircuit for one assignment
+    of the fixed wires' bits and counts the collapse-memo hits and misses
+    that took.
+    """
 
     @property
     def num_qubits(self) -> int: ...
@@ -79,9 +91,11 @@ class TensorProvider(Protocol):
     @property
     def num_cuts(self) -> int: ...
 
-    def collapsed(
-        self, roles: RoleMap
-    ) -> List[Tuple[TermTensor, List[int]]]: ...
+    def pieces(self, roles: RoleMap) -> List[Piece]: ...
+
+    def collapse_pieces(
+        self, pieces: Sequence[Piece], fixed: Dict[int, int]
+    ) -> Tuple[List[Tuple[TermTensor, List[int]]], int, int]: ...
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +116,7 @@ def binned_tensor(
     in axis order.
 
     With every line active the result shares the source's memory and its
-    ``nonzero`` flags.  Fixed wires are one view; each merged wire,
+    ``nonzero`` flags.  Fixed wires are one ``take``; each merged wire,
     highest position first, adds its two halves (the one add per element
     a length-2 ``sum`` makes, bit-identically, minus numpy's slow
     inner-axis reduce).  Never fuse the adds into one
@@ -119,7 +133,10 @@ def binned_tensor(
         "collapse", {"merged": len(merged), "fixed": len(fixed),
                      "bytes_in": tensor.data.nbytes},
     ) as span:
-        working = _select_fixed(tensor.data, wires, fixed)
+        working = tensor.data
+        if fixed:
+            working = _FixedSelection(wires, fixed).select(working, fixed)
+        working = working.reshape((working.shape[0],) + (2,) * len(kept))
         for axis in reversed(merged):
             head = (slice(None),) * (1 + axis)
             working = np.add(working[head + (0,)], working[head + (1,)])
@@ -137,60 +154,8 @@ def binned_tensor(
     return collapsed, active_wires
 
 
-def _select_fixed(
-    data: np.ndarray, wires: Sequence[int], fixed: Dict[int, int]
-) -> np.ndarray:
-    """``data`` as a ``(rows, 2, ..., 2)`` view over ``wires`` with every
-    ``fixed`` wire indexed out: one basic index, no copy."""
-    shaped = data.reshape((data.shape[0],) + (2,) * len(wires))
-    return shaped[(slice(None),) + tuple(fixed.get(w, slice(None)) for w in wires)]
-
-
-# ----------------------------------------------------------------------
-# Role signatures (collapse-cache keys)
-# ----------------------------------------------------------------------
-
-def restricted_signature(subcircuit: Subcircuit, roles: RoleMap) -> Signature:
-    """The roles restricted to this subcircuit's output wires.
-
-    A subcircuit's collapsed tensor depends on nothing else, so this is
-    the collapse-cache key: two role maps that agree on the subcircuit's
-    output wires collapse identically no matter how the rest of the
-    circuit is binned.
-    """
-    return tuple(
-        (line.wire, tuple(roles[line.wire]))
-        for line in subcircuit.output_lines
-    )
-
-
-def generalized_signature(signature: Signature) -> Signature:
-    """The signature with every fixed wire promoted back to active.
-
-    The generalized collapse retains the fixed wires as tensor axes, so
-    any fixed-bit assignment over them can be *derived* by indexing —
-    much cheaper than re-collapsing the full tensor.  All sibling bins
-    of a DD zoom round and all shards of a streaming FD query share one
-    generalized signature per subcircuit.
-    """
-    return tuple(
-        (wire, ("active",) if role[0] == "fixed" else role)
-        for wire, role in signature
-    )
-
-
 #: Collapsed ``(subcircuit, generalized signature)`` entries one provider keeps.
 _COLLAPSE_LIMIT = 512
-
-
-def collapse_lookups(provider, since: Tuple[int, int] = (0, 0)) -> Tuple[int, int]:
-    """``(hits, misses)`` of ``provider``'s collapse memo after the snapshot
-    ``since`` (floored at zero, should the memo have been cleared in
-    between); zeros for a provider without a memo."""
-    stats = getattr(provider, "cache_stats", None)
-    if stats is None:
-        return 0, 0
-    return max(0, stats["hits"] - since[0]), max(0, stats["misses"] - since[1])
 
 
 class CachingTensorProvider:
@@ -231,32 +196,66 @@ class CachingTensorProvider:
 
     # -- public API -----------------------------------------------------
     def collapsed(self, roles: RoleMap) -> List[Tuple[TermTensor, List[int]]]:
-        return [
-            self._collapsed_one(subcircuit, roles)
-            for subcircuit in self.cut_circuit.subcircuits
-        ]
+        """Every subcircuit collapsed per ``roles``."""
+        return self.collapse_pieces(self.pieces(roles), _fixed_bits(roles))[0]
 
     def clear_cache(self) -> None:
         self._cache.clear()
 
-    # -- cache machinery ------------------------------------------------
-    def _collapsed_one(
-        self, subcircuit: Subcircuit, roles: RoleMap
-    ) -> Tuple[TermTensor, List[int]]:
-        if not self.cache_enabled:
-            return self._collapse_subcircuit(subcircuit, roles)
-        signature = restricted_signature(subcircuit, roles)
-        generalized = generalized_signature(signature)
-        entry = self._cache.get_or_build(
-            (subcircuit.index, generalized),
-            # A miss collapses with the fixed wires kept active.
-            lambda: self._collapse_subcircuit(
-                subcircuit, {**roles, **dict(generalized)}
-            ),
-        )
-        if generalized == signature:
-            return entry
-        return _derive_fixed(entry[0], entry[1], signature)
+    def pieces(self, roles: RoleMap) -> List[Piece]:
+        """Per subcircuit, its collapse-memo key and the selection of its
+        fixed wires, if it carries any.
+
+        The key is the subcircuit's roles restricted to its own output
+        wires, with every fixed wire promoted back to active: its collapse
+        depends on nothing else, and keeping the fixed wires as axes lets
+        every assignment of their bits (all sibling bins of a DD depth,
+        all shards of a stream) be derived from one collapse by indexing.
+        """
+        pieces = []
+        for subcircuit in self.cut_circuit.subcircuits:
+            generalized, fixed = [], set()
+            for line in subcircuit.output_lines:
+                role = tuple(roles[line.wire])
+                if role[0] == "fixed":
+                    fixed.add(line.wire)
+                    role = ("active",)
+                generalized.append((line.wire, role))
+            # A collapse's wires are its signature's active ones.
+            kept = [wire for wire, role in generalized if role[0] == "active"]
+            selection = _FixedSelection(kept, fixed) if fixed else None
+            pieces.append((subcircuit, tuple(generalized), selection))
+        return pieces
+
+    def collapse_pieces(
+        self, pieces: Sequence[Piece], fixed: Dict[int, int]
+    ) -> Tuple[List[Tuple[TermTensor, List[int]]], int, int]:
+        """The collapsed tensors with the fixed wires at their ``fixed``
+        bits, and the memo's hits and misses (a miss collapses with the
+        fixed wires kept active).  Without the cache, each subcircuit
+        collapses with its fixed roles as they are."""
+        collapsed = []
+        hits = misses = 0
+        for subcircuit, generalized, selection in pieces:
+            if not self.cache_enabled:
+                roles = dict(generalized)
+                for wire, _ in selection.shifts if selection else ():
+                    roles[wire] = ("fixed", fixed[wire])
+                collapsed.append(self._collapse_subcircuit(subcircuit, roles))
+                continue
+            key = (subcircuit.index, generalized)
+            entry = self._cache.get(key)
+            if entry is None:
+                misses += 1
+                entry = self._cache.put(
+                    key, self._collapse_subcircuit(subcircuit, dict(generalized))
+                )
+            else:
+                hits += 1
+            collapsed.append(
+                entry if selection is None else selection.derive(entry[0], fixed)
+            )
+        return collapsed, hits, misses
 
 
 class PrecomputedTensorProvider(CachingTensorProvider):
@@ -289,29 +288,44 @@ class PrecomputedTensorProvider(CachingTensorProvider):
         )
 
 
-def _derive_fixed(
-    tensor: TermTensor, active_wires: List[int], signature: Signature
-) -> Tuple[TermTensor, List[int]]:
-    """Index the fixed wires of ``signature`` out of a generalized tensor.
+class _FixedSelection:
+    """The columns of a generalized tensor over ``wires`` that one
+    assignment to its ``fixed_wires`` keeps, in order.
 
-    Selection commutes bitwise with the merged sums already performed, so
-    the result is identical to collapsing the full tensor directly with
-    the fixed roles (the property tests assert exact equality).  The view
-    is copied once, at its final size.
+    Built once per layout, then one ``take`` per assignment.  Selection
+    commutes bitwise with the merged sums already performed, so a derived
+    tensor is identical to collapsing the full tensor directly with the
+    fixed roles (the property tests assert exact equality).
     """
-    fixed = {
-        wire: int(role[1]) for wire, role in signature if role[0] == "fixed"
-    }
-    view = _select_fixed(tensor.data, active_wires, fixed)
-    remaining = [wire for wire in active_wires if wire not in fixed]
-    data = np.ascontiguousarray(view).reshape(tensor.data.shape[0], -1)
-    derived = TermTensor(
-        subcircuit_index=tensor.subcircuit_index,
-        cut_order=list(tensor.cut_order),
-        num_effective=len(remaining),
-        data=data,
-    )
-    return derived, remaining
+
+    def __init__(self, wires: Sequence[int], fixed_wires):
+        top = len(wires) - 1
+        self.shifts = [
+            (wire, top - axis) for axis, wire in enumerate(wires)
+            if wire in fixed_wires
+        ]
+        self.remaining = [wire for wire in wires if wire not in fixed_wires]
+        columns = np.zeros(1, dtype=np.intp)
+        for axis, wire in enumerate(wires):
+            if wire not in fixed_wires:
+                columns = np.add.outer(columns, (0, 1 << (top - axis))).ravel()
+        self.columns = columns
+
+    def select(self, data: np.ndarray, fixed: Dict[int, int]) -> np.ndarray:
+        """``data``'s columns with each fixed wire at its ``fixed`` bit."""
+        offset = sum(fixed[wire] << shift for wire, shift in self.shifts)
+        return data.take(self.columns + offset, axis=1)
+
+    def derive(
+        self, tensor: TermTensor, fixed: Dict[int, int]
+    ) -> Tuple[TermTensor, List[int]]:
+        derived = TermTensor(
+            subcircuit_index=tensor.subcircuit_index,
+            cut_order=tensor.cut_order,
+            num_effective=len(self.remaining),
+            data=self.select(tensor.data, fixed),
+        )
+        return derived, self.remaining
 
 
 # ----------------------------------------------------------------------
@@ -375,54 +389,50 @@ class QueryPlan:
     ) -> "PreparedPlan":
         """Collapse the tensors through ``provider`` and fix the
         contraction order (greedy smallest-first unless given)."""
-        collapsed = provider.collapsed(self.roles)
+        collapsed, hits, misses = provider.collapse_pieces(
+            provider.pieces(self.roles), _fixed_bits(self.roles)
+        )
+        prepared = self.assemble(collapsed, order)
+        prepared.cache_hits, prepared.cache_misses = hits, misses
+        return prepared
+
+    def assemble(
+        self,
+        collapsed: Sequence[Tuple[TermTensor, List[int]]],
+        order: Optional[Sequence[int]] = None,
+    ) -> "PreparedPlan":
+        """This plan over already collapsed ``(tensor, wires)`` pairs."""
         tensors = [item[0] for item in collapsed]
         if order is None:
             order = sorted(
                 range(len(tensors)), key=lambda i: tensors[i].num_effective
             )
-        else:
-            order = list(order)
-        kron_wires: List[int] = []
-        for index in order:
-            kron_wires.extend(collapsed[index][1])
         # Inverse map instead of repeated list.index() — O(n), not O(n^2).
-        position_of = {wire: pos for pos, wire in enumerate(kron_wires)}
-        permutation = [position_of[wire] for wire in self.active]
+        position_of = {
+            wire: position
+            for position, wire in enumerate(
+                wire for index in order for wire in collapsed[index][1]
+            )
+        }
         return PreparedPlan(
             plan=self,
             tensors=tensors,
             order=tuple(order),
-            permutation=permutation,
+            permutation=[position_of[wire] for wire in self.active],
         )
-
-    def execute(
-        self,
-        provider: TensorProvider,
-        engine: ContractionEngine,
-        order: Optional[Sequence[int]] = None,
-        strategy: Optional[str] = None,
-        early_termination: Optional[bool] = None,
-    ) -> PlanExecution:
-        """Prepare and contract in one call."""
-        with trace.span(
-            "query.plan.execute", {"active": len(self.active)}
-        ):
-            return self.prepared(provider, order=order).contract(
-                engine,
-                strategy=strategy,
-                early_termination=early_termination,
-            )
 
 
 @dataclass
 class PreparedPlan:
-    """A plan with tensors collapsed and contraction order fixed."""
+    """A plan with tensors collapsed and contraction order fixed, and the
+    collapse-memo hits and misses the collapse took."""
 
     plan: QueryPlan
     tensors: List[TermTensor]
     order: Tuple[int, ...]
     permutation: List[int]
+    cache_hits: int = 0
+    cache_misses: int = 0
 
     @property
     def payload(self) -> Tuple[List[TermTensor], Tuple[int, ...], int]:

@@ -47,7 +47,7 @@ from ..obs import trace
 from ..utils import index_to_bitstring
 from .attribution import TermTensor, build_term_tensor
 from .engine import STRATEGIES, ContractionEngine
-from .plan import PrecomputedTensorProvider, QueryPlan, collapse_lookups
+from .plan import PrecomputedTensorProvider, QueryPlan
 
 __all__ = [
     "ReconstructionStats",
@@ -183,12 +183,11 @@ class Reconstructor:
         num_qubits = self.num_qubits
         num_cuts = self.cut_circuit.num_cuts
         plan = QueryPlan.binned(num_qubits, num_cuts, {}, range(num_qubits))
-        execution = plan.execute(
+        execution = plan.prepared(
             self.provider,
-            self.engine,
             order=None if greedy_order else range(len(self.provider.tensors)),
-            strategy=strategy,
-            early_termination=early_termination,
+        ).contract(
+            self.engine, strategy=strategy, early_termination=early_termination
         )
         stats = ReconstructionStats(
             num_cuts=num_cuts,
@@ -329,12 +328,10 @@ class Reconstructor:
         elapsed = 0.0
         for position, (index, _, plan) in enumerate(planned):
             began = time.perf_counter()
-            before = collapse_lookups(self.provider)
             with trace.span("query.stream.shard", {"shard": index}):
-                probabilities = plan.execute(
-                    self.provider, self.engine
-                ).probabilities
-            hits, misses = collapse_lookups(self.provider, before)
+                prepared = plan.prepared(self.provider)
+                probabilities = prepared.contract(self.engine).probabilities
+            hits, misses = prepared.cache_hits, prepared.cache_misses
             elapsed += time.perf_counter() - began
             result = (
                 probabilities

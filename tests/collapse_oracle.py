@@ -4,7 +4,7 @@
 sums a merged wire with ``ndarray.sum(axis=...)`` or picks a fixed wire
 with ``np.take`` (one copy per wire).  ``derive_fixed`` indexes the
 fixed wires out of a generalized collapse.  ``OracleTensorProvider`` is
-the default provider collapsing through ``binned_tensor``, so a whole DD
+the collapse cache written out plainly on top of both, so a whole DD
 query can be replayed on the old arithmetic.  ``repro.postprocess.plan``
 must stay ``array_equal`` to all three.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.cutting.cutter import Subcircuit
 from repro.postprocess.attribution import TermTensor
-from repro.postprocess.plan import PrecomputedTensorProvider, RoleMap, Signature
+from repro.postprocess.plan import RoleMap
 
 
 def binned_tensor(
@@ -53,13 +53,10 @@ def binned_tensor(
 
 
 def derive_fixed(
-    tensor: TermTensor, active_wires: List[int], signature: Signature
+    tensor: TermTensor, active_wires: List[int], fixed: Dict[int, int]
 ) -> Tuple[TermTensor, List[int]]:
-    """Index ``signature``'s fixed wires out of a generalized tensor, one
-    ``np.take`` per wire."""
-    fixed = {
-        wire: int(role[1]) for wire, role in signature if role[0] == "fixed"
-    }
+    """Index the ``fixed`` wires (``wire -> bit``) out of a generalized
+    tensor, one ``np.take`` per wire."""
     rows = tensor.data.shape[0]
     working = tensor.data.reshape((rows,) + (2,) * len(active_wires))
     remaining: List[int] = []
@@ -78,11 +75,44 @@ def derive_fixed(
     return derived, remaining
 
 
-class OracleTensorProvider(PrecomputedTensorProvider):
-    """The default provider (collapse cache included), collapsing with
-    :func:`binned_tensor` above."""
+class OracleTensorProvider:
+    """The collapse cache written out plainly: a subcircuit's roles on its
+    own output wires, fixed wires promoted to active, key a dict of
+    collapses by :func:`binned_tensor` above, and :func:`derive_fixed`
+    indexes each fixed wire out.  Its memo never evicts (no test here
+    reaches the provider's 512 entries)."""
 
-    def _collapse_subcircuit(
-        self, subcircuit: Subcircuit, roles: RoleMap
-    ) -> Tuple[TermTensor, List[int]]:
-        return binned_tensor(self.tensors[subcircuit.index], subcircuit, roles)
+    def __init__(self, cut_circuit, tensors):
+        self.cut_circuit = cut_circuit
+        self.tensors = sorted(tensors, key=lambda t: t.subcircuit_index)
+        self.num_qubits = cut_circuit.circuit.num_qubits
+        self.num_cuts = cut_circuit.num_cuts
+        self.memo: Dict = {}
+
+    def pieces(self, roles: RoleMap) -> List:
+        return [
+            (subcircuit, {line.wire: roles[line.wire]
+                          for line in subcircuit.output_lines})
+            for subcircuit in self.cut_circuit.subcircuits
+        ]
+
+    def collapse_pieces(self, pieces, fixed: Dict[int, int]):
+        out = []
+        hits = misses = 0
+        for subcircuit, own in pieces:
+            general = {
+                wire: ("active",) if role[0] == "fixed" else role
+                for wire, role in own.items()
+            }
+            key = (subcircuit.index, tuple(sorted(general.items())))
+            if key in self.memo:
+                hits += 1
+            else:
+                misses += 1
+                self.memo[key] = binned_tensor(
+                    self.tensors[subcircuit.index], subcircuit, general
+                )
+            tensor, kept = self.memo[key]
+            bits = {w: fixed[w] for w, role in own.items() if role[0] == "fixed"}
+            out.append(derive_fixed(tensor, kept, bits) if bits else (tensor, kept))
+        return out, hits, misses

@@ -413,6 +413,31 @@ class TestLocalJob:
         captured = capsys.readouterr()
         assert "--top" in captured.err and captured.out == ""
 
+    def test_closed_output_runs_the_job_once(self, monkeypatch, capsys):
+        """A reader that goes away (``repro dd ... --json | head``) ends
+        the command once: no retry of the job, no traceback."""
+        import io
+
+        import repro.cli as cli
+
+        calls = []
+        real_run_query = cli.run_query
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_run_query(*args, **kwargs)
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "run_query", counting)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["dd", *_BV6, "--recursions", "3", "--json"]) == 1
+        assert len(calls) == 1
+        err = capsys.readouterr().err
+        assert "retrying" not in err and "Traceback" not in err
+
     def test_run_and_dd_leave_the_service_unimported(self):
         code = (
             "import sys\n"

@@ -20,14 +20,14 @@ from repro.library import bv, bv_solution
 from repro.metrics import chi_square_loss
 from repro.obs import trace
 from repro.postprocess import (
+    ContractionEngine,
     DynamicDefinitionQuery,
     PrecomputedTensorProvider,
     binned_tensor,
     build_term_tensor,
 )
-from repro.postprocess import plan
 from repro.postprocess.attribution import TermTensor
-from repro.postprocess.dd import Bin
+from repro.postprocess.dd import Bin, _descending_prefix
 from repro.utils import marginalize
 from tests import collapse_oracle
 from tests.dd_frontier_oracle import replay_frontier
@@ -367,29 +367,19 @@ def _tie_provider(family):
     )
 
 
-class _VectorProvider:
+def _vector_provider(vector):
     """A zero-cut provider whose whole distribution is one given vector."""
-
-    num_cuts = 0
-
-    def __init__(self, vector):
-        self.vector = np.asarray(vector, dtype=float)
-        self.num_qubits = int(np.log2(self.vector.size))
-        self._circuit = SimpleNamespace(
-            output_lines=[
-                SimpleNamespace(wire=w) for w in range(self.num_qubits)
-            ]
-        )
-
-    def collapsed(self, roles):
-        tensor = TermTensor(
-            subcircuit_index=0,
-            cut_order=[],
-            num_effective=self.num_qubits,
-            data=self.vector.reshape(1, -1),
-            nonzero=np.array([True]),
-        )
-        return [binned_tensor(tensor, self._circuit, roles)]
+    vector = np.asarray(vector, dtype=float)
+    num_qubits = int(np.log2(vector.size))
+    piece = SimpleNamespace(
+        index=0, output_lines=[SimpleNamespace(wire=w) for w in range(num_qubits)]
+    )
+    cut = SimpleNamespace(
+        circuit=SimpleNamespace(num_qubits=num_qubits), num_cuts=0,
+        subcircuits=[piece],
+    )
+    tensor = TermTensor(0, [], num_qubits, vector.reshape(1, -1), np.array([True]))
+    return PrecomputedTensorProvider(cut, tensors=[tensor])
 
 
 def _assert_replays(query, budgets):
@@ -456,7 +446,7 @@ class TestFrontierReplay:
         self, vector, active, zoom_width, first, more
     ):
         query = DynamicDefinitionQuery(
-            _VectorProvider(vector), active, zoom_width=zoom_width
+            _vector_provider(vector), active, zoom_width=zoom_width
         )
         query.run(first)
         query.run(more)
@@ -479,9 +469,10 @@ class TestFrontierReplay:
 
 
 class TestCollapseOracleQuery:
-    """A query whose provider collapses with the axis-by-axis oracle
-    (tests/collapse_oracle.py) makes the same recursions, bit for bit,
-    and the same ``DDStats`` counts as one on the default provider."""
+    """A query whose provider collapses and derives with the axis-by-axis
+    oracle (tests/collapse_oracle.py), one role map per recursion, makes
+    the same recursions, bit for bit, the same contractions and the same
+    ``DDStats`` counts as one on the default provider."""
 
     @staticmethod
     def _counts(query):
@@ -493,23 +484,43 @@ class TestCollapseOracleQuery:
 
     def _assert_same(self, cut, tensors, active, zoom_width, budgets):
         def run(provider):
+            engine = ContractionEngine(strategy="auto")
+            contractions = []
+            real = engine.contract
+
+            def recording(*args, **kwargs):
+                result = real(*args, **kwargs)
+                contractions.append((result.strategy, result.num_skipped))
+                return result
+
+            engine.contract = recording
             query = DynamicDefinitionQuery(
-                provider, active, zoom_width=zoom_width
+                provider, active, engine=engine, zoom_width=zoom_width
             )
             for budget in budgets:
                 query.run(budget)
-            return query
+            return query, contractions
 
-        fast = run(PrecomputedTensorProvider(cut, tensors=tensors))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(plan, "_derive_fixed", collapse_oracle.derive_fixed)
-            slow = run(collapse_oracle.OracleTensorProvider(cut, tensors=tensors))
+        fast, fast_contractions = run(
+            PrecomputedTensorProvider(cut, tensors=tensors)
+        )
+        slow, slow_contractions = run(
+            collapse_oracle.OracleTensorProvider(cut, tensors=tensors)
+        )
         assert len(fast.recursions) == len(slow.recursions) > 1
         for got, want in zip(fast.recursions, slow.recursions):
-            assert np.array_equal(got.probabilities, want.probabilities)
+            assert got.probabilities.tobytes() == want.probabilities.tobytes()
             assert (got.fixed, got.active) == (want.fixed, want.active)
             assert got.parent_bin == want.parent_bin
+        assert fast_contractions == slow_contractions
+        assert len(fast_contractions) == len(fast.recursions)
         assert self._counts(fast) == self._counts(slow)
+        for threshold in (0.0, 0.5):
+            assert fast.solution_states(threshold) == slow.solution_states(
+                threshold
+            )
+        # The lazily sorted frontier pops what the one-heap frontier did.
+        _assert_replays(fast, budgets)
 
     @pytest.mark.parametrize("family", sorted(_TIE_CASES))
     @pytest.mark.parametrize(
@@ -529,6 +540,23 @@ class TestCollapseOracleQuery:
         pipeline = CutQC(get_benchmark(family, qubits, **kwargs), device)
         tensors = [build_term_tensor(r) for r in pipeline.evaluate()]
         self._assert_same(pipeline.cut(), tensors, 6, 1, [16])
+
+    @pytest.mark.parametrize(
+        "family, qubits, device, kwargs, active, recursions",
+        [("bv", 30, 16, {}, 12, 32),
+         ("bv", 26, 14, {}, 10, 32),
+         ("adder", 20, 12, {"seed": 3}, 10, 48),
+         ("hwea", 20, 11, {"seed": 3}, 10, 32)],
+        ids=["bv-30", "bv-26", "adder-20", "hwea-20"],
+    )
+    def test_dd_wide_catalog_jobs(
+        self, family, qubits, device, kwargs, active, recursions
+    ):
+        """The benchmark's ``dd_wide`` jobs, at their catalog definition
+        and recursion budget."""
+        pipeline = CutQC(get_benchmark(family, qubits, **kwargs), device)
+        tensors = [build_term_tensor(r) for r in pipeline.evaluate()]
+        self._assert_same(pipeline.cut(), tensors, active, 1, [recursions])
 
     def test_collapse_spans_only_on_misses(self, fig4_circuit):
         _, provider = _provider(fig4_circuit, [(2, 1)])
@@ -617,6 +645,26 @@ class TestBinsMaterialiseOnRead:
             # An order exists exactly while there is a bin left to zoom.
             open_bins = recursion.num_resolved < 5 and not recursion.zoomed.all()
             assert (recursion.order is not None) == open_bins
+
+
+class TestDescendingPrefix:
+    """A recursion's frontier order is sorted lazily: every prefix it
+    hands out is exactly the start of the full stable descending sort."""
+
+    @pytest.mark.parametrize("size", [1, 16, 300, 1024, 4096])
+    @pytest.mark.parametrize("count", [1, 16, 32, 500])
+    def test_prefix_of_the_stable_sort(self, size, count):
+        rng = np.random.default_rng(size * 7 + count)
+        values = [0.0, -0.0, 1e-17, -1e-17, 0.25, 0.5, np.nan]
+        for probabilities in (
+            rng.random(size),
+            rng.choice(values, size),  # ties, signed zeros and NaNs
+            np.zeros(size),
+        ):
+            want = np.argsort(-probabilities, kind="stable")
+            got = _descending_prefix(probabilities, count)
+            assert min(count, size) <= got.size <= size
+            assert np.array_equal(got, want[: got.size])
 
 
 class TestSolutionStates:

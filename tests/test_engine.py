@@ -208,9 +208,9 @@ class TestEngineInternals:
         rng = np.random.default_rng(5)
         tensors = _chain_tensors(4, rng)
         order = [0, 1, 2, 3]
-        full, _ = _accumulate_range(tensors, order, 3, 0, 4**3, False)
+        full, _ = _accumulate_range(tensors, order, 3, False)
         tiny_blocks, _ = _accumulate_range(
-            tensors, order, 3, 0, 4**3, False, block_elements=1
+            tensors, order, 3, False, block_elements=1
         )
         assert np.allclose(tiny_blocks, full, rtol=1e-12)
 
@@ -259,21 +259,21 @@ class TestEngineMemos:
         monkeypatch.setattr(module, "_PLANS", plans)
         per_call, picks = [], []
         engine = ContractionEngine(strategy="auto")
-        real_contract_batch = engine.contract_batch
+        real_contract = engine.contract
 
-        def recording(batch, **kwargs):
+        def recording(tensors, order, num_cuts, **kwargs):
             before = plans.stats()["misses"]
-            [result] = real_contract_batch(batch, **kwargs)
+            result = real_contract(tensors, order, num_cuts, **kwargs)
             per_call.append(plans.stats()["misses"] - before)
-            [(tensors, order, num_cuts)] = batch
             cheaper = tn_cost(tensors, order) < _kron_cost(tensors, order, num_cuts)
             want = "tensor_network" if cheaper else "kron"
             fresh = contract_terms(tensors, order, num_cuts, strategy=want)
             picks.append((result.strategy, want))
             assert np.array_equal(result.vector, fresh.vector)
-            return [result]
+            return result
 
-        monkeypatch.setattr(engine, "contract_batch", recording)
+        # A one-bin round contracts through ``contract``, as FD does.
+        monkeypatch.setattr(engine, "contract", recording)
         query = self._query(engine)
         query.run(10)
         query.run(10)

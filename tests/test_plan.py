@@ -24,14 +24,12 @@ from repro.postprocess import (
     QueryPlan,
     Reconstructor,
     binned_tensor,
-    generalized_signature,
-    restricted_signature,
 )
 from repro.postprocess.attribution import TermTensor
 from repro.postprocess.engine import ContractionEngine
 from repro.obs import trace
 from repro.postprocess import plan as plan_module
-from repro.postprocess.plan import _derive_fixed
+from repro.postprocess.plan import _FixedSelection
 from repro.utils import marginalize
 from tests import collapse_oracle
 from tests.conftest import random_connected_circuit
@@ -45,36 +43,37 @@ def _cut_and_provider(circuit, cuts, **kwargs):
 
 
 class TestSignatures:
+    """A piece's memo key is the subcircuit's roles on its own output
+    wires, fixed wires promoted to active."""
+
     def test_restricted_to_output_wires(self, fig4_circuit):
-        cut = cut_circuit(fig4_circuit, [(2, 1)])
+        _, provider = _cut_and_provider(fig4_circuit, [(2, 1)])
         roles = {w: ("merged",) for w in range(5)}
         roles[0] = ("active",)
-        for sub in cut.subcircuits:
-            signature = restricted_signature(sub, roles)
+        for sub, signature, _ in provider.pieces(roles):
             wires = [wire for wire, _ in signature]
             assert wires == [line.wire for line in sub.output_lines]
 
-    def test_generalized_promotes_fixed(self):
-        signature = (
-            (0, ("fixed", 1)),
-            (1, ("active",)),
-            (2, ("merged",)),
-        )
-        assert generalized_signature(signature) == (
-            (0, ("active",)),
-            (1, ("active",)),
-            (2, ("merged",)),
-        )
+    def test_generalized_promotes_fixed(self, fig4_circuit):
+        _, provider = _cut_and_provider(fig4_circuit, [(2, 1)])
+        roles = {w: ("merged",) for w in range(5)}
+        roles.update({0: ("fixed", 1), 1: ("active",)})
+        for sub, signature, selection in provider.pieces(roles):
+            wires = [line.wire for line in sub.output_lines]
+            want = tuple(
+                (w, ("active",) if w in (0, 1) else ("merged",)) for w in wires
+            )
+            assert signature == want
+            fixed = [w for w, _ in selection.shifts] if selection else []
+            assert fixed == [w for w in wires if w == 0]
 
     def test_signature_independent_of_other_wires(self, fig4_circuit):
-        cut = cut_circuit(fig4_circuit, [(2, 1)])
+        cut, provider = _cut_and_provider(fig4_circuit, [(2, 1)])
         sub = cut.subcircuits[0]
         own = {line.wire for line in sub.output_lines}
         roles_a = {w: ("active",) if w in own else ("merged",) for w in range(5)}
         roles_b = {w: ("active",) if w in own else ("fixed", 1) for w in range(5)}
-        assert restricted_signature(sub, roles_a) == restricted_signature(
-            sub, roles_b
-        )
+        assert provider.pieces(roles_a)[0][:2] == provider.pieces(roles_b)[0][:2]
 
 
 class TestCollapseCache:
@@ -144,8 +143,8 @@ class TestCollapseCache:
             wire: ("fixed", fixed[axis]) if axis in fixed else ("active",)
             for axis, wire in enumerate(wires)
         }
-        signature = restricted_signature(subcircuit, roles)
-        got, got_wires = _derive_fixed(full, wires, signature)
+        bits = {wires[axis]: bit for axis, bit in fixed.items()}
+        got, got_wires = _FixedSelection(wires, bits).derive(full, bits)
         want, want_wires = binned_tensor(full, subcircuit, roles)
         assert got_wires == want_wires
         assert got.num_effective == want.num_effective
@@ -228,7 +227,7 @@ def _assert_same_collapse(got, want):
 class TestCollapseMatchesOracle:
     """The halves-add collapse is ``array_equal`` to the axis-by-axis
     ``sum`` / ``np.take`` collapse it replaced (tests/collapse_oracle.py),
-    directly and through a generalized collapse plus ``_derive_fixed``."""
+    directly and through a generalized collapse plus a ``_FixedSelection``."""
 
     def _check(self, kinds, rows, seed):
         tensor, subcircuit, roles = _collapse_case(kinds, rows, seed)
@@ -238,14 +237,18 @@ class TestCollapseMatchesOracle:
             wire: ("active",) if role[0] == "fixed" else role
             for wire, role in roles.items()
         }
-        signature = restricted_signature(subcircuit, roles)
+        fixed = {
+            wire: role[1] for wire, role in roles.items() if role[0] == "fixed"
+        }
         full, wires = binned_tensor(tensor, subcircuit, generalized)
-        _assert_same_collapse(_derive_fixed(full, wires, signature), want)
+        _assert_same_collapse(
+            _FixedSelection(wires, fixed).derive(full, fixed), want
+        )
         old_full, old_wires = collapse_oracle.binned_tensor(
             tensor, subcircuit, generalized
         )
         _assert_same_collapse(
-            collapse_oracle.derive_fixed(old_full, old_wires, signature), want
+            collapse_oracle.derive_fixed(old_full, old_wires, fixed), want
         )
 
     @settings(max_examples=150, deadline=None)
@@ -304,7 +307,9 @@ class TestQueryPlan:
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
         provider = PrecomputedTensorProvider(cut, results=results)
         plan = QueryPlan.binned(5, cut.num_cuts, {}, range(5))
-        execution = plan.execute(provider, ContractionEngine(strategy="kron"))
+        execution = plan.prepared(provider).contract(
+            ContractionEngine(strategy="kron")
+        )
         want = Reconstructor(cut, results=results).reconstruct().probabilities
         assert np.allclose(execution.probabilities, want, atol=1e-12)
 
@@ -313,7 +318,9 @@ class TestQueryPlan:
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
         provider = PrecomputedTensorProvider(cut, results=results)
         plan = QueryPlan.binned(5, cut.num_cuts, fixed={}, active=[1, 3])
-        execution = plan.execute(provider, ContractionEngine(strategy="kron"))
+        execution = plan.prepared(provider).contract(
+            ContractionEngine(strategy="kron")
+        )
         truth = marginalize(simulate_probabilities(fig4_circuit), [1, 3], 5)
         assert np.allclose(execution.probabilities, truth, atol=1e-9)
 
@@ -322,12 +329,12 @@ class TestQueryPlan:
         results = [evaluate_subcircuit(s) for s in cut.subcircuits]
         provider = PrecomputedTensorProvider(cut, results=results)
         engine = ContractionEngine(strategy="kron")
-        forward = QueryPlan.binned(5, cut.num_cuts, {}, [0, 1]).execute(
-            provider, engine
-        )
-        reverse = QueryPlan.binned(5, cut.num_cuts, {}, [1, 0]).execute(
-            provider, engine
-        )
+        forward = QueryPlan.binned(5, cut.num_cuts, {}, [0, 1]).prepared(
+            provider
+        ).contract(engine)
+        reverse = QueryPlan.binned(5, cut.num_cuts, {}, [1, 0]).prepared(
+            provider
+        ).contract(engine)
         assert np.allclose(
             forward.probabilities.reshape(2, 2),
             reverse.probabilities.reshape(2, 2).T,
@@ -425,9 +432,10 @@ class TestHeapFrontierParity:
         query.step()
         for _ in range(2):
             want = self._linear_scan_choice(query)
-            got = query._peek_bin()
-            assert got == want  # a Bin is a value, not an identity
+            want.zoomed = True  # the step zooms into it
             query.step()
+            # A Bin is a value, not an identity.
+            assert query.recursions[-1].parent_bin == want
 
 
 class TestZoomWidthValidation:

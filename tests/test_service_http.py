@@ -199,6 +199,20 @@ class TestHttpApi:
         assert excinfo.value.status == 400
         assert "threshold" in excinfo.value.document["error"]
 
+    def test_odd_qaoa_degree_is_400_at_admission(self, server):
+        # The default degree 3 on 5 qubits has no regular graph: refused
+        # at submission for an fd job, not only for a variational one.
+        before = len(request_json("GET", f"{server.url}/jobs")["jobs"])
+        with pytest.raises(ServiceClientError) as excinfo:
+            request_json("POST", f"{server.url}/jobs", payload={
+                "benchmark": "qaoa", "qubits": 5, "device_size": 4,
+                "query": "fd",
+            })
+        assert excinfo.value.status == 400
+        assert "degree" in excinfo.value.document["error"]
+        after = len(request_json("GET", f"{server.url}/jobs")["jobs"])
+        assert after == before
+
     @pytest.mark.parametrize("shard_qubits", [99, -1])
     def test_out_of_range_shard_qubits_is_400_at_admission(
         self, server, shard_qubits

@@ -192,6 +192,30 @@ class TestRebound:
             else:
                 assert subcircuit is cut.subcircuits[index]
 
+    def test_rebind_builds_new_subcircuits(self):
+        """A subcircuit is frozen, so its line views and body key cannot
+        go stale: a rebind builds a new one, with its own body key, and
+        leaves the old one as it was."""
+        import dataclasses
+
+        circuit = _qaoa()
+        cut = CutQC(circuit, max_subcircuit_qubits=5).cut()
+        before = [(s.circuit.gates, s.body_key) for s in cut.subcircuits]
+        bound, changed = circuit.bind([p + 0.2 for p in circuit.parameters()])
+        rebound, dirty = cut.rebound(bound, changed)
+        assert dirty
+        for index in dirty:
+            old, new = cut.subcircuits[index], rebound.subcircuits[index]
+            assert new is not old
+            assert (old.circuit.gates, old.body_key) == before[index]
+            assert new.body_key != old.body_key
+            for name in ("lines", "init_lines", "meas_lines", "output_lines",
+                         "cut_ids"):
+                assert getattr(new, name) == getattr(old, name)
+                assert isinstance(getattr(new, name), tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cut.subcircuits[0].lines = ()
+
     def test_rebound_preserves_lines_and_qubits(self):
         circuit = _qaoa()
         cut = CutQC(circuit, max_subcircuit_qubits=5).cut()
