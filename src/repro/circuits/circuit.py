@@ -8,7 +8,6 @@ queries used by the cutter (wire occupation, connectivity, depth).
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gates import Gate
@@ -365,7 +364,3 @@ class QuantumCircuit:
                 else:
                     rows[q].append("-" * width)
         return "\n".join("".join(row) for row in rows)
-
-
-def _almost_equal(a: float, b: float) -> bool:  # pragma: no cover - helper
-    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)

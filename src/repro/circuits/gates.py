@@ -118,19 +118,6 @@ class Gate:
     def is_multiqubit(self) -> bool:
         return len(self.qubits) > 1
 
-    @property
-    def num_params(self) -> int:
-        return _PARAM_COUNTS.get(self.name, 0)
-
-    @property
-    def is_parametric(self) -> bool:
-        """Whether this gate carries free rotation parameters."""
-        return self.name in _PARAM_COUNTS
-
-    def with_params(self, params: Tuple[float, ...]) -> "Gate":
-        """The same gate with new parameter values (arity re-validated)."""
-        return Gate(self.name, self.qubits, tuple(params))
-
     def matrix(self) -> np.ndarray:
         """Unitary matrix for this gate (2x2 or 4x4)."""
         return gate_matrix(self.name, self.params)

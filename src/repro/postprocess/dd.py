@@ -50,7 +50,7 @@ from ..obs import trace
 from ..obs.metrics import get_registry
 from ..utils import check_count
 from .engine import ContractionEngine
-from .plan import Piece, PreparedPlan, QueryPlan, TensorProvider
+from .plan import Piece, QueryPlan, TensorProvider
 
 __all__ = [
     "Bin",
@@ -295,7 +295,7 @@ class DynamicDefinitionQuery:
             collapse_seconds: List[float] = []
             for parent in parents:
                 fixed = {} if parent is None else parent.assignment
-                plan, pieces, layout = self._depth(len(fixed))
+                plan, pieces = self._depth(len(fixed))
                 with trace.span(
                     "query.dd.prepare",
                     {"fixed": len(fixed), "active": len(plan.active)},
@@ -304,12 +304,7 @@ class DynamicDefinitionQuery:
                     collapsed, hits, misses = self.provider.collapse_pieces(
                         pieces, fixed
                     )
-                    if layout:  # every bin of a depth contracts alike
-                        tensors = [item[0] for item in collapsed]
-                        prep = PreparedPlan(plan, tensors, *layout)
-                    else:
-                        prep = plan.assemble(collapsed)
-                        layout.extend((prep.order, prep.permutation))
+                    prep = plan.assemble(collapsed)
                     collapse_seconds.append(time.perf_counter() - collapse_began)
                     prepare_span.set(cache_hits=hits, cache_misses=misses)
                 self._cache_lookups[0] += hits
@@ -317,16 +312,14 @@ class DynamicDefinitionQuery:
                 prepared.append((parent, fixed, prep))
 
             contract_began = time.perf_counter()
-            if len(prepared) == 1:
-                executions = [prepared[0][2].contract(self.engine)]
-            else:
-                contractions = self.engine.contract_batch(
-                    [prep.payload for *_, prep in prepared]
-                )
-                executions = [
-                    prep.finish(contraction)
-                    for (*_, prep), contraction in zip(prepared, contractions)
-                ]
+            # Without a pool each bin is one ContractionEngine.contract.
+            contractions = self.engine.contract_batch(
+                [prep.payload for *_, prep in prepared]
+            )
+            executions = [
+                prep.finish(contraction)
+                for (*_, prep), contraction in zip(prepared, contractions)
+            ]
             contract_elapsed = time.perf_counter() - contract_began
             self._collapse_seconds += sum(collapse_seconds)
             self._contract_seconds += contract_elapsed
@@ -355,10 +348,9 @@ class DynamicDefinitionQuery:
                     self._push(recursion, 0)
         return recursions
 
-    def _depth(self, num_fixed: int) -> Tuple[QueryPlan, List[Piece], List]:
+    def _depth(self, num_fixed: int) -> Tuple[QueryPlan, List[Piece]]:
         """What every recursion that fixes ``num_fixed`` wires shares: the
-        plan of its all-zeros bin, the provider's pieces of its roles, and
-        (once known) the contraction order and output permutation."""
+        plan of its all-zeros bin and the provider's pieces of its roles."""
         depth = self._depths.get(num_fixed)
         if depth is None:
             order = self.active_order
@@ -370,7 +362,7 @@ class DynamicDefinitionQuery:
                 dict.fromkeys(order[:num_fixed], 0), active,
             )
             pieces = self.provider.pieces(plan.roles)
-            depth = self._depths[num_fixed] = (plan, pieces, [])
+            depth = self._depths[num_fixed] = (plan, pieces)
         return depth
 
     def _push(self, recursion: DDRecursion, rank: int) -> None:

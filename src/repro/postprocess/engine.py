@@ -90,27 +90,17 @@ class ContractionResult:
 # kron strategy: blocked/batched Kronecker accumulation
 # ----------------------------------------------------------------------
 
-#: The rows of a tensor that carries every cut, in order, over all 4^K
-#: assignments: each assignment is its own row.
-_EVERY_ROW = slice(None)
-
-
 def _row_indices(
     tensor: TermTensor, start: int, stop: int, num_cuts: int, memo=None
-):
+) -> np.ndarray:
     """Vectorized map from the global assignments ``[start, stop)`` to
     tensor rows; with a ``memo``, the whole ``4^K`` range is mapped once
-    per cut order (and to :data:`_EVERY_ROW` when it is the identity)."""
+    per cut order."""
     if memo is not None and stop - start == 4**num_cuts:
         key = (tuple(tensor.cut_order), num_cuts)
-        rows = memo.get(key)
-        if rows is None:
-            identity = list(key[0]) == list(range(num_cuts))
-            rows = memo[key] = (
-                _EVERY_ROW if identity
-                else _row_indices(tensor, start, stop, num_cuts)
-            )
-        return rows
+        if key not in memo:
+            memo[key] = _row_indices(tensor, start, stop, num_cuts)
+        return memo[key]
     assignments = np.arange(start, stop, dtype=np.int64)
     rows = np.zeros(assignments.shape, dtype=np.int64)
     for cut_id in tensor.cut_order:
@@ -151,9 +141,9 @@ def _accumulate_range(
             for t in ordered
         ]
         if early_termination:
-            alive = ordered[0].nonzero[rows[0]]  # a view for _EVERY_ROW
+            alive = ordered[0].nonzero[rows[0]]
             for tensor, tensor_rows in zip(ordered[1:], rows[1:]):
-                alive = alive & tensor.nonzero[tensor_rows]
+                alive &= tensor.nonzero[tensor_rows]
             survivors = alive.nonzero()[0]
             skipped += alive.size - survivors.size
         else:
@@ -161,9 +151,7 @@ def _accumulate_range(
         for block_start in range(0, survivors.size, rows_per_block):
             block = survivors[block_start : block_start + rows_per_block]
             matrices = [
-                tensor.data[
-                    block if tensor_rows is _EVERY_ROW else tensor_rows[block]
-                ]
+                tensor.data[tensor_rows[block]]
                 for tensor, tensor_rows in zip(ordered, rows)
             ]
             if len(matrices) == 1:
@@ -196,12 +184,7 @@ def _select_pair(shapes) -> Optional[Tuple[int, int, set, int]]:
     ``shapes`` is one ``{label: dim}`` dict per node; returns
     ``(i, j, shared_labels, shared_dim)`` or None if no pair connects.
     """
-    sizes = []
-    for dims in shapes:
-        size = 1.0
-        for dim in dims.values():
-            size *= dim
-        sizes.append(size)
+    sizes = [math.prod(dims.values(), start=1.0) for dims in shapes]
     best: Optional[Tuple[int, int, set, int]] = None
     best_size = None
     for i in range(len(shapes)):
@@ -209,9 +192,7 @@ def _select_pair(shapes) -> Optional[Tuple[int, int, set, int]]:
             shared = set(shapes[i]).intersection(shapes[j])
             if not shared:
                 continue
-            shared_dim = 1
-            for label in shared:
-                shared_dim *= shapes[i][label]
+            shared_dim = math.prod(shapes[i][label] for label in shared)
             size = sizes[i] * sizes[j] / (shared_dim * shared_dim)
             if best_size is None or size < best_size:
                 best, best_size = (i, j, shared, shared_dim), size
@@ -327,10 +308,7 @@ def _compile(structure) -> ContractionPlan:
             for label, dim in labelled.items()
             if label not in shared
         }
-        result_size = 1.0
-        for dim in merged.values():
-            result_size *= dim
-        cost += result_size * shared_dim
+        cost += math.prod(merged.values(), start=1.0) * shared_dim
         path.append((ids[i], ids[j]))
         labels_of.append(set(merged))
         del shapes[j], shapes[i], ids[j], ids[i]
@@ -480,6 +458,12 @@ class ContractionEngine:
                 f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}"
             )
 
+    def _options(self, strategy, early_termination) -> Tuple[str, bool]:
+        """The call's strategy and early termination, else the engine's."""
+        if early_termination is None:
+            early_termination = self.early_termination
+        return self.strategy if strategy is None else strategy, early_termination
+
     def contract(
         self,
         tensors: Sequence[TermTensor],
@@ -489,12 +473,7 @@ class ContractionEngine:
         early_termination: Optional[bool] = None,
     ) -> ContractionResult:
         """:func:`contract_terms` with this engine's defaults, inline."""
-        strategy = self.strategy if strategy is None else strategy
-        early = (
-            self.early_termination
-            if early_termination is None
-            else early_termination
-        )
+        strategy, early = self._options(strategy, early_termination)
         resolved = resolve_strategy(strategy, tensors, order, num_cuts)
         with trace.span(
             "contract", {"strategy": resolved, "num_cuts": num_cuts}
@@ -524,16 +503,14 @@ class ContractionEngine:
         the answers are identical.
         """
         if self.pool is not None and len(batch) > 1:
+            strategy, early = self._options(strategy, early_termination)
             return self.pool.contract_batch(
-                batch,
-                strategy=self.strategy if strategy is None else strategy,
-                early_termination=(
-                    self.early_termination
-                    if early_termination is None
-                    else early_termination
-                ),
+                batch, strategy=strategy, early_termination=early
             )
         return [
-            self.contract(tensors, order, num_cuts, strategy, early_termination)
+            self.contract(
+                tensors, order, num_cuts,
+                strategy=strategy, early_termination=early_termination,
+            )
             for tensors, order, num_cuts in batch
         ]

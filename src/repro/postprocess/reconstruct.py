@@ -46,7 +46,7 @@ from ..cutting.variants import SubcircuitResult
 from ..obs import trace
 from ..utils import index_to_bitstring
 from .attribution import TermTensor, build_term_tensor
-from .engine import STRATEGIES, ContractionEngine
+from .engine import ContractionEngine
 from .plan import PrecomputedTensorProvider, QueryPlan
 
 __all__ = [
@@ -174,11 +174,6 @@ class Reconstructor:
         ``early_termination`` and ``strategy`` default to the engine's
         settings; ``greedy_order=False`` contracts in subcircuit order.
         """
-        strategy = self.engine.strategy if strategy is None else strategy
-        if early_termination is None:
-            early_termination = self.engine.early_termination
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
         began = time.perf_counter()
         num_qubits = self.num_qubits
         num_cuts = self.cut_circuit.num_cuts

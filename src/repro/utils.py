@@ -94,11 +94,8 @@ def permute_qubits(vector: np.ndarray, permutation: Sequence[int]) -> np.ndarray
         raise ValueError(
             f"vector of size {vector.size} does not match {num_qubits} qubits"
         )
-    identity = list(range(num_qubits))
-    if sorted(permutation) != identity:
+    if sorted(permutation) != list(range(num_qubits)):
         raise ValueError(f"invalid permutation {permutation!r}")
-    if list(permutation) == identity:
-        return vector.reshape(-1)
     tensor = vector.reshape((2,) * num_qubits)
     return np.transpose(tensor, axes=permutation).reshape(-1)
 

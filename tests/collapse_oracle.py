@@ -5,7 +5,8 @@ sums a merged wire with ``ndarray.sum(axis=...)`` or picks a fixed wire
 with ``np.take`` (one copy per wire).  ``derive_fixed`` indexes the
 fixed wires out of a generalized collapse.  ``OracleTensorProvider`` is
 the collapse cache written out plainly on top of both, so a whole DD
-query can be replayed on the old arithmetic.  ``repro.postprocess.plan``
+query can be replayed on the old arithmetic and the old per-recursion
+role maps.  ``repro.postprocess.plan``
 must stay ``array_equal`` to all three.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.cutting.cutter import Subcircuit
 from repro.postprocess.attribution import TermTensor
-from repro.postprocess.plan import RoleMap
+from repro.postprocess.plan import QueryPlan
 
 
 def binned_tensor(
@@ -75,31 +76,48 @@ def derive_fixed(
     return derived, remaining
 
 
+def next_active(
+    fixed: Dict[int, int], max_active: int, active_order: List[int]
+) -> List[int]:
+    """The wires a DD recursion under ``fixed`` activates: the first
+    ``max_active`` of ``active_order`` that are not fixed."""
+    return [w for w in active_order if w not in fixed][:max_active]
+
+
 class OracleTensorProvider:
-    """The collapse cache written out plainly: a subcircuit's roles on its
-    own output wires, fixed wires promoted to active, key a dict of
+    """The collapse cache of a DD query written out plainly.
+
+    It ignores the role layout the query hands to :meth:`pieces`, and
+    rebuilds each recursion's role map from its ``fixed`` bits with
+    :func:`next_active` and ``QueryPlan.binned``.  A subcircuit's roles on
+    its own output wires, fixed wires promoted to active, key a dict of
     collapses by :func:`binned_tensor` above, and :func:`derive_fixed`
     indexes each fixed wire out.  Its memo never evicts (no test here
     reaches the provider's 512 entries)."""
 
-    def __init__(self, cut_circuit, tensors):
+    def __init__(self, cut_circuit, tensors, max_active, active_order=None):
         self.cut_circuit = cut_circuit
         self.tensors = sorted(tensors, key=lambda t: t.subcircuit_index)
         self.num_qubits = cut_circuit.circuit.num_qubits
         self.num_cuts = cut_circuit.num_cuts
+        self.max_active = max_active
+        self.active_order = list(
+            range(self.num_qubits) if active_order is None else active_order
+        )
         self.memo: Dict = {}
 
-    def pieces(self, roles: RoleMap) -> List:
-        return [
-            (subcircuit, {line.wire: roles[line.wire]
-                          for line in subcircuit.output_lines})
-            for subcircuit in self.cut_circuit.subcircuits
-        ]
+    def pieces(self, roles) -> List:
+        return list(self.cut_circuit.subcircuits)
 
     def collapse_pieces(self, pieces, fixed: Dict[int, int]):
+        active = next_active(fixed, self.max_active, self.active_order)
+        roles = QueryPlan.binned(
+            self.num_qubits, self.num_cuts, fixed, active
+        ).roles
         out = []
         hits = misses = 0
-        for subcircuit, own in pieces:
+        for subcircuit in pieces:
+            own = {line.wire: roles[line.wire] for line in subcircuit.output_lines}
             general = {
                 wire: ("active",) if role[0] == "fixed" else role
                 for wire, role in own.items()

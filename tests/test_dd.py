@@ -470,9 +470,10 @@ class TestFrontierReplay:
 
 class TestCollapseOracleQuery:
     """A query whose provider collapses and derives with the axis-by-axis
-    oracle (tests/collapse_oracle.py), one role map per recursion, makes
-    the same recursions, bit for bit, the same contractions and the same
-    ``DDStats`` counts as one on the default provider."""
+    oracle (tests/collapse_oracle.py), on a role map it rebuilds for each
+    recursion from the recursion's fixed bits, makes the same recursions,
+    bit for bit, the same contractions and the same ``DDStats`` counts as
+    one on the default provider."""
 
     @staticmethod
     def _counts(query):
@@ -505,12 +506,16 @@ class TestCollapseOracleQuery:
             PrecomputedTensorProvider(cut, tensors=tensors)
         )
         slow, slow_contractions = run(
-            collapse_oracle.OracleTensorProvider(cut, tensors=tensors)
+            collapse_oracle.OracleTensorProvider(cut, tensors, active)
         )
         assert len(fast.recursions) == len(slow.recursions) > 1
+        wires = list(range(cut.circuit.num_qubits))
         for got, want in zip(fast.recursions, slow.recursions):
             assert got.probabilities.tobytes() == want.probabilities.tobytes()
             assert (got.fixed, got.active) == (want.fixed, want.active)
+            assert list(got.active) == collapse_oracle.next_active(
+                got.fixed, active, wires
+            )
             assert got.parent_bin == want.parent_bin
         assert fast_contractions == slow_contractions
         assert len(fast_contractions) == len(fast.recursions)
