@@ -9,8 +9,8 @@ the *same circuit structure* at two SPSA probe points per iteration.
   ``find_cuts``' process-level memo before each probe: left warm, a
   resident process no longer re-searches and the ratio measures
   something else — CHANGES.md, PR 24, has both numbers);
-* **warm** — one :class:`~repro.core.VariationalSession`: the cut is
-  found once (the reported warm-up), then each probe is a ``rebind``
+* **warm** — one :class:`~repro.core.CutQC`: the cut is found once (the
+  reported warm-up), then each probe is a :meth:`~repro.core.CutQC.rebind`
   that re-fuses only blocks whose angles moved and reuses every
   untouched term tensor.
 
@@ -18,7 +18,7 @@ Both phases evaluate the *identical* probe sequence (the warm phase runs
 the real adaptive SPSA loop and records its probes; the naive phase
 replays them) and must agree on every cost to 1e-9 — the speedup is
 measured on equal work.  The gated number is the steady-state per-probe
-speedup: warm-up (the one cut search the session ever pays) is reported
+speedup: warm-up (the one cut search the pipeline ever pays) is reported
 separately, because amortizing it is exactly the feature.  Results land
 in ``results/BENCH_variational.json`` (uploaded by CI) with the speedup
 asserted against a conservative floor.
@@ -30,8 +30,9 @@ import time
 
 import numpy as np
 
-from repro import CutQC, VariationalSession
+from repro import CutQC
 from repro.core import spsa_gains
+from repro.core.variational import summary as rebind_summary
 from repro.cutting import clear_cut_memo
 from repro.library.qaoa import (
     maxcut_cost,
@@ -77,14 +78,16 @@ def test_variational_warm_vs_naive():
     rng = np.random.default_rng(_SEED)
     theta = rng.uniform(0.1, np.pi - 0.1, size=2 * _LAYERS)
 
-    # -- warm: one session, the real adaptive SPSA loop ----------------
+    # -- warm: one pipeline, the real adaptive SPSA loop ---------------
     warmup_began = time.perf_counter()
-    session = VariationalSession(
+    pipeline = CutQC(
         qaoa_maxcut(_QUBITS, edges, layers=_LAYERS, parameters=list(theta)),
         max_subcircuit_qubits=_DEVICE,
     )
-    session.rebind(_flat(edges, theta))
-    initial_cost = maxcut_cost(session.probabilities(), edges, _QUBITS)
+    history = [pipeline.rebind(_flat(edges, theta))]
+    initial_cost = maxcut_cost(
+        pipeline.fd_query().probabilities, edges, _QUBITS
+    )
     warmup_seconds = time.perf_counter() - warmup_began
 
     probes = []  # (theta, cost) pairs, replayed by the naive phase
@@ -95,28 +98,28 @@ def test_variational_warm_vs_naive():
         delta = rng.choice((-1.0, 1.0), size=theta.size)
         costs = []
         for probe in (theta + c_k * delta, theta - c_k * delta):
-            session.rebind(_flat(edges, probe))
-            cost = maxcut_cost(session.probabilities(), edges, _QUBITS)
+            history.append(pipeline.rebind(_flat(edges, probe)))
+            cost = maxcut_cost(
+                pipeline.fd_query().probabilities, edges, _QUBITS
+            )
             probes.append((probe, cost))
             costs.append(cost)
         best_cost = max(best_cost, *costs)
         theta = theta + a_k * (costs[0] - costs[1]) / (2 * c_k) * delta
     warm_seconds = time.perf_counter() - warm_began
-    summary = session.summary()
+    summary = rebind_summary(history, pipeline.circuit.num_parameters)
 
     # -- naive: a fresh pipeline per probe, identical work -------------
     naive_began = time.perf_counter()
     for probe, warm_cost in probes:
         clear_cut_memo()  # "from scratch" includes the cut search
-        pipeline = CutQC(
+        fresh = CutQC(
             qaoa_maxcut(
                 _QUBITS, edges, layers=_LAYERS, parameters=list(probe)
             ),
             max_subcircuit_qubits=_DEVICE,
         )
-        cost = maxcut_cost(
-            pipeline.fd_query().probabilities, edges, _QUBITS
-        )
+        cost = maxcut_cost(fresh.fd_query().probabilities, edges, _QUBITS)
         assert abs(cost - warm_cost) < 1e-9, (
             f"warm/naive cost mismatch: {warm_cost} vs {cost}"
         )
@@ -130,7 +133,7 @@ def test_variational_warm_vs_naive():
     rows = [
         ("naive (pipeline per probe)", num_probes,
          f"{naive_seconds:.3f}", f"{naive_per_probe:.4f}", "--"),
-        ("warm (one session, rebinds)", num_probes,
+        ("warm (one pipeline, rebinds)", num_probes,
          f"{warm_seconds:.3f}", f"{warm_per_probe:.4f}",
          f"{speedup:.2f}x"),
         ("warm incl. one-time warm-up", num_probes,

@@ -24,7 +24,6 @@ from .core import (
     RebindStats,
     RunConfig,
     VariantExecutor,
-    VariationalSession,
     evaluate_with_cutqc,
 )
 from .cutting import (
@@ -75,7 +74,6 @@ __all__ = [
     "ExecutionReport",
     "RunConfig",
     "VariantExecutor",
-    "VariationalSession",
     "RebindStats",
     "evaluate_with_cutqc",
     "CutCircuit",

@@ -3,7 +3,7 @@
 from .config import RunConfig
 from .executor import ExecutionReport, VariantExecutor
 from .pipeline import CutQC, evaluate_with_cutqc
-from .variational import RebindStats, VariationalSession, spsa_gains
+from .variational import RebindStats, spsa_gains
 
 __all__ = [
     "CutQC",
@@ -12,6 +12,5 @@ __all__ = [
     "ExecutionReport",
     "VariantExecutor",
     "RebindStats",
-    "VariationalSession",
     "spsa_gains",
 ]

@@ -157,10 +157,10 @@ class JobSpec:
         return ring_graph(self.qubits)
 
     def run_config(self) -> RunConfig:
-        """The :class:`~repro.core.config.RunConfig` of every pipeline
-        this job drives (a :class:`~repro.core.CutQC` or a
-        ``VariationalSession``): the same-named fields, plus the cut
-        budget ``device_size`` and the ``shots`` per variant."""
+        """The :class:`~repro.core.config.RunConfig` of the
+        :class:`~repro.core.CutQC` this job drives (a variational job
+        rebinds it): the same-named fields, plus the cut budget
+        ``device_size`` and the ``shots`` per variant."""
         return RunConfig.of(
             self, max_subcircuit_qubits=self.device_size, device_shots=self.shots
         )

@@ -37,6 +37,7 @@ from ..postprocess import (
     ShotBasedTensorProvider,
     StreamStats,
 )
+from . import variational
 from .config import RunConfig
 from .executor import ExecutionReport, VariantExecutor
 
@@ -110,6 +111,8 @@ class CutQC:
         self.engine = ContractionEngine(strategy=config.strategy, pool=worker_pool)
         self._solution: Optional[CutSolution] = None
         self._cut: Optional[CutCircuit] = None
+        #: The cut came through :meth:`load_cut`, not this pipeline's search.
+        self._cut_loaded = False
         self._results: Optional[List[SubcircuitResult]] = None
         self._reconstructor: Optional[Reconstructor] = None
         self.execution_report: Optional[ExecutionReport] = None
@@ -171,6 +174,7 @@ class CutQC:
                 f"circuit, pipeline has {self.circuit.num_qubits}"
             )
         self._cut = cut
+        self._cut_loaded = True
         self._solution = solution
         self._results = None
         self._reconstructor = None
@@ -232,6 +236,11 @@ class CutQC:
                 self._results = self.executor.run(cut.subcircuits)
             self.execution_report = self.executor.last_report
         return self._results
+
+    #: ``rebind(values) -> RebindStats``: bind new parameters into
+    #: :attr:`circuit` and re-evaluate only the subcircuits they touched
+    #: (the variational warm path, :mod:`repro.core.variational`).
+    rebind = variational.rebind
 
     # ------------------------------------------------------------------
     def reconstructor(self) -> Reconstructor:

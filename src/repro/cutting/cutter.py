@@ -220,9 +220,7 @@ class CutCircuit:
         updates: Dict[int, List[Tuple[int, Gate]]] = {}
         for index in changed:
             cluster, position = self.gate_placements[index]
-            updates.setdefault(cluster, []).append(
-                (position, circuit.gates[index])
-            )
+            updates.setdefault(cluster, []).append((position, circuit[index]))
         subcircuits = list(self.subcircuits)
         for cluster, patches in updates.items():
             old = self.subcircuits[cluster]

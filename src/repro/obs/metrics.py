@@ -1,9 +1,10 @@
 """Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
 
 Every layer of the pipeline used to report health through its own ad-hoc
-dataclass (``ParallelStats``, ``DDStats``, ``RebindStats``, per-memo counters,
-scheduler stage timings, store cache hits) with no correlation between them.
-This module gives them one thread-safe sink:
+dataclass (``ParallelStats``, ``DDStats``, the ``RebindStats`` that
+``CutQC.rebind`` returns, per-memo counters, scheduler stage timings, store
+cache hits) with no correlation between them.  This module gives them one
+thread-safe sink (a rebind also counts into ``repro_rebind_*``):
 
 * :class:`Counter` — monotonically increasing totals.
 * :class:`Gauge` — last-write-wins instantaneous values (cache sizes …).

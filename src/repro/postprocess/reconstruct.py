@@ -45,7 +45,7 @@ from ..cutting.cutter import CutCircuit
 from ..cutting.variants import SubcircuitResult
 from ..obs import trace
 from ..utils import index_to_bitstring
-from .attribution import TermTensor, build_term_tensor
+from .attribution import build_term_tensor
 from .engine import ContractionEngine
 from .plan import PrecomputedTensorProvider, QueryPlan
 
@@ -131,8 +131,9 @@ _PlannedShard = Tuple[int, Dict[int, int], QueryPlan]
 class Reconstructor:
     """FD reconstruction — whole, sharded or top-k — over one result set.
 
-    ``results`` or prebuilt ``tensors`` give the subcircuit term tensors.
-    With a :class:`~repro.postprocess.parallel.WorkerPool` on ``engine``,
+    ``results`` give the subcircuit term tensors (memoised on each
+    result, so a second reconstructor over them builds none).  With a
+    :class:`~repro.postprocess.parallel.WorkerPool` on ``engine``,
     multi-shard streams run concurrently: the tensors are published to
     shared memory once and each task ships only the shard's plan.
     """
@@ -141,15 +142,13 @@ class Reconstructor:
         self,
         cut_circuit: CutCircuit,
         results: Optional[Sequence[SubcircuitResult]] = None,
-        tensors: Optional[Sequence[TermTensor]] = None,
         engine: Optional[ContractionEngine] = None,
     ):
         self.cut_circuit = cut_circuit
         self.engine = engine or ContractionEngine()
-        if tensors is None:
-            if results is None:
-                raise ValueError("provide subcircuit results or term tensors")
-            tensors = [build_term_tensor(result) for result in results]
+        if results is None:
+            raise ValueError("provide subcircuit results")
+        tensors = [build_term_tensor(result) for result in results]
         if len(tensors) != cut_circuit.num_subcircuits:
             raise ValueError(
                 f"{len(tensors)} tensors for "

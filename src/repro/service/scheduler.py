@@ -2,8 +2,8 @@
 
 A *job* is one end-to-end CutQC evaluation — cut search, variant
 execution, and a query (FD, DD, streamed top-k, or a server-side
-*variational* optimizer loop over a warm
-:class:`~repro.core.variational.VariationalSession`) — described by a
+*variational* optimizer loop of :meth:`~repro.core.pipeline.CutQC.rebind`
+calls) — described by a
 :class:`JobSpec` and tracked by a :class:`JobRecord` through the states::
 
     queued -> cutting -> evaluating -> querying -> done
@@ -937,39 +937,42 @@ class JobScheduler:
         """Move a running job to its next stage; False once cancelled."""
         return not record.cancel_requested and self._transition(record, state)
 
-    def _execute(
-        self, record: JobRecord, use_pool: bool = True
-    ) -> Optional[Dict]:
-        """Run a job's stages; its result, or ``None`` once cancelled."""
-        spec = record.spec
-        if spec.query == "variational":
-            return self._execute_variational(record, use_pool=use_pool)
-        circuit = spec.build_circuit()
-        pipeline = CutQC(
-            circuit,
-            config=spec.run_config(),
-            worker_pool=self.worker_pool if use_pool else None,
-        )
-
-        # -- stage 1: cut (checkpointed) --------------------------------
+    def _cut_stage(self, record: JobRecord, pipeline: CutQC) -> str:
+        """Stage 1 of every job: restore the pipeline's cut from the store
+        or search and checkpoint it; returns the cut fingerprint."""
         began = time.perf_counter()
-        cut_key = pipeline.cut_fingerprint()  # once: both stages key on it
+        circuit = pipeline.circuit
+        cut_key = pipeline.cut_fingerprint()  # once: later stages key on it
 
-        def cut_stage() -> None:
+        def body() -> None:
             record.set_fingerprint("cut", cut_key)
             self._pin(record, "cut", cut_key)
             restored = self.store.get_cut(cut_key, circuit)
             if restored is not None:
                 pipeline.load_cut(*restored)
-                record.set_cache_hit("cut", True)
             else:
                 cut = pipeline.cut()
                 self.store.put_cut(cut_key, circuit, cut, pipeline.solution)
-                record.set_cache_hit("cut", False)
+            record.set_cache_hit("cut", restored is not None)
 
         with trace.span("job.cut"):
-            self._run_stage(record, "cut", cut_stage)
+            self._run_stage(record, "cut", body)
         record.set_timing("cut", time.perf_counter() - began)
+        return cut_key
+
+    def _execute(
+        self, record: JobRecord, use_pool: bool = True
+    ) -> Optional[Dict]:
+        """Run a job's stages; its result, or ``None`` once cancelled."""
+        spec = record.spec
+        pipeline = CutQC(
+            spec.build_circuit(),
+            config=spec.run_config(),
+            worker_pool=self.worker_pool if use_pool else None,
+        )
+        cut_key = self._cut_stage(record, pipeline)
+        if spec.query == "variational":
+            return self._execute_variational(record, pipeline)
 
         # -- stage 2: evaluate (checkpointed) ---------------------------
         if not self._enter_stage(record, "evaluating"):
@@ -1008,26 +1011,27 @@ class JobScheduler:
         return result
 
     def _execute_variational(
-        self, record: JobRecord, use_pool: bool = True
+        self, record: JobRecord, pipeline: CutQC
     ) -> Optional[Dict]:
-        """Server-side SPSA MaxCut loop over one warm
-        :class:`~repro.core.variational.VariationalSession`.
+        """Server-side SPSA MaxCut loop over the job's pipeline, after the
+        shared cut stage.
 
-        The cut is obtained once (store-checkpointed under the
-        parameter-invariant fingerprint); every optimizer iteration then
-        *rebinds* the two SPSA probe points instead of re-running the
-        pipeline, re-evaluating only subcircuits whose angles moved.  One
-        entry per iteration is appended to ``record.iterations`` as it
-        completes, so pollers watch the cost trace live.
+        The warm-up :meth:`~repro.core.pipeline.CutQC.rebind` evaluates
+        every subcircuit (not checkpointed: each binding is new); every
+        optimizer iteration then rebinds the two SPSA probe points,
+        re-evaluating only subcircuits whose angles moved.  One entry per
+        iteration is appended to ``record.iterations`` as it completes, so
+        pollers watch the cost trace live.
         """
         import numpy as np
 
-        from ..core.variational import VariationalSession, spsa_gains
+        from ..core.variational import spsa_gains, summary
         from ..library.qaoa import maxcut_cost, qaoa_maxcut
 
         spec = record.spec
         num_qubits = spec.qubits
         edges = spec.qaoa_edges()
+        history = []
 
         def flat(theta):
             # Expand per-layer (gamma, beta) to the flat per-gate vector
@@ -1036,34 +1040,27 @@ class JobScheduler:
                 num_qubits, edges, layers=spec.layers, parameters=list(theta)
             ).parameters()
 
+        def probe(theta) -> float:
+            history.append(pipeline.rebind(flat(theta)))
+            probabilities = pipeline.fd_query().probabilities
+            return maxcut_cost(probabilities, edges, num_qubits)
+
         rng = np.random.default_rng(spec.seed)
         theta = rng.uniform(0.1, np.pi - 0.1, size=2 * spec.layers)
 
-        session = VariationalSession(
-            spec.build_circuit(),
-            store=self.store,
-            config=spec.run_config(),
-            worker_pool=self.worker_pool if use_pool else None,
-        )
-        cut_key = session.cut_fingerprint()
-        record.set_fingerprint("cut", cut_key)
-        self._pin(record, "cut", cut_key)
-
-        # Warm-up: first rebind cuts (or restores) and evaluates all.
         if not self._enter_stage(record, "evaluating"):
             return None
+        began = time.perf_counter()
         with trace.span("job.evaluate"):
             warmup = self._run_stage(
-                record, "evaluate", lambda: session.rebind(flat(theta))
+                record, "evaluate", lambda: pipeline.rebind(flat(theta))
             )
-        record.set_cache_hit("cut", bool(session.cut_store_hit))
-        record.set_timing("cut", warmup.cut_seconds)
-        record.set_timing(
-            "evaluate", warmup.evaluate_seconds + warmup.tensor_seconds
-        )
+        history.append(warmup)
+        record.set_timing("evaluate", time.perf_counter() - began)
         record.update(execution={"mode": warmup.execution_mode})
-        cost = maxcut_cost(session.probabilities(), edges, num_qubits)
-        initial_cost = best_cost = cost
+        initial_cost = best_cost = maxcut_cost(
+            pipeline.fd_query().probabilities, edges, num_qubits
+        )
         best_theta = theta.copy()
 
         if not self._enter_stage(record, "querying"):
@@ -1079,14 +1076,8 @@ class JobScheduler:
                 began = time.perf_counter()
                 a_k, c_k = spsa_gains(k)
                 delta = rng.choice((-1.0, 1.0), size=theta.size)
-                stats_plus = session.rebind(flat(theta + c_k * delta))
-                cost_plus = maxcut_cost(
-                    session.probabilities(), edges, num_qubits
-                )
-                stats_minus = session.rebind(flat(theta - c_k * delta))
-                cost_minus = maxcut_cost(
-                    session.probabilities(), edges, num_qubits
-                )
+                cost_plus = probe(theta + c_k * delta)
+                cost_minus = probe(theta - c_k * delta)
                 if cost_plus > best_cost:
                     best_cost = cost_plus
                     best_theta = theta + c_k * delta
@@ -1100,6 +1091,7 @@ class JobScheduler:
                     theta
                     + a_k * (cost_plus - cost_minus) / (2 * c_k) * delta
                 )
+                plus, minus = history[-2:]
                 record.append_iteration({
                     "iteration": k,
                     "cost_plus": cost_plus,
@@ -1108,35 +1100,33 @@ class JobScheduler:
                     "theta": [float(t) for t in theta],
                     "seconds": time.perf_counter() - began,
                     "reuse": {
-                        "cut_cache_hits": sum(
-                            1
-                            for s in (stats_plus, stats_minus)
-                            if s.cut_cache_hit
+                        "cut_cache_hits": (
+                            plus.cut_cache_hit + minus.cut_cache_hit
                         ),
                         "subcircuit_evaluations": (
-                            len(stats_plus.dirty_subcircuits)
-                            + len(stats_minus.dirty_subcircuits)
+                            len(plus.dirty_subcircuits)
+                            + len(minus.dirty_subcircuits)
                         ),
                         "tensors_reused": (
-                            stats_plus.tensors_reused
-                            + stats_minus.tensors_reused
+                            plus.tensors_reused + minus.tensors_reused
                         ),
                         "fusion_blocks_built": (
-                            stats_plus.fusion_blocks_built
-                            + stats_minus.fusion_blocks_built
+                            plus.fusion_blocks_built
+                            + minus.fusion_blocks_built
                         ),
                         "fusion_blocks_reused": (
-                            stats_plus.fusion_blocks_reused
-                            + stats_minus.fusion_blocks_reused
+                            plus.fusion_blocks_reused
+                            + minus.fusion_blocks_reused
                         ),
                     },
                 })
         record.set_timing("query", time.perf_counter() - loop_began)
+        cut = pipeline.cut()
         return {
             "mode": "variational",
             "num_qubits": num_qubits,
-            "num_cuts": session.cut.num_cuts,
-            "num_subcircuits": session.cut.num_subcircuits,
+            "num_cuts": cut.num_cuts,
+            "num_subcircuits": cut.num_subcircuits,
             "num_edges": len(edges),
             "layers": spec.layers,
             "iterations": spec.iterations,
@@ -1144,7 +1134,7 @@ class JobScheduler:
             "best_cost": best_cost,
             "best_theta": [float(t) for t in best_theta],
             "final_theta": [float(t) for t in theta],
-            "session": session.summary(),
+            "session": summary(history, pipeline.circuit.num_parameters),
         }
 
     def _run_query(self, pipeline: CutQC, spec: JobSpec) -> Dict:

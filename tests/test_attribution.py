@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro import (
     CutQC,
     QuantumCircuit,
-    VariationalSession,
     cut_circuit,
     cut_circuit_from_assignment,
     make_device,
@@ -495,22 +494,22 @@ class TestBuildOnce:
 
     def test_rebind_rebuilds_exactly_the_dirty_subcircuits(self):
         circuit = qaoa_maxcut(6, ring_graph(6), layers=1, parameters=[0.3, 0.7])
-        session = VariationalSession(circuit, max_subcircuit_qubits=5)
+        pipeline = CutQC(circuit, max_subcircuit_qubits=5)
         built = _builds(False)
-        stats = session.rebind(circuit.parameters())
+        stats = pipeline.rebind(circuit.parameters())
         assert _builds(False) - built == len(stats.dirty_subcircuits)
-        assert len(stats.dirty_subcircuits) == session.cut.num_subcircuits
+        assert len(stats.dirty_subcircuits) == pipeline.cut().num_subcircuits
         flat = list(circuit.parameters())
         flat[-1] += 0.17  # touches a single subcircuit
         clean = {
             index: build_term_tensor(result)
-            for index, result in enumerate(session.results)
+            for index, result in enumerate(pipeline.evaluate())
         }
         built = _builds(False)
-        stats = session.rebind(flat)
-        assert 1 <= len(stats.dirty_subcircuits) < session.cut.num_subcircuits
+        stats = pipeline.rebind(flat)
+        assert 1 <= len(stats.dirty_subcircuits) < pipeline.cut().num_subcircuits
         assert _builds(False) - built == len(stats.dirty_subcircuits)
-        for index, result in enumerate(session.results):
+        for index, result in enumerate(pipeline.evaluate()):
             rebuilt = build_term_tensor(result) is not clean[index]
             assert rebuilt == (index in stats.dirty_subcircuits)
 

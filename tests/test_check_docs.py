@@ -54,3 +54,19 @@ def test_a_result_key_missing_from_the_api_doc_is_flagged(tmp_path):
     assert errors == [
         "docs/http_api.md: result key 'max_bin_probability' is not documented"
     ]
+
+
+def test_a_variational_session_key_missing_from_the_api_doc_is_flagged(
+    tmp_path,
+):
+    doc = (ROOT / "docs" / "http_api.md").read_text(encoding="utf-8")
+    assert doc.count("`fusion_blocks_total`") == 1
+    copy = tmp_path / "http_api.md"
+    copy.write_text(
+        doc.replace("`fusion_blocks_total`", "the block lookups"),
+        encoding="utf-8",
+    )
+    errors = check_docs.check_result_keys(copy)
+    assert errors == [
+        "docs/http_api.md: result key 'fusion_blocks_total' is not documented"
+    ]

@@ -11,11 +11,18 @@ Covers the tentpole's contract from four sides:
 * ``CutCircuit.rebound`` patches only dirty subcircuits and shares clean
   ones by reference, and the per-block fusion memo rebuilds only blocks
   containing a moved gate;
-* a :class:`~repro.core.VariationalSession` rebind bit-matches a
-  from-scratch pipeline to 1e-10 — including partial updates that touch
-  a single subcircuit — under serial, pooled and batched-noisy
-  execution, while its stats prove the reuse.
+* a :meth:`~repro.core.CutQC.rebind` bit-matches a from-scratch
+  pipeline to 1e-10 — including partial updates that touch a single
+  subcircuit — under serial, pooled and batched-noisy execution, while
+  its stats prove the reuse, and every later query of the rebound
+  pipeline (FD, top-k, stream, DD) equals a fresh pipeline's.
 """
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,15 +32,15 @@ from hypothesis import strategies as st
 from repro import (
     CutQC,
     QuantumCircuit,
-    VariationalSession,
     make_device,
     simulate_probabilities,
 )
 from repro.circuits.gates import PARAM_COUNTS
 from repro.core import spsa_gains
+from repro.core.variational import summary
 from repro.cutting import cut_memo_stats
 from repro.devices.pool import DevicePool
-from repro.library.qaoa import maxcut_cost, qaoa_maxcut, ring_graph
+from repro.library.qaoa import qaoa_maxcut, ring_graph
 from repro.service.store import (
     ArtifactStore,
     cut_fingerprint,
@@ -274,65 +281,68 @@ class TestBlockReuse:
 
 
 # ----------------------------------------------------------------------
-# Core: VariationalSession parity + reuse stats
+# Core: CutQC.rebind parity + reuse stats
 # ----------------------------------------------------------------------
 
-class TestVariationalSession:
+class TestRebind:
     def test_reuse_stats_prove_warm_path(self):
         circuit = _qaoa(n=8)
-        session = VariationalSession(circuit, max_subcircuit_qubits=5)
-        first = session.rebind(circuit.parameters())
-        assert not first.cut_cache_hit  # no store: first cut is computed
+        pipeline = CutQC(circuit, max_subcircuit_qubits=5)
+        first = pipeline.rebind(circuit.parameters())
+        assert not first.cut_cache_hit  # no loaded cut: first is searched
         assert first.reused_subcircuits == 0
-        cold_cut = session.cut
+        cold_cut = pipeline.cut()
 
         flat = list(circuit.parameters())
         flat[-1] += 0.5
-        second = session.rebind(flat)
+        second = pipeline.rebind(flat)
         # The dirty piece fuses to >= 2 blocks, one without the moved gate.
-        blocks, touched = _moved_blocks(cold_cut, session.cut)
+        blocks, touched = _moved_blocks(cold_cut, pipeline.cut())
         assert blocks >= 2 and 1 <= touched < blocks
         assert second.cut_cache_hit
         assert second.dirty_subcircuits != ()
         assert second.reused_subcircuits >= 1
         assert second.tensors_reused >= 1
         assert second.fusion_blocks_built < second.fusion_blocks_total
-        summary = session.summary()
-        assert summary["iterations"] == 2
-        assert summary["cut_cache_hits"] == 1
+        folded = summary([first, second], circuit.num_parameters)
+        assert folded["iterations"] == 2
+        assert folded["cut_cache_hits"] == 1
 
-    def test_sessions_of_one_structure_share_one_cut_search(self):
-        """No store: the second session's cold cut is a ``find_cuts`` memo
-        hit — not a session cut-cache hit — and still cuts its own angles."""
-        first = VariationalSession(_qaoa(), max_subcircuit_qubits=5)
+    def test_pipelines_of_one_structure_share_one_cut_search(self):
+        """No store: the second pipeline's cold cut is a ``find_cuts`` memo
+        hit — not a rebind cut-cache hit — and still cuts its own angles."""
+        first = CutQC(_qaoa(), max_subcircuit_qubits=5)
         first.rebind(first.circuit.parameters())
         target = _qaoa(theta=(1.2, 0.1))
-        second = VariationalSession(target, max_subcircuit_qubits=5)
+        second = CutQC(target, max_subcircuit_qubits=5)
         stats = second.rebind(target.parameters())
         assert cut_memo_stats() == {"hits": 1, "misses": 1, "size": 1}
-        assert not stats.cut_cache_hit and not second.cut_store_hit
-        assert second.cut.assignment == first.cut.assignment
-        assert second.cut.circuit.parameters() == target.parameters()
+        assert not stats.cut_cache_hit
+        assert summary([stats], target.num_parameters)["cut_store_hit"] is False
+        assert second.cut().assignment == first.cut().assignment
+        assert second.cut().circuit.parameters() == target.parameters()
         assert np.allclose(
-            second.probabilities(), simulate_probabilities(target), atol=1e-10
+            second.fd_query().probabilities,
+            simulate_probabilities(target),
+            atol=1e-10,
         )
 
-    def test_store_backed_session_hits_cut_every_time(self, tmp_path):
+    def test_a_restored_cut_makes_the_first_rebind_a_hit(self, tmp_path):
         store = ArtifactStore(tmp_path)
         circuit = _qaoa()
-        warm = VariationalSession(
-            circuit, max_subcircuit_qubits=5, store=store
-        )
+        warm = CutQC(circuit, max_subcircuit_qubits=5)
+        key = warm.cut_fingerprint()
+        assert store.get_cut(key, circuit) is None
         warm.rebind(circuit.parameters())
-        assert warm.cut_store_hit is False
+        store.put_cut(key, circuit, warm.cut(), warm.solution)
 
-        # A second session for the same structure restores the cut: the
+        # A second pipeline for the same structure restores the cut: the
         # very first rebind is already a cut cache hit.
-        other = VariationalSession(
-            _qaoa(theta=(1.2, 0.1)), max_subcircuit_qubits=5, store=store
-        )
-        stats = other.rebind(other.circuit.parameters())
-        assert other.cut_store_hit is True
+        target = _qaoa(theta=(1.2, 0.1))
+        other = CutQC(target, max_subcircuit_qubits=5)
+        other.load_cut(*store.get_cut(other.cut_fingerprint(), target))
+        stats = other.rebind(target.parameters())
+        assert summary([stats], target.num_parameters)["cut_store_hit"] is True
         assert stats.cut_cache_hit
 
     @settings(max_examples=8, deadline=None)
@@ -346,11 +356,11 @@ class TestVariationalSession:
     )
     def test_rebind_matches_from_scratch(self, theta0, theta1):
         circuit = _qaoa(theta=theta0)
-        session = VariationalSession(circuit, max_subcircuit_qubits=5)
-        session.rebind(circuit.parameters())
+        pipeline = CutQC(circuit, max_subcircuit_qubits=5)
+        pipeline.rebind(circuit.parameters())
         target = _qaoa(theta=theta1)
-        session.rebind(target.parameters())
-        warm = session.probabilities()
+        pipeline.rebind(target.parameters())
+        warm = pipeline.fd_query().probabilities
         scratch = CutQC(target, max_subcircuit_qubits=5).fd_query()
         assert np.allclose(warm, scratch.probabilities, atol=1e-10)
 
@@ -363,16 +373,20 @@ class TestVariationalSession:
         # Perturb a single gate parameter: often only one subcircuit is
         # dirty, and the reconstruction must still be exact.
         circuit = _qaoa()
-        session = VariationalSession(circuit, max_subcircuit_qubits=5)
-        session.rebind(circuit.parameters())
+        pipeline = CutQC(circuit, max_subcircuit_qubits=5)
+        pipeline.rebind(circuit.parameters())
         flat = list(circuit.parameters())
         flat[gate % len(flat)] += delta
-        stats = session.rebind(flat)
-        assert 1 <= len(stats.dirty_subcircuits) <= session.cut.num_subcircuits
+        stats = pipeline.rebind(flat)
+        assert (
+            1 <= len(stats.dirty_subcircuits) <= pipeline.cut().num_subcircuits
+        )
         bound, _ = circuit.bind(flat)
         scratch = CutQC(bound, max_subcircuit_qubits=5).fd_query()
         assert np.allclose(
-            session.probabilities(), scratch.probabilities, atol=1e-10
+            pipeline.fd_query().probabilities,
+            scratch.probabilities,
+            atol=1e-10,
         )
 
     def test_pooled_rebind_matches_from_scratch(self):
@@ -380,15 +394,15 @@ class TestVariationalSession:
         pool = DevicePool(
             [_ideal_device("a", 5, seed=1), _ideal_device("b", 5, seed=2)]
         )
-        session = VariationalSession(
+        pipeline = CutQC(
             circuit, max_subcircuit_qubits=5, pool=pool, device_shots=0
         )
-        session.rebind(circuit.parameters())
-        assert session.history[0].execution_mode == "batched-devicepool"
+        first = pipeline.rebind(circuit.parameters())
+        assert first.execution_mode == "batched-devicepool"
 
         flat = list(circuit.parameters())
         flat[-1] += 0.17  # single-subcircuit partial update
-        stats = session.rebind(flat)
+        stats = pipeline.rebind(flat)
         assert len(stats.dirty_subcircuits) == 1
         bound, _ = circuit.bind(flat)
         scratch = CutQC(
@@ -400,7 +414,9 @@ class TestVariationalSession:
             device_shots=0,
         ).fd_query()
         assert np.allclose(
-            session.probabilities(), scratch.probabilities, atol=1e-10
+            pipeline.fd_query().probabilities,
+            scratch.probabilities,
+            atol=1e-10,
         )
 
     def test_noisy_rebind_matches_from_scratch(self):
@@ -409,7 +425,7 @@ class TestVariationalSession:
         # a fresh full evaluation at the new parameters.
         circuit = _qaoa()
         device = make_device("vartest", 5, "line", seed=5)
-        session = VariationalSession(
+        pipeline = CutQC(
             circuit,
             max_subcircuit_qubits=5,
             device=device,
@@ -417,10 +433,10 @@ class TestVariationalSession:
             trajectories=6,
             seed=11,
         )
-        session.rebind(circuit.parameters())
+        pipeline.rebind(circuit.parameters())
         flat = list(circuit.parameters())
         flat[-1] += 0.31
-        stats = session.rebind(flat)
+        stats = pipeline.rebind(flat)
         assert len(stats.dirty_subcircuits) == 1
         bound, _ = circuit.bind(flat)
         scratch = CutQC(
@@ -432,13 +448,86 @@ class TestVariationalSession:
             seed=11,
         ).fd_query()
         assert np.allclose(
-            session.probabilities(), scratch.probabilities, atol=1e-10
+            pipeline.fd_query().probabilities,
+            scratch.probabilities,
+            atol=1e-10,
         )
 
-    def test_query_before_rebind_raises(self):
-        session = VariationalSession(_qaoa(), max_subcircuit_qubits=5)
-        with pytest.raises(RuntimeError, match="rebind"):
-            session.probabilities()
+    def test_query_before_rebind_reads_the_constructed_binding(self):
+        """A pipeline is queryable before any rebind, and a rebind after
+        that query is incremental."""
+        circuit = _qaoa()
+        pipeline = CutQC(circuit, max_subcircuit_qubits=5)
+        assert np.allclose(
+            pipeline.fd_query().probabilities,
+            simulate_probabilities(circuit),
+            atol=1e-10,
+        )
+        flat = list(circuit.parameters())
+        flat[-1] += 0.4
+        stats = pipeline.rebind(flat)
+        assert stats.cut_cache_hit is False  # searched by fd_query, not loaded
+        assert len(stats.dirty_subcircuits) == 1
+
+
+#: The two run configurations the post-rebind query parity runs under.
+_PARITY_CONFIGS = {
+    "exact": {},
+    "noisy": dict(device_shots=0, trajectories=6, seed=11),
+}
+
+
+class TestQueriesAfterRebind:
+    """Every query of a rebound pipeline equals a fresh pipeline's on the
+    bound circuit: FD to 1e-12, top-k states and DD recursions exactly."""
+
+    @pytest.mark.parametrize("config", sorted(_PARITY_CONFIGS))
+    def test_fd_top_k_stream_and_dd_equal_a_fresh_pipeline(self, config):
+        def pipeline_for(circuit):
+            options = dict(_PARITY_CONFIGS[config])
+            if config == "noisy":
+                options["device"] = make_device("vartest", 5, "line", seed=5)
+            return CutQC(circuit, max_subcircuit_qubits=5, **options)
+
+        circuit = _qaoa(n=8)
+        warm = pipeline_for(circuit)
+        warm.rebind(circuit.parameters())
+        warm.fd_query()  # build the first binding's reconstructor
+        flat = list(circuit.parameters())
+        flat[-1] += 0.37  # one dirty piece, one clean
+        stats = warm.rebind(flat)
+        assert stats.reused_subcircuits >= 1
+        bound, _ = circuit.bind(flat)
+        fresh = pipeline_for(bound)
+
+        assert np.allclose(
+            warm.fd_query().probabilities,
+            fresh.fd_query().probabilities,
+            rtol=0,
+            atol=1e-12,
+        )
+        assert warm.fd_top_k(3, 5) == fresh.fd_top_k(3, 5)
+        shards = list(zip(warm.fd_stream(3), fresh.fd_stream(3)))
+        assert len(shards) == 8
+        for shard, reference in shards:
+            assert (shard.index, shard.fixed) == (
+                reference.index, reference.fixed
+            )
+            assert np.allclose(
+                shard.probabilities, reference.probabilities,
+                rtol=0, atol=1e-12,
+            )
+        dd_warm, dd_fresh = (
+            [
+                (r.index, r.fixed, r.active, r.probabilities.tolist())
+                for r in pipeline.dd_query(
+                    max_active_qubits=3, max_recursions=6
+                ).recursions
+            ]
+            for pipeline in (warm, fresh)
+        )
+        assert len(dd_warm) == 6
+        assert dd_warm == dd_fresh
 
 
 # ----------------------------------------------------------------------
@@ -540,3 +629,136 @@ class TestVariationalJobs:
             assert record.result["best_cost"] > record.result["initial_cost"]
         finally:
             scheduler.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Service: golden variational job document
+# ----------------------------------------------------------------------
+
+#: The e2e catalog's variational job (``serve_mixed``): QAOA MaxCut on an
+#: 8-node ring, D=5, three SPSA iterations, submitted twice to one store.
+_GOLDEN_SPEC = dict(
+    benchmark="qaoa", qubits=8, seed=0, device_size=5, strategy="auto",
+    query="variational", iterations=3, degree=0,
+)
+
+#: Runs in a fresh interpreter: the fusion counters read process-wide
+#: memos, so only a cold process reports the same numbers every time.
+_GOLDEN_SCRIPT = """
+import json, sys, tempfile
+from repro.service.scheduler import JobScheduler, JobSpec
+from repro.service.store import ArtifactStore
+
+with tempfile.TemporaryDirectory() as root:
+    scheduler = JobScheduler(ArtifactStore(root), workers=1)
+    try:
+        spec = JobSpec(**json.loads(sys.argv[1]))
+        documents = [
+            scheduler.wait(scheduler.submit(spec), timeout=300).as_dict(
+                include_result=True
+            )
+            for _ in range(2)
+        ]
+    finally:
+        scheduler.shutdown()
+print(json.dumps(documents))
+"""
+
+#: Per SPSA step: ``(cost_plus, cost_minus, best_cost, theta)``.
+_GOLDEN_STEPS = [
+    (3.717894145961027, 5.376828262714966, 5.376828262714966,
+     [2.234789402167605, 1.1547101973685894]),
+    (5.374020572595574, 3.868229585075739, 5.376828262714966,
+     [1.9935710458298739, 0.9134918410308581]),
+    (5.585824202501679, 3.9610386345611506, 5.585824202501679,
+     [1.7351665041998399, 1.1718963826608921]),
+]
+
+
+def _golden_document(cut_hit: bool) -> dict:
+    """The pinned non-timing values of one job; the second submission
+    restores its cut and finds every fused body already compiled."""
+    built = 0 if cut_hit else 8
+    return {
+        "state": "done",
+        "cache_hits": {"cut": cut_hit},
+        "execution": {"mode": "batched"},
+        "fingerprints": {
+            "cut": "ca2213ff48bc92c22f93eafac84f942f86a8d2a1af61439385b27d36b4475923"
+        },
+        "iterations": [
+            {
+                "iteration": k,
+                "cost_plus": plus,
+                "cost_minus": minus,
+                "best_cost": best,
+                "theta": theta,
+                "reuse": {
+                    "cut_cache_hits": 2,
+                    "subcircuit_evaluations": 4,
+                    "tensors_reused": 0,
+                    "fusion_blocks_built": built,
+                    "fusion_blocks_reused": 0,
+                },
+            }
+            for k, (plus, minus, best, theta) in enumerate(_GOLDEN_STEPS)
+        ],
+        "result": {
+            "mode": "variational",
+            "num_qubits": 8,
+            "num_cuts": 2,
+            "num_subcircuits": 2,
+            "num_edges": 8,
+            "layers": 1,
+            "iterations": 3,
+            "initial_cost": 4.838164623621262,
+            "best_cost": 5.585824202501679,
+            "best_theta": [1.8593248424263593, 1.0477380444343727],
+            "final_theta": [1.7351665041998399, 1.1718963826608921],
+            "session": {
+                "iterations": 7,
+                "num_subcircuits": 2,
+                "num_parameters": 16,
+                "cut_store_hit": cut_hit,
+                "cut_cache_hits": 7 if cut_hit else 6,
+                "subcircuit_evaluations": 14,
+                "subcircuits_reused": 0,
+                "tensors_reused": 0,
+                "fusion_blocks_total": 0 if cut_hit else 28,
+                "fusion_blocks_built": 0 if cut_hit else 28,
+            },
+        },
+    }
+
+
+_TIMINGS = {"seconds", "bind_seconds", "cut_seconds", "evaluate_seconds",
+            "tensor_seconds"}
+
+
+def _untimed(value):
+    if isinstance(value, dict):
+        return {k: _untimed(v) for k, v in value.items() if k not in _TIMINGS}
+    if isinstance(value, list):
+        return [_untimed(v) for v in value]
+    return value
+
+
+class TestVariationalJobGolden:
+    def test_job_document_matches_the_pinned_values(self):
+        """Every non-timing value of the job document, cold and then with
+        the cut restored from the store, exactly as first recorded."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", _GOLDEN_SCRIPT, json.dumps(_GOLDEN_SPEC)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        documents = json.loads(proc.stdout)
+        for document, cut_hit in zip(documents, (False, True)):
+            pinned = _golden_document(cut_hit)
+            assert {k: _untimed(document[k]) for k in pinned} == pinned
+            assert set(document["timings"]) == {"cut", "evaluate", "query",
+                                                "total"}
+            assert document["attempts"]["evaluate"] == 1

@@ -27,9 +27,10 @@ Eight checks, two over every tracked Markdown file:
    ``docs/http_api.md``, so the service never accepts a field its
    reader cannot look up.
 7. **Result keys** — every key of a job's ``result`` (``run_query``'s
-   fd, top_k and dd answers on bv-6, nested keys included) is named in
-   code in ``docs/http_api.md``, so a result never carries a key its
-   reader cannot look up.
+   fd, top_k and dd answers on bv-6, and a scheduled variational job's
+   ``result`` and ``iterations`` on qaoa-6, nested keys included) is
+   named in code in ``docs/http_api.md``, so a result never carries a key
+   its reader cannot look up.
 8. **Pool task kinds** — the ``kind`` list of ``repro_pool_tasks_total``
    in ``docs/metrics.md`` is exactly the set of task kinds the
    ``WorkerPool`` records (every kind but the ``cache-stats`` probe).
@@ -247,27 +248,43 @@ def check_job_fields() -> List[str]:
 def check_result_keys(
     api_doc: pathlib.Path = REPO_ROOT / "docs" / "http_api.md",
 ) -> List[str]:
-    """Keys of ``run_query``'s fd, top_k and dd results on bv-6 (nested
-    ones too; a recursion's ``fixed`` is keyed by wire) that no code span
-    of ``api_doc`` names."""
+    """Keys of ``run_query``'s fd, top_k and dd results on bv-6, and of a
+    variational job's ``result`` and ``iterations`` records (nested ones
+    too; a recursion's ``fixed`` is keyed by wire), that no code span of
+    ``api_doc`` names."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.core import CutQC
     from repro.core.job import JobSpec, run_query
+    from repro.service.scheduler import JobScheduler
+    from repro.service.store import ArtifactStore
 
     keys: set = set()
+    pending = []
     pipeline = None
     for query in ("fd", "top_k", "dd"):
         spec = JobSpec(device_size=5, benchmark="bv", qubits=6, query=query)
         if pipeline is None:
             pipeline = CutQC(spec.build_circuit(), config=spec.run_config())
-        pending = [run_query(pipeline, spec)]
-        while pending:
-            value = pending.pop()
-            if isinstance(value, list):
-                pending.extend(value)
-            elif isinstance(value, dict):
-                keys.update(value)
-                pending.extend(v for k, v in value.items() if k != "fixed")
+        pending.append(run_query(pipeline, spec))
+    with tempfile.TemporaryDirectory() as root:
+        scheduler = JobScheduler(ArtifactStore(root), workers=1)
+        try:
+            spec = JobSpec(device_size=5, benchmark="qaoa", qubits=6,
+                           query="variational", iterations=1, degree=0)
+            record = scheduler.wait(scheduler.submit(spec), timeout=300)
+        finally:
+            scheduler.shutdown()
+    if record.state != "done":
+        return [f"variational job for the key check ended {record.state}: "
+                f"{record.error}"]
+    pending += [record.result, record.iterations]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, list):
+            pending.extend(value)
+        elif isinstance(value, dict):
+            keys.update(value)
+            pending.extend(v for k, v in value.items() if k != "fixed")
     named = _code_words(api_doc)
     return [
         f"docs/http_api.md: result key '{key}' is not documented"
